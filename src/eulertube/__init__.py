@@ -68,6 +68,7 @@ from .realization import (
 from .reports import ResidualReport, emit, parse
 from .scenarios import BUILTIN_SCENARIOS, Scenario, run_scenario, scenario_from_config
 from .submanifolds import (
+    NormalFrame,
     NormalVector,
     ParametrizedSubmanifold,
     RadiusFunction,

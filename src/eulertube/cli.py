@@ -18,6 +18,19 @@ from .scenarios import (
 
 OUT_ENV = "EULERTUBE_OUT"
 
+# stages whose tolerance --tol replaces; radius (gated on delta0) and the
+# appendix-* stages keep theirs
+TOL_STAGES = (
+    "embedding",
+    "chi",
+    "pullback",
+    "diagram",
+    "isometry",
+    "euler-like",
+    "reconstruction",
+    "point-case",
+)
+
 
 def _load_target(target: str):
     """Resolve a scenario name or a config file path into a run target."""
@@ -40,8 +53,21 @@ def main():
 
 @main.command()
 @click.argument("targets", nargs=-1, required=True)
-@click.option("--tol", type=float, default=None, help="Override every stage tolerance.")
-@click.option("--samples", type=int, default=None, help="Parameter samples per stage.")
+@click.option(
+    "--tol",
+    type=float,
+    default=None,
+    help="Override the tolerance of the %s stages; radius and appendix-* keep "
+    "theirs." % ", ".join(TOL_STAGES),
+)
+@click.option(
+    "--samples",
+    type=int,
+    default=None,
+    help="Sets samples 'grid' (base points of the radius, embedding, chi, "
+    "pullback and euler-like stages) and 'diagram_u' (base points of the "
+    "diagram stage); other sample counts keep their values.",
+)
 @click.option("--out", default=None, help="Report file (relative paths land in $%s)." % OUT_ENV)
 @click.option(
     "--format",
@@ -63,9 +89,7 @@ def run(targets, tol, samples, out, fmt):
         if tol is not None:
             if tol <= 0:
                 raise click.ClickException("--tol must be positive")
-            over = {k: tol for k in ("embedding", "chi", "pullback", "diagram",
-                                     "isometry", "euler-like", "reconstruction",
-                                     "point-case")}
+            over = {k: tol for k in TOL_STAGES}
             scn = replace(scn, tolerances={**scn.tolerances, **over})
         if samples is not None:
             if samples <= 0:

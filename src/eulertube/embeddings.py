@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import NotInDomain
-from .metrics import MetricField, exp_map
+from .metrics import exp_map
 from .numerics import Array, DifferentiableMap, solve_inverse
-from .submanifolds import (
-    ParametrizedSubmanifold,
-    RadiusFunction,
-    normal_basis_matrix,
-)
+from .submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusFunction
 
 
 @dataclass
@@ -22,17 +18,20 @@ class TubularEmbedding:
     """A smooth injective map (u, c) -> ambient point, with c the coordinates
     of a normal vector in the deterministic background-metric frame.
 
-    ``frame(u)`` returns the (n, n-k) frame matrix; ``delta`` bounds |c| on
-    the certified tube.  Inversion is Newton iteration seeded from the
-    nearest entry of a precomputed forward table.
+    ``frame`` is the normal frame of N that c refers to; ``delta`` bounds
+    |c| on the certified tube.  Inversion is Newton iteration seeded from
+    the nearest entry of a precomputed forward table.
     """
 
-    N: ParametrizedSubmanifold
     map: DifferentiableMap
-    frame: Callable[[Array], Array]
+    frame: NormalFrame
     delta: Optional[RadiusFunction] = None
     seeds: Optional[Array] = None  # (#seeds, k+m)
     seed_images: Optional[Array] = None  # (#seeds, n)
+
+    @property
+    def N(self) -> ParametrizedSubmanifold:
+        return self.frame.N
 
     @property
     def fiber_dim(self) -> int:
@@ -74,7 +73,6 @@ class TubularEmbedding:
 
 def validate_embedding(
     psi: TubularEmbedding,
-    g_ref: MetricField,
     u_grid,
     zero_tol: float = 1e-10,
     frame_tol: float = 1e-6,
@@ -82,22 +80,21 @@ def validate_embedding(
     """Check the tubular-embedding invariants on a parameter grid.
 
     Verifies that the zero section lands on N and that the fiber block of
-    the jacobian, expressed in the reference normal frame, is the identity.
+    the jacobian, expressed in the embedding's normal frame, is the
+    identity.
     Returns the worst residual seen.
     """
     k, m = psi.N.param_dim, psi.fiber_dim
     worst = 0.0
     for u in u_grid:
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        p = psi.N.point(u)
-        r0 = float(np.linalg.norm(psi(u, np.zeros(m)) - p))
+        fp = psi.frame.at(u)
+        r0 = float(np.linalg.norm(psi(u, np.zeros(m)) - fp.p))
         if r0 > zero_tol:
             raise NotInDomain(f"zero section misses N at u={u} (residual {r0:.3e})")
         J = psi.map.jacobian(np.concatenate([u, np.zeros(m)]))
         F = J[:, k:]
-        B = psi.frame(u)
-        G = g_ref.matrix(p)
-        induced = B.T @ G @ F
+        induced = fp.B.T @ psi.frame.g.matrix(fp.p) @ F
         r1 = float(np.max(np.abs(induced - np.eye(m))))
         if r1 > frame_tol:
             raise NotInDomain(
@@ -108,33 +105,21 @@ def validate_embedding(
 
 
 def reference_embedding(
-    g_ref: MetricField,
-    N: ParametrizedSubmanifold,
+    frame: NormalFrame,
     delta: RadiusFunction,
     exp_tol: float = 1e-11,
     fd_step: float = 1e-6,
 ) -> TubularEmbedding:
-    """The normal-exponential embedding of the background metric.
+    """The normal-exponential embedding of the frame's metric.
 
     Maps (u, c) to exp at p(u) of the normal vector with frame coordinates
     c; its fiber differential on the zero section is the identity because
     the exponential map's differential at zero is.
     """
-    from functools import lru_cache
-
+    g_ref, N = frame.g, frame.N
     k = N.param_dim
     n = N.ambient_dim
     m = n - k
-
-    # geodesic tracing evaluates the frame at tightly repeating parameter
-    # values (finite-difference stencils share u), so memoize it
-    @lru_cache(maxsize=8192)
-    def _frame_at(key):
-        return normal_basis_matrix(g_ref, N, np.array(key))
-
-    def frame(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return _frame_at(tuple(u))
 
     flat = False
     if g_ref.christoffel_fn is not None:
@@ -143,30 +128,23 @@ def reference_embedding(
 
     if flat:
         # straight-fiber form p(u) + B(u) c, with the jacobian assembled
-        # from the chart jacobian and finite differences of the frame only
+        # from the chart jacobian and the frame derivative
         def fn(uc):
-            u, c = uc[:k], uc[k:]
-            return N.point(u) + frame(u) @ c
+            fp = frame.at(uc[:k])
+            return fp.p + fp.B @ uc[k:]
 
         def jac(uc):
-            u, c = uc[:k], uc[k:]
+            c = uc[k:]
+            fp = frame.derivative(uc[:k])
             J = np.empty((n, k + m))
-            tangent = N.tangent_basis(u)
-            for i in range(k):
-                up = u.copy()
-                um = u.copy()
-                up[i] += fd_step
-                um[i] -= fd_step
-                dB = (frame(up) - frame(um)) / (2.0 * fd_step)
-                J[:, i] = tangent[:, i] + dB @ c
-            J[:, k:] = frame(u)
+            J[:, :k] = fp.J + (fp.dB @ c).T
+            J[:, k:] = fp.B
             return J
 
     else:
         def fn(uc):
-            u, c = uc[:k], uc[k:]
-            B = frame(u)
-            return exp_map(g_ref, N.point(u), B @ c, tol=exp_tol)
+            fp = frame.at(uc[:k])
+            return exp_map(g_ref, fp.p, fp.B @ uc[k:], tol=exp_tol)
 
         jac = None
 
@@ -179,4 +157,4 @@ def reference_embedding(
     m_ = DifferentiableMap(
         domain_dim=k + m, codomain_dim=n, fn=fn, jac=jac, fd_step=fd_step, domain=in_domain
     )
-    return TubularEmbedding(N=N, map=m_, frame=frame, delta=delta)
+    return TubularEmbedding(map=m_, frame=frame, delta=delta)

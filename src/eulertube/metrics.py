@@ -196,22 +196,6 @@ def velocity_in_domain(g: MetricField, p, v, tol: float = 1e-9) -> bool:
     return not traj.exited
 
 
-@dataclass(frozen=True)
-class GeodesicDomainPolicy:
-    """Accepts a velocity at p iff the geodesic stays in-domain on [0, max_time]."""
-
-    metric: MetricField
-    max_time: float = 1.0
-    tol: float = 1e-9
-
-    def accepts(self, p, v) -> bool:
-        try:
-            traj = geodesic(self.metric, p, v, self.max_time, self.tol)
-        except Exception:
-            return False
-        return not traj.exited
-
-
 # Standard background metrics -------------------------------------------------
 
 

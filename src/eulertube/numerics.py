@@ -165,7 +165,6 @@ def ode_integrate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    f = field if callable(field) and not isinstance(field, DifferentiableMap) else field
     y = np.asarray(y0, dtype=float).copy()
     if t_end == 0.0:
         return Trajectory(np.array([0.0]), np.array([y]), tol)
@@ -178,7 +177,7 @@ def ode_integrate(
     t = 0.0
     h = t_end
     h_min = 1e-14 * abs(t_end)
-    k1 = np.asarray(f(y), dtype=float)
+    k1 = np.asarray(field(y), dtype=float)
     steps = 0
     while t < t_end * (1.0 - 1e-15):
         steps += 1
@@ -186,7 +185,7 @@ def ode_integrate(
             raise StepUnderflow("step budget exhausted")
         h = min(h, t_end - t)
         try:
-            y_new, err, k_last = _dp_step(f, y, h, k1)
+            y_new, err, k_last = _dp_step(field, y, h, k1)
         except EulertubeError:
             # a trial stage point left the region where the field is
             # evaluable; operationally this is a domain boundary

@@ -169,7 +169,7 @@ def verify_main_diagram(
     for u, c in samples:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        w = psi.frame(u) @ c
+        w = psi.frame.at(u).B @ c
         lam = normal_representative(g, N, u, w)
         y = exp_map(g, N.point(u), lam.w, tol=exp_tol)
         residuals.append(float(np.linalg.norm(y - psi(u, c))))

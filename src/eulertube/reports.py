@@ -43,6 +43,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _json_number(x: float):
+    v = float(_fmt(x))
+    return v if math.isfinite(v) else None
+
+
 def emit(
     reports: Sequence[ResidualReport],
     fmt: str = "table",
@@ -51,7 +56,9 @@ def emit(
 ) -> str:
     """Serialize reports as a TSV table or JSON-lines records.
 
-    Numbers carry 17 significant digits and the field order is fixed.  The
+    Numbers carry 17 significant digits and the field order is fixed;
+    records write a non-finite number (the residual of a failed stage) as
+    null, which JSON (RFC 8259) allows and ``parse`` reads back as inf.  The
     wall-clock runtime field is excluded by default so repeated runs of the
     same configuration produce bitwise-identical files.
     """
@@ -71,8 +78,8 @@ def emit(
             d = asdict(r)
             rec = {}
             for f in fields:
-                rec[f] = float(_fmt(d[f])) if f in _NUMERIC else d[f]
-            lines.append(json.dumps(rec, sort_keys=False))
+                rec[f] = _json_number(d[f]) if f in _NUMERIC else d[f]
+            lines.append(json.dumps(rec, sort_keys=False, allow_nan=False))
     else:
         raise ValueError(f"unknown format {fmt!r} (use 'table' or 'records')")
     text = "\n".join(lines) + "\n"
@@ -106,6 +113,8 @@ def _from_dict(d) -> ResidualReport:
     def num(key, default=0.0):
         if key not in d:
             return default
+        if d[key] is None:
+            return math.inf
         return float(d[key])
 
     passed = d.get("passed", "False")

@@ -33,6 +33,7 @@ from .realization import (
 )
 from .reports import ResidualReport
 from .submanifolds import (
+    NormalFrame,
     ParametrizedSubmanifold,
     RadiusFunction,
     normal_basis_matrix,
@@ -134,7 +135,7 @@ SUBMANIFOLDS: Dict[str, Callable[[], Tuple[ParametrizedSubmanifold, float, float
 }
 
 
-def _embedding_slice_affine(N, gt, delta):
+def _embedding_slice_affine(frame, delta):
     a, b = 0.2, -0.1
 
     def fn(uc):
@@ -145,7 +146,7 @@ def _embedding_slice_affine(N, gt, delta):
     return fn, jac
 
 
-def _embedding_circle_quadratic(N, gt, delta):
+def _embedding_circle_quadratic(frame, delta):
     eps = 0.1
 
     def fn(uc):
@@ -165,40 +166,33 @@ def _embedding_circle_quadratic(N, gt, delta):
     return fn, jac
 
 
-def _embedding_helix_quadratic(N, gt, delta):
-    from functools import lru_cache
-
+def _embedding_helix_quadratic(frame, delta):
     eps = 0.05
-    h = 1e-6
-
-    @lru_cache(maxsize=8192)
-    def pieces(u0):
-        u = np.array([u0])
-        p = N.point(u)
-        B = normal_basis_matrix(gt, N, u)
-        tan = N.tangent_basis(u)[:, 0]
-        return p, B, tan / np.linalg.norm(tan)
 
     def fn(uc):
-        p, B, that = pieces(float(uc[0]))
+        fp = frame.tangent(uc[:1])
         c = uc[1:]
-        return p + B @ c + eps * (c[0] ** 2 - 0.5 * c[1] ** 2) * that
+        tan = fp.J[:, 0]
+        that = tan / np.linalg.norm(tan)
+        return fp.p + fp.B @ c + eps * (c[0] ** 2 - 0.5 * c[1] ** 2) * that
 
     def jac(uc):
+        fp = frame.derivative(uc[:1])
         c = uc[1:]
         q = eps * (c[0] ** 2 - 0.5 * c[1] ** 2)
-        pp, Bp, tp = pieces(float(uc[0]) + h)
-        pm, Bm, tm = pieces(float(uc[0]) - h)
-        _, B, that = pieces(float(uc[0]))
-        d_u = (pp - pm + (Bp - Bm) @ c + q * (tp - tm)) / (2.0 * h)
-        d_c1 = B[:, 0] + 2.0 * eps * c[0] * that
-        d_c2 = B[:, 1] - eps * c[1] * that
+        tan, dtan = fp.J[:, 0], fp.dJ[0][:, 0]
+        nt = np.linalg.norm(tan)
+        that = tan / nt
+        dthat = (dtan - that * (that @ dtan)) / nt
+        d_u = tan + fp.dB[0] @ c + q * dthat
+        d_c1 = fp.B[:, 0] + 2.0 * eps * c[0] * that
+        d_c2 = fp.B[:, 1] - eps * c[1] * that
         return np.column_stack([d_u, d_c1, d_c2])
 
     return fn, jac
 
 
-def _embedding_sphere_shear(N, gt, delta):
+def _embedding_sphere_shear(frame, delta):
     eps = 0.1
 
     def fn(uc):
@@ -209,11 +203,13 @@ def _embedding_sphere_shear(N, gt, delta):
     return fn, jac
 
 
-EMBEDDINGS: Dict[str, Callable] = {
-    "slice-affine": _embedding_slice_affine,
-    "circle-quadratic": _embedding_circle_quadratic,
-    "helix-quadratic": _embedding_helix_quadratic,
-    "sphere-shear": _embedding_sphere_shear,
+# name -> ((k, n) of the submanifold it is written for,
+#          factory(frame, delta) -> (fn, jac) in (u, c) coordinates)
+EMBEDDINGS: Dict[str, Tuple[Tuple[int, int], Callable]] = {
+    "slice-affine": ((1, 3), _embedding_slice_affine),
+    "circle-quadratic": ((1, 2), _embedding_circle_quadratic),
+    "helix-quadratic": ((1, 3), _embedding_helix_quadratic),
+    "sphere-shear": ((1, 2), _embedding_sphere_shear),
 }
 
 
@@ -358,7 +354,28 @@ def scenario_from_config(config: Dict) -> Scenario:
             if float(v) <= 0:
                 raise ConfigError(f"tolerances.{k} must be positive")
         updates["tolerances"] = {**scn.tolerances, **{k: float(v) for k, v in t.items()}}
-    return replace(scn, **updates)
+    scn = replace(scn, **updates)
+    if scn.kind == "tube":
+        _check_dimensions(scn)
+    return scn
+
+
+def _check_dimensions(scn: Scenario) -> None:
+    """Reject a background, submanifold and embedding that do not fit."""
+    n_bg = BACKGROUNDS[scn.background]().dim
+    N = SUBMANIFOLDS[scn.submanifold]()[0]
+    k_emb, n_emb = EMBEDDINGS[scn.embedding][0]
+    if N.ambient_dim != n_bg:
+        raise ConfigError(
+            f"submanifold {scn.submanifold!r} lies in dimension {N.ambient_dim}, "
+            f"background {scn.background!r} has dimension {n_bg}"
+        )
+    if (N.param_dim, N.ambient_dim) != (k_emb, n_emb):
+        raise ConfigError(
+            f"embedding {scn.embedding!r} is written for a {k_emb}-dimensional "
+            f"submanifold of dimension {n_emb}, submanifold {scn.submanifold!r} "
+            f"is {N.param_dim}-dimensional in dimension {N.ambient_dim}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +387,9 @@ def _interior_grid(lo: float, hi: float, count: int, margin: float = 0.1):
     return [np.array([v]) for v in np.linspace(lo + margin * span, hi - margin * span, count)]
 
 
-def _build_psi(scn: Scenario, gt: MetricField, N: ParametrizedSubmanifold, delta: RadiusFunction) -> TubularEmbedding:
-    fn, jac = EMBEDDINGS[scn.embedding](N, gt, delta)
+def _build_psi(scn: Scenario, frame: NormalFrame, delta: RadiusFunction) -> TubularEmbedding:
+    fn, jac = EMBEDDINGS[scn.embedding][1](frame, delta)
+    N = frame.N
     k = N.param_dim
     m = N.ambient_dim - k
 
@@ -389,8 +407,7 @@ def _build_psi(scn: Scenario, gt: MetricField, N: ParametrizedSubmanifold, delta
         fd_step=1e-6,
         domain=in_domain,
     )
-    frame = lambda u: normal_basis_matrix(gt, N, u)
-    return TubularEmbedding(N=N, map=psi_map, frame=frame, delta=delta)
+    return TubularEmbedding(map=psi_map, frame=frame, delta=delta)
 
 
 def _fiber_directions(m: int, count: int) -> List[Array]:
@@ -468,6 +485,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
     grid = _interior_grid(lo, hi, scn.sample("grid"))
+    frame = NormalFrame(gt, N)
     state: Dict[str, object] = {}
 
     def stage_radius():
@@ -481,10 +499,10 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     delta: RadiusFunction = state["delta"]
 
     def stage_embedding():
-        psi = _build_psi(scn, gt, N, delta)
+        psi = _build_psi(scn, frame, delta)
         psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
         state["psi"] = psi
-        r = validate_embedding(psi, gt, grid)
+        r = validate_embedding(psi, grid)
         return r, r, len(grid)
 
     if _stage(reports, scn, "embedding", stage_embedding, scn.tolerance("embedding")) is None:
@@ -492,7 +510,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     psi: TubularEmbedding = state["psi"]
 
     def stage_chi():
-        phi = reference_embedding(gt, N, delta)
+        phi = reference_embedding(frame, delta)
         lo_img = np.min(psi.seed_images, axis=0) - 0.3 * delta(grid[0])
         hi_img = np.max(psi.seed_images, axis=0) + 0.3 * delta(grid[0])
         dom = lambda x: bool(np.all(x > lo_img) and np.all(x < hi_img))
@@ -693,6 +711,8 @@ def run_scenario(config) -> List[ResidualReport]:
         return _run_point_scenario(scn)
     if scn.kind == "appendix":
         return _run_appendix_scenario(scn)
+    # a Scenario built in code has not been through scenario_from_config
+    _check_dimensions(scn)
     return _run_tube_scenario(scn)
 
 

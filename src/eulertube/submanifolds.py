@@ -4,7 +4,7 @@ tubular-radius certification."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -61,19 +61,31 @@ def _tangent_projection_pieces(g: MetricField, N: ParametrizedSubmanifold, u):
     p = N.point(u)
     J = N.tangent_basis(u)
     if N.param_dim > 0:
-        if np.linalg.svd(J, compute_uv=False)[-1] <= _RANK_TOL:
+        # smallest singular value; a curve's is the length of its one column
+        if N.param_dim == 1:
+            smin = float(np.sqrt(J[:, 0] @ J[:, 0]))
+        else:
+            smin = np.linalg.svd(J, compute_uv=False)[-1]
+        if smin <= _RANK_TOL:
             raise RankDeficient(f"tangent basis rank-deficient at u={u}")
     G = g.matrix(p)
     return p, J, G
 
 
-def _project_normal(a: Array, J: Array, G: Array) -> Array:
-    """G-orthogonal projection of a onto the normal space (kills tangents)."""
+def _small_inv(M: Array) -> Array:
+    """Inverse of a k x k matrix, k <= n <= 3.  np.linalg.inv costs ~10 us a
+    call, about a quarter of a frame build; a 1 x 1 inverse is a reciprocal."""
+    return np.reciprocal(M) if M.shape == (1, 1) else np.linalg.inv(M)
+
+
+def _normal_projector(J: Array, G: Array) -> Array:
+    """P = I - J (J^T G J)^-1 J^T G, the G-orthogonal projection onto the
+    normal space (kills tangents)."""
+    P = np.eye(J.shape[0])
     if J.shape[1] == 0:
-        return a.copy()
-    M = J.T @ G @ J
-    coef = np.linalg.solve(M, J.T @ G @ a)
-    return a - J @ coef
+        return P
+    JtG = J.T @ G
+    return P - J @ (_small_inv(JtG @ J) @ JtG)
 
 
 def normal_space_basis(
@@ -81,19 +93,19 @@ def normal_space_basis(
 ) -> List[NormalVector]:
     """Deterministic g-orthonormal basis of the normal space at p(u).
 
-    Standard ambient basis vectors are projected onto the normal space and
-    orthonormalized in index order; near-zero projections are skipped.
+    Standard ambient basis vectors are projected onto the normal space (the
+    columns of the projector) and orthonormalized in index order; near-zero
+    projections are skipped.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     p, J, G = _tangent_projection_pieces(g, N, u)
+    P = _normal_projector(J, G)
     n, k = N.ambient_dim, N.param_dim
     basis: List[Array] = []
     for i in range(n):
         if len(basis) == n - k:
             break
-        e = np.zeros(n)
-        e[i] = 1.0
-        q = _project_normal(e, J, G)
+        q = P[:, i]
         for b in basis:
             q = q - (b @ G @ q) * b
         nrm = float(np.sqrt(max(q @ G @ q, 0.0)))
@@ -111,6 +123,112 @@ def normal_basis_matrix(g: MetricField, N: ParametrizedSubmanifold, u) -> Array:
     return np.column_stack([nv.w for nv in vecs])
 
 
+_FRAME_MEMO = 32  # base points a NormalFrame remembers
+_FRAME_DU = 1e-5  # central-difference step of dJ/du and dG/du
+
+
+@dataclass
+class FramePoint:
+    """The frame at one base point: p(u) and B(u), the columns of
+    ``normal_basis_matrix``; J(u), dJ/du and dB/du once requested."""
+
+    u: Array
+    p: Array
+    B: Array  # (n, n-k)
+    J: Optional[Array] = None  # (n, k), columns span T_pN
+    dJ: Optional[Array] = None  # dJ[i] = dJ/du_i, (k, n, k)
+    dB: Optional[Array] = None  # dB[i] = dB/du_i, (k, n, n-k)
+
+
+class NormalFrame:
+    """The normal frame of N under the metric g, one build per base point.
+
+    ``at(u)`` gives p and the frame B of ``normal_basis_matrix``,
+    ``tangent(u)`` adds J and ``derivative(u)`` adds dJ/du and dB/du.  dB
+    comes from the chain rule through the tangent projection and
+    Gram-Schmidt of ``normal_space_basis``, so no frame is built at a
+    shifted point; only dJ and dG are central differences of the chart
+    jacobian and the metric.  The last ``_FRAME_MEMO`` base points are
+    remembered under the exact bytes of u, so a result never depends on
+    what was evaluated before it.
+    """
+
+    def __init__(self, g: MetricField, N: ParametrizedSubmanifold):
+        self.g = g
+        self.N = N
+        m = N.ambient_dim - N.param_dim
+        self._strict_lower = np.tri(m, m, -1)
+        self._memo: Dict[bytes, FramePoint] = {}
+
+    def at(self, u) -> FramePoint:
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        key = u.tobytes()
+        fp = self._memo.get(key)
+        if fp is None:
+            B = normal_basis_matrix(self.g, self.N, u)
+            fp = FramePoint(u=u.copy(), p=self.N.point(u), B=B)
+            if len(self._memo) >= _FRAME_MEMO:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = fp
+        return fp
+
+    def tangent(self, u) -> FramePoint:
+        fp = self.at(u)
+        if fp.J is None:
+            fp.J = self.N.tangent_basis(fp.u)
+        return fp
+
+    def derivative(self, u) -> FramePoint:
+        fp = self.tangent(u)
+        if fp.dB is None:
+            fp.dJ, fp.dB = self._chain_rule(fp)
+        return fp
+
+    def _chain_rule(self, fp: FramePoint):
+        """dJ/du and dB/du through the steps of normal_space_basis.
+
+        Write dB = J alpha + B W.  Differentiating J^T G B = 0 gives
+        alpha = -M^-1 (dJ^T G B + J^T dG B) with M = J^T G J, and
+        B^T G B = I gives sym(W) = -B^T dG B / 2.  Gram-Schmidt of the kept
+        projector columns s gives B R = P_s = (I - J A)_s with R upper
+        triangular and A = M^-1 J^T G; this fixes the strictly lower part
+        of W to that of -(B^T G dJ) C with C = A_s R^-1.  In
+        B = I_s R^-1 - J C (I_s: columns s of the identity) the k rows r
+        outside s of I_s R^-1 are zero, so C = -J_r^-1 B_r.
+        """
+        g, N = self.g, self.N
+        u, J, B = fp.u, fp.J, fp.B
+        n, k = J.shape
+        m = B.shape[1]
+        dJ = np.empty((k, n, k))
+        dB = np.empty((k, n, m))
+        if k == 0:
+            return dJ, dB
+        G = g.matrix(fp.p)
+        BG = B.T @ G  # equals B^T G P; G is symmetric, so G B = BG^T
+        # Gram-Schmidt kept column i as the (j+1)-th vector iff its residual
+        # norm, which is BG[j, i], cleared the rank bound
+        s: List[int] = []
+        for i in range(n):
+            if len(s) < m and BG[len(s), i] >= _RANK_TOL:
+                s.append(i)
+        r = [i for i in range(n) if i not in s]
+        M_inv = _small_inv(J.T @ G @ J)
+        C = -_small_inv(J[r]) @ B[r]
+        for i in range(k):
+            up = u.copy()
+            um = u.copy()
+            up[i] += _FRAME_DU
+            um[i] -= _FRAME_DU
+            dJ[i] = (N.tangent_basis(up) - N.tangent_basis(um)) / (2.0 * _FRAME_DU)
+            dGB = (g.matrix(N.point(up)) - g.matrix(N.point(um))) @ B / (2.0 * _FRAME_DU)
+            alpha = -M_inv @ (dJ[i].T @ BG.T + J.T @ dGB)
+            S = -0.5 * (B.T @ dGB)
+            L = (-(BG @ dJ[i]) @ C - S) * self._strict_lower
+            dB[i] = J @ alpha + B @ (S + L - L.T)
+        return dJ, dB
+
+
 def normal_representative(
     g: MetricField, N: ParametrizedSubmanifold, u, a
 ) -> NormalVector:
@@ -123,7 +241,7 @@ def normal_representative(
     u = np.atleast_1d(np.asarray(u, dtype=float))
     a = np.asarray(a, dtype=float)
     _, J, G = _tangent_projection_pieces(g, N, u)
-    return NormalVector(u=u, w=_project_normal(a, J, G))
+    return NormalVector(u=u, w=_normal_projector(J, G) @ a)
 
 
 def normal_exponential(

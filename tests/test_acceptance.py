@@ -25,6 +25,7 @@ from eulertube.scenarios import (
     _build_psi,
 )
 from eulertube.submanifolds import (
+    NormalFrame,
     ParametrizedSubmanifold,
     RadiusFunction,
     normal_basis_matrix,
@@ -68,9 +69,10 @@ def circle_pullback_pipeline():
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
     grid = [np.array([v]) for v in np.linspace(lo + 0.3, hi - 0.3, 7)]
     delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
-    psi = _build_psi(scn, gt, N, delta)
+    frame = NormalFrame(gt, N)
+    psi = _build_psi(scn, frame, delta)
     psi.build_seed_table(grid)
-    phi = reference_embedding(gt, N, delta)
+    phi = reference_embedding(frame, delta)
     chi = build_chi(psi, phi, domain=lambda x: 0.2 < np.linalg.norm(x) < 1.9)
     return gt, N, delta, pullback_metric(chi, gt)
 
@@ -159,9 +161,8 @@ def test_criterion_5_reference_metric_independence():
     delta = RadiusFunction(fn=lambda u: 1.0, grid=[])
     fn = lambda uc: np.array([uc[0] + 0.2 * uc[1], uc[1] + 0.05 * uc[1] ** 2])
     psi = TubularEmbedding(
-        N=N,
         map=DifferentiableMap(2, 2, fn),
-        frame=lambda u: normal_basis_matrix(g_euc, N, u),
+        frame=NormalFrame(g_euc, N),
         delta=delta,
     )
     psi.build_seed_table([np.array([v]) for v in np.linspace(-0.8, 0.8, 9)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -5,7 +7,7 @@ from click.testing import CliRunner
 from eulertube.cli import main
 from eulertube.errors import ConfigError
 from eulertube.reports import parse
-from eulertube.scenarios import BUILTIN_SCENARIOS, scenario_from_config
+from eulertube.scenarios import BUILTIN_SCENARIOS, run_scenario, scenario_from_config
 
 
 @pytest.fixture
@@ -39,6 +41,21 @@ class TestConfigValidation:
             scenario_from_config({"scenario": "circle", "delta0": -1.0})
         with pytest.raises(ConfigError, match="diagram"):
             scenario_from_config({"scenario": "circle", "tolerances": {"diagram": 0.0}})
+
+    def test_incompatible_dimensions_rejected(self):
+        # helix-arc lies in R^3, the circle's background and sphere-shear
+        # are two-dimensional
+        with pytest.raises(ConfigError, match="helix-arc"):
+            scenario_from_config(
+                {"scenario": "circle", "submanifold": "helix-arc", "embedding": "sphere-shear"}
+            )
+        with pytest.raises(ConfigError, match="helix-quadratic"):
+            scenario_from_config({"scenario": "circle", "embedding": "helix-quadratic"})
+        scn = scenario_from_config({"scenario": "circle", "embedding": "sphere-shear"})
+        assert scn.embedding == "sphere-shear"
+        # a Scenario built in code is checked when it runs
+        with pytest.raises(ConfigError, match="helix-arc"):
+            run_scenario(replace(BUILTIN_SCENARIOS["circle"], submanifold="helix-arc"))
 
     def test_overrides_applied(self):
         scn = scenario_from_config(
@@ -89,6 +106,15 @@ class TestCliCommands:
         result = runner.invoke(main, ["check", str(cfg)])
         assert result.exit_code != 0
         assert "submanifold" in result.output
+
+    def test_incompatible_config_fails_closed(self, runner, tmp_path):
+        cfg = tmp_path / "scn.yaml"
+        cfg.write_text("scenario: circle\nsubmanifold: helix-arc\nembedding: sphere-shear\n")
+        for command in ("check", "run"):
+            result = runner.invoke(main, [command, str(cfg)])
+            assert result.exit_code == 1
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert "helix-arc" in result.output
 
     def test_failing_stage_sets_exit_code(self, runner, tmp_path):
         # impossible tolerance: the point-case residual cannot reach 1e-300

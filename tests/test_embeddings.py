@@ -9,11 +9,7 @@ from eulertube.embeddings import (
 from eulertube.errors import NotInDomain
 from eulertube.metrics import euclidean_metric
 from eulertube.numerics import DifferentiableMap
-from eulertube.submanifolds import (
-    ParametrizedSubmanifold,
-    RadiusFunction,
-    normal_basis_matrix,
-)
+from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusFunction
 
 
 def x_axis_r2():
@@ -44,12 +40,12 @@ def u_grid(lo, hi, n):
 class TestReferenceEmbedding:
     def test_flat_slice_is_identity(self):
         g = euclidean_metric(2)
-        phi = reference_embedding(g, x_axis_r2(), const_radius(2.0))
+        phi = reference_embedding(NormalFrame(g, x_axis_r2()), const_radius(2.0))
         assert np.allclose(phi(np.array([0.7]), np.array([0.4])), [0.7, 0.4], atol=1e-12)
 
     def test_circle_fibers_are_radial(self):
         g = euclidean_metric(2)
-        phi = reference_embedding(g, unit_circle(), const_radius(0.5))
+        phi = reference_embedding(NormalFrame(g, unit_circle()), const_radius(0.5))
         theta, s = 0.3, 0.2
         expected = (1 + s) * np.array([np.cos(theta), np.sin(theta)])
         assert np.allclose(phi(np.array([theta]), np.array([s])), expected, atol=1e-10)
@@ -57,14 +53,14 @@ class TestReferenceEmbedding:
     def test_zero_section(self):
         g = euclidean_metric(2)
         N = unit_circle()
-        phi = reference_embedding(g, N, const_radius(0.5))
+        phi = reference_embedding(NormalFrame(g, N), const_radius(0.5))
         for u in u_grid(-1.0, 1.0, 5):
             assert np.allclose(phi(u, np.zeros(1)), N.point(u), atol=1e-12)
 
     def test_validates(self):
         g = euclidean_metric(2)
-        phi = reference_embedding(g, unit_circle(), const_radius(0.5))
-        assert validate_embedding(phi, g, u_grid(-1.0, 1.0, 7)) <= 1e-6
+        phi = reference_embedding(NormalFrame(g, unit_circle()), const_radius(0.5))
+        assert validate_embedding(phi, u_grid(-1.0, 1.0, 7)) <= 1e-6
 
 
 class TestValidateEmbedding:
@@ -73,26 +69,24 @@ class TestValidateEmbedding:
         N = x_axis_r2()
         bad_map = DifferentiableMap(2, 2, lambda uc: np.array([uc[0], 2.0 * uc[1]]))
         psi = TubularEmbedding(
-            N=N,
             map=bad_map,
-            frame=lambda u: normal_basis_matrix(g, N, u),
+            frame=NormalFrame(g, N),
             delta=const_radius(1.0),
         )
         with pytest.raises(NotInDomain):
-            validate_embedding(psi, g, u_grid(-1.0, 1.0, 3))
+            validate_embedding(psi, u_grid(-1.0, 1.0, 3))
 
     def test_rejects_shifted_zero_section(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
         bad_map = DifferentiableMap(2, 2, lambda uc: np.array([uc[0], uc[1] + 0.1]))
         psi = TubularEmbedding(
-            N=N,
             map=bad_map,
-            frame=lambda u: normal_basis_matrix(g, N, u),
+            frame=NormalFrame(g, N),
             delta=const_radius(1.0),
         )
         with pytest.raises(NotInDomain):
-            validate_embedding(psi, g, u_grid(-1.0, 1.0, 3))
+            validate_embedding(psi, u_grid(-1.0, 1.0, 3))
 
 
 class TestInversion:
@@ -101,9 +95,8 @@ class TestInversion:
         N = x_axis_r2()
         fn = lambda uc: np.array([uc[0] + 0.1 * uc[1] ** 2, uc[1]])
         psi = TubularEmbedding(
-            N=N,
             map=DifferentiableMap(2, 2, fn),
-            frame=lambda u: normal_basis_matrix(g, N, u),
+            frame=NormalFrame(g, N),
             delta=const_radius(1.0),
         )
         psi.build_seed_table(u_grid(-1.0, 1.0, 9))
@@ -115,9 +108,8 @@ class TestInversion:
         g = euclidean_metric(2)
         N = x_axis_r2()
         psi = TubularEmbedding(
-            N=N,
             map=DifferentiableMap(2, 2, lambda uc: uc),
-            frame=lambda u: normal_basis_matrix(g, N, u),
+            frame=NormalFrame(g, N),
         )
         with pytest.raises(RuntimeError):
             psi.invert(np.zeros(2))

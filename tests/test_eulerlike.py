@@ -15,11 +15,7 @@ from eulertube.eulerlike import (
 )
 from eulertube.metrics import euclidean_metric
 from eulertube.numerics import DifferentiableMap
-from eulertube.submanifolds import (
-    ParametrizedSubmanifold,
-    RadiusFunction,
-    normal_basis_matrix,
-)
+from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusFunction
 
 
 def origin_r2():
@@ -40,9 +36,8 @@ def oracle(fn, n=2):
 def embedding_over(N, fn, delta=1.5, jac=None):
     g = euclidean_metric(N.ambient_dim)
     psi = TubularEmbedding(
-        N=N,
         map=DifferentiableMap(N.ambient_dim, N.ambient_dim, fn, jac=jac),
-        frame=lambda u: normal_basis_matrix(g, N, u),
+        frame=NormalFrame(g, N),
         delta=RadiusFunction(fn=lambda u: delta, grid=[np.zeros(max(N.param_dim, 1))]),
     )
     return psi

@@ -15,6 +15,7 @@ from eulertube.realization import (
     verify_main_diagram,
 )
 from eulertube.submanifolds import (
+    NormalFrame,
     ParametrizedSubmanifold,
     RadiusFunction,
     normal_basis_matrix,
@@ -63,9 +64,8 @@ def circle_psi(g, N, delta):
         return np.column_stack([(1.0 + c) * t - eps * c * c * r, r + 2 * eps * c * t])
 
     psi = TubularEmbedding(
-        N=N,
         map=DifferentiableMap(2, 2, fn, jac=jac),
-        frame=lambda u: normal_basis_matrix(g, N, u),
+        frame=NormalFrame(g, N),
         delta=delta,
     )
     psi.build_seed_table(u_grid(-1.2, 1.2, 15))
@@ -76,7 +76,7 @@ class TestBuildChi:
     def test_phi_over_itself_is_identity(self):
         g = euclidean_metric(2)
         N = unit_circle()
-        phi = reference_embedding(g, N, const_radius(0.4))
+        phi = reference_embedding(NormalFrame(g, N), const_radius(0.4))
         phi.build_seed_table(u_grid(-1.2, 1.2, 15))
         chi = build_chi(phi, phi)
         for x in ([1.1, 0.2], [0.8, 0.5], [1.05, -0.3]):
@@ -88,7 +88,7 @@ class TestBuildChi:
         N = unit_circle()
         delta = const_radius(0.4)
         psi = circle_psi(g, N, delta)
-        phi = reference_embedding(g, N, delta)
+        phi = reference_embedding(NormalFrame(g, N), delta)
         chi = build_chi(psi, phi)
         for u in u_grid(-1.0, 1.0, 7):
             p = N.point(u)
@@ -99,7 +99,7 @@ class TestBuildChi:
         N = unit_circle()
         delta = const_radius(0.4)
         psi = circle_psi(g, N, delta)
-        phi = reference_embedding(g, N, delta)
+        phi = reference_embedding(NormalFrame(g, N), delta)
         chi = build_chi(psi, phi)
         theta, s = 0.6, 0.25
         x = psi(np.array([theta]), np.array([s]))
@@ -167,7 +167,7 @@ class TestDiagramAndIsometry:
         N = unit_circle()
         delta = const_radius(0.4)
         psi = circle_psi(g_ref, N, delta)
-        phi = reference_embedding(g_ref, N, delta)
+        phi = reference_embedding(NormalFrame(g_ref, N), delta)
         chi = build_chi(
             psi, phi, domain=lambda x: 0.2 < np.linalg.norm(x) < 1.8
         )

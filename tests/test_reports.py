@@ -85,6 +85,26 @@ def test_round_trip_preserves_doubles_exactly(max_r, tol):
         assert back.passed == r.passed
 
 
+def test_failed_stage_records_are_strict_json():
+    failed = sample_report(max_residual=float("inf"), mean_residual=float("inf"))
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for line in emit([failed, sample_report()], fmt="records").splitlines():
+        json.loads(line, parse_constant=reject)
+    assert json.loads(emit([failed], fmt="records"))["max_residual"] is None
+    (back, _) = parse(emit([failed, sample_report()], fmt="records", include_runtime=True))
+    assert back == failed
+    assert back.max_residual == float("inf") and not back.passed
+
+
+def test_failed_stage_table_keeps_inf():
+    failed = sample_report(max_residual=float("inf"), mean_residual=float("inf"))
+    row = emit([failed]).splitlines()[1].split("\t")
+    assert row[3:5] == ["inf", "inf"]
+
+
 def test_unwritable_path_raises_io_error(tmp_path):
     with pytest.raises(IoError):
         emit([sample_report()], path=str(tmp_path / "missing" / "out.tsv"))

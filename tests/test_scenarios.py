@@ -11,7 +11,7 @@ from eulertube.scenarios import (
     default_suite,
     run_scenario,
 )
-from eulertube.submanifolds import RadiusFunction
+from eulertube.submanifolds import NormalFrame, RadiusFunction
 
 
 def test_default_suite_contains_spec_scenarios():
@@ -60,7 +60,7 @@ def test_embedding_analytic_jacobians_match_fd(name):
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
     delta = RadiusFunction(fn=lambda u: 0.3, grid=[])
-    fn, jac = EMBEDDINGS[name](N, gt, delta)
+    fn, jac = EMBEDDINGS[name][1](NormalFrame(gt, N), delta)
     dim = N.ambient_dim
     fa = DifferentiableMap(dim, dim, fn, jac=jac)
     ffd = DifferentiableMap(dim, dim, fn)
@@ -78,7 +78,7 @@ def test_helix_jacobian_matches_fd():
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
     delta = RadiusFunction(fn=lambda u: 0.3, grid=[])
-    fn, jac = EMBEDDINGS["helix-quadratic"](N, gt, delta)
+    fn, jac = EMBEDDINGS["helix-quadratic"][1](NormalFrame(gt, N), delta)
     fa = DifferentiableMap(3, 3, fn, jac=jac)
     ffd = DifferentiableMap(3, 3, fn, fd_step=1e-6)
     rng = np.random.default_rng(4)

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulertube.errors import RankDeficient
-from eulertube.metrics import MetricField, euclidean_metric, sphere_chart_metric
+from eulertube.metrics import MetricField, euclidean_metric, polar_metric, sphere_chart_metric
 from eulertube.numerics import DifferentiableMap
+from eulertube.scenarios import BACKGROUNDS, SUBMANIFOLDS
+from eulertube import submanifolds
 from eulertube.submanifolds import (
+    NormalFrame,
     NormalVector,
     ParametrizedSubmanifold,
     normal_basis_matrix,
@@ -76,6 +79,110 @@ def test_frame_smooth_along_circle():
             - normal_basis_matrix(g, N, np.array([theta - h]))
         ) / (2 * h)
         assert np.linalg.norm(d) <= 2.0  # bounded, in particular no sign flip
+
+
+def skew_constant_metric(n):
+    G = np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return MetricField(dim=n, matrix_fn=lambda x: G)
+
+
+def skew_varying_metric_3d():
+    def G(x):
+        return np.array(
+            [
+                [2.0 + np.sin(x[0]), 0.3 * x[1], 0.1],
+                [0.3 * x[1], 1.0 + x[2] ** 2, 0.2 * np.cos(x[0])],
+                [0.1, 0.2 * np.cos(x[0]), 1.5],
+            ]
+        )
+
+    return MetricField(dim=3, matrix_fn=G)
+
+
+def polar_curve():
+    chart = DifferentiableMap(
+        1,
+        2,
+        lambda u: np.array([1.0 + 0.3 * np.sin(u[0]), u[0]]),
+        jac=lambda u: np.array([[0.3 * np.cos(u[0])], [1.0]]),
+    )
+    return ParametrizedSubmanifold(1, 2, chart, name="polar-curve"), -1.2, 1.2
+
+
+def graph_surface():
+    """z = 0.3 x^2 + 0.2 x y - 0.1 y^2 over (x, y): k = 2 inside R^3.
+
+    The frame's first vector flips sign where dz/dx = 0, so the samples
+    (v, -0.6 v) stay at v > 0."""
+    chart = DifferentiableMap(
+        2,
+        3,
+        lambda u: np.array([u[0], u[1], 0.3 * u[0] ** 2 + 0.2 * u[0] * u[1] - 0.1 * u[1] ** 2]),
+        jac=lambda u: np.array(
+            [[1.0, 0.0], [0.0, 1.0], [0.6 * u[0] + 0.2 * u[1], 0.2 * u[0] - 0.2 * u[1]]]
+        ),
+    )
+    return ParametrizedSubmanifold(2, 3, chart, name="graph"), 0.1, 1.0
+
+
+# every built-in tube submanifold with its background, then metrics whose
+# matrix is not the identity (constant and varying) so the dG term counts,
+# and a surface for k > 1
+FRAME_CASES = {
+    "line-3d": (BACKGROUNDS["euclidean-3d"], SUBMANIFOLDS["line-3d"]),
+    "circle-arc": (BACKGROUNDS["euclidean-2d"], SUBMANIFOLDS["circle-arc"]),
+    "circle-full": (BACKGROUNDS["euclidean-2d"], SUBMANIFOLDS["circle-full"]),
+    "helix-arc": (BACKGROUNDS["euclidean-3d"], SUBMANIFOLDS["helix-arc"]),
+    "sphere-equator-arc": (BACKGROUNDS["sphere-chart"], SUBMANIFOLDS["sphere-equator-arc"]),
+    "circle-arc-skew": (lambda: skew_constant_metric(2), SUBMANIFOLDS["circle-arc"]),
+    "helix-arc-skew": (lambda: skew_constant_metric(3), SUBMANIFOLDS["helix-arc"]),
+    "helix-arc-varying": (skew_varying_metric_3d, SUBMANIFOLDS["helix-arc"]),
+    "polar": (polar_metric, polar_curve),
+    "graph-surface": (BACKGROUNDS["euclidean-3d"], graph_surface),
+    "graph-surface-varying": (skew_varying_metric_3d, graph_surface),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_frame_derivative_matches_fd_of_frame(case):
+    make_g, make_N = FRAME_CASES[case]
+    g = make_g()
+    N, lo, hi = make_N()
+    frame = NormalFrame(g, N)
+    k = N.param_dim
+    for v in np.linspace(lo + 0.05, hi - 0.05, 9):
+        u = np.array([v, -0.6 * v])[:k]
+        fp = frame.derivative(u)
+        assert np.array_equal(fp.B, normal_basis_matrix(g, N, u))
+        for i in range(k):
+            h = np.zeros(k)
+            h[i] = 1e-5
+            fd = (normal_basis_matrix(g, N, u + h) - normal_basis_matrix(g, N, u - h)) / 2e-5
+            assert np.max(np.abs(fp.dB[i] - fd)) <= 1e-7
+
+
+def test_frame_memo_carries_no_history():
+    g = skew_varying_metric_3d()
+    N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+    u = np.array([0.37])
+    cold = NormalFrame(g, N).derivative(u)
+    warm_frame = NormalFrame(g, N)
+    for v in np.linspace(lo, hi, 100):
+        warm_frame.derivative(np.array([v]))
+    warm = warm_frame.derivative(u)
+    assert warm.B.tobytes() == cold.B.tobytes()
+    assert warm.dB.tobytes() == cold.dB.tobytes()
+    assert warm.dJ.tobytes() == cold.dJ.tobytes()
+
+
+def test_frame_memo_stays_bounded():
+    g = euclidean_metric(3)
+    N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+    frame = NormalFrame(g, N)
+    for v in np.linspace(lo, hi, 500):
+        frame.at(np.array([v]))
+        frame.derivative(np.array([-v]))
+    assert len(frame._memo) <= submanifolds._FRAME_MEMO
 
 
 class TestNormalRepresentative:
