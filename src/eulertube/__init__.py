@@ -57,6 +57,7 @@ from .metrics import (
 )
 from .numerics import DifferentiableMap, Trajectory, jacobian, ode_integrate, solve_inverse
 from .realization import (
+    ComparisonMap,
     build_chi,
     correction_eta,
     curve_length,

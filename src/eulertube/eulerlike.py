@@ -119,17 +119,30 @@ def pushforward_field(
     """The pushforward Euler field as an ambient-coordinate oracle.
 
     Each evaluation inverts psi numerically at the query point and applies
-    the jacobian to the fiber coordinates there.
+    the jacobian to the fiber coordinates there.  The domain test reuses
+    the last preimage when it is asked about the same point: the
+    Dormand-Prince step is first-same-as-last, so the accepted state it
+    tests is the stage point the field was just evaluated at.  A cold
+    inversion is a pure function of x, so this one-entry memo is too.
     """
     k = psi.N.param_dim
+    last = {}  # x.tobytes() -> preimage, at most one entry
+
+    def preimage(x):
+        key = x.tobytes()
+        if key not in last:
+            uc = psi.invert(x, tol=invert_tol)
+            last.clear()
+            last[key] = uc
+        return last[key]
 
     def fn(x):
-        uc = psi.invert(x, tol=invert_tol)
+        uc = preimage(x)
         return pushforward_euler(psi, uc[:k], uc[k:])
 
     def in_domain(x):
         try:
-            uc = psi.invert(x, tol=invert_tol)
+            uc = preimage(np.asarray(x, dtype=float))
         except Exception:
             return False
         if psi.delta is None:

@@ -15,9 +15,11 @@ from .numerics import Array, Trajectory, ode_integrate
 class MetricField:
     """A smooth symmetric-positive-definite matrix field on an open region.
 
-    ``christoffel_fn`` and ``geodesic_fn`` are optional analytic shortcuts
-    for standard background metrics; when present they are cross-checked
-    against the finite-difference / integration routes by the test suite.
+    ``christoffel_fn`` and ``geodesic_fn`` are optional shortcuts: analytic
+    formulas for standard background metrics, or, for a pullback metric,
+    its chart-stencil finite difference (``realization.pullback_metric``).
+    When present they are cross-checked against the ambient
+    finite-difference / integration routes by the test suite.
     ``geodesic_fn(p, v, t)`` must return the exact ``(point, velocity)`` of
     the geodesic with initial data (p, v) at parameter t.
     """
@@ -84,7 +86,13 @@ def christoffel(g: MetricField, x) -> Array:
         xp[l] += h
         xm[l] -= h
         dg[l] = (g.matrix(xp) - g.matrix(xm)) / (2.0 * h)
-    G = g.matrix(x)
+    return levi_civita(g.matrix(x), dg, x)
+
+
+def levi_civita(G: Array, dg: Array, x) -> Array:
+    """Gamma^k_ij from the metric G at x and its first derivatives
+    dg[l, i, j] = d_l g_ij."""
+    n = G.shape[0]
     # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     T = (
         np.transpose(dg, (2, 0, 1))

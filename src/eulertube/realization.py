@@ -12,12 +12,11 @@ import numpy as np
 from .embeddings import TubularEmbedding
 from .errors import (
     DecompositionFailure,
+    DomainMargin,
     HypothesisFailure,
-    NoConvergence,
     NotInDomain,
-    SingularJacobian,
 )
-from .metrics import MetricField, exp_map, geodesic
+from .metrics import MetricField, exp_map, geodesic, levi_civita
 from .numerics import Array, DifferentiableMap, solve_inverse
 from .submanifolds import (
     ParametrizedSubmanifold,
@@ -42,48 +41,48 @@ class CorrectionMap:
         return self.tangent_basis @ (self.eta @ c)
 
 
+@dataclass(frozen=True)
+class ComparisonMap:
+    """The comparison map chi = phi o psi^{-1} on the image of psi.
+
+    ``chart`` is psi's map (u, c) -> x and ``target`` phi's map
+    (u, c) -> y on the same frame coordinates; ``preimage`` solves
+    chart(uc) = x.  ``preimage`` is a pure function of x, so chi(x) does not
+    depend on what was evaluated before.
+    """
+
+    chart: DifferentiableMap
+    target: DifferentiableMap
+    preimage: Callable[[Array], Array]
+    domain: Optional[Callable[[Array], bool]] = None
+
+    @property
+    def domain_dim(self) -> int:
+        return self.chart.codomain_dim
+
+    def __call__(self, x) -> Array:
+        return self.target(self.preimage(np.asarray(x, dtype=float)))
+
+    def jacobian(self, x) -> Array:
+        """Dchi(x) by the chain rule, Dphi(uc) Dpsi(uc)^{-1} at the preimage
+        uc, which avoids nesting Newton solves inside finite differences."""
+        uc = self.preimage(np.asarray(x, dtype=float))
+        return self.target.jacobian(uc) @ np.linalg.inv(self.chart.jacobian(uc))
+
+
 def build_chi(
     psi: TubularEmbedding,
     phi: TubularEmbedding,
     invert_tol: float = 1e-12,
     domain: Optional[Callable[[Array], bool]] = None,
-    fd_step: float = 1e-5,
-) -> DifferentiableMap:
-    """The comparison map chi = phi o psi^{-1} on the image of psi.
-
-    The jacobian is assembled by the chain rule from the two embeddings'
-    jacobians at the inverted preimage, which avoids nesting Newton solves
-    inside finite differences.
-    """
-    n = psi.N.ambient_dim
-    warm = {"x": None, "uc": None}
-
-    def invert(x):
-        # warm-start Newton from the previous preimage; geodesic tracing
-        # evaluates chi on tightly clustered points, so this usually
-        # converges in one or two iterations
-        if warm["x"] is not None and float(np.linalg.norm(x - warm["x"])) < 0.1:
-            try:
-                uc = solve_inverse(psi.map, x, warm["uc"], tol=invert_tol)
-            except (NoConvergence, SingularJacobian):
-                uc = psi.invert(x, tol=invert_tol)
-        else:
-            uc = psi.invert(x, tol=invert_tol)
-        warm["x"], warm["uc"] = x.copy(), uc
-        return uc
-
-    def fn(x):
-        uc = invert(np.asarray(x, dtype=float))
-        return phi.call_uc(uc)
-
-    def jac(x):
-        uc = invert(np.asarray(x, dtype=float))
-        Dpsi = psi.map.jacobian(uc)
-        Dphi = phi.map.jacobian(uc)
-        return Dphi @ np.linalg.inv(Dpsi)
-
-    return DifferentiableMap(
-        domain_dim=n, codomain_dim=n, fn=fn, jac=jac, fd_step=fd_step, domain=domain
+) -> ComparisonMap:
+    """The comparison map chi = phi o psi^{-1}; each evaluation inverts psi
+    by a Newton solve from its seed table."""
+    return ComparisonMap(
+        chart=psi.map,
+        target=phi.map,
+        preimage=lambda x: psi.invert(x, tol=invert_tol),
+        domain=domain,
     )
 
 
@@ -117,22 +116,51 @@ def correction_eta(
 
 
 def pullback_metric(
-    chi: DifferentiableMap,
+    chi: ComparisonMap,
     g_ref: MetricField,
     name: str = "pullback",
     fd_step: float = 1e-3,
 ) -> MetricField:
     """The metric making chi an isometry onto its image:
-    g(x) = Dchi(x)^T gref(chi(x)) Dchi(x).
+    g(x) = Dchi(x)^T gref(chi(x)) Dchi(x), evaluated at the one preimage uc
+    of x with Dchi = Dphi(uc) Dpsi(uc)^{-1}.
 
-    The comparatively large fd_step is for the metric's own derivatives
-    (Christoffel symbols): it balances truncation against the Newton-solve
-    noise inside each chi evaluation.
+    Its Christoffel symbols difference g along psi's chart: g at the chart
+    stencil points uc +- fd_step e_j is a forward evaluation of psi and phi
+    with no inversion, and d_l g = sum_j A[j, l] d_{uc_j} g with
+    A = Dpsi(uc)^{-1} turns chart derivatives into ambient ones.  This is a
+    finite difference of g, independent of how chi enters the diagram
+    check; the comparatively large step balances truncation against the
+    rounding of the jacobians.  Raises DomainMargin if a stencil point
+    leaves psi's domain.
     """
+    chart, target = chi.chart, chi.target
+
+    def matrix_at(uc, A=None):
+        if A is None:
+            A = np.linalg.inv(chart.jacobian(uc))
+        D = target.jacobian(uc) @ A
+        return D.T @ g_ref.matrix(target(uc)) @ D
 
     def matrix(x):
-        D = chi.jacobian(x)
-        return D.T @ g_ref.matrix(chi(x)) @ D
+        return matrix_at(chi.preimage(x))
+
+    def gamma(x):
+        uc = chi.preimage(x)
+        n = uc.size
+        h = fd_step
+        dg_chart = np.empty((n, n, n))  # dg_chart[j] = d_{uc_j} g
+        for j in range(n):
+            up = uc.copy()
+            um = uc.copy()
+            up[j] += h
+            um[j] -= h
+            if not (chart.contains(up) and chart.contains(um)):
+                raise DomainMargin("chart stencil point outside the embedding's domain")
+            dg_chart[j] = (matrix_at(up) - matrix_at(um)) / (2.0 * h)
+        A = np.linalg.inv(chart.jacobian(uc))
+        dg = np.einsum("jl,jab->lab", A, dg_chart)
+        return levi_civita(matrix_at(uc, A), dg, x)
 
     return MetricField(
         dim=chi.domain_dim,
@@ -140,6 +168,7 @@ def pullback_metric(
         domain=chi.domain,
         name=name,
         fd_step=fd_step,
+        christoffel_fn=gamma,
     )
 
 

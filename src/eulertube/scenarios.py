@@ -14,7 +14,7 @@ from .embeddings import (
     reference_embedding,
     validate_embedding,
 )
-from .errors import ConfigError, EulertubeError
+from .errors import ConfigError
 from .eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
 from .metrics import (
     MetricField,
@@ -24,6 +24,7 @@ from .metrics import (
 )
 from .numerics import Array, DifferentiableMap
 from .realization import (
+    ComparisonMap,
     build_chi,
     curve_length,
     isometry_geodesic_check,
@@ -444,11 +445,16 @@ def _diagram_samples(scn: Scenario, psi: TubularEmbedding, lo: float, hi: float)
 
 
 def _stage(reports, scn, stage, fn, tol, count_hint=1):
-    """Run one pipeline stage, capturing failures as failed reports."""
+    """Run one pipeline stage, capturing failures as failed reports.
+
+    Any exception fails the stage closed, not only the package's own
+    errors: a defect in a stage helper becomes a failed row, never a
+    traceback out of ``run_scenario``.
+    """
     t0 = time.perf_counter()
     try:
         max_r, mean_r, count = fn()
-    except EulertubeError as exc:
+    except Exception:
         reports.append(
             ResidualReport(
                 scenario=scn.name,
@@ -522,7 +528,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     if _stage(reports, scn, "chi", stage_chi, scn.tolerance("chi")) is None:
         return reports
-    chi: DifferentiableMap = state["chi"]
+    chi: ComparisonMap = state["chi"]
     phi: TubularEmbedding = state["phi"]
 
     def stage_pullback():

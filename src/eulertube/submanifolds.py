@@ -269,6 +269,11 @@ def _radius_candidate_ok(
         u = np.atleast_1d(np.asarray(u, dtype=float))
         B = normal_basis_matrix(g, N, u)
         m = B.shape[1]
+        # orientation of the tube chart on the zero section, where its
+        # jacobian is [J | B]; a sign change along a fiber means the chart
+        # folded through a focal point, however well conditioned the
+        # sampled jacobians are
+        det0 = np.linalg.det(np.column_stack([N.tangent_basis(u), B]))
 
         def E_coords(uc):
             uu, c = uc[:k], uc[k:]
@@ -301,6 +306,8 @@ def _radius_candidate_ok(
                     W = V @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ V.T
                     sv = np.linalg.svd(W @ Jmat, compute_uv=False)
                     if sv[-1] <= 0.0 or sv[0] / sv[-1] >= cond_limit:
+                        return False
+                    if np.linalg.det(Jmat) * det0 <= 0.0:
                         return False
                     preimages.append(uc)
                     images.append(img)
@@ -339,8 +346,10 @@ def tubular_radius_estimate(
     """Largest delta0 * 2^-m certified on the sampled closed tube.
 
     Certification checks a metric-weighted condition estimate of the tube
-    chart jacobian and sampled injectivity; the boundary fraction 1.0 is
-    included so focal degeneracies at radius exactly delta are rejected.
+    chart jacobian, that its determinant keeps the sign it has on the zero
+    section (so no sampled fiber crosses a focal point), and sampled
+    injectivity; the boundary fraction 1.0 is included so focal
+    degeneracies at radius exactly delta are rejected.
     """
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")

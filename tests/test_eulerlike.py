@@ -160,6 +160,27 @@ class TestReconstruction:
         with pytest.raises(NoConvergence):
             reconstruct_embedding(X, psi0, np.zeros(0), np.array([0.3, 0.1]))
 
+    def test_domain_test_reuses_the_field_preimage(self, monkeypatch):
+        psi = embedding_over(
+            origin_r2(), lambda v: v + 0.1 * np.array([v[0] ** 2, 0.0])
+        )
+        psi.build_seed_table([np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6))
+        calls = []
+        invert = TubularEmbedding.invert
+
+        def counted(self, x, tol=1e-12):
+            calls.append(x)
+            return invert(self, x, tol=tol)
+
+        monkeypatch.setattr(TubularEmbedding, "invert", counted)
+        X = pushforward_field(psi)
+        x = np.array([0.3, -0.2])
+        X(x)
+        assert X.domain(x.copy())
+        assert len(calls) == 1
+        X.domain(x + 0.01)
+        assert len(calls) == 2
+
     def test_pushforward_passes_euler_like(self):
         psi = embedding_over(
             origin_r2(), lambda v: v + 0.1 * np.array([v[0] ** 2, 0.0])

@@ -1,11 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eulertube.embeddings import TubularEmbedding, reference_embedding
-from eulertube.errors import DecompositionFailure, HypothesisFailure, NotInDomain
-from eulertube.metrics import euclidean_metric
+from eulertube.errors import (
+    DecompositionFailure,
+    DomainMargin,
+    HypothesisFailure,
+    NotInDomain,
+)
+from eulertube.metrics import christoffel, euclidean_metric
 from eulertube.numerics import DifferentiableMap
 from eulertube.realization import (
+    ComparisonMap,
     build_chi,
     correction_eta,
     curve_length,
@@ -14,11 +22,20 @@ from eulertube.realization import (
     pullback_metric,
     verify_main_diagram,
 )
+from eulertube.scenarios import (
+    BACKGROUNDS,
+    BUILTIN_SCENARIOS,
+    SUBMANIFOLDS,
+    _build_psi,
+    _diagram_samples,
+    _interior_grid,
+)
 from eulertube.submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
     RadiusFunction,
     normal_basis_matrix,
+    tubular_radius_estimate,
 )
 
 
@@ -45,6 +62,14 @@ def const_radius(value):
 
 def u_grid(lo, hi, n):
     return [np.array([v]) for v in np.linspace(lo, hi, n)]
+
+
+def identity_chart(target):
+    """A comparison map with the identity as chart and preimage, so chi is
+    ``target`` itself and the chart stencil is the ambient stencil."""
+    n = target.domain_dim
+    chart = DifferentiableMap(n, n, lambda x: x.copy(), jac=lambda x: np.eye(n))
+    return ComparisonMap(chart=chart, target=target, preimage=lambda x: x)
 
 
 def circle_psi(g, N, delta):
@@ -135,21 +160,23 @@ class TestCorrectionEta:
 class TestPullbackMetric:
     def test_identity_gives_reference(self):
         g_ref = euclidean_metric(2)
-        chi = DifferentiableMap(2, 2, lambda x: x.copy(), jac=lambda x: np.eye(2))
+        chi = identity_chart(
+            DifferentiableMap(2, 2, lambda x: x.copy(), jac=lambda x: np.eye(2))
+        )
         g = pullback_metric(chi, g_ref)
         assert np.allclose(g.matrix(np.array([0.3, -0.8])), np.eye(2), atol=1e-12)
 
     def test_linear_map_congruence(self):
         A = np.array([[1.0, 0.5], [0.0, 2.0]])
         g_ref = euclidean_metric(2)
-        chi = DifferentiableMap(2, 2, lambda x: A @ x, jac=lambda x: A)
+        chi = identity_chart(DifferentiableMap(2, 2, lambda x: A @ x, jac=lambda x: A))
         g = pullback_metric(chi, g_ref)
         assert np.allclose(g.matrix(np.zeros(2)), A.T @ A, atol=1e-12)
 
     def test_curve_lengths_preserved(self):
         g_ref = euclidean_metric(2)
         fn = lambda x: x + 0.05 * np.array([x[1] ** 2, x[0] ** 2])
-        chi = DifferentiableMap(2, 2, fn)
+        chi = identity_chart(DifferentiableMap(2, 2, fn))
         g = pullback_metric(chi, g_ref)
         curve = lambda t: np.array([0.2 + 0.5 * t, -0.1 + 0.3 * t * t])
         dcurve = lambda t: np.array([0.5, 0.6 * t])
@@ -229,3 +256,60 @@ class TestPointCase:
         psi = DifferentiableMap(2, 2, lambda v: 2.0 * v, jac=lambda v: 2.0 * np.eye(2))
         with pytest.raises(HypothesisFailure):
             point_case_metric(psi, [np.array([0.1, 0.1])])
+
+
+def scenario_pipeline(name):
+    """psi, chi, the pullback metric and the diagram samples of a built-in
+    tube scenario, assembled as its pipeline does."""
+    scn = BUILTIN_SCENARIOS[name]
+    gt = BACKGROUNDS[scn.background]()
+    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
+    grid = _interior_grid(lo, hi, scn.sample("grid"))
+    delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
+    frame = NormalFrame(gt, N)
+    psi = _build_psi(scn, frame, delta)
+    psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
+    chi = build_chi(psi, reference_embedding(frame, delta))
+    g = pullback_metric(chi, gt)
+    points = [psi(u, c) for u, c in _diagram_samples(scn, psi, lo, hi)]
+    return psi, chi, g, points
+
+
+class TestChartStencilChristoffel:
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_chi_and_metric_carry_no_history(self, name):
+        _, chi, g, points = scenario_pipeline(name)
+        x = points[0]
+        cold = (chi(x), g.matrix(x), christoffel(g, x))
+        _, chi, g, points = scenario_pipeline(name)
+        for y in points[:100]:
+            chi(y)
+            g.matrix(y)
+        chi(x + 0.01)
+        g.matrix(x + 0.01)
+        christoffel(g, x + 0.01)
+        warm = (chi(x), g.matrix(x), christoffel(g, x))
+        for a, b in zip(cold, warm):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["circle", "helix", "sphere-equator"])
+    def test_matches_ambient_stencil(self, name):
+        _, _, g, points = scenario_pipeline(name)
+        ambient = dataclasses.replace(g, christoffel_fn=None)
+        for x in points[::23]:
+            gamma = christoffel(g, x)
+            assert np.max(np.abs(gamma - christoffel(ambient, x))) <= 1e-5
+
+    def test_flat_slice_is_exactly_flat(self):
+        _, _, g, points = scenario_pipeline("flat-slice")
+        for x in points[::17]:
+            assert not np.any(christoffel(g, x))
+
+    def test_stencil_outside_chart_domain(self):
+        psi, _, g, _ = scenario_pipeline("circle")
+        u = np.array([0.2])
+        # psi's domain is |c| < 1.2 delta; the stencil reaches 1e-3 further
+        x = psi(u, np.array([1.2 * psi.delta(u) - 5e-4]))
+        g.matrix(x)
+        with pytest.raises(DomainMargin):
+            christoffel(g, x)

@@ -94,3 +94,15 @@ def test_unknown_scenario_name_rejected():
 
     with pytest.raises(ConfigError):
         run_scenario("klein-bottle")
+
+
+def test_unexpected_exception_fails_the_stage_closed(monkeypatch):
+    from eulertube import scenarios
+
+    def broken(*args, **kwargs):
+        raise ValueError("defect in a stage helper")
+
+    monkeypatch.setattr(scenarios, "point_case_metric", broken)
+    reports = run_scenario("point-2d")
+    assert [(r.stage, r.passed) for r in reports] == [("point-case", False)]
+    assert reports[0].max_residual == float("inf")

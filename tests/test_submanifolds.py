@@ -275,3 +275,12 @@ class TestTubularRadius:
         grid = [np.array([u]) for u in np.linspace(0.5, 2.4, 7)]
         delta = tubular_radius_estimate(g, N, grid, 3.0)
         assert 0.0 < delta(np.array([1.0])) < np.pi / 2
+
+    def test_helix_radius_stops_before_focal_distance(self):
+        # the helix's focal distance is 1 + pitch^2 = 1.09; past it the tube
+        # chart folds while its sampled condition number stays small
+        g = BACKGROUNDS["euclidean-3d"]()
+        N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+        grid = [np.array([u]) for u in np.linspace(lo + 0.24, hi - 0.24, 3)]
+        delta = tubular_radius_estimate(g, N, grid, 2.0)
+        assert 0.0 < delta(grid[0]) < 1.09
