@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -87,8 +88,8 @@ def run(targets, tol, samples, out, fmt):
         except ConfigError as exc:
             raise click.ClickException(str(exc))
         if tol is not None:
-            if tol <= 0:
-                raise click.ClickException("--tol must be positive")
+            if not (math.isfinite(tol) and tol > 0):
+                raise click.ClickException("--tol must be positive and finite")
             over = {k: tol for k in TOL_STAGES}
             scn = replace(scn, tolerances={**scn.tolerances, **over})
         if samples is not None:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import NotInDomain
-from .metrics import exp_map
 from .numerics import Array, DifferentiableMap, solve_inverse
-from .submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusFunction
+from .submanifolds import (
+    NormalFrame,
+    ParametrizedSubmanifold,
+    RadiusFunction,
+    normal_exponential,
+)
 
 
 @dataclass
@@ -41,9 +45,6 @@ class TubularEmbedding:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         c = np.atleast_1d(np.asarray(c, dtype=float))
         return self.map(np.concatenate([u, c]))
-
-    def call_uc(self, uc) -> Array:
-        return self.map(uc)
 
     def build_seed_table(self, u_grid, c_fractions=(0.0, 0.35, 0.7)) -> None:
         k, m = self.N.param_dim, self.fiber_dim
@@ -104,49 +105,15 @@ def validate_embedding(
     return worst
 
 
-def reference_embedding(
-    frame: NormalFrame,
-    delta: RadiusFunction,
-    exp_tol: float = 1e-11,
-    fd_step: float = 1e-6,
-) -> TubularEmbedding:
-    """The normal-exponential embedding of the frame's metric.
+def reference_embedding(frame: NormalFrame, delta: RadiusFunction) -> TubularEmbedding:
+    """The normal-exponential embedding of the frame's metric: the chart of
+    ``submanifolds.normal_exponential`` on the tube |c| < delta(u).
 
-    Maps (u, c) to exp at p(u) of the normal vector with frame coordinates
-    c; its fiber differential on the zero section is the identity because
-    the exponential map's differential at zero is.
+    Its fiber differential on the zero section is the identity because the
+    exponential map's differential at zero is.
     """
-    g_ref, N = frame.g, frame.N
+    N = frame.N
     k = N.param_dim
-    n = N.ambient_dim
-    m = n - k
-
-    flat = False
-    if g_ref.christoffel_fn is not None:
-        probe = N.point(np.zeros(k))
-        flat = not np.any(g_ref.christoffel_fn(probe))
-
-    if flat:
-        # straight-fiber form p(u) + B(u) c, with the jacobian assembled
-        # from the chart jacobian and the frame derivative
-        def fn(uc):
-            fp = frame.at(uc[:k])
-            return fp.p + fp.B @ uc[k:]
-
-        def jac(uc):
-            c = uc[k:]
-            fp = frame.derivative(uc[:k])
-            J = np.empty((n, k + m))
-            J[:, :k] = fp.J + (fp.dB @ c).T
-            J[:, k:] = fp.B
-            return J
-
-    else:
-        def fn(uc):
-            fp = frame.at(uc[:k])
-            return exp_map(g_ref, fp.p, fp.B @ uc[k:], tol=exp_tol)
-
-        jac = None
 
     def in_domain(uc):
         u, c = uc[:k], uc[k:]
@@ -154,7 +121,5 @@ def reference_embedding(
             return False
         return float(np.linalg.norm(c)) < delta(u)
 
-    m_ = DifferentiableMap(
-        domain_dim=k + m, codomain_dim=n, fn=fn, jac=jac, fd_step=fd_step, domain=in_domain
-    )
-    return TubularEmbedding(map=m_, frame=frame, delta=delta)
+    chart = replace(normal_exponential(frame), domain=in_domain)
+    return TubularEmbedding(map=chart, frame=frame, delta=delta)

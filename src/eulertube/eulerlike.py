@@ -4,7 +4,7 @@ flow-based reconstruction of the generating embedding."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,21 +12,7 @@ from .embeddings import TubularEmbedding
 from .errors import FlowExit, NoConvergence, NotVanishing
 from .metrics import MetricField
 from .numerics import Array, DifferentiableMap, ode_integrate
-from .submanifolds import ParametrizedSubmanifold, normal_basis_matrix
-
-
-@dataclass(frozen=True)
-class VectorFieldOracle:
-    """A smooth ambient vector field x -> X(x)."""
-
-    map: DifferentiableMap
-
-    def __call__(self, x) -> Array:
-        return self.map(x)
-
-    @property
-    def domain(self):
-        return self.map.domain
+from .submanifolds import ParametrizedSubmanifold, normal_space_basis
 
 
 @dataclass(frozen=True)
@@ -45,7 +31,7 @@ def euler_field(x) -> Array:
 
 
 def vanishes_on_N(
-    X: VectorFieldOracle,
+    X: DifferentiableMap,
     N: ParametrizedSubmanifold,
     grid,
     tol: float = 1e-8,
@@ -58,7 +44,7 @@ def vanishes_on_N(
 
 
 def linear_approximation(
-    X: VectorFieldOracle,
+    X: DifferentiableMap,
     g_ref: MetricField,
     N: ParametrizedSubmanifold,
     u,
@@ -74,15 +60,15 @@ def linear_approximation(
     r = float(np.linalg.norm(X(p)))
     if r > tol_vanish:
         raise NotVanishing(f"|X(p(u))| = {r:.3e} at u={u}")
-    A = X.map.jacobian(p)
-    B = normal_basis_matrix(g_ref, N, u)
+    A = X.jacobian(p)
+    B = normal_space_basis(g_ref, N, u)
     G = g_ref.matrix(p)
     induced = B.T @ G @ A @ B
     return LinearApproximation(u=u, A=A, induced=induced)
 
 
 def is_euler_like(
-    X: VectorFieldOracle,
+    X: DifferentiableMap,
     g_ref: MetricField,
     N: ParametrizedSubmanifold,
     grid,
@@ -115,7 +101,7 @@ def pushforward_field(
     psi: TubularEmbedding,
     invert_tol: float = 1e-12,
     domain_margin: float = 1.05,
-) -> VectorFieldOracle:
+) -> DifferentiableMap:
     """The pushforward Euler field as an ambient-coordinate oracle.
 
     Each evaluation inverts psi numerically at the query point and applies
@@ -151,9 +137,7 @@ def pushforward_field(
         return float(np.linalg.norm(c)) < domain_margin * psi.delta(u)
 
     n = psi.N.ambient_dim
-    return VectorFieldOracle(
-        map=DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain)
-    )
+    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain)
 
 
 def _default_t_seq() -> Sequence[float]:
@@ -161,7 +145,7 @@ def _default_t_seq() -> Sequence[float]:
 
 
 def reconstruct_embedding(
-    X: VectorFieldOracle,
+    X: DifferentiableMap,
     psi0: TubularEmbedding,
     u,
     c,

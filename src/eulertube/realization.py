@@ -16,12 +16,12 @@ from .errors import (
     HypothesisFailure,
     NotInDomain,
 )
-from .metrics import MetricField, exp_map, geodesic, levi_civita
+from .metrics import MetricField, euclidean_metric, exp_map, geodesic, levi_civita
 from .numerics import Array, DifferentiableMap, solve_inverse
 from .submanifolds import (
     ParametrizedSubmanifold,
-    normal_basis_matrix,
     normal_representative,
+    normal_space_basis,
 )
 
 
@@ -99,7 +99,7 @@ def correction_eta(
     p = N.point(u)
     D = chi.jacobian(p)
     J = N.tangent_basis(u)
-    B = normal_basis_matrix(g_ref, N, u)
+    B = normal_space_basis(g_ref, N, u)
     k, m = J.shape[1], B.shape[1]
     basis = np.column_stack([J, B])
     eta = np.empty((k, m))
@@ -200,7 +200,7 @@ def verify_main_diagram(
         c = np.atleast_1d(np.asarray(c, dtype=float))
         w = psi.frame.at(u).B @ c
         lam = normal_representative(g, N, u, w)
-        y = exp_map(g, N.point(u), lam.w, tol=exp_tol)
+        y = exp_map(g, N.point(u), lam, tol=exp_tol)
         residuals.append(float(np.linalg.norm(y - psi(u, c))))
     residuals = np.array(residuals)
     return DiagramReport(
@@ -245,36 +245,39 @@ def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24)
     return 0.5 * (t1 - t0) * total
 
 
-def point_case_metric(
-    psi: DifferentiableMap,
-    sample_vectors,
-    traj_tol: float = 1e-10,
-    hypothesis_tol: float = 1e-6,
-    invert_tol: float = 1e-13,
-) -> Tuple[MetricField, float]:
-    """Single-point construction: push the flat metric through psi so the
-    exponential map at psi(0) reproduces psi itself.
+_POINT_TRAJ_TOL = 1e-10  # geodesic tolerance of the trajectory check
+_POINT_HYPOTHESIS_TOL = 1e-6  # largest entry of Dpsi(0) - I accepted
+_POINT_INVERT_TOL = 1e-13  # Newton tolerance of psi^-1
 
-    Verifies exp(v) = psi(v) and gamma_v(t) = psi(t v) along the integrated
-    trajectories; returns (metric, max residual).
+
+def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricField, float]:
+    """Single-point construction: the flat metric pulled back by psi^-1, so
+    the exponential map at psi(0) reproduces psi itself.
+
+    This is ``pullback_metric`` of the comparison map with psi as chart and
+    the identity as target, so g(y) = A^T A with A = Dpsi(psi^-1(y))^-1 and
+    one Newton solve (seeded at y - psi(0)) per evaluation of g or of its
+    Christoffel symbols.  Verifies exp(v) = psi(v) and gamma_v(t) = psi(t v)
+    along the integrated trajectories; returns (metric, max residual).
     """
     n = psi.domain_dim
     zero = np.zeros(n)
     p = psi(zero)
     D0 = psi.jacobian(zero)
-    if float(np.max(np.abs(D0 - np.eye(n)))) > hypothesis_tol:
+    if float(np.max(np.abs(D0 - np.eye(n)))) > _POINT_HYPOTHESIS_TOL:
         raise HypothesisFailure("differential of psi at 0 is not the identity")
 
-    def matrix(y):
-        x = solve_inverse(psi, y, y - p, tol=invert_tol)
-        A = np.linalg.inv(psi.jacobian(x))
-        return A.T @ A
-
-    g = MetricField(dim=n, matrix_fn=matrix, name="point-case", fd_step=5e-4)
+    identity = DifferentiableMap(n, n, fn=lambda x: x, jac=lambda x: np.eye(n))
+    chi = ComparisonMap(
+        chart=psi,
+        target=identity,
+        preimage=lambda y: solve_inverse(psi, y, y - p, tol=_POINT_INVERT_TOL),
+    )
+    g = pullback_metric(chi, euclidean_metric(n), name="point-case", fd_step=5e-4)
     worst = 0.0
     for v in sample_vectors:
         v = np.asarray(v, dtype=float)
-        traj = geodesic(g, p, v, 1.0, traj_tol)
+        traj = geodesic(g, p, v, 1.0, _POINT_TRAJ_TOL)
         if traj.exited:
             raise NotInDomain("point-case geodesic left the domain")
         for t, x in zip(traj.times, traj.points):

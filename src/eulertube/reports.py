@@ -35,8 +35,10 @@ class ResidualReport:
     runtime_ms: float = 0.0
 
     def __post_init__(self):
-        # keep the pass flag consistent with the residual/tolerance pair
-        self.passed = bool(self.max_residual <= self.tolerance)
+        # keep the pass flag consistent with the residual/tolerance pair; a
+        # failed stage's infinite residual fails even under an infinite bound
+        r = self.max_residual
+        self.passed = bool(math.isfinite(r) and r <= self.tolerance)
 
 
 def _fmt(x: float) -> str:

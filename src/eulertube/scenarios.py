@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -37,7 +38,7 @@ from .submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
     RadiusFunction,
-    normal_basis_matrix,
+    normal_space_basis,
     tubular_radius_estimate,
 )
 
@@ -333,32 +334,40 @@ def scenario_from_config(config: Dict) -> Scenario:
                 raise ConfigError(f"unknown {key} name in field '{key}': {config[key]!r}")
             updates[key] = config[key]
     if "delta0" in config:
-        d0 = float(config["delta0"])
-        if d0 <= 0:
-            raise ConfigError("field 'delta0' must be positive")
-        updates["delta0"] = d0
+        updates["delta0"] = _positive(config["delta0"], "delta0", float)
     if "samples" in config:
-        s = dict(config["samples"])
-        bad = set(s) - _SAMPLE_KEYS
-        if bad:
-            raise ConfigError(f"unknown samples key: {sorted(bad)[0]}")
-        for k, v in s.items():
-            if int(v) <= 0:
-                raise ConfigError(f"samples.{k} must be positive")
-        updates["samples"] = {**scn.samples, **{k: int(v) for k, v in s.items()}}
+        s = _mapping(config["samples"], "samples", _SAMPLE_KEYS)
+        s = {k: _positive(v, f"samples.{k}", int) for k, v in s.items()}
+        updates["samples"] = {**scn.samples, **s}
     if "tolerances" in config:
-        t = dict(config["tolerances"])
-        bad = set(t) - _TOL_KEYS
-        if bad:
-            raise ConfigError(f"unknown tolerances key: {sorted(bad)[0]}")
-        for k, v in t.items():
-            if float(v) <= 0:
-                raise ConfigError(f"tolerances.{k} must be positive")
-        updates["tolerances"] = {**scn.tolerances, **{k: float(v) for k, v in t.items()}}
+        t = _mapping(config["tolerances"], "tolerances", _TOL_KEYS)
+        t = {k: _positive(v, f"tolerances.{k}", float) for k, v in t.items()}
+        updates["tolerances"] = {**scn.tolerances, **t}
     scn = replace(scn, **updates)
     if scn.kind == "tube":
         _check_dimensions(scn)
     return scn
+
+
+def _mapping(value, field: str, keys) -> Dict:
+    """A config section that must be a mapping with known keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"field '{field}' must be a mapping")
+    bad = set(value) - keys
+    if bad:
+        raise ConfigError(f"unknown {field} key: {sorted(bad, key=str)[0]}")
+    return value
+
+
+def _positive(value, field: str, kind):
+    """A finite positive number of the given kind (int or float)."""
+    try:
+        v = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field '{field}' must be a finite number, got {value!r}") from None
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"field '{field}' must be positive and finite, got {value!r}")
+    return v
 
 
 def _check_dimensions(scn: Scenario) -> None:
@@ -575,7 +584,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         us = _interior_grid(lo, hi, scn.sample("isometry"), margin=0.2)
         worst = []
         for u in us:
-            B = normal_basis_matrix(g, N, u)
+            B = normal_space_basis(g, N, u)
             v = 0.5 * delta(u) * B[:, 0]
             worst.append(
                 isometry_geodesic_check(chi, g, gt, N, u, v, exp_tol=exp_tol)

@@ -39,14 +39,6 @@ class ParametrizedSubmanifold:
 
 
 @dataclass(frozen=True)
-class NormalVector:
-    """A metric-orthogonal vector w attached at the parameter point u."""
-
-    u: Array
-    w: Array
-
-
-@dataclass(frozen=True)
 class RadiusFunction:
     """Sampled positive tube radius u -> delta(u)."""
 
@@ -88,10 +80,9 @@ def _normal_projector(J: Array, G: Array) -> Array:
     return P - J @ (_small_inv(JtG @ J) @ JtG)
 
 
-def normal_space_basis(
-    g: MetricField, N: ParametrizedSubmanifold, u
-) -> List[NormalVector]:
-    """Deterministic g-orthonormal basis of the normal space at p(u).
+def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, u) -> Array:
+    """Deterministic g-orthonormal basis of the normal space at p(u), as the
+    columns of an (n, n-k) matrix.
 
     Standard ambient basis vectors are projected onto the normal space (the
     columns of the projector) and orthonormalized in index order; near-zero
@@ -114,13 +105,7 @@ def normal_space_basis(
         basis.append(q / nrm)
     if len(basis) != n - k:
         raise RankDeficient(f"could not build a normal basis at u={u}")
-    return [NormalVector(u=u, w=b) for b in basis]
-
-
-def normal_basis_matrix(g: MetricField, N: ParametrizedSubmanifold, u) -> Array:
-    """Normal basis as columns of an (n, n-k) matrix."""
-    vecs = normal_space_basis(g, N, u)
-    return np.column_stack([nv.w for nv in vecs])
+    return np.column_stack(basis)
 
 
 _FRAME_MEMO = 32  # base points a NormalFrame remembers
@@ -129,8 +114,8 @@ _FRAME_DU = 1e-5  # central-difference step of dJ/du and dG/du
 
 @dataclass
 class FramePoint:
-    """The frame at one base point: p(u) and B(u), the columns of
-    ``normal_basis_matrix``; J(u), dJ/du and dB/du once requested."""
+    """The frame at one base point: p(u) and B(u), the matrix of
+    ``normal_space_basis``; J(u), dJ/du and dB/du once requested."""
 
     u: Array
     p: Array
@@ -143,7 +128,7 @@ class FramePoint:
 class NormalFrame:
     """The normal frame of N under the metric g, one build per base point.
 
-    ``at(u)`` gives p and the frame B of ``normal_basis_matrix``,
+    ``at(u)`` gives p and the frame B of ``normal_space_basis``,
     ``tangent(u)`` adds J and ``derivative(u)`` adds dJ/du and dB/du.  dB
     comes from the chain rule through the tangent projection and
     Gram-Schmidt of ``normal_space_basis``, so no frame is built at a
@@ -165,7 +150,7 @@ class NormalFrame:
         key = u.tobytes()
         fp = self._memo.get(key)
         if fp is None:
-            B = normal_basis_matrix(self.g, self.N, u)
+            B = normal_space_basis(self.g, self.N, u)
             fp = FramePoint(u=u.copy(), p=self.N.point(u), B=B)
             if len(self._memo) >= _FRAME_MEMO:
                 del self._memo[next(iter(self._memo))]
@@ -229,9 +214,7 @@ class NormalFrame:
         return dJ, dB
 
 
-def normal_representative(
-    g: MetricField, N: ParametrizedSubmanifold, u, a
-) -> NormalVector:
+def normal_representative(g: MetricField, N: ParametrizedSubmanifold, u, a) -> Array:
     """g-orthogonal projection of an ambient vector onto the normal space.
 
     Two ambient vectors differing by a tangent vector map to the same
@@ -239,73 +222,85 @@ def normal_representative(
     normal bundle onto the metric normal bundle.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    a = np.asarray(a, dtype=float)
     _, J, G = _tangent_projection_pieces(g, N, u)
-    return NormalVector(u=u, w=_normal_projector(J, G) @ a)
+    return _normal_projector(J, G) @ np.asarray(a, dtype=float)
 
 
-def normal_exponential(
-    g: MetricField, N: ParametrizedSubmanifold, nv: NormalVector, tol: float = 1e-10
-) -> Array:
-    """Normal exponential map: exp at p(u) applied to the normal vector w."""
-    return exp_map(g, N.point(nv.u), nv.w, tol=tol)
+_EXP_TOL = 1e-11  # geodesic tolerance of the normal exponential chart
+_EXP_FD_STEP = 1e-6  # its jacobian's central-difference step off a flat background
+
+
+def normal_exponential(frame: NormalFrame) -> DifferentiableMap:
+    """The normal exponential map (u, c) -> exp at p(u) of B(u) c, with c
+    the coordinates of a normal vector in the frame B.
+
+    On a flat background (analytic Christoffel symbols that vanish) the
+    geodesics are straight, so the map is p(u) + B(u) c and its jacobian
+    [J + dB c | B] comes from the chart jacobian and the frame derivative;
+    otherwise each value integrates a geodesic and the jacobian is a
+    central finite difference.  The map has no domain; callers restrict it.
+    """
+    g, N = frame.g, frame.N
+    k, n = N.param_dim, N.ambient_dim
+    flat = g.christoffel_fn is not None and not np.any(g.christoffel_fn(N.point(np.zeros(k))))
+
+    if flat:
+        def fn(uc):
+            fp = frame.at(uc[:k])
+            return fp.p + fp.B @ uc[k:]
+
+        def jac(uc):
+            fp = frame.derivative(uc[:k])
+            return np.hstack([fp.J + (fp.dB @ uc[k:]).T, fp.B])
+
+    else:
+        def fn(uc):
+            fp = frame.at(uc[:k])
+            return exp_map(g, fp.p, fp.B @ uc[k:], tol=_EXP_TOL)
+
+        jac = None
+
+    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, jac=jac, fd_step=_EXP_FD_STEP)
+
+
+_RADIUS_COND_LIMIT = 1e6  # largest metric-weighted condition number of the chart
+_RADIUS_INJ_TOL = 1e-8  # images of separated preimages must stay this far apart
+_RADIUS_FRACTIONS = (0.25, 0.5, 0.75, 1.0)  # fiber samples, in units of delta
+_RADIUS_MAX_HALVINGS = 20
 
 
 def _radius_candidate_ok(
-    g: MetricField,
-    N: ParametrizedSubmanifold,
-    grid,
-    delta: float,
-    cond_limit: float,
-    inj_tol: float,
-    fractions,
-    fd_step: float,
-    tol: float,
+    frame: NormalFrame, chart: DifferentiableMap, grid, delta: float
 ) -> bool:
-    k = N.param_dim
+    g = frame.g
     preimages = []
     images = []
     for u in grid:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        B = normal_basis_matrix(g, N, u)
-        m = B.shape[1]
+        fp = frame.tangent(u)
+        u = fp.u
+        m = fp.B.shape[1]
         # orientation of the tube chart on the zero section, where its
         # jacobian is [J | B]; a sign change along a fiber means the chart
         # folded through a focal point, however well conditioned the
         # sampled jacobians are
-        det0 = np.linalg.det(np.column_stack([N.tangent_basis(u), B]))
-
-        def E_coords(uc):
-            uu, c = uc[:k], uc[k:]
-            Bu = normal_basis_matrix(g, N, uu)
-            return exp_map(g, N.point(uu), Bu @ c, tol=tol)
-
+        det0 = np.linalg.det(np.column_stack([fp.J, fp.B]))
         for j in range(m):
             for sign in (1.0, -1.0):
-                for frac in fractions:
+                for frac in _RADIUS_FRACTIONS:
                     c = np.zeros(m)
                     c[j] = sign * frac * delta
                     uc = np.concatenate([u, c])
                     try:
-                        img = E_coords(uc)
+                        img = chart(uc)
+                        Jmat = chart.jacobian(uc)
                     except NotInDomain:
                         return False
                     # metric-weighted condition estimate of the tube chart
-                    Jmat = np.empty((N.ambient_dim, k + m))
-                    try:
-                        for i in range(k + m):
-                            dp = np.zeros(k + m)
-                            dp[i] = fd_step
-                            Jmat[:, i] = (
-                                E_coords(uc + dp) - E_coords(uc - dp)
-                            ) / (2.0 * fd_step)
-                    except NotInDomain:
-                        return False
                     G = g.matrix(img)
                     w, V = np.linalg.eigh(0.5 * (G + G.T))
                     W = V @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ V.T
                     sv = np.linalg.svd(W @ Jmat, compute_uv=False)
-                    if sv[-1] <= 0.0 or sv[0] / sv[-1] >= cond_limit:
+                    if sv[-1] <= 0.0 or sv[0] / sv[-1] >= _RADIUS_COND_LIMIT:
                         return False
                     if np.linalg.det(Jmat) * det0 <= 0.0:
                         return False
@@ -319,33 +314,25 @@ def _radius_candidate_ok(
         us = np.array([np.atleast_1d(np.asarray(u, float)) for u in grid])
         if len(us) > 1:
             mesh = max(mesh, float(np.max(np.linalg.norm(np.diff(us, axis=0), axis=1))))
-        fr = sorted(fractions)
+        fr = sorted(_RADIUS_FRACTIONS)
         gaps = [fr[0]] + [b - a for a, b in zip(fr, fr[1:])]
         mesh = max(mesh, delta * max(gaps))
         for i in range(len(pre)):
             d_pre = np.linalg.norm(pre[i + 1 :] - pre[i], axis=1)
             d_img = np.linalg.norm(img[i + 1 :] - img[i], axis=1)
-            bad = (d_pre > 2.0 * mesh) & (d_img < inj_tol)
+            bad = (d_pre > 2.0 * mesh) & (d_img < _RADIUS_INJ_TOL)
             if np.any(bad):
                 return False
     return True
 
 
 def tubular_radius_estimate(
-    g: MetricField,
-    N: ParametrizedSubmanifold,
-    grid,
-    delta0: float,
-    cond_limit: float = 1e6,
-    inj_tol: float = 1e-8,
-    fractions=(0.25, 0.5, 0.75, 1.0),
-    fd_step: float = 1e-5,
-    tol: float = 1e-11,
-    max_halvings: int = 20,
+    g: MetricField, N: ParametrizedSubmanifold, grid, delta0: float
 ) -> RadiusFunction:
     """Largest delta0 * 2^-m certified on the sampled closed tube.
 
-    Certification checks a metric-weighted condition estimate of the tube
+    Certification samples the normal exponential chart of one frame along
+    each fiber.  It checks a metric-weighted condition estimate of the
     chart jacobian, that its determinant keeps the sign it has on the zero
     section (so no sampled fiber crosses a focal point), and sampled
     injectivity; the boundary fraction 1.0 is included so focal
@@ -353,10 +340,12 @@ def tubular_radius_estimate(
     """
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
-    for m in range(max_halvings + 1):
+    frame = NormalFrame(g, N)
+    chart = normal_exponential(frame)
+    for m in range(_RADIUS_MAX_HALVINGS + 1):
         delta = delta0 * 2.0**-m
-        if _radius_candidate_ok(
-            g, N, grid, delta, cond_limit, inj_tol, fractions, fd_step, tol
-        ):
+        if _radius_candidate_ok(frame, chart, grid, delta):
             return RadiusFunction(fn=lambda u, d=delta: d, grid=list(grid))
-    raise NoValidRadius(f"no certified radius above {delta0 * 2.0 ** -max_halvings:.3e}")
+    raise NoValidRadius(
+        f"no certified radius above {delta0 * 2.0 ** -_RADIUS_MAX_HALVINGS:.3e}"
+    )

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from eulertube.cli import main
@@ -65,6 +66,48 @@ class TestConfigValidation:
         assert scn.sample("grid") == 5
         # untouched values fall through to the builtin
         assert scn.background == BUILTIN_SCENARIOS["circle"].background
+
+
+# malformed config values, each with the field its error must name
+MALFORMED = {
+    "delta0-text": ("delta0: abc", "delta0"),
+    "delta0-nan": ("delta0: .nan", "delta0"),
+    "delta0-inf": ("delta0: .inf", "delta0"),
+    "samples-text": ("samples: {grid: abc}", "samples.grid"),
+    "samples-inf": ("samples: {grid: .inf}", "samples.grid"),
+    "samples-list": ("samples: [1, 2]", "samples"),
+    "tolerances-text": ("tolerances: {diagram: abc}", "tolerances.diagram"),
+    "tolerances-nan": ("tolerances: {diagram: .nan}", "tolerances.diagram"),
+    "tolerances-inf": ("tolerances: {diagram: .inf}", "tolerances.diagram"),
+    "tolerances-list": ("tolerances: [1.0e-5]", "tolerances"),
+}
+
+
+class TestMalformedValuesFailClosed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_scenario_from_config(self, case):
+        line, field = MALFORMED[case]
+        config = yaml.safe_load(f"scenario: circle\n{line}\n")
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            scenario_from_config(config)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_check_and_run(self, runner, tmp_path, case):
+        line, field = MALFORMED[case]
+        cfg = tmp_path / "scn.yaml"
+        cfg.write_text(f"scenario: circle\n{line}\n")
+        for command in ("check", "run"):
+            result = runner.invoke(main, [command, str(cfg)])
+            assert result.exit_code == 1
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert field in result.output
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_run_rejects_non_finite_tol(self, runner, tol):
+        result = runner.invoke(main, ["run", "circle", "--tol", tol])
+        assert result.exit_code == 1
+        assert "--tol" in result.output
+        assert "circle\t" not in result.output
 
 
 class TestCliCommands:

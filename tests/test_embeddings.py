@@ -101,7 +101,7 @@ class TestInversion:
         )
         psi.build_seed_table(u_grid(-1.0, 1.0, 9))
         uc = np.array([0.37, -0.52])
-        x = psi.call_uc(uc)
+        x = psi.map(uc)
         assert np.linalg.norm(psi.invert(x) - uc) <= 1e-10
 
     def test_requires_seed_table(self):

@@ -4,7 +4,6 @@ import pytest
 from eulertube.embeddings import TubularEmbedding
 from eulertube.errors import NoConvergence, NotVanishing
 from eulertube.eulerlike import (
-    VectorFieldOracle,
     euler_field,
     is_euler_like,
     linear_approximation,
@@ -30,7 +29,7 @@ def x_axis_r2():
 
 
 def oracle(fn, n=2):
-    return VectorFieldOracle(map=DifferentiableMap(n, n, fn))
+    return DifferentiableMap(n, n, fn)
 
 
 def embedding_over(N, fn, delta=1.5, jac=None):

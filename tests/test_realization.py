@@ -10,8 +10,9 @@ from eulertube.errors import (
     HypothesisFailure,
     NotInDomain,
 )
+from eulertube import realization
 from eulertube.metrics import christoffel, euclidean_metric
-from eulertube.numerics import DifferentiableMap
+from eulertube.numerics import DifferentiableMap, solve_inverse
 from eulertube.realization import (
     ComparisonMap,
     build_chi,
@@ -34,7 +35,7 @@ from eulertube.submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
     RadiusFunction,
-    normal_basis_matrix,
+    normal_space_basis,
     tubular_radius_estimate,
 )
 
@@ -229,7 +230,7 @@ class TestDiagramAndIsometry:
     def test_curved_case_small_residual(self):
         g_ref, N, psi, chi, g = self.make_pipeline()
         u = np.array([0.3])
-        B = normal_basis_matrix(g, N, u)
+        B = normal_space_basis(g, N, u)
         r = isometry_geodesic_check(chi, g, g_ref, N, u, 0.2 * B[:, 0], exp_tol=1e-9)
         assert r <= 1e-5
 
@@ -256,6 +257,47 @@ class TestPointCase:
         psi = DifferentiableMap(2, 2, lambda v: 2.0 * v, jac=lambda v: 2.0 * np.eye(2))
         with pytest.raises(HypothesisFailure):
             point_case_metric(psi, [np.array([0.1, 0.1])])
+
+
+def point_2d_psi():
+    """The point-2d scenario's embedding."""
+    return DifferentiableMap(
+        2,
+        2,
+        lambda v: np.array([v[0] + 0.1 * v[0] ** 2, v[1]]),
+        jac=lambda v: np.array([[1.0 + 0.2 * v[0], 0.0], [0.0, 1.0]]),
+    )
+
+
+POINT_CASE_SAMPLES = [np.array([0.3, 0.2]), np.array([-0.5, 0.4]), np.array([0.7, -0.6])]
+
+
+class TestPointCaseIsAPullback:
+    def test_metric_is_flat_metric_pulled_back_by_psi_inverse(self):
+        psi = point_2d_psi()
+        g, _ = point_case_metric(psi, [])
+        for y in POINT_CASE_SAMPLES:
+            x = solve_inverse(psi, y, y - psi(np.zeros(2)), tol=1e-13)
+            A = np.linalg.inv(psi.jacobian(x))
+            assert g.matrix(y).tobytes() == (A.T @ A).tobytes()
+
+    def test_christoffel_matches_ambient_stencil(self):
+        g, _ = point_case_metric(point_2d_psi(), [])
+        ambient = dataclasses.replace(g, christoffel_fn=None)
+        for y in POINT_CASE_SAMPLES:
+            assert np.max(np.abs(christoffel(g, y) - christoffel(ambient, y))) <= 1e-7
+
+    def test_one_newton_solve_per_christoffel_evaluation(self, monkeypatch):
+        g, _ = point_case_metric(point_2d_psi(), [])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(realization, "solve_inverse", counted)
+        christoffel(g, POINT_CASE_SAMPLES[0])
+        assert len(calls) == 1
 
 
 def scenario_pipeline(name):

@@ -30,6 +30,11 @@ def test_pass_flag_follows_residuals():
     assert r2.passed is True
 
 
+def test_infinite_residual_fails_under_infinite_tolerance():
+    r = sample_report(max_residual=float("inf"), tolerance=float("inf"), passed=True)
+    assert r.passed is False
+
+
 def test_empty_list_gives_header_only_table():
     text = emit([])
     lines = text.splitlines()

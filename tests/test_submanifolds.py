@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulertube.errors import RankDeficient
-from eulertube.metrics import MetricField, euclidean_metric, polar_metric, sphere_chart_metric
+from eulertube.metrics import (
+    MetricField,
+    euclidean_metric,
+    exp_map,
+    polar_metric,
+    sphere_chart_metric,
+)
 from eulertube.numerics import DifferentiableMap
-from eulertube.scenarios import BACKGROUNDS, SUBMANIFOLDS
+from eulertube.scenarios import BACKGROUNDS, BUILTIN_SCENARIOS, SUBMANIFOLDS, _interior_grid
 from eulertube import submanifolds
 from eulertube.submanifolds import (
     NormalFrame,
-    NormalVector,
     ParametrizedSubmanifold,
-    normal_basis_matrix,
     normal_exponential,
     normal_representative,
     normal_space_basis,
@@ -37,18 +41,18 @@ def unit_circle():
 
 def test_x_axis_normal_basis():
     basis = normal_space_basis(euclidean_metric(2), x_axis_r2(), np.array([0.7]))
-    assert len(basis) == 1
-    assert np.allclose(basis[0].w, [0.0, 1.0], atol=1e-12)
+    assert basis.shape[1] == 1
+    assert np.allclose(basis[:, 0], [0.0, 1.0], atol=1e-12)
 
 
 def test_circle_normal_is_radial():
     g = euclidean_metric(2)
     N = unit_circle()
     for theta in (0.0, 0.9, -1.1):
-        B = normal_basis_matrix(g, N, np.array([theta]))
+        B = normal_space_basis(g, N, np.array([theta]))
         assert np.allclose(B[:, 0], [np.cos(theta), np.sin(theta)], atol=1e-10)
     # past cos(theta) = 0 the deterministic convention flips the sign
-    B = normal_basis_matrix(g, N, np.array([2.5]))
+    B = normal_space_basis(g, N, np.array([2.5]))
     assert np.allclose(B[:, 0], [-np.cos(2.5), -np.sin(2.5)], atol=1e-10)
 
 
@@ -56,7 +60,7 @@ def test_basis_orthonormal_under_skew_metric():
     G = np.array([[2.0, 0.3], [0.3, 1.0]])
     g = MetricField(dim=2, matrix_fn=lambda x: G)
     N = x_axis_r2()
-    B = normal_basis_matrix(g, N, np.array([0.2]))
+    B = normal_space_basis(g, N, np.array([0.2]))
     J = N.tangent_basis(np.array([0.2]))
     assert abs(B[:, 0] @ G @ B[:, 0] - 1.0) <= 1e-10
     assert abs(B[:, 0] @ G @ J[:, 0]) <= 1e-10
@@ -75,8 +79,8 @@ def test_frame_smooth_along_circle():
     h = 1e-3
     for theta in np.linspace(-1.2, 1.2, 25):
         d = (
-            normal_basis_matrix(g, N, np.array([theta + h]))
-            - normal_basis_matrix(g, N, np.array([theta - h]))
+            normal_space_basis(g, N, np.array([theta + h]))
+            - normal_space_basis(g, N, np.array([theta - h]))
         ) / (2 * h)
         assert np.linalg.norm(d) <= 2.0  # bounded, in particular no sign flip
 
@@ -153,11 +157,11 @@ def test_frame_derivative_matches_fd_of_frame(case):
     for v in np.linspace(lo + 0.05, hi - 0.05, 9):
         u = np.array([v, -0.6 * v])[:k]
         fp = frame.derivative(u)
-        assert np.array_equal(fp.B, normal_basis_matrix(g, N, u))
+        assert np.array_equal(fp.B, normal_space_basis(g, N, u))
         for i in range(k):
             h = np.zeros(k)
             h[i] = 1e-5
-            fd = (normal_basis_matrix(g, N, u + h) - normal_basis_matrix(g, N, u - h)) / 2e-5
+            fd = (normal_space_basis(g, N, u + h) - normal_space_basis(g, N, u - h)) / 2e-5
             assert np.max(np.abs(fp.dB[i] - fd)) <= 1e-7
 
 
@@ -189,28 +193,28 @@ class TestNormalRepresentative:
     def test_already_normal_unchanged(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
-        nv = normal_representative(g, N, np.array([0.3]), np.array([0.0, 2.0]))
-        assert np.allclose(nv.w, [0.0, 2.0], atol=1e-12)
+        w = normal_representative(g, N, np.array([0.3]), np.array([0.0, 2.0]))
+        assert np.allclose(w, [0.0, 2.0], atol=1e-12)
 
     def test_tangent_killed(self):
         g = euclidean_metric(2)
         N = unit_circle()
         theta = 0.4
         tangent = np.array([-np.sin(theta), np.cos(theta)])
-        nv = normal_representative(g, N, np.array([theta]), tangent)
-        assert np.linalg.norm(nv.w) <= 1e-12
+        w = normal_representative(g, N, np.array([theta]), tangent)
+        assert np.linalg.norm(w) <= 1e-12
 
     def test_circle_projection_oracle(self):
         g = euclidean_metric(2)
         N = unit_circle()
-        nv = normal_representative(g, N, np.array([0.0]), np.array([1.0, 1.0]))
-        assert np.allclose(nv.w, [1.0, 0.0], atol=1e-12)
+        w = normal_representative(g, N, np.array([0.0]), np.array([1.0, 1.0]))
+        assert np.allclose(w, [1.0, 0.0], atol=1e-12)
 
     def test_idempotent(self):
         g = MetricField(dim=2, matrix_fn=lambda x: np.array([[2.0, 0.3], [0.3, 1.0]]))
         N = unit_circle()
-        once = normal_representative(g, N, np.array([0.7]), np.array([0.4, -1.2])).w
-        twice = normal_representative(g, N, np.array([0.7]), once).w
+        once = normal_representative(g, N, np.array([0.7]), np.array([0.4, -1.2]))
+        twice = normal_representative(g, N, np.array([0.7]), once)
         assert np.linalg.norm(once - twice) <= 1e-12
 
     @given(st.floats(-2.0, 2.0))
@@ -221,36 +225,83 @@ class TestNormalRepresentative:
         u = np.array([0.9])
         a = np.array([0.5, 0.1])
         tangent = scale * N.tangent_basis(u)[:, 0]
-        w1 = normal_representative(g, N, u, a).w
-        w2 = normal_representative(g, N, u, a + tangent).w
+        w1 = normal_representative(g, N, u, a)
+        w2 = normal_representative(g, N, u, a + tangent)
         assert np.linalg.norm(w1 - w2) <= 1e-10
 
 
 class TestNormalExponential:
+    # (u, c) with c the frame coordinates: the x-axis frame is e_2 and the
+    # circle's is radial for |theta| < pi/2
     def test_x_axis(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
-        nv = NormalVector(u=np.array([0.7]), w=np.array([0.0, 0.4]))
-        assert np.allclose(normal_exponential(g, N, nv), [0.7, 0.4], atol=1e-10)
+        chart = normal_exponential(NormalFrame(g, N))
+        assert np.allclose(chart(np.array([0.7, 0.4])), [0.7, 0.4], atol=1e-10)
 
     def test_circle_radial(self):
         g = euclidean_metric(2)
         N = unit_circle()
         theta, s = 0.5, 0.3
-        nv = NormalVector(
-            u=np.array([theta]), w=s * np.array([np.cos(theta), np.sin(theta)])
-        )
+        chart = normal_exponential(NormalFrame(g, N))
         expected = (1 + s) * np.array([np.cos(theta), np.sin(theta)])
-        assert np.allclose(normal_exponential(g, N, nv), expected, atol=1e-10)
+        assert np.allclose(chart(np.array([theta, s])), expected, atol=1e-10)
 
     def test_zero_vector_is_base_point(self):
         g = euclidean_metric(2)
         N = unit_circle()
-        nv = NormalVector(u=np.array([1.0]), w=np.zeros(2))
-        assert np.allclose(normal_exponential(g, N, nv), N.point(np.array([1.0])))
+        chart = normal_exponential(NormalFrame(g, N))
+        assert np.allclose(chart(np.array([1.0, 0.0])), N.point(np.array([1.0])))
+
+
+@pytest.mark.parametrize("case", ["circle-arc", "helix-arc", "sphere-equator-arc"])
+def test_normal_exponential_is_exp_of_frame_vector(case):
+    make_g, make_N = FRAME_CASES[case]
+    g = make_g()
+    N, lo, hi = make_N()
+    chart = normal_exponential(NormalFrame(g, N))
+    m = N.ambient_dim - N.param_dim
+    for i, v in enumerate(np.linspace(lo + 0.1, hi - 0.1, 5)):
+        u = np.array([v])
+        c = 0.3 * np.cos(i + np.arange(m))
+        expected = exp_map(g, N.point(u), normal_space_basis(g, N, u) @ c, tol=1e-11)
+        assert chart(np.concatenate([u, c])).tobytes() == expected.tobytes()
+
+
+TUBE_RADII = {"flat-slice": 1.0, "circle": 0.5, "helix": 0.8, "sphere-equator": 1.5}
+
+
+def builtin_radius(name, grid_size):
+    scn = BUILTIN_SCENARIOS[name]
+    g = BACKGROUNDS[scn.background]()
+    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
+    grid = _interior_grid(lo, hi, grid_size)
+    return g, N, grid, scn.delta0
 
 
 class TestTubularRadius:
+    @pytest.mark.parametrize("grid_size", [8, 9, 10])
+    def test_builtin_radii(self, grid_size):
+        for name, radius in TUBE_RADII.items():
+            g, N, grid, delta0 = builtin_radius(name, grid_size)
+            assert tubular_radius_estimate(g, N, grid, delta0)(grid[0]) == radius, name
+
+    @pytest.mark.parametrize("name", ["circle", "helix", "sphere-equator"])
+    def test_at_most_three_frames_per_grid_point_and_candidate(self, name, monkeypatch):
+        # the chart's jacobian on a curved background differences u, so it
+        # needs frames at u and u +- h; a flat one needs only the frame at u
+        g, N, grid, delta0 = builtin_radius(name, 9)
+        builds = []
+
+        def counted(*args):
+            builds.append(1)
+            return normal_space_basis(*args)
+
+        monkeypatch.setattr(submanifolds, "normal_space_basis", counted)
+        delta = tubular_radius_estimate(g, N, grid, delta0)(grid[0])
+        candidates = 1 + round(np.log2(delta0 / delta))
+        assert 0 < len(builds) <= 3 * len(grid) * candidates
+
     def test_x_axis_keeps_full_radius(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
