@@ -24,7 +24,9 @@ class TubularEmbedding:
 
     ``frame`` is the normal frame of N that c refers to; ``delta`` bounds
     |c| on the certified tube.  Inversion is Newton iteration seeded from
-    the nearest entry of a precomputed forward table.
+    the nearest entry of a precomputed forward table.  Evaluation and
+    inversion take one point or lanes (a leading axis of independent
+    points).
     """
 
     map: DifferentiableMap
@@ -44,7 +46,7 @@ class TubularEmbedding:
     def __call__(self, u, c) -> Array:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        return self.map(np.concatenate([u, c]))
+        return self.map(np.concatenate([u, c], axis=-1))
 
     def build_seed_table(self, u_grid, c_fractions=(0.0, 0.35, 0.7)) -> None:
         k, m = self.N.param_dim, self.fiber_dim
@@ -61,14 +63,16 @@ class TubularEmbedding:
         uniq = {tuple(np.round(s, 12)) for s in seeds}
         seeds = [np.array(s) for s in sorted(uniq)]
         self.seeds = np.array(seeds)
-        self.seed_images = np.array([self.map(s) for s in seeds])
+        self.seed_images = self.map(self.seeds)
 
     def invert(self, x, tol: float = 1e-12) -> Array:
-        """Solve psi(u, c) = x by Newton from the nearest table seed."""
+        """Solve psi(u, c) = x by Newton from the nearest table seed, for
+        one point x (n,) or lanes (B, n), each from its own nearest seed."""
         x = np.asarray(x, dtype=float)
         if self.seeds is None:
             raise RuntimeError("seed table not built; call build_seed_table first")
-        i = int(np.argmin(np.linalg.norm(self.seed_images - x, axis=1)))
+        d = self.seed_images - x[..., None, :]
+        i = np.argmin(np.sqrt((d * d).sum(axis=-1)), axis=-1)
         return solve_inverse(self.map, x, self.seeds[i], tol=tol)
 
 
@@ -116,10 +120,8 @@ def reference_embedding(frame: NormalFrame, delta: RadiusFunction) -> TubularEmb
     k = N.param_dim
 
     def in_domain(uc):
-        u, c = uc[:k], uc[k:]
-        if not N.in_param_domain(u):
-            return False
-        return float(np.linalg.norm(c)) < delta(u)
+        u, c = uc[..., :k], uc[..., k:]
+        return N.in_param_domain(u) & (np.sqrt((c * c).sum(axis=-1)) < delta(u))
 
     chart = replace(normal_exponential(frame), domain=in_domain)
     return TubularEmbedding(map=chart, frame=frame, delta=delta)

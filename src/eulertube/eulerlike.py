@@ -11,7 +11,7 @@ import numpy as np
 from .embeddings import TubularEmbedding
 from .errors import FlowExit, NoConvergence, NotVanishing
 from .metrics import MetricField
-from .numerics import Array, DifferentiableMap, ode_integrate
+from .numerics import Array, DifferentiableMap, as_lanes, ode_integrate
 from .submanifolds import ParametrizedSubmanifold, normal_space_basis
 
 
@@ -89,12 +89,13 @@ def is_euler_like(
 
 
 def pushforward_euler(psi: TubularEmbedding, u, c) -> Array:
-    """d(psi) at (u, c) applied to the fiber vector c (the Euler field)."""
+    """d(psi) at (u, c) applied to the fiber vector c (the Euler field), at
+    one point or on lanes u (B, k), c (B, m)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    J = psi.map.jacobian(np.concatenate([u, c]))
-    fiber = np.concatenate([np.zeros(psi.N.param_dim), c])
-    return J @ fiber
+    J = psi.map.jacobian(np.concatenate([u, c], axis=-1))
+    fiber = np.concatenate([np.zeros_like(u), c], axis=-1)
+    return (J @ fiber[..., None])[..., 0]
 
 
 def pushforward_field(
@@ -102,42 +103,50 @@ def pushforward_field(
     invert_tol: float = 1e-12,
     domain_margin: float = 1.05,
 ) -> DifferentiableMap:
-    """The pushforward Euler field as an ambient-coordinate oracle.
+    """The pushforward Euler field as an ambient-coordinate oracle on lanes.
 
-    Each evaluation inverts psi numerically at the query point and applies
-    the jacobian to the fiber coordinates there.  The domain test reuses
-    the last preimage when it is asked about the same point: the
-    Dormand-Prince step is first-same-as-last, so the accepted state it
-    tests is the stage point the field was just evaluated at.  A cold
-    inversion is a pure function of x, so this one-entry memo is too.
+    Each evaluation inverts psi numerically at the query points (one lane
+    Newton solve) and applies the jacobian to the fiber coordinates there.
+    The domain test reuses the preimages of the last inversion for the
+    points it is asked about again: the Dormand-Prince step is
+    first-same-as-last, so the accepted states it tests are stage points
+    the field was just evaluated at.  A lane's cold inversion is a pure
+    function of its point, so this memo is too.  A lane whose inversion
+    fails is outside the domain.
     """
     k = psi.N.param_dim
-    last = {}  # x.tobytes() -> preimage, at most one entry
+    n = psi.N.ambient_dim
+    last = {}  # x.tobytes() -> preimage, for the lanes of the last call
 
-    def preimage(x):
-        key = x.tobytes()
-        if key not in last:
-            uc = psi.invert(x, tol=invert_tol)
-            last.clear()
-            last[key] = uc
-        return last[key]
+    def preimages(X):
+        nonlocal last
+        keys = [x.tobytes() for x in X]
+        found = {key: last[key] for key in keys if key in last}
+        new = [i for i, key in enumerate(keys) if key not in found]
+        if new:
+            found.update(zip([keys[i] for i in new], psi.invert(X[new], tol=invert_tol)))
+        last = found
+        return np.array([found[key] for key in keys])
 
-    def fn(x):
-        uc = preimage(x)
-        return pushforward_euler(psi, uc[:k], uc[k:])
+    def fn(X):
+        UC = preimages(X)
+        return pushforward_euler(psi, UC[:, :k], UC[:, k:])
 
     def in_domain(x):
+        X, single = as_lanes(x, n)
         try:
-            uc = preimage(np.asarray(x, dtype=float))
+            UC = preimages(X)
         except Exception:
-            return False
-        if psi.delta is None:
-            return True
-        u, c = uc[:k], uc[k:]
-        return float(np.linalg.norm(c)) < domain_margin * psi.delta(u)
+            # some lane's inversion failed: the lanes answer one at a time
+            inside = np.array([in_domain(y) for y in X]) if len(X) > 1 else np.zeros(1, bool)
+        else:
+            u, c = UC[:, :k], UC[:, k:]
+            inside = np.ones(len(X), dtype=bool) if psi.delta is None else (
+                np.sqrt((c * c).sum(axis=1)) < domain_margin * psi.delta(u)
+            )
+        return bool(inside[0]) if single else inside
 
-    n = psi.N.ambient_dim
-    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain)
+    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain, lanes=True)
 
 
 def _default_t_seq() -> Sequence[float]:
@@ -153,30 +162,41 @@ def reconstruct_embedding(
     tol: float = 1e-6,
     flow_tol: float = 1e-11,
 ) -> Array:
-    """Recover psi(u, c) for the unique embedding with pushforward field X.
+    """Recover psi(u, c) for the unique embedding with pushforward field X,
+    at one point (u (k,), c (m,)) or at P points (u (P, k), c (P, m)).
 
     For each t the reference point psi0(u, t c) is transported by the flow
     of X for time -ln t; the iterates converge linearly in t and are
-    Richardson-extrapolated.  Raises NoConvergence if the iterates are not
-    Cauchy or the last two extrapolants disagree beyond tol, and FlowExit
-    if the flow leaves the field's domain.
+    Richardson-extrapolated.  All P x len(t_seq) flows are lanes of one
+    integration.  Raises NoConvergence if some point's iterates are not
+    Cauchy or its last two extrapolants disagree beyond tol, and FlowExit
+    if a flow leaves the field's domain.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+    c = np.asarray(c, dtype=float)
+    single = c.ndim <= 1
+    c = np.atleast_1d(c).reshape(-1, psi0.fiber_dim)
+    u = np.asarray(u, dtype=float).reshape(len(c), psi0.N.param_dim)
     if t_seq is None:
         t_seq = _default_t_seq()
-    ts = sorted(t_seq, reverse=True)
+    ts = np.array(sorted(t_seq, reverse=True))
     if len(ts) < 3:
         raise ValueError("need at least three schedule times")
-    raw = []
-    for t in ts:
-        y0 = psi0(u, t * c)
-        traj = ode_integrate(
-            lambda y: X(y), y0, -np.log(t), flow_tol, domain=X.domain
-        )
-        if traj.exited:
-            raise FlowExit(f"flow left the domain at schedule time t={t}")
-        raw.append(traj.final_state)
+    # lane (point i, schedule time j) is row i * len(ts) + j
+    U = np.repeat(u, len(ts), axis=0)
+    C = (ts[None, :, None] * c[:, None, :]).reshape(len(U), -1)
+    domain = None if X.domain is None else X.contains
+    traj = ode_integrate(X, psi0(U, C), np.tile(-np.log(ts), len(c)), flow_tol, domain=domain)
+    if traj.exited.any():
+        t = ts[int(np.flatnonzero(traj.exited)[0]) % len(ts)]
+        raise FlowExit(f"flow left the domain at schedule time t={t}")
+    raw = traj.final_state.reshape(len(c), len(ts), -1)
+    out = np.array([_extrapolate(iterates, tol, flow_tol) for iterates in raw])
+    return out[0] if single else out
+
+
+def _extrapolate(raw: Array, tol: float, flow_tol: float) -> Array:
+    """The Cauchy test and Richardson extrapolation of one point's flow
+    iterates raw[j] (schedule times halving)."""
     diffs = [float(np.linalg.norm(b - a)) for a, b in zip(raw, raw[1:])]
     noise_floor = max(1e-8, 100.0 * flow_tol)
     for d_prev, d_next in zip(diffs, diffs[1:]):

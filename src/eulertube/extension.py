@@ -158,9 +158,6 @@ class BundleRegion:
         v = np.asarray(v, dtype=float)
         return float(np.sqrt(v @ np.asarray(self.bundle_metric(p), float) @ v))
 
-    def in_W(self, p, v) -> bool:
-        return self.fiber_norm(p, v) < float(self.delta(p))
-
     def in_W_prime(self, p, v) -> bool:
         return self.fiber_norm(p, v) < 0.5 * float(self.delta(p))
 

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainMargin, NotInDomain, SingularMetric
-from .numerics import Array, Trajectory, ode_integrate
+from .numerics import Array, Trajectory, on_lanes, ode_integrate
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,10 @@ class MetricField:
     When present they are cross-checked against the ambient
     finite-difference / integration routes by the test suite.
     ``geodesic_fn(p, v, t)`` must return the exact ``(point, velocity)`` of
-    the geodesic with initial data (p, v) at parameter t.
+    the geodesic with initial data (p, v) at parameter t.  ``matrix`` takes
+    one point (n,) or lanes (B, n); with ``lanes=True`` ``matrix_fn`` takes
+    lanes and returns (B, n, n), otherwise it is called once per lane (the
+    standard metrics below take either).  ``domain`` takes one point.
     """
 
     dim: int
@@ -31,20 +34,13 @@ class MetricField:
     fd_step: float = 1e-5
     christoffel_fn: Optional[Callable[[Array], Array]] = None
     geodesic_fn: Optional[Callable[[Array, Array, float], tuple]] = None
+    lanes: bool = False
 
     def matrix(self, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self.matrix_fn(x), dtype=float)
+        return on_lanes(self.matrix_fn, self.lanes, x)
 
     def contains(self, x) -> bool:
         return self.domain is None or bool(self.domain(np.asarray(x, dtype=float)))
-
-    def norm(self, x, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(v @ self.matrix(x) @ v))
-
-    def inner(self, x, v, w) -> float:
-        return float(np.asarray(v, float) @ self.matrix(x) @ np.asarray(w, float))
 
 
 def validate_metric(g: MetricField, points, sym_tol: float = 1e-12) -> float:
@@ -72,21 +68,14 @@ def christoffel(g: MetricField, x) -> Array:
         return np.asarray(g.christoffel_fn(x), dtype=float)
     n = g.dim
     h = g.fd_step
-    if g.domain is not None:
-        for i in range(n):
-            for s in (-h, h):
-                xs = x.copy()
-                xs[i] += s
-                if not g.domain(xs):
-                    raise DomainMargin("metric stencil outside domain")
-    dg = np.empty((n, n, n))  # dg[l, i, j] = d_l g_ij
-    for l in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[l] += h
-        xm[l] -= h
-        dg[l] = (g.matrix(xp) - g.matrix(xm)) / (2.0 * h)
-    return levi_civita(g.matrix(x), dg, x)
+    steps = h * np.eye(n)
+    # the metric at x and at x +- h e_l, one lane each
+    stencil = np.concatenate([x[None], x + steps, x - steps])
+    if g.domain is not None and not all(g.contains(s) for s in stencil[1:]):
+        raise DomainMargin("metric stencil outside domain")
+    G = g.matrix(stencil)
+    dg = (G[1 : n + 1] - G[n + 1 :]) / (2.0 * h)  # dg[l, i, j] = d_l g_ij
+    return levi_civita(G[0], dg, x)
 
 
 def levi_civita(G: Array, dg: Array, x) -> Array:
@@ -212,12 +201,21 @@ def euclidean_metric(n: int, domain=None, name: str = "euclidean") -> MetricFiel
     zeros = np.zeros((n, n, n))
     return MetricField(
         dim=n,
-        matrix_fn=lambda x: eye,
+        matrix_fn=lambda x: eye + np.zeros(x.shape[:-1] + (1, 1)),
         domain=domain,
         name=name,
         christoffel_fn=lambda x: zeros,
         geodesic_fn=lambda p, v, t: (p + t * v, v),
+        lanes=True,
     )
+
+
+def _diag2(a, b: Array) -> Array:
+    """diag(a, b) for every entry of b: one matrix or lanes of them."""
+    out = np.zeros(np.shape(b) + (2, 2))
+    out[..., 0, 0] = a
+    out[..., 1, 1] = b
+    return out
 
 
 def polar_metric(domain=None) -> MetricField:
@@ -226,9 +224,10 @@ def polar_metric(domain=None) -> MetricField:
         domain = lambda x: x[0] > 1e-3  # noqa: E731
     return MetricField(
         dim=2,
-        matrix_fn=lambda x: np.diag([1.0, x[0] ** 2]),
+        matrix_fn=lambda x: _diag2(1.0, x[..., 0] ** 2),
         domain=domain,
         name="polar",
+        lanes=True,
     )
 
 
@@ -278,9 +277,10 @@ def sphere_chart_metric(
 
     return MetricField(
         dim=2,
-        matrix_fn=lambda x: np.diag([1.0, np.sin(x[0]) ** 2]),
+        matrix_fn=lambda x: _diag2(1.0, np.sin(x[..., 0]) ** 2),
         domain=in_domain,
         name="sphere-chart",
         christoffel_fn=gamma,
         geodesic_fn=_sphere_chart_geodesic if use_closed_form else None,
+        lanes=True,
     )

@@ -48,7 +48,9 @@ class ComparisonMap:
     ``chart`` is psi's map (u, c) -> x and ``target`` phi's map
     (u, c) -> y on the same frame coordinates; ``preimage`` solves
     chart(uc) = x.  ``preimage`` is a pure function of x, so chi(x) does not
-    depend on what was evaluated before.
+    depend on what was evaluated before.  chi, its jacobian and
+    ``preimage`` take one point (n,) or lanes (B, n).  ``domain`` takes one
+    point.
     """
 
     chart: DifferentiableMap
@@ -77,7 +79,7 @@ def build_chi(
     domain: Optional[Callable[[Array], bool]] = None,
 ) -> ComparisonMap:
     """The comparison map chi = phi o psi^{-1}; each evaluation inverts psi
-    by a Newton solve from its seed table."""
+    by a Newton solve from its seed table, one lane per point."""
     return ComparisonMap(
         chart=psi.map,
         target=phi.map,
@@ -125,10 +127,12 @@ def pullback_metric(
     g(x) = Dchi(x)^T gref(chi(x)) Dchi(x), evaluated at the one preimage uc
     of x with Dchi = Dphi(uc) Dpsi(uc)^{-1}.
 
-    Its Christoffel symbols difference g along psi's chart: g at the chart
-    stencil points uc +- fd_step e_j is a forward evaluation of psi and phi
-    with no inversion, and d_l g = sum_j A[j, l] d_{uc_j} g with
-    A = Dpsi(uc)^{-1} turns chart derivatives into ambient ones.  This is a
+    ``matrix`` takes lanes, one inversion batch for all of them.  Its
+    Christoffel symbols difference g along psi's chart: g at uc and the
+    chart stencil points uc +- fd_step e_j is one lane batch of forward
+    evaluations of psi and phi with no inversion, and
+    d_l g = sum_j A[j, l] d_{uc_j} g with A = Dpsi(uc)^{-1} turns chart
+    derivatives into ambient ones.  This is a
     finite difference of g, independent of how chi enters the diagram
     check; the comparatively large step balances truncation against the
     rounding of the jacobians.  Raises DomainMargin if a stencil point
@@ -136,31 +140,29 @@ def pullback_metric(
     """
     chart, target = chi.chart, chi.target
 
-    def matrix_at(uc, A=None):
+    def matrix_at(UC, A=None):
+        """g at the chart lanes UC (B, n), with A = Dpsi(UC)^-1 if known."""
         if A is None:
-            A = np.linalg.inv(chart.jacobian(uc))
-        D = target.jacobian(uc) @ A
-        return D.T @ g_ref.matrix(target(uc)) @ D
+            A = np.linalg.inv(chart.jacobian(UC))
+        D = target.jacobian(UC) @ A
+        return np.swapaxes(D, 1, 2) @ g_ref.matrix(target(UC)) @ D
 
-    def matrix(x):
-        return matrix_at(chi.preimage(x))
+    def matrix(X):
+        return matrix_at(chi.preimage(X))
 
     def gamma(x):
         uc = chi.preimage(x)
         n = uc.size
-        h = fd_step
-        dg_chart = np.empty((n, n, n))  # dg_chart[j] = d_{uc_j} g
-        for j in range(n):
-            up = uc.copy()
-            um = uc.copy()
-            up[j] += h
-            um[j] -= h
-            if not (chart.contains(up) and chart.contains(um)):
-                raise DomainMargin("chart stencil point outside the embedding's domain")
-            dg_chart[j] = (matrix_at(up) - matrix_at(um)) / (2.0 * h)
-        A = np.linalg.inv(chart.jacobian(uc))
-        dg = np.einsum("jl,jab->lab", A, dg_chart)
-        return levi_civita(matrix_at(uc, A), dg, x)
+        steps = fd_step * np.eye(n)
+        # uc and the chart stencil uc +- h e_j, one lane each
+        stencil = np.concatenate([uc[None], uc + steps, uc - steps])
+        if not np.all(chart.contains(stencil[1:])):
+            raise DomainMargin("chart stencil point outside the embedding's domain")
+        A = np.linalg.inv(chart.jacobian(stencil))
+        G = matrix_at(stencil, A)
+        dg_chart = (G[1 : n + 1] - G[n + 1 :]) / (2.0 * fd_step)  # d_{uc_j} g
+        dg = np.einsum("jl,jab->lab", A[0], dg_chart)
+        return levi_civita(G[0], dg, x)
 
     return MetricField(
         dim=chi.domain_dim,
@@ -169,6 +171,7 @@ def pullback_metric(
         name=name,
         fd_step=fd_step,
         christoffel_fn=gamma,
+        lanes=True,
     )
 
 
@@ -236,12 +239,19 @@ def isometry_geodesic_check(
 
 
 def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24) -> float:
-    """Gauss-Legendre quadrature of the g-length of a parametrized curve."""
+    """Gauss-Legendre quadrature of the g-length of a parametrized curve.
+
+    ``curve`` and ``dcurve`` are called once, with the column of quadrature
+    nodes t (order, 1), and return the points and velocities at the nodes
+    as rows (order, n); g is evaluated at all nodes as one lane batch.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    t = (0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1))[:, None]
+    V = np.asarray(dcurve(t), dtype=float)
+    speed = np.sqrt((V[:, None, :] @ g.matrix(curve(t)) @ V[:, :, None])[:, 0, 0])
     total = 0.0
-    for x, w in zip(nodes, weights):
-        t = 0.5 * (t1 - t0) * x + 0.5 * (t0 + t1)
-        total += w * g.norm(curve(t), dcurve(t))
+    for w, s in zip(weights, speed):
+        total += w * float(s)
     return 0.5 * (t1 - t0) * total
 
 
@@ -267,7 +277,10 @@ def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricFie
     if float(np.max(np.abs(D0 - np.eye(n)))) > _POINT_HYPOTHESIS_TOL:
         raise HypothesisFailure("differential of psi at 0 is not the identity")
 
-    identity = DifferentiableMap(n, n, fn=lambda x: x, jac=lambda x: np.eye(n))
+    eye = np.eye(n)[None]
+    identity = DifferentiableMap(
+        n, n, fn=lambda X: X, jac=lambda X: eye.repeat(len(X), axis=0), lanes=True
+    )
     chi = ComparisonMap(
         chart=psi,
         target=identity,

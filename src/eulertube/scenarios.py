@@ -57,43 +57,49 @@ BACKGROUNDS: Dict[str, Callable[[], MetricField]] = {
 }
 
 
-def _line_3d() -> Tuple[ParametrizedSubmanifold, float, float]:
-    chart = DifferentiableMap(
-        1, 3, lambda u: np.array([u[0], 0.0, 0.0]), jac=lambda u: np.array([[1.0], [0.0], [0.0]])
-    )
-    lo, hi = -1.5, 1.5
+def _curve(name: str, n: int, lo: float, hi: float, fn, jac):
+    """A curve u -> p(u) in R^n on lo < u < hi, from lane formulas of the
+    parameter column t (B, 1): fn(t) gives the points (B, n), jac(t) the
+    tangents (B, n)."""
+    chart = DifferentiableMap(1, n, fn, jac=lambda U: jac(U)[:, :, None], lanes=True)
     N = ParametrizedSubmanifold(
-        1, 3, chart, param_domain=lambda u: lo < u[0] < hi, name="line-3d"
+        1, n, chart, param_domain=lambda U: (lo < U[:, 0]) & (U[:, 0] < hi), name=name
     )
     return N, lo, hi
+
+
+def _columns(*cols):
+    return np.concatenate(cols, axis=1)
+
+
+def _line_3d() -> Tuple[ParametrizedSubmanifold, float, float]:
+    return _curve(
+        "line-3d",
+        3,
+        -1.5,
+        1.5,
+        lambda t: _columns(t, 0.0 * t, 0.0 * t),
+        lambda t: _columns(1.0 + 0.0 * t, 0.0 * t, 0.0 * t),
+    )
+
+
+def _circle(name: str, lo: float, hi: float):
+    return _curve(
+        name,
+        2,
+        lo,
+        hi,
+        lambda t: _columns(np.cos(t), np.sin(t)),
+        lambda t: _columns(-np.sin(t), np.cos(t)),
+    )
 
 
 def _circle_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
-    chart = DifferentiableMap(
-        1,
-        2,
-        lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
-        jac=lambda u: np.array([[-np.sin(u[0])], [np.cos(u[0])]]),
-    )
-    lo, hi = -1.25, 1.25
-    N = ParametrizedSubmanifold(
-        1, 2, chart, param_domain=lambda u: lo < u[0] < hi, name="circle-arc"
-    )
-    return N, lo, hi
+    return _circle("circle-arc", -1.25, 1.25)
 
 
 def _circle_full() -> Tuple[ParametrizedSubmanifold, float, float]:
-    chart = DifferentiableMap(
-        1,
-        2,
-        lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
-        jac=lambda u: np.array([[-np.sin(u[0])], [np.cos(u[0])]]),
-    )
-    lo, hi = -np.pi, np.pi
-    N = ParametrizedSubmanifold(
-        1, 2, chart, param_domain=lambda u: lo < u[0] < hi, name="circle-full"
-    )
-    return N, lo, hi
+    return _circle("circle-full", -np.pi, np.pi)
 
 
 _HELIX_PITCH = 0.3
@@ -101,31 +107,25 @@ _HELIX_PITCH = 0.3
 
 def _helix_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
     a = _HELIX_PITCH
-    chart = DifferentiableMap(
-        1,
+    return _curve(
+        "helix-arc",
         3,
-        lambda u: np.array([np.cos(u[0]), np.sin(u[0]), a * u[0]]),
-        jac=lambda u: np.array([[-np.sin(u[0])], [np.cos(u[0])], [a]]),
+        -1.2,
+        1.2,
+        lambda t: _columns(np.cos(t), np.sin(t), a * t),
+        lambda t: _columns(-np.sin(t), np.cos(t), np.full_like(t, a)),
     )
-    lo, hi = -1.2, 1.2
-    N = ParametrizedSubmanifold(
-        1, 3, chart, param_domain=lambda u: lo < u[0] < hi, name="helix-arc"
-    )
-    return N, lo, hi
 
 
 def _sphere_equator_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
-    chart = DifferentiableMap(
-        1,
+    return _curve(
+        "sphere-equator-arc",
         2,
-        lambda u: np.array([np.pi / 2, u[0]]),
-        jac=lambda u: np.array([[0.0], [1.0]]),
+        0.4,
+        2.55,
+        lambda t: _columns(np.full_like(t, np.pi / 2), t),
+        lambda t: _columns(0.0 * t, 1.0 + 0.0 * t),
     )
-    lo, hi = 0.4, 2.55
-    N = ParametrizedSubmanifold(
-        1, 2, chart, param_domain=lambda u: lo < u[0] < hi, name="sphere-equator-arc"
-    )
-    return N, lo, hi
 
 
 SUBMANIFOLDS: Dict[str, Callable[[], Tuple[ParametrizedSubmanifold, float, float]]] = {
@@ -137,59 +137,66 @@ SUBMANIFOLDS: Dict[str, Callable[[], Tuple[ParametrizedSubmanifold, float, float
 }
 
 
+# Embedding factories build lane formulas: fn(UC) maps (B, k + m) frame
+# coordinates to (B, n) points and jac(UC) to (B, n, k + m) jacobians.
+
+
 def _embedding_slice_affine(frame, delta):
     a, b = 0.2, -0.1
+    J = np.array([[[1.0, a, b], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
 
-    def fn(uc):
-        u, c1, c2 = uc
-        return np.array([u + a * c1 + b * c2, c1, c2])
+    def fn(UC):
+        u, c1, c2 = UC[:, :1], UC[:, 1:2], UC[:, 2:]
+        return _columns(u + a * c1 + b * c2, c1, c2)
 
-    jac = lambda uc: np.array([[1.0, a, b], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    return fn, jac
+    return fn, lambda UC: J.repeat(len(UC), axis=0)
 
 
 def _embedding_circle_quadratic(frame, delta):
     eps = 0.1
 
-    def fn(uc):
-        th, c = uc
-        r = np.array([np.cos(th), np.sin(th)])
-        t = np.array([-np.sin(th), np.cos(th)])
+    def pieces(UC):
+        th, c = UC[:, :1], UC[:, 1:]
+        cos, sin = np.cos(th), np.sin(th)
+        return c, _columns(cos, sin), _columns(-sin, cos)
+
+    def fn(UC):
+        c, r, t = pieces(UC)
         return (1.0 + c) * r + eps * c * c * t
 
-    def jac(uc):
-        th, c = uc
-        r = np.array([np.cos(th), np.sin(th)])
-        t = np.array([-np.sin(th), np.cos(th)])
+    def jac(UC):
+        c, r, t = pieces(UC)
         d_th = (1.0 + c) * t + eps * c * c * (-r)
         d_c = r + 2.0 * eps * c * t
-        return np.column_stack([d_th, d_c])
+        return np.concatenate([d_th[:, :, None], d_c[:, :, None]], axis=2)
 
     return fn, jac
 
 
 def _embedding_helix_quadratic(frame, delta):
     eps = 0.05
+    dq_dc = np.array([2.0 * eps, -eps])
 
-    def fn(uc):
-        fp = frame.tangent(uc[:1])
-        c = uc[1:]
-        tan = fp.J[:, 0]
-        that = tan / np.linalg.norm(tan)
-        return fp.p + fp.B @ c + eps * (c[0] ** 2 - 0.5 * c[1] ** 2) * that
+    def pieces(fp, UC):
+        """c, the quadratic q(c) and the unit tangent t / |t|, on lanes."""
+        c = UC[:, 1:]
+        tan = fp.J[:, :, 0]
+        nt = np.sqrt((tan[:, None, :] @ tan[:, :, None])[:, 0])
+        return c, eps * (c[:, :1] ** 2 - 0.5 * c[:, 1:] ** 2), tan, nt, tan / nt
 
-    def jac(uc):
-        fp = frame.derivative(uc[:1])
-        c = uc[1:]
-        q = eps * (c[0] ** 2 - 0.5 * c[1] ** 2)
-        tan, dtan = fp.J[:, 0], fp.dJ[0][:, 0]
-        nt = np.linalg.norm(tan)
-        that = tan / nt
-        dthat = (dtan - that * (that @ dtan)) / nt
-        d_u = tan + fp.dB[0] @ c + q * dthat
-        d_c1 = fp.B[:, 0] + 2.0 * eps * c[0] * that
-        d_c2 = fp.B[:, 1] - eps * c[1] * that
-        return np.column_stack([d_u, d_c1, d_c2])
+    def fn(UC):
+        fp = frame.tangent(UC[:, :1])
+        c, q, _, _, that = pieces(fp, UC)
+        return fp.p + (fp.B @ c[:, :, None])[:, :, 0] + q * that
+
+    def jac(UC):
+        fp = frame.derivative(UC[:, :1])
+        c, q, tan, nt, that = pieces(fp, UC)
+        dtan = fp.dJ[:, 0, :, 0]
+        dthat = (dtan - that * (that[:, None, :] @ dtan[:, :, None])[:, 0]) / nt
+        d_u = tan + (fp.dB[:, 0] @ c[:, :, None])[:, :, 0] + q * dthat
+        d_c = fp.B + that[:, :, None] * (c * dq_dc)[:, None, :]
+        return np.concatenate([d_u[:, :, None], d_c], axis=2)
 
     return fn, jac
 
@@ -197,16 +204,22 @@ def _embedding_helix_quadratic(frame, delta):
 def _embedding_sphere_shear(frame, delta):
     eps = 0.1
 
-    def fn(uc):
-        u, c = uc
-        return np.array([np.pi / 2 + c, u + eps * c * c])
+    def fn(UC):
+        u, c = UC[:, :1], UC[:, 1:]
+        return _columns(np.pi / 2 + c, u + eps * c * c)
 
-    jac = lambda uc: np.array([[0.0, 1.0], [1.0, 2.0 * eps * uc[1]]])
+    def jac(UC):
+        J = np.zeros((len(UC), 2, 2))
+        J[:, 0, 1] = 1.0
+        J[:, 1, 0] = 1.0
+        J[:, 1, 1] = 2.0 * eps * UC[:, 1]
+        return J
+
     return fn, jac
 
 
 # name -> ((k, n) of the submanifold it is written for,
-#          factory(frame, delta) -> (fn, jac) in (u, c) coordinates)
+#          factory(frame, delta) -> (fn, jac), lane formulas in (u, c))
 EMBEDDINGS: Dict[str, Tuple[Tuple[int, int], Callable]] = {
     "slice-affine": ((1, 3), _embedding_slice_affine),
     "circle-quadratic": ((1, 2), _embedding_circle_quadratic),
@@ -360,13 +373,20 @@ def _mapping(value, field: str, keys) -> Dict:
 
 
 def _positive(value, field: str, kind):
-    """A finite positive number of the given kind (int or float)."""
+    """A finite positive number of the given kind (int or float).  A boolean
+    is not a number here, and an int field takes no fractional part."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"field '{field}' must be a number, got {value!r}")
     try:
-        v = kind(value)
+        v = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"field '{field}' must be a finite number, got {value!r}") from None
     if not (math.isfinite(v) and v > 0):
         raise ConfigError(f"field '{field}' must be positive and finite, got {value!r}")
+    if kind is int:
+        if not v.is_integer():
+            raise ConfigError(f"field '{field}' must be a whole number, got {value!r}")
+        return int(v)
     return v
 
 
@@ -403,11 +423,9 @@ def _build_psi(scn: Scenario, frame: NormalFrame, delta: RadiusFunction) -> Tubu
     k = N.param_dim
     m = N.ambient_dim - k
 
-    def in_domain(uc):
-        u, c = uc[:k], uc[k:]
-        if not N.in_param_domain(u):
-            return False
-        return float(np.linalg.norm(c)) < 1.2 * delta(u)
+    def in_domain(UC):
+        u, c = UC[:, :k], UC[:, k:]
+        return N.in_param_domain(u) & (np.sqrt((c * c).sum(axis=1)) < 1.2 * delta(u))
 
     psi_map = DifferentiableMap(
         domain_dim=k + m,
@@ -416,6 +434,7 @@ def _build_psi(scn: Scenario, frame: NormalFrame, delta: RadiusFunction) -> Tubu
         jac=jac,
         fd_step=1e-6,
         domain=in_domain,
+        lanes=True,
     )
     return TubularEmbedding(map=psi_map, frame=frame, delta=delta)
 
@@ -548,18 +567,20 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         rng = np.random.default_rng(20240 + len(scn.name))
         rel_errors = []
         n = N.ambient_dim
+        h = 1e-6
         for _ in range(scn.sample("curves")):
             u0 = np.array([rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))])
             c0 = 0.35 * delta(u0) * _unit(rng.standard_normal(psi.fiber_dim))
             x0 = psi(u0, c0)
             a = 0.15 * delta(u0) * _unit(rng.standard_normal(n))
             b = 0.05 * delta(u0) * _unit(rng.standard_normal(n))
+            # t is the column of quadrature nodes, so each call below is one
+            # lane batch: g at the nodes, chi at the nodes and at nodes +- h
             curve = lambda t, x0=x0, a=a, b=b: x0 + t * a + t * t * b
             dcurve = lambda t, a=a, b=b: a + 2.0 * t * b
             len_g = curve_length(g, curve, dcurve)
-            h = 1e-6
             img = lambda t, curve=curve: chi(curve(t))
-            dimg = lambda t, img=img, h=h: (img(t + h) - img(t - h)) / (2.0 * h)
+            dimg = lambda t, img=img: (img(t + h) - img(t - h)) / (2.0 * h)
             len_ref = curve_length(gt, img, dimg)
             rel_errors.append(abs(len_g - len_ref) / len_ref)
         return max(rel_errors), float(np.mean(rel_errors)), len(rel_errors)
@@ -604,17 +625,16 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     def stage_reconstruction():
         X = state.get("X") or pushforward_field(psi)
         us = _interior_grid(lo, hi, scn.sample("reconstruction"), margin=0.25)
-        residuals = []
-        for i, u in enumerate(us):
-            d = _fiber_directions(psi.fiber_dim, 4)[i % max(1, psi.fiber_dim * 2)]
-            c = 0.5 * delta(u) * d
-            rec = reconstruct_embedding(
-                X, phi, u, c,
-                t_seq=tuple(2.0**-i for i in range(1, 10)),
-                tol=scn.tolerance("reconstruction"),
-                flow_tol=1e-9,
-            )
-            residuals.append(float(np.linalg.norm(rec - psi(u, c))))
+        dirs = _fiber_directions(psi.fiber_dim, 4)
+        cs = [0.5 * delta(u) * dirs[i % max(1, psi.fiber_dim * 2)] for i, u in enumerate(us)]
+        # every point's flows are lanes of one integration
+        rec = reconstruct_embedding(
+            X, phi, np.array(us), np.array(cs),
+            t_seq=tuple(2.0**-i for i in range(1, 10)),
+            tol=scn.tolerance("reconstruction"),
+            flow_tol=1e-9,
+        )
+        residuals = [float(np.linalg.norm(r - psi(u, c))) for r, u, c in zip(rec, us, cs)]
         return max(residuals), float(np.mean(residuals)), len(residuals)
 
     _stage(reports, scn, "reconstruction", stage_reconstruction, scn.tolerance("reconstruction"))
@@ -629,12 +649,18 @@ def _run_point_scenario(scn: Scenario) -> List[ResidualReport]:
     reports: List[ResidualReport] = []
 
     def stage_point_case():
-        psi = DifferentiableMap(
-            2,
-            2,
-            lambda v: np.array([v[0] + 0.1 * v[0] ** 2, v[1]]),
-            jac=lambda v: np.array([[1.0 + 0.2 * v[0], 0.0], [0.0, 1.0]]),
-        )
+        def fn(V):
+            out = V.copy()
+            out[:, 0] += 0.1 * V[:, 0] ** 2
+            return out
+
+        def jac(V):
+            J = np.zeros((len(V), 2, 2))
+            J[:, 0, 0] = 1.0 + 0.2 * V[:, 0]
+            J[:, 1, 1] = 1.0
+            return J
+
+        psi = DifferentiableMap(2, 2, fn, jac=jac, lanes=True)
         rng = np.random.default_rng(7)
         count = 100
         vs = []

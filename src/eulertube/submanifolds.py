@@ -4,24 +4,31 @@ tubular-radius certification."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .errors import NotInDomain, NoValidRadius, RankDeficient
 from .metrics import MetricField, exp_map
-from .numerics import Array, DifferentiableMap
+from .numerics import Array, DifferentiableMap, as_lanes, lanes_in
 
 _RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ParametrizedSubmanifold:
-    """A full-rank injective parametrization u -> p(u) of N inside R^n."""
+    """A full-rank injective parametrization u -> p(u) of N inside R^n.
+
+    ``point`` and ``tangent_basis`` take one parameter (k,) or lanes (B, k);
+    ``param_domain`` takes what the chart's ``fn`` takes (lanes when the
+    chart has ``lanes=True``).
+    """
 
     param_dim: int
     ambient_dim: int
     chart: DifferentiableMap
+    # takes lanes (B, k) -> (B,) mask when chart.lanes is set, else one
+    # parameter -> bool; in_param_domain calls it either way
     param_domain: Optional[Callable[[Array], bool]] = None
     name: str = ""
 
@@ -29,92 +36,134 @@ class ParametrizedSubmanifold:
         return self.chart(np.atleast_1d(np.asarray(u, dtype=float)))
 
     def tangent_basis(self, u) -> Array:
-        """Columns span T_pN; shape (n, k)."""
+        """Columns span T_pN; shape (n, k), or (B, n, k) on lanes."""
         return self.chart.jacobian(np.atleast_1d(np.asarray(u, dtype=float)))
 
-    def in_param_domain(self, u) -> bool:
-        if self.param_domain is None:
-            return True
-        return bool(self.param_domain(np.atleast_1d(np.asarray(u, dtype=float))))
+    def in_param_domain(self, u):
+        """A bool for one parameter, a (B,) mask on lanes."""
+        return lanes_in(self.param_domain, self.chart.lanes, u, self.param_dim)
 
 
 @dataclass(frozen=True)
 class RadiusFunction:
-    """Sampled positive tube radius u -> delta(u)."""
+    """Sampled positive tube radius u -> delta(u).
+
+    ``fn`` takes one parameter (k,) or lanes (B, k) and returns a number
+    or one per lane; ``delta(u)`` is a float for one parameter and a (B,)
+    array on lanes.
+    """
 
     fn: Callable[[Array], float]
     grid: Sequence
 
-    def __call__(self, u) -> float:
-        return float(self.fn(np.atleast_1d(np.asarray(u, dtype=float))))
+    def __call__(self, u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        d = np.asarray(self.fn(u), dtype=float)
+        return float(d) if u.ndim == 1 else d + np.zeros(len(u))
 
 
-def _tangent_projection_pieces(g: MetricField, N: ParametrizedSubmanifold, u):
-    p = N.point(u)
-    J = N.tangent_basis(u)
+def _tangent_projection_pieces(g: MetricField, N: ParametrizedSubmanifold, U: Array):
+    """p, J and G on the lanes U (B, k)."""
+    p = N.point(U)
+    J = N.tangent_basis(U)
     if N.param_dim > 0:
         # smallest singular value; a curve's is the length of its one column
         if N.param_dim == 1:
-            smin = float(np.sqrt(J[:, 0] @ J[:, 0]))
+            smin = np.sqrt((_T(J) @ J)[:, 0, 0])
         else:
-            smin = np.linalg.svd(J, compute_uv=False)[-1]
-        if smin <= _RANK_TOL:
-            raise RankDeficient(f"tangent basis rank-deficient at u={u}")
+            smin = np.linalg.svd(J, compute_uv=False)[:, -1]
+        if np.count_nonzero(smin <= _RANK_TOL):
+            raise RankDeficient(f"tangent basis rank-deficient at u={U[smin <= _RANK_TOL][0]}")
     G = g.matrix(p)
     return p, J, G
 
 
+def _T(M: Array) -> Array:
+    """Transpose of each matrix in a stack."""
+    return M.transpose(0, 2, 1)
+
+
 def _small_inv(M: Array) -> Array:
-    """Inverse of a k x k matrix, k <= n <= 3.  np.linalg.inv costs ~10 us a
-    call, about a quarter of a frame build; a 1 x 1 inverse is a reciprocal."""
-    return np.reciprocal(M) if M.shape == (1, 1) else np.linalg.inv(M)
+    """Inverses of stacked k x k matrices, k <= n <= 3.  np.linalg.inv costs
+    ~10 us a call; a 1 x 1 inverse is a reciprocal."""
+    return np.reciprocal(M) if M.shape[-2:] == (1, 1) else np.linalg.inv(M)
 
 
 def _normal_projector(J: Array, G: Array) -> Array:
-    """P = I - J (J^T G J)^-1 J^T G, the G-orthogonal projection onto the
-    normal space (kills tangents)."""
-    P = np.eye(J.shape[0])
-    if J.shape[1] == 0:
-        return P
-    JtG = J.T @ G
-    return P - J @ (_small_inv(JtG @ J) @ JtG)
+    """P = I - J (J^T G J)^-1 J^T G on lanes, the G-orthogonal projection
+    onto the normal space (kills tangents)."""
+    I = np.eye(J.shape[1])
+    if J.shape[2] == 0:
+        return I + 0.0 * G
+    JtG = _T(J) @ G
+    return I - J @ (_small_inv(JtG @ J) @ JtG)
+
+
+def _g_norm(q: Array, G: Array) -> Array:
+    """|q|_G on lanes q (B, n), with a negative rounding clipped to 0."""
+    return np.sqrt(np.maximum((q[:, None, :] @ G @ q[:, :, None])[:, 0, 0], 0.0))
 
 
 def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, u) -> Array:
     """Deterministic g-orthonormal basis of the normal space at p(u), as the
-    columns of an (n, n-k) matrix.
+    columns of an (n, n-k) matrix; (B, n, n-k) on lanes u (B, k).
 
     Standard ambient basis vectors are projected onto the normal space (the
     columns of the projector) and orthonormalized in index order; near-zero
-    projections are skipped.
+    projections are skipped.  Every lane makes its own choices.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p, J, G = _tangent_projection_pieces(g, N, u)
+    U, single = as_lanes(u, N.param_dim)
+    p, J, G = _tangent_projection_pieces(g, N, U)
     P = _normal_projector(J, G)
-    n, k = N.ambient_dim, N.param_dim
-    basis: List[Array] = []
+    m = N.ambient_dim - N.param_dim
+    kept, vecs = _gram_schmidt(P, G, m)
+    # no lane keeps more than m, so nl * m kept means every lane has m
+    if np.count_nonzero(kept) < len(U) * m:
+        short = np.count_nonzero(kept, axis=1) < m
+        raise RankDeficient(f"could not build a normal basis at u={U[short][0]}")
+    # each lane's m kept vectors, in index order, as columns; contiguous,
+    # since a stacked product over a transposed view may round differently
+    basis = np.ascontiguousarray(_T(vecs[kept].reshape(len(U), m, N.ambient_dim)))
+    return basis[0] if single else basis
+
+
+def _gram_schmidt(P: Array, G: Array, m: int):
+    """Modified Gram-Schmidt of the projector columns on lanes, under G.
+
+    Goes through the columns in index order, skipping those whose residual
+    is below the rank bound, until a lane has m vectors.  Returns a (B, n)
+    mask of the kept columns and their orthonormalized vectors as rows
+    (B, n, n), a skipped one zero; projecting out a zero vector leaves a
+    column unchanged, so every lane gets the vectors it gets alone.  Stops
+    once every lane has m.
+    """
+    nl, n, _ = P.shape
+    vecs = np.zeros((nl, n, n))
+    kept = np.zeros((nl, n), dtype=bool)
     for i in range(n):
-        if len(basis) == n - k:
+        q = P[:, :, i]
+        for j in range(i):
+            b = vecs[:, j]
+            q = q - ((b[:, None, :] @ G) @ q[:, :, None])[:, 0] * b
+        nrm = _g_norm(q, G)
+        keep = nrm >= _RANK_TOL
+        if i >= m:  # a lane with m vectors takes no more
+            keep &= np.count_nonzero(kept, axis=1) < m
+        np.divide(q, nrm[:, None], out=vecs[:, i], where=keep[:, None])
+        kept[:, i] = keep
+        if i + 1 >= m and np.count_nonzero(kept) == nl * m:
             break
-        q = P[:, i]
-        for b in basis:
-            q = q - (b @ G @ q) * b
-        nrm = float(np.sqrt(max(q @ G @ q, 0.0)))
-        if nrm < _RANK_TOL:
-            continue
-        basis.append(q / nrm)
-    if len(basis) != n - k:
-        raise RankDeficient(f"could not build a normal basis at u={u}")
-    return np.column_stack(basis)
+    return kept, vecs
 
 
-_FRAME_MEMO = 32  # base points a NormalFrame remembers
+_FRAME_MEMO = 32  # calls a NormalFrame remembers
 _FRAME_DU = 1e-5  # central-difference step of dJ/du and dG/du
 
 
 @dataclass
 class FramePoint:
-    """The frame at one base point: p(u) and B(u), the matrix of
+    """The frame at one base point, or at lanes of base points (a leading
+    lane axis on every field): p(u) and B(u), the matrix of
     ``normal_space_basis``; J(u), dJ/du and dB/du once requested."""
 
     u: Array
@@ -124,53 +173,63 @@ class FramePoint:
     dJ: Optional[Array] = None  # dJ[i] = dJ/du_i, (k, n, k)
     dB: Optional[Array] = None  # dB[i] = dB/du_i, (k, n, n-k)
 
+    def lane(self, b: int) -> "FramePoint":
+        return FramePoint(*(None if a is None else a[b] for a in vars(self).values()))
+
 
 class NormalFrame:
-    """The normal frame of N under the metric g, one build per base point.
+    """The normal frame of N under the metric g.
 
     ``at(u)`` gives p and the frame B of ``normal_space_basis``,
-    ``tangent(u)`` adds J and ``derivative(u)`` adds dJ/du and dB/du.  dB
-    comes from the chain rule through the tangent projection and
-    Gram-Schmidt of ``normal_space_basis``, so no frame is built at a
-    shifted point; only dJ and dG are central differences of the chart
-    jacobian and the metric.  The last ``_FRAME_MEMO`` base points are
-    remembered under the exact bytes of u, so a result never depends on
-    what was evaluated before it.
+    ``tangent(u)`` adds J and ``derivative(u)`` adds dJ/du and dB/du, for
+    one base point u (k,) or lanes (B, k).  dB comes from the chain rule
+    through the tangent projection and Gram-Schmidt of
+    ``normal_space_basis``, so no frame is built at a shifted point; only
+    dJ and dG are central differences of the chart jacobian and the
+    metric.  The last ``_FRAME_MEMO`` calls are remembered under the exact
+    bytes of their lanes, so a Newton step that asks for the value and
+    then the jacobian at the same lanes builds one frame, and a result
+    never depends on what was evaluated before it.
     """
 
     def __init__(self, g: MetricField, N: ParametrizedSubmanifold):
         self.g = g
         self.N = N
-        m = N.ambient_dim - N.param_dim
+        k, m = N.param_dim, N.ambient_dim - N.param_dim
         self._strict_lower = np.tri(m, m, -1)
+        # the parameter steps +h e_i, then -h e_i, of the chain rule
+        self._shifts = _FRAME_DU * np.concatenate([np.eye(k), -np.eye(k)])
         self._memo: Dict[bytes, FramePoint] = {}
 
     def at(self, u) -> FramePoint:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        key = u.tobytes()
+        return self._frame(u, depth=0)
+
+    def tangent(self, u) -> FramePoint:
+        return self._frame(u, depth=1)
+
+    def derivative(self, u) -> FramePoint:
+        return self._frame(u, depth=2)
+
+    def _frame(self, u, depth: int) -> FramePoint:
+        """The memo entry of u's lanes, filled up to J (depth 1) or dB
+        (depth 2); one lane's view for one point."""
+        U, single = as_lanes(u, self.N.param_dim)
+        key = U.tobytes()
         fp = self._memo.get(key)
         if fp is None:
-            B = normal_space_basis(self.g, self.N, u)
-            fp = FramePoint(u=u.copy(), p=self.N.point(u), B=B)
+            B = normal_space_basis(self.g, self.N, U)
+            fp = FramePoint(u=U.copy(), p=self.N.point(U), B=B)
             if len(self._memo) >= _FRAME_MEMO:
                 del self._memo[next(iter(self._memo))]
             self._memo[key] = fp
-        return fp
-
-    def tangent(self, u) -> FramePoint:
-        fp = self.at(u)
-        if fp.J is None:
+        if depth >= 1 and fp.J is None:
             fp.J = self.N.tangent_basis(fp.u)
-        return fp
-
-    def derivative(self, u) -> FramePoint:
-        fp = self.tangent(u)
-        if fp.dB is None:
+        if depth == 2 and fp.dB is None:
             fp.dJ, fp.dB = self._chain_rule(fp)
-        return fp
+        return fp.lane(0) if single else fp
 
     def _chain_rule(self, fp: FramePoint):
-        """dJ/du and dB/du through the steps of normal_space_basis.
+        """dJ/du and dB/du on lanes, through the steps of normal_space_basis.
 
         Write dB = J alpha + B W.  Differentiating J^T G B = 0 gives
         alpha = -M^-1 (dJ^T G B + J^T dG B) with M = J^T G J, and
@@ -182,35 +241,37 @@ class NormalFrame:
         outside s of I_s R^-1 are zero, so C = -J_r^-1 B_r.
         """
         g, N = self.g, self.N
-        u, J, B = fp.u, fp.J, fp.B
-        n, k = J.shape
-        m = B.shape[1]
-        dJ = np.empty((k, n, k))
-        dB = np.empty((k, n, m))
+        U, J, B = fp.u, fp.J, fp.B
+        nl, n, k = J.shape
+        m = B.shape[2]
+        dJ = np.empty((nl, k, n, k))
+        dB = np.empty((nl, k, n, m))
         if k == 0:
             return dJ, dB
         G = g.matrix(fp.p)
-        BG = B.T @ G  # equals B^T G P; G is symmetric, so G B = BG^T
-        # Gram-Schmidt kept column i as the (j+1)-th vector iff its residual
-        # norm, which is BG[j, i], cleared the rank bound
-        s: List[int] = []
-        for i in range(n):
-            if len(s) < m and BG[len(s), i] >= _RANK_TOL:
-                s.append(i)
-        r = [i for i in range(n) if i not in s]
-        M_inv = _small_inv(J.T @ G @ J)
-        C = -_small_inv(J[r]) @ B[r]
+        BG = _T(B) @ G  # equals B^T G P; G is symmetric, so G B = BG^T
+        # Gram-Schmidt kept column s_j as the (j+1)-th vector: BG[j, s_j] is
+        # its residual norm, at least the rank bound, and BG[j, i] for i < s_j
+        # is below it (earlier columns lie in the span of earlier vectors up
+        # to a residual below the bound)
+        s = np.argmax(BG >= _RANK_TOL, axis=2)
+        rest = np.ones((nl, n), dtype=bool)
+        rest[np.arange(nl)[:, None], s] = False
+        r = np.nonzero(rest)[1].reshape(nl, k)  # rows outside s
+        JB_r = np.concatenate([J, B], axis=2)[np.arange(nl)[:, None], r]
+        M_inv = _small_inv(_T(J) @ G @ J)
+        C = -_small_inv(JB_r[:, :, :k]) @ JB_r[:, :, k:]
+        # the chart's jacobian and the metric at u +- h e_i, all in one batch
+        U2 = (U[:, None, :] + self._shifts).reshape(nl * 2 * k, k)
+        J2 = N.tangent_basis(U2).reshape(nl, 2 * k, n, k)
+        G2 = g.matrix(N.point(U2)).reshape(nl, 2 * k, n, n)
         for i in range(k):
-            up = u.copy()
-            um = u.copy()
-            up[i] += _FRAME_DU
-            um[i] -= _FRAME_DU
-            dJ[i] = (N.tangent_basis(up) - N.tangent_basis(um)) / (2.0 * _FRAME_DU)
-            dGB = (g.matrix(N.point(up)) - g.matrix(N.point(um))) @ B / (2.0 * _FRAME_DU)
-            alpha = -M_inv @ (dJ[i].T @ BG.T + J.T @ dGB)
-            S = -0.5 * (B.T @ dGB)
-            L = (-(BG @ dJ[i]) @ C - S) * self._strict_lower
-            dB[i] = J @ alpha + B @ (S + L - L.T)
+            dJ[:, i] = (J2[:, i] - J2[:, k + i]) / (2.0 * _FRAME_DU)
+            dGB = (G2[:, i] - G2[:, k + i]) @ B / (2.0 * _FRAME_DU)
+            alpha = -M_inv @ (_T(dJ[:, i]) @ _T(BG) + _T(J) @ dGB)
+            S = -0.5 * (_T(B) @ dGB)
+            L = (-(BG @ dJ[:, i]) @ C - S) * self._strict_lower
+            dB[:, i] = J @ alpha + B @ (S + L - _T(L))
         return dJ, dB
 
 
@@ -221,9 +282,8 @@ def normal_representative(g: MetricField, N: ParametrizedSubmanifold, u, a) -> A
     result, so this realizes the canonical isomorphism from the quotient
     normal bundle onto the metric normal bundle.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    _, J, G = _tangent_projection_pieces(g, N, u)
-    return _normal_projector(J, G) @ np.asarray(a, dtype=float)
+    _, J, G = _tangent_projection_pieces(g, N, as_lanes(u, N.param_dim)[0])
+    return (_normal_projector(J, G) @ np.asarray(a, dtype=float))[0]
 
 
 _EXP_TOL = 1e-11  # geodesic tolerance of the normal exponential chart
@@ -238,29 +298,32 @@ def normal_exponential(frame: NormalFrame) -> DifferentiableMap:
     geodesics are straight, so the map is p(u) + B(u) c and its jacobian
     [J + dB c | B] comes from the chart jacobian and the frame derivative;
     otherwise each value integrates a geodesic and the jacobian is a
-    central finite difference.  The map has no domain; callers restrict it.
+    central finite difference.  Both take lanes: the frames of all lanes
+    (and, for the finite difference, of all stencil points) are one build,
+    and each geodesic is integrated on its own.  The map has no domain;
+    callers restrict it.
     """
     g, N = frame.g, frame.N
     k, n = N.param_dim, N.ambient_dim
     flat = g.christoffel_fn is not None and not np.any(g.christoffel_fn(N.point(np.zeros(k))))
 
     if flat:
-        def fn(uc):
-            fp = frame.at(uc[:k])
-            return fp.p + fp.B @ uc[k:]
+        def fn(UC):
+            fp = frame.at(UC[:, :k])
+            return fp.p + (fp.B @ UC[:, k:, None])[:, :, 0]
 
-        def jac(uc):
-            fp = frame.derivative(uc[:k])
-            return np.hstack([fp.J + (fp.dB @ uc[k:]).T, fp.B])
+        def jac(UC):
+            fp = frame.derivative(UC[:, :k])
+            return np.concatenate([fp.J + _T((fp.dB @ UC[:, None, k:, None])[..., 0]), fp.B], axis=2)
 
-    else:
-        def fn(uc):
-            fp = frame.at(uc[:k])
-            return exp_map(g, fp.p, fp.B @ uc[k:], tol=_EXP_TOL)
+        return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, jac=jac, lanes=True)
 
-        jac = None
+    def fn(UC):
+        fp = frame.at(UC[:, :k])
+        V = (fp.B @ UC[:, k:, None])[:, :, 0]
+        return np.array([exp_map(g, p, v, tol=_EXP_TOL) for p, v in zip(fp.p, V)])
 
-    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, jac=jac, fd_step=_EXP_FD_STEP)
+    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, fd_step=_EXP_FD_STEP, lanes=True)
 
 
 _RADIUS_COND_LIMIT = 1e6  # largest metric-weighted condition number of the chart
@@ -273,45 +336,40 @@ def _radius_candidate_ok(
     frame: NormalFrame, chart: DifferentiableMap, grid, delta: float
 ) -> bool:
     g = frame.g
-    preimages = []
-    images = []
-    for u in grid:
-        fp = frame.tangent(u)
-        u = fp.u
-        m = fp.B.shape[1]
-        # orientation of the tube chart on the zero section, where its
-        # jacobian is [J | B]; a sign change along a fiber means the chart
-        # folded through a focal point, however well conditioned the
-        # sampled jacobians are
-        det0 = np.linalg.det(np.column_stack([fp.J, fp.B]))
-        for j in range(m):
-            for sign in (1.0, -1.0):
-                for frac in _RADIUS_FRACTIONS:
-                    c = np.zeros(m)
-                    c[j] = sign * frac * delta
-                    uc = np.concatenate([u, c])
-                    try:
-                        img = chart(uc)
-                        Jmat = chart.jacobian(uc)
-                    except NotInDomain:
-                        return False
-                    # metric-weighted condition estimate of the tube chart
-                    G = g.matrix(img)
-                    w, V = np.linalg.eigh(0.5 * (G + G.T))
-                    W = V @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ V.T
-                    sv = np.linalg.svd(W @ Jmat, compute_uv=False)
-                    if sv[-1] <= 0.0 or sv[0] / sv[-1] >= _RADIUS_COND_LIMIT:
-                        return False
-                    if np.linalg.det(Jmat) * det0 <= 0.0:
-                        return False
-                    preimages.append(uc)
-                    images.append(img)
+    us = np.array([np.atleast_1d(np.asarray(u, float)) for u in grid])
+    fp = frame.tangent(us)
+    m = fp.B.shape[2]
+    # orientation of the tube chart on the zero section, where its
+    # jacobian is [J | B]; a sign change along a fiber means the chart
+    # folded through a focal point, however well conditioned the sampled
+    # jacobians are
+    det0 = np.linalg.det(np.concatenate([fp.J, fp.B], axis=2))
+    cs = []
+    for j in range(m):
+        for sign in (1.0, -1.0):
+            for frac in _RADIUS_FRACTIONS:
+                c = np.zeros(m)
+                c[j] = sign * frac * delta
+                cs.append(c)
+    # every fiber sample of every grid point is one lane
+    pre = np.concatenate([np.repeat(us, len(cs), axis=0), np.tile(cs, (len(us), 1))], axis=1)
+    try:
+        img = chart(pre)
+        Jmat = chart.jacobian(pre)
+    except NotInDomain:
+        return False
+    # metric-weighted condition estimate of the tube chart
+    G = g.matrix(img)
+    w, V = np.linalg.eigh(0.5 * (G + np.swapaxes(G, 1, 2)))
+    W = (V * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ np.swapaxes(V, 1, 2)
+    sv = np.linalg.svd(W @ Jmat, compute_uv=False)
+    if np.any(sv[:, -1] <= 0.0) or np.any(sv[:, 0] / sv[:, -1] >= _RADIUS_COND_LIMIT):
+        return False
+    if np.any(np.linalg.det(Jmat) * np.repeat(det0, len(cs)) <= 0.0):
+        return False
     # sampled injectivity: well-separated preimages must stay separated
-    pre = np.array(preimages)
-    img = np.array(images)
     if len(pre) > 1:
         mesh = 0.0
-        us = np.array([np.atleast_1d(np.asarray(u, float)) for u in grid])
         if len(us) > 1:
             mesh = max(mesh, float(np.max(np.linalg.norm(np.diff(us, axis=0), axis=1))))
         fr = sorted(_RADIUS_FRACTIONS)

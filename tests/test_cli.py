@@ -64,6 +64,8 @@ class TestConfigValidation:
         )
         assert scn.delta0 == 1.0
         assert scn.sample("grid") == 5
+        # a whole number written as a float is a sample count
+        assert scenario_from_config({"scenario": "circle", "samples": {"grid": 5.0}}).sample("grid") == 5
         # untouched values fall through to the builtin
         assert scn.background == BUILTIN_SCENARIOS["circle"].background
 
@@ -80,6 +82,10 @@ MALFORMED = {
     "tolerances-nan": ("tolerances: {diagram: .nan}", "tolerances.diagram"),
     "tolerances-inf": ("tolerances: {diagram: .inf}", "tolerances.diagram"),
     "tolerances-list": ("tolerances: [1.0e-5]", "tolerances"),
+    "delta0-bool": ("delta0: true", "delta0"),
+    "samples-fraction": ("samples: {grid: 2.5}", "samples.grid"),
+    "samples-bool": ("samples: {grid: true}", "samples.grid"),
+    "tolerances-bool": ("tolerances: {diagram: true}", "tolerances.diagram"),
 }
 
 

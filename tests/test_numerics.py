@@ -117,10 +117,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), 1e-9)
 
-    def test_sample_interpolates(self):
-        traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [2.0, 4.0]]), 1e-9)
-        assert np.allclose(traj.sample(0.5), [1.0, 2.0])
-
 
 class TestSolveInverse:
     def test_identity(self):

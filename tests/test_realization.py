@@ -179,8 +179,9 @@ class TestPullbackMetric:
         fn = lambda x: x + 0.05 * np.array([x[1] ** 2, x[0] ** 2])
         chi = identity_chart(DifferentiableMap(2, 2, fn))
         g = pullback_metric(chi, g_ref)
-        curve = lambda t: np.array([0.2 + 0.5 * t, -0.1 + 0.3 * t * t])
-        dcurve = lambda t: np.array([0.5, 0.6 * t])
+        # t is the column of quadrature nodes; rows are points of the curve
+        curve = lambda t: np.hstack([0.2 + 0.5 * t, -0.1 + 0.3 * t * t])
+        dcurve = lambda t: np.hstack([np.full_like(t, 0.5), 0.6 * t])
         h = 1e-6
         img = lambda t: chi(curve(t))
         dimg = lambda t: (img(t + h) - img(t - h)) / (2 * h)
