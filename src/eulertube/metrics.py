@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainMargin, NotInDomain, SingularMetric
-from .numerics import Array, Trajectory, on_lanes, ode_integrate
+from .numerics import Array, Trajectory, as_lanes, lanes_in, on_lanes, ode_integrate
 
 
 @dataclass(frozen=True)
@@ -19,12 +19,15 @@ class MetricField:
     formulas for standard background metrics, or, for a pullback metric,
     its chart-stencil finite difference (``realization.pullback_metric``).
     When present they are cross-checked against the ambient
-    finite-difference / integration routes by the test suite.
-    ``geodesic_fn(p, v, t)`` must return the exact ``(point, velocity)`` of
-    the geodesic with initial data (p, v) at parameter t.  ``matrix`` takes
-    one point (n,) or lanes (B, n); with ``lanes=True`` ``matrix_fn`` takes
-    lanes and returns (B, n, n), otherwise it is called once per lane (the
-    standard metrics below take either).  ``domain`` takes one point.
+    finite-difference / integration routes by the test suite.  Both take
+    lanes: ``christoffel_fn`` maps points (B, n) to symbols (B, n, n, n),
+    and ``geodesic_fn(P, V, t)`` returns the exact ``(points, velocities)``
+    (B, n) at parameter t of the geodesics with initial data (P, V), a
+    zero-velocity lane returning its (p, v).  ``matrix`` takes one point
+    (n,) or lanes (B, n); with ``lanes=True`` ``matrix_fn`` takes lanes and
+    returns (B, n, n), otherwise it is called once per lane (the standard
+    metrics below take either).  ``domain`` takes one point; ``contains``
+    applies it to one point or to each lane.
     """
 
     dim: int
@@ -39,8 +42,9 @@ class MetricField:
     def matrix(self, x) -> Array:
         return on_lanes(self.matrix_fn, self.lanes, x)
 
-    def contains(self, x) -> bool:
-        return self.domain is None or bool(self.domain(np.asarray(x, dtype=float)))
+    def contains(self, x):
+        """Domain membership: a bool at one point, a (B,) mask on lanes."""
+        return lanes_in(self.domain, False, x, self.dim)
 
 
 def validate_metric(g: MetricField, points, sym_tol: float = 1e-12) -> float:
@@ -62,45 +66,64 @@ def validate_metric(g: MetricField, points, sym_tol: float = 1e-12) -> float:
 
 
 def christoffel(g: MetricField, x) -> Array:
-    """Levi-Civita symbols Gamma^k_ij at x, shape (n, n, n), symmetric in (i, j)."""
-    x = np.asarray(x, dtype=float)
+    """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j): (n, n, n) at one
+    point x (n,), (B, n, n, n) on lanes (B, n).
+
+    Without an analytic ``christoffel_fn`` they are a central difference of
+    g, with the stencils of all lanes in one evaluation of g; raises
+    DomainMargin if a stencil point of some lane leaves g's domain.
+    """
+    X, single = as_lanes(x, g.dim)
     if g.christoffel_fn is not None:
-        return np.asarray(g.christoffel_fn(x), dtype=float)
-    n = g.dim
-    h = g.fd_step
-    steps = h * np.eye(n)
-    # the metric at x and at x +- h e_l, one lane each
-    stencil = np.concatenate([x[None], x + steps, x - steps])
-    if g.domain is not None and not all(g.contains(s) for s in stencil[1:]):
-        raise DomainMargin("metric stencil outside domain")
-    G = g.matrix(stencil)
-    dg = (G[1 : n + 1] - G[n + 1 :]) / (2.0 * h)  # dg[l, i, j] = d_l g_ij
-    return levi_civita(G[0], dg, x)
+        gamma = np.asarray(g.christoffel_fn(X), dtype=float)
+    else:
+        n = g.dim
+        h = g.fd_step
+        steps = h * np.eye(n)
+        # every lane's x and x +- h e_l: 2n + 1 stencil points a lane
+        S = np.concatenate([X[:, None], X[:, None] + steps, X[:, None] - steps], axis=1)
+        if g.domain is not None and not np.all(g.contains(S[:, 1:].reshape(-1, n))):
+            raise DomainMargin("metric stencil outside domain")
+        G = g.matrix(S.reshape(-1, n)).reshape(len(X), 2 * n + 1, n, n)
+        dg = (G[:, 1 : n + 1] - G[:, n + 1 :]) / (2.0 * h)  # dg[b, l, i, j] = d_l g_ij
+        gamma = levi_civita(G[:, 0], dg, X)
+    return gamma[0] if single else gamma
 
 
 def levi_civita(G: Array, dg: Array, x) -> Array:
-    """Gamma^k_ij from the metric G at x and its first derivatives
-    dg[l, i, j] = d_l g_ij."""
-    n = G.shape[0]
-    # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    T = (
-        np.transpose(dg, (2, 0, 1))
-        + np.transpose(dg, (2, 1, 0))
-        - dg
-    )
+    """Gamma^k_ij (B, n, n, n) from the metrics G (B, n, n) at the lanes x
+    and their first derivatives dg[b, l, i, j] = d_l g_ij, by one stacked
+    solve."""
+    nl, n = G.shape[:2]
+    # T[b, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    T = np.transpose(dg, (0, 3, 1, 2)) + np.transpose(dg, (0, 3, 2, 1)) - dg
     try:
-        gamma = 0.5 * np.linalg.solve(G, T.reshape(n, n * n)).reshape(n, n, n)
+        gamma = 0.5 * np.linalg.solve(G, T.reshape(nl, n, n * n)).reshape(nl, n, n, n)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric inversion failed at {x}") from exc
     return gamma
 
 
-def geodesic_rhs(g: MetricField, state: Array) -> Array:
+def geodesic_rhs(g: MetricField, state) -> Array:
+    """The geodesic equation as a first-order field on states (point,
+    velocity): one state (2n,) or lanes (B, 2n)."""
     n = g.dim
-    x, v = state[:n], state[n:]
-    gamma = christoffel(g, x)
-    acc = -np.einsum("kij,i,j->k", gamma, v, v)
-    return np.concatenate([v, acc])
+    S, single = as_lanes(state, 2 * n)
+    X, V = S[:, :n], S[:, n:]
+    gamma = christoffel(g, X)
+    # acc_k = -Gamma^k_ij v_i v_j, as two stacked products a lane
+    acc = -((gamma @ V[:, None, :, None])[..., 0] @ V[:, :, None])[..., 0]
+    out = np.concatenate([V, acc], axis=1)
+    return out[0] if single else out
+
+
+def _point_velocity_lanes(n: int, p, v):
+    """(P, V) as lanes (B, n), p broadcast against v, and whether both were
+    one point."""
+    P, p_single = as_lanes(p, n)
+    V, v_single = as_lanes(v, n)
+    P, V = (np.array(a) for a in np.broadcast_arrays(P, V))
+    return P, V, p_single and v_single
 
 
 def geodesic(
@@ -114,60 +137,94 @@ def geodesic(
 ) -> Trajectory:
     """Integrate the geodesic with x(0)=p, x'(0)=v up to parameter t_end.
 
-    The trajectory is truncated with ``exited=True`` if it leaves the metric
-    domain.  If the metric carries an exact geodesic formula it is used
-    (sampled on a fixed grid) unless ``use_closed_form=False``.
+    p and v are one point and velocity (n,) or lanes (B, n), a single p
+    serving every lane; lanes give a lane ``Trajectory`` from one
+    integration.  A lane that leaves the metric domain stops there with
+    ``exited`` set.  If the metric carries an exact geodesic formula it is
+    used (sampled on a fixed grid) unless ``use_closed_form=False``.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
     n = g.dim
+    P, V, single = _point_velocity_lanes(n, p, v)
     if g.geodesic_fn is not None and use_closed_form:
-        ts = np.linspace(0.0, t_end, closed_form_samples) if t_end > 0 else np.array([0.0])
-        times = [0.0]
-        states = [np.concatenate([p, v])]
-        exited = False
-        for t in ts[1:]:
-            x_t, v_t = g.geodesic_fn(p, v, float(t))
-            x_t = np.asarray(x_t, dtype=float)
-            if not np.all(np.isfinite(x_t)) or not g.contains(x_t):
-                exited = True
-                break
-            times.append(float(t))
-            states.append(np.concatenate([x_t, np.asarray(v_t, dtype=float)]))
-        return Trajectory(np.array(times), np.array(states), tol, exited=exited)
+        traj = _sampled_closed_form(g, P, V, t_end, tol, closed_form_samples)
+    else:
+        domain = None
+        if g.domain is not None:
+            domain = lambda S: g.contains(S[:, :n])  # noqa: E731
+        y0 = np.concatenate([P, V], axis=1)
+        traj = ode_integrate(lambda S: geodesic_rhs(g, S), y0, t_end, tol, domain=domain)
+    if single:
+        return Trajectory(traj.times[:, 0], traj.states[:, 0], tol, exited=bool(traj.exited[0]))
+    return traj
 
-    y0 = np.concatenate([p, v])
-    domain = None
-    if g.domain is not None:
-        domain = lambda s: g.contains(s[:n])  # noqa: E731
-    return ode_integrate(lambda s: geodesic_rhs(g, s), y0, t_end, tol, domain=domain)
+
+def _reached(g: MetricField, X: Array) -> Array:
+    """The lanes of closed-form points X (B, n) that are finite and in g's
+    domain."""
+    ok = np.isfinite(X).all(axis=1)
+    ok[ok] = g.contains(X[ok])
+    return ok
+
+
+def _sampled_closed_form(
+    g: MetricField, P: Array, V: Array, t_end: float, tol: float, samples: int
+) -> Trajectory:
+    """The lanes' closed-form geodesics at ``samples`` equally spaced
+    parameters, as a lane Trajectory; a lane stops before its first sample
+    that is not finite or leaves the domain."""
+    ts = np.linspace(0.0, t_end, samples) if t_end > 0 else np.array([0.0])
+    state = np.concatenate([P, V], axis=1)
+    t_now = np.zeros(len(P))
+    exited = np.zeros(len(P), dtype=bool)
+    times, states = [t_now.copy()], [state.copy()]
+    for t in ts[1:]:
+        live = np.flatnonzero(~exited)
+        if len(live) == 0:
+            break
+        x_t, v_t = g.geodesic_fn(P[live], V[live], float(t))
+        x_t = np.asarray(x_t, dtype=float)
+        ok = _reached(g, x_t)
+        exited[live[~ok]] = True
+        if np.count_nonzero(ok):
+            moved = live[ok]
+            t_now[moved] = t
+            state[moved] = np.concatenate([x_t[ok], np.asarray(v_t, dtype=float)[ok]], axis=1)
+            times.append(t_now.copy())
+            states.append(state.copy())
+    return Trajectory(np.array(times), np.array(states), tol, exited=exited)
 
 
 def exp_map(g: MetricField, p, v, tol: float = 1e-10, use_closed_form: bool = True) -> Array:
-    """exp_p(v): the geodesic endpoint at parameter 1.
+    """exp_p(v), the geodesic endpoint at parameter 1: (n,) for one point
+    and velocity, (B, n) on lanes (a single p serving every lane), all
+    lanes in one integration.  A zero-velocity lane gives its p.
 
-    Raises NotInDomain if the geodesic exits the metric domain before t=1.
+    Raises NotInDomain if some lane's geodesic exits the metric domain
+    before t=1.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        return p.copy()
-    if g.geodesic_fn is not None and use_closed_form:
-        x1, _ = g.geodesic_fn(p, v, 1.0)
-        x1 = np.asarray(x1, dtype=float)
-        if not np.all(np.isfinite(x1)) or not g.contains(x1):
-            raise NotInDomain("geodesic endpoint outside domain")
-        return x1
-    traj = geodesic(g, p, v, 1.0, tol, use_closed_form=use_closed_form)
-    if traj.exited:
-        raise NotInDomain("geodesic exited domain before parameter 1")
-    return traj.points[-1]
+    P, V, single = _point_velocity_lanes(g.dim, p, v)
+    out = P.copy()
+    moving = V.any(axis=1)
+    if np.count_nonzero(moving):
+        Pm, Vm = P[moving], V[moving]
+        if g.geodesic_fn is not None and use_closed_form:
+            x1 = np.asarray(g.geodesic_fn(Pm, Vm, 1.0)[0], dtype=float)
+            if not np.all(_reached(g, x1)):
+                raise NotInDomain("geodesic endpoint outside domain")
+        else:
+            traj = geodesic(g, Pm, Vm, 1.0, tol, use_closed_form=use_closed_form)
+            if np.any(traj.exited):
+                raise NotInDomain("geodesic exited domain before parameter 1")
+            x1 = traj.points[-1]
+        out[moving] = x1
+    return out[0] if single else out
 
 
 def exp_differential_at_zero(
     g: MetricField, p, step: float = 1e-3, tol: float = 1e-10
 ) -> Array:
-    """Finite-difference jacobian of v -> exp_p(v) at v = 0.
+    """Finite-difference jacobian of v -> exp_p(v) at v = 0, its 2n
+    geodesics as lanes of one exponential map.
 
     A relatively large step keeps the integrator noise amplification below
     the truncation error; both are well under the 1e-5 identity tolerance.
@@ -176,12 +233,9 @@ def exp_differential_at_zero(
     n = g.dim
     if g.domain is not None and not g.contains(p):
         raise DomainMargin("base point outside metric domain")
-    J = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        J[:, i] = (exp_map(g, p, e, tol) - exp_map(g, p, -e, tol)) / (2.0 * step)
-    return J
+    E = step * np.eye(n)
+    X = exp_map(g, p, np.concatenate([E, -E]), tol)
+    return ((X[:n] - X[n:]) / (2.0 * step)).T
 
 
 def velocity_in_domain(g: MetricField, p, v, tol: float = 1e-9) -> bool:
@@ -198,13 +252,12 @@ def velocity_in_domain(g: MetricField, p, v, tol: float = 1e-9) -> bool:
 
 def euclidean_metric(n: int, domain=None, name: str = "euclidean") -> MetricField:
     eye = np.eye(n)
-    zeros = np.zeros((n, n, n))
     return MetricField(
         dim=n,
         matrix_fn=lambda x: eye + np.zeros(x.shape[:-1] + (1, 1)),
         domain=domain,
         name=name,
-        christoffel_fn=lambda x: zeros,
+        christoffel_fn=lambda x: np.zeros(np.shape(x) + (n, n)),
         geodesic_fn=lambda p, v, t: (p + t * v, v),
         lanes=True,
     )
@@ -232,26 +285,32 @@ def polar_metric(domain=None) -> MetricField:
 
 
 def _sphere_chart_geodesic(p, v, t):
-    """Exact great-circle geodesic in colatitude/longitude coordinates."""
-    theta, phi = p
+    """Exact great-circle geodesics in colatitude/longitude coordinates, on
+    lanes p, v (B, 2) or at one point (2,); a lane with zero velocity keeps
+    its (p, v)."""
+    P = np.atleast_2d(np.asarray(p, dtype=float))
+    V = np.atleast_2d(np.asarray(v, dtype=float))
+    X, W = P.copy(), V.copy()
+    theta, phi = P[:, 0], P[:, 1]
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    x0 = np.array([st * cp, st * sp, ct])
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, 0.0])
-    xdot = v[0] * e_theta + v[1] * st * e_phi
-    omega = np.linalg.norm(xdot)
-    if omega == 0.0:
-        return np.asarray(p, float).copy(), np.asarray(v, float).copy()
-    c, s = np.cos(omega * t), np.sin(omega * t)
-    x = c * x0 + s * xdot / omega
-    xd = omega * (-s * x0 + c * xdot / omega)
-    theta_t = np.arccos(np.clip(x[2], -1.0, 1.0))
-    phi_t = np.arctan2(x[1], x[0])
-    st_t = np.sin(theta_t)
-    theta_dot = -xd[2] / st_t
-    phi_dot = (x[0] * xd[1] - x[1] * xd[0]) / (x[0] ** 2 + x[1] ** 2)
-    return np.array([theta_t, phi_t]), np.array([theta_dot, phi_dot])
+    x0 = np.stack([st * cp, st * sp, ct], axis=1)
+    e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
+    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+    xdot = V[:, :1] * e_theta + (V[:, 1] * st)[:, None] * e_phi
+    omega = np.sqrt(xdot[:, 0] ** 2 + xdot[:, 1] ** 2 + xdot[:, 2] ** 2)
+    m = omega > 0.0
+    if np.count_nonzero(m):
+        x0, xdot, w = x0[m], xdot[m], omega[m][:, None]
+        c, s = np.cos(w * t), np.sin(w * t)
+        x = c * x0 + s * xdot / w
+        xd = w * (-s * x0 + c * xdot / w)
+        theta_t = np.arccos(np.clip(x[:, 2], -1.0, 1.0))
+        X[m, 0] = theta_t
+        X[m, 1] = np.arctan2(x[:, 1], x[:, 0])
+        W[m, 0] = -xd[:, 2] / np.sin(theta_t)
+        W[m, 1] = (x[:, 0] * xd[:, 1] - x[:, 1] * xd[:, 0]) / (x[:, 0] ** 2 + x[:, 1] ** 2)
+    return X.reshape(np.shape(p)), W.reshape(np.shape(v))
 
 
 def sphere_chart_metric(
@@ -268,11 +327,11 @@ def sphere_chart_metric(
         )
 
     def gamma(x):
-        theta = x[0]
+        theta = x[..., 0]
         st, ct = np.sin(theta), np.cos(theta)
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = -st * ct
-        out[1, 0, 1] = out[1, 1, 0] = ct / st
+        out = np.zeros(np.shape(x) + (2, 2))
+        out[..., 0, 1, 1] = -st * ct
+        out[..., 1, 0, 1] = out[..., 1, 1, 0] = ct / st
         return out
 
     return MetricField(

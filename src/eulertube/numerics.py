@@ -272,7 +272,10 @@ def ode_integrate(
         # evaluable; operationally this is a domain boundary
         err = np.where(np.isfinite(y_new).all(axis=1), err, np.inf)
         reject = ok & (err > tol)
-        ratio = np.divide(tol, err, out=np.full(len(live), np.inf), where=err > 0.0)
+        # tol / err overflows to inf for a subnormal err; growth is capped
+        # at 5 below, so inf is the right ratio there
+        with np.errstate(over="ignore"):
+            ratio = np.divide(tol, err, out=np.full(len(live), np.inf), where=err > 0.0)
         shrink = np.where(err < np.inf, np.maximum(0.2, 0.9 * ratio**0.2), 0.2)
         accept = ok & ~reject
         if inside is not None and np.count_nonzero(accept):

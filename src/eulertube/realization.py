@@ -17,7 +17,7 @@ from .errors import (
     NotInDomain,
 )
 from .metrics import MetricField, euclidean_metric, exp_map, geodesic, levi_civita
-from .numerics import Array, DifferentiableMap, solve_inverse
+from .numerics import Array, DifferentiableMap, as_lanes, solve_inverse
 from .submanifolds import (
     ParametrizedSubmanifold,
     normal_representative,
@@ -127,16 +127,16 @@ def pullback_metric(
     g(x) = Dchi(x)^T gref(chi(x)) Dchi(x), evaluated at the one preimage uc
     of x with Dchi = Dphi(uc) Dpsi(uc)^{-1}.
 
-    ``matrix`` takes lanes, one inversion batch for all of them.  Its
-    Christoffel symbols difference g along psi's chart: g at uc and the
-    chart stencil points uc +- fd_step e_j is one lane batch of forward
-    evaluations of psi and phi with no inversion, and
-    d_l g = sum_j A[j, l] d_{uc_j} g with A = Dpsi(uc)^{-1} turns chart
-    derivatives into ambient ones.  This is a
-    finite difference of g, independent of how chi enters the diagram
-    check; the comparatively large step balances truncation against the
-    rounding of the jacobians.  Raises DomainMargin if a stencil point
-    leaves psi's domain.
+    ``matrix`` and the Christoffel symbols take lanes, one inversion batch
+    for all of them.  The Christoffel symbols difference g along psi's
+    chart: g at every lane's uc and chart stencil points uc +- fd_step e_j
+    is one batch of forward evaluations of psi and phi with no inversion,
+    and d_l g = sum_j A[j, l] d_{uc_j} g with A = Dpsi(uc)^{-1} turns chart
+    derivatives into ambient ones.  This is a finite difference of g,
+    independent of how chi enters the diagram check; the comparatively
+    large step balances truncation against the rounding of the jacobians.
+    Raises DomainMargin if a stencil point of some lane leaves psi's
+    domain.
     """
     chart, target = chi.chart, chi.target
 
@@ -150,19 +150,22 @@ def pullback_metric(
     def matrix(X):
         return matrix_at(chi.preimage(X))
 
-    def gamma(x):
-        uc = chi.preimage(x)
-        n = uc.size
+    def gamma(X):
+        UC = chi.preimage(X)
+        nl, n = UC.shape
         steps = fd_step * np.eye(n)
-        # uc and the chart stencil uc +- h e_j, one lane each
-        stencil = np.concatenate([uc[None], uc + steps, uc - steps])
-        if not np.all(chart.contains(stencil[1:])):
+        # every lane's uc and its chart stencil uc +- h e_j: 2n + 1 lanes a point
+        S = np.concatenate([UC[:, None], UC[:, None] + steps, UC[:, None] - steps], axis=1)
+        if not np.all(chart.contains(S[:, 1:].reshape(-1, n))):
             raise DomainMargin("chart stencil point outside the embedding's domain")
-        A = np.linalg.inv(chart.jacobian(stencil))
-        G = matrix_at(stencil, A)
-        dg_chart = (G[1 : n + 1] - G[n + 1 :]) / (2.0 * fd_step)  # d_{uc_j} g
-        dg = np.einsum("jl,jab->lab", A[0], dg_chart)
-        return levi_civita(G[0], dg, x)
+        S = S.reshape(-1, n)
+        A = np.linalg.inv(chart.jacobian(S))
+        G = matrix_at(S, A).reshape(nl, 2 * n + 1, n, n)
+        dg_chart = (G[:, 1 : n + 1] - G[:, n + 1 :]) / (2.0 * fd_step)  # d_{uc_j} g
+        # d_l g = sum_j A[j, l] d_{uc_j} g with A at the lane's own uc
+        A0t = np.swapaxes(A.reshape(nl, 2 * n + 1, n, n)[:, 0], 1, 2)
+        dg = (A0t @ dg_chart.reshape(nl, n, n * n)).reshape(nl, n, n, n)
+        return levi_civita(G[:, 0], dg, X)
 
     return MetricField(
         dim=chi.domain_dim,
@@ -194,18 +197,15 @@ def verify_main_diagram(
     the g-normal representative of each frame class back onto psi.
 
     ``samples`` is a sequence of (u, c) frame coordinates inside the
-    certified tube.
+    certified tube.  The samples are lanes: one frame build, one normal
+    projection and one exponential map for all of them.
     """
-    N = psi.N
-    residuals = []
-    for u, c in samples:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        w = psi.frame.at(u).B @ c
-        lam = normal_representative(g, N, u, w)
-        y = exp_map(g, N.point(u), lam, tol=exp_tol)
-        residuals.append(float(np.linalg.norm(y - psi(u, c))))
-    residuals = np.array(residuals)
+    U = np.array([np.atleast_1d(np.asarray(u, dtype=float)) for u, _ in samples])
+    C = np.array([np.atleast_1d(np.asarray(c, dtype=float)) for _, c in samples])
+    fp = psi.frame.at(U)
+    lam = normal_representative(g, psi.N, U, (fp.B @ C[:, :, None])[:, :, 0])
+    y = exp_map(g, fp.p, lam, tol=exp_tol)
+    residuals = np.linalg.norm(y - psi.map(np.concatenate([U, C], axis=1)), axis=1)
     return DiagramReport(
         sample_count=len(residuals),
         max_residual=float(np.max(residuals)),
@@ -222,20 +222,26 @@ def isometry_geodesic_check(
     v_normal,
     t_samples=(0.25, 0.5, 0.75, 1.0),
     exp_tol: float = 1e-9,
-) -> float:
+):
     """Max over t of |exp_ref(t (v + eta(v))) - chi(exp_g(t v))| for a
-    g-normal vector v at p(u)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.asarray(v_normal, dtype=float)
-    p = N.point(u)
-    D = chi.jacobian(p)
-    corrected = D @ v  # equals v + eta(v) because nu(chi) = id
-    worst = 0.0
-    for t in t_samples:
-        lhs = exp_map(g_ref, p, t * corrected, tol=exp_tol)
-        rhs = chi(exp_map(g, p, t * v, tol=exp_tol))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    g-normal vector v at p(u): a float for one base point u (k,) and v
+    (n,), a (B,) array for lanes u (B, k) and v (B, n).
+
+    Every pair (u, t) is a lane of one exponential map on g and one on
+    g_ref, and chi is evaluated once on all of them.
+    """
+    U, single = as_lanes(u, N.param_dim)
+    V = np.asarray(v_normal, dtype=float).reshape(len(U), N.ambient_dim)
+    p = N.point(U)
+    corrected = (chi.jacobian(p) @ V[:, :, None])[:, :, 0]  # v + eta(v), as nu(chi) = id
+    # lane b * T + i: base point b at parameter t_i
+    T = len(t_samples)
+    t = np.tile(np.asarray(t_samples, dtype=float), len(U))[:, None]
+    p = np.repeat(p, T, axis=0)
+    lhs = exp_map(g_ref, p, t * np.repeat(corrected, T, axis=0), tol=exp_tol)
+    rhs = chi(exp_map(g, p, t * np.repeat(V, T, axis=0), tol=exp_tol))
+    worst = np.max(np.linalg.norm(lhs - rhs, axis=1).reshape(len(U), T), axis=1)
+    return float(worst[0]) if single else worst
 
 
 def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24) -> float:
@@ -268,7 +274,8 @@ def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricFie
     the identity as target, so g(y) = A^T A with A = Dpsi(psi^-1(y))^-1 and
     one Newton solve (seeded at y - psi(0)) per evaluation of g or of its
     Christoffel symbols.  Verifies exp(v) = psi(v) and gamma_v(t) = psi(t v)
-    along the integrated trajectories; returns (metric, max residual).
+    along the trajectories, integrated as lanes of one geodesic call;
+    returns (metric, max residual).
     """
     n = psi.domain_dim
     zero = np.zeros(n)
@@ -287,12 +294,15 @@ def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricFie
         preimage=lambda y: solve_inverse(psi, y, y - p, tol=_POINT_INVERT_TOL),
     )
     g = pullback_metric(chi, euclidean_metric(n), name="point-case", fd_step=5e-4)
-    worst = 0.0
-    for v in sample_vectors:
-        v = np.asarray(v, dtype=float)
-        traj = geodesic(g, p, v, 1.0, _POINT_TRAJ_TOL)
-        if traj.exited:
-            raise NotInDomain("point-case geodesic left the domain")
-        for t, x in zip(traj.times, traj.points):
-            worst = max(worst, float(np.linalg.norm(x - psi(t * v))))
-    return g, worst
+    V = np.array(sample_vectors, dtype=float).reshape(-1, n)
+    if len(V) == 0:
+        return g, 0.0
+    # the samples are lanes of one integration
+    traj = geodesic(g, p, V, 1.0, _POINT_TRAJ_TOL)
+    if np.any(traj.exited):
+        raise NotInDomain("point-case geodesic left the domain")
+    # psi(t v) at every row of every lane in one call; a lane's repeated
+    # rows after it finished repeat its last residual
+    expected = psi((traj.times[:, :, None] * V).reshape(-1, n))
+    worst = np.max(np.linalg.norm(traj.points.reshape(-1, n) - expected, axis=1))
+    return g, float(worst)

@@ -156,7 +156,9 @@ def _gram_schmidt(P: Array, G: Array, m: int):
     return kept, vecs
 
 
-_FRAME_MEMO = 32  # calls a NormalFrame remembers
+# calls a NormalFrame remembers; one call can hold thousands of lanes (a
+# Christoffel stencil's), so more entries mostly hold memory
+_FRAME_MEMO = 8
 _FRAME_DU = 1e-5  # central-difference step of dJ/du and dG/du
 
 
@@ -276,14 +278,19 @@ class NormalFrame:
 
 
 def normal_representative(g: MetricField, N: ParametrizedSubmanifold, u, a) -> Array:
-    """g-orthogonal projection of an ambient vector onto the normal space.
+    """g-orthogonal projection of an ambient vector onto the normal space,
+    for one base point u (k,) and vector a (n,), or lanes u (B, k) and
+    a (B, n).
 
     Two ambient vectors differing by a tangent vector map to the same
     result, so this realizes the canonical isomorphism from the quotient
     normal bundle onto the metric normal bundle.
     """
-    _, J, G = _tangent_projection_pieces(g, N, as_lanes(u, N.param_dim)[0])
-    return (_normal_projector(J, G) @ np.asarray(a, dtype=float))[0]
+    U, single = as_lanes(u, N.param_dim)
+    _, J, G = _tangent_projection_pieces(g, N, U)
+    a = np.asarray(a, dtype=float).reshape(len(U), N.ambient_dim, 1)
+    lam = (_normal_projector(J, G) @ a)[:, :, 0]
+    return lam[0] if single else lam
 
 
 _EXP_TOL = 1e-11  # geodesic tolerance of the normal exponential chart
@@ -297,15 +304,15 @@ def normal_exponential(frame: NormalFrame) -> DifferentiableMap:
     On a flat background (analytic Christoffel symbols that vanish) the
     geodesics are straight, so the map is p(u) + B(u) c and its jacobian
     [J + dB c | B] comes from the chart jacobian and the frame derivative;
-    otherwise each value integrates a geodesic and the jacobian is a
+    otherwise each value is an exponential map and the jacobian is a
     central finite difference.  Both take lanes: the frames of all lanes
     (and, for the finite difference, of all stencil points) are one build,
-    and each geodesic is integrated on its own.  The map has no domain;
-    callers restrict it.
+    and their geodesics are lanes of one exponential map.  The map has no
+    domain; callers restrict it.
     """
     g, N = frame.g, frame.N
     k, n = N.param_dim, N.ambient_dim
-    flat = g.christoffel_fn is not None and not np.any(g.christoffel_fn(N.point(np.zeros(k))))
+    flat = g.christoffel_fn is not None and not np.any(g.christoffel_fn(N.point(np.zeros((1, k)))))
 
     if flat:
         def fn(UC):
@@ -320,8 +327,7 @@ def normal_exponential(frame: NormalFrame) -> DifferentiableMap:
 
     def fn(UC):
         fp = frame.at(UC[:, :k])
-        V = (fp.B @ UC[:, k:, None])[:, :, 0]
-        return np.array([exp_map(g, p, v, tol=_EXP_TOL) for p, v in zip(fp.p, V)])
+        return exp_map(g, fp.p, (fp.B @ UC[:, k:, None])[:, :, 0], tol=_EXP_TOL)
 
     return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, fd_step=_EXP_FD_STEP, lanes=True)
 

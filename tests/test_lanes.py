@@ -1,5 +1,6 @@
 """Lanes: a leading axis of independent problems through Newton inversion,
-the Dormand-Prince integrator, the normal frame and flow reconstruction.
+the Dormand-Prince integrator, the normal frame, flow reconstruction,
+Christoffel symbols, geodesics and the exponential map.
 
 Every lane's result must be bit-identical alone and inside a batch, and a
 scalar call is a batch of one."""
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 from eulertube.embeddings import reference_embedding
 from eulertube.errors import NotInDomain, SingularJacobian
 from eulertube.eulerlike import pushforward_field, reconstruct_embedding
-from eulertube.metrics import euclidean_metric, geodesic, sphere_chart_metric
+from eulertube.metrics import (
+    christoffel,
+    euclidean_metric,
+    exp_map,
+    geodesic,
+    polar_metric,
+    sphere_chart_metric,
+)
 from eulertube.numerics import DifferentiableMap, jacobian, ode_integrate, solve_inverse
 from eulertube.realization import build_chi, pullback_metric
 from eulertube.scenarios import (
@@ -178,6 +186,96 @@ class TestGeodesicContract:
         x, w = g.geodesic_fn(p, v, 1.0)
         assert np.max(np.abs(traj.points[-1] - x)) <= 1e-7
         assert np.max(np.abs(traj.velocities[-1] - w)) <= 1e-6
+
+
+ZERO, EXIT = 3, 7  # the lanes below with zero velocity and leaving the domain
+
+
+def lane_data(lo, hi, speed, exit_velocity, lanes=61, seed=61):
+    """Points uniform in the box [lo, hi], velocities uniform in
+    [-speed, speed], lane ZERO at rest and lane EXIT leaving the domain."""
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(lo, hi, size=(lanes, 2))
+    V = rng.uniform(-speed, speed, size=(lanes, 2))
+    V[ZERO] = 0.0
+    V[EXIT] = exit_velocity
+    return P, V
+
+
+def circle_pullback_case():
+    """The circle scenario's pullback metric on chi's box domain, as its
+    pipeline builds them, at points psi(u, c) of the tube."""
+    scn = BUILTIN_SCENARIOS["circle"]
+    gt = BACKGROUNDS[scn.background]()
+    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
+    grid = _interior_grid(lo, hi, scn.sample("grid"))
+    delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
+    frame = NormalFrame(gt, N)
+    psi = _build_psi(scn, frame, delta)
+    psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
+    box_lo = np.min(psi.seed_images, axis=0) - 0.3 * delta(grid[0])
+    box_hi = np.max(psi.seed_images, axis=0) + 0.3 * delta(grid[0])
+    dom = lambda x: bool(np.all(x > box_lo) and np.all(x < box_hi))  # noqa: E731
+    g = pullback_metric(build_chi(psi, reference_embedding(frame, delta), domain=dom), gt)
+    d = delta(grid[0])
+    UC, V = lane_data([lo + 0.3, -0.3 * d], [hi - 0.3, 0.3 * d], 0.1, [3.0, 3.0])
+    return g, psi.map(UC), V
+
+
+LANE_CASES = {
+    "circle-pullback": circle_pullback_case,
+    # closed-form geodesics and analytic Christoffel symbols
+    "sphere-chart": lambda: (sphere_chart_metric(), *lane_data([1.0, 1.0], [2.1, 1.9], 0.2, [0.0, 3.0])),
+    # integrated geodesics and finite-difference Christoffel symbols
+    "polar": lambda: (polar_metric(), *lane_data([1.0, -1.0], [2.0, 1.0], 0.3, [-3.0, 0.0])),
+}
+
+
+class TestGeodesicLanes:
+    @pytest.mark.parametrize("name", LANE_CASES)
+    def test_geodesic_lane_alone_and_in_a_batch_of_61(self, name):
+        g, P, V = LANE_CASES[name]()
+        batch = geodesic(g, P, V, 1.0, tol=1e-9)
+        assert batch.exited.tolist() == [i == EXIT for i in range(len(P))]
+        for i in (0, ZERO, EXIT, len(P) - 1):
+            alone = geodesic(g, P[i], V[i], 1.0, tol=1e-9)
+            t, states = lane_history(batch, i)
+            assert alone.exited == batch.exited[i]
+            assert alone.times.tobytes() == t.tobytes()
+            assert alone.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("name", LANE_CASES)
+    def test_exp_map_lane_alone_and_in_a_batch_of_60(self, name):
+        g, P, V = LANE_CASES[name]()
+        # one lane leaving the domain fails the batch, as it fails alone
+        with pytest.raises(NotInDomain):
+            exp_map(g, P, V, tol=1e-9)
+        with pytest.raises(NotInDomain):
+            exp_map(g, P[EXIT], V[EXIT], tol=1e-9)
+        P, V = np.delete(P, EXIT, axis=0), np.delete(V, EXIT, axis=0)
+        batch = exp_map(g, P, V, tol=1e-9)
+        assert batch.shape == (60, 2)
+        assert batch[ZERO].tobytes() == P[ZERO].tobytes()
+        for i in (0, ZERO, 30, len(P) - 1):
+            assert exp_map(g, P[i], V[i], tol=1e-9).tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("name", LANE_CASES)
+    def test_christoffel_lanes_equal_single_points(self, name):
+        g, P, _ = LANE_CASES[name]()
+        gamma = christoffel(g, P)
+        assert gamma.shape == (len(P), 2, 2, 2)
+        for i in range(0, len(P), 6):
+            assert christoffel(g, P[i]).tobytes() == gamma[i].tobytes()
+
+    def test_sphere_chart_closed_form_on_lanes_matches_integration(self):
+        g, P, V = LANE_CASES["sphere-chart"]()
+        P, V = np.delete(P, EXIT, axis=0), np.delete(V, EXIT, axis=0)
+        x, w = g.geodesic_fn(P, V, 1.0)
+        assert x[ZERO].tobytes() == P[ZERO].tobytes() and w[ZERO].tobytes() == V[ZERO].tobytes()
+        traj = geodesic(g, P, V, 1.0, tol=1e-12, use_closed_form=False)
+        assert not traj.exited.any()
+        assert np.max(np.abs(traj.points[-1] - x)) <= 1e-9
+        assert np.max(np.abs(traj.velocities[-1] - w)) <= 1e-9
 
 
 FRAME_CASES = ["circle-arc", "helix-arc", "line-3d", "sphere-equator-arc"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,15 @@ class TestOdeIntegrate:
     def test_times_strictly_increasing(self):
         traj = ode_integrate(lambda y: -y, np.array([2.0]), 3.0, 1e-8)
         assert np.all(np.diff(traj.times) > 0)
+
+    def test_subnormal_error_estimate_warns_nothing(self):
+        # y' = y from a subnormal start: the first step's error estimate is
+        # subnormal, so tol / err overflows; the step grows by the capped 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = ode_integrate(lambda y: y, np.array([1e-310]), 1.0, 1e-3)
+        assert len(traj.times) == 2
+        assert traj.final_state[0] == pytest.approx(np.e * 1e-310, rel=1e-4)
 
 
 class TestTrajectory:

@@ -213,6 +213,9 @@ class TestDiagramAndIsometry:
         rep = verify_main_diagram(psi, g, samples, exp_tol=1e-9)
         assert rep.sample_count == 9
         assert rep.max_residual <= 1e-5
+        # the samples are lanes: each residual is the one it gets alone
+        alone = [verify_main_diagram(psi, g, [s], exp_tol=1e-9).max_residual for s in samples]
+        assert rep.max_residual == max(alone)
 
     def test_sample_beyond_radius_exits(self):
         _, _, psi, _, g = self.make_pipeline()
@@ -234,6 +237,15 @@ class TestDiagramAndIsometry:
         B = normal_space_basis(g, N, u)
         r = isometry_geodesic_check(chi, g, g_ref, N, u, 0.2 * B[:, 0], exp_tol=1e-9)
         assert r <= 1e-5
+
+    def test_isometry_lanes_equal_single_base_points(self):
+        g_ref, N, psi, chi, g = self.make_pipeline()
+        us = np.array([[-0.4], [0.3], [0.8]])
+        V = 0.2 * normal_space_basis(g, N, us)[:, :, 0]
+        worst = isometry_geodesic_check(chi, g, g_ref, N, us, V, exp_tol=1e-9)
+        assert worst.shape == (3,)
+        for u, v, w in zip(us, V, worst):
+            assert isometry_geodesic_check(chi, g, g_ref, N, u, v, exp_tol=1e-9) == w
 
 
 class TestPointCase:
