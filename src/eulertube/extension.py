@@ -1,10 +1,14 @@
 """Scalar gluing profiles and the fiberwise diffeomorphism that extends
 maps defined near the zero section of a vector bundle to the whole bundle.
 
-The scalar profiles accept either floats or mpmath numbers; high-precision
-input is honored throughout, which is what makes the inverse-profile round
-trip verifiable to 1e-12 even at arguments of order 10^3 (the composition
-is too ill-conditioned near the interval ends for double precision).
+The scalar profiles, and the closed-form derivative sigma_prime, accept
+either floats or mpmath numbers; high-precision input is honored
+throughout, which is what makes the inverse-profile round trip verifiable
+to 1e-12 even at arguments of order 10^3 (the composition is too
+ill-conditioned near the interval ends for double precision).  The inverse
+takes a double-precision seed and needs only Newton steps at high
+precision: the seed is good to about 1e-16, and each step squares the
+error.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Optional, Tuple
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 from .numerics import Array, DifferentiableMap
 
 _HALF = 0.5
@@ -85,55 +89,99 @@ def sigma(t):
     return eta(t) * t
 
 
-def sigma_inverse(s, dps: int = 50):
-    """Inverse of sigma by bracketing bisection with Newton polish.
+def _bump_step_prime(x):
+    """Derivative of _bump_step: a b (1/x^2 + 1/(1-x)^2) / (a+b)^2 with
+    a = exp(-1/x), b = exp(-1/(1-x)) on (0, 1), and 0 elsewhere."""
+    if x <= 0 or x >= 1:
+        return _zero_like(x)
+    a = _exp(-1 / x)
+    b = _exp(-1 / (1 - x))
+    return a * b * (1 / (x * x) + 1 / ((1 - x) * (1 - x))) / ((a + b) * (a + b))
 
-    Returns s identically for |s| <= 1/2.  Internally solved in mpmath at
-    ``dps`` digits; the return type matches the input type.
+
+def sigma_prime(t):
+    """Closed-form derivative of sigma, >= 1 everywhere.
+
+    eta + t eta' with eta' = rho'/sqrt(u) + rho t/u^(3/2), u = 1 - t^2 and
+    t rho'(t) = 4 |t| S'(4(|t| - 1/2)) for the bump step S, which collects
+    to 1 + rho/u^(3/2) + 4 |t| S'/sqrt(u).
+    """
+    if abs(t) >= 1:
+        raise DomainError(f"|t| = {abs(t)} not < 1")
+    u = 1 - t * t
+    root = _sqrt(u)
+    return 1 + rho(t) / (u * root) + 4 * abs(t) * _bump_step_prime((abs(t) - _HALF) * 4) / root
+
+
+def sigma_inverse(s, dps: int = 50):
+    """Inverse of sigma: a double-precision seed polished by Newton with
+    the closed-form sigma' at ``dps`` digits.
+
+    Returns s identically for |s| <= 1/2.  The seed brackets the root
+    between points 1 - 2^-k and bisects in double down to adjacent doubles;
+    past the last double below 1 the bracket goes on at ``dps`` digits and
+    its end is the seed.  Newton stops once |sigma(t) - |s|| <
+    10^(8 - dps) max(1, |s|), or once its step is a few units in the last
+    digit: beyond |s| ~ 3e4 at 50 digits no dps-digit t meets that
+    tolerance.  A step leaving the bracket that the residual signs narrow
+    from (1/2, 1) is replaced by the bracket's midpoint.
+
+    The return type matches the input type; a float result is the double
+    nearest the inverse and lies in (-1, 1) for every finite s.  Raises
+    DomainError for a non-finite s and for an mpf s whose inverse lies
+    closer to 1 than ``dps`` digits resolve.
     """
     if abs(s) <= _HALF:
         return s
+    if not mp.isfinite(s):
+        raise DomainError(f"sigma inverse of {s} is undefined")
     was_float = not _is_mp(s)
     with mp.workdps(dps):
-        sm = mp.mpf(s)
-        sign = 1 if sm > 0 else -1
-        target = abs(sm)
+        target = abs(mp.mpf(s))
+        approx = float(target)
 
-        def f(t):
-            return sigma(t) - target
+        def above(t):
+            # sigma(t) > |s| in t's own precision
+            return sigma(t) > (target if _is_mp(t) else approx)
 
-        lo = mp.mpf(_HALF)
-        hi = 1 - mp.mpf(2) ** -4
-        for _ in range(200):
-            if f(hi) > 0:
+        lo, hi = _HALF, 1 - 2.0**-4
+        while not above(hi):
+            lo, hi = hi, 1 - (1 - hi) / 2
+            if hi == 1 and not _is_mp(lo):
+                if was_float:
+                    return math.copysign(lo, s)
+                hi = 1 - (1 - mp.mpf(lo)) / 2
+            if hi == 1:
                 break
-            lo = hi
-            hi = 1 - (1 - hi) / 4
-        else:
-            raise DomainError("failed to bracket sigma inverse")
-        lo0, hi0 = lo, hi
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            if f(mid) > 0:
+        while lo < (mid := float((lo + hi) / 2)) < hi:
+            if above(mid):
                 hi = mid
             else:
                 lo = mid
-        t = (lo + hi) / 2
-        # Newton polish until the forward residual is negligible at this
-        # precision (bisection alone leaves an s-residual amplified by the
-        # huge slope of sigma near 1).
+
+        t, lo, hi = mp.mpf(hi), mp.mpf(_HALF), mp.mpf(1)
+        if t == 1:
+            raise DomainError(f"sigma inverse of {s} is not representable at {dps} digits")
         res_tol = mp.mpf(10) ** (-dps + 8) * max(mp.mpf(1), target)
         for _ in range(30):
-            r = f(t)
+            r = sigma(t) - target
             if abs(r) < res_tol:
                 break
-            t = t - r / mp.diff(sigma, t)
-            if t <= lo0:
-                t = lo0 + (hi0 - lo0) / 4
-            elif t >= hi0:
-                t = hi0 - (hi0 - lo0) / 4
-        t = sign * t
-    return float(t) if was_float else t
+            if r > 0:
+                hi = t
+            else:
+                lo = t
+            step = r / sigma_prime(t)
+            t = t - step
+            if abs(step) <= 4 * mp.eps:
+                break
+            if not lo < t < hi:
+                t = (lo + hi) / 2
+        else:
+            raise NoConvergence(f"sigma inverse of {s}: no convergence at {dps} digits")
+        if was_float:
+            return math.copysign(float(t), s)
+        return t if s > 0 else -t
 
 
 def tau(s, dps: int = 50):
@@ -141,7 +189,11 @@ def tau(s, dps: int = 50):
     tau == 1 on [-1/2, 1/2]; tau(s) * |s| < 1 always."""
     if abs(s) <= _HALF:
         return _one_like(s)
-    return sigma_inverse(s, dps=dps) / s
+    q = sigma_inverse(s, dps=dps) / s
+    if not _is_mp(s) and q * abs(s) >= 1:
+        # the quotient of the last double below 1 by |s| can round up
+        q = math.nextafter(q, 0.0)
+    return q
 
 
 @dataclass(frozen=True)
@@ -174,11 +226,19 @@ def bundle_diffeo(region: BundleRegion, p, v) -> Tuple[Array, Array]:
 
 
 def bundle_diffeo_inverse(region: BundleRegion, p, v_prime) -> Tuple[Array, Array]:
-    """Inverse fiberwise diffeomorphism: scales v' by tau(|v'|/delta(p))."""
+    """Inverse fiberwise diffeomorphism: scales v' by tau(|v'|/delta(p)).
+
+    Beyond |v'| ~ 1e8 delta(p) the image lies within rounding of the tube's
+    boundary; the scale then steps down by units in the last place until
+    the image is strictly inside, i.e. in the domain of bundle_diffeo.
+    """
     p = np.asarray(p, dtype=float)
     v_prime = np.asarray(v_prime, dtype=float)
-    s = region.fiber_norm(p, v_prime) / float(region.delta(p))
-    return p, float(tau(s)) * v_prime
+    delta = float(region.delta(p))
+    scale = float(tau(region.fiber_norm(p, v_prime) / delta))
+    while region.fiber_norm(p, scale * v_prime) / delta >= 1.0:
+        scale = math.nextafter(scale, 0.0)
+    return p, scale * v_prime
 
 
 def extend_map(F: Callable[[Array, Array], Array], region: BundleRegion):

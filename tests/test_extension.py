@@ -1,8 +1,12 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulertube import extension
 from eulertube.errors import DomainError
 from eulertube.extension import (
     BundleRegion,
@@ -14,6 +18,7 @@ from eulertube.extension import (
     rho,
     sigma,
     sigma_inverse,
+    sigma_prime,
     tau,
 )
 
@@ -77,6 +82,21 @@ class TestSigma:
             d = (sigma(t + h) - sigma(t - h)) / (2 * h)
             assert d >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize(
+        "t", ["0.3", "0.5", "0.55", "0.6", "0.7", "0.74", "0.9", "0.999", "0.9999999"]
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_prime_matches_numerical_derivative(self, t, sign):
+        # core, (1/2, 3/4) gluing region and outer region up to 1 - 1e-7
+        with mp.workdps(50):
+            t = sign * mp.mpf(t)
+            exact = sigma_prime(t)
+            assert abs(exact - mp.diff(sigma, t)) <= mp.mpf("1e-40") * exact
+
+    def test_prime_at_least_one(self):
+        for t in np.linspace(-1 + 1e-9, 1 - 1e-9, 4001):
+            assert sigma_prime(float(t)) >= 1.0
+
     def test_smooth_across_gluing_radius(self):
         # first and second finite differences agree on both sides of t = 1/2
         h = 1e-3
@@ -84,6 +104,82 @@ class TestSigma:
             left = _fd(sigma, 0.5 - 5 * h, h, order)
             right = _fd(sigma, 0.5 + 5 * h, h, order)
             assert abs(left - right) <= 1e-4 + 20 * h
+
+
+# 50-digit solves rounded to double by the bracketing-bisection solver that
+# preceded the double-precision seed and closed-form Newton polish
+_PINNED_FLOAT_INVERSES = {
+    0.6: "0x1.1f21f39401dc3p-1",
+    0.9: "0x1.381fd4e04a751p-1",
+    3.0: "0x1.ce28178980a29p-1",
+    4.0: "0x1.e6839a6ae8ee6p-1",
+    100.0: "0x1.fff95058bab70p-1",
+    -777.0: "-0x1.ffffe42398d1ep-1",
+}
+
+
+class TestSigmaInverse:
+    @pytest.mark.parametrize("s", sorted(_PINNED_FLOAT_INVERSES))
+    def test_float_results_pinned(self, s):
+        assert sigma_inverse(s) == float.fromhex(_PINNED_FLOAT_INVERSES[s])
+
+    def test_float_results_inside_unit_interval(self):
+        for s in (6.7e7, 1e8, 1e12, 1e300, -1e8, -1e300):
+            t = sigma_inverse(s)
+            assert isinstance(t, float)
+            assert abs(t) == math.nextafter(1.0, 0.0)
+            assert math.copysign(1.0, t) == math.copysign(1.0, s)
+
+    def test_mp_evaluations_per_solve(self, monkeypatch):
+        # the appendix-roundtrip targets: a double seed leaves at most three
+        # Newton steps at 50 digits, each one mp sigma evaluation
+        counts = []
+        plain = extension.sigma
+
+        def counting(t):
+            if isinstance(t, mp.mpf):
+                counts[-1] += 1
+            return plain(t)
+
+        monkeypatch.setattr(extension, "sigma", counting)
+        with mp.workdps(50):
+            for v in np.linspace(-1000.0, 1000.0, 201):
+                if abs(v) > 0.5:
+                    counts.append(0)
+                    extension.sigma_inverse(mp.mpf(v))
+        assert len(counts) == 200
+        assert max(counts) <= 6
+
+    @given(st.floats(0.5, 1e6), st.sampled_from([1, -1]), st.sampled_from([30, 50]))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_within_tolerance(self, s, sign, dps):
+        # past |s| ~ 3e4 the slope of sigma puts the residual of the nearest
+        # dps-digit t above res_tol; the solver then stops within a few
+        # units in the last place of t
+        with mp.workdps(dps):
+            s = sign * mp.mpf(s)
+            t = sigma_inverse(s, dps=dps)
+            res_tol = mp.mpf(10) ** (8 - dps) * max(1, abs(s))
+            floor = 8 * sigma_prime(t) * mp.eps
+            assert abs(sigma(t) - s) < max(res_tol, floor)
+
+    @pytest.mark.parametrize("k", range(2, 54))
+    def test_round_trip_at_bracket_points(self, k):
+        # sigma(1 - 2^-k) in double may sit an ulp on either side of the
+        # 50-digit value, so the double bracket can miss the root by a hair
+        t = 1 - 2.0**-k
+        assert sigma_inverse(sigma(t)) == pytest.approx(t, abs=4e-16)
+        assert sigma_inverse(-sigma(t)) == pytest.approx(-t, abs=4e-16)
+
+    def test_unrepresentable_mp_target_raises(self):
+        with mp.workdps(50):
+            with pytest.raises(DomainError, match="not representable at 50 digits"):
+                sigma_inverse(mp.mpf("1e30"))
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, s):
+        with pytest.raises(DomainError):
+            sigma_inverse(s)
 
 
 def _fd(f, t, h, order):
@@ -102,7 +198,7 @@ class TestTau:
             assert tau(-s) == pytest.approx(tau(s), rel=1e-12)
 
     def test_contracts_into_unit_interval(self):
-        for s in (0.7, 5.0, 100.0, 1000.0):
+        for s in (0.7, 5.0, 100.0, 1000.0, 1e8, 1e12, 1e300, -1e8):
             assert tau(s) * abs(s) < 1.0
 
 
@@ -143,6 +239,18 @@ class TestBundleDiffeo:
         pb, vb = bundle_diffeo(region, p, v)
         _, vr = bundle_diffeo_inverse(region, pb, vb)
         assert np.max(np.abs(vr - v)) <= 1e-12
+
+    def test_far_fiber_preimage_in_domain(self):
+        # from ~1e8 delta on, the exact preimage rounds onto the tube's
+        # boundary; bundle_diffeo rejects it there
+        region = make_region()
+        for p in (np.zeros(2), np.array([0.3, -0.2]), np.array([-0.4, 0.5])):
+            for a in np.linspace(0.0, np.pi, 16, endpoint=False):
+                d = np.array([np.cos(a), np.sin(a)])
+                for scale in (1e9, 1e12):
+                    v = d / region.fiber_norm(p, d) * scale * region.delta(p)
+                    pb, vb = bundle_diffeo_inverse(region, p, v)
+                    bundle_diffeo(region, pb, vb)
 
     def test_outside_tube_rejected(self):
         region = make_region()
@@ -186,9 +294,11 @@ class TestExtendMap:
         p = np.zeros(2)
         d = region.delta(p)
         vhat = np.array([1.0, 0.0]) / region.fiber_norm(p, np.array([1.0, 0.0]))
-        out = F_t(p, 10.0 * d * vhat)
-        assert np.all(np.isfinite(out))
-        assert calls[-1] < 1.0  # F only ever evaluated inside the tube
+        # at 1e9 delta the exact preimage rounds to the tube's boundary
+        for scale in (10.0, 1e9):
+            out = F_t(p, scale * d * vhat)
+            assert np.all(np.isfinite(out))
+            assert calls[-1] < 1.0  # F only ever evaluated inside the tube
 
     def test_bitwise_agreement_on_core(self):
         region = make_region()
