@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotInDomain
-from .numerics import Array, DifferentiableMap, solve_inverse
+from .numerics import Array, DifferentiableMap, guarded_inverse, solve_inverse
 from .submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
@@ -24,9 +24,10 @@ class TubularEmbedding:
 
     ``frame`` is the normal frame of N that c refers to; ``delta`` bounds
     |c| on the certified tube.  Inversion is Newton iteration seeded from
-    the nearest entry of a precomputed forward table.  Evaluation and
-    inversion take one point or lanes (a leading axis of independent
-    points).
+    the nearest entry of a precomputed table of seeds, their images and
+    the guarded inverses of the jacobian there, so the first Newton step
+    evaluates nothing.  Evaluation and inversion take one point or lanes
+    (a leading axis of independent points).
     """
 
     map: DifferentiableMap
@@ -34,6 +35,7 @@ class TubularEmbedding:
     delta: Optional[RadiusFunction] = None
     seeds: Optional[Array] = None  # (#seeds, k+m)
     seed_images: Optional[Array] = None  # (#seeds, n)
+    seed_inverses: Optional[Array] = None  # (#seeds, k+m, n), NaN where the guard fails
 
     @property
     def N(self) -> ParametrizedSubmanifold:
@@ -64,16 +66,22 @@ class TubularEmbedding:
         seeds = [np.array(s) for s in sorted(uniq)]
         self.seeds = np.array(seeds)
         self.seed_images = self.map(self.seeds)
+        self.seed_inverses = guarded_inverse(self.map.jacobian(self.seeds))
 
     def invert(self, x, tol: float = 1e-12) -> Array:
         """Solve psi(u, c) = x by Newton from the nearest table seed, for
-        one point x (n,) or lanes (B, n), each from its own nearest seed."""
+        one point x (n,) or lanes (B, n), each from its own nearest seed.
+        A seed whose jacobian fails the guard makes only the inversions
+        that start from it raise SingularJacobian."""
         x = np.asarray(x, dtype=float)
         if self.seeds is None:
             raise RuntimeError("seed table not built; call build_seed_table first")
         d = self.seed_images - x[..., None, :]
         i = np.argmin(np.sqrt((d * d).sum(axis=-1)), axis=-1)
-        return solve_inverse(self.map, x, self.seeds[i], tol=tol)
+        return solve_inverse(
+            self.map, x, self.seeds[i], tol=tol,
+            fx0=self.seed_images[i], jac_inv0=self.seed_inverses[i],
+        )
 
 
 def validate_embedding(
@@ -86,27 +94,25 @@ def validate_embedding(
 
     Verifies that the zero section lands on N and that the fiber block of
     the jacobian, expressed in the embedding's normal frame, is the
-    identity.
-    Returns the worst residual seen.
+    identity.  The grid is one lane batch; the first grid point that fails
+    raises NotInDomain.  Returns the worst residual seen.
     """
     k, m = psi.N.param_dim, psi.fiber_dim
-    worst = 0.0
-    for u in u_grid:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        fp = psi.frame.at(u)
-        r0 = float(np.linalg.norm(psi(u, np.zeros(m)) - fp.p))
-        if r0 > zero_tol:
-            raise NotInDomain(f"zero section misses N at u={u} (residual {r0:.3e})")
-        J = psi.map.jacobian(np.concatenate([u, np.zeros(m)]))
-        F = J[:, k:]
-        induced = fp.B.T @ psi.frame.g.matrix(fp.p) @ F
-        r1 = float(np.max(np.abs(induced - np.eye(m))))
-        if r1 > frame_tol:
+    U = np.asarray(u_grid, dtype=float).reshape(len(u_grid), k)
+    fp = psi.frame.at(U)
+    zero = np.concatenate([U, np.zeros((len(U), m))], axis=1)
+    r0 = [float(np.linalg.norm(d)) for d in psi.map(zero) - fp.p]
+    F = psi.map.jacobian(zero)[:, :, k:]
+    induced = np.swapaxes(fp.B, 1, 2) @ psi.frame.g.matrix(fp.p) @ F
+    r1 = np.max(np.abs(induced - np.eye(m)), axis=(1, 2))
+    for u, zero_r, frame_r in zip(U, r0, r1):
+        if zero_r > zero_tol:
+            raise NotInDomain(f"zero section misses N at u={u} (residual {zero_r:.3e})")
+        if frame_r > frame_tol:
             raise NotInDomain(
-                f"fiber differential not the identity at u={u} (residual {r1:.3e})"
+                f"fiber differential not the identity at u={u} (residual {frame_r:.3e})"
             )
-        worst = max(worst, r0, r1)
-    return worst
+    return max([0.0, *r0, *r1.tolist()])
 
 
 def reference_embedding(frame: NormalFrame, delta: RadiusFunction) -> TubularEmbedding:

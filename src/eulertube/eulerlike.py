@@ -30,16 +30,21 @@ def euler_field(x) -> Array:
     return np.asarray(x, dtype=float).copy()
 
 
+def _grid_lanes(grid, k: int) -> Array:
+    """A grid of base points (a sequence of (k,) parameters) as lanes (G, k)."""
+    return np.asarray(grid, dtype=float).reshape(len(grid), k)
+
+
 def vanishes_on_N(
     X: DifferentiableMap,
     N: ParametrizedSubmanifold,
     grid,
     tol: float = 1e-8,
 ) -> Tuple[bool, float]:
-    """True iff max_u |X(p(u))| over the grid is below tol."""
-    worst = 0.0
-    for u in grid:
-        worst = max(worst, float(np.linalg.norm(X(N.point(u)))))
+    """True iff max_u |X(p(u))| over the grid is below tol; X is evaluated
+    on the whole grid as one lane batch."""
+    P = N.point(_grid_lanes(grid, N.param_dim))
+    worst = max((float(np.linalg.norm(v)) for v in X(P)), default=0.0)
     return worst <= tol, worst
 
 
@@ -50,21 +55,26 @@ def linear_approximation(
     u,
     tol_vanish: float = 1e-6,
 ) -> LinearApproximation:
-    """Quotient action of the jacobian of X at p(u) on the normal classes.
+    """Quotient action of the jacobian of X at p(u) on the normal classes,
+    at one base point u (k,) or lanes u (B, k), each field then with a
+    leading lane axis.
 
     The class of a normal frame vector b is sent to the class of A b; with
-    a g_ref-orthonormal frame the class coordinates are B^T G A b.
+    a g_ref-orthonormal frame the class coordinates are B^T G A b.  Raises
+    NotVanishing at the first lane where |X(p(u))| exceeds tol_vanish.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = N.point(u)
-    r = float(np.linalg.norm(X(p)))
-    if r > tol_vanish:
-        raise NotVanishing(f"|X(p(u))| = {r:.3e} at u={u}")
-    A = X.jacobian(p)
-    B = normal_space_basis(g_ref, N, u)
-    G = g_ref.matrix(p)
-    induced = B.T @ G @ A @ B
-    return LinearApproximation(u=u, A=A, induced=induced)
+    U, single = as_lanes(u, N.param_dim)
+    P = N.point(U)
+    for u_b, v in zip(U, X(P)):
+        r = float(np.linalg.norm(v))
+        if r > tol_vanish:
+            raise NotVanishing(f"|X(p(u))| = {r:.3e} at u={u_b}")
+    A = X.jacobian(P)
+    B = normal_space_basis(g_ref, N, U)
+    induced = np.swapaxes(B, 1, 2) @ g_ref.matrix(P) @ A @ B
+    if single:
+        return LinearApproximation(u=U[0], A=A[0], induced=induced[0])
+    return LinearApproximation(u=U, A=A, induced=induced)
 
 
 def is_euler_like(
@@ -76,15 +86,14 @@ def is_euler_like(
     tol_vanish: float = 1e-6,
 ) -> Tuple[bool, float]:
     """True iff X vanishes on N and its induced quotient action is the
-    identity on every grid point; returns (verdict, max residual)."""
+    identity on every grid point; returns (verdict, max residual).  The
+    grid is one lane batch."""
     ok, vres = vanishes_on_N(X, N, grid, tol=tol_vanish)
     if not ok:
         return False, vres
-    worst = 0.0
-    for u in grid:
-        lin = linear_approximation(X, g_ref, N, u, tol_vanish=tol_vanish)
-        m = lin.induced.shape[0]
-        worst = max(worst, float(np.max(np.abs(lin.induced - np.eye(m)))))
+    lin = linear_approximation(X, g_ref, N, _grid_lanes(grid, N.param_dim), tol_vanish=tol_vanish)
+    m = lin.induced.shape[-1]
+    worst = float(np.max(np.abs(lin.induced - np.eye(m)), initial=0.0))
     return worst <= tol, worst
 
 
@@ -106,7 +115,9 @@ def pushforward_field(
     """The pushforward Euler field as an ambient-coordinate oracle on lanes.
 
     Each evaluation inverts psi numerically at the query points (one lane
-    Newton solve) and applies the jacobian to the fiber coordinates there.
+    Newton solve) and applies the jacobian to the fiber coordinates there;
+    the solve's last value call was at those preimages, so the jacobian
+    finds their normal frame in the frame memo.
     The domain test reuses the preimages of the last inversion for the
     points it is asked about again: the Dormand-Prince step is
     first-same-as-last, so the accepted states it tests are stage points

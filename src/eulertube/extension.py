@@ -129,7 +129,8 @@ def sigma_inverse(s, dps: int = 50):
     The return type matches the input type; a float result is the double
     nearest the inverse and lies in (-1, 1) for every finite s.  Raises
     DomainError for a non-finite s and for an mpf s whose inverse lies
-    closer to 1 than ``dps`` digits resolve.
+    too close to 1 for ``dps`` digits: when sigma(t) misses |s| by a
+    relative 2^-52 or more, an mpf result would be worse than a double.
     """
     if abs(s) <= _HALF:
         return s
@@ -174,6 +175,7 @@ def sigma_inverse(s, dps: int = 50):
             step = r / sigma_prime(t)
             t = t - step
             if abs(step) <= 4 * mp.eps:
+                r = None  # the residual at the new t is not known yet
                 break
             if not lo < t < hi:
                 t = (lo + hi) / 2
@@ -181,6 +183,12 @@ def sigma_inverse(s, dps: int = 50):
             raise NoConvergence(f"sigma inverse of {s}: no convergence at {dps} digits")
         if was_float:
             return math.copysign(float(t), s)
+        # too close to 1 for dps digits to resolve 1 - t, sigma(t) misses |s|
+        # by more than a double would; such a t is no inverse
+        if r is None:
+            r = sigma(t) - target
+        if abs(r) > target * 2.0**-52:
+            raise DomainError(f"sigma inverse of {s} is not representable at {dps} digits")
         return t if s > 0 else -t
 
 

@@ -48,21 +48,25 @@ class MetricField:
 
 
 def validate_metric(g: MetricField, points, sym_tol: float = 1e-12) -> float:
-    """Spot-check symmetry and positive definiteness on sample points.
+    """Spot-check symmetry and positive definiteness on sample points,
+    evaluated as one lane batch.
 
-    Returns the largest symmetry defect seen; raises SingularMetric if any
-    sample matrix fails to be positive definite.
+    Returns the largest symmetry defect seen; raises SingularMetric at the
+    first sample matrix that is not symmetric or not positive definite.
     """
-    worst = 0.0
-    for x in points:
-        G = g.matrix(x)
-        asym = float(np.max(np.abs(G - G.T)))
-        worst = max(worst, asym)
-        if asym > sym_tol:
-            raise SingularMetric(f"metric not symmetric at {x} (defect {asym:.3e})")
-        if np.min(np.linalg.eigvalsh(0.5 * (G + G.T))) <= 0.0:
+    X = np.asarray(points, dtype=float).reshape(len(points), g.dim)
+    if len(X) == 0:
+        return 0.0
+    G = g.matrix(X)
+    Gt = np.swapaxes(G, 1, 2)
+    asym = np.max(np.abs(G - Gt), axis=(1, 2))
+    lowest = np.linalg.eigvalsh(0.5 * (G + Gt))[:, 0]
+    for x, defect, low in zip(X, asym, lowest):
+        if defect > sym_tol:
+            raise SingularMetric(f"metric not symmetric at {x} (defect {defect:.3e})")
+        if low <= 0.0:
             raise SingularMetric(f"metric not positive definite at {x}")
-    return worst
+    return float(np.max(asym))
 
 
 def christoffel(g: MetricField, x) -> Array:

@@ -315,23 +315,50 @@ def _norm(R: Array) -> Array:
     return np.sqrt(np.add.reduce(R * R, axis=1))
 
 
-def _guarded_inverse(J: Array, cond_limit: float) -> Array:
-    """Explicit inverses of the stacked square matrices J (B, n, n).
+COND_LIMIT = 1e12  # largest 1-norm condition number of a Newton jacobian
 
-    Raises SingularJacobian when some lane is exactly singular, non-finite
-    or has 1-norm condition number ||J||_1 ||J^-1||_1 above
-    ``cond_limit``.  One stacked LAPACK inverse and four reductions, where
-    an SVD-based condition number costs 15 us a matrix.
+
+def guarded_inverse(J: Array, cond_limit: float = COND_LIMIT) -> Array:
+    """Explicit inverses of the stacked square matrices J (B, n, n), NaN on
+    every lane that fails the guard: exactly singular, non-finite, or 1-norm
+    condition number ||J||_1 ||J^-1||_1 above ``cond_limit``.
+
+    One stacked LAPACK inverse and four reductions, where an SVD-based
+    condition number costs 15 us a matrix; a batch with an exactly
+    singular lane is inverted lane by lane.
     """
     try:
         J_inv = np.linalg.inv(J)
     except np.linalg.LinAlgError:
-        raise SingularJacobian("jacobian exactly singular") from None
+        J_inv = np.array([_inverse_or_nan(M) for M in J]).reshape(J.shape)
     norm1 = np.abs(np.concatenate([J, J_inv])).sum(axis=1).max(axis=1)
     # NaN fails the comparison
-    if np.count_nonzero(norm1[: len(J)] * norm1[len(J) :] <= cond_limit) < len(J):
-        raise SingularJacobian("jacobian condition estimate too large")
+    ok = norm1[: len(J)] * norm1[len(J) :] <= cond_limit
+    if np.count_nonzero(ok) < len(J):
+        J_inv[~ok] = np.nan
     return J_inv
+
+
+def _inverse_or_nan(M: Array) -> Array:
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return np.full(M.shape, np.nan)
+
+
+def _jacobian_on(f: DifferentiableMap, x: Array, live: Array) -> Array:
+    """f's jacobian on the whole batch x, so that it sees the lanes of the
+    value call before it; if that raises (a finite-difference stencil may
+    leave the domain at a converged lane), on the ``live`` lanes only, NaN
+    on the others."""
+    try:
+        return f.jacobian(x)
+    except EulertubeError:
+        if np.count_nonzero(live) == len(x):
+            raise
+    J = np.full((len(x), f.codomain_dim, f.domain_dim), np.nan)
+    J[live] = f.jacobian(x[live])
+    return J
 
 
 def solve_inverse(
@@ -340,18 +367,26 @@ def solve_inverse(
     x0,
     tol: float = 1e-12,
     max_iter: int = 50,
-    cond_limit: float = 1e12,
+    cond_limit: float = COND_LIMIT,
     max_halvings: int = 10,
+    fx0=None,
+    jac_inv0=None,
 ) -> Array:
     """Solve f(x) = y by damped Newton iteration starting from ``x0``.
 
     ``y`` and ``x0`` are one problem (d,) or lanes (B, d) of independent
     problems.  Every lane has its own convergence test, condition guard
-    and backtracking line search, and leaves the iteration once converged,
-    so its result is the one it gets alone.  The Newton step applies the
-    explicit inverse of the jacobian that the guard computes.  Raises
-    SingularJacobian when some lane's jacobian is non-finite, exactly
-    singular or has 1-norm condition number above ``cond_limit``, and
+    and backtracking line search.  The batch stays fixed: a converged lane
+    is frozen, so f and its jacobian are evaluated on every lane, while the
+    guard, the step and the line search act on the live lanes only.  So a
+    lane's result is the one it gets alone, a frozen lane never makes the
+    solve raise, and the solution is the last batch f was evaluated on
+    (unless the last step backtracked).  The Newton step applies the
+    explicit inverse of ``guarded_inverse``.  ``fx0`` and ``jac_inv0``,
+    when given, are f(x0) and ``guarded_inverse(Df(x0), cond_limit)``,
+    which a caller starting from a table of points may hold already; the
+    first iteration then evaluates neither f nor its jacobian.  Raises
+    SingularJacobian when some live lane's jacobian fails the guard, and
     NoConvergence when some lane misses ``tol`` after ``max_iter``
     iterations.
     """
@@ -359,26 +394,27 @@ def solve_inverse(
     single = y.ndim == 1
     y = np.atleast_2d(y)
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    out = x  # converged lanes are written back here
-    idx = np.arange(len(x))  # lanes still iterating, and their x, r, |r|
-    r = f(x) - y
+    d = x.shape[1]
+    r = (f(x) if fx0 is None else np.reshape(fx0, y.shape)) - y
     rn = _norm(r)
-    for iteration in range(max_iter + 1):
-        done = rn <= tol
-        if np.count_nonzero(done):
-            out[idx[done]] = x[done]
-            live = ~done
-            idx, x, y, r, rn = idx[live], x[live], y[live], r[live], rn[live]
-        if len(idx) == 0 or iteration == max_iter:
+    live = ~(rn <= tol)
+    J_inv = None if jac_inv0 is None else np.reshape(jac_inv0, (len(x), d, d))
+    for _ in range(max_iter):
+        if np.count_nonzero(live) == 0:
             break
-        # one explicit inverse a lane serves the guard and the step
-        J_inv = _guarded_inverse(f.jacobian(x), cond_limit)
+        if J_inv is None:
+            J_inv = guarded_inverse(_jacobian_on(f, x, live), cond_limit)
+        if np.count_nonzero(live & np.isnan(J_inv[:, 0, 0])):
+            raise SingularJacobian(
+                f"jacobian singular or its condition estimate above {cond_limit:.1e}"
+            )
+        # a frozen lane's step, NaN where its jacobian failed, is discarded
         dx = -(J_inv @ r[:, :, None])[:, :, 0]
-        x_new = x + dx
+        x_new = np.where(live[:, None], x + dx, x)
         r_new = f(x_new) - y
         rn_new = _norm(r_new)
         # backtrack, lane by lane, where the full step does not decrease |r|
-        search = (~(rn_new < rn)).nonzero()[0]
+        search = (live & ~(rn_new < rn)).nonzero()[0]
         step = 1.0
         for _ in range(max_halvings):
             if len(search) == 0:
@@ -390,6 +426,8 @@ def solve_inverse(
             x_new[search], r_new[search], rn_new[search] = xs, rs, rns
             search = search[~(rns < rn[search])]
         x, r, rn = x_new, r_new, rn_new
-    if len(idx):
-        raise NoConvergence(f"Newton residual {float(np.max(rn)):.3e} above tol {tol:.3e}")
-    return out[0] if single else out
+        live &= ~(rn <= tol)
+        J_inv = None
+    if np.count_nonzero(live):
+        raise NoConvergence(f"Newton residual {float(np.max(rn[live])):.3e} above tol {tol:.3e}")
+    return x[0] if single else x

@@ -244,21 +244,27 @@ def isometry_geodesic_check(
     return float(worst[0]) if single else worst
 
 
-def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24) -> float:
-    """Gauss-Legendre quadrature of the g-length of a parametrized curve.
+def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24):
+    """Gauss-Legendre quadrature of the g-lengths of K parametrized curves.
 
     ``curve`` and ``dcurve`` are called once, with the column of quadrature
-    nodes t (order, 1), and return the points and velocities at the nodes
-    as rows (order, n); g is evaluated at all nodes as one lane batch.
+    nodes t (order, 1), and return the points and velocities of every
+    curve at the nodes, (K, order, n); g is evaluated at all K x order
+    nodes as one lane batch.  Returns the K lengths, each summed node by
+    node in order; a curve given as rows (order, n) gives a float.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     t = (0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1))[:, None]
     V = np.asarray(dcurve(t), dtype=float)
-    speed = np.sqrt((V[:, None, :] @ g.matrix(curve(t)) @ V[:, :, None])[:, 0, 0])
-    total = 0.0
-    for w, s in zip(weights, speed):
-        total += w * float(s)
-    return 0.5 * (t1 - t0) * total
+    single = V.ndim == 2
+    V = V.reshape(-1, V.shape[-1])
+    P = np.asarray(curve(t), dtype=float).reshape(V.shape)
+    speed = np.sqrt((V[:, None, :] @ g.matrix(P) @ V[:, :, None])[:, 0, 0]).reshape(-1, order)
+    total = np.zeros(len(speed))
+    for w, s in zip(weights, speed.T):
+        total += w * s
+    lengths = 0.5 * (t1 - t0) * total
+    return float(lengths[0]) if single else lengths
 
 
 _POINT_TRAJ_TOL = 1e-10  # geodesic tolerance of the trajectory check

@@ -189,9 +189,12 @@ class NormalFrame:
     ``normal_space_basis``, so no frame is built at a shifted point; only
     dJ and dG are central differences of the chart jacobian and the
     metric.  The last ``_FRAME_MEMO`` calls are remembered under the exact
-    bytes of their lanes, so a Newton step that asks for the value and
-    then the jacobian at the same lanes builds one frame, and a result
-    never depends on what was evaluated before it.
+    bytes of their lanes, and a result never depends on what was evaluated
+    before it.  ``numerics.solve_inverse`` keeps its batch fixed (a
+    converged lane is frozen, not dropped), so every Newton iterate's
+    jacobian is asked for at the lanes of the value call before it and
+    finds its frame here: one frame build an iterate.  So does a jacobian
+    taken at the solution, such as the pushforward field's.
     """
 
     def __init__(self, g: MetricField, N: ParametrizedSubmanifold):

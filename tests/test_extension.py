@@ -176,6 +176,28 @@ class TestSigmaInverse:
             with pytest.raises(DomainError, match="not representable at 50 digits"):
                 sigma_inverse(mp.mpf("1e30"))
 
+    @pytest.mark.parametrize(
+        "dps, s, representable",
+        [
+            (50, "1e16", True),
+            (50, "1e20", False),
+            (50, "1e24", False),
+            (30, "1e6", True),
+            (30, "1e12", False),
+        ],
+    )
+    def test_mp_result_is_no_worse_than_a_double(self, dps, s, representable):
+        # past the digits that resolve 1 - t, sigma(t) would miss s by more
+        # than a double's relative rounding
+        with mp.workdps(dps):
+            s = mp.mpf(s)
+            if representable:
+                t = sigma_inverse(s, dps=dps)
+                assert abs(sigma(t) - s) <= s * 2.0**-52
+            else:
+                with pytest.raises(DomainError, match=f"not representable at {dps} digits"):
+                    sigma_inverse(s, dps=dps)
+
     @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
     def test_non_finite_raises(self, s):
         with pytest.raises(DomainError):

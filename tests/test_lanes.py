@@ -1,18 +1,23 @@
 """Lanes: a leading axis of independent problems through Newton inversion,
 the Dormand-Prince integrator, the normal frame, flow reconstruction,
-Christoffel symbols, geodesics and the exponential map.
+Christoffel symbols, geodesics, the exponential map and the per-grid and
+per-curve checks.
 
 Every lane's result must be bit-identical alone and inside a batch, and a
 scalar call is a batch of one."""
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulertube.embeddings import reference_embedding
-from eulertube.errors import NotInDomain, SingularJacobian
-from eulertube.eulerlike import pushforward_field, reconstruct_embedding
+from eulertube import submanifolds
+from eulertube.embeddings import TubularEmbedding, reference_embedding, validate_embedding
+from eulertube.errors import DomainMargin, NotInDomain, SingularJacobian
+from eulertube.eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
 from eulertube.metrics import (
     christoffel,
     euclidean_metric,
@@ -22,7 +27,7 @@ from eulertube.metrics import (
     sphere_chart_metric,
 )
 from eulertube.numerics import DifferentiableMap, jacobian, ode_integrate, solve_inverse
-from eulertube.realization import build_chi, pullback_metric
+from eulertube.realization import build_chi, curve_length, pullback_metric
 from eulertube.scenarios import (
     BACKGROUNDS,
     BUILTIN_SCENARIOS,
@@ -32,6 +37,7 @@ from eulertube.scenarios import (
 )
 from eulertube.submanifolds import (
     NormalFrame,
+    RadiusFunction,
     normal_exponential,
     normal_space_basis,
     tubular_radius_estimate,
@@ -378,3 +384,206 @@ def test_builtin_maps_and_metrics_take_lanes(name):
     maps = [N.chart, psi.map, phi.map, normal_exponential(frame), pushforward_field(psi)]
     assert all(f.lanes for f in maps)
     assert gt.lanes and pullback_metric(build_chi(psi, phi), gt).lanes
+
+
+@functools.lru_cache(maxsize=None)
+def certified_tube(name):
+    """psi of a built-in tube scenario on its certified radius, with its seed
+    table, and the background metric, as the pipeline builds them; shared
+    by the examples of a property test (every map here is pure)."""
+    scn = BUILTIN_SCENARIOS[name]
+    gt = BACKGROUNDS[scn.background]()
+    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
+    delta = tubular_radius_estimate(gt, N, _interior_grid(lo, hi, scn.sample("grid")), scn.delta0)
+    psi = _build_psi(scn, NormalFrame(gt, N), delta)
+    psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
+    return psi, gt, lo, hi
+
+
+def nearest_seed(psi, X):
+    d = psi.seed_images - X[:, None, :]
+    return np.argmin(np.sqrt((d * d).sum(axis=-1)), axis=1)
+
+
+def tube_points(psi, lo, hi, draws):
+    """Frame coordinates (u, c) inside the certified tube, |c| < 0.7 delta,
+    from draws (a, b, c) in [0, 1]^3."""
+    a, b, c = np.array(draws, dtype=float).T
+    U = (lo + (0.1 + 0.8 * a) * (hi - lo))[:, None]
+    radius = 0.7 * psi.delta(U) * b
+    if psi.fiber_dim == 1:
+        C = np.where(c < 0.5, -radius, radius)[:, None]
+    else:
+        C = radius[:, None] * np.stack([np.cos(2.0 * np.pi * c), np.sin(2.0 * np.pi * c)], axis=1)
+    return np.concatenate([U, C], axis=1)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+class TestInvertContract:
+    @pytest.mark.parametrize("name", ["helix", "circle"])
+    @given(draws=st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=12))
+    @settings(max_examples=20, deadline=None)
+    def test_round_trip_and_each_lane_equals_its_solo_solve(self, name, draws):
+        psi, _, lo, hi = certified_tube(name)
+        UC = tube_points(psi, lo, hi, draws)
+        X = psi.map(UC)
+        batch = psi.invert(X)
+        assert np.max(np.abs(batch - UC)) <= 1e-10
+        seeds = psi.seeds[nearest_seed(psi, X)]
+        for i in range(len(X)):
+            solo = psi.invert(X[i])
+            assert solo.tobytes() == batch[i].tobytes()
+            # the table's stored image and inverse start the iterates of a
+            # cold solve from the same seed
+            assert solve_inverse(psi.map, X[i], seeds[i]).tobytes() == solo.tobytes()
+
+
+def count_work(monkeypatch, psi):
+    """Record psi's value and jacobian calls (kind, lanes), frame builds and
+    frame chain rules from here on."""
+    calls, frames, chain_rules = [], [], []
+    fn, jac = psi.map.fn, psi.map.jac
+
+    def value(UC):
+        calls.append(("value", UC.copy()))
+        return fn(UC)
+
+    def jacobian_(UC):
+        calls.append(("jacobian", UC.copy()))
+        return jac(UC)
+
+    build, chain = submanifolds.normal_space_basis, NormalFrame._chain_rule
+
+    def counted_build(*args):
+        frames.append(args[-1])
+        return build(*args)
+
+    def counted_chain(self, fp):
+        chain_rules.append(fp.u)
+        return chain(self, fp)
+
+    psi.map = replace(psi.map, fn=value, jac=jacobian_)
+    monkeypatch.setattr(submanifolds, "normal_space_basis", counted_build)
+    monkeypatch.setattr(NormalFrame, "_chain_rule", counted_chain)
+    return calls, frames, chain_rules
+
+
+class TestNewtonWork:
+    def helix_targets(self, psi, lo, hi):
+        """Eight tube points and, last, a seed's own image, which is solved
+        before the first step."""
+        rng = np.random.default_rng(3)
+        UC = tube_points(psi, lo, hi, rng.uniform(0.0, 1.0, size=(8, 3)))
+        return np.concatenate([psi.map(UC), psi.seed_images[[40]]])
+
+    def test_invert_evaluates_nothing_for_its_first_step(self, monkeypatch):
+        psi, _, lo, hi = helix_pipeline()
+        X = self.helix_targets(psi, lo, hi)
+        start = psi.seeds[nearest_seed(psi, X)]
+        calls, frames, chain_rules = count_work(monkeypatch, psi)
+        uc = psi.invert(X)
+        assert uc[-1].tobytes() == start[-1].tobytes()
+        values = [x for kind, x in calls if kind == "value"]
+        jacobians = [x for kind, x in calls if kind == "jacobian"]
+        # the seed table holds psi and the inverse jacobian at the seeds
+        assert calls[0][0] == "value"
+        assert not any(np.array_equal(x, start) for _, x in calls)
+        # the batch stays fixed, so every call sees every lane, converged
+        # ones included, and each jacobian finds the frame of the value
+        # call before it: one frame build per iterate
+        assert all(len(x) == len(X) for _, x in calls)
+        assert len(values) >= 2 and len(jacobians) == len(values) - 1
+        assert len(frames) == len(values)
+        assert len(chain_rules) == len(jacobians)
+        assert np.array_equal(values[-1], uc)
+
+    def test_pushforward_builds_no_frame_at_its_solution(self, monkeypatch):
+        psi, _, lo, hi = helix_pipeline()
+        X = self.helix_targets(psi, lo, hi)
+        field = pushforward_field(psi)
+        calls, frames, chain_rules = count_work(monkeypatch, psi)
+        field(X)
+        values = [x for kind, x in calls if kind == "value"]
+        # the last call is the jacobian at the solution, on the lanes of
+        # the last value call, whose frame it reuses
+        assert calls[-1][0] == "jacobian" and np.array_equal(calls[-1][1], values[-1])
+        assert len(frames) == len(values)
+        assert len(chain_rules) == len(calls) - len(values)
+
+    def test_fd_stencil_outside_the_domain_at_a_converged_lane(self):
+        # the first lane starts on its solution, h / 2 inside the domain's
+        # edge: its jacobian stencil leaves the domain, but no step needs it
+        f = DifferentiableMap(
+            2, 2, lambda X: X + 0.05 * X * X, domain=lambda X: X[:, 0] < 1.0, lanes=True
+        )
+        edge = np.array([1.0 - 0.5 * f.fd_step, 0.2])
+        y = f(np.array([edge, [0.5, -0.3]]))
+        x0 = np.array([edge, [0.0, 0.0]])
+        x = solve_inverse(f, y, x0)
+        assert x[0].tobytes() == edge.tobytes()
+        assert np.linalg.norm(f(x[1]) - y[1]) <= 1e-12
+        assert solve_inverse(f, y[1], x0[1]).tobytes() == x[1].tobytes()
+        # a live lane there still needs its jacobian
+        with pytest.raises(DomainMargin):
+            solve_inverse(f, f(np.array([0.9, 0.2])), edge)
+
+    def test_a_singular_seed_fails_only_the_inversions_that_start_from_it(self):
+        def fn(X):
+            return np.stack([(X[:, 0] - 0.5) ** 3, X[:, 1]], axis=1)
+
+        def jac(X):
+            J = np.zeros((len(X), 2, 2))
+            J[:, 0, 0] = 3.0 * (X[:, 0] - 0.5) ** 2
+            J[:, 1, 1] = 1.0
+            return J
+
+        f = DifferentiableMap(2, 2, fn, jac=jac, lanes=True)
+        N = SUBMANIFOLDS["circle-arc"]()[0]
+        psi = TubularEmbedding(
+            map=f,
+            frame=NormalFrame(euclidean_metric(2), N),
+            delta=RadiusFunction(fn=lambda u: 1.0, grid=[]),
+        )
+        # seeds (u, 0): the jacobian is singular at u = 1/2 only
+        psi.build_seed_table(np.linspace(0.0, 1.0, 5)[:, None], c_fractions=(0.0,))
+        assert psi.seeds[2].tolist() == [0.5, 0.0]
+        assert np.isnan(psi.seed_inverses[2]).all()
+        assert np.isfinite(np.delete(psi.seed_inverses, 2, axis=0)).all()
+        y = f(np.array([[0.05, 0.1], [0.27, 0.1], [0.55, 0.1], [0.8, 0.1], [0.97, 0.1]]))
+        assert nearest_seed(psi, y).tolist() == [0, 1, 2, 3, 4]
+        good = [0, 1, 3, 4]
+        assert np.max(np.abs(f(psi.invert(y[good])) - y[good])) <= 1e-12
+        with pytest.raises(SingularJacobian):
+            psi.invert(y[2])
+        with pytest.raises(SingularJacobian):
+            psi.invert(y)
+
+
+class TestCheckLanes:
+    def test_curve_length_of_k_curves_equals_k_single_calls(self):
+        g, P, _ = circle_pullback_case()
+        rng = np.random.default_rng(5)
+        K = 5
+        X0 = P[:K, None]
+        A = 0.05 * rng.standard_normal((K, 1, 2))
+        B = 0.02 * rng.standard_normal((K, 1, 2))
+        lengths = curve_length(g, lambda t: X0 + t * A + t * t * B, lambda t: A + 2.0 * t * B)
+        assert lengths.shape == (K,)
+        for k in range(K):
+            x0, a, b = X0[k, 0], A[k, 0], B[k, 0]
+            one = curve_length(g, lambda t: x0 + t * a + t * t * b, lambda t: a + 2.0 * t * b)
+            assert isinstance(one, float)
+            assert np.float64(one).tobytes() == lengths[k].tobytes()
+
+    @pytest.mark.parametrize("name", ["helix", "circle"])
+    def test_grid_checks_equal_their_per_point_results(self, name):
+        psi, gt, lo, hi = certified_tube(name)
+        grid = _interior_grid(lo, hi, 9)
+        field = pushforward_field(psi)
+        ok, res = is_euler_like(field, gt, psi.N, grid)
+        assert ok
+        assert res == max(is_euler_like(field, gt, psi.N, [u])[1] for u in grid)
+        worst = validate_embedding(psi, grid)
+        assert worst == max(validate_embedding(psi, [u]) for u in grid)
