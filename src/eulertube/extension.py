@@ -129,8 +129,10 @@ def sigma_inverse(s, dps: int = 50):
     The return type matches the input type; a float result is the double
     nearest the inverse and lies in (-1, 1) for every finite s.  Raises
     DomainError for a non-finite s and for an mpf s whose inverse lies
-    too close to 1 for ``dps`` digits: when sigma(t) misses |s| by a
-    relative 2^-52 or more, an mpf result would be worse than a double.
+    too close to 1 for ``dps`` digits: when Newton stops on its step size
+    with sigma(t) missing |s| by more than both the residual tolerance and
+    a relative 2^-52, an mpf result would be worse than a double and than
+    the tolerance ``dps`` asks for.
     """
     if abs(s) <= _HALF:
         return s
@@ -175,7 +177,14 @@ def sigma_inverse(s, dps: int = 50):
             step = r / sigma_prime(t)
             t = t - step
             if abs(step) <= 4 * mp.eps:
-                r = None  # the residual at the new t is not known yet
+                # too close to 1 for dps digits to resolve 1 - t, sigma(t)
+                # can miss |s| by more than both the residual tolerance and a
+                # double's rounding; such a t is no inverse
+                miss_tol = max(res_tol, target * 2.0**-52)
+                if not was_float and abs(sigma(t) - target) > miss_tol:
+                    raise DomainError(
+                        f"sigma inverse of {s} is not representable at {dps} digits"
+                    )
                 break
             if not lo < t < hi:
                 t = (lo + hi) / 2
@@ -183,12 +192,6 @@ def sigma_inverse(s, dps: int = 50):
             raise NoConvergence(f"sigma inverse of {s}: no convergence at {dps} digits")
         if was_float:
             return math.copysign(float(t), s)
-        # too close to 1 for dps digits to resolve 1 - t, sigma(t) misses |s|
-        # by more than a double would; such a t is no inverse
-        if r is None:
-            r = sigma(t) - target
-        if abs(r) > target * 2.0**-52:
-            raise DomainError(f"sigma inverse of {s} is not representable at {dps} digits")
         return t if s > 0 else -t
 
 

@@ -318,10 +318,10 @@ def _norm(R: Array) -> Array:
 COND_LIMIT = 1e12  # largest 1-norm condition number of a Newton jacobian
 
 
-def guarded_inverse(J: Array, cond_limit: float = COND_LIMIT) -> Array:
+def guarded_inverse(J: Array) -> Array:
     """Explicit inverses of the stacked square matrices J (B, n, n), NaN on
     every lane that fails the guard: exactly singular, non-finite, or 1-norm
-    condition number ||J||_1 ||J^-1||_1 above ``cond_limit``.
+    condition number ||J||_1 ||J^-1||_1 above COND_LIMIT.
 
     One stacked LAPACK inverse and four reductions, where an SVD-based
     condition number costs 15 us a matrix; a batch with an exactly
@@ -333,7 +333,7 @@ def guarded_inverse(J: Array, cond_limit: float = COND_LIMIT) -> Array:
         J_inv = np.array([_inverse_or_nan(M) for M in J]).reshape(J.shape)
     norm1 = np.abs(np.concatenate([J, J_inv])).sum(axis=1).max(axis=1)
     # NaN fails the comparison
-    ok = norm1[: len(J)] * norm1[len(J) :] <= cond_limit
+    ok = norm1[: len(J)] * norm1[len(J) :] <= COND_LIMIT
     if np.count_nonzero(ok) < len(J):
         J_inv[~ok] = np.nan
     return J_inv
@@ -367,7 +367,6 @@ def solve_inverse(
     x0,
     tol: float = 1e-12,
     max_iter: int = 50,
-    cond_limit: float = COND_LIMIT,
     max_halvings: int = 10,
     fx0=None,
     jac_inv0=None,
@@ -383,7 +382,7 @@ def solve_inverse(
     solve raise, and the solution is the last batch f was evaluated on
     (unless the last step backtracked).  The Newton step applies the
     explicit inverse of ``guarded_inverse``.  ``fx0`` and ``jac_inv0``,
-    when given, are f(x0) and ``guarded_inverse(Df(x0), cond_limit)``,
+    when given, are f(x0) and ``guarded_inverse(Df(x0))``,
     which a caller starting from a table of points may hold already; the
     first iteration then evaluates neither f nor its jacobian.  Raises
     SingularJacobian when some live lane's jacobian fails the guard, and
@@ -403,10 +402,10 @@ def solve_inverse(
         if np.count_nonzero(live) == 0:
             break
         if J_inv is None:
-            J_inv = guarded_inverse(_jacobian_on(f, x, live), cond_limit)
+            J_inv = guarded_inverse(_jacobian_on(f, x, live))
         if np.count_nonzero(live & np.isnan(J_inv[:, 0, 0])):
             raise SingularJacobian(
-                f"jacobian singular or its condition estimate above {cond_limit:.1e}"
+                f"jacobian singular or its condition estimate above {COND_LIMIT:.1e}"
             )
         # a frozen lane's step, NaN where its jacobian failed, is discarded
         dx = -(J_inv @ r[:, :, None])[:, :, 0]

@@ -184,16 +184,21 @@ class TestSigmaInverse:
             (50, "1e24", False),
             (30, "1e6", True),
             (30, "1e12", False),
+            (20, "10", True),
+            (20, "1e6", False),
+            (10, "3", True),
         ],
     )
     def test_mp_result_is_no_worse_than_a_double(self, dps, s, representable):
         # past the digits that resolve 1 - t, sigma(t) would miss s by more
-        # than a double's relative rounding
+        # than a double's relative rounding and than Newton's residual
+        # tolerance at dps digits
         with mp.workdps(dps):
             s = mp.mpf(s)
             if representable:
                 t = sigma_inverse(s, dps=dps)
-                assert abs(sigma(t) - s) <= s * 2.0**-52
+                assert abs(sigma(t) - s) <= s * max(2.0**-52, mp.mpf(10) ** (8 - dps))
+                assert tau(s, dps=dps) * s == t
             else:
                 with pytest.raises(DomainError, match=f"not representable at {dps} digits"):
                     sigma_inverse(s, dps=dps)

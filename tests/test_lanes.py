@@ -208,17 +208,33 @@ def lane_data(lo, hi, speed, exit_velocity, lanes=61, seed=61):
     return P, V
 
 
-def circle_pullback_case():
-    """The circle scenario's pullback metric on chi's box domain, as its
-    pipeline builds them, at points psi(u, c) of the tube."""
-    scn = BUILTIN_SCENARIOS["circle"]
+@functools.lru_cache(maxsize=None)
+def certified_radius(name):
+    """A built-in tube scenario's background metric, submanifold, base
+    interval, radius grid and certified radius, as its pipeline builds
+    them.  The radius search is the costly step, so tests share it."""
+    scn = BUILTIN_SCENARIOS[name]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
     grid = _interior_grid(lo, hi, scn.sample("grid"))
-    delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
+    return gt, N, lo, hi, grid, tubular_radius_estimate(gt, N, grid, scn.delta0)
+
+
+def tube_pipeline(name):
+    """psi of a built-in tube scenario on its certified radius, with the
+    pipeline's seed table, on a new frame whose memo no other test has
+    filled, and the pieces it is built from."""
+    gt, N, lo, hi, grid, delta = certified_radius(name)
     frame = NormalFrame(gt, N)
-    psi = _build_psi(scn, frame, delta)
+    psi = _build_psi(BUILTIN_SCENARIOS[name], frame, delta)
     psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
+    return psi, frame, gt, delta, lo, hi, grid
+
+
+def circle_pullback_case():
+    """The circle scenario's pullback metric on chi's box domain, as its
+    pipeline builds them, at points psi(u, c) of the tube."""
+    psi, frame, gt, delta, lo, hi, grid = tube_pipeline("circle")
     box_lo = np.min(psi.seed_images, axis=0) - 0.3 * delta(grid[0])
     box_hi = np.max(psi.seed_images, axis=0) + 0.3 * delta(grid[0])
     dom = lambda x: bool(np.all(x > box_lo) and np.all(x < box_hi))  # noqa: E731
@@ -325,14 +341,7 @@ class TestFrameLanes:
 
 
 def helix_pipeline():
-    scn = BUILTIN_SCENARIOS["helix"]
-    gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    grid = _interior_grid(lo, hi, scn.sample("grid"))
-    delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
-    frame = NormalFrame(gt, N)
-    psi = _build_psi(scn, frame, delta)
-    psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
+    psi, frame, _, delta, lo, hi, _ = tube_pipeline("helix")
     return psi, reference_embedding(frame, delta), lo, hi
 
 
@@ -386,20 +395,6 @@ def test_builtin_maps_and_metrics_take_lanes(name):
     assert gt.lanes and pullback_metric(build_chi(psi, phi), gt).lanes
 
 
-@functools.lru_cache(maxsize=None)
-def certified_tube(name):
-    """psi of a built-in tube scenario on its certified radius, with its seed
-    table, and the background metric, as the pipeline builds them; shared
-    by the examples of a property test (every map here is pure)."""
-    scn = BUILTIN_SCENARIOS[name]
-    gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = tubular_radius_estimate(gt, N, _interior_grid(lo, hi, scn.sample("grid")), scn.delta0)
-    psi = _build_psi(scn, NormalFrame(gt, N), delta)
-    psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
-    return psi, gt, lo, hi
-
-
 def nearest_seed(psi, X):
     d = psi.seed_images - X[:, None, :]
     return np.argmin(np.sqrt((d * d).sum(axis=-1)), axis=1)
@@ -426,7 +421,7 @@ class TestInvertContract:
     @given(draws=st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=12))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_and_each_lane_equals_its_solo_solve(self, name, draws):
-        psi, _, lo, hi = certified_tube(name)
+        psi, _, _, _, lo, hi, _ = tube_pipeline(name)
         UC = tube_points(psi, lo, hi, draws)
         X = psi.map(UC)
         batch = psi.invert(X)
@@ -579,7 +574,7 @@ class TestCheckLanes:
 
     @pytest.mark.parametrize("name", ["helix", "circle"])
     def test_grid_checks_equal_their_per_point_results(self, name):
-        psi, gt, lo, hi = certified_tube(name)
+        psi, _, gt, _, lo, hi, _ = tube_pipeline(name)
         grid = _interior_grid(lo, hi, 9)
         field = pushforward_field(psi)
         ok, res = is_euler_like(field, gt, psi.N, grid)
