@@ -125,9 +125,9 @@ def reference_embedding(frame: NormalFrame, delta: RadiusFunction) -> TubularEmb
     N = frame.N
     k = N.param_dim
 
-    def in_domain(uc):
-        u, c = uc[..., :k], uc[..., k:]
-        return N.in_param_domain(u) & (np.sqrt((c * c).sum(axis=-1)) < delta(u))
+    def in_domain(UC):
+        u, c = UC[:, :k], UC[:, k:]
+        return N.in_param_domain(u) & (np.sqrt((c * c).sum(axis=1)) < delta(u))
 
     chart = replace(normal_exponential(frame), domain=in_domain)
     return TubularEmbedding(map=chart, frame=frame, delta=delta)

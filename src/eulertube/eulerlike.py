@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .embeddings import TubularEmbedding
-from .errors import FlowExit, NoConvergence, NotVanishing
+from .errors import EulertubeError, FlowExit, NoConvergence, NotVanishing
 from .metrics import MetricField
 from .numerics import Array, DifferentiableMap, as_lanes, ode_integrate
 from .submanifolds import ParametrizedSubmanifold, normal_space_basis
@@ -123,7 +123,8 @@ def pushforward_field(
     first-same-as-last, so the accepted states it tests are stage points
     the field was just evaluated at.  A lane's cold inversion is a pure
     function of its point, so this memo is too.  A lane whose inversion
-    fails is outside the domain.
+    fails with an EulertubeError is outside the domain; any other exception
+    is a defect and propagates.
     """
     k = psi.N.param_dim
     n = psi.N.ambient_dim
@@ -143,21 +144,20 @@ def pushforward_field(
         UC = preimages(X)
         return pushforward_euler(psi, UC[:, :k], UC[:, k:])
 
-    def in_domain(x):
-        X, single = as_lanes(x, n)
+    def in_domain(X):
         try:
             UC = preimages(X)
-        except Exception:
+        except EulertubeError:
             # some lane's inversion failed: the lanes answer one at a time
-            inside = np.array([in_domain(y) for y in X]) if len(X) > 1 else np.zeros(1, bool)
-        else:
-            u, c = UC[:, :k], UC[:, k:]
-            inside = np.ones(len(X), dtype=bool) if psi.delta is None else (
-                np.sqrt((c * c).sum(axis=1)) < domain_margin * psi.delta(u)
-            )
-        return bool(inside[0]) if single else inside
+            if len(X) == 1:
+                return np.zeros(1, bool)
+            return np.array([in_domain(X[i : i + 1])[0] for i in range(len(X))])
+        if psi.delta is None:
+            return np.ones(len(X), dtype=bool)
+        u, c = UC[:, :k], UC[:, k:]
+        return np.sqrt((c * c).sum(axis=1)) < domain_margin * psi.delta(u)
 
-    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain, lanes=True)
+    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain)
 
 
 def _default_t_seq() -> Sequence[float]:

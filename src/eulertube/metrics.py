@@ -7,44 +7,46 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainMargin, NotInDomain, SingularMetric
-from .numerics import Array, Trajectory, as_lanes, lanes_in, on_lanes, ode_integrate
+from .errors import DomainMargin, EulertubeError, NotInDomain, SingularMetric
+from .numerics import Array, Trajectory, as_lanes, ode_integrate
 
 
 @dataclass(frozen=True)
 class MetricField:
     """A smooth symmetric-positive-definite matrix field on an open region.
 
-    ``christoffel_fn`` and ``geodesic_fn`` are optional shortcuts: analytic
-    formulas for standard background metrics, or, for a pullback metric,
-    its chart-stencil finite difference (``realization.pullback_metric``).
-    When present they are cross-checked against the ambient
-    finite-difference / integration routes by the test suite.  Both take
-    lanes: ``christoffel_fn`` maps points (B, n) to symbols (B, n, n, n),
+    Every callable takes lanes, a stack of independent points (B, n), and
+    returns per-lane results: ``matrix_fn`` the matrices (B, n, n) and
+    ``domain`` a (B,) bool mask.  ``matrix`` and ``contains`` also take one
+    point (n,), as a batch of one.  ``christoffel_fn`` and ``geodesic_fn``
+    are optional shortcuts: analytic formulas for standard background
+    metrics, or, for a pullback metric, its chart-stencil finite difference
+    (``realization.pullback_metric``).  When present they are cross-checked
+    against the ambient finite-difference / integration routes by the test
+    suite.  ``christoffel_fn`` maps points (B, n) to symbols (B, n, n, n),
     and ``geodesic_fn(P, V, t)`` returns the exact ``(points, velocities)``
     (B, n) at parameter t of the geodesics with initial data (P, V), a
-    zero-velocity lane returning its (p, v).  ``matrix`` takes one point
-    (n,) or lanes (B, n); with ``lanes=True`` ``matrix_fn`` takes lanes and
-    returns (B, n, n), otherwise it is called once per lane (the standard
-    metrics below take either).  ``domain`` takes one point; ``contains``
-    applies it to one point or to each lane.
+    zero-velocity lane returning its (p, v).
     """
 
     dim: int
     matrix_fn: Callable[[Array], Array]
-    domain: Optional[Callable[[Array], bool]] = None
+    domain: Optional[Callable[[Array], Array]] = None
     name: str = ""
     fd_step: float = 1e-5
     christoffel_fn: Optional[Callable[[Array], Array]] = None
     geodesic_fn: Optional[Callable[[Array, Array, float], tuple]] = None
-    lanes: bool = False
 
     def matrix(self, x) -> Array:
-        return on_lanes(self.matrix_fn, self.lanes, x)
+        X, single = as_lanes(x, self.dim)
+        G = np.asarray(self.matrix_fn(X), dtype=float)
+        return G[0] if single else G
 
     def contains(self, x):
         """Domain membership: a bool at one point, a (B,) mask on lanes."""
-        return lanes_in(self.domain, False, x, self.dim)
+        X, single = as_lanes(x, self.dim)
+        inside = np.ones(len(X), bool) if self.domain is None else np.asarray(self.domain(X), bool)
+        return bool(inside[0]) if single else inside
 
 
 def validate_metric(g: MetricField, points, sym_tol: float = 1e-12) -> float:
@@ -243,10 +245,11 @@ def exp_differential_at_zero(
 
 
 def velocity_in_domain(g: MetricField, p, v, tol: float = 1e-9) -> bool:
-    """Operational membership test for the exponential map's domain at p."""
+    """Operational membership test for the exponential map's domain at p:
+    a geodesic that exits, or fails with an EulertubeError, is outside."""
     try:
         traj = geodesic(g, p, v, 1.0, tol)
-    except Exception:
+    except EulertubeError:
         return False
     return not traj.exited
 
@@ -258,17 +261,16 @@ def euclidean_metric(n: int, domain=None, name: str = "euclidean") -> MetricFiel
     eye = np.eye(n)
     return MetricField(
         dim=n,
-        matrix_fn=lambda x: eye + np.zeros(x.shape[:-1] + (1, 1)),
+        matrix_fn=lambda X: eye + np.zeros((len(X), 1, 1)),
         domain=domain,
         name=name,
-        christoffel_fn=lambda x: np.zeros(np.shape(x) + (n, n)),
+        christoffel_fn=lambda X: np.zeros((len(X), n, n, n)),
         geodesic_fn=lambda p, v, t: (p + t * v, v),
-        lanes=True,
     )
 
 
 def _diag2(a, b: Array) -> Array:
-    """diag(a, b) for every entry of b: one matrix or lanes of them."""
+    """diag(a, b) for every lane of b (B,): matrices (B, 2, 2)."""
     out = np.zeros(np.shape(b) + (2, 2))
     out[..., 0, 0] = a
     out[..., 1, 1] = b
@@ -278,23 +280,19 @@ def _diag2(a, b: Array) -> Array:
 def polar_metric(domain=None) -> MetricField:
     """diag(1, r^2) on the half-plane r > 0; no analytic shortcuts on purpose."""
     if domain is None:
-        domain = lambda x: x[0] > 1e-3  # noqa: E731
+        domain = lambda X: X[:, 0] > 1e-3  # noqa: E731
     return MetricField(
         dim=2,
-        matrix_fn=lambda x: _diag2(1.0, x[..., 0] ** 2),
+        matrix_fn=lambda X: _diag2(1.0, X[:, 0] ** 2),
         domain=domain,
         name="polar",
-        lanes=True,
     )
 
 
-def _sphere_chart_geodesic(p, v, t):
+def _sphere_chart_geodesic(P, V, t):
     """Exact great-circle geodesics in colatitude/longitude coordinates, on
-    lanes p, v (B, 2) or at one point (2,); a lane with zero velocity keeps
-    its (p, v)."""
-    P = np.atleast_2d(np.asarray(p, dtype=float))
-    V = np.atleast_2d(np.asarray(v, dtype=float))
-    X, W = P.copy(), V.copy()
+    lanes P, V (B, 2); a lane with zero velocity keeps its (p, v)."""
+    X, W = np.array(P, dtype=float), np.array(V, dtype=float)
     theta, phi = P[:, 0], P[:, 1]
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
@@ -314,7 +312,7 @@ def _sphere_chart_geodesic(p, v, t):
         X[m, 1] = np.arctan2(x[:, 1], x[:, 0])
         W[m, 0] = -xd[:, 2] / np.sin(theta_t)
         W[m, 1] = (x[:, 0] * xd[:, 1] - x[:, 1] * xd[:, 0]) / (x[:, 0] ** 2 + x[:, 1] ** 2)
-    return X.reshape(np.shape(p)), W.reshape(np.shape(v))
+    return X, W
 
 
 def sphere_chart_metric(
@@ -324,26 +322,25 @@ def sphere_chart_metric(
 ) -> MetricField:
     """Round-sphere chart metric diag(1, sin^2 theta) in (theta, phi)."""
 
-    def in_domain(x):
+    def in_domain(X):
+        theta, phi = X[:, 0], X[:, 1]
         return (
-            theta_bounds[0] < x[0] < theta_bounds[1]
-            and phi_bounds[0] < x[1] < phi_bounds[1]
+            (theta_bounds[0] < theta) & (theta < theta_bounds[1])
+            & (phi_bounds[0] < phi) & (phi < phi_bounds[1])
         )
 
-    def gamma(x):
-        theta = x[..., 0]
-        st, ct = np.sin(theta), np.cos(theta)
-        out = np.zeros(np.shape(x) + (2, 2))
-        out[..., 0, 1, 1] = -st * ct
-        out[..., 1, 0, 1] = out[..., 1, 1, 0] = ct / st
+    def gamma(X):
+        st, ct = np.sin(X[:, 0]), np.cos(X[:, 0])
+        out = np.zeros((len(X), 2, 2, 2))
+        out[:, 0, 1, 1] = -st * ct
+        out[:, 1, 0, 1] = out[:, 1, 1, 0] = ct / st
         return out
 
     return MetricField(
         dim=2,
-        matrix_fn=lambda x: _diag2(1.0, np.sin(x[..., 0]) ** 2),
+        matrix_fn=lambda X: _diag2(1.0, np.sin(X[:, 0]) ** 2),
         domain=in_domain,
         name="sphere-chart",
         christoffel_fn=gamma,
         geodesic_fn=_sphere_chart_geodesic if use_closed_form else None,
-        lanes=True,
     )

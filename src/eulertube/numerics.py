@@ -32,42 +32,16 @@ def as_lanes(x, d: int):
     return x, False
 
 
-def on_lanes(fn: Callable, lanes: bool, x) -> Array:
-    """``fn`` at one point x (d,) or on lanes (B, d).  A function that takes
-    lanes gets one call (a point as a batch of one); any other gets one
-    call per lane, stacked.  Either way lane b's result depends on x[b]
-    only."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim <= 1:
-        return np.asarray(fn(x[None]), dtype=float)[0] if lanes else np.asarray(fn(x), dtype=float)
-    if lanes:
-        return np.asarray(fn(x), dtype=float)
-    return np.array([np.asarray(fn(point), dtype=float) for point in x])
-
-
-def lanes_in(predicate: Optional[Callable], lanes: bool, x, d: int):
-    """A domain predicate at one point x (d,), as a bool, or on lanes
-    (B, d), as a (B,) mask; no predicate admits everything."""
-    X, single = as_lanes(x, d)
-    if predicate is None:
-        inside = np.ones(len(X), dtype=bool)
-    elif lanes:
-        inside = np.asarray(predicate(X), dtype=bool) | np.zeros(len(X), dtype=bool)
-    else:
-        inside = np.array([bool(predicate(point)) for point in X], dtype=bool)
-    return bool(inside[0]) if single else inside
-
-
 @dataclass(frozen=True)
 class DifferentiableMap:
     """A smooth map with an evaluation oracle and optional analytic jacobian.
 
-    A map is evaluated at one point x of shape (d,) or on lanes, a stack of
-    independent points of shape (B, d).  With ``lanes=True``, ``fn``, ``jac``
-    and ``domain`` take lanes: (B, d) -> (B, c), (B, c, d) and a (B,) mask;
-    otherwise they take one point and lanes are looped.  If no analytic
-    jacobian is supplied, ``jacobian`` falls back to central per-coordinate
-    finite differences with step ``fd_step``.
+    ``fn``, ``jac`` and ``domain`` take lanes, a stack of independent
+    points (B, d), and return per-lane results: (B, c), (B, c, d) and a
+    (B,) bool mask.  The map, its jacobian and ``contains`` also take one
+    point (d,), as a batch of one.  If no analytic jacobian is supplied,
+    ``jacobian`` falls back to central per-coordinate finite differences
+    with step ``fd_step``.
     """
 
     domain_dim: int
@@ -75,18 +49,21 @@ class DifferentiableMap:
     fn: Callable[[Array], Array]
     jac: Optional[Callable[[Array], Array]] = None
     fd_step: float = 1e-5
-    domain: Optional[Callable[[Array], bool]] = None
-    lanes: bool = False
+    domain: Optional[Callable[[Array], Array]] = None
 
     def __call__(self, x) -> Array:
-        return on_lanes(self.fn, self.lanes, x)
+        X, single = as_lanes(x, self.domain_dim)
+        F = np.asarray(self.fn(X), dtype=float)
+        return F[0] if single else F
 
     def jacobian(self, x) -> Array:
         return jacobian(self, x)
 
     def contains(self, x):
         """Domain membership: a bool at one point, a (B,) mask on lanes."""
-        return lanes_in(self.domain, self.lanes, x, self.domain_dim)
+        X, single = as_lanes(x, self.domain_dim)
+        inside = np.ones(len(X), bool) if self.domain is None else np.asarray(self.domain(X), bool)
+        return bool(inside[0]) if single else inside
 
 
 def jacobian(f: DifferentiableMap, x) -> Array:
@@ -98,7 +75,7 @@ def jacobian(f: DifferentiableMap, x) -> Array:
     """
     X, single = as_lanes(x, f.domain_dim)
     if f.jac is not None:
-        J = on_lanes(f.jac, f.lanes, X)
+        J = np.asarray(f.jac(X), dtype=float)
     else:
         h = f.fd_step
         d = f.domain_dim
@@ -106,11 +83,11 @@ def jacobian(f: DifferentiableMap, x) -> Array:
         # S[s, b, i] = X[b] + h e_i (s = 0) or X[b] - h e_i (s = 1)
         S = np.stack([X[:, None, :] + steps, X[:, None, :] - steps]).reshape(2 * len(X) * d, d)
         if f.domain is not None:
-            outside = ~lanes_in(f.domain, f.lanes, S, d)
+            outside = ~f.contains(S)
             if outside.any():
                 i = int(np.flatnonzero(outside)[0]) % d
                 raise DomainMargin(f"stencil point outside domain at coordinate {i}")
-        F = on_lanes(f.fn, f.lanes, S) if len(S) else np.empty((0, f.codomain_dim))
+        F = f(S) if len(S) else np.empty((0, f.codomain_dim))
         F = F.reshape(2, len(X), d, f.codomain_dim)
         J = np.transpose((F[0] - F[1]) / (2.0 * h), (0, 2, 1))
     return J[0] if single else J
@@ -214,21 +191,23 @@ def ode_integrate(
     y0,
     t_end,
     tol: float,
-    domain: Optional[Callable[[Array], bool]] = None,
+    domain: Optional[Callable[[Array], Array]] = None,
     max_steps: int = 100_000,
 ) -> Trajectory:
     """Adaptive order-4/5 integration of dy/dt = field(y) from t=0 to t_end.
 
-    ``y0`` is one state (d,) with a scalar ``t_end``, or lanes (B, d) with
-    ``t_end`` scalar or (B,); on lanes ``field`` maps (B', d) to (B', d) and
-    ``domain`` returns a (B',) mask, for any subset of lanes.  Every lane
-    keeps its own step size, error control, step budget and retirement, so
-    a lane's result does not depend on the others.  Per-step local error
-    is kept below ``tol`` (max norm).  If a ``domain`` predicate is given
-    and the state leaves it, the lane stops with ``exited=True``; its step
-    is bisected first so the final stored state sits just inside the
-    boundary.  A lane whose field evaluation fails halves its step, and
-    exits once the step is below its floor.
+    ``field`` and ``domain`` take lanes: ``field`` maps states (B', d) to
+    (B', d) and ``domain`` returns a (B',) bool mask, for any subset of
+    lanes.  ``y0`` is lanes (B, d) with ``t_end`` scalar or (B,), or one
+    state (d,) with a scalar ``t_end``, a batch of one whose trajectory
+    comes back without the lane axis.  Every lane keeps its own step size,
+    error control, step budget and retirement, so a lane's result does not
+    depend on the others.  Per-step local error is kept below ``tol`` (max
+    norm).  If a ``domain`` predicate is given and the state leaves it, the
+    lane stops with ``exited=True``; its step is bisected first so the
+    final stored state sits just inside the boundary.  A lane whose field
+    evaluation fails halves its step, and exits once the step is below its
+    floor.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -238,11 +217,6 @@ def ode_integrate(
     t_end = np.broadcast_to(np.asarray(t_end, dtype=float), y.shape[:1]).copy()
     if np.any(t_end < 0):
         raise ValueError("t_end must be nonnegative")
-    if single:
-        f = lambda Y: np.asarray(field(Y[0]), dtype=float)[None]  # noqa: E731
-        inside = None if domain is None else lambda Y: np.array([bool(domain(Y[0]))])
-    else:
-        f, inside = field, domain
 
     # the arrays below hold the lanes still running, whose indices are
     # ``live``; t_all and y_all hold every lane
@@ -258,7 +232,7 @@ def ode_integrate(
     h_min = 1e-14 * np.abs(h)
     h_exit = 1e-12 * np.abs(h)
     steps = np.zeros(len(live), dtype=int)
-    k1 = f(y) if len(live) else y
+    k1 = np.asarray(field(y), dtype=float) if len(live) else y
     times = [t_all.copy()]
     states = [y_all.copy()]
     while len(live):
@@ -267,7 +241,7 @@ def ode_integrate(
             raise StepUnderflow("step budget exhausted")
         h = np.minimum(h, t_end - t)
         ok = np.ones(len(live), dtype=bool)
-        y_new, err, k_last = _dp_step(f, y, h, k1, ok)
+        y_new, err, k_last = _dp_step(field, y, h, k1, ok)
         # ~ok: a trial stage point left the region where the field is
         # evaluable; operationally this is a domain boundary
         err = np.where(np.isfinite(y_new).all(axis=1), err, np.inf)
@@ -278,11 +252,11 @@ def ode_integrate(
             ratio = np.divide(tol, err, out=np.full(len(live), np.inf), where=err > 0.0)
         shrink = np.where(err < np.inf, np.maximum(0.2, 0.9 * ratio**0.2), 0.2)
         accept = ok & ~reject
-        if inside is not None and np.count_nonzero(accept):
+        if domain is not None and np.count_nonzero(accept):
             if np.count_nonzero(accept) == len(live):
-                accept = np.asarray(inside(y_new), dtype=bool).copy()
+                accept = np.asarray(domain(y_new), dtype=bool).copy()
             else:
-                accept[accept] = np.asarray(inside(y_new[accept]), dtype=bool)
+                accept[accept] = np.asarray(domain(y_new[accept]), dtype=bool)
         failed = ~accept & ~reject
         stop = failed & (h < h_exit)
         grow = np.where(err == 0.0, 5.0, np.minimum(5.0, shrink))

@@ -48,15 +48,15 @@ class ComparisonMap:
     ``chart`` is psi's map (u, c) -> x and ``target`` phi's map
     (u, c) -> y on the same frame coordinates; ``preimage`` solves
     chart(uc) = x.  ``preimage`` is a pure function of x, so chi(x) does not
-    depend on what was evaluated before.  chi, its jacobian and
-    ``preimage`` take one point (n,) or lanes (B, n).  ``domain`` takes one
-    point.
+    depend on what was evaluated before.  ``domain`` takes lanes (B, n) and
+    returns a (B,) bool mask; chi, its jacobian and ``preimage`` take one
+    point (n,) or lanes (B, n).
     """
 
     chart: DifferentiableMap
     target: DifferentiableMap
     preimage: Callable[[Array], Array]
-    domain: Optional[Callable[[Array], bool]] = None
+    domain: Optional[Callable[[Array], Array]] = None
 
     @property
     def domain_dim(self) -> int:
@@ -76,7 +76,7 @@ def build_chi(
     psi: TubularEmbedding,
     phi: TubularEmbedding,
     invert_tol: float = 1e-12,
-    domain: Optional[Callable[[Array], bool]] = None,
+    domain: Optional[Callable[[Array], Array]] = None,
 ) -> ComparisonMap:
     """The comparison map chi = phi o psi^{-1}; each evaluation inverts psi
     by a Newton solve from its seed table, one lane per point."""
@@ -174,7 +174,6 @@ def pullback_metric(
         name=name,
         fd_step=fd_step,
         christoffel_fn=gamma,
-        lanes=True,
     )
 
 
@@ -291,9 +290,7 @@ def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricFie
         raise HypothesisFailure("differential of psi at 0 is not the identity")
 
     eye = np.eye(n)[None]
-    identity = DifferentiableMap(
-        n, n, fn=lambda X: X, jac=lambda X: eye.repeat(len(X), axis=0), lanes=True
-    )
+    identity = DifferentiableMap(n, n, fn=lambda X: X, jac=lambda X: eye.repeat(len(X), axis=0))
     chi = ComparisonMap(
         chart=psi,
         target=identity,

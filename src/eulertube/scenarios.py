@@ -47,7 +47,7 @@ from .submanifolds import (
 
 
 def _box_domain(n: int, half: float):
-    return lambda x: bool(np.max(np.abs(x)) < half)
+    return lambda X: np.max(np.abs(X), axis=1) < half
 
 
 BACKGROUNDS: Dict[str, Callable[[], MetricField]] = {
@@ -61,7 +61,7 @@ def _curve(name: str, n: int, lo: float, hi: float, fn, jac):
     """A curve u -> p(u) in R^n on lo < u < hi, from lane formulas of the
     parameter column t (B, 1): fn(t) gives the points (B, n), jac(t) the
     tangents (B, n)."""
-    chart = DifferentiableMap(1, n, fn, jac=lambda U: jac(U)[:, :, None], lanes=True)
+    chart = DifferentiableMap(1, n, fn, jac=lambda U: jac(U)[:, :, None])
     N = ParametrizedSubmanifold(
         1, n, chart, param_domain=lambda U: (lo < U[:, 0]) & (U[:, 0] < hi), name=name
     )
@@ -434,9 +434,16 @@ def _build_psi(scn: Scenario, frame: NormalFrame, delta: RadiusFunction) -> Tubu
         jac=jac,
         fd_step=1e-6,
         domain=in_domain,
-        lanes=True,
     )
     return TubularEmbedding(map=psi_map, frame=frame, delta=delta)
+
+
+def _image_box(psi: TubularEmbedding, margin: float):
+    """The box around psi's seed images, widened by ``margin`` on every
+    side, as a lane mask."""
+    lo = np.min(psi.seed_images, axis=0) - margin
+    hi = np.max(psi.seed_images, axis=0) + margin
+    return lambda X: np.all(X > lo, axis=1) & np.all(X < hi, axis=1)
 
 
 def _fiber_directions(m: int, count: int) -> List[Array]:
@@ -545,10 +552,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_chi():
         phi = reference_embedding(frame, delta)
-        lo_img = np.min(psi.seed_images, axis=0) - 0.3 * delta(grid[0])
-        hi_img = np.max(psi.seed_images, axis=0) + 0.3 * delta(grid[0])
-        dom = lambda x: bool(np.all(x > lo_img) and np.all(x < hi_img))
-        chi = build_chi(psi, phi, domain=dom)
+        chi = build_chi(psi, phi, domain=_image_box(psi, 0.3 * delta(grid[0])))
         state["phi"] = phi
         state["chi"] = chi
         P = N.point(np.array(grid))
@@ -660,7 +664,7 @@ def _run_point_scenario(scn: Scenario) -> List[ResidualReport]:
             J[:, 1, 1] = 1.0
             return J
 
-        psi = DifferentiableMap(2, 2, fn, jac=jac, lanes=True)
+        psi = DifferentiableMap(2, 2, fn, jac=jac)
         rng = np.random.default_rng(7)
         count = 100
         vs = []

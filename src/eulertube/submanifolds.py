@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NotInDomain, NoValidRadius, RankDeficient
 from .metrics import MetricField, exp_map
-from .numerics import Array, DifferentiableMap, as_lanes, lanes_in
+from .numerics import Array, DifferentiableMap, as_lanes
 
 _RANK_TOL = 1e-8
 
@@ -19,17 +19,15 @@ _RANK_TOL = 1e-8
 class ParametrizedSubmanifold:
     """A full-rank injective parametrization u -> p(u) of N inside R^n.
 
-    ``point`` and ``tangent_basis`` take one parameter (k,) or lanes (B, k);
-    ``param_domain`` takes what the chart's ``fn`` takes (lanes when the
-    chart has ``lanes=True``).
+    ``param_domain``, like the chart's callables, takes lanes of parameters
+    (B, k) and returns a (B,) bool mask.  ``point``, ``tangent_basis`` and
+    ``in_param_domain`` take one parameter (k,) or lanes (B, k).
     """
 
     param_dim: int
     ambient_dim: int
     chart: DifferentiableMap
-    # takes lanes (B, k) -> (B,) mask when chart.lanes is set, else one
-    # parameter -> bool; in_param_domain calls it either way
-    param_domain: Optional[Callable[[Array], bool]] = None
+    param_domain: Optional[Callable[[Array], Array]] = None
     name: str = ""
 
     def point(self, u) -> Array:
@@ -41,7 +39,10 @@ class ParametrizedSubmanifold:
 
     def in_param_domain(self, u):
         """A bool for one parameter, a (B,) mask on lanes."""
-        return lanes_in(self.param_domain, self.chart.lanes, u, self.param_dim)
+        U, single = as_lanes(u, self.param_dim)
+        domain = self.param_domain
+        inside = np.ones(len(U), bool) if domain is None else np.asarray(domain(U), bool)
+        return bool(inside[0]) if single else inside
 
 
 @dataclass(frozen=True)
@@ -326,13 +327,13 @@ def normal_exponential(frame: NormalFrame) -> DifferentiableMap:
             fp = frame.derivative(UC[:, :k])
             return np.concatenate([fp.J + _T((fp.dB @ UC[:, None, k:, None])[..., 0]), fp.B], axis=2)
 
-        return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, jac=jac, lanes=True)
+        return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, jac=jac)
 
     def fn(UC):
         fp = frame.at(UC[:, :k])
         return exp_map(g, fp.p, (fp.B @ UC[:, k:, None])[:, :, 0], tol=_EXP_TOL)
 
-    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, fd_step=_EXP_FD_STEP, lanes=True)
+    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, fd_step=_EXP_FD_STEP)
 
 
 _RADIUS_COND_LIMIT = 1e6  # largest metric-weighted condition number of the chart

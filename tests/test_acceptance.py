@@ -73,7 +73,12 @@ def circle_pullback_pipeline():
     psi = _build_psi(scn, frame, delta)
     psi.build_seed_table(grid)
     phi = reference_embedding(frame, delta)
-    chi = build_chi(psi, phi, domain=lambda x: 0.2 < np.linalg.norm(x) < 1.9)
+
+    def ring(X):
+        r = np.linalg.norm(X, axis=1)
+        return (0.2 < r) & (r < 1.9)
+
+    chi = build_chi(psi, phi, domain=ring)
     return gt, N, delta, pullback_metric(chi, gt)
 
 
@@ -132,7 +137,7 @@ def test_criterion_4_euler_like_round_trip(suite_runs):
         ok &= stages["reconstruction"].max_residual <= 1e-4
 
     # the doubled radial field is not Euler-like and must be rejected hard
-    chart = DifferentiableMap(0, 2, lambda u: np.zeros(2))
+    chart = DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2)))
     origin = ParametrizedSubmanifold(0, 2, chart)
     doubled = DifferentiableMap(2, 2, lambda x: 2.0 * x)
     accepted, res = is_euler_like(doubled, euclidean_metric(2), origin, [np.zeros(0)])
@@ -142,22 +147,24 @@ def test_criterion_4_euler_like_round_trip(suite_runs):
 
 def test_criterion_5_reference_metric_independence():
     chart = DifferentiableMap(
-        1, 2, lambda u: np.array([u[0], 0.0]), jac=lambda u: np.array([[1.0], [0.0]])
+        1,
+        2,
+        lambda U: np.concatenate([U, 0.0 * U], axis=1),
+        jac=lambda U: np.tile([[1.0], [0.0]], (len(U), 1, 1)),
     )
     N = ParametrizedSubmanifold(1, 2, chart, name="x-axis")
     g_euc = euclidean_metric(2)
-    g_skew = MetricField(
-        dim=2,
-        matrix_fn=lambda x: np.array(
-            [
-                [1.0 + 0.5 * x[1] ** 2, 0.4 * x[1]],
-                [0.4 * x[1], 2.0 + x[0] ** 2],
-            ]
-        ),
-        name="skew",
-    )
+
+    def skew(X):
+        G = np.empty((len(X), 2, 2))
+        G[:, 0, 0] = 1.0 + 0.5 * X[:, 1] ** 2
+        G[:, 0, 1] = G[:, 1, 0] = 0.4 * X[:, 1]
+        G[:, 1, 1] = 2.0 + X[:, 0] ** 2
+        return G
+
+    g_skew = MetricField(dim=2, matrix_fn=skew, name="skew")
     delta = RadiusFunction(fn=lambda u: 1.0, grid=[])
-    fn = lambda uc: np.array([uc[0] + 0.2 * uc[1], uc[1] + 0.05 * uc[1] ** 2])
+    fn = lambda UC: np.stack([UC[:, 0] + 0.2 * UC[:, 1], UC[:, 1] + 0.05 * UC[:, 1] ** 2], axis=1)
     psi = TubularEmbedding(
         map=DifferentiableMap(2, 2, fn),
         frame=NormalFrame(g_euc, N),

@@ -13,7 +13,7 @@ from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusF
 
 
 def x_axis_r2():
-    chart = DifferentiableMap(1, 2, lambda u: np.array([u[0], 0.0]))
+    chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
     return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
 
 
@@ -21,11 +21,11 @@ def unit_circle():
     chart = DifferentiableMap(
         1,
         2,
-        lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
-        jac=lambda u: np.array([[-np.sin(u[0])], [np.cos(u[0])]]),
+        lambda U: np.concatenate([np.cos(U), np.sin(U)], axis=1),
+        jac=lambda U: np.stack([-np.sin(U), np.cos(U)], axis=1),
     )
     return ParametrizedSubmanifold(
-        1, 2, chart, param_domain=lambda u: -1.4 < u[0] < 1.4, name="circle"
+        1, 2, chart, param_domain=lambda U: (-1.4 < U[:, 0]) & (U[:, 0] < 1.4), name="circle"
     )
 
 
@@ -67,7 +67,7 @@ class TestValidateEmbedding:
     def test_rejects_scaled_fiber(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
-        bad_map = DifferentiableMap(2, 2, lambda uc: np.array([uc[0], 2.0 * uc[1]]))
+        bad_map = DifferentiableMap(2, 2, lambda UC: np.stack([UC[:, 0], 2.0 * UC[:, 1]], axis=1))
         psi = TubularEmbedding(
             map=bad_map,
             frame=NormalFrame(g, N),
@@ -79,7 +79,7 @@ class TestValidateEmbedding:
     def test_rejects_shifted_zero_section(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
-        bad_map = DifferentiableMap(2, 2, lambda uc: np.array([uc[0], uc[1] + 0.1]))
+        bad_map = DifferentiableMap(2, 2, lambda UC: np.stack([UC[:, 0], UC[:, 1] + 0.1], axis=1))
         psi = TubularEmbedding(
             map=bad_map,
             frame=NormalFrame(g, N),
@@ -93,7 +93,7 @@ class TestInversion:
     def test_round_trip(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
-        fn = lambda uc: np.array([uc[0] + 0.1 * uc[1] ** 2, uc[1]])
+        fn = lambda UC: np.stack([UC[:, 0] + 0.1 * UC[:, 1] ** 2, UC[:, 1]], axis=1)
         psi = TubularEmbedding(
             map=DifferentiableMap(2, 2, fn),
             frame=NormalFrame(g, N),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,18 @@ from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusF
 
 def origin_r2():
     """The single-point submanifold {0} in the plane (k = 0)."""
-    chart = DifferentiableMap(0, 2, lambda u: np.zeros(2))
+    chart = DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2)))
     return ParametrizedSubmanifold(0, 2, chart, name="origin")
 
 
 def x_axis_r2():
-    chart = DifferentiableMap(1, 2, lambda u: np.array([u[0], 0.0]))
+    chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
     return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
+
+
+def quadratic(V):
+    """v + 0.1 (v0^2, 0) on lanes."""
+    return V + 0.1 * np.stack([V[:, 0] ** 2, 0.0 * V[:, 0]], axis=1)
 
 
 def oracle(fn, n=2):
@@ -61,7 +68,7 @@ class TestVanishesOnN:
 
     def test_constant_field_fails(self):
         ok, res = vanishes_on_N(
-            oracle(lambda x: np.array([1.0, 0.0])), origin_r2(), [np.zeros(0)]
+            oracle(lambda X: np.tile([1.0, 0.0], (len(X), 1))), origin_r2(), [np.zeros(0)]
         )
         assert not ok
         assert res == pytest.approx(1.0)
@@ -82,7 +89,7 @@ class TestLinearApproximation:
 
     def test_quadratic_perturbation_invisible(self):
         g = euclidean_metric(2)
-        fn = lambda x: x + np.array([0.3 * x[1] ** 2, 0.2 * x[0] * x[1]])
+        fn = lambda X: X + np.stack([0.3 * X[:, 1] ** 2, 0.2 * X[:, 0] * X[:, 1]], axis=1)
         lin = linear_approximation(oracle(fn), g, origin_r2(), np.zeros(0))
         assert np.max(np.abs(lin.induced - np.eye(2))) <= 1e-6
 
@@ -122,7 +129,7 @@ class TestPushforwardEuler:
     def test_one_fiber_hand_value(self):
         # psi(u, w) = (u, w + 0.1 w^2): fiber slot carries w (1 + 0.2 w)
         psi = embedding_over(
-            x_axis_r2(), lambda uc: np.array([uc[0], uc[1] + 0.1 * uc[1] ** 2])
+            x_axis_r2(), lambda UC: np.stack([UC[:, 0], UC[:, 1] + 0.1 * UC[:, 1] ** 2], axis=1)
         )
         v = pushforward_euler(psi, np.array([0.0]), np.array([0.5]))
         assert v[1] == pytest.approx(0.55, abs=1e-8)
@@ -141,9 +148,7 @@ class TestReconstruction:
         assert np.linalg.norm(rec - w) <= 1e-6
 
     def test_quadratic_embedding_round_trip(self):
-        psi = embedding_over(
-            origin_r2(), lambda v: v + 0.1 * np.array([v[0] ** 2, 0.0])
-        )
+        psi = embedding_over(origin_r2(), quadratic)
         psi.build_seed_table(
             [np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6)
         )
@@ -160,9 +165,7 @@ class TestReconstruction:
             reconstruct_embedding(X, psi0, np.zeros(0), np.array([0.3, 0.1]))
 
     def test_domain_test_reuses_the_field_preimage(self, monkeypatch):
-        psi = embedding_over(
-            origin_r2(), lambda v: v + 0.1 * np.array([v[0] ** 2, 0.0])
-        )
+        psi = embedding_over(origin_r2(), quadratic)
         psi.build_seed_table([np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6))
         calls = []
         invert = TubularEmbedding.invert
@@ -175,15 +178,27 @@ class TestReconstruction:
         X = pushforward_field(psi)
         x = np.array([0.3, -0.2])
         X(x)
-        assert X.domain(x.copy())
+        assert X.contains(x.copy())
         assert len(calls) == 1
-        X.domain(x + 0.01)
+        X.contains(x + 0.01)
         assert len(calls) == 2
 
+    def test_a_defect_in_psi_raises_from_the_domain_test(self):
+        # only the package's own errors mean "outside the domain"; a
+        # TypeError in psi's map is a defect and must surface
+        psi = embedding_over(origin_r2(), quadratic)
+        psi.build_seed_table([np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6))
+
+        def broken(V):
+            raise TypeError("map defect")
+
+        psi.map = dataclasses.replace(psi.map, fn=broken)
+        X = pushforward_field(psi)
+        with pytest.raises(TypeError):
+            X.contains(np.array([0.3, -0.2]))
+
     def test_pushforward_passes_euler_like(self):
-        psi = embedding_over(
-            origin_r2(), lambda v: v + 0.1 * np.array([v[0] ** 2, 0.0])
-        )
+        psi = embedding_over(origin_r2(), quadratic)
         psi.build_seed_table([np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6))
         X = pushforward_field(psi)
         g = euclidean_metric(2)

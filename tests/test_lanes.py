@@ -33,12 +33,12 @@ from eulertube.scenarios import (
     BUILTIN_SCENARIOS,
     SUBMANIFOLDS,
     _build_psi,
+    _image_box,
     _interior_grid,
 )
 from eulertube.submanifolds import (
     NormalFrame,
     RadiusFunction,
-    normal_exponential,
     normal_space_basis,
     tubular_radius_estimate,
 )
@@ -58,7 +58,7 @@ def quadratic_map():
         J[:, 1, 1] = 1.0 + 0.05 * X[:, 0]
         return J
 
-    return DifferentiableMap(2, 2, fn, jac=jac, lanes=True)
+    return DifferentiableMap(2, 2, fn, jac=jac)
 
 
 class TestSolveInverseLanes:
@@ -85,19 +85,11 @@ class TestSolveInverseLanes:
             alone = solve_inverse(f, y[i : i + 1], x0[i : i + 1])
             assert alone.tobytes() == batch[i : i + 1].tobytes()
 
-    def test_a_map_without_lanes_is_looped(self):
-        f = quadratic_map()
-        looped = DifferentiableMap(2, 2, lambda x: f(x), jac=lambda x: f.jacobian(x))
-        y = f(np.array([[0.3, -0.2], [0.5, 0.7], [-0.6, 0.1]]))
-        assert solve_inverse(looped, y, np.zeros((3, 2))).tobytes() == (
-            solve_inverse(f, y, np.zeros((3, 2))).tobytes()
-        )
-
     @pytest.mark.parametrize("eps, raises", [(2.5e-13, True), (4e-10, False)])
     def test_condition_guard(self, eps, raises):
         # the 1-norm condition number of [[1, 1], [1, 1 + eps]] is about 4 / eps
         A = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
-        f = DifferentiableMap(2, 2, lambda x: A @ x, jac=lambda x: A)
+        f = DifferentiableMap(2, 2, lambda X: X @ A.T, jac=lambda X: np.tile(A, (len(X), 1, 1)))
         y = A @ np.array([0.3, -0.2])
         if raises:
             with pytest.raises(SingularJacobian):
@@ -138,8 +130,7 @@ class TestOdeIntegrateLanes:
             assert states.tobytes() == alone.states[:, 0].tobytes()
 
     def test_scalar_call_is_a_batch_of_one(self):
-        field = lambda y: np.array([y[1], -y[0]])  # noqa: E731
-        one = ode_integrate(field, np.array([1.0, 0.0]), 2.0, 1e-10)
+        one = ode_integrate(oscillator, np.array([1.0, 0.0]), 2.0, 1e-10)
         lanes = ode_integrate(oscillator, np.array([[1.0, 0.0]]), 2.0, 1e-10)
         assert one.times.tobytes() == lanes.times[:, 0].tobytes()
         assert one.states.tobytes() == lanes.states[:, 0].tobytes()
@@ -189,7 +180,7 @@ class TestGeodesicContract:
         p, v = np.array([theta, phi]), np.array([a, b])
         traj = geodesic(g, p, v, 1.0, tol=1e-10, use_closed_form=False)
         assert not traj.exited
-        x, w = g.geodesic_fn(p, v, 1.0)
+        x, w = (a[0] for a in g.geodesic_fn(p[None], v[None], 1.0))
         assert np.max(np.abs(traj.points[-1] - x)) <= 1e-7
         assert np.max(np.abs(traj.velocities[-1] - w)) <= 1e-6
 
@@ -197,12 +188,12 @@ class TestGeodesicContract:
 ZERO, EXIT = 3, 7  # the lanes below with zero velocity and leaving the domain
 
 
-def lane_data(lo, hi, speed, exit_velocity, lanes=61, seed=61):
-    """Points uniform in the box [lo, hi], velocities uniform in
+def lane_data(lo, hi, speed, exit_velocity, count=61, seed=61):
+    """``count`` points uniform in the box [lo, hi], velocities uniform in
     [-speed, speed], lane ZERO at rest and lane EXIT leaving the domain."""
     rng = np.random.default_rng(seed)
-    P = rng.uniform(lo, hi, size=(lanes, 2))
-    V = rng.uniform(-speed, speed, size=(lanes, 2))
+    P = rng.uniform(lo, hi, size=(count, 2))
+    V = rng.uniform(-speed, speed, size=(count, 2))
     V[ZERO] = 0.0
     V[EXIT] = exit_velocity
     return P, V
@@ -235,9 +226,7 @@ def circle_pullback_case():
     """The circle scenario's pullback metric on chi's box domain, as its
     pipeline builds them, at points psi(u, c) of the tube."""
     psi, frame, gt, delta, lo, hi, grid = tube_pipeline("circle")
-    box_lo = np.min(psi.seed_images, axis=0) - 0.3 * delta(grid[0])
-    box_hi = np.max(psi.seed_images, axis=0) + 0.3 * delta(grid[0])
-    dom = lambda x: bool(np.all(x > box_lo) and np.all(x < box_hi))  # noqa: E731
+    dom = _image_box(psi, 0.3 * delta(grid[0]))
     g = pullback_metric(build_chi(psi, reference_embedding(frame, delta), domain=dom), gt)
     d = delta(grid[0])
     UC, V = lane_data([lo + 0.3, -0.3 * d], [hi - 0.3, 0.3 * d], 0.1, [3.0, 3.0])
@@ -333,7 +322,9 @@ class TestFrameLanes:
             assert normal_space_basis(g, N, u).tobytes() == B[i].tobytes()
 
     def test_fd_jacobian_on_lanes_equals_per_point(self):
-        f = DifferentiableMap(2, 2, lambda x: np.array([np.sin(x[0]) * x[1], x[0] ** 2]))
+        f = DifferentiableMap(
+            2, 2, lambda X: np.stack([np.sin(X[:, 0]) * X[:, 1], X[:, 0] ** 2], axis=1)
+        )
         X = np.array([[0.3, -0.2], [1.1, 0.4]])
         J = jacobian(f, X)
         for i, x in enumerate(X):
@@ -379,20 +370,64 @@ class TestReconstructionLanes:
         assert calls == [3, 3]
 
 
-@pytest.mark.parametrize("name", ["flat-slice", "circle", "helix", "sphere-equator"])
-def test_builtin_maps_and_metrics_take_lanes(name):
-    # a map or metric without lanes=True is looped lane by lane: the same
-    # numbers at a per-lane cost, which no built-in one should pay
-    scn = BUILTIN_SCENARIOS[name]
-    gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = tubular_radius_estimate(gt, N, _interior_grid(lo, hi, 3), scn.delta0)
-    frame = NormalFrame(gt, N)
-    psi = _build_psi(scn, frame, delta)
-    phi = reference_embedding(frame, delta)
-    maps = [N.chart, psi.map, phi.map, normal_exponential(frame), pushforward_field(psi)]
-    assert all(f.lanes for f in maps)
-    assert gt.lanes and pullback_metric(build_chi(psi, phi), gt).lanes
+def straddle(inside, *outside, count=9):
+    """Lanes on the segments from a point inside a domain to each point
+    outside it, and a NaN lane last."""
+    s = np.linspace(0.0, 1.0, count)[:, None]
+    inside = np.asarray(inside, dtype=float)
+    segments = [(1.0 - s) * inside + s * np.asarray(out, dtype=float) for out in outside]
+    return np.concatenate([*segments, np.full((1, len(inside)), np.nan)])
+
+
+def assert_lane_mask(domain, X):
+    """domain takes the lanes X and gives a (B,) bool mask, with lanes on
+    both sides of the boundary, that is its batch-of-one answer lane by
+    lane."""
+    mask = domain(X)
+    assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (len(X),)
+    assert mask.any() and not mask.all()
+    assert not mask[-1]  # NaN is outside
+    for i in range(len(X)):
+        one = domain(X[i : i + 1])
+        assert one.shape == (1,) and one[0] == mask[i]
+
+
+class TestBuiltinDomainsTakeLanes:
+    def test_backgrounds(self):
+        for name, far in (("euclidean-2d", [2e6, 0.0]), ("euclidean-3d", [0.0, 0.0, -2e6])):
+            assert_lane_mask(BACKGROUNDS[name]().domain, straddle(np.zeros(len(far)), far))
+        # every bound of the sphere chart, (0.05, pi - 0.05) x (0.05, 2.9)
+        X = straddle([1.5, 1.5], [3.2, 1.5], [0.0, 1.5], [1.5, 3.0], [1.5, 0.0])
+        assert_lane_mask(BACKGROUNDS["sphere-chart"]().domain, X)
+
+    def test_polar(self):
+        assert_lane_mask(polar_metric().domain, straddle([1.0, 0.3], [-1.0, 0.3]))
+
+    @pytest.mark.parametrize("name", sorted(SUBMANIFOLDS))
+    def test_submanifold_parameters(self, name):
+        N, lo, hi = SUBMANIFOLDS[name]()
+        assert_lane_mask(N.param_domain, straddle([0.5 * (lo + hi)], [lo - 0.5], [hi + 0.5]))
+
+    @pytest.mark.parametrize("name", ["flat-slice", "circle", "helix", "sphere-equator"])
+    def test_tube_maps_and_chi_box(self, name):
+        psi, frame, _, delta, lo, hi, grid = tube_pipeline(name)
+        phi = reference_embedding(frame, delta)
+        u = 0.5 * (lo + hi)
+        d = delta(np.array([u]))
+        m = psi.fiber_dim
+        mid = np.concatenate([[u], np.zeros(m)])
+        # beyond either end of the base interval, and past the fiber
+        # radius: 1.2 delta for psi, delta for phi
+        far = [mid + np.eye(m + 1)[1] * 2.0 * d, [lo - 0.5, *np.zeros(m)], [hi + 0.5, *np.zeros(m)]]
+        assert_lane_mask(psi.map.domain, straddle(mid, *far))
+        assert_lane_mask(phi.map.domain, straddle(mid, *far))
+        box = _image_box(psi, 0.3 * delta(grid[0]))
+        center = psi.seed_images.mean(axis=0)
+        axes = 10.0 * np.eye(len(center))
+        assert_lane_mask(box, straddle(center, *(center + axes), *(center - axes)))
+        # the pushforward field's domain is |c| < 1.05 delta at the preimage
+        x_far = psi.map(mid + np.eye(m + 1)[1] * 1.5 * d)
+        assert_lane_mask(pushforward_field(psi).domain, straddle(psi.map(mid), x_far))
 
 
 def nearest_seed(psi, X):
@@ -511,7 +546,7 @@ class TestNewtonWork:
         # the first lane starts on its solution, h / 2 inside the domain's
         # edge: its jacobian stencil leaves the domain, but no step needs it
         f = DifferentiableMap(
-            2, 2, lambda X: X + 0.05 * X * X, domain=lambda X: X[:, 0] < 1.0, lanes=True
+            2, 2, lambda X: X + 0.05 * X * X, domain=lambda X: X[:, 0] < 1.0
         )
         edge = np.array([1.0 - 0.5 * f.fd_step, 0.2])
         y = f(np.array([edge, [0.5, -0.3]]))
@@ -534,7 +569,7 @@ class TestNewtonWork:
             J[:, 1, 1] = 1.0
             return J
 
-        f = DifferentiableMap(2, 2, fn, jac=jac, lanes=True)
+        f = DifferentiableMap(2, 2, fn, jac=jac)
         N = SUBMANIFOLDS["circle-arc"]()[0]
         psi = TubularEmbedding(
             map=f,

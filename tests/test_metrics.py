@@ -56,12 +56,13 @@ class TestValidateMetric:
         assert validate_metric(g, [np.array([1.0, 0.0]), np.array([2.0, 1.0])]) <= 1e-12
 
     def test_rejects_asymmetric(self):
-        g = MetricField(dim=2, matrix_fn=lambda x: np.array([[1.0, 0.1], [0.0, 1.0]]))
+        G = np.array([[1.0, 0.1], [0.0, 1.0]])
+        g = MetricField(dim=2, matrix_fn=lambda X: G + np.zeros((len(X), 1, 1)))
         with pytest.raises(SingularMetric):
             validate_metric(g, [np.zeros(2)])
 
     def test_rejects_indefinite(self):
-        g = MetricField(dim=2, matrix_fn=lambda x: np.diag([1.0, -1.0]))
+        g = MetricField(dim=2, matrix_fn=lambda X: np.diag([1.0, -1.0]) + np.zeros((len(X), 1, 1)))
         with pytest.raises(SingularMetric):
             validate_metric(g, [np.zeros(2)])
 
@@ -143,3 +144,13 @@ class TestDomainPolicy:
         assert velocity_in_domain(g, p, v)
         for t in (0.25, 0.5, 0.75):
             assert velocity_in_domain(g, p, t * v)
+
+    def test_a_defect_in_the_metric_raises(self):
+        # only the package's own errors mean "outside the domain"; a
+        # TypeError is a defect and must surface
+        def matrix_fn(X):
+            raise TypeError("matrix_fn defect")
+
+        g = MetricField(dim=2, matrix_fn=matrix_fn)
+        with pytest.raises(TypeError):
+            velocity_in_domain(g, np.array([1.0, 0.0]), np.array([0.5, 0.7]))

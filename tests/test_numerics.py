@@ -23,7 +23,7 @@ from eulertube.numerics import (
 class TestJacobian:
     def test_linear_map(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        f = DifferentiableMap(2, 3, lambda x: A @ x)
+        f = DifferentiableMap(2, 3, lambda X: X @ A.T)
         for x in (np.zeros(2), np.array([1.0, -2.0]), np.array([0.3, 7.0])):
             assert np.allclose(jacobian(f, x), A, atol=1e-9)
 
@@ -33,21 +33,23 @@ class TestJacobian:
 
     def test_quadratic_hand_oracle(self):
         # f(x1, x2) = (x1^2, x1 x2), jacobian at (1, 2) worked out by hand
-        f = DifferentiableMap(2, 2, lambda x: np.array([x[0] ** 2, x[0] * x[1]]))
+        f = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0] ** 2, X[:, 0] * X[:, 1]], axis=1))
         J = f.jacobian(np.array([1.0, 2.0]))
         assert np.allclose(J, [[2.0, 0.0], [2.0, 1.0]], atol=1e-9)
 
     def test_analytic_matches_fd_on_sample(self):
-        def fn(x):
-            return np.array([np.sin(x[0]) * x[1], x[0] ** 2 + np.cos(x[1])])
+        def fn(X):
+            x0, x1 = X[:, 0], X[:, 1]
+            return np.stack([np.sin(x0) * x1, x0**2 + np.cos(x1)], axis=1)
 
-        def jac(x):
-            return np.array(
-                [
-                    [np.cos(x[0]) * x[1], np.sin(x[0])],
-                    [2.0 * x[0], -np.sin(x[1])],
-                ]
-            )
+        def jac(X):
+            x0, x1 = X[:, 0], X[:, 1]
+            J = np.empty((len(X), 2, 2))
+            J[:, 0, 0] = np.cos(x0) * x1
+            J[:, 0, 1] = np.sin(x0)
+            J[:, 1, 0] = 2.0 * x0
+            J[:, 1, 1] = -np.sin(x1)
+            return J
 
         fa = DifferentiableMap(2, 2, fn, jac=jac)
         ffd = DifferentiableMap(2, 2, fn)
@@ -60,14 +62,14 @@ class TestJacobian:
         assert worst <= 1e-6
 
     def test_domain_margin(self):
-        f = DifferentiableMap(1, 1, lambda x: x, domain=lambda x: abs(x[0]) < 1.0)
+        f = DifferentiableMap(1, 1, lambda X: X, domain=lambda X: np.abs(X[:, 0]) < 1.0)
         with pytest.raises(DomainMargin):
             f.jacobian(np.array([1.0 - 1e-7]))
 
 
 class TestOdeIntegrate:
     def test_constant_solution(self):
-        traj = ode_integrate(lambda y: np.zeros(2), np.array([1.0, 2.0]), 5.0, 1e-10)
+        traj = ode_integrate(lambda Y: np.zeros_like(Y), np.array([1.0, 2.0]), 5.0, 1e-10)
         assert np.allclose(traj.final_state, [1.0, 2.0])
         assert not traj.exited
 
@@ -81,18 +83,18 @@ class TestOdeIntegrate:
         assert abs(traj.final_state[0] - np.e) <= 100 * tol
 
     def test_harmonic_oscillator_period(self):
-        field = lambda y: np.array([y[1], -y[0]])
+        field = lambda Y: np.stack([Y[:, 1], -Y[:, 0]], axis=1)
         traj = ode_integrate(field, np.array([1.0, 0.0]), 2 * np.pi, 1e-10)
         assert np.linalg.norm(traj.final_state - [1.0, 0.0]) <= 1e-7
 
     def test_domain_exit_sets_flag(self):
         # constant rightward drift out of the unit ball
         traj = ode_integrate(
-            lambda y: np.array([1.0, 0.0]),
+            lambda Y: np.array([1.0, 0.0]) + 0.0 * Y,
             np.zeros(2),
             5.0,
             1e-9,
-            domain=lambda y: np.linalg.norm(y) < 1.0,
+            domain=lambda Y: np.linalg.norm(Y, axis=1) < 1.0,
         )
         assert traj.exited
         assert np.linalg.norm(traj.final_state) < 1.0
@@ -140,7 +142,9 @@ class TestSolveInverse:
         assert np.allclose(solve_inverse(f, np.array([2.0, 2.0]), np.zeros(2)), [1.0, 1.0])
 
     def test_quadratic_embedding_round_trip(self):
-        f = DifferentiableMap(2, 2, lambda x: x + 0.1 * np.array([x[0] ** 2, 0.0]))
+        f = DifferentiableMap(
+            2, 2, lambda X: X + 0.1 * np.stack([X[:, 0] ** 2, 0.0 * X[:, 0]], axis=1)
+        )
         target = np.array([0.3, 0.5])
         x = solve_inverse(f, f(target), np.zeros(2))
         assert np.linalg.norm(x - target) <= 1e-10
@@ -152,7 +156,7 @@ class TestSolveInverse:
     @settings(max_examples=30, deadline=None)
     def test_residual_contract(self, a, b):
         f = DifferentiableMap(
-            2, 2, lambda x: x + 0.05 * np.array([x[1] ** 2, x[0] * x[1]])
+            2, 2, lambda X: X + 0.05 * np.stack([X[:, 1] ** 2, X[:, 0] * X[:, 1]], axis=1)
         )
         y = f(np.array([a, b]))
         x = solve_inverse(f, y, np.zeros(2), tol=1e-12)
@@ -160,7 +164,7 @@ class TestSolveInverse:
 
     def test_singular_jacobian(self):
         f = DifferentiableMap(
-            1, 1, lambda x: x**2, jac=lambda x: np.array([[2.0 * x[0]]])
+            1, 1, lambda X: X**2, jac=lambda X: (2.0 * X)[:, :, None]
         )
         with pytest.raises((SingularJacobian, NoConvergence)):
             solve_inverse(f, np.array([4.0]), np.array([0.0]))

@@ -41,7 +41,7 @@ from eulertube.submanifolds import (
 
 
 def x_axis_r2():
-    chart = DifferentiableMap(1, 2, lambda u: np.array([u[0], 0.0]))
+    chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
     return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
 
 
@@ -49,11 +49,11 @@ def unit_circle():
     chart = DifferentiableMap(
         1,
         2,
-        lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
-        jac=lambda u: np.array([[-np.sin(u[0])], [np.cos(u[0])]]),
+        lambda U: np.concatenate([np.cos(U), np.sin(U)], axis=1),
+        jac=lambda U: np.stack([-np.sin(U), np.cos(U)], axis=1),
     )
     return ParametrizedSubmanifold(
-        1, 2, chart, param_domain=lambda u: -1.4 < u[0] < 1.4, name="circle"
+        1, 2, chart, param_domain=lambda U: (-1.4 < U[:, 0]) & (U[:, 0] < 1.4), name="circle"
     )
 
 
@@ -65,11 +65,22 @@ def u_grid(lo, hi, n):
     return [np.array([v]) for v in np.linspace(lo, hi, n)]
 
 
+def eye_lanes(X, scale=1.0):
+    """scale times the identity matrix, once per lane of X."""
+    return np.tile(scale * np.eye(X.shape[1]), (len(X), 1, 1))
+
+
+def ring_domain(X):
+    """0.2 < |x| < 1.8 on lanes."""
+    r = np.linalg.norm(X, axis=1)
+    return (0.2 < r) & (r < 1.8)
+
+
 def identity_chart(target):
     """A comparison map with the identity as chart and preimage, so chi is
     ``target`` itself and the chart stencil is the ambient stencil."""
     n = target.domain_dim
-    chart = DifferentiableMap(n, n, lambda x: x.copy(), jac=lambda x: np.eye(n))
+    chart = DifferentiableMap(n, n, lambda X: X.copy(), jac=eye_lanes)
     return ComparisonMap(chart=chart, target=target, preimage=lambda x: x)
 
 
@@ -77,17 +88,19 @@ def circle_psi(g, N, delta):
     """Curved circle embedding with a tangential quadratic term."""
     eps = 0.1
 
-    def fn(uc):
-        th, c = uc
-        r = np.array([np.cos(th), np.sin(th)])
-        t = np.array([-np.sin(th), np.cos(th)])
+    def pieces(UC):
+        th, c = UC[:, 0], UC[:, 1:]
+        r = np.stack([np.cos(th), np.sin(th)], axis=1)
+        t = np.stack([-np.sin(th), np.cos(th)], axis=1)
+        return c, r, t
+
+    def fn(UC):
+        c, r, t = pieces(UC)
         return (1.0 + c) * r + eps * c * c * t
 
-    def jac(uc):
-        th, c = uc
-        r = np.array([np.cos(th), np.sin(th)])
-        t = np.array([-np.sin(th), np.cos(th)])
-        return np.column_stack([(1.0 + c) * t - eps * c * c * r, r + 2 * eps * c * t])
+    def jac(UC):
+        c, r, t = pieces(UC)
+        return np.stack([(1.0 + c) * t - eps * c * c * r, r + 2 * eps * c * t], axis=2)
 
     psi = TubularEmbedding(
         map=DifferentiableMap(2, 2, fn, jac=jac),
@@ -137,7 +150,7 @@ class TestCorrectionEta:
     def test_identity_chi_has_zero_eta(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
-        chi = DifferentiableMap(2, 2, lambda x: x.copy())
+        chi = DifferentiableMap(2, 2, lambda X: X.copy())
         corr = correction_eta(chi, g, N, np.array([0.3]))
         assert np.max(np.abs(corr.eta)) <= 1e-9
 
@@ -146,14 +159,14 @@ class TestCorrectionEta:
         a = 0.7
         g = euclidean_metric(2)
         N = x_axis_r2()
-        chi = DifferentiableMap(2, 2, lambda x: np.array([x[0] + a * x[1], x[1]]))
+        chi = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0] + a * X[:, 1], X[:, 1]], axis=1))
         corr = correction_eta(chi, g, N, np.array([0.0]))
         assert np.allclose(corr.apply(np.array([0.0, 1.0])), [a, 0.0], atol=1e-8)
 
     def test_normal_stretch_rejected(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
-        chi = DifferentiableMap(2, 2, lambda x: np.array([x[0], 2.0 * x[1]]))
+        chi = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0], 2.0 * X[:, 1]], axis=1))
         with pytest.raises(DecompositionFailure):
             correction_eta(chi, g, N, np.array([0.0]))
 
@@ -161,22 +174,22 @@ class TestCorrectionEta:
 class TestPullbackMetric:
     def test_identity_gives_reference(self):
         g_ref = euclidean_metric(2)
-        chi = identity_chart(
-            DifferentiableMap(2, 2, lambda x: x.copy(), jac=lambda x: np.eye(2))
-        )
+        chi = identity_chart(DifferentiableMap(2, 2, lambda X: X.copy(), jac=eye_lanes))
         g = pullback_metric(chi, g_ref)
         assert np.allclose(g.matrix(np.array([0.3, -0.8])), np.eye(2), atol=1e-12)
 
     def test_linear_map_congruence(self):
         A = np.array([[1.0, 0.5], [0.0, 2.0]])
         g_ref = euclidean_metric(2)
-        chi = identity_chart(DifferentiableMap(2, 2, lambda x: A @ x, jac=lambda x: A))
+        chi = identity_chart(
+            DifferentiableMap(2, 2, lambda X: X @ A.T, jac=lambda X: np.tile(A, (len(X), 1, 1)))
+        )
         g = pullback_metric(chi, g_ref)
         assert np.allclose(g.matrix(np.zeros(2)), A.T @ A, atol=1e-12)
 
     def test_curve_lengths_preserved(self):
         g_ref = euclidean_metric(2)
-        fn = lambda x: x + 0.05 * np.array([x[1] ** 2, x[0] ** 2])
+        fn = lambda X: X + 0.05 * np.stack([X[:, 1] ** 2, X[:, 0] ** 2], axis=1)
         chi = identity_chart(DifferentiableMap(2, 2, fn))
         g = pullback_metric(chi, g_ref)
         # t is the column of quadrature nodes; rows are points of the curve
@@ -197,9 +210,7 @@ class TestDiagramAndIsometry:
         delta = const_radius(0.4)
         psi = circle_psi(g_ref, N, delta)
         phi = reference_embedding(NormalFrame(g_ref, N), delta)
-        chi = build_chi(
-            psi, phi, domain=lambda x: 0.2 < np.linalg.norm(x) < 1.8
-        )
+        chi = build_chi(psi, phi, domain=ring_domain)
         g = pullback_metric(chi, g_ref)
         return g_ref, N, psi, chi, g
 
@@ -225,7 +236,7 @@ class TestDiagramAndIsometry:
     def test_identity_chi_zero_residual(self):
         g_ref = euclidean_metric(2)
         N = x_axis_r2()
-        chi = DifferentiableMap(2, 2, lambda x: x.copy(), jac=lambda x: np.eye(2))
+        chi = DifferentiableMap(2, 2, lambda X: X.copy(), jac=eye_lanes)
         r = isometry_geodesic_check(
             chi, g_ref, g_ref, N, np.array([0.2]), np.array([0.0, 0.3])
         )
@@ -248,9 +259,16 @@ class TestDiagramAndIsometry:
             assert isometry_geodesic_check(chi, g, g_ref, N, u, v, exp_tol=1e-9) == w
 
 
+def point_2d_jacobian(V):
+    """The jacobian of v + 0.1 (v0^2, 0) on lanes."""
+    J = eye_lanes(V)
+    J[:, 0, 0] = 1.0 + 0.2 * V[:, 0]
+    return J
+
+
 class TestPointCase:
     def test_identity_embedding(self):
-        psi = DifferentiableMap(2, 2, lambda v: v.copy(), jac=lambda v: np.eye(2))
+        psi = DifferentiableMap(2, 2, lambda V: V.copy(), jac=eye_lanes)
         g, worst = point_case_metric(psi, [np.array([0.3, 0.4]), np.array([-0.5, 0.1])])
         assert worst <= 1e-10
         assert np.allclose(g.matrix(np.array([0.2, 0.7])), np.eye(2), atol=1e-9)
@@ -259,15 +277,15 @@ class TestPointCase:
         psi = DifferentiableMap(
             2,
             2,
-            lambda v: v + 0.1 * np.array([v[0] ** 2, 0.0]),
-            jac=lambda v: np.array([[1.0 + 0.2 * v[0], 0.0], [0.0, 1.0]]),
+            lambda V: V + 0.1 * np.stack([V[:, 0] ** 2, 0.0 * V[:, 0]], axis=1),
+            jac=point_2d_jacobian,
         )
         vs = [np.array([0.6, 0.2]), np.array([-0.4, 0.7]), np.array([0.1, -0.9])]
         _, worst = point_case_metric(psi, vs)
         assert worst <= 1e-6
 
     def test_scaled_differential_rejected(self):
-        psi = DifferentiableMap(2, 2, lambda v: 2.0 * v, jac=lambda v: 2.0 * np.eye(2))
+        psi = DifferentiableMap(2, 2, lambda V: 2.0 * V, jac=lambda V: eye_lanes(V, 2.0))
         with pytest.raises(HypothesisFailure):
             point_case_metric(psi, [np.array([0.1, 0.1])])
 
@@ -277,8 +295,8 @@ def point_2d_psi():
     return DifferentiableMap(
         2,
         2,
-        lambda v: np.array([v[0] + 0.1 * v[0] ** 2, v[1]]),
-        jac=lambda v: np.array([[1.0 + 0.2 * v[0], 0.0], [0.0, 1.0]]),
+        lambda V: np.stack([V[:, 0] + 0.1 * V[:, 0] ** 2, V[:, 1]], axis=1),
+        jac=point_2d_jacobian,
     )
 
 

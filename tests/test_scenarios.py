@@ -62,8 +62,8 @@ def test_embedding_analytic_jacobians_match_fd(name):
     delta = RadiusFunction(fn=lambda u: 0.3, grid=[])
     fn, jac = EMBEDDINGS[name][1](NormalFrame(gt, N), delta)
     dim = N.ambient_dim
-    fa = DifferentiableMap(dim, dim, fn, jac=jac, lanes=True)
-    ffd = DifferentiableMap(dim, dim, fn, lanes=True)
+    fa = DifferentiableMap(dim, dim, fn, jac=jac)
+    ffd = DifferentiableMap(dim, dim, fn)
     rng = np.random.default_rng(3)
     for _ in range(100):
         u = rng.uniform(lo + 0.2, hi - 0.2)
@@ -79,8 +79,8 @@ def test_helix_jacobian_matches_fd():
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
     delta = RadiusFunction(fn=lambda u: 0.3, grid=[])
     fn, jac = EMBEDDINGS["helix-quadratic"][1](NormalFrame(gt, N), delta)
-    fa = DifferentiableMap(3, 3, fn, jac=jac, lanes=True)
-    ffd = DifferentiableMap(3, 3, fn, fd_step=1e-6, lanes=True)
+    fa = DifferentiableMap(3, 3, fn, jac=jac)
+    ffd = DifferentiableMap(3, 3, fn, fd_step=1e-6)
     rng = np.random.default_rng(4)
     for _ in range(50):
         uc = np.concatenate(

@@ -25,7 +25,7 @@ from eulertube.submanifolds import (
 
 
 def x_axis_r2():
-    chart = DifferentiableMap(1, 2, lambda u: np.array([u[0], 0.0]))
+    chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
     return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
 
 
@@ -33,8 +33,8 @@ def unit_circle():
     chart = DifferentiableMap(
         1,
         2,
-        lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
-        jac=lambda u: np.array([[-np.sin(u[0])], [np.cos(u[0])]]),
+        lambda U: np.concatenate([np.cos(U), np.sin(U)], axis=1),
+        jac=lambda U: np.stack([-np.sin(U), np.cos(U)], axis=1),
     )
     return ParametrizedSubmanifold(1, 2, chart, name="circle")
 
@@ -58,7 +58,7 @@ def test_circle_normal_is_radial():
 
 def test_basis_orthonormal_under_skew_metric():
     G = np.array([[2.0, 0.3], [0.3, 1.0]])
-    g = MetricField(dim=2, matrix_fn=lambda x: G)
+    g = MetricField(dim=2, matrix_fn=lambda X: G + np.zeros((len(X), 1, 1)))
     N = x_axis_r2()
     B = normal_space_basis(g, N, np.array([0.2]))
     J = N.tangent_basis(np.array([0.2]))
@@ -67,7 +67,7 @@ def test_basis_orthonormal_under_skew_metric():
 
 
 def test_rank_deficient_chart():
-    chart = DifferentiableMap(1, 2, lambda u: np.array([u[0] ** 2, 0.0]))
+    chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U**2, 0.0 * U], axis=1))
     N = ParametrizedSubmanifold(1, 2, chart)
     with pytest.raises(RankDeficient):
         normal_space_basis(euclidean_metric(2), N, np.array([0.0]))
@@ -87,18 +87,19 @@ def test_frame_smooth_along_circle():
 
 def skew_constant_metric(n):
     G = np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    return MetricField(dim=n, matrix_fn=lambda x: G)
+    return MetricField(dim=n, matrix_fn=lambda X: G + np.zeros((len(X), 1, 1)))
 
 
 def skew_varying_metric_3d():
-    def G(x):
-        return np.array(
-            [
-                [2.0 + np.sin(x[0]), 0.3 * x[1], 0.1],
-                [0.3 * x[1], 1.0 + x[2] ** 2, 0.2 * np.cos(x[0])],
-                [0.1, 0.2 * np.cos(x[0]), 1.5],
-            ]
-        )
+    def G(X):
+        out = np.zeros((len(X), 3, 3))
+        out[:, 0, 0] = 2.0 + np.sin(X[:, 0])
+        out[:, 0, 1] = out[:, 1, 0] = 0.3 * X[:, 1]
+        out[:, 1, 1] = 1.0 + X[:, 2] ** 2
+        out[:, 1, 2] = out[:, 2, 1] = 0.2 * np.cos(X[:, 0])
+        out[:, 0, 2] = out[:, 2, 0] = 0.1
+        out[:, 2, 2] = 1.5
+        return out
 
     return MetricField(dim=3, matrix_fn=G)
 
@@ -107,8 +108,8 @@ def polar_curve():
     chart = DifferentiableMap(
         1,
         2,
-        lambda u: np.array([1.0 + 0.3 * np.sin(u[0]), u[0]]),
-        jac=lambda u: np.array([[0.3 * np.cos(u[0])], [1.0]]),
+        lambda U: np.concatenate([1.0 + 0.3 * np.sin(U), U], axis=1),
+        jac=lambda U: np.stack([0.3 * np.cos(U), 1.0 + 0.0 * U], axis=1),
     )
     return ParametrizedSubmanifold(1, 2, chart, name="polar-curve"), -1.2, 1.2
 
@@ -118,14 +119,20 @@ def graph_surface():
 
     The frame's first vector flips sign where dz/dx = 0, so the samples
     (v, -0.6 v) stay at v > 0."""
-    chart = DifferentiableMap(
-        2,
-        3,
-        lambda u: np.array([u[0], u[1], 0.3 * u[0] ** 2 + 0.2 * u[0] * u[1] - 0.1 * u[1] ** 2]),
-        jac=lambda u: np.array(
-            [[1.0, 0.0], [0.0, 1.0], [0.6 * u[0] + 0.2 * u[1], 0.2 * u[0] - 0.2 * u[1]]]
-        ),
-    )
+
+    def fn(U):
+        x, y = U[:, 0], U[:, 1]
+        return np.stack([x, y, 0.3 * x**2 + 0.2 * x * y - 0.1 * y**2], axis=1)
+
+    def jac(U):
+        x, y = U[:, 0], U[:, 1]
+        J = np.zeros((len(U), 3, 2))
+        J[:, 0, 0] = J[:, 1, 1] = 1.0
+        J[:, 2, 0] = 0.6 * x + 0.2 * y
+        J[:, 2, 1] = 0.2 * x - 0.2 * y
+        return J
+
+    chart = DifferentiableMap(2, 3, fn, jac=jac)
     return ParametrizedSubmanifold(2, 3, chart, name="graph"), 0.1, 1.0
 
 
@@ -211,7 +218,8 @@ class TestNormalRepresentative:
         assert np.allclose(w, [1.0, 0.0], atol=1e-12)
 
     def test_idempotent(self):
-        g = MetricField(dim=2, matrix_fn=lambda x: np.array([[2.0, 0.3], [0.3, 1.0]]))
+        G = np.array([[2.0, 0.3], [0.3, 1.0]])
+        g = MetricField(dim=2, matrix_fn=lambda X: G + np.zeros((len(X), 1, 1)))
         N = unit_circle()
         once = normal_representative(g, N, np.array([0.7]), np.array([0.4, -1.2]))
         twice = normal_representative(g, N, np.array([0.7]), once)
@@ -319,8 +327,8 @@ class TestTubularRadius:
     def test_sphere_equator_respects_poles(self):
         g = sphere_chart_metric()
         chart = DifferentiableMap(
-            1, 2, lambda u: np.array([np.pi / 2, u[0]]),
-            jac=lambda u: np.array([[0.0], [1.0]]),
+            1, 2, lambda U: np.concatenate([np.pi / 2 + 0.0 * U, U], axis=1),
+            jac=lambda U: np.stack([0.0 * U, 1.0 + 0.0 * U], axis=1),
         )
         N = ParametrizedSubmanifold(1, 2, chart, name="equator")
         grid = [np.array([u]) for u in np.linspace(0.5, 2.4, 7)]
