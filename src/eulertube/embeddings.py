@@ -52,10 +52,10 @@ class TubularEmbedding:
 
     def build_seed_table(self, u_grid, c_fractions=(0.0, 0.35, 0.7)) -> None:
         k, m = self.N.param_dim, self.fiber_dim
+        U = np.asarray(u_grid, dtype=float).reshape(len(u_grid), k)
+        radii = self.delta(U) if self.delta is not None else np.ones(len(U))
         seeds = []
-        for u in u_grid:
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            d = self.delta(u) if self.delta is not None else 1.0
+        for u, d in zip(U, radii):
             for j in range(m):
                 for frac in c_fractions:
                     for sign in (1.0, -1.0):

@@ -144,18 +144,32 @@ def pushforward_field(
         UC = preimages(X)
         return pushforward_euler(psi, UC[:, :k], UC[:, k:])
 
+    def inside(UC):
+        if psi.delta is None:
+            return np.ones(len(UC), dtype=bool)
+        u, c = UC[:, :k], UC[:, k:]
+        return np.sqrt((c * c).sum(axis=1)) < domain_margin * psi.delta(u)
+
     def in_domain(X):
+        nonlocal last
         try:
             UC = preimages(X)
         except EulertubeError:
-            # some lane's inversion failed: the lanes answer one at a time
             if len(X) == 1:
                 return np.zeros(1, bool)
-            return np.array([in_domain(X[i : i + 1])[0] for i in range(len(X))])
-        if psi.delta is None:
-            return np.ones(len(X), dtype=bool)
-        u, c = UC[:, :k], UC[:, k:]
-        return np.sqrt((c * c).sum(axis=1)) < domain_margin * psi.delta(u)
+            # some lane's inversion failed: the lanes answer one at a time,
+            # and the memo keeps the preimage of every lane that has one
+            mask = np.zeros(len(X), bool)
+            memo = {}
+            for i in range(len(X)):
+                try:
+                    mask[i] = inside(preimages(X[i : i + 1]))[0]
+                except EulertubeError:
+                    continue
+                memo.update(last)
+            last = memo
+            return mask
+        return inside(UC)
 
     return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain)
 

@@ -1,27 +1,30 @@
-"""Scalar gluing profiles and the fiberwise diffeomorphism that extends
+"""Gluing profiles on lanes and the fiberwise diffeomorphism that extends
 maps defined near the zero section of a vector bundle to the whole bundle.
 
-The scalar profiles, and the closed-form derivative sigma_prime, accept
-either floats or mpmath numbers; high-precision input is honored
-throughout, which is what makes the inverse-profile round trip verifiable
-to 1e-12 even at arguments of order 10^3 (the composition is too
+The profiles (phi_stereo, rho, eta, sigma and the closed-form derivative
+sigma_prime) take floats as lanes, a float array of any shape with one
+float as a batch of one, or one mpmath number; high-precision input is
+honored throughout, which is what makes the inverse-profile round trip
+verifiable to 1e-12 even at arguments of order 10^3 (the composition is too
 ill-conditioned near the interval ends for double precision).  The inverse
-takes a double-precision seed and needs only Newton steps at high
-precision: the seed is good to about 1e-16, and each step squares the
-error.
+takes lanes of targets: the double-precision seeds of all of them come from
+one bracket-and-bisect whose every pass is one lane sigma, and each target
+then needs only Newton steps at high precision: the seed is good to about
+1e-16, and each step squares the error.  The bundle maps take lanes of base
+points and fiber vectors and invert the profile for all of them at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .numerics import Array, DifferentiableMap
+from .numerics import Array, as_lanes
 
 _HALF = 0.5
 
@@ -30,238 +33,306 @@ def _is_mp(t) -> bool:
     return isinstance(t, mp.mpf)
 
 
-def _exp(t):
-    return mp.exp(t) if _is_mp(t) else math.exp(t)
-
-
 def _sqrt(t):
-    return mp.sqrt(t) if _is_mp(t) else math.sqrt(t)
+    return mp.sqrt(t) if _is_mp(t) else np.sqrt(t)
 
 
-def _zero_like(t):
-    return mp.mpf(0) if _is_mp(t) else 0.0
+def _open_interval(t):
+    """t as lanes (a float array) or as one mpf, once every |t| < 1."""
+    if _is_mp(t):
+        outside = abs(t) >= 1
+    else:
+        t = np.asarray(t, dtype=float)
+        outside = (np.abs(t) >= 1).any()
+    if outside:
+        raise DomainError(f"|t| = {np.max(abs(t))} not < 1")
+    return t
 
 
-def _one_like(t):
-    return mp.mpf(1) if _is_mp(t) else 1.0
+def _bump(x):
+    """The smoothstep S built from exp(-1/x) and its derivative, as (S, S'):
+    S is 0 for x <= 0, 1 for x >= 1, strictly increasing between, flat to
+    infinite order at both ends.
+
+    An mpf x is one point; anything else is lanes, and the exponentials are
+    evaluated on the lanes inside (0, 1) only (a NaN lane counts as inside
+    and stays NaN).
+    """
+    if _is_mp(x):
+        if x <= 0 or x >= 1:
+            return (mp.mpf(1) if x >= 1 else mp.mpf(0)), mp.mpf(0)
+        return _bump_inside(x, mp.exp(-1 / x), mp.exp(-1 / (1 - x)))
+    x = np.asarray(x, dtype=float)
+    S = np.where(x >= 1, 1.0, 0.0)
+    dS = np.zeros(x.shape)
+    inside = ~((x <= 0) | (x >= 1))
+    if inside.any():
+        xi = x[inside]
+        S[inside], dS[inside] = _bump_inside(xi, np.exp(-1 / xi), np.exp(-1 / (1 - xi)))
+    return S[()], dS[()]
 
 
-def _bump_step(x):
-    """Standard smoothstep built from exp(-1/x): 0 for x<=0, 1 for x>=1,
-    strictly increasing between, flat to infinite order at both ends."""
-    if x <= 0:
-        return _zero_like(x)
-    if x >= 1:
-        return _one_like(x)
-    a = _exp(-1 / x)
-    b = _exp(-1 / (1 - x))
-    return a / (a + b)
+def _bump_inside(x, a, b):
+    """S = a / (a+b) and S' = a b (1/x^2 + 1/(1-x)^2) / (a+b)^2 on (0, 1),
+    from a = exp(-1/x) and b = exp(-1/(1-x))."""
+    return a / (a + b), a * b * (1 / (x * x) + 1 / ((1 - x) * (1 - x))) / ((a + b) * (a + b))
 
 
 def phi_stereo(t):
     """t / sqrt(1 - t^2): increasing bijection from (-1, 1) onto the line."""
-    if abs(t) >= 1:
-        raise DomainError(f"|t| = {abs(t)} not < 1")
+    t = _open_interval(t)
     return t / _sqrt(1 - t * t)
 
 
 def rho(t):
     """Smooth even plateau function: 0 on [-1/2, 1/2], 1 for |t| >= 3/4,
     strictly increasing in between."""
-    if abs(t) >= 1:
-        raise DomainError(f"|t| = {abs(t)} not < 1")
-    return _bump_step((abs(t) - _HALF) * 4)
+    return _rho(_open_interval(t))
 
 
 def eta(t):
     """rho(t)/sqrt(1 - t^2) + 1: the even positive profile with eta == 1 on
     [-1/2, 1/2]."""
-    if abs(t) >= 1:
-        raise DomainError(f"|t| = {abs(t)} not < 1")
-    return rho(t) / _sqrt(1 - t * t) + 1
+    return _eta(_open_interval(t))
 
 
 def sigma(t):
     """eta(t) * t: odd diffeomorphism from (-1, 1) onto the line with
     sigma(t) = t on [-1/2, 1/2] and derivative >= 1 everywhere."""
-    if abs(t) >= 1:
-        raise DomainError(f"|t| = {abs(t)} not < 1")
-    return eta(t) * t
+    t = _open_interval(t)
+    return _eta(t) * t
 
 
-def _bump_step_prime(x):
-    """Derivative of _bump_step: a b (1/x^2 + 1/(1-x)^2) / (a+b)^2 with
-    a = exp(-1/x), b = exp(-1/(1-x)) on (0, 1), and 0 elsewhere."""
-    if x <= 0 or x >= 1:
-        return _zero_like(x)
-    a = _exp(-1 / x)
-    b = _exp(-1 / (1 - x))
-    return a * b * (1 / (x * x) + 1 / ((1 - x) * (1 - x))) / ((a + b) * (a + b))
+# rho and eta on a t already checked to lie in (-1, 1): sigma checks once,
+# not once a layer (a check costs a few numpy calls a lane batch)
+def _rho(t):
+    return _bump((abs(t) - _HALF) * 4)[0]
+
+
+def _eta(t):
+    return _rho(t) / _sqrt(1 - t * t) + 1
+
+
+def _sigma_and_prime(t):
+    """(sigma(t), sigma'(t)) from one evaluation of the bump step's two
+    exponentials and of sqrt(1 - t^2); bitwise the values of sigma and
+    sigma_prime.
+
+    sigma' = eta + t eta' with eta' = rho'/sqrt(u) + rho t/u^(3/2),
+    u = 1 - t^2 and t rho'(t) = 4 |t| S'(4(|t| - 1/2)) for the bump step S,
+    which collects to 1 + rho/u^(3/2) + 4 |t| S'/sqrt(u).
+    """
+    t = _open_interval(t)
+    S, dS = _bump((abs(t) - _HALF) * 4)
+    u = 1 - t * t
+    root = _sqrt(u)
+    return (S / root + 1) * t, 1 + S / (u * root) + 4 * abs(t) * dS / root
 
 
 def sigma_prime(t):
-    """Closed-form derivative of sigma, >= 1 everywhere.
-
-    eta + t eta' with eta' = rho'/sqrt(u) + rho t/u^(3/2), u = 1 - t^2 and
-    t rho'(t) = 4 |t| S'(4(|t| - 1/2)) for the bump step S, which collects
-    to 1 + rho/u^(3/2) + 4 |t| S'/sqrt(u).
-    """
-    if abs(t) >= 1:
-        raise DomainError(f"|t| = {abs(t)} not < 1")
-    u = 1 - t * t
-    root = _sqrt(u)
-    return 1 + rho(t) / (u * root) + 4 * abs(t) * _bump_step_prime((abs(t) - _HALF) * 4) / root
+    """Closed-form derivative of sigma, >= 1 everywhere."""
+    return _sigma_and_prime(t)[1]
 
 
 def sigma_inverse(s, dps: int = 50):
-    """Inverse of sigma: a double-precision seed polished by Newton with
-    the closed-form sigma' at ``dps`` digits.
+    """Inverse of sigma for one target or lanes of targets (a sequence or a
+    1-d array): double-precision seeds for all targets at once, each then
+    polished by Newton with the closed-form sigma' at ``dps`` digits.
 
-    Returns s identically for |s| <= 1/2.  The seed brackets the root
-    between points 1 - 2^-k and bisects in double down to adjacent doubles;
-    past the last double below 1 the bracket goes on at ``dps`` digits and
-    its end is the seed.  Newton stops once |sigma(t) - |s|| <
+    Returns s identically where |s| <= 1/2.  The seeds bracket each root
+    between points 1 - 2^-k and bisect in double down to adjacent doubles,
+    one lane sigma per pass over the targets still open; past the last
+    double below 1 a target's bracket goes on at ``dps`` digits and its end
+    is the seed.  Newton stops once |sigma(t) - |s|| <
     10^(8 - dps) max(1, |s|), or once its step is a few units in the last
     digit: beyond |s| ~ 3e4 at 50 digits no dps-digit t meets that
     tolerance.  A step leaving the bracket that the residual signs narrow
     from (1/2, 1) is replaced by the bracket's midpoint.
 
-    The return type matches the input type; a float result is the double
+    Each result's type matches its target's; a float result is the double
     nearest the inverse and lies in (-1, 1) for every finite s.  Raises
-    DomainError for a non-finite s and for an mpf s whose inverse lies
-    too close to 1 for ``dps`` digits: when Newton stops on its step size
-    with sigma(t) missing |s| by more than both the residual tolerance and
-    a relative 2^-52, an mpf result would be worse than a double and than
-    the tolerance ``dps`` asks for.
+    DomainError for a non-finite target and for an mpf target whose inverse
+    lies too close to 1 for ``dps`` digits: when Newton stops on its step
+    size with sigma(t) missing |s| by more than both the residual tolerance
+    and a relative 2^-52, an mpf result would be worse than a double and
+    than the tolerance ``dps`` asks for.
     """
-    if abs(s) <= _HALF:
-        return s
-    if not mp.isfinite(s):
-        raise DomainError(f"sigma inverse of {s} is undefined")
-    was_float = not _is_mp(s)
+    S = np.asarray(s)
+    if S.dtype != object:
+        S = S.astype(float)
+    lanes = S.reshape(-1)
+    out = lanes.copy()
+    far = [i for i, x in enumerate(lanes) if not abs(x) <= _HALF]
+    for i in far:
+        if not mp.isfinite(lanes[i]):
+            raise DomainError(f"sigma inverse of {lanes[i]} is undefined")
     with mp.workdps(dps):
-        target = abs(mp.mpf(s))
-        approx = float(target)
+        targets = [abs(mp.mpf(lanes[i])) for i in far]
+        lo, hi = _double_seeds(np.array([float(x) for x in targets]))
+        for j, i in enumerate(far):
+            out[i] = _newton(lanes[i], targets[j], lo[j], hi[j], dps)
+    return out.reshape(S.shape)[()]
 
-        def above(t):
-            # sigma(t) > |s| in t's own precision
-            return sigma(t) > (target if _is_mp(t) else approx)
 
-        lo, hi = _HALF, 1 - 2.0**-4
-        while not above(hi):
-            lo, hi = hi, 1 - (1 - hi) / 2
-            if hi == 1 and not _is_mp(lo):
-                if was_float:
-                    return math.copysign(lo, s)
-                hi = 1 - (1 - mp.mpf(lo)) / 2
-            if hi == 1:
-                break
-        while lo < (mid := float((lo + hi) / 2)) < hi:
-            if above(mid):
-                hi = mid
-            else:
-                lo = mid
+def _double_seeds(approx: Array) -> Tuple[Array, Array]:
+    """Brackets lo < t <= hi of the inverses of the targets approx (B,),
+    all > 1/2, with sigma(lo) <= approx < sigma(hi) in double: the bracket
+    ends 1 - 2^-k move up until sigma passes the target, then bisection
+    narrows them to adjacent doubles.  Each pass evaluates one lane sigma
+    on the targets still open.  A bracket that reaches 1 stops at
+    (1 - 2^-53, 1).
+    """
+    lo = np.full(len(approx), _HALF)
+    hi = np.full(len(approx), 1 - 2.0**-4)
+    open_ = np.arange(len(approx))
+    while len(open_):
+        below = open_[~(sigma(hi[open_]) > approx[open_])]
+        lo[below] = hi[below]
+        hi[below] = 1 - (1 - hi[below]) / 2
+        open_ = below[hi[below] < 1]
+    mid = (lo + hi) / 2
+    open_ = np.flatnonzero((lo < mid) & (mid < hi))
+    while len(open_):
+        m = mid[open_]
+        above = sigma(m) > approx[open_]
+        hi[open_[above]] = m[above]
+        lo[open_[~above]] = m[~above]
+        mid[open_] = (lo[open_] + hi[open_]) / 2
+        open_ = open_[(lo[open_] < mid[open_]) & (mid[open_] < hi[open_])]
+    return lo, hi
 
-        t, lo, hi = mp.mpf(hi), mp.mpf(_HALF), mp.mpf(1)
-        if t == 1:
-            raise DomainError(f"sigma inverse of {s} is not representable at {dps} digits")
-        res_tol = mp.mpf(10) ** (-dps + 8) * max(mp.mpf(1), target)
-        for _ in range(30):
-            r = sigma(t) - target
-            if abs(r) < res_tol:
-                break
-            if r > 0:
-                hi = t
-            else:
-                lo = t
-            step = r / sigma_prime(t)
-            t = t - step
-            if abs(step) <= 4 * mp.eps:
-                # too close to 1 for dps digits to resolve 1 - t, sigma(t)
-                # can miss |s| by more than both the residual tolerance and a
-                # double's rounding; such a t is no inverse
-                miss_tol = max(res_tol, target * 2.0**-52)
-                if not was_float and abs(sigma(t) - target) > miss_tol:
-                    raise DomainError(
-                        f"sigma inverse of {s} is not representable at {dps} digits"
-                    )
-                break
-            if not lo < t < hi:
-                t = (lo + hi) / 2
-        else:
-            raise NoConvergence(f"sigma inverse of {s}: no convergence at {dps} digits")
+
+def _newton(s, target, lo: float, hi: float, dps: int):
+    """The inverse of one target s (|s| = target > 1/2, at ``dps`` digits)
+    from its double bracket (lo, hi], in s's type."""
+    was_float = not _is_mp(s)
+    if hi == 1:
+        # the double bracket reached 1: a float target's inverse rounds to
+        # the last double below 1, an mpf one's bracket goes on
         if was_float:
-            return math.copysign(float(t), s)
-        return t if s > 0 else -t
+            return math.copysign(lo, s)
+        hi = 1 - (1 - mp.mpf(lo)) / 2
+        while hi < 1 and not sigma(hi) > target:
+            hi = 1 - (1 - hi) / 2
+    t, lo, hi = mp.mpf(hi), mp.mpf(_HALF), mp.mpf(1)
+    if t == 1:
+        raise DomainError(f"sigma inverse of {s} is not representable at {dps} digits")
+    res_tol = mp.mpf(10) ** (-dps + 8) * max(mp.mpf(1), target)
+    for _ in range(30):
+        value, slope = _sigma_and_prime(t)
+        r = value - target
+        if abs(r) < res_tol:
+            break
+        if r > 0:
+            hi = t
+        else:
+            lo = t
+        step = r / slope
+        t = t - step
+        if abs(step) <= 4 * mp.eps:
+            # too close to 1 for dps digits to resolve 1 - t, sigma(t)
+            # can miss |s| by more than both the residual tolerance and a
+            # double's rounding; such a t is no inverse
+            miss_tol = max(res_tol, target * 2.0**-52)
+            if not was_float and abs(sigma(t) - target) > miss_tol:
+                raise DomainError(f"sigma inverse of {s} is not representable at {dps} digits")
+            break
+        if not lo < t < hi:
+            t = (lo + hi) / 2
+    else:
+        raise NoConvergence(f"sigma inverse of {s}: no convergence at {dps} digits")
+    if was_float:
+        return math.copysign(float(t), s)
+    return t if s > 0 else -t
 
 
 def tau(s, dps: int = 50):
     """Even positive profile with sigma_inverse(s) = tau(s) * s and
-    tau == 1 on [-1/2, 1/2]; tau(s) * |s| < 1 always."""
-    if abs(s) <= _HALF:
-        return _one_like(s)
-    q = sigma_inverse(s, dps=dps) / s
-    if not _is_mp(s) and q * abs(s) >= 1:
-        # the quotient of the last double below 1 by |s| can round up
-        q = math.nextafter(q, 0.0)
-    return q
+    tau == 1 on [-1/2, 1/2]; tau(s) * |s| < 1 always.  Takes one mpf or
+    floats as lanes."""
+    if _is_mp(s):
+        return mp.mpf(1) if abs(s) <= _HALF else sigma_inverse(s, dps=dps) / s
+    s = np.asarray(s, dtype=float)
+    q = np.ones(s.shape)
+    far = ~(np.abs(s) <= _HALF)
+    q[far] = sigma_inverse(s[far], dps=dps) / s[far]
+    # the quotient of the last double below 1 by |s| can round up
+    return np.where(q * np.abs(s) >= 1, np.nextafter(q, 0.0), q)[()]
 
 
 @dataclass(frozen=True)
 class BundleRegion:
-    """The radius-delta tube W (and its half-radius core W') of a vector
-    bundle with a fiberwise inner product over a coordinate base."""
+    """The radius-delta tube W of a vector bundle with a fiberwise inner
+    product over a coordinate base; its half-radius core W' is where the
+    fiberwise diffeomorphism is the identity.
+
+    ``bundle_metric`` and ``delta`` take lanes p (B, base_dim) and return
+    (B, rank, rank) SPD matrices and (B,) radii.
+    """
 
     base_dim: int
     rank: int
-    bundle_metric: Callable[[Array], Array]  # p -> (rank, rank) SPD matrix
-    delta: Callable[[Array], float]
+    bundle_metric: Callable[[Array], Array]
+    delta: Callable[[Array], Array]
 
-    def fiber_norm(self, p, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(v @ np.asarray(self.bundle_metric(p), float) @ v))
-
-    def in_W_prime(self, p, v) -> bool:
-        return self.fiber_norm(p, v) < 0.5 * float(self.delta(p))
+    def fiber_norm(self, p, v):
+        """|v|_g at lanes p (B, base_dim), v (B, rank) as (B,), or at one
+        point p, v as a float."""
+        P, single = as_lanes(p, self.base_dim)
+        V, _ = as_lanes(v, self.rank)
+        Gv = (V[:, None, :] @ np.asarray(self.bundle_metric(P), dtype=float))[:, 0]
+        norm = np.sqrt((Gv[:, None, :] @ V[:, :, None])[:, 0, 0])
+        return float(norm[0]) if single else norm
 
 
 def bundle_diffeo(region: BundleRegion, p, v) -> Tuple[Array, Array]:
     """Fiberwise diffeomorphism from the tube W onto the whole bundle:
-    scales v by eta(|v|/delta(p)).  Identity on the half-radius core W'."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    t = region.fiber_norm(p, v) / float(region.delta(p))
-    if t >= 1.0:
-        raise DomainError(f"|v|_g = {t:.6f} * delta(p) not inside the tube")
-    return p, float(eta(t)) * v
+    scales v by eta(|v|/delta(p)).  Identity on the half-radius core W'.
+    Takes lanes p (B, base_dim), v (B, rank) or one point."""
+    P, single = as_lanes(p, region.base_dim)
+    V, _ = as_lanes(v, region.rank)
+    t = region.fiber_norm(P, V) / region.delta(P)
+    if np.any(t >= 1.0):
+        raise DomainError(f"|v|_g = {np.max(t):.6f} * delta(p) not inside the tube")
+    W = eta(t)[:, None] * V
+    return (P[0], W[0]) if single else (P, W)
 
 
 def bundle_diffeo_inverse(region: BundleRegion, p, v_prime) -> Tuple[Array, Array]:
-    """Inverse fiberwise diffeomorphism: scales v' by tau(|v'|/delta(p)).
+    """Inverse fiberwise diffeomorphism: scales v' by tau(|v'|/delta(p)), on
+    lanes p (B, base_dim), v' (B, rank) or at one point.
 
     Beyond |v'| ~ 1e8 delta(p) the image lies within rounding of the tube's
-    boundary; the scale then steps down by units in the last place until
-    the image is strictly inside, i.e. in the domain of bundle_diffeo.
+    boundary; on such lanes the scale then steps down by units in the last
+    place until the image is strictly inside, i.e. in the domain of
+    bundle_diffeo.
     """
-    p = np.asarray(p, dtype=float)
-    v_prime = np.asarray(v_prime, dtype=float)
-    delta = float(region.delta(p))
-    scale = float(tau(region.fiber_norm(p, v_prime) / delta))
-    while region.fiber_norm(p, scale * v_prime) / delta >= 1.0:
-        scale = math.nextafter(scale, 0.0)
-    return p, scale * v_prime
+    P, single = as_lanes(p, region.base_dim)
+    V, _ = as_lanes(v_prime, region.rank)
+    delta = region.delta(P)
+    scale = tau(region.fiber_norm(P, V) / delta)
+    edge = np.flatnonzero(region.fiber_norm(P, scale[:, None] * V) / delta >= 1.0)
+    while len(edge):
+        scale[edge] = np.nextafter(scale[edge], 0.0)
+        norm = region.fiber_norm(P[edge], scale[edge, None] * V[edge])
+        edge = edge[norm / delta[edge] >= 1.0]
+    W = scale[:, None] * V
+    return (P[0], W[0]) if single else (P, W)
 
 
 def extend_map(F: Callable[[Array, Array], Array], region: BundleRegion):
-    """Extend a map defined on an open set containing the closed tube W to
-    the whole bundle by composing with the inverse fiberwise diffeomorphism.
+    """Extend a map F on lanes (p (B, base_dim), v (B, rank) -> (B, ...)),
+    defined on an open set containing the closed tube W, to the whole
+    bundle by composing with the inverse fiberwise diffeomorphism.  The
+    extension takes lanes or one point.
 
     The extension agrees with F exactly (bitwise) on the half-radius core,
     where the diffeomorphism is the identity.
     """
 
     def F_tilde(p, v):
-        p_back, v_back = bundle_diffeo_inverse(region, p, v)
-        return F(p_back, v_back)
+        P, single = as_lanes(p, region.base_dim)
+        out = F(*bundle_diffeo_inverse(region, P, as_lanes(v, region.rank)[0]))
+        return out[0] if single else out
 
     return F_tilde

@@ -48,9 +48,10 @@ class ComparisonMap:
     ``chart`` is psi's map (u, c) -> x and ``target`` phi's map
     (u, c) -> y on the same frame coordinates; ``preimage`` solves
     chart(uc) = x.  ``preimage`` is a pure function of x, so chi(x) does not
-    depend on what was evaluated before.  ``domain`` takes lanes (B, n) and
-    returns a (B,) bool mask; chi, its jacobian and ``preimage`` take one
-    point (n,) or lanes (B, n).
+    depend on what was evaluated before.  ``preimage`` takes lanes (B, n)
+    and returns (B, k+m); ``domain`` takes lanes and returns a (B,) bool
+    mask.  chi and its jacobian take lanes or one point (n,), as a batch of
+    one.
     """
 
     chart: DifferentiableMap
@@ -63,13 +64,17 @@ class ComparisonMap:
         return self.chart.codomain_dim
 
     def __call__(self, x) -> Array:
-        return self.target(self.preimage(np.asarray(x, dtype=float)))
+        X, single = as_lanes(x, self.domain_dim)
+        Y = self.target(self.preimage(X))
+        return Y[0] if single else Y
 
     def jacobian(self, x) -> Array:
         """Dchi(x) by the chain rule, Dphi(uc) Dpsi(uc)^{-1} at the preimage
         uc, which avoids nesting Newton solves inside finite differences."""
-        uc = self.preimage(np.asarray(x, dtype=float))
-        return self.target.jacobian(uc) @ np.linalg.inv(self.chart.jacobian(uc))
+        X, single = as_lanes(x, self.domain_dim)
+        UC = self.preimage(X)
+        D = self.target.jacobian(UC) @ np.linalg.inv(self.chart.jacobian(UC))
+        return D[0] if single else D
 
 
 def build_chi(

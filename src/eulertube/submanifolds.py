@@ -49,18 +49,19 @@ class ParametrizedSubmanifold:
 class RadiusFunction:
     """Sampled positive tube radius u -> delta(u).
 
-    ``fn`` takes one parameter (k,) or lanes (B, k) and returns a number
-    or one per lane; ``delta(u)`` is a float for one parameter and a (B,)
-    array on lanes.
+    ``fn`` takes lanes (B, k) and returns one radius per lane (B,);
+    ``delta(u)`` is a float for one parameter (k,) and a (B,) array on
+    lanes.
     """
 
-    fn: Callable[[Array], float]
+    fn: Callable[[Array], Array]
     grid: Sequence
 
     def __call__(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        d = np.asarray(self.fn(u), dtype=float)
-        return float(d) if u.ndim == 1 else d + np.zeros(len(u))
+        u = np.asarray(u, dtype=float)
+        single = u.ndim <= 1
+        d = np.asarray(self.fn(u.reshape(1, -1) if single else u), dtype=float)
+        return float(d[0]) if single else d
 
 
 def _tangent_projection_pieces(g: MetricField, N: ParametrizedSubmanifold, U: Array):
@@ -413,7 +414,7 @@ def tubular_radius_estimate(
     for m in range(_RADIUS_MAX_HALVINGS + 1):
         delta = delta0 * 2.0**-m
         if _radius_candidate_ok(frame, chart, grid, delta):
-            return RadiusFunction(fn=lambda u, d=delta: d, grid=list(grid))
+            return RadiusFunction(fn=lambda U, d=delta: np.full(len(U), d), grid=list(grid))
     raise NoValidRadius(
         f"no certified radius above {delta0 * 2.0 ** -_RADIUS_MAX_HALVINGS:.3e}"
     )

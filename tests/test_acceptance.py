@@ -163,7 +163,7 @@ def test_criterion_5_reference_metric_independence():
         return G
 
     g_skew = MetricField(dim=2, matrix_fn=skew, name="skew")
-    delta = RadiusFunction(fn=lambda u: 1.0, grid=[])
+    delta = RadiusFunction(fn=lambda U: np.full(len(U), 1.0), grid=[])
     fn = lambda UC: np.stack([UC[:, 0] + 0.2 * UC[:, 1], UC[:, 1] + 0.05 * UC[:, 1] ** 2], axis=1)
     psi = TubularEmbedding(
         map=DifferentiableMap(2, 2, fn),
@@ -184,17 +184,23 @@ def test_criterion_6_appendix_suite(suite_runs):
     ok = stages["appendix-sigma"].max_residual <= 1e-9
     ok &= stages["appendix-roundtrip"].max_residual <= 1e-12
 
+    def bundle_metric(P):
+        G = np.zeros((len(P), 2, 2))
+        G[:, 0, 0] = 1.0 + P[:, 0] ** 2
+        G[:, 1, 1] = 2.0
+        return G
+
     region = ext.BundleRegion(
         base_dim=2,
         rank=2,
-        bundle_metric=lambda p: np.diag([1.0 + p[0] ** 2, 2.0]),
-        delta=lambda p: 0.5 + 0.1 * np.sin(p[0]),
+        bundle_metric=bundle_metric,
+        delta=lambda P: 0.5 + 0.1 * np.sin(P[:, 0]),
     )
-    F = lambda p, v: p + np.sin(v)
+    F = lambda P, V: P + np.sin(V)
     F_t = ext.extend_map(F, region)
     for a in (-0.4, 0.1, 0.6):
         p = np.array([a, -a / 2])
-        d = region.delta(p)
+        d = float(region.delta(p[None])[0])
         vhat = np.array([0.8, -0.6])
         vhat = vhat / region.fiber_norm(p, vhat)
         # identity on W' exactly, extension agrees bitwise there

@@ -30,7 +30,7 @@ def unit_circle():
 
 
 def const_radius(value):
-    return RadiusFunction(fn=lambda u: value, grid=[np.zeros(1)])
+    return RadiusFunction(fn=lambda U: np.full(len(U), value), grid=[np.zeros(1)])
 
 
 def u_grid(lo, hi, n):

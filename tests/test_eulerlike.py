@@ -44,7 +44,7 @@ def embedding_over(N, fn, delta=1.5, jac=None):
     psi = TubularEmbedding(
         map=DifferentiableMap(N.ambient_dim, N.ambient_dim, fn, jac=jac),
         frame=NormalFrame(g, N),
-        delta=RadiusFunction(fn=lambda u: delta, grid=[np.zeros(max(N.param_dim, 1))]),
+        delta=RadiusFunction(fn=lambda U: np.full(len(U), delta), grid=[np.zeros(max(N.param_dim, 1))]),
     )
     return psi
 

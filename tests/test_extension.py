@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -132,22 +133,27 @@ class TestSigmaInverse:
 
     def test_mp_evaluations_per_solve(self, monkeypatch):
         # the appendix-roundtrip targets: a double seed leaves at most three
-        # Newton steps at 50 digits, each one mp sigma evaluation
+        # Newton steps at 50 digits, each one mp evaluation of sigma (alone
+        # or together with sigma')
         counts = []
-        plain = extension.sigma
 
-        def counting(t):
-            if isinstance(t, mp.mpf):
-                counts[-1] += 1
-            return plain(t)
+        def counting(plain):
+            def counted(t):
+                if isinstance(t, mp.mpf):
+                    counts[-1] += 1
+                return plain(t)
 
-        monkeypatch.setattr(extension, "sigma", counting)
+            return counted
+
+        for name in ("sigma", "_sigma_and_prime"):
+            monkeypatch.setattr(extension, name, counting(getattr(extension, name)))
         with mp.workdps(50):
             for v in np.linspace(-1000.0, 1000.0, 201):
                 if abs(v) > 0.5:
                     counts.append(0)
                     extension.sigma_inverse(mp.mpf(v))
         assert len(counts) == 200
+        assert min(counts) >= 1
         assert max(counts) <= 6
 
     @given(st.floats(0.5, 1e6), st.sampled_from([1, -1]), st.sampled_from([30, 50]))
@@ -229,13 +235,102 @@ class TestTau:
             assert tau(s) * abs(s) < 1.0
 
 
+# t = +-1/2 and +-3/4 are the ends of the gluing region, and the last
+# doubles below 1 sit where 1 - t^2 rounds coarsely
+_LANE_TS = np.array(
+    [0.0, 0.3, 0.5, 0.5 + 2.0**-52, 0.6, 0.74, 0.75, 0.9, 0.999, 1 - 2.0**-20]
+    + [1 - 2.0**-52, 1 - 2.0**-53]
+)
+_LANE_TS = np.concatenate([_LANE_TS, -_LANE_TS])
+_LANE_TARGETS = np.concatenate(
+    [sigma(_LANE_TS), [0.7, 3.0, -777.0, 6.7e7, 6.8e7, -1e8, 1e12, 1e300, -1e300]]
+)
+
+
+def _scalar_seed(approx):
+    """The double bracket-and-bisect of one target, one sigma at a time:
+    the reference the lane seeds are checked against."""
+    lo, hi = 0.5, 1 - 2.0**-4
+    while not sigma(hi) > approx:
+        lo, hi = hi, 1 - (1 - hi) / 2
+        if hi == 1:
+            return lo, hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if sigma(mid) > approx:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+class TestProfileLanes:
+    """A lane in a batch gives its one-point result bitwise, with no
+    RuntimeWarning from the exponentials outside (0, 1)."""
+
+    @pytest.mark.parametrize("f", [rho, eta, sigma, sigma_prime, phi_stereo])
+    def test_profiles(self, f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = f(_LANE_TS)
+            assert out.shape == _LANE_TS.shape
+            for t, o in zip(_LANE_TS, out):
+                assert f(float(t)) == o
+                assert f(np.array([t]))[0] == o
+
+    def test_float_input_gives_a_float(self):
+        for f in (rho, eta, sigma, sigma_prime, phi_stereo, sigma_inverse, tau):
+            assert isinstance(f(0.6), float)
+
+    @pytest.mark.parametrize("f", [sigma_inverse, tau])
+    def test_inverse_and_tau(self, f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = f(_LANE_TARGETS)
+            assert out.shape == _LANE_TARGETS.shape
+            for s, o in zip(_LANE_TARGETS, out):
+                assert f(float(s)) == o
+
+    def test_mp_targets_as_lanes(self):
+        with mp.workdps(50):
+            ss = [mp.mpf(x) for x in ("0.25", "-0.7", "3", "-1000", "6.8e7", "1e12")]
+            ts = sigma_inverse(ss)
+            assert [sigma_inverse(s) for s in ss] == list(ts)
+            assert all(isinstance(t, mp.mpf) for t in ts)
+
+    def test_lane_seeds_match_the_scalar_bisection(self):
+        approx = np.abs(_LANE_TARGETS)
+        approx = approx[approx > 0.5]
+        lo, hi = extension._double_seeds(approx)
+        for a, l, h in zip(approx, lo, hi):
+            assert (l, h) == _scalar_seed(a)
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_shared_mp_evaluation_is_sigma_and_prime(self, dps):
+        with mp.workdps(dps):
+            for t in ("0", "0.3", "0.5", "0.55", "0.6", "0.7499", "0.75", "0.9", "0.999999"):
+                for sign in (1, -1):
+                    t_ = sign * mp.mpf(t)
+                    value, slope = extension._sigma_and_prime(t_)
+                    assert value == sigma(t_) and slope == sigma_prime(t_)
+
+
 def make_region():
+    def bundle_metric(P):
+        G = np.zeros((len(P), 2, 2))
+        G[:, 0, 0] = 1.0 + P[:, 0] ** 2
+        G[:, 1, 1] = 2.0
+        return G
+
     return BundleRegion(
         base_dim=2,
         rank=2,
-        bundle_metric=lambda p: np.diag([1.0 + p[0] ** 2, 2.0]),
-        delta=lambda p: 0.5 + 0.1 * np.sin(p[0]),
+        bundle_metric=bundle_metric,
+        delta=lambda P: 0.5 + 0.1 * np.sin(P[:, 0]),
     )
+
+
+def delta_at(region, p):
+    return float(region.delta(np.atleast_2d(p))[0])
 
 
 class TestBundleDiffeo:
@@ -243,7 +338,7 @@ class TestBundleDiffeo:
         region = make_region()
         p = np.array([0.3, -0.2])
         v = np.array([0.05, 0.02])
-        assert region.in_W_prime(p, v)
+        assert region.fiber_norm(p, v) < 0.5 * delta_at(region, p)
         pb, vb = bundle_diffeo(region, p, v)
         assert np.array_equal(vb, v)
         assert np.array_equal(pb, p)
@@ -251,7 +346,7 @@ class TestBundleDiffeo:
     def test_base_point_preserved(self):
         region = make_region()
         p = np.array([-0.4, 0.6])
-        d = region.delta(p)
+        d = delta_at(region, p)
         v = np.array([0.3, 0.1])
         v = v / region.fiber_norm(p, v) * 0.8 * d
         pb, _ = bundle_diffeo(region, p, v)
@@ -260,7 +355,7 @@ class TestBundleDiffeo:
     def test_round_trip_near_boundary(self):
         region = make_region()
         p = np.array([0.1, 0.5])
-        d = region.delta(p)
+        d = delta_at(region, p)
         v = np.array([1.0, -0.7])
         v = v / region.fiber_norm(p, v) * 0.95 * d
         pb, vb = bundle_diffeo(region, p, v)
@@ -271,40 +366,99 @@ class TestBundleDiffeo:
         # from ~1e8 delta on, the exact preimage rounds onto the tube's
         # boundary; bundle_diffeo rejects it there
         region = make_region()
-        for p in (np.zeros(2), np.array([0.3, -0.2]), np.array([-0.4, 0.5])):
-            for a in np.linspace(0.0, np.pi, 16, endpoint=False):
-                d = np.array([np.cos(a), np.sin(a)])
-                for scale in (1e9, 1e12):
-                    v = d / region.fiber_norm(p, d) * scale * region.delta(p)
-                    pb, vb = bundle_diffeo_inverse(region, p, v)
-                    bundle_diffeo(region, pb, vb)
+        P, V = _far_fiber_lanes(region)
+        pb, vb = bundle_diffeo_inverse(region, P, V)
+        bundle_diffeo(region, pb, vb)
 
     def test_outside_tube_rejected(self):
         region = make_region()
         p = np.zeros(2)
-        d = region.delta(p)
+        d = delta_at(region, p)
         v = np.array([1.0, 0.0]) * d / region.fiber_norm(p, np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             bundle_diffeo(region, p, v)
 
     def test_injective_on_samples(self):
         region = make_region()
-        p = np.zeros(2)
-        d = region.delta(p)
-        outs = []
-        for frac in np.linspace(0.1, 0.95, 12):
-            v = np.array([1.0, 0.3])
-            v = v / region.fiber_norm(p, v) * frac * d
-            outs.append(bundle_diffeo(region, p, v)[1])
+        P = np.zeros((12, 2))
+        V = np.tile([1.0, 0.3], (12, 1))
+        fracs = np.linspace(0.1, 0.95, 12)
+        V = V / region.fiber_norm(P, V)[:, None] * fracs[:, None] * region.delta(P)[:, None]
+        outs = bundle_diffeo(region, P, V)[1]
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
                 assert np.linalg.norm(outs[i] - outs[j]) > 1e-8
 
 
+def _far_fiber_lanes(region):
+    """Lanes at 1e9 and 1e12 delta in 16 directions over 3 base points,
+    with the core and mid-tube vectors of each base point among them."""
+    P, V = [], []
+    for p in (np.zeros(2), np.array([0.3, -0.2]), np.array([-0.4, 0.5])):
+        for a in np.linspace(0.0, np.pi, 16, endpoint=False):
+            d = np.array([np.cos(a), np.sin(a)])
+            for scale in (0.3, 0.8, 1e9, 1e12):
+                P.append(p)
+                V.append(d / region.fiber_norm(p, d) * scale * delta_at(region, p))
+    return np.array(P), np.array(V)
+
+
+class TestBundleLanes:
+    """A lane in a batch gives its one-point result bitwise."""
+
+    def test_fiber_norm(self):
+        region = make_region()
+        P, V = _far_fiber_lanes(region)
+        norms = region.fiber_norm(P, V)
+        assert norms.shape == (len(P),)
+        for p, v, n in zip(P, V, norms):
+            assert region.fiber_norm(p, v) == n
+
+    def test_diffeo_and_inverse(self):
+        region = make_region()
+        P, V = _far_fiber_lanes(region)
+        Pr, Vr = bundle_diffeo_inverse(region, P, V)
+        Pb, Vb = bundle_diffeo(region, Pr, Vr)
+        for i in range(len(P)):
+            pr, vr = bundle_diffeo_inverse(region, P[i], V[i])
+            assert np.array_equal(pr, Pr[i]) and np.array_equal(vr, Vr[i])
+            pb, vb = bundle_diffeo(region, pr, vr)
+            assert np.array_equal(pb, Pb[i]) and np.array_equal(vb, Vb[i])
+
+    def test_boundary_steps_leave_other_lanes(self, monkeypatch):
+        # after the two whole-batch norms, the ulp steps measure only the
+        # far lanes still on the boundary; a lane batched with them keeps
+        # the scale tau gave it
+        region = make_region()
+        P, V = _far_fiber_lanes(region)
+        sizes = []
+        plain = BundleRegion.fiber_norm
+
+        def counting(self, p, v):
+            sizes.append(len(p))
+            return plain(self, p, v)
+
+        monkeypatch.setattr(BundleRegion, "fiber_norm", counting)
+        _, Vr = bundle_diffeo_inverse(region, P, V)
+        assert sizes[:2] == [len(P), len(P)]
+        assert len(sizes) > 2 and max(sizes[2:]) < len(P) // 2
+        t = plain(region, P, V) / region.delta(P)
+        assert np.array_equal(Vr[t < 1e8], tau(t[t < 1e8])[:, None] * V[t < 1e8])
+
+    def test_extend_map(self):
+        region = make_region()
+        P, V = _far_fiber_lanes(region)
+        F = lambda P, V: np.concatenate([np.sin(P) + V**3, V], axis=1)
+        F_t = extend_map(F, region)
+        out = F_t(P, V)
+        for i in range(len(P)):
+            assert np.array_equal(F_t(P[i], V[i]), out[i])
+
+
 class TestExtendMap:
     def test_base_projection_unchanged(self):
         region = make_region()
-        proj = lambda p, v: p
+        proj = lambda P, V: P
         proj_t = extend_map(proj, region)
         p = np.array([0.2, 0.4])
         assert np.array_equal(proj_t(p, np.array([3.0, -7.0])), p)
@@ -313,26 +467,26 @@ class TestExtendMap:
         region = make_region()
         calls = []
 
-        def F(p, v):
-            calls.append(region.fiber_norm(p, v) / region.delta(p))
-            return p + v
+        def F(P, V):
+            calls.append(region.fiber_norm(P, V) / region.delta(P))
+            return P + V
 
         F_t = extend_map(F, region)
         p = np.zeros(2)
-        d = region.delta(p)
+        d = delta_at(region, p)
         vhat = np.array([1.0, 0.0]) / region.fiber_norm(p, np.array([1.0, 0.0]))
         # at 1e9 delta the exact preimage rounds to the tube's boundary
         for scale in (10.0, 1e9):
             out = F_t(p, scale * d * vhat)
             assert np.all(np.isfinite(out))
-            assert calls[-1] < 1.0  # F only ever evaluated inside the tube
+            assert np.all(calls[-1] < 1.0)  # F only ever evaluated inside the tube
 
     def test_bitwise_agreement_on_core(self):
         region = make_region()
-        F = lambda p, v: np.sin(p) + v**3
+        F = lambda P, V: np.sin(P) + V**3
         F_t = extend_map(F, region)
         p = np.array([0.7, -0.1])
         for frac in (0.05, 0.2, 0.45):
             v = np.array([0.6, 0.8])
-            v = v / region.fiber_norm(p, v) * frac * region.delta(p)
+            v = v / region.fiber_norm(p, v) * frac * delta_at(region, p)
             assert np.array_equal(F_t(p, v), F(p, v))

@@ -27,7 +27,7 @@ from eulertube.metrics import (
     sphere_chart_metric,
 )
 from eulertube.numerics import DifferentiableMap, jacobian, ode_integrate, solve_inverse
-from eulertube.realization import build_chi, curve_length, pullback_metric
+from eulertube.realization import ComparisonMap, build_chi, curve_length, pullback_metric
 from eulertube.scenarios import (
     BACKGROUNDS,
     BUILTIN_SCENARIOS,
@@ -369,6 +369,33 @@ class TestReconstructionLanes:
         X.contains(points + 0.01)
         assert calls == [3, 3]
 
+    def test_domain_retry_keeps_every_preimage(self, monkeypatch):
+        # 10 lanes straddling the tube, the last one NaN: its inversion
+        # fails the batch, the lanes retry one at a time, and the memo keeps
+        # all 9 preimages found, so the field on them inverts nothing
+        psi, frame, _, delta, lo, hi, _ = tube_pipeline("helix")
+        u = 0.5 * (lo + hi)
+        mid = np.array([u, 0.0, 0.0])
+        far = mid + np.array([0.0, 1.5 * delta(np.array([u])), 0.0])
+        points = straddle(psi.map(mid), psi.map(far))
+        calls = []
+        invert = type(psi).invert
+
+        def counted(self, x, tol=1e-12):
+            calls.append(len(np.atleast_2d(x)))
+            return invert(self, x, tol=tol)
+
+        monkeypatch.setattr(type(psi), "invert", counted)
+        X = pushforward_field(psi)
+        mask = X.contains(points)
+        assert calls == [10] + [1] * 10
+        assert mask.any() and not mask.all() and not mask[-1]
+        del calls[:]
+        X(points[:-1])
+        assert calls == []
+        for i in range(len(points)):
+            assert pushforward_field(psi).contains(points[i : i + 1])[0] == mask[i]
+
 
 def straddle(inside, *outside, count=9):
     """Lanes on the segments from a point inside a domain to each point
@@ -390,6 +417,58 @@ def assert_lane_mask(domain, X):
     for i in range(len(X)):
         one = domain(X[i : i + 1])
         assert one.shape == (1,) and one[0] == mask[i]
+
+
+class TestLaneOnlyCallables:
+    """A radius fn and a chi preimage take lanes only; one point reaches
+    them as a batch of one."""
+
+    def test_radius_function(self):
+        calls = []
+
+        def fn(U):
+            calls.append(U.shape)
+            return 0.2 + 0.1 * U[:, 0]
+
+        delta = RadiusFunction(fn=fn, grid=[])
+        U = np.array([[0.5], [1.0], [-1.0]])
+        lanes = delta(U)
+        assert lanes.shape == (3,)
+        for u, d in zip(U, lanes):
+            one = delta(u)
+            assert isinstance(one, float) and one == d
+        assert calls == [(3, 1), (1, 1), (1, 1), (1, 1)]
+
+    def test_seed_table_evaluates_the_radius_once(self):
+        psi, _, _, delta, lo, hi, _ = tube_pipeline("helix")
+        calls = []
+
+        def fn(U):
+            calls.append(len(U))
+            return delta.fn(U)
+
+        grid = _interior_grid(lo, hi, 15, margin=0.08)
+        table = replace(psi, delta=RadiusFunction(fn=fn, grid=delta.grid))
+        table.build_seed_table(grid)
+        assert calls == [15]
+        psi.build_seed_table(grid)
+        assert table.seeds.tobytes() == psi.seeds.tobytes()
+
+    def test_comparison_map_preimage(self):
+        f = quadratic_map()
+        seen = []
+
+        def preimage(X):
+            seen.append(X.shape)
+            return solve_inverse(f, X, np.zeros_like(X))
+
+        chi = ComparisonMap(chart=f, target=f, preimage=preimage)
+        X = np.array([[0.1, 0.2], [-0.3, 0.4]])
+        Y, D = chi(X), chi.jacobian(X)
+        for x, y, d in zip(X, Y, D):
+            assert chi(x).tobytes() == y.tobytes()
+            assert chi.jacobian(x).tobytes() == d.tobytes()
+        assert all(len(shape) == 2 for shape in seen)
 
 
 class TestBuiltinDomainsTakeLanes:
@@ -574,7 +653,7 @@ class TestNewtonWork:
         psi = TubularEmbedding(
             map=f,
             frame=NormalFrame(euclidean_metric(2), N),
-            delta=RadiusFunction(fn=lambda u: 1.0, grid=[]),
+            delta=RadiusFunction(fn=lambda U: np.full(len(U), 1.0), grid=[]),
         )
         # seeds (u, 0): the jacobian is singular at u = 1/2 only
         psi.build_seed_table(np.linspace(0.0, 1.0, 5)[:, None], c_fractions=(0.0,))

@@ -59,7 +59,7 @@ def test_embedding_analytic_jacobians_match_fd(name):
     scn = {e.embedding: e for e in BUILTIN_SCENARIOS.values() if e.embedding}[name]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = RadiusFunction(fn=lambda u: 0.3, grid=[])
+    delta = RadiusFunction(fn=lambda U: np.full(len(U), 0.3), grid=[])
     fn, jac = EMBEDDINGS[name][1](NormalFrame(gt, N), delta)
     dim = N.ambient_dim
     fa = DifferentiableMap(dim, dim, fn, jac=jac)
@@ -77,7 +77,7 @@ def test_helix_jacobian_matches_fd():
     scn = BUILTIN_SCENARIOS["helix"]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = RadiusFunction(fn=lambda u: 0.3, grid=[])
+    delta = RadiusFunction(fn=lambda U: np.full(len(U), 0.3), grid=[])
     fn, jac = EMBEDDINGS["helix-quadratic"][1](NormalFrame(gt, N), delta)
     fa = DifferentiableMap(3, 3, fn, jac=jac)
     ffd = DifferentiableMap(3, 3, fn, fd_step=1e-6)
