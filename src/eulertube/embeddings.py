@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NotInDomain
 from .numerics import Array, DifferentiableMap, guarded_inverse, solve_inverse
-from .submanifolds import (
-    NormalFrame,
-    ParametrizedSubmanifold,
-    RadiusFunction,
-    normal_exponential,
-)
+from .submanifolds import NormalFrame, ParametrizedSubmanifold, normal_exponential
 
 
 @dataclass
@@ -22,17 +17,18 @@ class TubularEmbedding:
     """A smooth injective map (u, c) -> ambient point, with c the coordinates
     of a normal vector in the deterministic background-metric frame.
 
-    ``frame`` is the normal frame of N that c refers to; ``delta`` bounds
-    |c| on the certified tube.  Inversion is Newton iteration seeded from
-    the nearest entry of a precomputed table of seeds, their images and
-    the guarded inverses of the jacobian there, so the first Newton step
-    evaluates nothing.  Evaluation and inversion take one point or lanes
-    (a leading axis of independent points).
+    ``frame`` is the normal frame of N that c refers to; ``delta``, a
+    radius on lanes of base points (B, k) -> (B,), bounds |c| on the
+    certified tube.  Inversion is Newton iteration seeded from the nearest
+    entry of a precomputed table of seeds, their images and the guarded
+    inverses of the jacobian there, so the first Newton step evaluates
+    nothing.  Evaluation and inversion take lanes (a leading axis of
+    independent points).
     """
 
     map: DifferentiableMap
     frame: NormalFrame
-    delta: Optional[RadiusFunction] = None
+    delta: Optional[Callable[[Array], Array]] = None
     seeds: Optional[Array] = None  # (#seeds, k+m)
     seed_images: Optional[Array] = None  # (#seeds, n)
     seed_inverses: Optional[Array] = None  # (#seeds, k+m, n), NaN where the guard fails
@@ -45,14 +41,13 @@ class TubularEmbedding:
     def fiber_dim(self) -> int:
         return self.N.ambient_dim - self.N.param_dim
 
-    def __call__(self, u, c) -> Array:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        return self.map(np.concatenate([u, c], axis=-1))
+    def __call__(self, U: Array, C: Array) -> Array:
+        return self.map(np.concatenate([U, C], axis=1))
 
-    def build_seed_table(self, u_grid, c_fractions=(0.0, 0.35, 0.7)) -> None:
-        k, m = self.N.param_dim, self.fiber_dim
-        U = np.asarray(u_grid, dtype=float).reshape(len(u_grid), k)
+    def build_seed_table(self, U: Array, c_fractions=(0.0, 0.35, 0.7)) -> None:
+        """Seeds (u, c) at the grid of base points U (G, k), c along each
+        fiber axis at the signed fractions of delta(u)."""
+        m = self.fiber_dim
         radii = self.delta(U) if self.delta is not None else np.ones(len(U))
         seeds = []
         for u, d in zip(U, radii):
@@ -62,35 +57,32 @@ class TubularEmbedding:
                         c = np.zeros(m)
                         c[j] = sign * frac * d
                         seeds.append(np.concatenate([u, c]))
-        uniq = {tuple(np.round(s, 12)) for s in seeds}
-        seeds = [np.array(s) for s in sorted(uniq)]
-        self.seeds = np.array(seeds)
+        self.seeds = np.array(sorted({tuple(np.round(s, 12)) for s in seeds}))
         self.seed_images = self.map(self.seeds)
         self.seed_inverses = guarded_inverse(self.map.jacobian(self.seeds))
 
-    def invert(self, x, tol: float = 1e-12) -> Array:
-        """Solve psi(u, c) = x by Newton from the nearest table seed, for
-        one point x (n,) or lanes (B, n), each from its own nearest seed.
-        A seed whose jacobian fails the guard makes only the inversions
-        that start from it raise SingularJacobian."""
-        x = np.asarray(x, dtype=float)
+    def invert(self, X: Array, tol: float = 1e-12) -> Array:
+        """Solve psi(u, c) = x by Newton on lanes X (B, n), each lane from
+        its own nearest table seed.  A seed whose jacobian fails the guard
+        makes only the inversions that start from it raise
+        SingularJacobian."""
         if self.seeds is None:
             raise RuntimeError("seed table not built; call build_seed_table first")
-        d = self.seed_images - x[..., None, :]
-        i = np.argmin(np.sqrt((d * d).sum(axis=-1)), axis=-1)
+        d = self.seed_images - X[:, None, :]
+        i = np.argmin(np.sqrt((d * d).sum(axis=2)), axis=1)
         return solve_inverse(
-            self.map, x, self.seeds[i], tol=tol,
+            self.map, X, self.seeds[i], tol=tol,
             fx0=self.seed_images[i], jac_inv0=self.seed_inverses[i],
         )
 
 
 def validate_embedding(
     psi: TubularEmbedding,
-    u_grid,
+    U: Array,
     zero_tol: float = 1e-10,
     frame_tol: float = 1e-6,
 ) -> float:
-    """Check the tubular-embedding invariants on a parameter grid.
+    """Check the tubular-embedding invariants on a parameter grid U (G, k).
 
     Verifies that the zero section lands on N and that the fiber block of
     the jacobian, expressed in the embedding's normal frame, is the
@@ -98,7 +90,6 @@ def validate_embedding(
     raises NotInDomain.  Returns the worst residual seen.
     """
     k, m = psi.N.param_dim, psi.fiber_dim
-    U = np.asarray(u_grid, dtype=float).reshape(len(u_grid), k)
     fp = psi.frame.at(U)
     zero = np.concatenate([U, np.zeros((len(U), m))], axis=1)
     r0 = [float(np.linalg.norm(d)) for d in psi.map(zero) - fp.p]
@@ -115,7 +106,7 @@ def validate_embedding(
     return max([0.0, *r0, *r1.tolist()])
 
 
-def reference_embedding(frame: NormalFrame, delta: RadiusFunction) -> TubularEmbedding:
+def reference_embedding(frame: NormalFrame, delta: Callable[[Array], Array]) -> TubularEmbedding:
     """The normal-exponential embedding of the frame's metric: the chart of
     ``submanifolds.normal_exponential`` on the tube |c| < delta(u).
 

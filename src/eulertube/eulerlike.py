@@ -11,39 +11,35 @@ import numpy as np
 from .embeddings import TubularEmbedding
 from .errors import EulertubeError, FlowExit, NoConvergence, NotVanishing
 from .metrics import MetricField
-from .numerics import Array, DifferentiableMap, as_lanes, ode_integrate
+from .numerics import Array, DifferentiableMap, ode_integrate
 from .submanifolds import ParametrizedSubmanifold, normal_space_basis
 
 
 @dataclass(frozen=True)
 class LinearApproximation:
-    """Jacobian of a field vanishing on N, and its induced quotient action
-    expressed in a reference normal frame."""
+    """Jacobians of a field vanishing on N at lanes of base points, and its
+    induced quotient actions expressed in a reference normal frame."""
 
     u: Array
     A: Array
     induced: Array
 
 
-def euler_field(x) -> Array:
-    """The radial fiber field: returns the fiber coordinates themselves."""
-    return np.asarray(x, dtype=float).copy()
-
-
-def _grid_lanes(grid, k: int) -> Array:
-    """A grid of base points (a sequence of (k,) parameters) as lanes (G, k)."""
-    return np.asarray(grid, dtype=float).reshape(len(grid), k)
+def euler_field(C: Array) -> Array:
+    """The radial fiber field on lanes of fiber coordinates: returns the
+    coordinates themselves."""
+    return np.array(C, dtype=float)
 
 
 def vanishes_on_N(
     X: DifferentiableMap,
     N: ParametrizedSubmanifold,
-    grid,
+    grid: Array,
     tol: float = 1e-8,
 ) -> Tuple[bool, float]:
-    """True iff max_u |X(p(u))| over the grid is below tol; X is evaluated
-    on the whole grid as one lane batch."""
-    P = N.point(_grid_lanes(grid, N.param_dim))
+    """True iff max_u |X(p(u))| over the grid (G, k) is below tol; X is
+    evaluated on the whole grid as one lane batch."""
+    P = N.point(grid)
     worst = max((float(np.linalg.norm(v)) for v in X(P)), default=0.0)
     return worst <= tol, worst
 
@@ -52,18 +48,16 @@ def linear_approximation(
     X: DifferentiableMap,
     g_ref: MetricField,
     N: ParametrizedSubmanifold,
-    u,
+    U: Array,
     tol_vanish: float = 1e-6,
 ) -> LinearApproximation:
     """Quotient action of the jacobian of X at p(u) on the normal classes,
-    at one base point u (k,) or lanes u (B, k), each field then with a
-    leading lane axis.
+    on lanes of base points U (B, k).
 
     The class of a normal frame vector b is sent to the class of A b; with
     a g_ref-orthonormal frame the class coordinates are B^T G A b.  Raises
     NotVanishing at the first lane where |X(p(u))| exceeds tol_vanish.
     """
-    U, single = as_lanes(u, N.param_dim)
     P = N.point(U)
     for u_b, v in zip(U, X(P)):
         r = float(np.linalg.norm(v))
@@ -72,8 +66,6 @@ def linear_approximation(
     A = X.jacobian(P)
     B = normal_space_basis(g_ref, N, U)
     induced = np.swapaxes(B, 1, 2) @ g_ref.matrix(P) @ A @ B
-    if single:
-        return LinearApproximation(u=U[0], A=A[0], induced=induced[0])
     return LinearApproximation(u=U, A=A, induced=induced)
 
 
@@ -81,30 +73,28 @@ def is_euler_like(
     X: DifferentiableMap,
     g_ref: MetricField,
     N: ParametrizedSubmanifold,
-    grid,
+    grid: Array,
     tol: float = 1e-5,
     tol_vanish: float = 1e-6,
 ) -> Tuple[bool, float]:
     """True iff X vanishes on N and its induced quotient action is the
-    identity on every grid point; returns (verdict, max residual).  The
-    grid is one lane batch."""
+    identity on every point of the grid (G, k); returns (verdict, max
+    residual).  The grid is one lane batch."""
     ok, vres = vanishes_on_N(X, N, grid, tol=tol_vanish)
     if not ok:
         return False, vres
-    lin = linear_approximation(X, g_ref, N, _grid_lanes(grid, N.param_dim), tol_vanish=tol_vanish)
+    lin = linear_approximation(X, g_ref, N, grid, tol_vanish=tol_vanish)
     m = lin.induced.shape[-1]
     worst = float(np.max(np.abs(lin.induced - np.eye(m)), initial=0.0))
     return worst <= tol, worst
 
 
-def pushforward_euler(psi: TubularEmbedding, u, c) -> Array:
-    """d(psi) at (u, c) applied to the fiber vector c (the Euler field), at
-    one point or on lanes u (B, k), c (B, m)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    J = psi.map.jacobian(np.concatenate([u, c], axis=-1))
-    fiber = np.concatenate([np.zeros_like(u), c], axis=-1)
-    return (J @ fiber[..., None])[..., 0]
+def pushforward_euler(psi: TubularEmbedding, U: Array, C: Array) -> Array:
+    """d(psi) at (u, c) applied to the fiber vector c (the Euler field), on
+    lanes U (B, k), C (B, m)."""
+    J = psi.map.jacobian(np.concatenate([U, C], axis=1))
+    fiber = np.concatenate([np.zeros_like(U), C], axis=1)
+    return (J @ fiber[:, :, None])[:, :, 0]
 
 
 def pushforward_field(
@@ -181,14 +171,14 @@ def _default_t_seq() -> Sequence[float]:
 def reconstruct_embedding(
     X: DifferentiableMap,
     psi0: TubularEmbedding,
-    u,
-    c,
+    U: Array,
+    C: Array,
     t_seq: Optional[Sequence[float]] = None,
     tol: float = 1e-6,
     flow_tol: float = 1e-11,
 ) -> Array:
-    """Recover psi(u, c) for the unique embedding with pushforward field X,
-    at one point (u (k,), c (m,)) or at P points (u (P, k), c (P, m)).
+    """Recover psi(u, c) for the unique embedding with pushforward field X
+    at P points, lanes U (P, k), C (P, m).
 
     For each t the reference point psi0(u, t c) is transported by the flow
     of X for time -ln t; the iterates converge linearly in t and are
@@ -197,26 +187,21 @@ def reconstruct_embedding(
     Cauchy or its last two extrapolants disagree beyond tol, and FlowExit
     if a flow leaves the field's domain.
     """
-    c = np.asarray(c, dtype=float)
-    single = c.ndim <= 1
-    c = np.atleast_1d(c).reshape(-1, psi0.fiber_dim)
-    u = np.asarray(u, dtype=float).reshape(len(c), psi0.N.param_dim)
     if t_seq is None:
         t_seq = _default_t_seq()
     ts = np.array(sorted(t_seq, reverse=True))
     if len(ts) < 3:
         raise ValueError("need at least three schedule times")
     # lane (point i, schedule time j) is row i * len(ts) + j
-    U = np.repeat(u, len(ts), axis=0)
-    C = (ts[None, :, None] * c[:, None, :]).reshape(len(U), -1)
+    U_t = np.repeat(U, len(ts), axis=0)
+    C_t = (ts[None, :, None] * C[:, None, :]).reshape(len(U_t), -1)
     domain = None if X.domain is None else X.contains
-    traj = ode_integrate(X, psi0(U, C), np.tile(-np.log(ts), len(c)), flow_tol, domain=domain)
+    traj = ode_integrate(X, psi0(U_t, C_t), np.tile(-np.log(ts), len(C)), flow_tol, domain=domain)
     if traj.exited.any():
         t = ts[int(np.flatnonzero(traj.exited)[0]) % len(ts)]
         raise FlowExit(f"flow left the domain at schedule time t={t}")
-    raw = traj.final_state.reshape(len(c), len(ts), -1)
-    out = np.array([_extrapolate(iterates, tol, flow_tol) for iterates in raw])
-    return out[0] if single else out
+    raw = traj.final_state.reshape(len(C), len(ts), -1)
+    return np.array([_extrapolate(iterates, tol, flow_tol) for iterates in raw])
 
 
 def _extrapolate(raw: Array, tol: float, flow_tol: float) -> Array:

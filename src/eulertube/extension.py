@@ -24,7 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .numerics import Array, as_lanes
+from .numerics import Array
 
 _HALF = 0.5
 
@@ -255,7 +255,8 @@ def tau(s, dps: int = 50):
     s = np.asarray(s, dtype=float)
     q = np.ones(s.shape)
     far = ~(np.abs(s) <= _HALF)
-    q[far] = sigma_inverse(s[far], dps=dps) / s[far]
+    if far.any():
+        q[far] = sigma_inverse(s[far], dps=dps) / s[far]
     # the quotient of the last double below 1 by |s| can round up
     return np.where(q * np.abs(s) >= 1, np.nextafter(q, 0.0), q)[()]
 
@@ -267,7 +268,8 @@ class BundleRegion:
     fiberwise diffeomorphism is the identity.
 
     ``bundle_metric`` and ``delta`` take lanes p (B, base_dim) and return
-    (B, rank, rank) SPD matrices and (B,) radii.
+    (B, rank, rank) SPD matrices and (B,) radii; so do this module's bundle
+    maps, with fiber vectors v (B, rank).
     """
 
     base_dim: int
@@ -275,40 +277,29 @@ class BundleRegion:
     bundle_metric: Callable[[Array], Array]
     delta: Callable[[Array], Array]
 
-    def fiber_norm(self, p, v):
-        """|v|_g at lanes p (B, base_dim), v (B, rank) as (B,), or at one
-        point p, v as a float."""
-        P, single = as_lanes(p, self.base_dim)
-        V, _ = as_lanes(v, self.rank)
+    def fiber_norm(self, P: Array, V: Array) -> Array:
+        """|v|_g on lanes, (B,)."""
         Gv = (V[:, None, :] @ np.asarray(self.bundle_metric(P), dtype=float))[:, 0]
-        norm = np.sqrt((Gv[:, None, :] @ V[:, :, None])[:, 0, 0])
-        return float(norm[0]) if single else norm
+        return np.sqrt((Gv[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
-def bundle_diffeo(region: BundleRegion, p, v) -> Tuple[Array, Array]:
+def bundle_diffeo(region: BundleRegion, P: Array, V: Array) -> Tuple[Array, Array]:
     """Fiberwise diffeomorphism from the tube W onto the whole bundle:
-    scales v by eta(|v|/delta(p)).  Identity on the half-radius core W'.
-    Takes lanes p (B, base_dim), v (B, rank) or one point."""
-    P, single = as_lanes(p, region.base_dim)
-    V, _ = as_lanes(v, region.rank)
+    scales v by eta(|v|/delta(p)).  Identity on the half-radius core W'."""
     t = region.fiber_norm(P, V) / region.delta(P)
     if np.any(t >= 1.0):
         raise DomainError(f"|v|_g = {np.max(t):.6f} * delta(p) not inside the tube")
-    W = eta(t)[:, None] * V
-    return (P[0], W[0]) if single else (P, W)
+    return P, eta(t)[:, None] * V
 
 
-def bundle_diffeo_inverse(region: BundleRegion, p, v_prime) -> Tuple[Array, Array]:
-    """Inverse fiberwise diffeomorphism: scales v' by tau(|v'|/delta(p)), on
-    lanes p (B, base_dim), v' (B, rank) or at one point.
+def bundle_diffeo_inverse(region: BundleRegion, P: Array, V: Array) -> Tuple[Array, Array]:
+    """Inverse fiberwise diffeomorphism: scales v' by tau(|v'|/delta(p)).
 
     Beyond |v'| ~ 1e8 delta(p) the image lies within rounding of the tube's
     boundary; on such lanes the scale then steps down by units in the last
     place until the image is strictly inside, i.e. in the domain of
     bundle_diffeo.
     """
-    P, single = as_lanes(p, region.base_dim)
-    V, _ = as_lanes(v_prime, region.rank)
     delta = region.delta(P)
     scale = tau(region.fiber_norm(P, V) / delta)
     edge = np.flatnonzero(region.fiber_norm(P, scale[:, None] * V) / delta >= 1.0)
@@ -316,23 +307,16 @@ def bundle_diffeo_inverse(region: BundleRegion, p, v_prime) -> Tuple[Array, Arra
         scale[edge] = np.nextafter(scale[edge], 0.0)
         norm = region.fiber_norm(P[edge], scale[edge, None] * V[edge])
         edge = edge[norm / delta[edge] >= 1.0]
-    W = scale[:, None] * V
-    return (P[0], W[0]) if single else (P, W)
+    return P, scale[:, None] * V
 
 
 def extend_map(F: Callable[[Array, Array], Array], region: BundleRegion):
     """Extend a map F on lanes (p (B, base_dim), v (B, rank) -> (B, ...)),
     defined on an open set containing the closed tube W, to the whole
     bundle by composing with the inverse fiberwise diffeomorphism.  The
-    extension takes lanes or one point.
+    extension takes lanes too.
 
     The extension agrees with F exactly (bitwise) on the half-radius core,
     where the diffeomorphism is the identity.
     """
-
-    def F_tilde(p, v):
-        P, single = as_lanes(p, region.base_dim)
-        out = F(*bundle_diffeo_inverse(region, P, as_lanes(v, region.rank)[0]))
-        return out[0] if single else out
-
-    return F_tilde
+    return lambda P, V: F(*bundle_diffeo_inverse(region, P, V))

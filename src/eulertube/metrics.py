@@ -8,17 +8,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainMargin, EulertubeError, NotInDomain, SingularMetric
-from .numerics import Array, Trajectory, as_lanes, ode_integrate
+from .numerics import Array, Trajectory, domain_mask, ode_integrate
 
 
 @dataclass(frozen=True)
 class MetricField:
     """A smooth symmetric-positive-definite matrix field on an open region.
 
-    Every callable takes lanes, a stack of independent points (B, n), and
-    returns per-lane results: ``matrix_fn`` the matrices (B, n, n) and
-    ``domain`` a (B,) bool mask.  ``matrix`` and ``contains`` also take one
-    point (n,), as a batch of one.  ``christoffel_fn`` and ``geodesic_fn``
+    Every callable and method takes lanes, a stack of independent points
+    (B, n), and returns per-lane results: ``matrix_fn`` and ``matrix`` the
+    matrices (B, n, n), ``domain`` and ``contains`` a (B,) bool mask.
+    ``christoffel_fn`` and ``geodesic_fn``
     are optional shortcuts: analytic formulas for standard background
     metrics, or, for a pullback metric, its chart-stencil finite difference
     (``realization.pullback_metric``).  When present they are cross-checked
@@ -37,26 +37,20 @@ class MetricField:
     christoffel_fn: Optional[Callable[[Array], Array]] = None
     geodesic_fn: Optional[Callable[[Array, Array, float], tuple]] = None
 
-    def matrix(self, x) -> Array:
-        X, single = as_lanes(x, self.dim)
-        G = np.asarray(self.matrix_fn(X), dtype=float)
-        return G[0] if single else G
+    def matrix(self, X: Array) -> Array:
+        return np.asarray(self.matrix_fn(X), dtype=float)
 
-    def contains(self, x):
-        """Domain membership: a bool at one point, a (B,) mask on lanes."""
-        X, single = as_lanes(x, self.dim)
-        inside = np.ones(len(X), bool) if self.domain is None else np.asarray(self.domain(X), bool)
-        return bool(inside[0]) if single else inside
+    def contains(self, X: Array) -> Array:
+        return domain_mask(self.domain, X)
 
 
-def validate_metric(g: MetricField, points, sym_tol: float = 1e-12) -> float:
-    """Spot-check symmetry and positive definiteness on sample points,
-    evaluated as one lane batch.
+def validate_metric(g: MetricField, X: Array, sym_tol: float = 1e-12) -> float:
+    """Spot-check symmetry and positive definiteness on the sample points X
+    (B, n), evaluated as one lane batch.
 
     Returns the largest symmetry defect seen; raises SingularMetric at the
     first sample matrix that is not symmetric or not positive definite.
     """
-    X = np.asarray(points, dtype=float).reshape(len(points), g.dim)
     if len(X) == 0:
         return 0.0
     G = g.matrix(X)
@@ -71,29 +65,26 @@ def validate_metric(g: MetricField, points, sym_tol: float = 1e-12) -> float:
     return float(np.max(asym))
 
 
-def christoffel(g: MetricField, x) -> Array:
-    """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j): (n, n, n) at one
-    point x (n,), (B, n, n, n) on lanes (B, n).
+def christoffel(g: MetricField, X: Array) -> Array:
+    """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j), on lanes X
+    (B, n): (B, n, n, n).
 
     Without an analytic ``christoffel_fn`` they are a central difference of
     g, with the stencils of all lanes in one evaluation of g; raises
     DomainMargin if a stencil point of some lane leaves g's domain.
     """
-    X, single = as_lanes(x, g.dim)
     if g.christoffel_fn is not None:
-        gamma = np.asarray(g.christoffel_fn(X), dtype=float)
-    else:
-        n = g.dim
-        h = g.fd_step
-        steps = h * np.eye(n)
-        # every lane's x and x +- h e_l: 2n + 1 stencil points a lane
-        S = np.concatenate([X[:, None], X[:, None] + steps, X[:, None] - steps], axis=1)
-        if g.domain is not None and not np.all(g.contains(S[:, 1:].reshape(-1, n))):
-            raise DomainMargin("metric stencil outside domain")
-        G = g.matrix(S.reshape(-1, n)).reshape(len(X), 2 * n + 1, n, n)
-        dg = (G[:, 1 : n + 1] - G[:, n + 1 :]) / (2.0 * h)  # dg[b, l, i, j] = d_l g_ij
-        gamma = levi_civita(G[:, 0], dg, X)
-    return gamma[0] if single else gamma
+        return np.asarray(g.christoffel_fn(X), dtype=float)
+    n = g.dim
+    h = g.fd_step
+    steps = h * np.eye(n)
+    # every lane's x and x +- h e_l: 2n + 1 stencil points a lane
+    S = np.concatenate([X[:, None], X[:, None] + steps, X[:, None] - steps], axis=1)
+    if g.domain is not None and not np.all(g.contains(S[:, 1:].reshape(-1, n))):
+        raise DomainMargin("metric stencil outside domain")
+    G = g.matrix(S.reshape(-1, n)).reshape(len(X), 2 * n + 1, n, n)
+    dg = (G[:, 1 : n + 1] - G[:, n + 1 :]) / (2.0 * h)  # dg[b, l, i, j] = d_l g_ij
+    return levi_civita(G[:, 0], dg, X)
 
 
 def levi_civita(G: Array, dg: Array, x) -> Array:
@@ -110,58 +101,41 @@ def levi_civita(G: Array, dg: Array, x) -> Array:
     return gamma
 
 
-def geodesic_rhs(g: MetricField, state) -> Array:
-    """The geodesic equation as a first-order field on states (point,
-    velocity): one state (2n,) or lanes (B, 2n)."""
+def geodesic_rhs(g: MetricField, S: Array) -> Array:
+    """The geodesic equation as a first-order field on lanes of states
+    (point, velocity), (B, 2n)."""
     n = g.dim
-    S, single = as_lanes(state, 2 * n)
     X, V = S[:, :n], S[:, n:]
     gamma = christoffel(g, X)
     # acc_k = -Gamma^k_ij v_i v_j, as two stacked products a lane
     acc = -((gamma @ V[:, None, :, None])[..., 0] @ V[:, :, None])[..., 0]
-    out = np.concatenate([V, acc], axis=1)
-    return out[0] if single else out
-
-
-def _point_velocity_lanes(n: int, p, v):
-    """(P, V) as lanes (B, n), p broadcast against v, and whether both were
-    one point."""
-    P, p_single = as_lanes(p, n)
-    V, v_single = as_lanes(v, n)
-    P, V = (np.array(a) for a in np.broadcast_arrays(P, V))
-    return P, V, p_single and v_single
+    return np.concatenate([V, acc], axis=1)
 
 
 def geodesic(
     g: MetricField,
-    p,
-    v,
+    P: Array,
+    V: Array,
     t_end: float,
     tol: float = 1e-10,
     use_closed_form: bool = True,
     closed_form_samples: int = 33,
 ) -> Trajectory:
-    """Integrate the geodesic with x(0)=p, x'(0)=v up to parameter t_end.
+    """Integrate the geodesics with x(0) = P, x'(0) = V, lanes (B, n), up
+    to parameter t_end, as one lane ``Trajectory``.
 
-    p and v are one point and velocity (n,) or lanes (B, n), a single p
-    serving every lane; lanes give a lane ``Trajectory`` from one
-    integration.  A lane that leaves the metric domain stops there with
-    ``exited`` set.  If the metric carries an exact geodesic formula it is
-    used (sampled on a fixed grid) unless ``use_closed_form=False``.
+    A lane that leaves the metric domain stops there with ``exited`` set.
+    If the metric carries an exact geodesic formula it is used (sampled on
+    a fixed grid) unless ``use_closed_form=False``.
     """
     n = g.dim
-    P, V, single = _point_velocity_lanes(n, p, v)
     if g.geodesic_fn is not None and use_closed_form:
-        traj = _sampled_closed_form(g, P, V, t_end, tol, closed_form_samples)
-    else:
-        domain = None
-        if g.domain is not None:
-            domain = lambda S: g.contains(S[:, :n])  # noqa: E731
-        y0 = np.concatenate([P, V], axis=1)
-        traj = ode_integrate(lambda S: geodesic_rhs(g, S), y0, t_end, tol, domain=domain)
-    if single:
-        return Trajectory(traj.times[:, 0], traj.states[:, 0], tol, exited=bool(traj.exited[0]))
-    return traj
+        return _sampled_closed_form(g, P, V, t_end, tol, closed_form_samples)
+    domain = None
+    if g.domain is not None:
+        domain = lambda S: g.contains(S[:, :n])  # noqa: E731
+    y0 = np.concatenate([P, V], axis=1)
+    return ode_integrate(lambda S: geodesic_rhs(g, S), y0, t_end, tol, domain=domain)
 
 
 def _reached(g: MetricField, X: Array) -> Array:
@@ -200,16 +174,16 @@ def _sampled_closed_form(
     return Trajectory(np.array(times), np.array(states), tol, exited=exited)
 
 
-def exp_map(g: MetricField, p, v, tol: float = 1e-10, use_closed_form: bool = True) -> Array:
-    """exp_p(v), the geodesic endpoint at parameter 1: (n,) for one point
-    and velocity, (B, n) on lanes (a single p serving every lane), all
-    lanes in one integration.  A zero-velocity lane gives its p.
+def exp_map(
+    g: MetricField, P: Array, V: Array, tol: float = 1e-10, use_closed_form: bool = True
+) -> Array:
+    """exp_p(v) on lanes P, V (B, n), the geodesic endpoints at parameter 1,
+    all lanes in one integration.  A zero-velocity lane gives its p.
 
     Raises NotInDomain if some lane's geodesic exits the metric domain
     before t=1.
     """
-    P, V, single = _point_velocity_lanes(g.dim, p, v)
-    out = P.copy()
+    out = np.array(P, dtype=float)
     moving = V.any(axis=1)
     if np.count_nonzero(moving):
         Pm, Vm = P[moving], V[moving]
@@ -223,35 +197,41 @@ def exp_map(g: MetricField, p, v, tol: float = 1e-10, use_closed_form: bool = Tr
                 raise NotInDomain("geodesic exited domain before parameter 1")
             x1 = traj.points[-1]
         out[moving] = x1
-    return out[0] if single else out
+    return out
 
 
 def exp_differential_at_zero(
-    g: MetricField, p, step: float = 1e-3, tol: float = 1e-10
+    g: MetricField, P: Array, step: float = 1e-3, tol: float = 1e-10
 ) -> Array:
-    """Finite-difference jacobian of v -> exp_p(v) at v = 0, its 2n
-    geodesics as lanes of one exponential map.
+    """Finite-difference jacobians (B, n, n) of v -> exp_p(v) at v = 0 for
+    the lanes P (B, n), the 2n geodesics of every lane as lanes of one
+    exponential map.
 
     A relatively large step keeps the integrator noise amplification below
     the truncation error; both are well under the 1e-5 identity tolerance.
     """
-    p = np.asarray(p, dtype=float)
     n = g.dim
-    if g.domain is not None and not g.contains(p):
+    if not np.all(g.contains(P)):
         raise DomainMargin("base point outside metric domain")
     E = step * np.eye(n)
-    X = exp_map(g, p, np.concatenate([E, -E]), tol)
-    return ((X[:n] - X[n:]) / (2.0 * step)).T
+    V = np.tile(np.concatenate([E, -E]), (len(P), 1))
+    X = exp_map(g, np.repeat(P, 2 * n, axis=0), V, tol).reshape(len(P), 2 * n, n)
+    return np.swapaxes((X[:, :n] - X[:, n:]) / (2.0 * step), 1, 2)
 
 
-def velocity_in_domain(g: MetricField, p, v, tol: float = 1e-9) -> bool:
-    """Operational membership test for the exponential map's domain at p:
-    a geodesic that exits, or fails with an EulertubeError, is outside."""
+def velocity_in_domain(g: MetricField, P: Array, V: Array, tol: float = 1e-9) -> Array:
+    """Operational membership test for the exponential map's domain, on
+    lanes P, V (B, n): a (B,) mask, False where the geodesic exits before
+    parameter 1.  The geodesics are one integration, so an EulertubeError
+    it raises (a step size collapsing in some lane, a field failing at the
+    start) is the batch's, not a lane's: every lane then reads outside, and
+    a lane tested alone tells which one failed.
+    """
     try:
-        traj = geodesic(g, p, v, 1.0, tol)
+        traj = geodesic(g, P, V, 1.0, tol)
     except EulertubeError:
-        return False
-    return not traj.exited
+        return np.zeros(len(P), bool)
+    return ~traj.exited
 
 
 # Standard background metrics -------------------------------------------------

@@ -2,7 +2,8 @@
 adaptive Dormand-Prince integrator.
 
 Everything here works on small dense double-precision arrays (ambient
-dimension <= 6); all functions are pure.
+dimension <= 6) as lanes, a leading axis (B, d) of independent points
+with one result per lane; all functions are pure.
 """
 
 from __future__ import annotations
@@ -23,25 +24,21 @@ from .errors import (
 Array = np.ndarray
 
 
-def as_lanes(x, d: int):
-    """x as lanes (B, d), and whether it was one point: a scalar or a (d,)
-    array is a batch of one."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim <= 1:
-        return x.reshape(1, d), True
-    return x, False
+def domain_mask(domain: Optional[Callable[[Array], Array]], X: Array) -> Array:
+    """The (B,) bool mask of an optional lane domain at the lanes X; no
+    domain contains every lane."""
+    return np.ones(len(X), bool) if domain is None else np.asarray(domain(X), bool)
 
 
 @dataclass(frozen=True)
 class DifferentiableMap:
     """A smooth map with an evaluation oracle and optional analytic jacobian.
 
-    ``fn``, ``jac`` and ``domain`` take lanes, a stack of independent
-    points (B, d), and return per-lane results: (B, c), (B, c, d) and a
-    (B,) bool mask.  The map, its jacobian and ``contains`` also take one
-    point (d,), as a batch of one.  If no analytic jacobian is supplied,
-    ``jacobian`` falls back to central per-coordinate finite differences
-    with step ``fd_step``.
+    ``fn``, ``jac`` and ``domain``, like the map, its jacobian and
+    ``contains``, take lanes, a stack of independent points (B, d), and
+    return per-lane results: (B, c), (B, c, d) and a (B,) bool mask.  If no
+    analytic jacobian is supplied, ``jacobian`` falls back to central
+    per-coordinate finite differences with step ``fd_step``.
     """
 
     domain_dim: int
@@ -51,65 +48,54 @@ class DifferentiableMap:
     fd_step: float = 1e-5
     domain: Optional[Callable[[Array], Array]] = None
 
-    def __call__(self, x) -> Array:
-        X, single = as_lanes(x, self.domain_dim)
-        F = np.asarray(self.fn(X), dtype=float)
-        return F[0] if single else F
+    def __call__(self, X: Array) -> Array:
+        return np.asarray(self.fn(X), dtype=float)
 
-    def jacobian(self, x) -> Array:
-        return jacobian(self, x)
+    def jacobian(self, X: Array) -> Array:
+        return jacobian(self, X)
 
-    def contains(self, x):
-        """Domain membership: a bool at one point, a (B,) mask on lanes."""
-        X, single = as_lanes(x, self.domain_dim)
-        inside = np.ones(len(X), bool) if self.domain is None else np.asarray(self.domain(X), bool)
-        return bool(inside[0]) if single else inside
+    def contains(self, X: Array) -> Array:
+        return domain_mask(self.domain, X)
 
 
-def jacobian(f: DifferentiableMap, x) -> Array:
-    """Jacobian of ``f`` at ``x`` (d,) or on lanes (B, d): analytic if
-    supplied, else central FD with every stencil point of every lane in one
+def jacobian(f: DifferentiableMap, X: Array) -> Array:
+    """Jacobians (B, c, d) of ``f`` on lanes X (B, d): analytic if supplied,
+    else central FD with every stencil point of every lane in one
     evaluation of ``f``.
 
     Raises DomainMargin if any stencil point falls outside ``f.domain``.
     """
-    X, single = as_lanes(x, f.domain_dim)
     if f.jac is not None:
-        J = np.asarray(f.jac(X), dtype=float)
-    else:
-        h = f.fd_step
-        d = f.domain_dim
-        steps = h * np.eye(d)
-        # S[s, b, i] = X[b] + h e_i (s = 0) or X[b] - h e_i (s = 1)
-        S = np.stack([X[:, None, :] + steps, X[:, None, :] - steps]).reshape(2 * len(X) * d, d)
-        if f.domain is not None:
-            outside = ~f.contains(S)
-            if outside.any():
-                i = int(np.flatnonzero(outside)[0]) % d
-                raise DomainMargin(f"stencil point outside domain at coordinate {i}")
-        F = f(S) if len(S) else np.empty((0, f.codomain_dim))
-        F = F.reshape(2, len(X), d, f.codomain_dim)
-        J = np.transpose((F[0] - F[1]) / (2.0 * h), (0, 2, 1))
-    return J[0] if single else J
+        return np.asarray(f.jac(X), dtype=float)
+    h = f.fd_step
+    d = f.domain_dim
+    steps = h * np.eye(d)
+    # S[s, b, i] = X[b] + h e_i (s = 0) or X[b] - h e_i (s = 1)
+    S = np.stack([X[:, None, :] + steps, X[:, None, :] - steps]).reshape(2 * len(X) * d, d)
+    if f.domain is not None:
+        outside = ~f.contains(S)
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0]) % d
+            raise DomainMargin(f"stencil point outside domain at coordinate {i}")
+    F = f(S) if len(S) else np.empty((0, f.codomain_dim))
+    F = F.reshape(2, len(X), d, f.codomain_dim)
+    return np.transpose((F[0] - F[1]) / (2.0 * h), (0, 2, 1))
 
 
 @dataclass
 class Trajectory:
-    """Time-stamped states of an integrated ODE.
-
-    For one initial state, ``times`` is (T,) and ``states`` (T, d).  For
-    lanes, ``times`` is (T, B), ``states`` (T, B, d) and ``exited`` (B,):
-    row r holds every lane after the r-th loop pass in which some lane
-    accepted a step, and a lane that did not move in that pass repeats its
-    previous time and state.  For geodesic/flow problems the state is the
-    concatenation (point, velocity); the ``points``/``velocities`` views
-    split it in half.
+    """Time-stamped states of integrated lanes: ``times`` (T, B), ``states``
+    (T, B, d) and ``exited`` (B,).  Row r holds every lane after the r-th
+    loop pass in which some lane accepted a step, and a lane that did not
+    move in that pass repeats its previous time and state.  For
+    geodesic/flow problems the state is the concatenation (point,
+    velocity); the ``points``/``velocities`` views split it in half.
     """
 
     times: Array
     states: Array
     tolerance_used: float
-    exited: object = False
+    exited: Array
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -117,8 +103,8 @@ class Trajectory:
         if len(self.times) != len(self.states):
             raise ValueError("times and states length mismatch")
         steps = np.diff(self.times, axis=0)
-        if np.any(steps < 0) or (self.times.ndim == 1 and np.any(steps == 0)):
-            raise ValueError("times must be strictly increasing")
+        if np.any(steps < 0) or not np.all(np.any(steps > 0, axis=1)):
+            raise ValueError("each row of times must advance some lane and move none back")
 
     @property
     def final_state(self) -> Array:
@@ -198,9 +184,8 @@ def ode_integrate(
 
     ``field`` and ``domain`` take lanes: ``field`` maps states (B', d) to
     (B', d) and ``domain`` returns a (B',) bool mask, for any subset of
-    lanes.  ``y0`` is lanes (B, d) with ``t_end`` scalar or (B,), or one
-    state (d,) with a scalar ``t_end``, a batch of one whose trajectory
-    comes back without the lane axis.  Every lane keeps its own step size,
+    lanes.  ``y0`` is lanes (B, d) with ``t_end`` scalar or (B,).  Every
+    lane keeps its own step size,
     error control, step budget and retirement, so a lane's result does not
     depend on the others.  Per-step local error is kept below ``tol`` (max
     norm).  If a ``domain`` predicate is given and the state leaves it, the
@@ -211,9 +196,7 @@ def ode_integrate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    y0 = np.asarray(y0, dtype=float)
-    single = y0.ndim == 1
-    y = np.atleast_2d(y0).copy()
+    y = np.array(y0, dtype=float)
     t_end = np.broadcast_to(np.asarray(t_end, dtype=float), y.shape[:1]).copy()
     if np.any(t_end < 0):
         raise ValueError("t_end must be nonnegative")
@@ -279,8 +262,6 @@ def ode_integrate(
             live, y, t, t_end, t_stop, h, h_min, h_exit, steps, k1 = (
                 a[keep] for a in (live, y, t, t_end, t_stop, h, h_min, h_exit, steps, k1)
             )
-    if single:
-        return Trajectory(np.array(times)[:, 0], np.array(states)[:, 0], tol, exited=bool(exited[0]))
     return Trajectory(np.array(times), np.array(states), tol, exited=exited)
 
 
@@ -347,8 +328,7 @@ def solve_inverse(
 ) -> Array:
     """Solve f(x) = y by damped Newton iteration starting from ``x0``.
 
-    ``y`` and ``x0`` are one problem (d,) or lanes (B, d) of independent
-    problems.  Every lane has its own convergence test, condition guard
+    ``y`` and ``x0`` are lanes (B, d) of independent problems.  Every lane has its own convergence test, condition guard
     and backtracking line search.  The batch stays fixed: a converged lane
     is frozen, so f and its jacobian are evaluated on every lane, while the
     guard, the step and the line search act on the live lanes only.  So a
@@ -364,9 +344,7 @@ def solve_inverse(
     iterations.
     """
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    y = np.atleast_2d(y)
-    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
+    x = np.array(x0, dtype=float)
     d = x.shape[1]
     r = (f(x) if fx0 is None else np.reshape(fx0, y.shape)) - y
     rn = _norm(r)
@@ -403,4 +381,4 @@ def solve_inverse(
         J_inv = None
     if np.count_nonzero(live):
         raise NoConvergence(f"Newton residual {float(np.max(rn[live])):.3e} above tol {tol:.3e}")
-    return x[0] if single else x
+    return x

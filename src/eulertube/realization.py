@@ -5,7 +5,7 @@ commutative-diagram / isometry verifications."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -17,28 +17,8 @@ from .errors import (
     NotInDomain,
 )
 from .metrics import MetricField, euclidean_metric, exp_map, geodesic, levi_civita
-from .numerics import Array, DifferentiableMap, as_lanes, solve_inverse
-from .submanifolds import (
-    ParametrizedSubmanifold,
-    normal_representative,
-    normal_space_basis,
-)
-
-
-@dataclass(frozen=True)
-class CorrectionMap:
-    """Tangent-valued correction of the comparison map's differential on the
-    normal space: d(chi) v = v + J @ (eta @ c) for v with frame coordinates c."""
-
-    u: Array
-    eta: Array  # (k, n-k): normal-frame coords -> tangent-frame coords
-    tangent_basis: Array  # (n, k)
-    frame: Array  # (n, n-k)
-
-    def apply(self, v) -> Array:
-        """Tangent correction for an ambient normal vector v (frame span)."""
-        c = np.linalg.lstsq(self.frame, np.asarray(v, float), rcond=None)[0]
-        return self.tangent_basis @ (self.eta @ c)
+from .numerics import Array, DifferentiableMap, solve_inverse
+from .submanifolds import NormalFrame, ParametrizedSubmanifold, normal_representative
 
 
 @dataclass(frozen=True)
@@ -48,10 +28,9 @@ class ComparisonMap:
     ``chart`` is psi's map (u, c) -> x and ``target`` phi's map
     (u, c) -> y on the same frame coordinates; ``preimage`` solves
     chart(uc) = x.  ``preimage`` is a pure function of x, so chi(x) does not
-    depend on what was evaluated before.  ``preimage`` takes lanes (B, n)
-    and returns (B, k+m); ``domain`` takes lanes and returns a (B,) bool
-    mask.  chi and its jacobian take lanes or one point (n,), as a batch of
-    one.
+    depend on what was evaluated before.  ``preimage``, ``domain``, chi and
+    its jacobian take lanes (B, n): ``preimage`` returns (B, k+m) and
+    ``domain`` a (B,) bool mask.
     """
 
     chart: DifferentiableMap
@@ -63,18 +42,14 @@ class ComparisonMap:
     def domain_dim(self) -> int:
         return self.chart.codomain_dim
 
-    def __call__(self, x) -> Array:
-        X, single = as_lanes(x, self.domain_dim)
-        Y = self.target(self.preimage(X))
-        return Y[0] if single else Y
+    def __call__(self, X: Array) -> Array:
+        return self.target(self.preimage(X))
 
-    def jacobian(self, x) -> Array:
+    def jacobian(self, X: Array) -> Array:
         """Dchi(x) by the chain rule, Dphi(uc) Dpsi(uc)^{-1} at the preimage
         uc, which avoids nesting Newton solves inside finite differences."""
-        X, single = as_lanes(x, self.domain_dim)
         UC = self.preimage(X)
-        D = self.target.jacobian(UC) @ np.linalg.inv(self.chart.jacobian(UC))
-        return D[0] if single else D
+        return self.target.jacobian(UC) @ np.linalg.inv(self.chart.jacobian(UC))
 
 
 def build_chi(
@@ -97,29 +72,26 @@ def correction_eta(
     chi: DifferentiableMap,
     g_ref: MetricField,
     N: ParametrizedSubmanifold,
-    u,
+    U: Array,
     tol: float = 1e-6,
-) -> CorrectionMap:
-    """Decompose d(chi) at p(u) on normal frame vectors as identity plus a
-    tangent-valued part; the non-tangent residual must vanish within tol."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = N.point(u)
-    D = chi.jacobian(p)
-    J = N.tangent_basis(u)
-    B = normal_space_basis(g_ref, N, u)
-    k, m = J.shape[1], B.shape[1]
-    basis = np.column_stack([J, B])
-    eta = np.empty((k, m))
-    for j in range(m):
-        v = B[:, j]
-        r = D @ v - v
-        coef = np.linalg.solve(basis, r)
-        if float(np.linalg.norm(coef[k:])) > tol:
-            raise DecompositionFailure(
-                f"normal residual {np.linalg.norm(coef[k:]):.3e} above {tol:.1e} at u={u}"
-            )
-        eta[:, j] = coef[:k]
-    return CorrectionMap(u=u, eta=eta, tangent_basis=J, frame=B)
+) -> Array:
+    """Decompose d(chi) at p(u) on the g_ref normal frame vectors B as
+    identity plus a tangent-valued part, d(chi) B = B + J eta, on lanes of
+    base points U (B, k): returns eta (B, k, n-k), normal-frame coordinates
+    to tangent-frame coordinates.  Raises DecompositionFailure at the first
+    lane whose non-tangent residual of some frame vector exceeds tol.
+    """
+    fp = NormalFrame(g_ref, N).at(U)
+    D = chi.jacobian(fp.p)
+    k = N.param_dim
+    coef = np.linalg.solve(np.concatenate([fp.J, fp.B], axis=2), D @ fp.B - fp.B)
+    normal = np.linalg.norm(coef[:, k:], axis=1)
+    bad = np.flatnonzero((normal > tol).any(axis=1))
+    if len(bad):
+        raise DecompositionFailure(
+            f"normal residual {np.max(normal[bad[0]]):.3e} above {tol:.1e} at u={U[bad[0]]}"
+        )
+    return coef[:, :k]
 
 
 def pullback_metric(
@@ -194,18 +166,17 @@ class DiagramReport:
 def verify_main_diagram(
     psi: TubularEmbedding,
     g: MetricField,
-    samples: Sequence[Tuple[Array, Array]],
+    U: Array,
+    C: Array,
     exp_tol: float = 1e-9,
 ) -> DiagramReport:
     """Check that the normal exponential map of the constructed metric sends
     the g-normal representative of each frame class back onto psi.
 
-    ``samples`` is a sequence of (u, c) frame coordinates inside the
-    certified tube.  The samples are lanes: one frame build, one normal
-    projection and one exponential map for all of them.
+    The samples are frame coordinates (u, c) inside the certified tube, as
+    lanes U (S, k), C (S, m): one frame build, one normal projection and
+    one exponential map for all of them.
     """
-    U = np.array([np.atleast_1d(np.asarray(u, dtype=float)) for u, _ in samples])
-    C = np.array([np.atleast_1d(np.asarray(c, dtype=float)) for _, c in samples])
     fp = psi.frame.at(U)
     lam = normal_representative(g, psi.N, U, (fp.B @ C[:, :, None])[:, :, 0])
     y = exp_map(g, fp.p, lam, tol=exp_tol)
@@ -222,20 +193,18 @@ def isometry_geodesic_check(
     g: MetricField,
     g_ref: MetricField,
     N: ParametrizedSubmanifold,
-    u,
-    v_normal,
+    U: Array,
+    V: Array,
     t_samples=(0.25, 0.5, 0.75, 1.0),
     exp_tol: float = 1e-9,
-):
-    """Max over t of |exp_ref(t (v + eta(v))) - chi(exp_g(t v))| for a
-    g-normal vector v at p(u): a float for one base point u (k,) and v
-    (n,), a (B,) array for lanes u (B, k) and v (B, n).
+) -> Array:
+    """Max over t of |exp_ref(t (v + eta(v))) - chi(exp_g(t v))| for the
+    g-normal vectors V (B, n) at p(u) of the base points U (B, k), one per
+    lane (B,).
 
     Every pair (u, t) is a lane of one exponential map on g and one on
     g_ref, and chi is evaluated once on all of them.
     """
-    U, single = as_lanes(u, N.param_dim)
-    V = np.asarray(v_normal, dtype=float).reshape(len(U), N.ambient_dim)
     p = N.point(U)
     corrected = (chi.jacobian(p) @ V[:, :, None])[:, :, 0]  # v + eta(v), as nu(chi) = id
     # lane b * T + i: base point b at parameter t_i
@@ -244,31 +213,28 @@ def isometry_geodesic_check(
     p = np.repeat(p, T, axis=0)
     lhs = exp_map(g_ref, p, t * np.repeat(corrected, T, axis=0), tol=exp_tol)
     rhs = chi(exp_map(g, p, t * np.repeat(V, T, axis=0), tol=exp_tol))
-    worst = np.max(np.linalg.norm(lhs - rhs, axis=1).reshape(len(U), T), axis=1)
-    return float(worst[0]) if single else worst
+    return np.max(np.linalg.norm(lhs - rhs, axis=1).reshape(len(U), T), axis=1)
 
 
-def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24):
+def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24) -> Array:
     """Gauss-Legendre quadrature of the g-lengths of K parametrized curves.
 
     ``curve`` and ``dcurve`` are called once, with the column of quadrature
     nodes t (order, 1), and return the points and velocities of every
     curve at the nodes, (K, order, n); g is evaluated at all K x order
     nodes as one lane batch.  Returns the K lengths, each summed node by
-    node in order; a curve given as rows (order, n) gives a float.
+    node in order.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     t = (0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1))[:, None]
     V = np.asarray(dcurve(t), dtype=float)
-    single = V.ndim == 2
-    V = V.reshape(-1, V.shape[-1])
+    V = V.reshape(-1, V.shape[2])
     P = np.asarray(curve(t), dtype=float).reshape(V.shape)
     speed = np.sqrt((V[:, None, :] @ g.matrix(P) @ V[:, :, None])[:, 0, 0]).reshape(-1, order)
     total = np.zeros(len(speed))
     for w, s in zip(weights, speed.T):
         total += w * s
-    lengths = 0.5 * (t1 - t0) * total
-    return float(lengths[0]) if single else lengths
+    return 0.5 * (t1 - t0) * total
 
 
 _POINT_TRAJ_TOL = 1e-10  # geodesic tolerance of the trajectory check
@@ -276,7 +242,7 @@ _POINT_HYPOTHESIS_TOL = 1e-6  # largest entry of Dpsi(0) - I accepted
 _POINT_INVERT_TOL = 1e-13  # Newton tolerance of psi^-1
 
 
-def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricField, float]:
+def point_case_metric(psi: DifferentiableMap, V: Array) -> Tuple[MetricField, float]:
     """Single-point construction: the flat metric pulled back by psi^-1, so
     the exponential map at psi(0) reproduces psi itself.
 
@@ -284,11 +250,11 @@ def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricFie
     the identity as target, so g(y) = A^T A with A = Dpsi(psi^-1(y))^-1 and
     one Newton solve (seeded at y - psi(0)) per evaluation of g or of its
     Christoffel symbols.  Verifies exp(v) = psi(v) and gamma_v(t) = psi(t v)
-    along the trajectories, integrated as lanes of one geodesic call;
-    returns (metric, max residual).
+    for the sample vectors V (S, n) along the trajectories, integrated as
+    lanes of one geodesic call; returns (metric, max residual).
     """
     n = psi.domain_dim
-    zero = np.zeros(n)
+    zero = np.zeros((1, n))
     p = psi(zero)
     D0 = psi.jacobian(zero)
     if float(np.max(np.abs(D0 - np.eye(n)))) > _POINT_HYPOTHESIS_TOL:
@@ -302,11 +268,10 @@ def point_case_metric(psi: DifferentiableMap, sample_vectors) -> Tuple[MetricFie
         preimage=lambda y: solve_inverse(psi, y, y - p, tol=_POINT_INVERT_TOL),
     )
     g = pullback_metric(chi, euclidean_metric(n), name="point-case", fd_step=5e-4)
-    V = np.array(sample_vectors, dtype=float).reshape(-1, n)
     if len(V) == 0:
         return g, 0.0
     # the samples are lanes of one integration
-    traj = geodesic(g, p, V, 1.0, _POINT_TRAJ_TOL)
+    traj = geodesic(g, np.repeat(p, len(V), axis=0), V, 1.0, _POINT_TRAJ_TOL)
     if np.any(traj.exited):
         raise NotInDomain("point-case geodesic left the domain")
     # psi(t v) at every row of every lane in one call; a lane's repeated

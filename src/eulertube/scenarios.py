@@ -37,7 +37,6 @@ from .reports import ResidualReport
 from .submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
-    RadiusFunction,
     normal_space_basis,
     tubular_radius_estimate,
 )
@@ -185,7 +184,7 @@ def _embedding_helix_quadratic(frame, delta):
         return c, eps * (c[:, :1] ** 2 - 0.5 * c[:, 1:] ** 2), tan, nt, tan / nt
 
     def fn(UC):
-        fp = frame.tangent(UC[:, :1])
+        fp = frame.at(UC[:, :1])
         c, q, _, _, that = pieces(fp, UC)
         return fp.p + (fp.B @ c[:, :, None])[:, :, 0] + q * that
 
@@ -412,12 +411,16 @@ def _check_dimensions(scn: Scenario) -> None:
 # pipeline helpers
 
 
-def _interior_grid(lo: float, hi: float, count: int, margin: float = 0.1):
+def _interior_grid(lo: float, hi: float, count: int, margin: float = 0.1) -> Array:
+    """``count`` equally spaced base points of a curve inside (lo, hi), as
+    lanes (count, 1)."""
     span = hi - lo
-    return [np.array([v]) for v in np.linspace(lo + margin * span, hi - margin * span, count)]
+    return np.linspace(lo + margin * span, hi - margin * span, count)[:, None]
 
 
-def _build_psi(scn: Scenario, frame: NormalFrame, delta: RadiusFunction) -> TubularEmbedding:
+def _build_psi(
+    scn: Scenario, frame: NormalFrame, delta: Callable[[Array], Array]
+) -> TubularEmbedding:
     fn, jac = EMBEDDINGS[scn.embedding][1](frame, delta)
     N = frame.N
     k = N.param_dim
@@ -446,36 +449,31 @@ def _image_box(psi: TubularEmbedding, margin: float):
     return lambda X: np.all(X > lo, axis=1) & np.all(X < hi, axis=1)
 
 
-def _fiber_directions(m: int, count: int) -> List[Array]:
-    """Deterministic unit directions in the fiber: signed axes for m = 1,
-    a uniform angle fan for m = 2."""
+def _fiber_directions(m: int, count: int) -> Array:
+    """Deterministic unit directions in the fiber, as rows: signed axes for
+    m = 1, a uniform angle fan of ``count`` for m = 2."""
     if m == 1:
-        return [np.array([1.0]), np.array([-1.0])]
-    dirs = []
-    for i in range(count):
-        a = 2.0 * np.pi * i / count
-        dirs.append(np.array([np.cos(a), np.sin(a)]))
-    return dirs
+        return np.array([[1.0], [-1.0]])
+    a = 2.0 * np.pi * np.arange(count) / count
+    return np.stack([np.cos(a), np.sin(a)], axis=1)
 
 
 def _diagram_samples(scn: Scenario, psi: TubularEmbedding, lo: float, hi: float):
+    """The diagram's frame coordinates as lanes U (S, k), C (S, m): every
+    fiber sample at every base point, base point by base point."""
     m = psi.fiber_dim
-    n_u = scn.sample("diagram_u")
     n_c = scn.sample("diagram_c")
-    us = _interior_grid(lo, hi, n_u, margin=0.12)
-    samples = []
+    us = _interior_grid(lo, hi, scn.sample("diagram_u"), margin=0.12)
     if m == 1:
-        half = max(1, n_c // 2)
-        fracs = np.linspace(0.08, 0.72, half)
-        cs = [np.array([s * f]) for f in fracs for s in (1.0, -1.0)]
+        fracs = np.linspace(0.08, 0.72, max(1, n_c // 2))
+        cs = np.stack([fracs, -fracs], axis=1).reshape(-1, 1)
     else:
-        n_dir = max(4, -(-n_c // 3))
-        fracs = (0.25, 0.5, 0.72)
-        cs = [f * d for d in _fiber_directions(m, n_dir) for f in fracs]
-    for u, d in zip(us, psi.delta(np.array(us))):
-        for c in cs:
-            samples.append((u, d * c))
-    return samples
+        fracs = np.array([0.25, 0.5, 0.72])
+        dirs = _fiber_directions(m, max(4, -(-n_c // 3)))
+        cs = (fracs[None, :, None] * dirs[:, None, :]).reshape(-1, m)
+    U = np.repeat(us, len(cs), axis=0)
+    C = (psi.delta(us)[:, None, None] * cs).reshape(-1, m)
+    return U, C
 
 
 def _stage(reports, scn, stage, fn, tol, count_hint=1):
@@ -531,12 +529,12 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     def stage_radius():
         delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
         state["delta"] = delta
-        d = delta(grid[0])
+        d = float(delta(grid[:1])[0])
         return d, d, len(grid)
 
     if _stage(reports, scn, "radius", stage_radius, scn.tolerance("radius")) is None:
         return reports
-    delta: RadiusFunction = state["delta"]
+    delta: Callable[[Array], Array] = state["delta"]
 
     def stage_embedding():
         psi = _build_psi(scn, frame, delta)
@@ -551,10 +549,10 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_chi():
         phi = reference_embedding(frame, delta)
-        chi = build_chi(psi, phi, domain=_image_box(psi, 0.3 * delta(grid[0])))
+        chi = build_chi(psi, phi, domain=_image_box(psi, 0.3 * delta(grid[:1])[0]))
         state["phi"] = phi
         state["chi"] = chi
-        P = N.point(np.array(grid))
+        P = N.point(grid)
         rs = [float(np.linalg.norm(d)) for d in chi(P) - P]
         return max(rs), float(np.mean(rs)), len(rs)
 
@@ -565,7 +563,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_pullback():
         g = pullback_metric(chi, gt, name=f"{scn.name}-pullback")
-        spot = [psi(u, 0.3 * delta(u) * _fiber_directions(psi.fiber_dim, 4)[0]) for u in grid]
+        spot = psi(grid, 0.3 * delta(grid)[:, None] * _fiber_directions(psi.fiber_dim, 4)[0])
         validate_metric(g, spot, sym_tol=1e-10)
         state["g"] = g
         rng = np.random.default_rng(20240 + len(scn.name))
@@ -574,13 +572,14 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         # every curve's draws first, in the order of a curve at a time
         U0, C0, A, B = [], [], [], []
         for _ in range(scn.sample("curves")):
-            u0 = np.array([rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))])
-            U0.append(u0)
-            C0.append(0.35 * delta(u0) * _unit(rng.standard_normal(psi.fiber_dim)))
-            A.append(0.15 * delta(u0) * _unit(rng.standard_normal(n)))
-            B.append(0.05 * delta(u0) * _unit(rng.standard_normal(n)))
-        X0 = psi(np.array(U0), np.array(C0))[:, None]
-        A, B = np.array(A)[:, None], np.array(B)[:, None]
+            U0.append([rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))])
+            C0.append(_unit(rng.standard_normal(psi.fiber_dim)))
+            A.append(_unit(rng.standard_normal(n)))
+            B.append(_unit(rng.standard_normal(n)))
+        U0 = np.array(U0)
+        d = delta(U0)[:, None]
+        X0 = psi(U0, 0.35 * d * np.array(C0))[:, None]
+        A, B = (0.15 * d * np.array(A))[:, None], (0.05 * d * np.array(B))[:, None]
         # t is the column of quadrature nodes and a curve's points are rows,
         # so each call below is one lane batch over every node of every
         # curve: g at the nodes, chi at the nodes and at nodes +- h
@@ -603,14 +602,14 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     exp_tol = min(1e-7, 1e-2 * scn.tolerance("diagram"))
 
     def stage_diagram():
-        samples = _diagram_samples(scn, psi, lo, hi)
-        rep = verify_main_diagram(psi, g, samples, exp_tol=exp_tol)
+        U, C = _diagram_samples(scn, psi, lo, hi)
+        rep = verify_main_diagram(psi, g, U, C, exp_tol=exp_tol)
         return rep.max_residual, rep.mean_residual, rep.sample_count
 
     _stage(reports, scn, "diagram", stage_diagram, scn.tolerance("diagram"))
 
     def stage_isometry():
-        us = np.array(_interior_grid(lo, hi, scn.sample("isometry"), margin=0.2))
+        us = _interior_grid(lo, hi, scn.sample("isometry"), margin=0.2)
         v = 0.5 * delta(us)[:, None] * normal_space_basis(g, N, us)[:, :, 0]
         worst = isometry_geodesic_check(chi, g, gt, N, us, v, exp_tol=exp_tol)
         return float(np.max(worst)), float(np.mean(worst)), len(worst)
@@ -629,15 +628,15 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         X = state.get("X") or pushforward_field(psi)
         us = _interior_grid(lo, hi, scn.sample("reconstruction"), margin=0.25)
         dirs = _fiber_directions(psi.fiber_dim, 4)
-        cs = [0.5 * delta(u) * dirs[i % max(1, psi.fiber_dim * 2)] for i, u in enumerate(us)]
+        cs = 0.5 * delta(us)[:, None] * dirs[np.arange(len(us)) % len(dirs)]
         # every point's flows are lanes of one integration
         rec = reconstruct_embedding(
-            X, phi, np.array(us), np.array(cs),
+            X, phi, us, cs,
             t_seq=tuple(2.0**-i for i in range(1, 10)),
             tol=scn.tolerance("reconstruction"),
             flow_tol=1e-9,
         )
-        residuals = [float(np.linalg.norm(r - psi(u, c))) for r, u, c in zip(rec, us, cs)]
+        residuals = [float(np.linalg.norm(r)) for r in rec - psi(us, cs)]
         return max(residuals), float(np.mean(residuals)), len(residuals)
 
     _stage(reports, scn, "reconstruction", stage_reconstruction, scn.tolerance("reconstruction"))
@@ -664,14 +663,11 @@ def _run_point_scenario(scn: Scenario) -> List[ResidualReport]:
             return J
 
         psi = DifferentiableMap(2, 2, fn, jac=jac)
-        rng = np.random.default_rng(7)
         count = 100
-        vs = []
-        for i in range(count):
-            a = 2.0 * np.pi * i / count
-            r = 0.25 + 0.75 * ((i * 37) % count) / count
-            vs.append(r * np.array([np.cos(a), np.sin(a)]))
-        _, worst = point_case_metric(psi, vs)
+        i = np.arange(count)
+        a = 2.0 * np.pi * i / count
+        r = 0.25 + 0.75 * ((i * 37) % count) / count
+        _, worst = point_case_metric(psi, r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=1))
         return worst, worst, count
 
     _stage(reports, scn, "point-case", stage_point_case, scn.tolerance("point-case"))

@@ -4,13 +4,13 @@ tubular-radius certification."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from .errors import NotInDomain, NoValidRadius, RankDeficient
 from .metrics import MetricField, exp_map
-from .numerics import Array, DifferentiableMap, as_lanes
+from .numerics import Array, DifferentiableMap, domain_mask
 
 _RANK_TOL = 1e-8
 
@@ -19,9 +19,9 @@ _RANK_TOL = 1e-8
 class ParametrizedSubmanifold:
     """A full-rank injective parametrization u -> p(u) of N inside R^n.
 
-    ``param_domain``, like the chart's callables, takes lanes of parameters
-    (B, k) and returns a (B,) bool mask.  ``point``, ``tangent_basis`` and
-    ``in_param_domain`` take one parameter (k,) or lanes (B, k).
+    ``param_domain``, like the chart's callables and every method, takes
+    lanes of parameters (B, k); it and ``in_param_domain`` return a (B,)
+    bool mask.
     """
 
     param_dim: int
@@ -30,38 +30,15 @@ class ParametrizedSubmanifold:
     param_domain: Optional[Callable[[Array], Array]] = None
     name: str = ""
 
-    def point(self, u) -> Array:
-        return self.chart(np.atleast_1d(np.asarray(u, dtype=float)))
+    def point(self, U: Array) -> Array:
+        return self.chart(U)
 
-    def tangent_basis(self, u) -> Array:
-        """Columns span T_pN; shape (n, k), or (B, n, k) on lanes."""
-        return self.chart.jacobian(np.atleast_1d(np.asarray(u, dtype=float)))
+    def tangent_basis(self, U: Array) -> Array:
+        """(B, n, k); the columns of each lane span T_pN."""
+        return self.chart.jacobian(U)
 
-    def in_param_domain(self, u):
-        """A bool for one parameter, a (B,) mask on lanes."""
-        U, single = as_lanes(u, self.param_dim)
-        domain = self.param_domain
-        inside = np.ones(len(U), bool) if domain is None else np.asarray(domain(U), bool)
-        return bool(inside[0]) if single else inside
-
-
-@dataclass(frozen=True)
-class RadiusFunction:
-    """Sampled positive tube radius u -> delta(u).
-
-    ``fn`` takes lanes (B, k) and returns one radius per lane (B,);
-    ``delta(u)`` is a float for one parameter (k,) and a (B,) array on
-    lanes.
-    """
-
-    fn: Callable[[Array], Array]
-    grid: Sequence
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        single = u.ndim <= 1
-        d = np.asarray(self.fn(u.reshape(1, -1) if single else u), dtype=float)
-        return float(d[0]) if single else d
+    def in_param_domain(self, U: Array) -> Array:
+        return domain_mask(self.param_domain, U)
 
 
 def _tangent_projection_pieces(g: MetricField, N: ParametrizedSubmanifold, U: Array):
@@ -106,15 +83,20 @@ def _g_norm(q: Array, G: Array) -> Array:
     return np.sqrt(np.maximum((q[:, None, :] @ G @ q[:, :, None])[:, 0, 0], 0.0))
 
 
-def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, u) -> Array:
-    """Deterministic g-orthonormal basis of the normal space at p(u), as the
-    columns of an (n, n-k) matrix; (B, n, n-k) on lanes u (B, k).
+def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, U: Array) -> Array:
+    """Deterministic g-orthonormal bases of the normal spaces at p(u) for
+    the lanes U (B, k), as the columns of (B, n, n-k) matrices.
 
     Standard ambient basis vectors are projected onto the normal space (the
     columns of the projector) and orthonormalized in index order; near-zero
     projections are skipped.  Every lane makes its own choices.
     """
-    U, single = as_lanes(u, N.param_dim)
+    return _normal_frame(g, N, U)[2]
+
+
+def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
+    """p, J and the basis of ``normal_space_basis`` on the lanes U, from one
+    chart evaluation and one chart jacobian."""
     p, J, G = _tangent_projection_pieces(g, N, U)
     P = _normal_projector(J, G)
     m = N.ambient_dim - N.param_dim
@@ -126,7 +108,7 @@ def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, u) -> Array:
     # each lane's m kept vectors, in index order, as columns; contiguous,
     # since a stacked product over a transposed view may round differently
     basis = np.ascontiguousarray(_T(vecs[kept].reshape(len(U), m, N.ambient_dim)))
-    return basis[0] if single else basis
+    return p, J, basis
 
 
 def _gram_schmidt(P: Array, G: Array, m: int):
@@ -166,28 +148,25 @@ _FRAME_DU = 1e-5  # central-difference step of dJ/du and dG/du
 
 @dataclass
 class FramePoint:
-    """The frame at one base point, or at lanes of base points (a leading
-    lane axis on every field): p(u) and B(u), the matrix of
-    ``normal_space_basis``; J(u), dJ/du and dB/du once requested."""
+    """The frame at lanes of base points u (B, k): p(u), the chart jacobian
+    J(u) and B(u), the matrix of ``normal_space_basis``; dJ/du and dB/du
+    once requested."""
 
     u: Array
     p: Array
-    B: Array  # (n, n-k)
-    J: Optional[Array] = None  # (n, k), columns span T_pN
-    dJ: Optional[Array] = None  # dJ[i] = dJ/du_i, (k, n, k)
-    dB: Optional[Array] = None  # dB[i] = dB/du_i, (k, n, n-k)
-
-    def lane(self, b: int) -> "FramePoint":
-        return FramePoint(*(None if a is None else a[b] for a in vars(self).values()))
+    J: Array  # (B, n, k), columns span T_pN
+    B: Array  # (B, n, n-k)
+    dJ: Optional[Array] = None  # dJ[:, i] = dJ/du_i, (B, k, n, k)
+    dB: Optional[Array] = None  # dB[:, i] = dB/du_i, (B, k, n, n-k)
 
 
 class NormalFrame:
     """The normal frame of N under the metric g.
 
-    ``at(u)`` gives p and the frame B of ``normal_space_basis``,
-    ``tangent(u)`` adds J and ``derivative(u)`` adds dJ/du and dB/du, for
-    one base point u (k,) or lanes (B, k).  dB comes from the chain rule
-    through the tangent projection and Gram-Schmidt of
+    On lanes of base points U (B, k), ``at(U)`` gives p, J and the frame B
+    of ``normal_space_basis`` from one chart evaluation and one chart
+    jacobian, and ``derivative(U)`` adds dJ/du and dB/du.  dB comes from
+    the chain rule through the tangent projection and Gram-Schmidt of
     ``normal_space_basis``, so no frame is built at a shifted point; only
     dJ and dG are central differences of the chart jacobian and the
     metric.  The last ``_FRAME_MEMO`` calls are remembered under the exact
@@ -208,32 +187,23 @@ class NormalFrame:
         self._shifts = _FRAME_DU * np.concatenate([np.eye(k), -np.eye(k)])
         self._memo: Dict[bytes, FramePoint] = {}
 
-    def at(self, u) -> FramePoint:
-        return self._frame(u, depth=0)
-
-    def tangent(self, u) -> FramePoint:
-        return self._frame(u, depth=1)
-
-    def derivative(self, u) -> FramePoint:
-        return self._frame(u, depth=2)
-
-    def _frame(self, u, depth: int) -> FramePoint:
-        """The memo entry of u's lanes, filled up to J (depth 1) or dB
-        (depth 2); one lane's view for one point."""
-        U, single = as_lanes(u, self.N.param_dim)
+    def at(self, U: Array) -> FramePoint:
+        """The memo entry of U's lanes, built on a miss."""
         key = U.tobytes()
         fp = self._memo.get(key)
         if fp is None:
-            B = normal_space_basis(self.g, self.N, U)
-            fp = FramePoint(u=U.copy(), p=self.N.point(U), B=B)
+            p, J, B = _normal_frame(self.g, self.N, U)
+            fp = FramePoint(u=U.copy(), p=p, J=J, B=B)
             if len(self._memo) >= _FRAME_MEMO:
                 del self._memo[next(iter(self._memo))]
             self._memo[key] = fp
-        if depth >= 1 and fp.J is None:
-            fp.J = self.N.tangent_basis(fp.u)
-        if depth == 2 and fp.dB is None:
+        return fp
+
+    def derivative(self, U: Array) -> FramePoint:
+        fp = self.at(U)
+        if fp.dB is None:
             fp.dJ, fp.dB = self._chain_rule(fp)
-        return fp.lane(0) if single else fp
+        return fp
 
     def _chain_rule(self, fp: FramePoint):
         """dJ/du and dB/du on lanes, through the steps of normal_space_basis.
@@ -282,20 +252,18 @@ class NormalFrame:
         return dJ, dB
 
 
-def normal_representative(g: MetricField, N: ParametrizedSubmanifold, u, a) -> Array:
-    """g-orthogonal projection of an ambient vector onto the normal space,
-    for one base point u (k,) and vector a (n,), or lanes u (B, k) and
-    a (B, n).
+def normal_representative(
+    g: MetricField, N: ParametrizedSubmanifold, U: Array, A: Array
+) -> Array:
+    """g-orthogonal projections of the ambient vectors A (B, n) onto the
+    normal spaces at the base points U (B, k).
 
     Two ambient vectors differing by a tangent vector map to the same
     result, so this realizes the canonical isomorphism from the quotient
     normal bundle onto the metric normal bundle.
     """
-    U, single = as_lanes(u, N.param_dim)
     _, J, G = _tangent_projection_pieces(g, N, U)
-    a = np.asarray(a, dtype=float).reshape(len(U), N.ambient_dim, 1)
-    lam = (_normal_projector(J, G) @ a)[:, :, 0]
-    return lam[0] if single else lam
+    return (_normal_projector(J, G) @ A[:, :, None])[:, :, 0]
 
 
 _EXP_TOL = 1e-11  # geodesic tolerance of the normal exponential chart
@@ -344,11 +312,10 @@ _RADIUS_MAX_HALVINGS = 20
 
 
 def _radius_candidate_ok(
-    frame: NormalFrame, chart: DifferentiableMap, grid, delta: float
+    frame: NormalFrame, chart: DifferentiableMap, us: Array, delta: float
 ) -> bool:
     g = frame.g
-    us = np.array([np.atleast_1d(np.asarray(u, float)) for u in grid])
-    fp = frame.tangent(us)
+    fp = frame.at(us)
     m = fp.B.shape[2]
     # orientation of the tube chart on the zero section, where its
     # jacobian is [J | B]; a sign change along a fiber means the chart
@@ -396,9 +363,10 @@ def _radius_candidate_ok(
 
 
 def tubular_radius_estimate(
-    g: MetricField, N: ParametrizedSubmanifold, grid, delta0: float
-) -> RadiusFunction:
-    """Largest delta0 * 2^-m certified on the sampled closed tube.
+    g: MetricField, N: ParametrizedSubmanifold, grid: Array, delta0: float
+) -> Callable[[Array], Array]:
+    """Largest delta0 * 2^-m certified on the sampled closed tube over the
+    grid of base points (G, k), as a radius on lanes: (B, k) -> (B,).
 
     Certification samples the normal exponential chart of one frame along
     each fiber.  It checks a metric-weighted condition estimate of the
@@ -414,7 +382,7 @@ def tubular_radius_estimate(
     for m in range(_RADIUS_MAX_HALVINGS + 1):
         delta = delta0 * 2.0**-m
         if _radius_candidate_ok(frame, chart, grid, delta):
-            return RadiusFunction(fn=lambda U, d=delta: np.full(len(U), d), grid=list(grid))
+            return lambda U, d=delta: np.full(len(U), d)
     raise NoValidRadius(
         f"no certified radius above {delta0 * 2.0 ** -_RADIUS_MAX_HALVINGS:.3e}"
     )

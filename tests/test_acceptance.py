@@ -27,7 +27,6 @@ from eulertube.scenarios import (
 from eulertube.submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
-    RadiusFunction,
     normal_space_basis,
     tubular_radius_estimate,
 )
@@ -67,7 +66,7 @@ def circle_pullback_pipeline():
     scn = BUILTIN_SCENARIOS["circle"]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    grid = [np.array([v]) for v in np.linspace(lo + 0.3, hi - 0.3, 7)]
+    grid = np.linspace(lo + 0.3, hi - 0.3, 7)[:, None]
     delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
     frame = NormalFrame(gt, N)
     psi = _build_psi(scn, frame, delta)
@@ -86,11 +85,11 @@ def test_criterion_3_exponential_properties():
     ok = True
     # rescaling identity on a flat and a curved background
     for g, p, v in (
-        (polar_metric(), np.array([1.2, 0.3]), np.array([0.3, 0.4])),
+        (polar_metric(), np.array([[1.2, 0.3]]), np.array([[0.3, 0.4]])),
         (
             sphere_chart_metric(phi_bounds=(-3.1, 3.1)),
-            np.array([1.2, 0.4]),
-            np.array([0.2, 0.5]),
+            np.array([[1.2, 0.4]]),
+            np.array([[0.2, 0.5]]),
         ),
     ):
         for t in (0.25, 0.5, 0.75):
@@ -100,32 +99,28 @@ def test_criterion_3_exponential_properties():
 
     # differential at zero is the identity on every scenario metric,
     # including a constructed pullback metric
+    u = np.array([[0.2]])
     checks = [
-        (euclidean_metric(2), np.zeros(2)),
-        (euclidean_metric(3), np.zeros(3)),
-        (sphere_chart_metric(), np.array([1.4, 1.0])),
+        (euclidean_metric(2), np.zeros((1, 2))),
+        (euclidean_metric(3), np.zeros((1, 3))),
+        (sphere_chart_metric(), np.array([[1.4, 1.0]])),
     ]
     gt, N, delta, g_pull = circle_pullback_pipeline()
-    p = N.point(np.array([0.2]))
-    checks.append((g_pull, p))
+    checks.append((g_pull, N.point(u)))
     for g, p0 in checks:
-        D = exp_differential_at_zero(g, p0)
+        D = exp_differential_at_zero(g, p0)[0]
         ok &= np.max(np.abs(D - np.eye(g.dim))) <= 1e-5
 
-    # star-shapedness of the accepted-velocity set
+    # star-shapedness of the accepted-velocity set: v and t v are lanes
     star_cases = [
-        (sphere_chart_metric(), np.array([1.4, 1.0]), np.array([0.4, 0.3])),
-        (euclidean_metric(2), np.zeros(2), np.array([5.0, -3.0])),
+        (sphere_chart_metric(), np.array([[1.4, 1.0]]), np.array([[0.4, 0.3]])),
+        (euclidean_metric(2), np.zeros((1, 2)), np.array([[5.0, -3.0]])),
     ]
-    u = np.array([0.2])
     B = normal_space_basis(g_pull, N, u)
-    star_cases.append((g_pull, N.point(u), 0.4 * delta(u) * B[:, 0]))
+    star_cases.append((g_pull, N.point(u), 0.4 * delta(u)[:, None] * B[:, :, 0]))
+    t = np.array([1.0, 0.25, 0.5, 0.75])[:, None]
     for g, p0, v in star_cases:
-        if velocity_in_domain(g, p0, v):
-            for t in (0.25, 0.5, 0.75):
-                ok &= velocity_in_domain(g, p0, t * v)
-        else:
-            ok = False
+        ok &= velocity_in_domain(g, np.repeat(p0, len(t), axis=0), t * v).all()
     verdict(3, "exponential map properties", ok)
 
 
@@ -140,7 +135,7 @@ def test_criterion_4_euler_like_round_trip(suite_runs):
     chart = DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2)))
     origin = ParametrizedSubmanifold(0, 2, chart)
     doubled = DifferentiableMap(2, 2, lambda x: 2.0 * x)
-    accepted, res = is_euler_like(doubled, euclidean_metric(2), origin, [np.zeros(0)])
+    accepted, res = is_euler_like(doubled, euclidean_metric(2), origin, np.zeros((1, 0)))
     ok &= (not accepted) and res >= 0.9
     verdict(4, "Euler-like bijection round trip", ok)
 
@@ -163,16 +158,16 @@ def test_criterion_5_reference_metric_independence():
         return G
 
     g_skew = MetricField(dim=2, matrix_fn=skew, name="skew")
-    delta = RadiusFunction(fn=lambda U: np.full(len(U), 1.0), grid=[])
+    delta = lambda U: np.full(len(U), 1.0)
     fn = lambda UC: np.stack([UC[:, 0] + 0.2 * UC[:, 1], UC[:, 1] + 0.05 * UC[:, 1] ** 2], axis=1)
     psi = TubularEmbedding(
         map=DifferentiableMap(2, 2, fn),
         frame=NormalFrame(g_euc, N),
         delta=delta,
     )
-    psi.build_seed_table([np.array([v]) for v in np.linspace(-0.8, 0.8, 9)])
+    psi.build_seed_table(np.linspace(-0.8, 0.8, 9)[:, None])
     X = pushforward_field(psi)
-    grid = [np.array([v]) for v in (-0.5, 0.0, 0.4, 0.8)]
+    grid = np.array([[-0.5], [0.0], [0.4], [0.8]])
     ok_a, res_a = is_euler_like(X, g_euc, N, grid)
     ok_b, res_b = is_euler_like(X, g_skew, N, grid)
     ok = (ok_a == ok_b) and abs(res_a - res_b) <= 1e-9
@@ -199,10 +194,10 @@ def test_criterion_6_appendix_suite(suite_runs):
     F = lambda P, V: P + np.sin(V)
     F_t = ext.extend_map(F, region)
     for a in (-0.4, 0.1, 0.6):
-        p = np.array([a, -a / 2])
-        d = float(region.delta(p[None])[0])
-        vhat = np.array([0.8, -0.6])
-        vhat = vhat / region.fiber_norm(p, vhat)
+        p = np.array([[a, -a / 2]])
+        d = region.delta(p)[:, None]
+        vhat = np.array([[0.8, -0.6]])
+        vhat = vhat / region.fiber_norm(p, vhat)[:, None]
         # identity on W' exactly, extension agrees bitwise there
         v_core = 0.3 * d * vhat
         _, vb = ext.bundle_diffeo(region, p, v_core)

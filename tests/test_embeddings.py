@@ -9,7 +9,7 @@ from eulertube.embeddings import (
 from eulertube.errors import NotInDomain
 from eulertube.metrics import euclidean_metric
 from eulertube.numerics import DifferentiableMap
-from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusFunction
+from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold
 
 
 def x_axis_r2():
@@ -30,32 +30,32 @@ def unit_circle():
 
 
 def const_radius(value):
-    return RadiusFunction(fn=lambda U: np.full(len(U), value), grid=[np.zeros(1)])
+    return lambda U: np.full(len(U), value)
 
 
 def u_grid(lo, hi, n):
-    return [np.array([v]) for v in np.linspace(lo, hi, n)]
+    return np.linspace(lo, hi, n)[:, None]
 
 
 class TestReferenceEmbedding:
     def test_flat_slice_is_identity(self):
         g = euclidean_metric(2)
         phi = reference_embedding(NormalFrame(g, x_axis_r2()), const_radius(2.0))
-        assert np.allclose(phi(np.array([0.7]), np.array([0.4])), [0.7, 0.4], atol=1e-12)
+        assert np.allclose(phi(np.array([[0.7]]), np.array([[0.4]]))[0], [0.7, 0.4], atol=1e-12)
 
     def test_circle_fibers_are_radial(self):
         g = euclidean_metric(2)
         phi = reference_embedding(NormalFrame(g, unit_circle()), const_radius(0.5))
         theta, s = 0.3, 0.2
         expected = (1 + s) * np.array([np.cos(theta), np.sin(theta)])
-        assert np.allclose(phi(np.array([theta]), np.array([s])), expected, atol=1e-10)
+        assert np.allclose(phi(np.array([[theta]]), np.array([[s]]))[0], expected, atol=1e-10)
 
     def test_zero_section(self):
         g = euclidean_metric(2)
         N = unit_circle()
         phi = reference_embedding(NormalFrame(g, N), const_radius(0.5))
         for u in u_grid(-1.0, 1.0, 5):
-            assert np.allclose(phi(u, np.zeros(1)), N.point(u), atol=1e-12)
+            assert np.allclose(phi(u[None], np.zeros((1, 1))), N.point(u[None]), atol=1e-12)
 
     def test_validates(self):
         g = euclidean_metric(2)
@@ -100,7 +100,7 @@ class TestInversion:
             delta=const_radius(1.0),
         )
         psi.build_seed_table(u_grid(-1.0, 1.0, 9))
-        uc = np.array([0.37, -0.52])
+        uc = np.array([[0.37, -0.52]])
         x = psi.map(uc)
         assert np.linalg.norm(psi.invert(x) - uc) <= 1e-10
 
@@ -112,4 +112,4 @@ class TestInversion:
             frame=NormalFrame(g, N),
         )
         with pytest.raises(RuntimeError):
-            psi.invert(np.zeros(2))
+            psi.invert(np.zeros((1, 2)))

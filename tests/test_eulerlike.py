@@ -16,7 +16,9 @@ from eulertube.eulerlike import (
 )
 from eulertube.metrics import euclidean_metric
 from eulertube.numerics import DifferentiableMap
-from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold, RadiusFunction
+from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold
+
+ORIGIN = np.zeros((1, 0))  # the one base point of a point submanifold, as lanes
 
 
 def origin_r2():
@@ -44,31 +46,31 @@ def embedding_over(N, fn, delta=1.5, jac=None):
     psi = TubularEmbedding(
         map=DifferentiableMap(N.ambient_dim, N.ambient_dim, fn, jac=jac),
         frame=NormalFrame(g, N),
-        delta=RadiusFunction(fn=lambda U: np.full(len(U), delta), grid=[np.zeros(max(N.param_dim, 1))]),
+        delta=lambda U: np.full(len(U), delta),
     )
     return psi
 
 
 class TestEulerField:
     def test_returns_fiber_coordinates(self):
-        assert np.allclose(euler_field(np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.allclose(euler_field(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_vanishes_at_origin(self):
-        assert not np.any(euler_field(np.zeros(3)))
+        assert not np.any(euler_field(np.zeros((1, 3))))
 
     def test_linear(self):
-        x = np.array([0.3, -0.7])
+        x = np.array([[0.3, -0.7]])
         assert np.allclose(euler_field(2.5 * x), 2.5 * euler_field(x))
 
 
 class TestVanishesOnN:
     def test_euler_field_on_origin(self):
-        ok, res = vanishes_on_N(oracle(euler_field), origin_r2(), [np.zeros(0)])
+        ok, res = vanishes_on_N(oracle(euler_field), origin_r2(), ORIGIN)
         assert ok and res == 0.0
 
     def test_constant_field_fails(self):
         ok, res = vanishes_on_N(
-            oracle(lambda X: np.tile([1.0, 0.0], (len(X), 1))), origin_r2(), [np.zeros(0)]
+            oracle(lambda X: np.tile([1.0, 0.0], (len(X), 1))), origin_r2(), ORIGIN
         )
         assert not ok
         assert res == pytest.approx(1.0)
@@ -77,40 +79,40 @@ class TestVanishesOnN:
 class TestLinearApproximation:
     def test_euler_is_its_own_approximation(self):
         g = euclidean_metric(2)
-        lin = linear_approximation(oracle(euler_field), g, origin_r2(), np.zeros(0))
-        assert np.allclose(lin.induced, np.eye(2), atol=1e-9)
+        lin = linear_approximation(oracle(euler_field), g, origin_r2(), ORIGIN)
+        assert np.allclose(lin.induced[0], np.eye(2), atol=1e-9)
 
     def test_doubled_euler(self):
         g = euclidean_metric(2)
         lin = linear_approximation(
-            oracle(lambda x: 2.0 * x), g, origin_r2(), np.zeros(0)
+            oracle(lambda x: 2.0 * x), g, origin_r2(), ORIGIN
         )
-        assert np.allclose(lin.induced, 2.0 * np.eye(2), atol=1e-9)
+        assert np.allclose(lin.induced[0], 2.0 * np.eye(2), atol=1e-9)
 
     def test_quadratic_perturbation_invisible(self):
         g = euclidean_metric(2)
         fn = lambda X: X + np.stack([0.3 * X[:, 1] ** 2, 0.2 * X[:, 0] * X[:, 1]], axis=1)
-        lin = linear_approximation(oracle(fn), g, origin_r2(), np.zeros(0))
-        assert np.max(np.abs(lin.induced - np.eye(2))) <= 1e-6
+        lin = linear_approximation(oracle(fn), g, origin_r2(), ORIGIN)
+        assert np.max(np.abs(lin.induced[0] - np.eye(2))) <= 1e-6
 
     def test_nonvanishing_rejected(self):
         g = euclidean_metric(2)
         with pytest.raises(NotVanishing):
             linear_approximation(
-                oracle(lambda x: x + 1.0), g, origin_r2(), np.zeros(0)
+                oracle(lambda x: x + 1.0), g, origin_r2(), ORIGIN
             )
 
 
 class TestIsEulerLike:
     def test_euler_accepted(self):
         g = euclidean_metric(2)
-        ok, res = is_euler_like(oracle(euler_field), g, origin_r2(), [np.zeros(0)])
+        ok, res = is_euler_like(oracle(euler_field), g, origin_r2(), ORIGIN)
         assert ok and res <= 1e-9
 
     def test_doubled_euler_rejected(self):
         g = euclidean_metric(2)
         ok, res = is_euler_like(
-            oracle(lambda x: 2.0 * x), g, origin_r2(), [np.zeros(0)]
+            oracle(lambda x: 2.0 * x), g, origin_r2(), ORIGIN
         )
         assert not ok
         assert res == pytest.approx(1.0, abs=1e-8)
@@ -119,19 +121,19 @@ class TestIsEulerLike:
 class TestPushforwardEuler:
     def test_identity_slice(self):
         psi = embedding_over(x_axis_r2(), lambda uc: uc.copy())
-        v = pushforward_euler(psi, np.array([0.4]), np.array([0.7]))
-        assert np.allclose(v, [0.0, 0.7], atol=1e-9)
+        v = pushforward_euler(psi, np.array([[0.4]]), np.array([[0.7]]))
+        assert np.allclose(v[0], [0.0, 0.7], atol=1e-9)
 
     def test_zero_on_zero_section(self):
         psi = embedding_over(x_axis_r2(), lambda uc: uc.copy())
-        assert np.linalg.norm(pushforward_euler(psi, np.array([0.4]), np.zeros(1))) <= 1e-12
+        assert np.linalg.norm(pushforward_euler(psi, np.array([[0.4]]), np.zeros((1, 1)))) <= 1e-12
 
     def test_one_fiber_hand_value(self):
         # psi(u, w) = (u, w + 0.1 w^2): fiber slot carries w (1 + 0.2 w)
         psi = embedding_over(
             x_axis_r2(), lambda UC: np.stack([UC[:, 0], UC[:, 1] + 0.1 * UC[:, 1] ** 2], axis=1)
         )
-        v = pushforward_euler(psi, np.array([0.0]), np.array([0.5]))
+        v = pushforward_euler(psi, np.array([[0.0]]), np.array([[0.5]]))[0]
         assert v[1] == pytest.approx(0.55, abs=1e-8)
         assert v[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -143,30 +145,29 @@ class TestReconstruction:
     def test_euler_flow_reconstructs_identity(self):
         X = oracle(euler_field)
         psi0 = self.identity_embedding()
-        w = np.array([0.3, 0.4])
-        rec = reconstruct_embedding(X, psi0, np.zeros(0), w)
+        w = np.array([[0.3, 0.4]])
+        rec = reconstruct_embedding(X, psi0, ORIGIN, w)
         assert np.linalg.norm(rec - w) <= 1e-6
 
     def test_quadratic_embedding_round_trip(self):
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table(
-            [np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6)
-        )
+        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
         X = pushforward_field(psi)
         psi0 = self.identity_embedding()
-        for w in (np.array([0.5, 0.0]), np.array([-0.3, 0.4]), np.array([0.1, -0.45])):
-            rec = reconstruct_embedding(X, psi0, np.zeros(0), w)
-            assert np.linalg.norm(rec - psi(np.zeros(0), w)) <= 1e-4
+        for w in ([[0.5, 0.0]], [[-0.3, 0.4]], [[0.1, -0.45]]):
+            w = np.array(w)
+            rec = reconstruct_embedding(X, psi0, ORIGIN, w)
+            assert np.linalg.norm(rec - psi(ORIGIN, w)) <= 1e-4
 
     def test_doubled_euler_diverges(self):
         X = oracle(lambda x: 2.0 * x)
         psi0 = self.identity_embedding()
         with pytest.raises(NoConvergence):
-            reconstruct_embedding(X, psi0, np.zeros(0), np.array([0.3, 0.1]))
+            reconstruct_embedding(X, psi0, ORIGIN, np.array([[0.3, 0.1]]))
 
     def test_domain_test_reuses_the_field_preimage(self, monkeypatch):
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table([np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6))
+        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
         calls = []
         invert = TubularEmbedding.invert
 
@@ -176,9 +177,9 @@ class TestReconstruction:
 
         monkeypatch.setattr(TubularEmbedding, "invert", counted)
         X = pushforward_field(psi)
-        x = np.array([0.3, -0.2])
+        x = np.array([[0.3, -0.2]])
         X(x)
-        assert X.contains(x.copy())
+        assert X.contains(x.copy())[0]
         assert len(calls) == 1
         X.contains(x + 0.01)
         assert len(calls) == 2
@@ -187,7 +188,7 @@ class TestReconstruction:
         # only the package's own errors mean "outside the domain"; a
         # TypeError in psi's map is a defect and must surface
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table([np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6))
+        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
 
         def broken(V):
             raise TypeError("map defect")
@@ -195,13 +196,13 @@ class TestReconstruction:
         psi.map = dataclasses.replace(psi.map, fn=broken)
         X = pushforward_field(psi)
         with pytest.raises(TypeError):
-            X.contains(np.array([0.3, -0.2]))
+            X.contains(np.array([[0.3, -0.2]]))
 
     def test_pushforward_passes_euler_like(self):
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table([np.zeros(0)], c_fractions=(0.0, 0.2, 0.4, 0.6))
+        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
         X = pushforward_field(psi)
         g = euclidean_metric(2)
-        ok, res = is_euler_like(X, g, origin_r2(), [np.zeros(0)])
+        ok, res = is_euler_like(X, g, origin_r2(), ORIGIN)
         assert ok
         assert res <= 1e-5

@@ -226,6 +226,21 @@ class TestTau:
         assert tau(0.3) == 1.0
         assert tau(-0.5) == 1.0
 
+    def test_core_lanes_invert_nothing(self, monkeypatch):
+        # tau is 1 on [-1/2, 1/2]: lanes there need no profile inverse
+        calls = []
+        inverse = extension.sigma_inverse
+
+        def counted(s, dps=50):
+            calls.append(len(s))
+            return inverse(s, dps=dps)
+
+        monkeypatch.setattr(extension, "sigma_inverse", counted)
+        assert np.array_equal(tau(np.array([-0.5, -0.2, 0.0, 0.3, 0.5])), np.ones(5))
+        assert calls == []
+        tau(np.array([0.2, 3.0, -0.4]))
+        assert calls == [1]
+
     def test_even(self):
         for s in (0.9, 2.0, 37.5):
             assert tau(-s) == pytest.approx(tau(s), rel=1e-12)
@@ -329,35 +344,32 @@ def make_region():
     )
 
 
-def delta_at(region, p):
-    return float(region.delta(np.atleast_2d(p))[0])
+def scaled(region, P, V, frac):
+    """The fiber vectors V rescaled to frac * delta(p) in the g-norm."""
+    return V / region.fiber_norm(P, V)[:, None] * frac * region.delta(P)[:, None]
 
 
 class TestBundleDiffeo:
     def test_identity_on_core_bitwise(self):
         region = make_region()
-        p = np.array([0.3, -0.2])
-        v = np.array([0.05, 0.02])
-        assert region.fiber_norm(p, v) < 0.5 * delta_at(region, p)
+        p = np.array([[0.3, -0.2]])
+        v = np.array([[0.05, 0.02]])
+        assert region.fiber_norm(p, v)[0] < 0.5 * region.delta(p)[0]
         pb, vb = bundle_diffeo(region, p, v)
         assert np.array_equal(vb, v)
         assert np.array_equal(pb, p)
 
     def test_base_point_preserved(self):
         region = make_region()
-        p = np.array([-0.4, 0.6])
-        d = delta_at(region, p)
-        v = np.array([0.3, 0.1])
-        v = v / region.fiber_norm(p, v) * 0.8 * d
+        p = np.array([[-0.4, 0.6]])
+        v = scaled(region, p, np.array([[0.3, 0.1]]), 0.8)
         pb, _ = bundle_diffeo(region, p, v)
         assert np.array_equal(pb, p)
 
     def test_round_trip_near_boundary(self):
         region = make_region()
-        p = np.array([0.1, 0.5])
-        d = delta_at(region, p)
-        v = np.array([1.0, -0.7])
-        v = v / region.fiber_norm(p, v) * 0.95 * d
+        p = np.array([[0.1, 0.5]])
+        v = scaled(region, p, np.array([[1.0, -0.7]]), 0.95)
         pb, vb = bundle_diffeo(region, p, v)
         _, vr = bundle_diffeo_inverse(region, pb, vb)
         assert np.max(np.abs(vr - v)) <= 1e-12
@@ -372,9 +384,9 @@ class TestBundleDiffeo:
 
     def test_outside_tube_rejected(self):
         region = make_region()
-        p = np.zeros(2)
-        d = delta_at(region, p)
-        v = np.array([1.0, 0.0]) * d / region.fiber_norm(p, np.array([1.0, 0.0]))
+        p = np.zeros((1, 2))
+        e = np.array([[1.0, 0.0]])
+        v = e * region.delta(p)[:, None] / region.fiber_norm(p, e)[:, None]
         with pytest.raises(DomainError):
             bundle_diffeo(region, p, v)
 
@@ -383,7 +395,7 @@ class TestBundleDiffeo:
         P = np.zeros((12, 2))
         V = np.tile([1.0, 0.3], (12, 1))
         fracs = np.linspace(0.1, 0.95, 12)
-        V = V / region.fiber_norm(P, V)[:, None] * fracs[:, None] * region.delta(P)[:, None]
+        V = scaled(region, P, V, fracs[:, None])
         outs = bundle_diffeo(region, P, V)[1]
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
@@ -393,14 +405,15 @@ class TestBundleDiffeo:
 def _far_fiber_lanes(region):
     """Lanes at 1e9 and 1e12 delta in 16 directions over 3 base points,
     with the core and mid-tube vectors of each base point among them."""
-    P, V = [], []
-    for p in (np.zeros(2), np.array([0.3, -0.2]), np.array([-0.4, 0.5])):
+    P, D, S = [], [], []
+    for p in ([0.0, 0.0], [0.3, -0.2], [-0.4, 0.5]):
         for a in np.linspace(0.0, np.pi, 16, endpoint=False):
-            d = np.array([np.cos(a), np.sin(a)])
             for scale in (0.3, 0.8, 1e9, 1e12):
                 P.append(p)
-                V.append(d / region.fiber_norm(p, d) * scale * delta_at(region, p))
-    return np.array(P), np.array(V)
+                D.append([np.cos(a), np.sin(a)])
+                S.append(scale)
+    P, D = np.array(P), np.array(D)
+    return P, scaled(region, P, D, np.array(S)[:, None])
 
 
 class TestBundleLanes:
@@ -412,7 +425,7 @@ class TestBundleLanes:
         norms = region.fiber_norm(P, V)
         assert norms.shape == (len(P),)
         for p, v, n in zip(P, V, norms):
-            assert region.fiber_norm(p, v) == n
+            assert region.fiber_norm(p[None], v[None])[0] == n
 
     def test_diffeo_and_inverse(self):
         region = make_region()
@@ -420,10 +433,10 @@ class TestBundleLanes:
         Pr, Vr = bundle_diffeo_inverse(region, P, V)
         Pb, Vb = bundle_diffeo(region, Pr, Vr)
         for i in range(len(P)):
-            pr, vr = bundle_diffeo_inverse(region, P[i], V[i])
-            assert np.array_equal(pr, Pr[i]) and np.array_equal(vr, Vr[i])
+            pr, vr = bundle_diffeo_inverse(region, P[i : i + 1], V[i : i + 1])
+            assert np.array_equal(pr[0], Pr[i]) and np.array_equal(vr[0], Vr[i])
             pb, vb = bundle_diffeo(region, pr, vr)
-            assert np.array_equal(pb, Pb[i]) and np.array_equal(vb, Vb[i])
+            assert np.array_equal(pb[0], Pb[i]) and np.array_equal(vb[0], Vb[i])
 
     def test_boundary_steps_leave_other_lanes(self, monkeypatch):
         # after the two whole-batch norms, the ulp steps measure only the
@@ -452,7 +465,7 @@ class TestBundleLanes:
         F_t = extend_map(F, region)
         out = F_t(P, V)
         for i in range(len(P)):
-            assert np.array_equal(F_t(P[i], V[i]), out[i])
+            assert np.array_equal(F_t(P[i : i + 1], V[i : i + 1])[0], out[i])
 
 
 class TestExtendMap:
@@ -460,8 +473,8 @@ class TestExtendMap:
         region = make_region()
         proj = lambda P, V: P
         proj_t = extend_map(proj, region)
-        p = np.array([0.2, 0.4])
-        assert np.array_equal(proj_t(p, np.array([3.0, -7.0])), p)
+        p = np.array([[0.2, 0.4]])
+        assert np.array_equal(proj_t(p, np.array([[3.0, -7.0]])), p)
 
     def test_far_fiber_pulls_inside_tube(self):
         region = make_region()
@@ -472,12 +485,10 @@ class TestExtendMap:
             return P + V
 
         F_t = extend_map(F, region)
-        p = np.zeros(2)
-        d = delta_at(region, p)
-        vhat = np.array([1.0, 0.0]) / region.fiber_norm(p, np.array([1.0, 0.0]))
+        p = np.zeros((1, 2))
         # at 1e9 delta the exact preimage rounds to the tube's boundary
         for scale in (10.0, 1e9):
-            out = F_t(p, scale * d * vhat)
+            out = F_t(p, scaled(region, p, np.array([[1.0, 0.0]]), scale))
             assert np.all(np.isfinite(out))
             assert np.all(calls[-1] < 1.0)  # F only ever evaluated inside the tube
 
@@ -485,8 +496,7 @@ class TestExtendMap:
         region = make_region()
         F = lambda P, V: np.sin(P) + V**3
         F_t = extend_map(F, region)
-        p = np.array([0.7, -0.1])
+        p = np.array([[0.7, -0.1]])
         for frac in (0.05, 0.2, 0.45):
-            v = np.array([0.6, 0.8])
-            v = v / region.fiber_norm(p, v) * frac * delta_at(region, p)
+            v = scaled(region, p, np.array([[0.6, 0.8]]), frac)
             assert np.array_equal(F_t(p, v), F(p, v))

@@ -23,13 +23,13 @@ def wide_sphere():
 class TestChristoffel:
     def test_euclidean_all_zero(self):
         g = euclidean_metric(3)
-        assert not np.any(christoffel(g, np.array([0.7, -1.0, 2.0])))
+        assert not np.any(christoffel(g, np.array([[0.7, -1.0, 2.0]])))
 
     def test_polar_hand_oracle(self):
         # diag(1, r^2): Gamma^r_thth = -r, Gamma^th_{r th} = 1/r, rest zero
         g = polar_metric()
         for r in (0.5, 1.0, 2.3):
-            gam = christoffel(g, np.array([r, 0.4]))
+            gam = christoffel(g, np.array([[r, 0.4]]))[0]
             assert gam[0, 1, 1] == pytest.approx(-r, abs=1e-6)
             assert gam[1, 0, 1] == pytest.approx(1.0 / r, abs=1e-6)
             assert gam[1, 1, 0] == pytest.approx(1.0 / r, abs=1e-6)
@@ -39,50 +39,49 @@ class TestChristoffel:
 
     def test_lower_index_symmetry(self):
         g = polar_metric()
-        x = np.array([1.7, -0.2])
-        gam = christoffel(g, x)
-        assert np.max(np.abs(gam - np.transpose(gam, (0, 2, 1)))) <= 1e-10
+        gam = christoffel(g, np.array([[1.7, -0.2]]))
+        assert np.max(np.abs(gam - np.transpose(gam, (0, 1, 3, 2)))) <= 1e-10
 
     def test_analytic_sphere_matches_fd(self):
         ga = wide_sphere()
         gfd = MetricField(dim=2, matrix_fn=ga.matrix_fn, domain=ga.domain)
-        x = np.array([1.1, 0.3])
+        x = np.array([[1.1, 0.3]])
         assert np.allclose(christoffel(ga, x), christoffel(gfd, x), atol=1e-6)
 
 
 class TestValidateMetric:
     def test_accepts_spd(self):
         g = polar_metric()
-        assert validate_metric(g, [np.array([1.0, 0.0]), np.array([2.0, 1.0])]) <= 1e-12
+        assert validate_metric(g, np.array([[1.0, 0.0], [2.0, 1.0]])) <= 1e-12
 
     def test_rejects_asymmetric(self):
         G = np.array([[1.0, 0.1], [0.0, 1.0]])
         g = MetricField(dim=2, matrix_fn=lambda X: G + np.zeros((len(X), 1, 1)))
         with pytest.raises(SingularMetric):
-            validate_metric(g, [np.zeros(2)])
+            validate_metric(g, np.zeros((1, 2)))
 
     def test_rejects_indefinite(self):
         g = MetricField(dim=2, matrix_fn=lambda X: np.diag([1.0, -1.0]) + np.zeros((len(X), 1, 1)))
         with pytest.raises(SingularMetric):
-            validate_metric(g, [np.zeros(2)])
+            validate_metric(g, np.zeros((1, 2)))
 
 
 class TestGeodesic:
     def test_euclidean_straight_line(self):
         g = euclidean_metric(2)
-        traj = geodesic(g, np.zeros(2), np.array([1.0, 1.0]), 2.0)
-        assert np.allclose(traj.points[-1], [2.0, 2.0], atol=1e-9)
+        traj = geodesic(g, np.zeros((1, 2)), np.array([[1.0, 1.0]]), 2.0)
+        assert np.allclose(traj.points[-1, 0], [2.0, 2.0], atol=1e-9)
 
     def test_sphere_equator_stays_on_equator(self):
         g = wide_sphere()
-        traj = geodesic(g, np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]), 1.0)
-        assert np.linalg.norm(traj.points[-1] - [np.pi / 2, 1.0]) <= 1e-7
+        traj = geodesic(g, np.array([[np.pi / 2, 0.0]]), np.array([[0.0, 1.0]]), 1.0)
+        assert np.linalg.norm(traj.points[-1, 0] - [np.pi / 2, 1.0]) <= 1e-7
 
     def test_closed_form_agrees_with_integrator(self):
         # the analytic great-circle route and the Christoffel ODE route must
         # land on the same endpoint (keeps the shortcut honest)
         g = wide_sphere()
-        p, v = np.array([1.0, 1.0]), np.array([0.3, 0.2])
+        p, v = np.array([[1.0, 1.0]]), np.array([[0.3, 0.2]])
         a = geodesic(g, p, v, 1.0, tol=1e-11, use_closed_form=True)
         b = geodesic(g, p, v, 1.0, tol=1e-11, use_closed_form=False)
         assert np.linalg.norm(a.points[-1] - b.points[-1]) <= 1e-7
@@ -90,28 +89,28 @@ class TestGeodesic:
 
     def test_speed_conserved(self):
         g = polar_metric()
-        p, v = np.array([1.0, 0.2]), np.array([0.3, 0.5])
-        traj = geodesic(g, p, v, 1.0, tol=1e-10)
-        s0 = np.sqrt(v @ g.matrix(p) @ v)
-        for x, vel in zip(traj.points, traj.velocities):
-            assert np.sqrt(vel @ g.matrix(x) @ vel) == pytest.approx(s0, rel=1e-6)
+        p, v = np.array([[1.0, 0.2]]), np.array([0.3, 0.5])
+        traj = geodesic(g, p, v[None], 1.0, tol=1e-10)
+        s0 = np.sqrt(v @ g.matrix(p)[0] @ v)
+        for x, vel in zip(traj.points[:, 0], traj.velocities[:, 0]):
+            assert np.sqrt(vel @ g.matrix(x[None])[0] @ vel) == pytest.approx(s0, rel=1e-6)
 
 
 class TestExpMap:
     def test_euclidean_translation(self):
         g = euclidean_metric(3)
-        p, v = np.array([1.0, 0.0, -1.0]), np.array([0.5, 2.0, 0.25])
+        p, v = np.array([[1.0, 0.0, -1.0]]), np.array([[0.5, 2.0, 0.25]])
         assert np.allclose(exp_map(g, p, v), p + v, atol=1e-9)
 
     def test_zero_vector(self):
         g = polar_metric()
-        p = np.array([1.5, 0.3])
-        assert np.array_equal(exp_map(g, p, np.zeros(2)), p)
+        p = np.array([[1.5, 0.3]])
+        assert np.array_equal(exp_map(g, p, np.zeros((1, 2))), p)
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_rescaling_identity(self, t):
         g = polar_metric()
-        p, v = np.array([1.2, 0.1]), np.array([0.2, 0.4])
+        p, v = np.array([[1.2, 0.1]]), np.array([[0.2, 0.4]])
         lhs = exp_map(g, p, t * v, tol=1e-11)
         rhs = geodesic(g, p, v, t, tol=1e-11).points[-1]
         assert np.linalg.norm(lhs - rhs) <= 1e-8
@@ -120,30 +119,39 @@ class TestExpMap:
 class TestExpDifferentialAtZero:
     def test_euclidean_identity(self):
         g = euclidean_metric(2)
-        assert np.allclose(exp_differential_at_zero(g, np.zeros(2)), np.eye(2), atol=1e-10)
+        assert np.allclose(exp_differential_at_zero(g, np.zeros((1, 2)))[0], np.eye(2), atol=1e-10)
 
     def test_sphere_identity(self):
         g = wide_sphere()
-        D = exp_differential_at_zero(g, np.array([np.pi / 2, 1.0]))
+        D = exp_differential_at_zero(g, np.array([[np.pi / 2, 1.0]]))
         assert np.max(np.abs(D - np.eye(2))) <= 1e-5
 
     def test_polar_identity(self):
         g = polar_metric()
-        D = exp_differential_at_zero(g, np.array([1.0, 0.0]))
+        D = exp_differential_at_zero(g, np.array([[1.0, 0.0]]))
         assert np.max(np.abs(D - np.eye(2))) <= 1e-5
 
 
 class TestDomainPolicy:
     def test_exit_toward_singular_axis_rejected(self):
+        # one lane leaves toward r = 0, the other stays inside
         g = polar_metric()
-        assert not velocity_in_domain(g, np.array([1.0, 0.0]), np.array([-1.2, 0.0]))
+        P = np.array([[1.0, 0.0], [1.0, 0.0]])
+        V = np.array([[-1.2, 0.0], [0.5, 0.7]])
+        assert velocity_in_domain(g, P, V).tolist() == [False, True]
 
     def test_star_shaped_acceptance(self):
         g = polar_metric()
-        p, v = np.array([1.0, 0.0]), np.array([0.5, 0.7])
-        assert velocity_in_domain(g, p, v)
-        for t in (0.25, 0.5, 0.75):
-            assert velocity_in_domain(g, p, t * v)
+        t = np.array([1.0, 0.25, 0.5, 0.75])[:, None]
+        assert velocity_in_domain(g, np.tile([1.0, 0.0], (4, 1)), t * [0.5, 0.7]).all()
+
+    def test_a_package_error_of_the_batch_reads_outside(self):
+        def matrix_fn(X):
+            raise SingularMetric("no metric here")
+
+        g = MetricField(dim=2, matrix_fn=matrix_fn)
+        P, V = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([[0.5, 0.7], [0.1, 0.0]])
+        assert velocity_in_domain(g, P, V).tolist() == [False, False]
 
     def test_a_defect_in_the_metric_raises(self):
         # only the package's own errors mean "outside the domain"; a
@@ -153,4 +161,4 @@ class TestDomainPolicy:
 
         g = MetricField(dim=2, matrix_fn=matrix_fn)
         with pytest.raises(TypeError):
-            velocity_in_domain(g, np.array([1.0, 0.0]), np.array([0.5, 0.7]))
+            velocity_in_domain(g, np.array([[1.0, 0.0]]), np.array([[0.5, 0.7]]))

@@ -25,16 +25,16 @@ class TestJacobian:
         A = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         f = DifferentiableMap(2, 3, lambda X: X @ A.T)
         for x in (np.zeros(2), np.array([1.0, -2.0]), np.array([0.3, 7.0])):
-            assert np.allclose(jacobian(f, x), A, atol=1e-9)
+            assert np.allclose(jacobian(f, x[None])[0], A, atol=1e-9)
 
     def test_identity(self):
         f = DifferentiableMap(3, 3, lambda x: x)
-        assert np.allclose(f.jacobian(np.array([1.0, 2.0, 3.0])), np.eye(3), atol=1e-10)
+        assert np.allclose(f.jacobian(np.array([[1.0, 2.0, 3.0]]))[0], np.eye(3), atol=1e-10)
 
     def test_quadratic_hand_oracle(self):
         # f(x1, x2) = (x1^2, x1 x2), jacobian at (1, 2) worked out by hand
         f = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0] ** 2, X[:, 0] * X[:, 1]], axis=1))
-        J = f.jacobian(np.array([1.0, 2.0]))
+        J = f.jacobian(np.array([[1.0, 2.0]]))[0]
         assert np.allclose(J, [[2.0, 0.0], [2.0, 1.0]], atol=1e-9)
 
     def test_analytic_matches_fd_on_sample(self):
@@ -57,96 +57,101 @@ class TestJacobian:
         worst = 0.0
         for _ in range(100):
             x = rng.uniform(-1.5, 1.5, size=2)
-            Ja, Jf = fa.jacobian(x), ffd.jacobian(x)
+            Ja, Jf = fa.jacobian(x[None])[0], ffd.jacobian(x[None])[0]
             worst = max(worst, np.max(np.abs(Ja - Jf)) / max(1.0, np.max(np.abs(Ja))))
         assert worst <= 1e-6
 
     def test_domain_margin(self):
         f = DifferentiableMap(1, 1, lambda X: X, domain=lambda X: np.abs(X[:, 0]) < 1.0)
         with pytest.raises(DomainMargin):
-            f.jacobian(np.array([1.0 - 1e-7]))
+            f.jacobian(np.array([[1.0 - 1e-7]]))
 
 
 class TestOdeIntegrate:
     def test_constant_solution(self):
-        traj = ode_integrate(lambda Y: np.zeros_like(Y), np.array([1.0, 2.0]), 5.0, 1e-10)
-        assert np.allclose(traj.final_state, [1.0, 2.0])
-        assert not traj.exited
+        traj = ode_integrate(lambda Y: np.zeros_like(Y), np.array([[1.0, 2.0]]), 5.0, 1e-10)
+        assert np.allclose(traj.final_state[0], [1.0, 2.0])
+        assert not traj.exited[0]
 
     def test_exponential_growth(self):
-        traj = ode_integrate(lambda y: y, np.array([1.0]), 1.0, 1e-10)
-        assert abs(traj.final_state[0] - np.e) <= 1e-8
+        traj = ode_integrate(lambda y: y, np.array([[1.0]]), 1.0, 1e-10)
+        assert abs(traj.final_state[0, 0] - np.e) <= 1e-8
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     def test_global_error_tracks_tolerance(self, tol):
-        traj = ode_integrate(lambda y: y, np.array([1.0]), 1.0, tol)
-        assert abs(traj.final_state[0] - np.e) <= 100 * tol
+        traj = ode_integrate(lambda y: y, np.array([[1.0]]), 1.0, tol)
+        assert abs(traj.final_state[0, 0] - np.e) <= 100 * tol
 
     def test_harmonic_oscillator_period(self):
         field = lambda Y: np.stack([Y[:, 1], -Y[:, 0]], axis=1)
-        traj = ode_integrate(field, np.array([1.0, 0.0]), 2 * np.pi, 1e-10)
-        assert np.linalg.norm(traj.final_state - [1.0, 0.0]) <= 1e-7
+        traj = ode_integrate(field, np.array([[1.0, 0.0]]), 2 * np.pi, 1e-10)
+        assert np.linalg.norm(traj.final_state[0] - [1.0, 0.0]) <= 1e-7
 
     def test_domain_exit_sets_flag(self):
         # constant rightward drift out of the unit ball
         traj = ode_integrate(
             lambda Y: np.array([1.0, 0.0]) + 0.0 * Y,
-            np.zeros(2),
+            np.zeros((1, 2)),
             5.0,
             1e-9,
             domain=lambda Y: np.linalg.norm(Y, axis=1) < 1.0,
         )
-        assert traj.exited
-        assert np.linalg.norm(traj.final_state) < 1.0
-        assert np.linalg.norm(traj.final_state) > 1.0 - 1e-6
+        assert traj.exited[0]
+        assert np.linalg.norm(traj.final_state[0]) < 1.0
+        assert np.linalg.norm(traj.final_state[0]) > 1.0 - 1e-6
 
     def test_blowup_raises_step_underflow(self):
         # y' = y^2 from 1.5 blows up at t = 2/3 < 1
         with pytest.raises(StepUnderflow):
-            ode_integrate(lambda y: y**2, np.array([1.5]), 1.0, 1e-10)
+            ode_integrate(lambda y: y**2, np.array([[1.5]]), 1.0, 1e-10)
 
     def test_times_strictly_increasing(self):
-        traj = ode_integrate(lambda y: -y, np.array([2.0]), 3.0, 1e-8)
-        assert np.all(np.diff(traj.times) > 0)
+        traj = ode_integrate(lambda y: -y, np.array([[2.0]]), 3.0, 1e-8)
+        assert np.all(np.diff(traj.times[:, 0]) > 0)
 
     def test_subnormal_error_estimate_warns_nothing(self):
         # y' = y from a subnormal start: the first step's error estimate is
         # subnormal, so tol / err overflows; the step grows by the capped 5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = ode_integrate(lambda y: y, np.array([1e-310]), 1.0, 1e-3)
+            traj = ode_integrate(lambda y: y, np.array([[1e-310]]), 1.0, 1e-3)
         assert len(traj.times) == 2
-        assert traj.final_state[0] == pytest.approx(np.e * 1e-310, rel=1e-4)
+        assert traj.final_state[0, 0] == pytest.approx(np.e * 1e-310, rel=1e-4)
 
 
 class TestTrajectory:
     def test_split_views(self):
-        states = np.array([[0.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 2.0]])
-        traj = Trajectory(np.array([0.0, 1.0]), states, 1e-9)
-        assert traj.points.shape == (2, 2)
-        assert np.allclose(traj.velocities[0], [1.0, 2.0])
+        states = np.array([[[0.0, 0.0, 1.0, 2.0]], [[1.0, 1.0, 1.0, 2.0]]])
+        traj = Trajectory(np.array([[0.0], [1.0]]), states, 1e-9, exited=np.zeros(1, bool))
+        assert traj.points.shape == (2, 1, 2)
+        assert np.allclose(traj.velocities[0, 0], [1.0, 2.0])
 
     def test_rejects_nonmonotone_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), 1e-9)
+        # a row that advances no lane, and one that moves a lane back
+        for times in ([[0.0], [0.0]], [[0.0, 0.0], [1.0, -1.0]]):
+            times = np.array(times)
+            states, exited = np.zeros(times.shape + (2,)), np.zeros(times.shape[1], bool)
+            with pytest.raises(ValueError):
+                Trajectory(times, states, 1e-9, exited=exited)
 
 
 class TestSolveInverse:
     def test_identity(self):
         f = DifferentiableMap(2, 2, lambda x: x)
-        x = solve_inverse(f, np.array([3.0, 4.0]), np.zeros(2))
-        assert np.allclose(x, [3.0, 4.0])
+        x = solve_inverse(f, np.array([[3.0, 4.0]]), np.zeros((1, 2)))
+        assert np.allclose(x[0], [3.0, 4.0])
 
     def test_linear_scaling(self):
         f = DifferentiableMap(2, 2, lambda x: 2.0 * x)
-        assert np.allclose(solve_inverse(f, np.array([2.0, 2.0]), np.zeros(2)), [1.0, 1.0])
+        x = solve_inverse(f, np.array([[2.0, 2.0]]), np.zeros((1, 2)))
+        assert np.allclose(x[0], [1.0, 1.0])
 
     def test_quadratic_embedding_round_trip(self):
         f = DifferentiableMap(
             2, 2, lambda X: X + 0.1 * np.stack([X[:, 0] ** 2, 0.0 * X[:, 0]], axis=1)
         )
-        target = np.array([0.3, 0.5])
-        x = solve_inverse(f, f(target), np.zeros(2))
+        target = np.array([[0.3, 0.5]])
+        x = solve_inverse(f, f(target), np.zeros((1, 2)))
         assert np.linalg.norm(x - target) <= 1e-10
 
     @given(
@@ -158,8 +163,8 @@ class TestSolveInverse:
         f = DifferentiableMap(
             2, 2, lambda X: X + 0.05 * np.stack([X[:, 1] ** 2, X[:, 0] * X[:, 1]], axis=1)
         )
-        y = f(np.array([a, b]))
-        x = solve_inverse(f, y, np.zeros(2), tol=1e-12)
+        y = f(np.array([[a, b]]))
+        x = solve_inverse(f, y, np.zeros((1, 2)), tol=1e-12)
         assert np.linalg.norm(f(x) - y) <= 1e-12
 
     def test_singular_jacobian(self):
@@ -167,4 +172,4 @@ class TestSolveInverse:
             1, 1, lambda X: X**2, jac=lambda X: (2.0 * X)[:, :, None]
         )
         with pytest.raises((SingularJacobian, NoConvergence)):
-            solve_inverse(f, np.array([4.0]), np.array([0.0]))
+            solve_inverse(f, np.array([[4.0]]), np.array([[0.0]]))

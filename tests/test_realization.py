@@ -34,7 +34,6 @@ from eulertube.scenarios import (
 from eulertube.submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
-    RadiusFunction,
     normal_space_basis,
     tubular_radius_estimate,
 )
@@ -58,11 +57,11 @@ def unit_circle():
 
 
 def const_radius(value):
-    return RadiusFunction(fn=lambda U: np.full(len(U), value), grid=[np.zeros(1)])
+    return lambda U: np.full(len(U), value)
 
 
 def u_grid(lo, hi, n):
-    return [np.array([v]) for v in np.linspace(lo, hi, n)]
+    return np.linspace(lo, hi, n)[:, None]
 
 
 def eye_lanes(X, scale=1.0):
@@ -118,9 +117,8 @@ class TestBuildChi:
         phi = reference_embedding(NormalFrame(g, N), const_radius(0.4))
         phi.build_seed_table(u_grid(-1.2, 1.2, 15))
         chi = build_chi(phi, phi)
-        for x in ([1.1, 0.2], [0.8, 0.5], [1.05, -0.3]):
-            x = np.array(x)
-            assert np.linalg.norm(chi(x) - x) <= 1e-9
+        X = np.array([[1.1, 0.2], [0.8, 0.5], [1.05, -0.3]])
+        assert np.max(np.linalg.norm(chi(X) - X, axis=1)) <= 1e-9
 
     def test_fixes_base_points(self):
         g = euclidean_metric(2)
@@ -129,9 +127,8 @@ class TestBuildChi:
         psi = circle_psi(g, N, delta)
         phi = reference_embedding(NormalFrame(g, N), delta)
         chi = build_chi(psi, phi)
-        for u in u_grid(-1.0, 1.0, 7):
-            p = N.point(u)
-            assert np.linalg.norm(chi(p) - p) <= 1e-8
+        P = N.point(u_grid(-1.0, 1.0, 7))
+        assert np.max(np.linalg.norm(chi(P) - P, axis=1)) <= 1e-8
 
     def test_straightens_curved_fibers(self):
         g = euclidean_metric(2)
@@ -141,9 +138,9 @@ class TestBuildChi:
         phi = reference_embedding(NormalFrame(g, N), delta)
         chi = build_chi(psi, phi)
         theta, s = 0.6, 0.25
-        x = psi(np.array([theta]), np.array([s]))
+        x = psi(np.array([[theta]]), np.array([[s]]))
         expected = (1 + s) * np.array([np.cos(theta), np.sin(theta)])
-        assert np.linalg.norm(chi(x) - expected) <= 1e-8
+        assert np.linalg.norm(chi(x)[0] - expected) <= 1e-8
 
 
 class TestCorrectionEta:
@@ -151,24 +148,28 @@ class TestCorrectionEta:
         g = euclidean_metric(2)
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: X.copy())
-        corr = correction_eta(chi, g, N, np.array([0.3]))
-        assert np.max(np.abs(corr.eta)) <= 1e-9
+        eta = correction_eta(chi, g, N, np.array([[0.3]]))
+        assert eta.shape == (1, 1, 1)
+        assert np.max(np.abs(eta)) <= 1e-9
 
     def test_shear_hand_oracle(self):
-        # chi(x, y) = (x + a y, y): d(chi) e2 = e2 + a e1
+        # chi(x, y) = (x + a y, y): d(chi) e2 = e2 + a e1, at every base point
         a = 0.7
         g = euclidean_metric(2)
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0] + a * X[:, 1], X[:, 1]], axis=1))
-        corr = correction_eta(chi, g, N, np.array([0.0]))
-        assert np.allclose(corr.apply(np.array([0.0, 1.0])), [a, 0.0], atol=1e-8)
+        U = np.array([[0.0], [0.5], [-1.0]])
+        eta = correction_eta(chi, g, N, U)
+        # the tangent correction J eta c of the normal vector e2, c = 1
+        for J, e in zip(N.tangent_basis(U), eta):
+            assert np.allclose(J @ e @ [1.0], [a, 0.0], atol=1e-8)
 
     def test_normal_stretch_rejected(self):
         g = euclidean_metric(2)
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0], 2.0 * X[:, 1]], axis=1))
         with pytest.raises(DecompositionFailure):
-            correction_eta(chi, g, N, np.array([0.0]))
+            correction_eta(chi, g, N, np.array([[0.0]]))
 
 
 class TestPullbackMetric:
@@ -176,7 +177,7 @@ class TestPullbackMetric:
         g_ref = euclidean_metric(2)
         chi = identity_chart(DifferentiableMap(2, 2, lambda X: X.copy(), jac=eye_lanes))
         g = pullback_metric(chi, g_ref)
-        assert np.allclose(g.matrix(np.array([0.3, -0.8])), np.eye(2), atol=1e-12)
+        assert np.allclose(g.matrix(np.array([[0.3, -0.8]]))[0], np.eye(2), atol=1e-12)
 
     def test_linear_map_congruence(self):
         A = np.array([[1.0, 0.5], [0.0, 2.0]])
@@ -185,22 +186,23 @@ class TestPullbackMetric:
             DifferentiableMap(2, 2, lambda X: X @ A.T, jac=lambda X: np.tile(A, (len(X), 1, 1)))
         )
         g = pullback_metric(chi, g_ref)
-        assert np.allclose(g.matrix(np.zeros(2)), A.T @ A, atol=1e-12)
+        assert np.allclose(g.matrix(np.zeros((1, 2)))[0], A.T @ A, atol=1e-12)
 
     def test_curve_lengths_preserved(self):
         g_ref = euclidean_metric(2)
         fn = lambda X: X + 0.05 * np.stack([X[:, 1] ** 2, X[:, 0] ** 2], axis=1)
         chi = identity_chart(DifferentiableMap(2, 2, fn))
         g = pullback_metric(chi, g_ref)
-        # t is the column of quadrature nodes; rows are points of the curve
-        curve = lambda t: np.hstack([0.2 + 0.5 * t, -0.1 + 0.3 * t * t])
-        dcurve = lambda t: np.hstack([np.full_like(t, 0.5), 0.6 * t])
+        # t is the column of quadrature nodes; one curve, whose points are rows
+        curve = lambda t: np.hstack([0.2 + 0.5 * t, -0.1 + 0.3 * t * t])[None]
+        dcurve = lambda t: np.hstack([np.full_like(t, 0.5), 0.6 * t])[None]
         h = 1e-6
-        img = lambda t: chi(curve(t))
+        img = lambda t: chi(curve(t)[0])[None]
         dimg = lambda t: (img(t + h) - img(t - h)) / (2 * h)
         la = curve_length(g, curve, dcurve)
         lb = curve_length(g_ref, img, dimg)
-        assert la == pytest.approx(lb, rel=1e-6)
+        assert la.shape == (1,)
+        assert la[0] == pytest.approx(lb[0], rel=1e-6)
 
 
 class TestDiagramAndIsometry:
@@ -216,38 +218,39 @@ class TestDiagramAndIsometry:
 
     def test_diagram_small_sample(self):
         _, _, psi, _, g = self.make_pipeline()
-        samples = [
-            (np.array([u]), np.array([c]))
-            for u in (-0.5, 0.2, 0.9)
-            for c in (-0.12, 0.1, 0.3)
-        ]
-        rep = verify_main_diagram(psi, g, samples, exp_tol=1e-9)
+        U = np.repeat([[-0.5], [0.2], [0.9]], 3, axis=0)
+        C = np.tile([[-0.12], [0.1], [0.3]], (3, 1))
+        rep = verify_main_diagram(psi, g, U, C, exp_tol=1e-9)
         assert rep.sample_count == 9
         assert rep.max_residual <= 1e-5
         # the samples are lanes: each residual is the one it gets alone
-        alone = [verify_main_diagram(psi, g, [s], exp_tol=1e-9).max_residual for s in samples]
+        alone = [
+            verify_main_diagram(psi, g, U[i : i + 1], C[i : i + 1], exp_tol=1e-9).max_residual
+            for i in range(len(U))
+        ]
         assert rep.max_residual == max(alone)
 
     def test_sample_beyond_radius_exits(self):
         _, _, psi, _, g = self.make_pipeline()
         with pytest.raises(NotInDomain):
-            verify_main_diagram(psi, g, [(np.array([0.0]), np.array([1.5]))])
+            verify_main_diagram(psi, g, np.array([[0.0]]), np.array([[1.5]]))
 
     def test_identity_chi_zero_residual(self):
         g_ref = euclidean_metric(2)
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: X.copy(), jac=eye_lanes)
         r = isometry_geodesic_check(
-            chi, g_ref, g_ref, N, np.array([0.2]), np.array([0.0, 0.3])
+            chi, g_ref, g_ref, N, np.array([[0.2]]), np.array([[0.0, 0.3]])
         )
-        assert r <= 1e-10
+        assert r.shape == (1,)
+        assert r[0] <= 1e-10
 
     def test_curved_case_small_residual(self):
         g_ref, N, psi, chi, g = self.make_pipeline()
-        u = np.array([0.3])
+        u = np.array([[0.3]])
         B = normal_space_basis(g, N, u)
-        r = isometry_geodesic_check(chi, g, g_ref, N, u, 0.2 * B[:, 0], exp_tol=1e-9)
-        assert r <= 1e-5
+        r = isometry_geodesic_check(chi, g, g_ref, N, u, 0.2 * B[:, :, 0], exp_tol=1e-9)
+        assert r[0] <= 1e-5
 
     def test_isometry_lanes_equal_single_base_points(self):
         g_ref, N, psi, chi, g = self.make_pipeline()
@@ -256,7 +259,8 @@ class TestDiagramAndIsometry:
         worst = isometry_geodesic_check(chi, g, g_ref, N, us, V, exp_tol=1e-9)
         assert worst.shape == (3,)
         for u, v, w in zip(us, V, worst):
-            assert isometry_geodesic_check(chi, g, g_ref, N, u, v, exp_tol=1e-9) == w
+            alone = isometry_geodesic_check(chi, g, g_ref, N, u[None], v[None], exp_tol=1e-9)
+            assert alone.tobytes() == w.tobytes()
 
 
 def point_2d_jacobian(V):
@@ -269,9 +273,9 @@ def point_2d_jacobian(V):
 class TestPointCase:
     def test_identity_embedding(self):
         psi = DifferentiableMap(2, 2, lambda V: V.copy(), jac=eye_lanes)
-        g, worst = point_case_metric(psi, [np.array([0.3, 0.4]), np.array([-0.5, 0.1])])
+        g, worst = point_case_metric(psi, np.array([[0.3, 0.4], [-0.5, 0.1]]))
         assert worst <= 1e-10
-        assert np.allclose(g.matrix(np.array([0.2, 0.7])), np.eye(2), atol=1e-9)
+        assert np.allclose(g.matrix(np.array([[0.2, 0.7]]))[0], np.eye(2), atol=1e-9)
 
     def test_quadratic_embedding(self):
         psi = DifferentiableMap(
@@ -280,14 +284,14 @@ class TestPointCase:
             lambda V: V + 0.1 * np.stack([V[:, 0] ** 2, 0.0 * V[:, 0]], axis=1),
             jac=point_2d_jacobian,
         )
-        vs = [np.array([0.6, 0.2]), np.array([-0.4, 0.7]), np.array([0.1, -0.9])]
+        vs = np.array([[0.6, 0.2], [-0.4, 0.7], [0.1, -0.9]])
         _, worst = point_case_metric(psi, vs)
         assert worst <= 1e-6
 
     def test_scaled_differential_rejected(self):
         psi = DifferentiableMap(2, 2, lambda V: 2.0 * V, jac=lambda V: eye_lanes(V, 2.0))
         with pytest.raises(HypothesisFailure):
-            point_case_metric(psi, [np.array([0.1, 0.1])])
+            point_case_metric(psi, np.array([[0.1, 0.1]]))
 
 
 def point_2d_psi():
@@ -300,26 +304,26 @@ def point_2d_psi():
     )
 
 
-POINT_CASE_SAMPLES = [np.array([0.3, 0.2]), np.array([-0.5, 0.4]), np.array([0.7, -0.6])]
+POINT_CASE_SAMPLES = np.array([[0.3, 0.2], [-0.5, 0.4], [0.7, -0.6]])
 
 
 class TestPointCaseIsAPullback:
     def test_metric_is_flat_metric_pulled_back_by_psi_inverse(self):
         psi = point_2d_psi()
-        g, _ = point_case_metric(psi, [])
-        for y in POINT_CASE_SAMPLES:
-            x = solve_inverse(psi, y, y - psi(np.zeros(2)), tol=1e-13)
-            A = np.linalg.inv(psi.jacobian(x))
-            assert g.matrix(y).tobytes() == (A.T @ A).tobytes()
+        g, _ = point_case_metric(psi, np.zeros((0, 2)))
+        for y in POINT_CASE_SAMPLES[:, None]:
+            x = solve_inverse(psi, y, y - psi(np.zeros((1, 2))), tol=1e-13)
+            A = np.linalg.inv(psi.jacobian(x)[0])
+            assert g.matrix(y)[0].tobytes() == (A.T @ A).tobytes()
 
     def test_christoffel_matches_ambient_stencil(self):
-        g, _ = point_case_metric(point_2d_psi(), [])
+        g, _ = point_case_metric(point_2d_psi(), np.zeros((0, 2)))
         ambient = dataclasses.replace(g, christoffel_fn=None)
-        for y in POINT_CASE_SAMPLES:
+        for y in POINT_CASE_SAMPLES[:, None]:
             assert np.max(np.abs(christoffel(g, y) - christoffel(ambient, y))) <= 1e-7
 
     def test_one_newton_solve_per_christoffel_evaluation(self, monkeypatch):
-        g, _ = point_case_metric(point_2d_psi(), [])
+        g, _ = point_case_metric(point_2d_psi(), np.zeros((0, 2)))
         calls = []
 
         def counted(*args, **kwargs):
@@ -327,7 +331,7 @@ class TestPointCaseIsAPullback:
             return solve_inverse(*args, **kwargs)
 
         monkeypatch.setattr(realization, "solve_inverse", counted)
-        christoffel(g, POINT_CASE_SAMPLES[0])
+        christoffel(g, POINT_CASE_SAMPLES[:1])
         assert len(calls) == 1
 
 
@@ -344,18 +348,17 @@ def scenario_pipeline(name):
     psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
     chi = build_chi(psi, reference_embedding(frame, delta))
     g = pullback_metric(chi, gt)
-    points = [psi(u, c) for u, c in _diagram_samples(scn, psi, lo, hi)]
-    return psi, chi, g, points
+    return psi, chi, g, psi(*_diagram_samples(scn, psi, lo, hi))
 
 
 class TestChartStencilChristoffel:
     @pytest.mark.parametrize("name", ["circle", "helix"])
     def test_chi_and_metric_carry_no_history(self, name):
         _, chi, g, points = scenario_pipeline(name)
-        x = points[0]
+        x = points[:1]
         cold = (chi(x), g.matrix(x), christoffel(g, x))
         _, chi, g, points = scenario_pipeline(name)
-        for y in points[:100]:
+        for y in points[:100, None]:
             chi(y)
             g.matrix(y)
         chi(x + 0.01)
@@ -369,20 +372,18 @@ class TestChartStencilChristoffel:
     def test_matches_ambient_stencil(self, name):
         _, _, g, points = scenario_pipeline(name)
         ambient = dataclasses.replace(g, christoffel_fn=None)
-        for x in points[::23]:
-            gamma = christoffel(g, x)
-            assert np.max(np.abs(gamma - christoffel(ambient, x))) <= 1e-5
+        X = points[::23]
+        assert np.max(np.abs(christoffel(g, X) - christoffel(ambient, X))) <= 1e-5
 
     def test_flat_slice_is_exactly_flat(self):
         _, _, g, points = scenario_pipeline("flat-slice")
-        for x in points[::17]:
-            assert not np.any(christoffel(g, x))
+        assert not np.any(christoffel(g, points[::17]))
 
     def test_stencil_outside_chart_domain(self):
         psi, _, g, _ = scenario_pipeline("circle")
-        u = np.array([0.2])
+        u = np.array([[0.2]])
         # psi's domain is |c| < 1.2 delta; the stencil reaches 1e-3 further
-        x = psi(u, np.array([1.2 * psi.delta(u) - 5e-4]))
+        x = psi(u, 1.2 * psi.delta(u)[:, None] - 5e-4)
         g.matrix(x)
         with pytest.raises(DomainMargin):
             christoffel(g, x)

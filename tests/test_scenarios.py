@@ -11,7 +11,7 @@ from eulertube.scenarios import (
     default_suite,
     run_scenario,
 )
-from eulertube.submanifolds import NormalFrame, RadiusFunction
+from eulertube.submanifolds import NormalFrame
 
 
 def test_default_suite_contains_spec_scenarios():
@@ -59,7 +59,7 @@ def test_embedding_analytic_jacobians_match_fd(name):
     scn = {e.embedding: e for e in BUILTIN_SCENARIOS.values() if e.embedding}[name]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = RadiusFunction(fn=lambda U: np.full(len(U), 0.3), grid=[])
+    delta = lambda U: np.full(len(U), 0.3)  # noqa: E731
     fn, jac = EMBEDDINGS[name][1](NormalFrame(gt, N), delta)
     dim = N.ambient_dim
     fa = DifferentiableMap(dim, dim, fn, jac=jac)
@@ -68,7 +68,7 @@ def test_embedding_analytic_jacobians_match_fd(name):
     for _ in range(100):
         u = rng.uniform(lo + 0.2, hi - 0.2)
         c = rng.uniform(-0.2, 0.2, size=dim - 1)
-        uc = np.concatenate([[u], c])
+        uc = np.concatenate([[u], c])[None]
         Ja, Jf = fa.jacobian(uc), ffd.jacobian(uc)
         assert np.max(np.abs(Ja - Jf)) / max(1.0, np.max(np.abs(Ja))) <= 1e-6
 
@@ -77,7 +77,7 @@ def test_helix_jacobian_matches_fd():
     scn = BUILTIN_SCENARIOS["helix"]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = RadiusFunction(fn=lambda U: np.full(len(U), 0.3), grid=[])
+    delta = lambda U: np.full(len(U), 0.3)  # noqa: E731
     fn, jac = EMBEDDINGS["helix-quadratic"][1](NormalFrame(gt, N), delta)
     fa = DifferentiableMap(3, 3, fn, jac=jac)
     ffd = DifferentiableMap(3, 3, fn, fd_step=1e-6)
@@ -85,7 +85,7 @@ def test_helix_jacobian_matches_fd():
     for _ in range(50):
         uc = np.concatenate(
             [[rng.uniform(lo + 0.2, hi - 0.2)], rng.uniform(-0.2, 0.2, size=2)]
-        )
+        )[None]
         assert np.max(np.abs(fa.jacobian(uc) - ffd.jacobian(uc))) <= 1e-5
 
 
