@@ -30,7 +30,7 @@ class TubularEmbedding:
     frame: NormalFrame
     delta: Optional[Callable[[Array], Array]] = None
     seeds: Optional[Array] = None  # (#seeds, k+m)
-    seed_images: Optional[Array] = None  # (#seeds, n)
+    seed_images: Optional[Array] = None  # (n, #seeds): image of seed s in column s
     seed_inverses: Optional[Array] = None  # (#seeds, k+m, n), NaN where the guard fails
 
     @property
@@ -58,7 +58,7 @@ class TubularEmbedding:
                         c[j] = sign * frac * d
                         seeds.append(np.concatenate([u, c]))
         self.seeds = np.array(sorted({tuple(np.round(s, 12)) for s in seeds}))
-        self.seed_images = self.map(self.seeds)
+        self.seed_images = np.ascontiguousarray(self.map(self.seeds).T)
         self.seed_inverses = guarded_inverse(self.map.jacobian(self.seeds))
 
     def invert(self, X: Array, tol: float = 1e-12) -> Array:
@@ -68,11 +68,17 @@ class TubularEmbedding:
         SingularJacobian."""
         if self.seeds is None:
             raise RuntimeError("seed table not built; call build_seed_table first")
-        d = self.seed_images - X[:, None, :]
-        i = np.argmin(np.sqrt((d * d).sum(axis=2)), axis=1)
+        # squared distances (B, #seeds) summed over the n coordinates in
+        # index order: a (B, #seeds, n) difference reduced over its short
+        # last axis costs several times more
+        dist2 = 0.0
+        for images, x in zip(self.seed_images, X.T):
+            d = images - x[:, None]
+            dist2 = dist2 + d * d
+        i = np.argmin(np.sqrt(dist2), axis=1)
         return solve_inverse(
             self.map, X, self.seeds[i], tol=tol,
-            fx0=self.seed_images[i], jac_inv0=self.seed_inverses[i],
+            fx0=self.seed_images[:, i].T, jac_inv0=self.seed_inverses[i],
         )
 
 

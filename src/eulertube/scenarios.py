@@ -444,8 +444,8 @@ def _build_psi(
 def _image_box(psi: TubularEmbedding, margin: float):
     """The box around psi's seed images, widened by ``margin`` on every
     side, as a lane mask."""
-    lo = np.min(psi.seed_images, axis=0) - margin
-    hi = np.max(psi.seed_images, axis=0) + margin
+    lo = np.min(psi.seed_images, axis=1) - margin
+    hi = np.max(psi.seed_images, axis=1) + margin
     return lambda X: np.all(X > lo, axis=1) & np.all(X < hi, axis=1)
 
 

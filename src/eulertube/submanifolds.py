@@ -68,14 +68,16 @@ def _small_inv(M: Array) -> Array:
     return np.reciprocal(M) if M.shape[-2:] == (1, 1) else np.linalg.inv(M)
 
 
-def _normal_projector(J: Array, G: Array) -> Array:
-    """P = I - J (J^T G J)^-1 J^T G on lanes, the G-orthogonal projection
-    onto the normal space (kills tangents)."""
+def _normal_projector(J: Array, G: Array):
+    """P = I - J M^-1 J^T G with M = J^T G J on lanes, the G-orthogonal
+    projection onto the normal space (kills tangents), and M^-1 (None for
+    a point)."""
     I = np.eye(J.shape[1])
     if J.shape[2] == 0:
-        return I + 0.0 * G
+        return I + 0.0 * G, None
     JtG = _T(J) @ G
-    return I - J @ (_small_inv(JtG @ J) @ JtG)
+    M_inv = _small_inv(JtG @ J)
+    return I - J @ (M_inv @ JtG), M_inv
 
 
 def _g_norm(q: Array, G: Array) -> Array:
@@ -95,10 +97,11 @@ def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, U: Array) -> 
 
 
 def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
-    """p, J and the basis of ``normal_space_basis`` on the lanes U, from one
-    chart evaluation and one chart jacobian."""
+    """p, J, the basis of ``normal_space_basis``, G and M^-1 of
+    ``_normal_projector`` on the lanes U, from one chart evaluation, one
+    chart jacobian and one metric evaluation."""
     p, J, G = _tangent_projection_pieces(g, N, U)
-    P = _normal_projector(J, G)
+    P, M_inv = _normal_projector(J, G)
     m = N.ambient_dim - N.param_dim
     kept, vecs = _gram_schmidt(P, G, m)
     # no lane keeps more than m, so nl * m kept means every lane has m
@@ -108,7 +111,7 @@ def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
     # each lane's m kept vectors, in index order, as columns; contiguous,
     # since a stacked product over a transposed view may round differently
     basis = np.ascontiguousarray(_T(vecs[kept].reshape(len(U), m, N.ambient_dim)))
-    return p, J, basis
+    return p, J, basis, G, M_inv
 
 
 def _gram_schmidt(P: Array, G: Array, m: int):
@@ -149,13 +152,16 @@ _FRAME_DU = 1e-5  # central-difference step of dJ/du and dG/du
 @dataclass
 class FramePoint:
     """The frame at lanes of base points u (B, k): p(u), the chart jacobian
-    J(u) and B(u), the matrix of ``normal_space_basis``; dJ/du and dB/du
-    once requested."""
+    J(u) and B(u), the matrix of ``normal_space_basis``, with the metric G
+    at p(u) and M^-1 = (J^T G J)^-1 that built it; dJ/du and dB/du once
+    requested."""
 
     u: Array
     p: Array
     J: Array  # (B, n, k), columns span T_pN
     B: Array  # (B, n, n-k)
+    G: Array  # (B, n, n)
+    M_inv: Optional[Array]  # (B, k, k); None for a point
     dJ: Optional[Array] = None  # dJ[:, i] = dJ/du_i, (B, k, n, k)
     dB: Optional[Array] = None  # dB[:, i] = dB/du_i, (B, k, n, n-k)
 
@@ -192,8 +198,8 @@ class NormalFrame:
         key = U.tobytes()
         fp = self._memo.get(key)
         if fp is None:
-            p, J, B = _normal_frame(self.g, self.N, U)
-            fp = FramePoint(u=U.copy(), p=p, J=J, B=B)
+            p, J, B, G, M_inv = _normal_frame(self.g, self.N, U)
+            fp = FramePoint(u=U.copy(), p=p, J=J, B=B, G=G, M_inv=M_inv)
             if len(self._memo) >= _FRAME_MEMO:
                 del self._memo[next(iter(self._memo))]
             self._memo[key] = fp
@@ -218,14 +224,13 @@ class NormalFrame:
         outside s of I_s R^-1 are zero, so C = -J_r^-1 B_r.
         """
         g, N = self.g, self.N
-        U, J, B = fp.u, fp.J, fp.B
+        U, J, B, G, M_inv = fp.u, fp.J, fp.B, fp.G, fp.M_inv
         nl, n, k = J.shape
         m = B.shape[2]
         dJ = np.empty((nl, k, n, k))
         dB = np.empty((nl, k, n, m))
         if k == 0:
             return dJ, dB
-        G = g.matrix(fp.p)
         BG = _T(B) @ G  # equals B^T G P; G is symmetric, so G B = BG^T
         # Gram-Schmidt kept column s_j as the (j+1)-th vector: BG[j, s_j] is
         # its residual norm, at least the rank bound, and BG[j, i] for i < s_j
@@ -236,7 +241,6 @@ class NormalFrame:
         rest[np.arange(nl)[:, None], s] = False
         r = np.nonzero(rest)[1].reshape(nl, k)  # rows outside s
         JB_r = np.concatenate([J, B], axis=2)[np.arange(nl)[:, None], r]
-        M_inv = _small_inv(_T(J) @ G @ J)
         C = -_small_inv(JB_r[:, :, :k]) @ JB_r[:, :, k:]
         # the chart's jacobian and the metric at u +- h e_i, all in one batch
         U2 = (U[:, None, :] + self._shifts).reshape(nl * 2 * k, k)
@@ -263,7 +267,7 @@ def normal_representative(
     normal bundle onto the metric normal bundle.
     """
     _, J, G = _tangent_projection_pieces(g, N, U)
-    return (_normal_projector(J, G) @ A[:, :, None])[:, :, 0]
+    return (_normal_projector(J, G)[0] @ A[:, :, None])[:, :, 0]
 
 
 _EXP_TOL = 1e-11  # geodesic tolerance of the normal exponential chart

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulertube import submanifolds
+from eulertube import embeddings, submanifolds
 from eulertube.embeddings import TubularEmbedding, reference_embedding, validate_embedding
 from eulertube.errors import DomainMargin, NotInDomain, SingularJacobian
 from eulertube.eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
@@ -342,6 +342,24 @@ class TestReconstructionLanes:
             assert one.tobytes() == batch[i : i + 1].tobytes()
             assert np.linalg.norm(batch[i] - psi(u, c)[0]) <= 1e-4
 
+    def test_helix_point_takes_at_most_190_field_evaluations(self):
+        # the scenario's flows at flow_tol 1e-9 take the 8th-order pair,
+        # which needs about 13 passes of 12 evaluations, not 48 of 6
+        psi, phi, lo, hi = helix_pipeline()
+        X = pushforward_field(psi)
+        calls = []
+
+        def fn(Y):
+            calls.append(len(Y))
+            return X.fn(Y)
+
+        u = np.array([[0.5 * (lo + hi)]])
+        c = 0.5 * psi.delta(u)[0] * np.array([[1.0, 0.0]])
+        t_seq = tuple(2.0**-i for i in range(1, 10))
+        rec = reconstruct_embedding(replace(X, fn=fn), phi, u, c, t_seq=t_seq, tol=1e-4, flow_tol=1e-9)
+        assert np.linalg.norm(rec[0] - psi(u, c)[0]) <= 1e-4
+        assert len(calls) <= 190
+
     def test_domain_test_reuses_the_batch_preimages(self, monkeypatch):
         psi, _, _, _ = helix_pipeline()
         calls = []
@@ -475,7 +493,7 @@ class TestBuiltinDomainsTakeLanes:
         assert_lane_mask(psi.map.domain, straddle(mid, *far))
         assert_lane_mask(phi.map.domain, straddle(mid, *far))
         box = _image_box(psi, 0.3 * delta(grid[:1])[0])
-        center = psi.seed_images.mean(axis=0)
+        center = psi.seed_images.mean(axis=1)
         axes = 10.0 * np.eye(len(center))
         assert_lane_mask(box, straddle(center, *(center + axes), *(center - axes)))
         # the pushforward field's domain is |c| < 1.05 delta at the preimage
@@ -484,7 +502,9 @@ class TestBuiltinDomainsTakeLanes:
 
 
 def nearest_seed(psi, X):
-    d = psi.seed_images - X[:, None, :]
+    """The nearest seed by a (B, #seeds, n) difference: the reference for
+    ``TubularEmbedding.invert``'s search."""
+    d = psi.seed_images.T - X[:, None, :]
     return np.argmin(np.sqrt((d * d).sum(axis=-1)), axis=1)
 
 
@@ -524,6 +544,31 @@ class TestInvertContract:
             assert cold.tobytes() == solo.tobytes()
 
 
+class TestSeedSearch:
+    @pytest.mark.parametrize("name", ["helix", "circle"])
+    def test_invert_starts_from_the_broadcast_nearest_seed(self, name, monkeypatch):
+        psi, _, _, _, _, _, _ = tube_pipeline(name)
+        starts = []
+
+        def first_seed(f, y, x0, **kwargs):
+            starts.append(x0)
+            return x0
+
+        monkeypatch.setattr(embeddings, "solve_inverse", first_seed)
+        images = psi.seed_images.T
+        rng = np.random.default_rng(7)
+        lo, hi = images.min(axis=0), images.max(axis=0)
+        # random targets, the seed images themselves, and midpoints of
+        # seed pairs, where two distances tie up to rounding
+        pairs = rng.integers(0, len(images), size=(40, 2))
+        targets = [
+            rng.uniform(lo, hi, size=(B, len(lo))) for B in (1, 7, 64)
+        ] + [images, 0.5 * (images[pairs[:, 0]] + images[pairs[:, 1]])]
+        for X in targets:
+            psi.invert(X)
+            assert starts[-1].tobytes() == psi.seeds[nearest_seed(psi, X)].tobytes()
+
+
 def count_work(monkeypatch, psi):
     """Record psi's value and jacobian calls (kind, lanes), frame builds and
     frame chain rules from here on."""
@@ -560,7 +605,7 @@ class TestNewtonWork:
         before the first step."""
         rng = np.random.default_rng(3)
         UC = tube_points(psi, lo, hi, rng.uniform(0.0, 1.0, size=(8, 3)))
-        return np.concatenate([psi.map(UC), psi.seed_images[[40]]])
+        return np.concatenate([psi.map(UC), psi.seed_images[:, [40]].T])
 
     def test_invert_evaluates_nothing_for_its_first_step(self, monkeypatch):
         psi, _, lo, hi = helix_pipeline()

@@ -1,3 +1,6 @@
+import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,8 +15,11 @@ from eulertube.errors import (
     StepUnderflow,
 )
 from eulertube.numerics import (
+    _DOP853,
+    _DP54,
     DifferentiableMap,
     Trajectory,
+    _rk_step,
     jacobian,
     ode_integrate,
     solve_inverse,
@@ -117,6 +123,63 @@ class TestOdeIntegrate:
             traj = ode_integrate(lambda y: y, np.array([[1e-310]]), 1.0, 1e-3)
         assert len(traj.times) == 2
         assert traj.final_state[0, 0] == pytest.approx(np.e * 1e-310, rel=1e-4)
+
+
+PAIRS = {"DOP853": _DOP853, "DP54": _DP54}
+
+
+class TestRungeKuttaPairs:
+    @pytest.mark.parametrize("name, least", [("DOP853", 256.0), ("DP54", 32.0)])
+    def test_local_error_falls_with_the_order(self, name, least):
+        # one step of y' = y: an order-p pair errs O(h^(p+1)), so halving h
+        # divides the error by about 2^9 (DOP853) or 2^6 (DP5(4))
+        errors = []
+        for h in (0.5, 0.25):
+            y = np.array([[1.0]])
+            y_new, _, _ = _rk_step(lambda Y: Y, y, np.array([h]), y, np.ones(1, bool), PAIRS[name])
+            errors.append(abs(y_new[0, 0] - math.exp(h)))
+        assert errors[0] / errors[1] > least
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_weights_and_error_weights_sum(self, name):
+        pair = PAIRS[name]
+        assert abs(math.fsum(pair.b) - 1.0) <= 1e-15
+        for e in (pair.e, pair.e3):
+            if e is not None:
+                assert abs(math.fsum(e)) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_stage_nodes_lie_in_the_step(self, name):
+        # each row sum is the stage's time within the step, in [0, 1]
+        for row in PAIRS[name].a:
+            assert -1e-15 <= math.fsum(row) <= 1.0 + 1e-15
+
+    @pytest.mark.parametrize("tol, per_pass", [(1e-7, 6), (1e-9, 12)])
+    def test_field_calls_per_pass_follow_the_tolerance(self, tol, per_pass):
+        calls = []
+
+        def field(Y):
+            calls.append(len(Y))
+            return -Y
+
+        # three passes, then the step budget runs out
+        with pytest.raises(StepUnderflow):
+            ode_integrate(field, np.array([[1.0]]), 100.0, tol, max_steps=3)
+        assert len(calls) == 1 + 3 * per_pass
+
+
+def test_import_loads_no_undeclared_dependency():
+    # the package declares numpy and mpmath (click and PyYAML serve only the
+    # CLI); an import of scipy alone would more than double a run's memory
+    probe = (
+        "import sys; before = set(sys.modules); import eulertube.scenarios; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout.split()
+    third_party = {m for m in out if m not in sys.stdlib_module_names}
+    assert third_party <= {"eulertube", "numpy", "mpmath"}
 
 
 class TestTrajectory:

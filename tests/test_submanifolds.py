@@ -220,6 +220,27 @@ def test_a_frame_build_evaluates_the_chart_once():
     assert fp.J.tobytes() == N.tangent_basis(U).tobytes()
 
 
+def test_frame_derivative_reuses_the_metric_of_its_build():
+    # the chain rule needs G and (J^T G J)^-1 at the frame's base points,
+    # which the build computed; it evaluates the metric only at u +- h
+    g = skew_varying_metric_3d()
+    seen = []
+
+    def matrix_fn(X):
+        seen.append(X.copy())
+        return g.matrix_fn(X)
+
+    N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+    frame = NormalFrame(replace(g, matrix_fn=matrix_fn), N)
+    U = np.linspace(lo + 0.1, hi - 0.1, 5)[:, None]
+    fp = frame.at(U)
+    seen.clear()
+    frame.derivative(U)
+    assert len(seen) == 1
+    base = {p.tobytes() for p in fp.p}
+    assert not any(x.tobytes() in base for x in seen[0])
+
+
 class TestNormalRepresentative:
     def test_already_normal_unchanged(self):
         g = euclidean_metric(2)
