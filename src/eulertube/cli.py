@@ -1,4 +1,7 @@
-"""Command-line front end: run scenarios, list them, validate configs."""
+"""Command-line front end: run scenarios, list them, validate configs.
+
+PyYAML is imported only where a config file is parsed, so listing and
+running built-in scenarios never load it."""
 
 from __future__ import annotations
 
@@ -7,7 +10,6 @@ import os
 import sys
 
 import click
-import yaml
 
 from .errors import ConfigError
 from .reports import emit
@@ -38,6 +40,8 @@ def _load_target(target: str):
     if target in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[target]
     if os.path.exists(target):
+        import yaml
+
         try:
             with open(target) as fh:
                 config = yaml.safe_load(fh)
@@ -118,6 +122,8 @@ def list_():
 @click.argument("path", type=click.Path(exists=True))
 def check(path):
     """Validate a scenario config file without running it."""
+    import yaml
+
     try:
         with open(path) as fh:
             config = yaml.safe_load(fh)

@@ -111,23 +111,42 @@ def pushforward_field(
     The domain test reuses the preimages of the last inversion for the
     points it is asked about again: the Dormand-Prince step is
     first-same-as-last, so the accepted states it tests are stage points
-    the field was just evaluated at.  A lane's cold inversion is a pure
-    function of its point, so this memo is too.  A lane whose inversion
-    fails with an EulertubeError is outside the domain; any other exception
-    is a defect and propagates.
+    the field was just evaluated at.  When a batch inversion fails, its
+    caller (the domain test here, or the integrator's ``_field_on``) asks
+    again one lane at a time: each such lane is looked up in the memo from
+    before the failed batch, and the preimages of the lanes asked about
+    alone are kept beside it until the next call of several lanes.  A
+    lane's cold inversion is a pure function of its point, so this memo is
+    too.  A lane whose inversion fails with an EulertubeError is outside
+    the domain; any other exception is a defect and propagates.
     """
     k = psi.N.param_dim
     n = psi.N.ambient_dim
-    last = {}  # x.tobytes() -> preimage, for the lanes of the last call
+    last = {}  # x.tobytes() -> preimage, for the lanes of the last batch call
+    alone = {}  # the same for the lanes asked about alone since a batch failed
+    retry_lanes = 0  # lanes of that failed batch; 0 when no retry is open
 
     def preimages(X):
-        nonlocal last
+        nonlocal last, alone, retry_lanes
         keys = [x.tobytes() for x in X]
-        found = {key: last[key] for key in keys if key in last}
-        new = [i for i, key in enumerate(keys) if key not in found]
+        found = {key: last[key] if key in last else alone.get(key) for key in keys}
+        new = [i for i, key in enumerate(keys) if found[key] is None]
         if new:
-            found.update(zip([keys[i] for i in new], psi.invert(X[new], tol=invert_tol)))
-        last = found
+            try:
+                found.update(zip([keys[i] for i in new], psi.invert(X[new], tol=invert_tol)))
+            except EulertubeError:
+                if len(X) > 1:
+                    alone, retry_lanes = {}, len(X)
+                raise
+        if len(X) > 1 or not retry_lanes:
+            last, alone, retry_lanes = found, {}, 0
+        else:
+            # a lane of the retry; the last retry_lanes of them are kept,
+            # which holds every lane of a stage the integrator evaluates
+            # lane by lane
+            alone.update(found)
+            while len(alone) > retry_lanes:
+                del alone[next(iter(alone))]
         return np.array([found[key] for key in keys])
 
     def fn(X):
@@ -141,25 +160,19 @@ def pushforward_field(
         return np.sqrt((c * c).sum(axis=1)) < domain_margin * psi.delta(u)
 
     def in_domain(X):
-        nonlocal last
         try:
-            UC = preimages(X)
+            return inside(preimages(X))
         except EulertubeError:
             if len(X) == 1:
                 return np.zeros(1, bool)
-            # some lane's inversion failed: the lanes answer one at a time,
-            # and the memo keeps the preimage of every lane that has one
-            mask = np.zeros(len(X), bool)
-            memo = {}
-            for i in range(len(X)):
-                try:
-                    mask[i] = inside(preimages(X[i : i + 1]))[0]
-                except EulertubeError:
-                    continue
-                memo.update(last)
-            last = memo
-            return mask
-        return inside(UC)
+        # some lane's inversion failed: the lanes answer one at a time
+        mask = np.zeros(len(X), bool)
+        for i in range(len(X)):
+            try:
+                mask[i] = inside(preimages(X[i : i + 1]))[0]
+            except EulertubeError:
+                continue
+        return mask
 
     return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain)
 

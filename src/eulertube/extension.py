@@ -12,15 +12,18 @@ one bracket-and-bisect whose every pass is one lane sigma, and each target
 then needs only Newton steps at high precision: the seed is good to about
 1e-16, and each step squares the error.  The bundle maps take lanes of base
 points and fiber vectors and invert the profile for all of them at once.
+
+mpmath is imported by the high-precision paths only (an mpf argument, or
+sigma_inverse's Newton polish), so float lanes never load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, NoConvergence
@@ -30,11 +33,17 @@ _HALF = 0.5
 
 
 def _is_mp(t) -> bool:
-    return isinstance(t, mp.mpf)
+    # no mpf exists before mpmath is imported
+    mp = sys.modules.get("mpmath")
+    return mp is not None and isinstance(t, mp.mpf)
 
 
 def _sqrt(t):
-    return mp.sqrt(t) if _is_mp(t) else np.sqrt(t)
+    if _is_mp(t):
+        import mpmath as mp
+
+        return mp.sqrt(t)
+    return np.sqrt(t)
 
 
 def _open_interval(t):
@@ -59,6 +68,8 @@ def _bump(x):
     and stays NaN).
     """
     if _is_mp(x):
+        import mpmath as mp
+
         if x <= 0 or x >= 1:
             return (mp.mpf(1) if x >= 1 else mp.mpf(0)), mp.mpf(0)
         return _bump_inside(x, mp.exp(-1 / x), mp.exp(-1 / (1 - x)))
@@ -157,6 +168,8 @@ def sigma_inverse(s, dps: int = 50):
     and a relative 2^-52, an mpf result would be worse than a double and
     than the tolerance ``dps`` asks for.
     """
+    import mpmath as mp
+
     S = np.asarray(s)
     if S.dtype != object:
         S = S.astype(float)
@@ -205,6 +218,8 @@ def _double_seeds(approx: Array) -> Tuple[Array, Array]:
 def _newton(s, target, lo: float, hi: float, dps: int):
     """The inverse of one target s (|s| = target > 1/2, at ``dps`` digits)
     from its double bracket (lo, hi], in s's type."""
+    import mpmath as mp
+
     was_float = not _is_mp(s)
     if hi == 1:
         # the double bracket reached 1: a float target's inverse rounds to
@@ -251,6 +266,8 @@ def tau(s, dps: int = 50):
     tau == 1 on [-1/2, 1/2]; tau(s) * |s| < 1 always.  Takes one mpf or
     floats as lanes."""
     if _is_mp(s):
+        import mpmath as mp
+
         return mp.mpf(1) if abs(s) <= _HALF else sigma_inverse(s, dps=dps) / s
     s = np.asarray(s, dtype=float)
     q = np.ones(s.shape)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -566,16 +567,18 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         spot = psi(grid, 0.3 * delta(grid)[:, None] * _fiber_directions(psi.fiber_dim, 4)[0])
         validate_metric(g, spot, sym_tol=1e-10)
         state["g"] = g
-        rng = np.random.default_rng(20240 + len(scn.name))
+        # the stdlib generator: numpy.random would cost a tube run 6 MB
+        rng = random.Random(20240 + len(scn.name))
+        normal = lambda dim: _unit(np.array([rng.gauss(0.0, 1.0) for _ in range(dim)]))
         n = N.ambient_dim
         h = 1e-6
         # every curve's draws first, in the order of a curve at a time
         U0, C0, A, B = [], [], [], []
         for _ in range(scn.sample("curves")):
             U0.append([rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))])
-            C0.append(_unit(rng.standard_normal(psi.fiber_dim)))
-            A.append(_unit(rng.standard_normal(n)))
-            B.append(_unit(rng.standard_normal(n)))
+            C0.append(normal(psi.fiber_dim))
+            A.append(normal(n))
+            B.append(normal(n))
         U0 = np.array(U0)
         d = delta(U0)[:, None]
         X0 = psi(U0, 0.35 * d * np.array(C0))[:, None]

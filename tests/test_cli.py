@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +124,20 @@ class TestCliCommands:
         assert result.exit_code == 0
         assert "flat-slice" in result.output
         assert "point-2d" in result.output
+
+    def test_list_loads_no_yaml(self):
+        # PyYAML is imported where a config file is parsed, not before
+        probe = (
+            "import sys\n"
+            "from eulertube.cli import main\n"
+            "main(['list'], standalone_mode=False)\n"
+            "print('yaml' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        assert "flat-slice" in out
+        assert out[-1] == "False"
 
     def test_run_point_scenario(self, runner):
         result = runner.invoke(main, ["run", "point-2d", "--format", "records"])

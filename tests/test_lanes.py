@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eulertube import embeddings, submanifolds
 from eulertube.embeddings import TubularEmbedding, reference_embedding, validate_embedding
-from eulertube.errors import DomainMargin, NotInDomain, SingularJacobian
+from eulertube.errors import DomainMargin, EulertubeError, NotInDomain, SingularJacobian
 from eulertube.eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
 from eulertube.metrics import (
     christoffel,
@@ -26,7 +26,7 @@ from eulertube.metrics import (
     polar_metric,
     sphere_chart_metric,
 )
-from eulertube.numerics import DifferentiableMap, jacobian, ode_integrate, solve_inverse
+from eulertube.numerics import DifferentiableMap, _field_on, jacobian, ode_integrate, solve_inverse
 from eulertube.realization import ComparisonMap, build_chi, curve_length, pullback_metric
 from eulertube.scenarios import (
     BACKGROUNDS,
@@ -382,11 +382,7 @@ class TestReconstructionLanes:
         # 10 lanes straddling the tube, the last one NaN: its inversion
         # fails the batch, the lanes retry one at a time, and the memo keeps
         # all 9 preimages found, so the field on them inverts nothing
-        psi, frame, _, delta, lo, hi, _ = tube_pipeline("helix")
-        u = 0.5 * (lo + hi)
-        mid = np.array([[u, 0.0, 0.0]])
-        far = mid + np.array([[0.0, 1.5 * delta(mid[:, :1])[0], 0.0]])
-        points = straddle(psi.map(mid)[0], psi.map(far)[0])
+        psi, points = straddle_helix()
         calls = []
         invert = type(psi).invert
 
@@ -404,6 +400,47 @@ class TestReconstructionLanes:
         assert calls == []
         for i in range(len(points)):
             assert pushforward_field(psi).contains(points[i : i + 1])[0] == mask[i]
+
+    def test_lane_by_lane_fallback_inverts_no_lane_twice(self, monkeypatch):
+        # the 9 lanes of straddle_helix are solved as a batch; the batch
+        # with the NaN lane added fails on that lane alone, and the
+        # integrator's fallback (_field_on) then asks lane by lane: each
+        # lane is looked up in the memo from before the failed batch, and
+        # the domain test on the 9 lanes after it, and its own retry after
+        # a failed batch, find them all
+        psi, points = straddle_helix()
+        calls = []
+        invert = type(psi).invert
+
+        def counted(self, x, tol=1e-12):
+            calls.append(len(x))
+            return invert(self, x, tol=tol)
+
+        monkeypatch.setattr(type(psi), "invert", counted)
+        X = pushforward_field(psi)
+        batch = X(points[:-1])
+        with pytest.raises(EulertubeError):
+            X(points)
+        assert calls == [9, 1]
+        ok = np.ones(len(points), bool)
+        alone = _field_on(X, points, ok)
+        assert calls == [9, 1, 1]
+        assert ok[:-1].all() and not ok[-1]
+        assert alone[:-1].tobytes() == batch.tobytes()
+        mask = X.contains(points[:-1])
+        assert calls == [9, 1, 1]
+        assert (X.contains(points) == np.append(mask, False)).all()
+        assert calls == [9, 1, 1, 1, 1]
+
+
+def straddle_helix():
+    """The helix embedding and 10 lanes straddling its tube, the last one
+    NaN: psi inverts the 9 others, and fails on the NaN lane."""
+    psi, frame, _, delta, lo, hi, _ = tube_pipeline("helix")
+    u = 0.5 * (lo + hi)
+    mid = np.array([[u, 0.0, 0.0]])
+    far = mid + np.array([[0.0, 1.5 * delta(mid[:, :1])[0], 0.0]])
+    return psi, straddle(psi.map(mid)[0], psi.map(far)[0])
 
 
 def straddle(inside, *outside, count=9):

@@ -170,7 +170,8 @@ class TestRungeKuttaPairs:
 
 def test_import_loads_no_undeclared_dependency():
     # the package declares numpy and mpmath (click and PyYAML serve only the
-    # CLI); an import of scipy alone would more than double a run's memory
+    # CLI), and mpmath loads on the first high-precision evaluation; an
+    # import of scipy alone would more than double a run's memory
     probe = (
         "import sys; before = set(sys.modules); import eulertube.scenarios; "
         "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
@@ -179,7 +180,7 @@ def test_import_loads_no_undeclared_dependency():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout.split()
     third_party = {m for m in out if m not in sys.stdlib_module_names}
-    assert third_party <= {"eulertube", "numpy", "mpmath"}
+    assert third_party <= {"eulertube", "numpy"}
 
 
 class TestTrajectory:

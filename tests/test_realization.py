@@ -18,6 +18,7 @@ from eulertube.realization import (
     build_chi,
     correction_eta,
     curve_length,
+    gauss_legendre,
     isometry_geodesic_check,
     point_case_metric,
     pullback_metric,
@@ -203,6 +204,14 @@ class TestPullbackMetric:
         lb = curve_length(g_ref, img, dimg)
         assert la.shape == (1,)
         assert la[0] == pytest.approx(lb[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("order", range(1, 41))
+def test_golub_welsch_rule_matches_leggauss(order):
+    nodes, weights = gauss_legendre(order)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
 
 
 class TestDiagramAndIsometry:

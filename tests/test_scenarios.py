@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -106,3 +109,25 @@ def test_unexpected_exception_fails_the_stage_closed(monkeypatch):
     reports = run_scenario("point-2d")
     assert [(r.stage, r.passed) for r in reports] == [("point-case", False)]
     assert reports[0].max_residual == float("inf")
+
+
+def test_tube_run_loads_only_what_it_runs():
+    # a tube scenario draws its pullback curves from the stdlib generator,
+    # integrates with Golub-Welsch nodes and evaluates no 50-digit profile;
+    # the appendix does, so it loads mpmath on first use
+    probe = (
+        "import sys\n"
+        "from eulertube.scenarios import run_scenario, scenario_from_config\n"
+        "samples = {'grid': 3, 'diagram_u': 2, 'diagram_c': 2, 'isometry': 1,\n"
+        "           'reconstruction': 1, 'curves': 2}\n"
+        "scn = scenario_from_config({'scenario': 'flat-slice', 'samples': samples})\n"
+        "reports = run_scenario(scn)\n"
+        "print(all(r.passed for r in reports), len(reports),\n"
+        "      [m for m in ('mpmath', 'numpy.random', 'numpy.polynomial') if m in sys.modules])\n"
+        "reports = run_scenario('appendix')\n"
+        "print(all(r.passed for r in reports), len(reports), 'mpmath' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == ["True 8 []", "True 3 True"]
