@@ -11,6 +11,10 @@ from .errors import NotInDomain
 from .numerics import Array, DifferentiableMap, guarded_inverse, solve_inverse
 from .submanifolds import NormalFrame, ParametrizedSubmanifold, normal_exponential
 
+# Newton tolerance of TubularEmbedding.invert, which serves the comparison
+# map's preimage and the pushforward field
+_INVERT_TOL = 1e-12
+
 
 @dataclass
 class TubularEmbedding:
@@ -61,7 +65,7 @@ class TubularEmbedding:
         self.seed_images = np.ascontiguousarray(self.map(self.seeds).T)
         self.seed_inverses = guarded_inverse(self.map.jacobian(self.seeds))
 
-    def invert(self, X: Array, tol: float = 1e-12) -> Array:
+    def invert(self, X: Array) -> Array:
         """Solve psi(u, c) = x by Newton on lanes X (B, n), each lane from
         its own nearest table seed.  A seed whose jacobian fails the guard
         makes only the inversions that start from it raise
@@ -77,17 +81,16 @@ class TubularEmbedding:
             dist2 = dist2 + d * d
         i = np.argmin(np.sqrt(dist2), axis=1)
         return solve_inverse(
-            self.map, X, self.seeds[i], tol=tol,
+            self.map, X, self.seeds[i], tol=_INVERT_TOL,
             fx0=self.seed_images[:, i].T, jac_inv0=self.seed_inverses[i],
         )
 
 
-def validate_embedding(
-    psi: TubularEmbedding,
-    U: Array,
-    zero_tol: float = 1e-10,
-    frame_tol: float = 1e-6,
-) -> float:
+_ZERO_SECTION_TOL = 1e-10  # largest |psi(u, 0) - p(u)| validate_embedding accepts
+_FIBER_FRAME_TOL = 1e-6  # largest entry of its fiber block minus the identity
+
+
+def validate_embedding(psi: TubularEmbedding, U: Array) -> float:
     """Check the tubular-embedding invariants on a parameter grid U (G, k).
 
     Verifies that the zero section lands on N and that the fiber block of
@@ -103,9 +106,9 @@ def validate_embedding(
     induced = np.swapaxes(fp.B, 1, 2) @ psi.frame.g.matrix(fp.p) @ F
     r1 = np.max(np.abs(induced - np.eye(m)), axis=(1, 2))
     for u, zero_r, frame_r in zip(U, r0, r1):
-        if zero_r > zero_tol:
+        if zero_r > _ZERO_SECTION_TOL:
             raise NotInDomain(f"zero section misses N at u={u} (residual {zero_r:.3e})")
-        if frame_r > frame_tol:
+        if frame_r > _FIBER_FRAME_TOL:
             raise NotInDomain(
                 f"fiber differential not the identity at u={u} (residual {frame_r:.3e})"
             )

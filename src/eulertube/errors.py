@@ -37,6 +37,11 @@ class NotVanishing(EulertubeError):
     """Vector field does not vanish on the submanifold at the query point."""
 
 
+class NotEulerLike(EulertubeError):
+    """Vector field fails the Euler-like test: it does not vanish on the
+    submanifold, or its linearization is not the identity on normal classes."""
+
+
 class FlowExit(EulertubeError):
     """A flow trajectory left the domain before the requested time."""
 

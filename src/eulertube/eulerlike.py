@@ -31,38 +31,41 @@ def euler_field(C: Array) -> Array:
     return np.array(C, dtype=float)
 
 
+_VANISH_TOL = 1e-6  # largest |X(p(u))| of a field that vanishes on N
+
+
 def vanishes_on_N(
-    X: DifferentiableMap,
-    N: ParametrizedSubmanifold,
-    grid: Array,
-    tol: float = 1e-8,
+    X: DifferentiableMap, N: ParametrizedSubmanifold, grid: Array
 ) -> Tuple[bool, float]:
-    """True iff max_u |X(p(u))| over the grid (G, k) is below tol; X is
-    evaluated on the whole grid as one lane batch."""
+    """True iff max_u |X(p(u))| over the grid (G, k) is at most
+    ``_VANISH_TOL``, with that maximum; X is evaluated on the whole grid as
+    one lane batch."""
     P = N.point(grid)
     worst = max((float(np.linalg.norm(v)) for v in X(P)), default=0.0)
-    return worst <= tol, worst
+    return worst <= _VANISH_TOL, worst
 
 
 def linear_approximation(
-    X: DifferentiableMap,
-    g_ref: MetricField,
-    N: ParametrizedSubmanifold,
-    U: Array,
-    tol_vanish: float = 1e-6,
+    X: DifferentiableMap, g_ref: MetricField, N: ParametrizedSubmanifold, U: Array
 ) -> LinearApproximation:
     """Quotient action of the jacobian of X at p(u) on the normal classes,
     on lanes of base points U (B, k).
 
     The class of a normal frame vector b is sent to the class of A b; with
     a g_ref-orthonormal frame the class coordinates are B^T G A b.  Raises
-    NotVanishing at the first lane where |X(p(u))| exceeds tol_vanish.
+    NotVanishing at the first lane where |X(p(u))| exceeds ``_VANISH_TOL``.
     """
     P = N.point(U)
     for u_b, v in zip(U, X(P)):
         r = float(np.linalg.norm(v))
-        if r > tol_vanish:
+        if r > _VANISH_TOL:
             raise NotVanishing(f"|X(p(u))| = {r:.3e} at u={u_b}")
+    return _quotient_action(X, g_ref, N, U, P)
+
+
+def _quotient_action(X, g_ref, N, U: Array, P: Array) -> LinearApproximation:
+    """The ``linear_approximation`` of X at the base points U, with P = p(U),
+    taken without evaluating X itself."""
     A = X.jacobian(P)
     B = normal_space_basis(g_ref, N, U)
     induced = np.swapaxes(B, 1, 2) @ g_ref.matrix(P) @ A @ B
@@ -75,15 +78,16 @@ def is_euler_like(
     N: ParametrizedSubmanifold,
     grid: Array,
     tol: float = 1e-5,
-    tol_vanish: float = 1e-6,
 ) -> Tuple[bool, float]:
     """True iff X vanishes on N and its induced quotient action is the
     identity on every point of the grid (G, k); returns (verdict, max
-    residual).  The grid is one lane batch."""
-    ok, vres = vanishes_on_N(X, N, grid, tol=tol_vanish)
+    residual).  The grid is one lane batch, and X is evaluated on it once:
+    the vanishing test's values decide, and the quotient action takes
+    only X's jacobian."""
+    ok, vres = vanishes_on_N(X, N, grid)
     if not ok:
         return False, vres
-    lin = linear_approximation(X, g_ref, N, grid, tol_vanish=tol_vanish)
+    lin = _quotient_action(X, g_ref, N, grid, N.point(grid))
     m = lin.induced.shape[-1]
     worst = float(np.max(np.abs(lin.induced - np.eye(m)), initial=0.0))
     return worst <= tol, worst
@@ -97,11 +101,12 @@ def pushforward_euler(psi: TubularEmbedding, U: Array, C: Array) -> Array:
     return (J @ fiber[:, :, None])[:, :, 0]
 
 
-def pushforward_field(
-    psi: TubularEmbedding,
-    invert_tol: float = 1e-12,
-    domain_margin: float = 1.05,
-) -> DifferentiableMap:
+# the pushforward field's domain is |c| below this multiple of the certified
+# radius delta(u)
+_DOMAIN_MARGIN = 1.05
+
+
+def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
     """The pushforward Euler field as an ambient-coordinate oracle on lanes.
 
     Each evaluation inverts psi numerically at the query points (one lane
@@ -133,7 +138,7 @@ def pushforward_field(
         new = [i for i, key in enumerate(keys) if found[key] is None]
         if new:
             try:
-                found.update(zip([keys[i] for i in new], psi.invert(X[new], tol=invert_tol)))
+                found.update(zip([keys[i] for i in new], psi.invert(X[new])))
             except EulertubeError:
                 if len(X) > 1:
                     alone, retry_lanes = {}, len(X)
@@ -157,7 +162,7 @@ def pushforward_field(
         if psi.delta is None:
             return np.ones(len(UC), dtype=bool)
         u, c = UC[:, :k], UC[:, k:]
-        return np.sqrt((c * c).sum(axis=1)) < domain_margin * psi.delta(u)
+        return np.sqrt((c * c).sum(axis=1)) < _DOMAIN_MARGIN * psi.delta(u)
 
     def in_domain(X):
         try:

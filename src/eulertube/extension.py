@@ -1,7 +1,7 @@
 """Gluing profiles on lanes and the fiberwise diffeomorphism that extends
 maps defined near the zero section of a vector bundle to the whole bundle.
 
-The profiles (phi_stereo, rho, eta, sigma and the closed-form derivative
+The profiles (rho, eta, sigma and the closed-form derivative
 sigma_prime) take floats as lanes, a float array of any shape with one
 float as a batch of one, or one mpmath number; high-precision input is
 honored throughout, which is what makes the inverse-profile round trip
@@ -87,12 +87,6 @@ def _bump_inside(x, a, b):
     """S = a / (a+b) and S' = a b (1/x^2 + 1/(1-x)^2) / (a+b)^2 on (0, 1),
     from a = exp(-1/x) and b = exp(-1/(1-x))."""
     return a / (a + b), a * b * (1 / (x * x) + 1 / ((1 - x) * (1 - x))) / ((a + b) * (a + b))
-
-
-def phi_stereo(t):
-    """t / sqrt(1 - t^2): increasing bijection from (-1, 1) onto the line."""
-    t = _open_interval(t)
-    return t / _sqrt(1 - t * t)
 
 
 def rho(t):

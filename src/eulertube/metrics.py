@@ -44,7 +44,10 @@ class MetricField:
         return domain_mask(self.domain, X)
 
 
-def validate_metric(g: MetricField, X: Array, sym_tol: float = 1e-12) -> float:
+_SYM_TOL = 1e-10  # largest |g_ij - g_ji| that validate_metric accepts
+
+
+def validate_metric(g: MetricField, X: Array) -> float:
     """Spot-check symmetry and positive definiteness on the sample points X
     (B, n), evaluated as one lane batch.
 
@@ -58,7 +61,7 @@ def validate_metric(g: MetricField, X: Array, sym_tol: float = 1e-12) -> float:
     asym = np.max(np.abs(G - Gt), axis=(1, 2))
     lowest = np.linalg.eigvalsh(0.5 * (G + Gt))[:, 0]
     for x, defect, low in zip(X, asym, lowest):
-        if defect > sym_tol:
+        if defect > _SYM_TOL:
             raise SingularMetric(f"metric not symmetric at {x} (defect {defect:.3e})")
         if low <= 0.0:
             raise SingularMetric(f"metric not positive definite at {x}")
@@ -112,25 +115,14 @@ def geodesic_rhs(g: MetricField, S: Array) -> Array:
     return np.concatenate([V, acc], axis=1)
 
 
-def geodesic(
-    g: MetricField,
-    P: Array,
-    V: Array,
-    t_end: float,
-    tol: float = 1e-10,
-    use_closed_form: bool = True,
-    closed_form_samples: int = 33,
-) -> Trajectory:
+def geodesic(g: MetricField, P: Array, V: Array, t_end: float, tol: float = 1e-10) -> Trajectory:
     """Integrate the geodesics with x(0) = P, x'(0) = V, lanes (B, n), up
-    to parameter t_end, as one lane ``Trajectory``.
+    to parameter t_end, as one lane ``Trajectory``; a metric's closed-form
+    ``geodesic_fn`` is not consulted here (``exp_map`` takes it).
 
     A lane that leaves the metric domain stops there with ``exited`` set.
-    If the metric carries an exact geodesic formula it is used (sampled on
-    a fixed grid) unless ``use_closed_form=False``.
     """
     n = g.dim
-    if g.geodesic_fn is not None and use_closed_form:
-        return _sampled_closed_form(g, P, V, t_end, tol, closed_form_samples)
     domain = None
     if g.domain is not None:
         domain = lambda S: g.contains(S[:, :n])  # noqa: E731
@@ -138,47 +130,10 @@ def geodesic(
     return ode_integrate(lambda S: geodesic_rhs(g, S), y0, t_end, tol, domain=domain)
 
 
-def _reached(g: MetricField, X: Array) -> Array:
-    """The lanes of closed-form points X (B, n) that are finite and in g's
-    domain."""
-    ok = np.isfinite(X).all(axis=1)
-    ok[ok] = g.contains(X[ok])
-    return ok
-
-
-def _sampled_closed_form(
-    g: MetricField, P: Array, V: Array, t_end: float, tol: float, samples: int
-) -> Trajectory:
-    """The lanes' closed-form geodesics at ``samples`` equally spaced
-    parameters, as a lane Trajectory; a lane stops before its first sample
-    that is not finite or leaves the domain."""
-    ts = np.linspace(0.0, t_end, samples) if t_end > 0 else np.array([0.0])
-    state = np.concatenate([P, V], axis=1)
-    t_now = np.zeros(len(P))
-    exited = np.zeros(len(P), dtype=bool)
-    times, states = [t_now.copy()], [state.copy()]
-    for t in ts[1:]:
-        live = np.flatnonzero(~exited)
-        if len(live) == 0:
-            break
-        x_t, v_t = g.geodesic_fn(P[live], V[live], float(t))
-        x_t = np.asarray(x_t, dtype=float)
-        ok = _reached(g, x_t)
-        exited[live[~ok]] = True
-        if np.count_nonzero(ok):
-            moved = live[ok]
-            t_now[moved] = t
-            state[moved] = np.concatenate([x_t[ok], np.asarray(v_t, dtype=float)[ok]], axis=1)
-            times.append(t_now.copy())
-            states.append(state.copy())
-    return Trajectory(np.array(times), np.array(states), tol, exited=exited)
-
-
-def exp_map(
-    g: MetricField, P: Array, V: Array, tol: float = 1e-10, use_closed_form: bool = True
-) -> Array:
-    """exp_p(v) on lanes P, V (B, n), the geodesic endpoints at parameter 1,
-    all lanes in one integration.  A zero-velocity lane gives its p.
+def exp_map(g: MetricField, P: Array, V: Array, tol: float = 1e-10) -> Array:
+    """exp_p(v) on lanes P, V (B, n), the geodesic endpoints at parameter 1:
+    the metric's closed-form ``geodesic_fn`` where it has one, else all
+    lanes in one integration.  A zero-velocity lane gives its p.
 
     Raises NotInDomain if some lane's geodesic exits the metric domain
     before t=1.
@@ -187,12 +142,12 @@ def exp_map(
     moving = V.any(axis=1)
     if np.count_nonzero(moving):
         Pm, Vm = P[moving], V[moving]
-        if g.geodesic_fn is not None and use_closed_form:
+        if g.geodesic_fn is not None:
             x1 = np.asarray(g.geodesic_fn(Pm, Vm, 1.0)[0], dtype=float)
-            if not np.all(_reached(g, x1)):
+            if not (np.isfinite(x1).all() and np.all(g.contains(x1))):
                 raise NotInDomain("geodesic endpoint outside domain")
         else:
-            traj = geodesic(g, Pm, Vm, 1.0, tol, use_closed_form=use_closed_form)
+            traj = geodesic(g, Pm, Vm, 1.0, tol)
             if np.any(traj.exited):
                 raise NotInDomain("geodesic exited domain before parameter 1")
             x1 = traj.points[-1]
@@ -200,26 +155,30 @@ def exp_map(
     return out
 
 
-def exp_differential_at_zero(
-    g: MetricField, P: Array, step: float = 1e-3, tol: float = 1e-10
-) -> Array:
+# central-difference step and geodesic tolerance of exp_differential_at_zero:
+# a relatively large step keeps the integrator noise amplification below the
+# truncation error; both are well under the 1e-5 identity tolerance
+_EXP_DIFF_STEP = 1e-3
+_EXP_DIFF_TOL = 1e-10
+
+
+def exp_differential_at_zero(g: MetricField, P: Array) -> Array:
     """Finite-difference jacobians (B, n, n) of v -> exp_p(v) at v = 0 for
     the lanes P (B, n), the 2n geodesics of every lane as lanes of one
-    exponential map.
-
-    A relatively large step keeps the integrator noise amplification below
-    the truncation error; both are well under the 1e-5 identity tolerance.
-    """
+    exponential map."""
     n = g.dim
     if not np.all(g.contains(P)):
         raise DomainMargin("base point outside metric domain")
-    E = step * np.eye(n)
+    E = _EXP_DIFF_STEP * np.eye(n)
     V = np.tile(np.concatenate([E, -E]), (len(P), 1))
-    X = exp_map(g, np.repeat(P, 2 * n, axis=0), V, tol).reshape(len(P), 2 * n, n)
-    return np.swapaxes((X[:, :n] - X[:, n:]) / (2.0 * step), 1, 2)
+    X = exp_map(g, np.repeat(P, 2 * n, axis=0), V, _EXP_DIFF_TOL).reshape(len(P), 2 * n, n)
+    return np.swapaxes((X[:, :n] - X[:, n:]) / (2.0 * _EXP_DIFF_STEP), 1, 2)
 
 
-def velocity_in_domain(g: MetricField, P: Array, V: Array, tol: float = 1e-9) -> Array:
+_VELOCITY_TOL = 1e-9  # geodesic tolerance of velocity_in_domain
+
+
+def velocity_in_domain(g: MetricField, P: Array, V: Array) -> Array:
     """Operational membership test for the exponential map's domain, on
     lanes P, V (B, n): a (B,) mask, False where the geodesic exits before
     parameter 1.  The geodesics are one integration, so an EulertubeError
@@ -228,13 +187,22 @@ def velocity_in_domain(g: MetricField, P: Array, V: Array, tol: float = 1e-9) ->
     a lane tested alone tells which one failed.
     """
     try:
-        traj = geodesic(g, P, V, 1.0, tol)
+        traj = geodesic(g, P, V, 1.0, _VELOCITY_TOL)
     except EulertubeError:
         return np.zeros(len(P), bool)
     return ~traj.exited
 
 
 # Standard background metrics -------------------------------------------------
+
+
+def zero_christoffel(X: Array) -> Array:
+    """The Christoffel symbols (B, n, n, n) of a constant metric on lanes X
+    (B, n): all zero.  ``euclidean_metric`` is the one metric that carries
+    it, so ``g.christoffel_fn is zero_christoffel`` tells a flat background
+    from what the metric is, not from a sample of its symbols."""
+    n = X.shape[1]
+    return np.zeros((len(X), n, n, n))
 
 
 def euclidean_metric(n: int, domain=None, name: str = "euclidean") -> MetricField:
@@ -244,7 +212,7 @@ def euclidean_metric(n: int, domain=None, name: str = "euclidean") -> MetricFiel
         matrix_fn=lambda X: eye + np.zeros((len(X), 1, 1)),
         domain=domain,
         name=name,
-        christoffel_fn=lambda X: np.zeros((len(X), n, n, n)),
+        christoffel_fn=zero_christoffel,
         geodesic_fn=lambda p, v, t: (p + t * v, v),
     )
 
@@ -295,11 +263,7 @@ def _sphere_chart_geodesic(P, V, t):
     return X, W
 
 
-def sphere_chart_metric(
-    theta_bounds=(0.05, np.pi - 0.05),
-    phi_bounds=(0.05, 2.9),
-    use_closed_form: bool = True,
-) -> MetricField:
+def sphere_chart_metric(theta_bounds=(0.05, np.pi - 0.05), phi_bounds=(0.05, 2.9)) -> MetricField:
     """Round-sphere chart metric diag(1, sin^2 theta) in (theta, phi)."""
 
     def in_domain(X):
@@ -322,5 +286,5 @@ def sphere_chart_metric(
         domain=in_domain,
         name="sphere-chart",
         christoffel_fn=gamma,
-        geodesic_fn=_sphere_chart_geodesic if use_closed_form else None,
+        geodesic_fn=_sphere_chart_geodesic,
     )

@@ -94,7 +94,6 @@ class Trajectory:
 
     times: Array
     states: Array
-    tolerance_used: float
     exited: Array
 
     def __post_init__(self):
@@ -230,6 +229,8 @@ _DOP853 = _Pair(
 # (sphere-equator's worst 1.61e-7 -> 2.07e-7).
 _HIGH_ORDER_BELOW = 1e-8
 
+_MAX_STEPS = 100_000  # loop passes a lane may take before StepUnderflow
+
 
 def _field_on(f, Y: Array, ok: Array) -> Array:
     """f on each lane of Y where ``ok`` holds, one lane at a time, NaN
@@ -282,7 +283,6 @@ def ode_integrate(
     t_end,
     tol: float,
     domain: Optional[Callable[[Array], Array]] = None,
-    max_steps: int = 100_000,
 ) -> Trajectory:
     """Adaptive Runge-Kutta integration of dy/dt = field(y) from t=0 to t_end.
 
@@ -328,7 +328,7 @@ def ode_integrate(
     states = [y_all.copy()]
     while len(live):
         steps += 1
-        if np.count_nonzero(steps > max_steps):
+        if np.count_nonzero(steps > _MAX_STEPS):
             raise StepUnderflow("step budget exhausted")
         h = np.minimum(h, t_end - t)
         ok = np.ones(len(live), dtype=bool)
@@ -370,7 +370,7 @@ def ode_integrate(
             live, y, t, t_end, t_stop, h, h_min, h_exit, steps, k1 = (
                 a[keep] for a in (live, y, t, t_end, t_stop, h, h_min, h_exit, steps, k1)
             )
-    return Trajectory(np.array(times), np.array(states), tol, exited=exited)
+    return Trajectory(np.array(times), np.array(states), exited=exited)
 
 
 def _norm(R: Array) -> Array:
@@ -379,6 +379,8 @@ def _norm(R: Array) -> Array:
 
 
 COND_LIMIT = 1e12  # largest 1-norm condition number of a Newton jacobian
+_NEWTON_MAX_ITER = 50  # Newton iterations before NoConvergence
+_NEWTON_MAX_HALVINGS = 10  # step halvings of the line search an iteration
 
 
 def guarded_inverse(J: Array) -> Array:
@@ -429,8 +431,6 @@ def solve_inverse(
     y,
     x0,
     tol: float = 1e-12,
-    max_iter: int = 50,
-    max_halvings: int = 10,
     fx0=None,
     jac_inv0=None,
 ) -> Array:
@@ -448,8 +448,8 @@ def solve_inverse(
     which a caller starting from a table of points may hold already; the
     first iteration then evaluates neither f nor its jacobian.  Raises
     SingularJacobian when some live lane's jacobian fails the guard, and
-    NoConvergence when some lane misses ``tol`` after ``max_iter``
-    iterations.
+    NoConvergence when some lane misses ``tol`` after
+    ``_NEWTON_MAX_ITER`` iterations.
     """
     y = np.asarray(y, dtype=float)
     x = np.array(x0, dtype=float)
@@ -458,7 +458,7 @@ def solve_inverse(
     rn = _norm(r)
     live = ~(rn <= tol)
     J_inv = None if jac_inv0 is None else np.reshape(jac_inv0, (len(x), d, d))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if np.count_nonzero(live) == 0:
             break
         if J_inv is None:
@@ -475,7 +475,7 @@ def solve_inverse(
         # backtrack, lane by lane, where the full step does not decrease |r|
         search = (live & ~(rn_new < rn)).nonzero()[0]
         step = 1.0
-        for _ in range(max_halvings):
+        for _ in range(_NEWTON_MAX_HALVINGS):
             if len(search) == 0:
                 break
             step *= 0.5

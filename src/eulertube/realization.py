@@ -55,7 +55,6 @@ class ComparisonMap:
 def build_chi(
     psi: TubularEmbedding,
     phi: TubularEmbedding,
-    invert_tol: float = 1e-12,
     domain: Optional[Callable[[Array], Array]] = None,
 ) -> ComparisonMap:
     """The comparison map chi = phi o psi^{-1}; each evaluation inverts psi
@@ -63,7 +62,7 @@ def build_chi(
     return ComparisonMap(
         chart=psi.map,
         target=phi.map,
-        preimage=lambda x: psi.invert(x, tol=invert_tol),
+        preimage=psi.invert,
         domain=domain,
     )
 
@@ -154,24 +153,16 @@ def pullback_metric(
     )
 
 
-@dataclass(frozen=True)
-class DiagramReport:
-    """Residuals of the commutative-diagram check over a sample set."""
-
-    sample_count: int
-    max_residual: float
-    mean_residual: float
-
-
 def verify_main_diagram(
     psi: TubularEmbedding,
     g: MetricField,
     U: Array,
     C: Array,
     exp_tol: float = 1e-9,
-) -> DiagramReport:
+) -> Array:
     """Check that the normal exponential map of the constructed metric sends
-    the g-normal representative of each frame class back onto psi.
+    the g-normal representative of each frame class back onto psi; returns
+    the residual of each sample (S,).
 
     The samples are frame coordinates (u, c) inside the certified tube, as
     lanes U (S, k), C (S, m): one frame build, one normal projection and
@@ -180,12 +171,10 @@ def verify_main_diagram(
     fp = psi.frame.at(U)
     lam = normal_representative(g, psi.N, U, (fp.B @ C[:, :, None])[:, :, 0])
     y = exp_map(g, fp.p, lam, tol=exp_tol)
-    residuals = np.linalg.norm(y - psi.map(np.concatenate([U, C], axis=1)), axis=1)
-    return DiagramReport(
-        sample_count=len(residuals),
-        max_residual=float(np.max(residuals)),
-        mean_residual=float(np.mean(residuals)),
-    )
+    return np.linalg.norm(y - psi.map(np.concatenate([U, C], axis=1)), axis=1)
+
+
+_ISOMETRY_TS = np.array([0.25, 0.5, 0.75, 1.0])  # geodesic parameters compared
 
 
 def isometry_geodesic_check(
@@ -195,7 +184,6 @@ def isometry_geodesic_check(
     N: ParametrizedSubmanifold,
     U: Array,
     V: Array,
-    t_samples=(0.25, 0.5, 0.75, 1.0),
     exp_tol: float = 1e-9,
 ) -> Array:
     """Max over t of |exp_ref(t (v + eta(v))) - chi(exp_g(t v))| for the
@@ -208,8 +196,8 @@ def isometry_geodesic_check(
     p = N.point(U)
     corrected = (chi.jacobian(p) @ V[:, :, None])[:, :, 0]  # v + eta(v), as nu(chi) = id
     # lane b * T + i: base point b at parameter t_i
-    T = len(t_samples)
-    t = np.tile(np.asarray(t_samples, dtype=float), len(U))[:, None]
+    T = len(_ISOMETRY_TS)
+    t = np.tile(_ISOMETRY_TS, len(U))[:, None]
     p = np.repeat(p, T, axis=0)
     lhs = exp_map(g_ref, p, t * np.repeat(corrected, T, axis=0), tol=exp_tol)
     rhs = chi(exp_map(g, p, t * np.repeat(V, T, axis=0), tol=exp_tol))
@@ -230,25 +218,30 @@ def gauss_legendre(order: int) -> Tuple[Array, Array]:
     return nodes, 2.0 * vectors[0] ** 2
 
 
-def curve_length(g: MetricField, curve, dcurve, t0=0.0, t1=1.0, order: int = 24) -> Array:
-    """Gauss-Legendre quadrature of the g-lengths of K parametrized curves.
+_LENGTH_ORDER = 24  # Gauss-Legendre nodes of curve_length
+
+
+def curve_length(g: MetricField, curve, dcurve) -> Array:
+    """Gauss-Legendre quadrature of the g-lengths of K curves parametrized
+    over [0, 1].
 
     ``curve`` and ``dcurve`` are called once, with the column of quadrature
-    nodes t (order, 1), and return the points and velocities of every
-    curve at the nodes, (K, order, n); g is evaluated at all K x order
-    nodes as one lane batch.  Returns the K lengths, each summed node by
-    node in order.
+    nodes t (``_LENGTH_ORDER``, 1), and return the points and velocities of
+    every curve at the nodes, (K, ``_LENGTH_ORDER``, n); g is evaluated at
+    all of those nodes as one lane batch.  Returns the K lengths, each
+    summed node by node in order.
     """
-    nodes, weights = gauss_legendre(order)
-    t = (0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1))[:, None]
+    nodes, weights = gauss_legendre(_LENGTH_ORDER)
+    t = (0.5 * nodes + 0.5)[:, None]
     V = np.asarray(dcurve(t), dtype=float)
     V = V.reshape(-1, V.shape[2])
     P = np.asarray(curve(t), dtype=float).reshape(V.shape)
-    speed = np.sqrt((V[:, None, :] @ g.matrix(P) @ V[:, :, None])[:, 0, 0]).reshape(-1, order)
+    speed = np.sqrt((V[:, None, :] @ g.matrix(P) @ V[:, :, None])[:, 0, 0])
+    speed = speed.reshape(-1, _LENGTH_ORDER)
     total = np.zeros(len(speed))
     for w, s in zip(weights, speed.T):
         total += w * s
-    return 0.5 * (t1 - t0) * total
+    return 0.5 * total
 
 
 _POINT_TRAJ_TOL = 1e-10  # geodesic tolerance of the trajectory check

@@ -9,6 +9,8 @@ from typing import List, Sequence
 
 from .errors import IoError
 
+# the emitted fields, in order; the wall-clock runtime is not one of them,
+# so repeated runs of the same configuration write bitwise-identical files
 _FIELDS = (
     "scenario",
     "stage",
@@ -17,10 +19,9 @@ _FIELDS = (
     "mean_residual",
     "tolerance",
     "passed",
-    "runtime_ms",
 )
 
-_NUMERIC = ("max_residual", "mean_residual", "tolerance", "runtime_ms")
+_NUMERIC = ("max_residual", "mean_residual", "tolerance")
 
 
 @dataclass
@@ -50,28 +51,21 @@ def _json_number(x: float):
     return v if math.isfinite(v) else None
 
 
-def emit(
-    reports: Sequence[ResidualReport],
-    fmt: str = "table",
-    path: str = None,
-    include_runtime: bool = False,
-) -> str:
+def emit(reports: Sequence[ResidualReport], fmt: str = "table", path: str = None) -> str:
     """Serialize reports as a TSV table or JSON-lines records.
 
     Numbers carry 17 significant digits and the field order is fixed;
     records write a non-finite number (the residual of a failed stage) as
-    null, which JSON (RFC 8259) allows and ``parse`` reads back as inf.  The
-    wall-clock runtime field is excluded by default so repeated runs of the
-    same configuration produce bitwise-identical files.
+    null, which JSON (RFC 8259) allows and ``parse`` reads back as inf.
+    The runtime is left out.
     """
-    fields = _FIELDS if include_runtime else _FIELDS[:-1]
     lines: List[str] = []
     if fmt == "table":
-        lines.append("\t".join(fields))
+        lines.append("\t".join(_FIELDS))
         for r in reports:
             d = asdict(r)
             row = []
-            for f in fields:
+            for f in _FIELDS:
                 v = d[f]
                 row.append(_fmt(v) if f in _NUMERIC else str(v))
             lines.append("\t".join(row))
@@ -79,7 +73,7 @@ def emit(
         for r in reports:
             d = asdict(r)
             rec = {}
-            for f in fields:
+            for f in _FIELDS:
                 rec[f] = _json_number(d[f]) if f in _NUMERIC else d[f]
             lines.append(json.dumps(rec, sort_keys=False, allow_nan=False))
     else:
@@ -95,7 +89,8 @@ def emit(
 
 
 def parse(text: str) -> List[ResidualReport]:
-    """Parse the output of emit back into report objects (both formats)."""
+    """Parse the output of emit back into report objects (both formats),
+    with a runtime of 0."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return []
@@ -130,5 +125,4 @@ def _from_dict(d) -> ResidualReport:
         mean_residual=num("mean_residual"),
         tolerance=num("tolerance"),
         passed=bool(passed),
-        runtime_ms=num("runtime_ms"),
     )

@@ -16,7 +16,7 @@ from .embeddings import (
     reference_embedding,
     validate_embedding,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NotEulerLike
 from .eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
 from .metrics import (
     MetricField,
@@ -317,7 +317,9 @@ BUILTIN_SCENARIOS: Dict[str, Scenario] = {
 }
 
 
-_CONFIG_KEYS = {"scenario", "background", "submanifold", "embedding", "delta0", "samples", "tolerances"}
+# the keys only the tube pipeline reads; a point or appendix scenario rejects them
+_TUBE_KEYS = ("background", "submanifold", "embedding", "delta0", "samples")
+_CONFIG_KEYS = {"scenario", "tolerances", *_TUBE_KEYS}
 _SAMPLE_KEYS = set(_DEFAULT_SAMPLES)
 _TOL_KEYS = set(_DEFAULT_TOLERANCES)
 
@@ -335,6 +337,13 @@ def scenario_from_config(config: Dict) -> Scenario:
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown scenario name in field 'scenario': {name!r}")
     scn = BUILTIN_SCENARIOS[name]
+    if scn.kind != "tube":
+        for key in _TUBE_KEYS:
+            if key in config:
+                raise ConfigError(
+                    f"field '{key}' applies to tube scenarios only, not to {scn.kind} "
+                    f"scenario {name!r}"
+                )
     updates = {}
     for key in ("background", "submanifold", "embedding"):
         if key in config:
@@ -477,12 +486,12 @@ def _diagram_samples(scn: Scenario, psi: TubularEmbedding, lo: float, hi: float)
     return U, C
 
 
-def _stage(reports, scn, stage, fn, tol, count_hint=1):
+def _stage(reports, scn, stage, fn, tol):
     """Run one pipeline stage, capturing failures as failed reports.
 
     Any exception fails the stage closed, not only the package's own
-    errors: a defect in a stage helper becomes a failed row, never a
-    traceback out of ``run_scenario``.
+    errors: a defect in a stage helper becomes a failed row of one sample,
+    never a traceback out of ``run_scenario``.
     """
     t0 = time.perf_counter()
     try:
@@ -492,7 +501,7 @@ def _stage(reports, scn, stage, fn, tol, count_hint=1):
             ResidualReport(
                 scenario=scn.name,
                 stage=stage,
-                sample_count=count_hint,
+                sample_count=1,
                 max_residual=float("inf"),
                 mean_residual=float("inf"),
                 tolerance=tol,
@@ -565,7 +574,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     def stage_pullback():
         g = pullback_metric(chi, gt, name=f"{scn.name}-pullback")
         spot = psi(grid, 0.3 * delta(grid)[:, None] * _fiber_directions(psi.fiber_dim, 4)[0])
-        validate_metric(g, spot, sym_tol=1e-10)
+        validate_metric(g, spot)
         state["g"] = g
         # the stdlib generator: numpy.random would cost a tube run 6 MB
         rng = random.Random(20240 + len(scn.name))
@@ -606,8 +615,8 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_diagram():
         U, C = _diagram_samples(scn, psi, lo, hi)
-        rep = verify_main_diagram(psi, g, U, C, exp_tol=exp_tol)
-        return rep.max_residual, rep.mean_residual, rep.sample_count
+        residuals = verify_main_diagram(psi, g, U, C, exp_tol=exp_tol)
+        return float(np.max(residuals)), float(np.mean(residuals)), len(residuals)
 
     _stage(reports, scn, "diagram", stage_diagram, scn.tolerance("diagram"))
 
@@ -623,6 +632,8 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         X = pushforward_field(psi)
         state["X"] = X
         ok, res = is_euler_like(X, gt, N, grid, tol=scn.tolerance("euler-like"))
+        if not ok:
+            raise NotEulerLike(f"pushforward field fails the Euler-like test ({res:.3e})")
         return res, res, len(grid)
 
     _stage(reports, scn, "euler-like", stage_euler_like, scn.tolerance("euler-like"))

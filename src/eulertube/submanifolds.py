@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .errors import NotInDomain, NoValidRadius, RankDeficient
-from .metrics import MetricField, exp_map
+from .metrics import MetricField, exp_map, zero_christoffel
 from .numerics import Array, DifferentiableMap, domain_mask
 
 _RANK_TOL = 1e-8
@@ -278,20 +278,19 @@ def normal_exponential(frame: NormalFrame) -> DifferentiableMap:
     """The normal exponential map (u, c) -> exp at p(u) of B(u) c, with c
     the coordinates of a normal vector in the frame B.
 
-    On a flat background (analytic Christoffel symbols that vanish) the
-    geodesics are straight, so the map is p(u) + B(u) c and its jacobian
-    [J + dB c | B] comes from the chart jacobian and the frame derivative;
-    otherwise each value is an exponential map and the jacobian is a
-    central finite difference.  Both take lanes: the frames of all lanes
+    On a Euclidean background (``metrics.euclidean_metric``, recognised by
+    its ``zero_christoffel``) the geodesics are straight, so the map is
+    p(u) + B(u) c and its jacobian [J + dB c | B] comes from the chart
+    jacobian and the frame derivative; on any other metric, however small
+    its symbols at some point, each value is an exponential map and the
+    jacobian is a central finite difference.  Both take lanes: the frames of all lanes
     (and, for the finite difference, of all stencil points) are one build,
     and their geodesics are lanes of one exponential map.  The map has no
     domain; callers restrict it.
     """
     g, N = frame.g, frame.N
     k, n = N.param_dim, N.ambient_dim
-    flat = g.christoffel_fn is not None and not np.any(g.christoffel_fn(N.point(np.zeros((1, k)))))
-
-    if flat:
+    if g.christoffel_fn is zero_christoffel:
         def fn(UC):
             fp = frame.at(UC[:, :k])
             return fp.p + (fp.B @ UC[:, k:, None])[:, :, 0]

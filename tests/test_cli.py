@@ -60,6 +60,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="helix-arc"):
             run_scenario(replace(BUILTIN_SCENARIOS["circle"], submanifold="helix-arc"))
 
+    def test_tube_keys_rejected_on_other_kinds(self):
+        # only the tube pipeline reads these; a point or appendix run would
+        # accept them and ignore them
+        tube_only = {
+            "background": "sphere-chart",
+            "submanifold": "helix-arc",
+            "embedding": "slice-affine",
+            "delta0": 5,
+            "samples": {"grid": 3},
+        }
+        for name in ("point-2d", "appendix"):
+            for key, value in tube_only.items():
+                with pytest.raises(ConfigError, match=f"'{key}'"):
+                    scenario_from_config({"scenario": name, key: value})
+            with pytest.raises(ConfigError, match="'background'"):
+                scenario_from_config({"scenario": name, **tube_only})
+            scn = scenario_from_config({"scenario": name, "tolerances": {"point-case": 1e-5}})
+            assert scn.tolerances == {"point-case": 1e-5}
+
     def test_overrides_applied(self):
         scn = scenario_from_config(
             {"scenario": "circle", "delta0": 1.0, "samples": {"grid": 5}}
@@ -171,6 +190,14 @@ class TestCliCommands:
         result = runner.invoke(main, ["check", str(cfg)])
         assert result.exit_code != 0
         assert "submanifold" in result.output
+
+    def test_check_rejects_a_tube_key_on_a_point_scenario(self, runner, tmp_path):
+        cfg = tmp_path / "scn.yaml"
+        cfg.write_text("scenario: point-2d\nbackground: sphere-chart\n")
+        for command in ("check", "run"):
+            result = runner.invoke(main, [command, str(cfg)])
+            assert result.exit_code == 1
+            assert "'background'" in result.output and "point-case" not in result.output
 
     def test_incompatible_config_fails_closed(self, runner, tmp_path):
         cfg = tmp_path / "scn.yaml"

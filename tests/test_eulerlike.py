@@ -109,6 +109,21 @@ class TestIsEulerLike:
         ok, res = is_euler_like(oracle(euler_field), g, origin_r2(), ORIGIN)
         assert ok and res <= 1e-9
 
+    def test_field_evaluated_once_on_the_grid(self):
+        # the vanishing test's values decide; the quotient action takes only
+        # the jacobian, whose stencil points are the field's other calls
+        grid = np.array([[-0.5], [0.0], [0.7]])
+        seen = []
+
+        def fn(X):
+            seen.append(X.copy())
+            return np.concatenate([0.0 * X[:, :1], X[:, 1:]], axis=1)
+
+        ok, res = is_euler_like(oracle(fn), euclidean_metric(2), x_axis_r2(), grid)
+        assert ok and res <= 1e-9
+        on_grid = [X for X in seen if X.shape == (3, 2) and np.array_equal(X[:, 1], np.zeros(3))]
+        assert len(on_grid) == 1
+
     def test_doubled_euler_rejected(self):
         g = euclidean_metric(2)
         ok, res = is_euler_like(
@@ -171,9 +186,9 @@ class TestReconstruction:
         calls = []
         invert = TubularEmbedding.invert
 
-        def counted(self, x, tol=1e-12):
+        def counted(self, x):
             calls.append(x)
-            return invert(self, x, tol=tol)
+            return invert(self, x)
 
         monkeypatch.setattr(TubularEmbedding, "invert", counted)
         X = pushforward_field(psi)

@@ -15,30 +15,12 @@ from eulertube.extension import (
     bundle_diffeo_inverse,
     eta,
     extend_map,
-    phi_stereo,
     rho,
     sigma,
     sigma_inverse,
     sigma_prime,
     tau,
 )
-
-
-class TestPhiStereo:
-    def test_zero(self):
-        assert phi_stereo(0.0) == 0.0
-
-    def test_unit_value(self):
-        assert phi_stereo(1.0 / np.sqrt(2.0)) == pytest.approx(1.0, abs=1e-14)
-
-    @given(st.floats(-0.999, 0.999))
-    @settings(max_examples=50, deadline=None)
-    def test_odd(self, t):
-        assert phi_stereo(-t) == pytest.approx(-phi_stereo(t), abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            phi_stereo(1.0)
 
 
 class TestRho:
@@ -282,7 +264,7 @@ class TestProfileLanes:
     """A lane in a batch gives its one-point result bitwise, with no
     RuntimeWarning from the exponentials outside (0, 1)."""
 
-    @pytest.mark.parametrize("f", [rho, eta, sigma, sigma_prime, phi_stereo])
+    @pytest.mark.parametrize("f", [rho, eta, sigma, sigma_prime])
     def test_profiles(self, f):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -293,7 +275,7 @@ class TestProfileLanes:
                 assert f(np.array([t]))[0] == o
 
     def test_float_input_gives_a_float(self):
-        for f in (rho, eta, sigma, sigma_prime, phi_stereo, sigma_inverse, tau):
+        for f in (rho, eta, sigma, sigma_prime, sigma_inverse, tau):
             assert isinstance(f(0.6), float)
 
     @pytest.mark.parametrize("f", [sigma_inverse, tau])

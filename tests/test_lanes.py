@@ -152,7 +152,7 @@ class TestGeodesicContract:
     def test_euclidean_integrator_matches_closed_form(self, p, v, t):
         g = BACKGROUNDS["euclidean-3d"]()
         p, v = np.array([p]), np.array([v])
-        traj = geodesic(g, p, v, t, tol=1e-10, use_closed_form=False)
+        traj = geodesic(g, p, v, t, tol=1e-10)
         x, w = g.geodesic_fn(p, v, t)
         assert np.max(np.abs(traj.points[-1] - x)) <= 1e-8
         assert np.max(np.abs(traj.velocities[-1] - w)) <= 1e-8
@@ -167,7 +167,7 @@ class TestGeodesicContract:
     def test_sphere_chart_integrator_matches_closed_form(self, theta, phi, a, b):
         g = sphere_chart_metric()
         p, v = np.array([[theta, phi]]), np.array([[a, b]])
-        traj = geodesic(g, p, v, 1.0, tol=1e-10, use_closed_form=False)
+        traj = geodesic(g, p, v, 1.0, tol=1e-10)
         assert not traj.exited[0]
         x, w = g.geodesic_fn(p, v, 1.0)
         assert np.max(np.abs(traj.points[-1] - x)) <= 1e-7
@@ -273,7 +273,7 @@ class TestGeodesicLanes:
         P, V = np.delete(P, EXIT, axis=0), np.delete(V, EXIT, axis=0)
         x, w = g.geodesic_fn(P, V, 1.0)
         assert x[ZERO].tobytes() == P[ZERO].tobytes() and w[ZERO].tobytes() == V[ZERO].tobytes()
-        traj = geodesic(g, P, V, 1.0, tol=1e-12, use_closed_form=False)
+        traj = geodesic(g, P, V, 1.0, tol=1e-12)
         assert not traj.exited.any()
         assert np.max(np.abs(traj.points[-1] - x)) <= 1e-9
         assert np.max(np.abs(traj.velocities[-1] - w)) <= 1e-9
@@ -365,9 +365,9 @@ class TestReconstructionLanes:
         calls = []
         invert = type(psi).invert
 
-        def counted(self, x, tol=1e-12):
+        def counted(self, x):
             calls.append(len(x))
-            return invert(self, x, tol=tol)
+            return invert(self, x)
 
         monkeypatch.setattr(type(psi), "invert", counted)
         X = pushforward_field(psi)
@@ -386,9 +386,9 @@ class TestReconstructionLanes:
         calls = []
         invert = type(psi).invert
 
-        def counted(self, x, tol=1e-12):
+        def counted(self, x):
             calls.append(len(x))
-            return invert(self, x, tol=tol)
+            return invert(self, x)
 
         monkeypatch.setattr(type(psi), "invert", counted)
         X = pushforward_field(psi)
@@ -412,9 +412,9 @@ class TestReconstructionLanes:
         calls = []
         invert = type(psi).invert
 
-        def counted(self, x, tol=1e-12):
+        def counted(self, x):
             calls.append(len(x))
-            return invert(self, x, tol=tol)
+            return invert(self, x)
 
         monkeypatch.setattr(type(psi), "invert", counted)
         X = pushforward_field(psi)

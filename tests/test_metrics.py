@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,10 +84,22 @@ class TestGeodesic:
         # land on the same endpoint (keeps the shortcut honest)
         g = wide_sphere()
         p, v = np.array([[1.0, 1.0]]), np.array([[0.3, 0.2]])
-        a = geodesic(g, p, v, 1.0, tol=1e-11, use_closed_form=True)
-        b = geodesic(g, p, v, 1.0, tol=1e-11, use_closed_form=False)
-        assert np.linalg.norm(a.points[-1] - b.points[-1]) <= 1e-7
-        assert np.linalg.norm(a.velocities[-1] - b.velocities[-1]) <= 1e-6
+        x, w = g.geodesic_fn(p, v, 1.0)
+        traj = geodesic(g, p, v, 1.0, tol=1e-11)
+        assert np.linalg.norm(x - traj.points[-1]) <= 1e-7
+        assert np.linalg.norm(w - traj.velocities[-1]) <= 1e-6
+
+    def test_integrates_past_a_closed_form(self):
+        # geodesic never consults geodesic_fn; exp_map does
+        def wrong(P, V, t):
+            return P + 2.0 * t * V, V
+
+        g = replace(euclidean_metric(2), geodesic_fn=wrong)
+        p, v = np.array([[0.5, 0.0]]), np.array([[1.0, -1.0]])
+        traj = geodesic(g, p, v, 1.0)
+        assert len(traj.times) > 1
+        assert np.allclose(traj.points[-1], p + v, atol=1e-12)
+        assert np.allclose(exp_map(g, p, v), p + 2.0 * v)
 
     def test_speed_conserved(self):
         g = polar_metric()

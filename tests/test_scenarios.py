@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from eulertube.eulerlike import pushforward_field
 from eulertube.numerics import DifferentiableMap
 from eulertube.scenarios import (
     BUILTIN_SCENARIOS,
@@ -13,6 +14,7 @@ from eulertube.scenarios import (
     BACKGROUNDS,
     default_suite,
     run_scenario,
+    scenario_from_config,
 )
 from eulertube.submanifolds import NormalFrame
 
@@ -109,6 +111,25 @@ def test_unexpected_exception_fails_the_stage_closed(monkeypatch):
     reports = run_scenario("point-2d")
     assert [(r.stage, r.passed) for r in reports] == [("point-case", False)]
     assert reports[0].max_residual == float("inf")
+
+
+def test_euler_like_stage_fails_on_a_rejected_field(monkeypatch):
+    # the pushforward field shifted by 5e-6 in every coordinate: its
+    # linearization is still the identity, and |X(p(u))| = 8.7e-6 lies
+    # between the vanishing bound 1e-6 and the stage tolerance 1e-5, so the
+    # stage must follow the verdict, not the residual
+    from eulertube import scenarios
+
+    def shifted(psi):
+        X = pushforward_field(psi)
+        return DifferentiableMap(3, 3, lambda Y: X(Y) + 5e-6, domain=X.domain)
+
+    monkeypatch.setattr(scenarios, "pushforward_field", shifted)
+    samples = {"grid": 3, "diagram_u": 2, "diagram_c": 2, "isometry": 1, "reconstruction": 1,
+               "curves": 2}
+    reports = run_scenario(scenario_from_config({"scenario": "flat-slice", "samples": samples}))
+    (row,) = [r for r in reports if r.stage == "euler-like"]
+    assert not row.passed and row.max_residual == float("inf")
 
 
 def test_tube_run_loads_only_what_it_runs():

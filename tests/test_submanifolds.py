@@ -307,6 +307,32 @@ class TestNormalExponential:
         assert np.allclose(chart(np.array([[1.0, 0.0]])), N.point(np.array([[1.0]])))
 
 
+def test_normal_exponential_is_exp_off_a_euclidean_background():
+    # g = diag(1, 1 + x0^2) has analytic symbols that vanish at the origin,
+    # p(u = 0) of the x0-axis, and nowhere else on it; the chart must still
+    # follow its curved geodesics, not p + B c
+    def gamma(X):
+        out = np.zeros((len(X), 2, 2, 2))
+        out[:, 0, 1, 1] = -X[:, 0]
+        out[:, 1, 0, 1] = out[:, 1, 1, 0] = X[:, 0] / (1.0 + X[:, 0] ** 2)
+        return out
+
+    def matrix(X):
+        G = np.zeros((len(X), 2, 2))
+        G[:, 0, 0] = 1.0
+        G[:, 1, 1] = 1.0 + X[:, 0] ** 2
+        return G
+
+    g = MetricField(dim=2, matrix_fn=matrix, christoffel_fn=gamma)
+    N = x_axis_r2()
+    assert not np.any(gamma(N.point(np.zeros((1, 1)))))
+    chart = normal_exponential(NormalFrame(g, N))
+    u, c = np.array([[0.5]]), np.array([[0.3]])
+    expected = exp_map(g, N.point(u), normal_space_basis(g, N, u) @ c[0], tol=1e-11)
+    assert np.max(np.abs(chart(np.concatenate([u, c], axis=1)) - expected)) <= 1e-10
+    assert np.allclose(expected, [[0.51802, 0.26704]], atol=1e-5)
+
+
 @pytest.mark.parametrize("case", ["circle-arc", "helix-arc", "sphere-equator-arc"])
 def test_normal_exponential_is_exp_of_frame_vector(case):
     make_g, make_N = FRAME_CASES[case]
