@@ -85,22 +85,29 @@ def run(targets, tol, samples, out, fmt):
     """Run one or more scenarios (built-in names or config file paths)."""
     from dataclasses import replace
 
-    reports = []
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise click.ClickException("--tol must be positive and finite")
+    if samples is not None and samples <= 0:
+        raise click.ClickException("--samples must be positive")
+    # every target is resolved and checked before any runs
+    scenarios = []
     for target in targets:
         try:
             scn = _load_target(target)
         except ConfigError as exc:
             raise click.ClickException(str(exc))
         if tol is not None:
-            if not (math.isfinite(tol) and tol > 0):
-                raise click.ClickException("--tol must be positive and finite")
             over = {k: tol for k in TOL_STAGES}
             scn = replace(scn, tolerances={**scn.tolerances, **over})
         if samples is not None:
-            if samples <= 0:
-                raise click.ClickException("--samples must be positive")
+            if scn.kind != "tube":
+                raise click.ClickException(
+                    f"--samples applies to tube scenarios only, not to {scn.kind} "
+                    f"scenario {scn.name!r}"
+                )
             scn = replace(scn, samples={**scn.samples, "grid": samples, "diagram_u": samples})
-        reports.extend(run_scenario(scn))
+        scenarios.append(scn)
+    reports = [r for scn in scenarios for r in run_scenario(scn)]
     path = None
     if out is not None:
         base = os.environ.get(OUT_ENV, "")

@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .embeddings import TubularEmbedding
-from .errors import EulertubeError, FlowExit, NoConvergence, NotVanishing
+from .errors import FlowExit, NoConvergence, NotVanishing
 from .metrics import MetricField
 from .numerics import Array, DifferentiableMap, ode_integrate
 from .submanifolds import ParametrizedSubmanifold, normal_space_basis
@@ -101,8 +101,8 @@ def pushforward_euler(psi: TubularEmbedding, U: Array, C: Array) -> Array:
     return (J @ fiber[:, :, None])[:, :, 0]
 
 
-# the pushforward field's domain is |c| below this multiple of the certified
-# radius delta(u)
+# the pushforward field is defined where |c| is below this multiple of the
+# certified radius delta(u)
 _DOMAIN_MARGIN = 1.05
 
 
@@ -112,74 +112,24 @@ def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
     Each evaluation inverts psi numerically at the query points (one lane
     Newton solve) and applies the jacobian to the fiber coordinates there;
     the solve's last value call was at those preimages, so the jacobian
-    finds their normal frame in the frame memo.
-    The domain test reuses the preimages of the last inversion for the
-    points it is asked about again: the Dormand-Prince step is
-    first-same-as-last, so the accepted states it tests are stage points
-    the field was just evaluated at.  When a batch inversion fails, its
-    caller (the domain test here, or the integrator's ``_field_on``) asks
-    again one lane at a time: each such lane is looked up in the memo from
-    before the failed batch, and the preimages of the lanes asked about
-    alone are kept beside it until the next call of several lanes.  A
-    lane's cold inversion is a pure function of its point, so this memo is
-    too.  A lane whose inversion fails with an EulertubeError is outside
-    the domain; any other exception is a defect and propagates.
+    finds their normal frame in the frame memo.  The field is NaN on a lane
+    whose preimage has |c| >= ``_DOMAIN_MARGIN`` delta(u), so a flow stops
+    there.  An inversion that fails with an EulertubeError fails the
+    evaluation, which the integrator then makes lane by lane; any other
+    exception is a defect and propagates.
     """
     k = psi.N.param_dim
     n = psi.N.ambient_dim
-    last = {}  # x.tobytes() -> preimage, for the lanes of the last batch call
-    alone = {}  # the same for the lanes asked about alone since a batch failed
-    retry_lanes = 0  # lanes of that failed batch; 0 when no retry is open
-
-    def preimages(X):
-        nonlocal last, alone, retry_lanes
-        keys = [x.tobytes() for x in X]
-        found = {key: last[key] if key in last else alone.get(key) for key in keys}
-        new = [i for i, key in enumerate(keys) if found[key] is None]
-        if new:
-            try:
-                found.update(zip([keys[i] for i in new], psi.invert(X[new])))
-            except EulertubeError:
-                if len(X) > 1:
-                    alone, retry_lanes = {}, len(X)
-                raise
-        if len(X) > 1 or not retry_lanes:
-            last, alone, retry_lanes = found, {}, 0
-        else:
-            # a lane of the retry; the last retry_lanes of them are kept,
-            # which holds every lane of a stage the integrator evaluates
-            # lane by lane
-            alone.update(found)
-            while len(alone) > retry_lanes:
-                del alone[next(iter(alone))]
-        return np.array([found[key] for key in keys])
 
     def fn(X):
-        UC = preimages(X)
-        return pushforward_euler(psi, UC[:, :k], UC[:, k:])
+        UC = psi.invert(X)
+        U, C = UC[:, :k], UC[:, k:]
+        out = pushforward_euler(psi, U, C)
+        if psi.delta is not None:
+            out[~(np.sqrt((C * C).sum(axis=1)) < _DOMAIN_MARGIN * psi.delta(U))] = np.nan
+        return out
 
-    def inside(UC):
-        if psi.delta is None:
-            return np.ones(len(UC), dtype=bool)
-        u, c = UC[:, :k], UC[:, k:]
-        return np.sqrt((c * c).sum(axis=1)) < _DOMAIN_MARGIN * psi.delta(u)
-
-    def in_domain(X):
-        try:
-            return inside(preimages(X))
-        except EulertubeError:
-            if len(X) == 1:
-                return np.zeros(1, bool)
-        # some lane's inversion failed: the lanes answer one at a time
-        mask = np.zeros(len(X), bool)
-        for i in range(len(X)):
-            try:
-                mask[i] = inside(preimages(X[i : i + 1]))[0]
-            except EulertubeError:
-                continue
-        return mask
-
-    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn, domain=in_domain)
+    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn)
 
 
 def _default_t_seq() -> Sequence[float]:
@@ -203,7 +153,8 @@ def reconstruct_embedding(
     Richardson-extrapolated.  All P x len(t_seq) flows are lanes of one
     integration.  Raises NoConvergence if some point's iterates are not
     Cauchy or its last two extrapolants disagree beyond tol, and FlowExit
-    if a flow leaves the field's domain.
+    if a flow reaches a point where X is undefined (a value that is not
+    finite, or an evaluation of that lane alone that fails).
     """
     if t_seq is None:
         t_seq = _default_t_seq()
@@ -213,8 +164,7 @@ def reconstruct_embedding(
     # lane (point i, schedule time j) is row i * len(ts) + j
     U_t = np.repeat(U, len(ts), axis=0)
     C_t = (ts[None, :, None] * C[:, None, :]).reshape(len(U_t), -1)
-    domain = None if X.domain is None else X.contains
-    traj = ode_integrate(X, psi0(U_t, C_t), np.tile(-np.log(ts), len(C)), flow_tol, domain=domain)
+    traj = ode_integrate(X, psi0(U_t, C_t), np.tile(-np.log(ts), len(C)), flow_tol)
     if traj.exited.any():
         t = ts[int(np.flatnonzero(traj.exited)[0]) % len(ts)]
         raise FlowExit(f"flow left the domain at schedule time t={t}")

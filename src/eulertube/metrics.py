@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainMargin, EulertubeError, NotInDomain, SingularMetric
+from .errors import DomainMargin, NotInDomain, SingularMetric, StepUnderflow
 from .numerics import Array, Trajectory, domain_mask, ode_integrate
 
 
@@ -120,14 +120,20 @@ def geodesic(g: MetricField, P: Array, V: Array, t_end: float, tol: float = 1e-1
     to parameter t_end, as one lane ``Trajectory``; a metric's closed-form
     ``geodesic_fn`` is not consulted here (``exp_map`` takes it).
 
-    A lane that leaves the metric domain stops there with ``exited`` set.
+    The geodesic field is NaN off the metric domain (its Christoffel
+    symbols are taken on the lanes inside only), so a lane that leaves the
+    domain stops there with ``exited`` set.
     """
     n = g.dim
-    domain = None
-    if g.domain is not None:
-        domain = lambda S: g.contains(S[:, :n])  # noqa: E731
-    y0 = np.concatenate([P, V], axis=1)
-    return ode_integrate(lambda S: geodesic_rhs(g, S), y0, t_end, tol, domain=domain)
+
+    def field(S):
+        inside = g.contains(S[:, :n])
+        out = np.full(S.shape, np.nan)
+        if np.count_nonzero(inside):
+            out[inside] = geodesic_rhs(g, S[inside])
+        return out
+
+    return ode_integrate(field, np.concatenate([P, V], axis=1), t_end, tol)
 
 
 def exp_map(g: MetricField, P: Array, V: Array, tol: float = 1e-10) -> Array:
@@ -181,14 +187,15 @@ _VELOCITY_TOL = 1e-9  # geodesic tolerance of velocity_in_domain
 def velocity_in_domain(g: MetricField, P: Array, V: Array) -> Array:
     """Operational membership test for the exponential map's domain, on
     lanes P, V (B, n): a (B,) mask, False where the geodesic exits before
-    parameter 1.  The geodesics are one integration, so an EulertubeError
-    it raises (a step size collapsing in some lane, a field failing at the
-    start) is the batch's, not a lane's: every lane then reads outside, and
-    a lane tested alone tells which one failed.
+    parameter 1, that is, where the geodesic field becomes undefined (off
+    the metric domain, or a lane's own evaluation failing, at its start
+    too).  That is decided lane by lane, but a step size collapsing in some
+    lane is the batch's: every lane then reads outside, and a lane tested
+    alone tells which one failed.
     """
     try:
         traj = geodesic(g, P, V, 1.0, _VELOCITY_TOL)
-    except EulertubeError:
+    except StepUnderflow:
         return np.zeros(len(P), bool)
     return ~traj.exited
 

@@ -233,34 +233,37 @@ _MAX_STEPS = 100_000  # loop passes a lane may take before StepUnderflow
 
 
 def _field_on(f, Y: Array, ok: Array) -> Array:
-    """f on each lane of Y where ``ok`` holds, one lane at a time, NaN
-    elsewhere; a lane whose evaluation raises an EulertubeError is cleared
-    from ``ok`` (in place).  So which lanes fail, and every other lane's
-    value, is what each lane gives on its own."""
+    """f on the lanes of Y where ``ok`` holds, NaN on the others: one batch
+    evaluation, and lane by lane where that batch raises an EulertubeError.
+    ``ok`` is cleared (in place) where the field is undefined: a lane whose
+    state or value is not finite, or whose own evaluation raises.  So which
+    lanes fail, and every other lane's value, is what each lane gives on
+    its own."""
+    ok &= np.isfinite(Y).all(axis=1)
+    n = np.count_nonzero(ok)
     out = np.full(Y.shape, np.nan)
-    for i in np.flatnonzero(ok):
+    if n:
         try:
-            out[i] = f(Y[i : i + 1])[0]
+            out[ok] = f(Y[ok])
         except EulertubeError:
-            ok[i] = False
+            # a batch of one lane has answered for that lane already
+            for i in np.flatnonzero(ok) if n > 1 else ():
+                try:
+                    out[i] = f(Y[i : i + 1])[0]
+                except EulertubeError:
+                    pass
+    ok &= np.isfinite(out).all(axis=1)
     return out
 
 
 def _rk_step(f, y, h, k1, ok, pair: _Pair):
     """One step of ``pair`` on lanes with steps h (B,); returns (y_new,
-    error_estimate, k_last).  Once a batch evaluation raises, the step's
-    remaining stages go lane by lane, and failing lanes leave ``ok``."""
+    error_estimate, k_last).  A lane where the field is undefined at some
+    stage leaves ``ok``."""
     h = h[:, None]
     k = [k1]
-    batch = True
     for row in pair.a:
         yi = y + h * sum(a * ki for a, ki in zip(row, k))
-        if batch:
-            try:
-                k.append(np.asarray(f(yi), dtype=float))
-                continue
-            except EulertubeError:
-                batch = False
         k.append(_field_on(f, yi, ok))
     y_new = y + h * sum(b * ki for b, ki in zip(pair.b, k) if b != 0.0)
     err = h * sum(e * ki for e, ki in zip(pair.e, k) if e != 0.0)
@@ -277,29 +280,23 @@ def _rk_step(f, y, h, k1, ok, pair: _Pair):
     return y_new, err, k[-1]
 
 
-def ode_integrate(
-    field,
-    y0,
-    t_end,
-    tol: float,
-    domain: Optional[Callable[[Array], Array]] = None,
-) -> Trajectory:
+def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
     """Adaptive Runge-Kutta integration of dy/dt = field(y) from t=0 to t_end.
 
-    ``field`` and ``domain`` take lanes: ``field`` maps states (B', d) to
-    (B', d) and ``domain`` returns a (B',) bool mask, for any subset of
-    lanes.  ``y0`` is lanes (B, d) with ``t_end`` scalar or (B,).  Every
+    ``field`` takes lanes, mapping states (B', d) to (B', d) for any subset
+    of lanes.  ``y0`` is lanes (B, d) with ``t_end`` scalar or (B,).  Every
     lane keeps its own step size,
     error control, step budget and retirement, so a lane's result does not
     depend on the others.  Per-step local error is kept below ``tol`` (max
     norm), by the Dormand-Prince pair that suits ``tol``: DOP853, 8th order,
     below 1e-8, where it needs about a quarter of the steps,
     and DP5(4) otherwise, where one step of the 8th-order pair errs more.
-    If a ``domain`` predicate is given and the state leaves it, the
-    lane stops with ``exited=True``; its step is bisected first so the
-    final stored state sits just inside the boundary.  A lane whose field
-    evaluation fails halves its step, and exits once the step is below its
-    floor.
+    One rule decides where a lane stops with ``exited=True``: where its
+    field is undefined, that is, a value is not finite or the evaluation of
+    that lane alone raises an EulertubeError.  A lane undefined at its
+    start exits there; one that meets such a point in a step halves the
+    step, and exits once it is below its floor, so the final stored state
+    sits just before the boundary.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -315,6 +312,10 @@ def ode_integrate(
     y_all = y
     exited = np.zeros(len(y), dtype=bool)
     live = np.flatnonzero(t_end > 0.0)
+    ok = np.ones(len(live), dtype=bool)
+    k1 = _field_on(field, y_all[live], ok)
+    exited[live[~ok]] = True
+    live, k1 = live[ok], k1[ok]
     y = y_all[live]
     t = t_all[live]
     t_end = t_end[live]
@@ -323,7 +324,6 @@ def ode_integrate(
     h_min = 1e-14 * np.abs(h)
     h_exit = 1e-12 * np.abs(h)
     steps = np.zeros(len(live), dtype=int)
-    k1 = np.asarray(field(y), dtype=float) if len(live) else y
     times = [t_all.copy()]
     states = [y_all.copy()]
     while len(live):
@@ -333,8 +333,8 @@ def ode_integrate(
         h = np.minimum(h, t_end - t)
         ok = np.ones(len(live), dtype=bool)
         y_new, err, k_last = _rk_step(field, y, h, k1, ok, pair)
-        # ~ok: a trial stage point left the region where the field is
-        # evaluable; operationally this is a domain boundary
+        # ~ok: the field is undefined at a stage point, the last of which
+        # is y_new; the lane halves its step toward that boundary
         err = np.where(np.isfinite(y_new).all(axis=1), err, np.inf)
         reject = ok & (err > tol)
         # tol / err overflows to inf for a subnormal err; growth is capped
@@ -343,13 +343,7 @@ def ode_integrate(
             ratio = np.divide(tol, err, out=np.full(len(live), np.inf), where=err > 0.0)
         shrink = np.where(err < np.inf, np.maximum(0.2, 0.9 * ratio**pair.exponent), 0.2)
         accept = ok & ~reject
-        if domain is not None and np.count_nonzero(accept):
-            if np.count_nonzero(accept) == len(live):
-                accept = np.asarray(domain(y_new), dtype=bool).copy()
-            else:
-                accept[accept] = np.asarray(domain(y_new[accept]), dtype=bool)
-        failed = ~accept & ~reject
-        stop = failed & (h < h_exit)
+        stop = ~ok & (h < h_exit)
         grow = np.where(err == 0.0, 5.0, np.minimum(5.0, shrink))
         h_next = h * np.where(accept, grow, np.where(reject, shrink, 0.5))
         if np.count_nonzero(reject & (h_next < h_min)):

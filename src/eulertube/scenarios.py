@@ -141,7 +141,7 @@ SUBMANIFOLDS: Dict[str, Callable[[], Tuple[ParametrizedSubmanifold, float, float
 # coordinates to (B, n) points and jac(UC) to (B, n, k + m) jacobians.
 
 
-def _embedding_slice_affine(frame, delta):
+def _embedding_slice_affine(frame):
     a, b = 0.2, -0.1
     J = np.array([[[1.0, a, b], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
 
@@ -152,7 +152,7 @@ def _embedding_slice_affine(frame, delta):
     return fn, lambda UC: J.repeat(len(UC), axis=0)
 
 
-def _embedding_circle_quadratic(frame, delta):
+def _embedding_circle_quadratic(frame):
     eps = 0.1
 
     def pieces(UC):
@@ -173,7 +173,7 @@ def _embedding_circle_quadratic(frame, delta):
     return fn, jac
 
 
-def _embedding_helix_quadratic(frame, delta):
+def _embedding_helix_quadratic(frame):
     eps = 0.05
     dq_dc = np.array([2.0 * eps, -eps])
 
@@ -201,7 +201,7 @@ def _embedding_helix_quadratic(frame, delta):
     return fn, jac
 
 
-def _embedding_sphere_shear(frame, delta):
+def _embedding_sphere_shear(frame):
     eps = 0.1
 
     def fn(UC):
@@ -219,7 +219,7 @@ def _embedding_sphere_shear(frame, delta):
 
 
 # name -> ((k, n) of the submanifold it is written for,
-#          factory(frame, delta) -> (fn, jac), lane formulas in (u, c))
+#          factory(frame) -> (fn, jac), lane formulas in (u, c))
 EMBEDDINGS: Dict[str, Tuple[Tuple[int, int], Callable]] = {
     "slice-affine": ((1, 3), _embedding_slice_affine),
     "circle-quadratic": ((1, 2), _embedding_circle_quadratic),
@@ -241,19 +241,25 @@ _DEFAULT_SAMPLES = {
     "curves": 20,
 }
 
+# the stages each kind of scenario runs, with their default tolerances; a
+# config's tolerances may name only the stages of its scenario's kind
 _DEFAULT_TOLERANCES = {
-    "radius": None,  # filled with delta0
-    "embedding": 1e-6,
-    "chi": 1e-8,
-    "pullback": 1e-6,
-    "diagram": 1e-5,
-    "isometry": 1e-5,
-    "euler-like": 1e-5,
-    "reconstruction": 1e-4,
-    "point-case": 1e-6,
-    "appendix-sigma": 1e-9,
-    "appendix-roundtrip": 1e-12,
-    "appendix-bundle": 1e-12,
+    "tube": {
+        "radius": None,  # filled with delta0
+        "embedding": 1e-6,
+        "chi": 1e-8,
+        "pullback": 1e-6,
+        "diagram": 1e-5,
+        "isometry": 1e-5,
+        "euler-like": 1e-5,
+        "reconstruction": 1e-4,
+    },
+    "point": {"point-case": 1e-6},
+    "appendix": {
+        "appendix-sigma": 1e-9,
+        "appendix-roundtrip": 1e-12,
+        "appendix-bundle": 1e-12,
+    },
 }
 
 
@@ -274,7 +280,7 @@ class Scenario:
         return int(self.samples.get(key, _DEFAULT_SAMPLES[key]))
 
     def tolerance(self, stage: str) -> float:
-        v = self.tolerances.get(stage, _DEFAULT_TOLERANCES.get(stage))
+        v = self.tolerances.get(stage, _DEFAULT_TOLERANCES[self.kind].get(stage))
         if v is None:
             v = self.delta0
         return float(v)
@@ -321,7 +327,6 @@ BUILTIN_SCENARIOS: Dict[str, Scenario] = {
 _TUBE_KEYS = ("background", "submanifold", "embedding", "delta0", "samples")
 _CONFIG_KEYS = {"scenario", "tolerances", *_TUBE_KEYS}
 _SAMPLE_KEYS = set(_DEFAULT_SAMPLES)
-_TOL_KEYS = set(_DEFAULT_TOLERANCES)
 
 
 def scenario_from_config(config: Dict) -> Scenario:
@@ -362,7 +367,7 @@ def scenario_from_config(config: Dict) -> Scenario:
         s = {k: _positive(v, f"samples.{k}", int) for k, v in s.items()}
         updates["samples"] = {**scn.samples, **s}
     if "tolerances" in config:
-        t = _mapping(config["tolerances"], "tolerances", _TOL_KEYS)
+        t = _mapping(config["tolerances"], "tolerances", set(_DEFAULT_TOLERANCES[scn.kind]))
         t = {k: _positive(v, f"tolerances.{k}", float) for k, v in t.items()}
         updates["tolerances"] = {**scn.tolerances, **t}
     scn = replace(scn, **updates)
@@ -431,7 +436,7 @@ def _interior_grid(lo: float, hi: float, count: int, margin: float = 0.1) -> Arr
 def _build_psi(
     scn: Scenario, frame: NormalFrame, delta: Callable[[Array], Array]
 ) -> TubularEmbedding:
-    fn, jac = EMBEDDINGS[scn.embedding][1](frame, delta)
+    fn, jac = EMBEDDINGS[scn.embedding][1](frame)
     N = frame.N
     k = N.param_dim
     m = N.ambient_dim - k

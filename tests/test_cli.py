@@ -76,8 +76,16 @@ class TestConfigValidation:
                     scenario_from_config({"scenario": name, key: value})
             with pytest.raises(ConfigError, match="'background'"):
                 scenario_from_config({"scenario": name, **tube_only})
-            scn = scenario_from_config({"scenario": name, "tolerances": {"point-case": 1e-5}})
-            assert scn.tolerances == {"point-case": 1e-5}
+
+    def test_tolerances_name_only_the_stages_of_the_kind(self):
+        # a point run has no diagram gate, a tube run no point-case gate
+        own = {"circle": "diagram", "point-2d": "point-case", "appendix": "appendix-sigma"}
+        for name, stage in own.items():
+            scn = scenario_from_config({"scenario": name, "tolerances": {stage: 1e-5}})
+            assert scn.tolerances[stage] == 1e-5 and scn.tolerance(stage) == 1e-5
+            for other in set(own.values()) - {stage}:
+                with pytest.raises(ConfigError, match=f"tolerances key: {other}"):
+                    scenario_from_config({"scenario": name, "tolerances": {other: 1e-5}})
 
     def test_overrides_applied(self):
         scn = scenario_from_config(
@@ -198,6 +206,20 @@ class TestCliCommands:
             result = runner.invoke(main, [command, str(cfg)])
             assert result.exit_code == 1
             assert "'background'" in result.output and "point-case" not in result.output
+
+    def test_check_rejects_a_tube_tolerance_on_a_point_scenario(self, runner, tmp_path):
+        cfg = tmp_path / "scn.yaml"
+        cfg.write_text("scenario: point-2d\ntolerances: {diagram: 1.0e-8}\n")
+        result = runner.invoke(main, ["check", str(cfg)])
+        assert result.exit_code == 1
+        assert "diagram" in result.output and "ok:" not in result.output
+
+    @pytest.mark.parametrize("target", ["point-2d", "appendix"])
+    def test_run_rejects_samples_on_a_target_without_samples(self, runner, target):
+        result = runner.invoke(main, ["run", "circle", target, "--samples", "3"])
+        assert result.exit_code == 1
+        assert "--samples" in result.output and target in result.output
+        assert "\t" not in result.output  # no scenario ran
 
     def test_incompatible_config_fails_closed(self, runner, tmp_path):
         cfg = tmp_path / "scn.yaml"

@@ -180,28 +180,31 @@ class TestReconstruction:
         with pytest.raises(NoConvergence):
             reconstruct_embedding(X, psi0, ORIGIN, np.array([[0.3, 0.1]]))
 
-    def test_domain_test_reuses_the_field_preimage(self, monkeypatch):
+    def test_one_inversion_per_field_call(self, monkeypatch):
         psi = embedding_over(origin_r2(), quadratic)
         psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
-        calls = []
+        inverted, evaluated = [], []
         invert = TubularEmbedding.invert
 
         def counted(self, x):
-            calls.append(x)
+            inverted.append(len(x))
             return invert(self, x)
 
         monkeypatch.setattr(TubularEmbedding, "invert", counted)
         X = pushforward_field(psi)
-        x = np.array([[0.3, -0.2]])
-        X(x)
-        assert X.contains(x.copy())[0]
-        assert len(calls) == 1
-        X.contains(x + 0.01)
-        assert len(calls) == 2
 
-    def test_a_defect_in_psi_raises_from_the_domain_test(self):
-        # only the package's own errors mean "outside the domain"; a
-        # TypeError in psi's map is a defect and must surface
+        def fn(Y):
+            evaluated.append(len(Y))
+            return X.fn(Y)
+
+        w = np.array([[-0.3, 0.4]])
+        rec = reconstruct_embedding(dataclasses.replace(X, fn=fn), self.identity_embedding(), ORIGIN, w)
+        assert np.linalg.norm(rec - psi(ORIGIN, w)) <= 1e-4
+        assert len(evaluated) > 1 and inverted == evaluated
+
+    def test_a_defect_in_psi_escapes_a_flow(self):
+        # only the package's own errors mean "undefined here"; a TypeError
+        # in psi's map is a defect and must surface through the integrator
         psi = embedding_over(origin_r2(), quadratic)
         psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
 
@@ -211,7 +214,7 @@ class TestReconstruction:
         psi.map = dataclasses.replace(psi.map, fn=broken)
         X = pushforward_field(psi)
         with pytest.raises(TypeError):
-            X.contains(np.array([[0.3, -0.2]]))
+            reconstruct_embedding(X, self.identity_embedding(), ORIGIN, np.array([[0.3, -0.2]]))
 
     def test_pushforward_passes_euler_like(self):
         psi = embedding_over(origin_r2(), quadratic)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eulertube import embeddings, submanifolds
 from eulertube.embeddings import TubularEmbedding, reference_embedding, validate_embedding
-from eulertube.errors import DomainMargin, EulertubeError, NotInDomain, SingularJacobian
+from eulertube.errors import DomainMargin, FlowExit, NotInDomain, SingularJacobian
 from eulertube.eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
 from eulertube.metrics import (
     christoffel,
@@ -100,6 +100,11 @@ def oscillator(Y):
     return np.stack([Y[:, 1], -Y[:, 0]], axis=1)
 
 
+def oscillator_in_disc(Y):
+    """The oscillator where |y|^2 < 1.2, NaN (undefined) elsewhere."""
+    return np.where((np.sum(Y * Y, axis=1) < 1.2)[:, None], oscillator(Y), np.nan)
+
+
 def lane_history(traj, i):
     """Lane i's own accepted times and states in a lane trajectory."""
     t = traj.times[:, i]
@@ -113,14 +118,37 @@ class TestOdeIntegrateLanes:
         y0 = rng.uniform(-1.0, 1.0, size=(54, 2))
         t_end = rng.uniform(0.0, 4.0, size=54)
         t_end[5] = 0.0
-        inside = lambda Y: np.sum(Y * Y, axis=1) < 1.2  # noqa: E731
-        batch = ode_integrate(oscillator, y0, t_end, 1e-9, domain=inside)
+        batch = ode_integrate(oscillator_in_disc, y0, t_end, 1e-9)
         assert batch.times.shape[1] == 54 and batch.exited.shape == (54,)
         assert batch.exited.any() and not batch.exited.all()
         for i in (0, 5, 31, 53):
-            alone = ode_integrate(oscillator, y0[i : i + 1], t_end[i : i + 1], 1e-9, domain=inside)
+            alone = ode_integrate(oscillator_in_disc, y0[i : i + 1], t_end[i : i + 1], 1e-9)
             assert alone.final_state.tobytes() == batch.final_state[i : i + 1].tobytes()
             assert alone.exited[0] == batch.exited[i]
+            t, states = lane_history(batch, i)
+            assert t.tobytes() == alone.times[:, 0].tobytes()
+            assert states.tobytes() == alone.states[:, 0].tobytes()
+
+    def test_a_lane_starting_where_the_field_is_undefined_exits_there(self):
+        # lane 1 starts outside the disc (the field is NaN there) and lane 2
+        # at a NaN state: both exit at t = 0, and the field never sees a
+        # non-finite state or either lane again
+        seen = []
+
+        def field(Y):
+            seen.append(Y.copy())
+            return oscillator_in_disc(Y)
+
+        y0 = np.array([[0.5, 0.0], [1.0, 1.0], [np.nan, 0.0], [0.0, -0.7]])
+        batch = ode_integrate(field, y0, 2.0, 1e-9)
+        assert batch.exited.tolist() == [False, True, True, False]
+        assert not batch.times[:, 1:3].any()
+        assert batch.final_state[1:3].tobytes() == y0[1:3].tobytes()
+        assert len(seen[0]) == 3 and all(len(Y) == 2 for Y in seen[1:])
+        assert all(np.isfinite(Y).all() for Y in seen)
+        for i in (0, 3):
+            alone = ode_integrate(oscillator_in_disc, y0[i : i + 1], 2.0, 1e-9)
+            assert alone.final_state.tobytes() == batch.final_state[i : i + 1].tobytes()
             t, states = lane_history(batch, i)
             assert t.tobytes() == alone.times[:, 0].tobytes()
             assert states.tobytes() == alone.states[:, 0].tobytes()
@@ -360,54 +388,25 @@ class TestReconstructionLanes:
         assert np.linalg.norm(rec[0] - psi(u, c)[0]) <= 1e-4
         assert len(calls) <= 190
 
-    def test_domain_test_reuses_the_batch_preimages(self, monkeypatch):
-        psi, _, _, _ = helix_pipeline()
-        calls = []
-        invert = type(psi).invert
-
-        def counted(self, x):
-            calls.append(len(x))
-            return invert(self, x)
-
-        monkeypatch.setattr(type(psi), "invert", counted)
-        X = pushforward_field(psi)
-        points = psi.map(np.array([[0.1, 0.2, 0.1], [-0.3, 0.1, -0.2], [0.4, -0.1, 0.0]]))
-        X(points)
-        assert X.contains(points[1:]).all()
-        assert calls == [3]
-        X.contains(points + 0.01)
-        assert calls == [3, 3]
-
-    def test_domain_retry_keeps_every_preimage(self, monkeypatch):
-        # 10 lanes straddling the tube, the last one NaN: its inversion
-        # fails the batch, the lanes retry one at a time, and the memo keeps
-        # all 9 preimages found, so the field on them inverts nothing
+    def test_pushforward_is_nan_exactly_past_the_margin(self):
+        # the 9 finite lanes of straddle_helix lie on the segment from
+        # psi(u, 0) to psi(u, 1.5 delta e_1); the field is undefined where
+        # the preimage has |c| >= 1.05 delta, on the last three
         psi, points = straddle_helix()
-        calls = []
-        invert = type(psi).invert
-
-        def counted(self, x):
-            calls.append(len(x))
-            return invert(self, x)
-
-        monkeypatch.setattr(type(psi), "invert", counted)
+        points = points[:-1]
         X = pushforward_field(psi)
-        mask = X.contains(points)
-        assert calls == [10] + [1] * 10
-        assert mask.any() and not mask.all() and not mask[-1]
-        del calls[:]
-        X(points[:-1])
-        assert calls == []
+        V = X(points)
+        UC = psi.invert(points)
+        radius = np.sqrt((UC[:, 1:] ** 2).sum(axis=1)) / psi.delta(UC[:, :1])
+        past = radius >= 1.05
+        assert past.tolist() == (1.5 * np.linspace(0.0, 1.0, 9) >= 1.05).tolist()
+        assert np.isnan(V[past]).all() and np.isfinite(V[~past]).all()
         for i in range(len(points)):
-            assert pushforward_field(psi).contains(points[i : i + 1])[0] == mask[i]
+            assert X(points[i : i + 1]).tobytes() == V[i : i + 1].tobytes()
 
-    def test_lane_by_lane_fallback_inverts_no_lane_twice(self, monkeypatch):
-        # the 9 lanes of straddle_helix are solved as a batch; the batch
-        # with the NaN lane added fails on that lane alone, and the
-        # integrator's fallback (_field_on) then asks lane by lane: each
-        # lane is looked up in the memo from before the failed batch, and
-        # the domain test on the 9 lanes after it, and its own retry after
-        # a failed batch, find them all
+    def test_field_on_evaluates_each_defined_lane_once(self, monkeypatch):
+        # the NaN lane of straddle_helix is never evaluated, so psi is
+        # inverted once, on the 9 others; the lanes past the margin leave ok
         psi, points = straddle_helix()
         calls = []
         invert = type(psi).invert
@@ -418,19 +417,23 @@ class TestReconstructionLanes:
 
         monkeypatch.setattr(type(psi), "invert", counted)
         X = pushforward_field(psi)
-        batch = X(points[:-1])
-        with pytest.raises(EulertubeError):
-            X(points)
-        assert calls == [9, 1]
         ok = np.ones(len(points), bool)
-        alone = _field_on(X, points, ok)
-        assert calls == [9, 1, 1]
-        assert ok[:-1].all() and not ok[-1]
-        assert alone[:-1].tobytes() == batch.tobytes()
-        mask = X.contains(points[:-1])
-        assert calls == [9, 1, 1]
-        assert (X.contains(points) == np.append(mask, False)).all()
-        assert calls == [9, 1, 1, 1, 1]
+        V = _field_on(X, points, ok)
+        assert calls == [9]
+        assert ok.tolist() == np.isfinite(V).all(axis=1).tolist()
+        assert ok[:6].all() and not ok[6:].any()
+
+    def test_a_flow_past_the_margin_exits(self):
+        # c = 1.1 delta: every flow of the circle's reconstruction reaches
+        # |c| = 1.05 delta, where the pushforward field is undefined
+        psi, frame, _, delta, lo, hi, _ = tube_pipeline("circle")
+        u = np.array([[0.5 * (lo + hi)]])
+        c = 1.1 * delta(u)[:, None]
+        phi = reference_embedding(frame, delta)
+        with pytest.raises(FlowExit, match="t=0.5"):
+            reconstruct_embedding(
+                pushforward_field(psi), phi, u, c, t_seq=(0.5, 0.25, 0.125), flow_tol=1e-7
+            )
 
 
 def straddle_helix():
@@ -533,9 +536,6 @@ class TestBuiltinDomainsTakeLanes:
         center = psi.seed_images.mean(axis=1)
         axes = 10.0 * np.eye(len(center))
         assert_lane_mask(box, straddle(center, *(center + axes), *(center - axes)))
-        # the pushforward field's domain is |c| < 1.05 delta at the preimage
-        x_far = psi.map((mid + np.eye(m + 1)[1] * 1.5 * d)[None])[0]
-        assert_lane_mask(pushforward_field(psi).domain, straddle(psi.map(mid[None])[0], x_far))
 
 
 def nearest_seed(psi, X):

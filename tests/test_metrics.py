@@ -159,6 +159,19 @@ class TestDomainPolicy:
         t = np.array([1.0, 0.25, 0.5, 0.75])[:, None]
         assert velocity_in_domain(g, np.tile([1.0, 0.0], (4, 1)), t * [0.5, 0.7]).all()
 
+    def test_a_lane_starting_outside_leaves_the_others_alone(self):
+        # the first lane starts off the half-plane r > 0, where the geodesic
+        # field is undefined: it exits at its start, and the other lane is
+        # what it is in a batch of one
+        g = polar_metric()
+        P = np.array([[-0.5, 0.3], [1.0, 0.2]])
+        V = np.array([[0.1, 0.1], [0.2, 0.1]])
+        assert velocity_in_domain(g, P, V).tolist() == [False, True]
+        batch = geodesic(g, P, V, 1.0, 1e-9)
+        alone = geodesic(g, P[1:], V[1:], 1.0, 1e-9)
+        assert batch.exited.tolist() == [True, False] and not batch.times[:, 0].any()
+        assert batch.final_state[1:].tobytes() == alone.final_state.tobytes()
+
     def test_a_package_error_of_the_batch_reads_outside(self):
         def matrix_fn(X):
             raise SingularMetric("no metric here")

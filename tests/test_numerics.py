@@ -95,17 +95,22 @@ class TestOdeIntegrate:
         assert np.linalg.norm(traj.final_state[0] - [1.0, 0.0]) <= 1e-7
 
     def test_domain_exit_sets_flag(self):
-        # constant rightward drift out of the unit ball
-        traj = ode_integrate(
-            lambda Y: np.array([1.0, 0.0]) + 0.0 * Y,
-            np.zeros((1, 2)),
-            5.0,
-            1e-9,
-            domain=lambda Y: np.linalg.norm(Y, axis=1) < 1.0,
-        )
+        # constant rightward drift, a field undefined (NaN) off the unit ball
+        def field(Y):
+            inside = np.linalg.norm(Y, axis=1) < 1.0
+            return np.where(inside[:, None], np.array([1.0, 0.0]) + 0.0 * Y, np.nan)
+
+        traj = ode_integrate(field, np.zeros((1, 2)), 5.0, 1e-9)
         assert traj.exited[0]
         assert np.linalg.norm(traj.final_state[0]) < 1.0
         assert np.linalg.norm(traj.final_state[0]) > 1.0 - 1e-6
+
+    def test_zero_horizon_evaluates_nothing(self):
+        def field(Y):
+            raise AssertionError("the field was evaluated")
+
+        traj = ode_integrate(field, np.array([[1.0], [2.0]]), 0.0, 1e-8)
+        assert traj.final_state.tolist() == [[1.0], [2.0]] and not traj.exited.any()
 
     def test_blowup_raises_step_underflow(self):
         # y' = y^2 from 1.5 blows up at t = 2/3 < 1

@@ -64,8 +64,7 @@ def test_embedding_analytic_jacobians_match_fd(name):
     scn = {e.embedding: e for e in BUILTIN_SCENARIOS.values() if e.embedding}[name]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = lambda U: np.full(len(U), 0.3)  # noqa: E731
-    fn, jac = EMBEDDINGS[name][1](NormalFrame(gt, N), delta)
+    fn, jac = EMBEDDINGS[name][1](NormalFrame(gt, N))
     dim = N.ambient_dim
     fa = DifferentiableMap(dim, dim, fn, jac=jac)
     ffd = DifferentiableMap(dim, dim, fn)
@@ -82,8 +81,7 @@ def test_helix_jacobian_matches_fd():
     scn = BUILTIN_SCENARIOS["helix"]
     gt = BACKGROUNDS[scn.background]()
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    delta = lambda U: np.full(len(U), 0.3)  # noqa: E731
-    fn, jac = EMBEDDINGS["helix-quadratic"][1](NormalFrame(gt, N), delta)
+    fn, jac = EMBEDDINGS["helix-quadratic"][1](NormalFrame(gt, N))
     fa = DifferentiableMap(3, 3, fn, jac=jac)
     ffd = DifferentiableMap(3, 3, fn, fd_step=1e-6)
     rng = np.random.default_rng(4)
@@ -122,7 +120,7 @@ def test_euler_like_stage_fails_on_a_rejected_field(monkeypatch):
 
     def shifted(psi):
         X = pushforward_field(psi)
-        return DifferentiableMap(3, 3, lambda Y: X(Y) + 5e-6, domain=X.domain)
+        return DifferentiableMap(3, 3, lambda Y: X(Y) + 5e-6)
 
     monkeypatch.setattr(scenarios, "pushforward_field", shifted)
     samples = {"grid": 3, "diagram_u": 2, "diagram_c": 2, "isometry": 1, "reconstruction": 1,
