@@ -21,18 +21,17 @@ class TubularEmbedding:
     """A smooth injective map (u, c) -> ambient point, with c the coordinates
     of a normal vector in the deterministic background-metric frame.
 
-    ``frame`` is the normal frame of N that c refers to; ``delta``, a
-    radius on lanes of base points (B, k) -> (B,), bounds |c| on the
-    certified tube.  Inversion is Newton iteration seeded from the nearest
-    entry of a precomputed table of seeds, their images and the guarded
-    inverses of the jacobian there, so the first Newton step evaluates
-    nothing.  Evaluation and inversion take lanes (a leading axis of
+    ``frame`` is the normal frame of N that c refers to; ``delta``, the
+    certified radius, bounds |c| on the tube, the same at every base point.
+    Inversion is Newton iteration seeded from the nearest entry of a
+    precomputed table of seeds, their images and the guarded inverses of
+    the jacobian there, so the first Newton step evaluates nothing.  Evaluation and inversion take lanes (a leading axis of
     independent points).
     """
 
     map: DifferentiableMap
     frame: NormalFrame
-    delta: Optional[Callable[[Array], Array]] = None
+    delta: float
     seeds: Optional[Array] = None  # (#seeds, k+m)
     seed_images: Optional[Array] = None  # (n, #seeds): image of seed s in column s
     seed_inverses: Optional[Array] = None  # (#seeds, k+m, n), NaN where the guard fails
@@ -50,16 +49,15 @@ class TubularEmbedding:
 
     def build_seed_table(self, U: Array, c_fractions=(0.0, 0.35, 0.7)) -> None:
         """Seeds (u, c) at the grid of base points U (G, k), c along each
-        fiber axis at the signed fractions of delta(u)."""
+        fiber axis at the signed fractions of delta."""
         m = self.fiber_dim
-        radii = self.delta(U) if self.delta is not None else np.ones(len(U))
         seeds = []
-        for u, d in zip(U, radii):
+        for u in U:
             for j in range(m):
                 for frac in c_fractions:
                     for sign in (1.0, -1.0):
                         c = np.zeros(m)
-                        c[j] = sign * frac * d
+                        c[j] = sign * frac * self.delta
                         seeds.append(np.concatenate([u, c]))
         self.seeds = np.array(sorted({tuple(np.round(s, 12)) for s in seeds}))
         self.seed_images = np.ascontiguousarray(self.map(self.seeds).T)
@@ -103,7 +101,7 @@ def validate_embedding(psi: TubularEmbedding, U: Array) -> float:
     zero = np.concatenate([U, np.zeros((len(U), m))], axis=1)
     r0 = [float(np.linalg.norm(d)) for d in psi.map(zero) - fp.p]
     F = psi.map.jacobian(zero)[:, :, k:]
-    induced = np.swapaxes(fp.B, 1, 2) @ psi.frame.g.matrix(fp.p) @ F
+    induced = np.swapaxes(fp.B, 1, 2) @ fp.G @ F
     r1 = np.max(np.abs(induced - np.eye(m)), axis=(1, 2))
     for u, zero_r, frame_r in zip(U, r0, r1):
         if zero_r > _ZERO_SECTION_TOL:
@@ -115,19 +113,24 @@ def validate_embedding(psi: TubularEmbedding, U: Array) -> float:
     return max([0.0, *r0, *r1.tolist()])
 
 
-def reference_embedding(frame: NormalFrame, delta: Callable[[Array], Array]) -> TubularEmbedding:
+def fiber_norm(C: Array) -> Array:
+    """|c| on lanes of fiber coordinates C (B, m)."""
+    return np.sqrt((C * C).sum(axis=1))
+
+
+def tube_domain(N: ParametrizedSubmanifold, radius: float) -> Callable[[Array], Array]:
+    """The lane mask of the tube |c| < radius over N's parameter domain, on
+    frame coordinates (B, k + m)."""
+    k = N.param_dim
+    return lambda UC: N.in_param_domain(UC[:, :k]) & (fiber_norm(UC[:, k:]) < radius)
+
+
+def reference_embedding(frame: NormalFrame, delta: float) -> TubularEmbedding:
     """The normal-exponential embedding of the frame's metric: the chart of
-    ``submanifolds.normal_exponential`` on the tube |c| < delta(u).
+    ``submanifolds.normal_exponential`` on the tube |c| < delta.
 
     Its fiber differential on the zero section is the identity because the
     exponential map's differential at zero is.
     """
-    N = frame.N
-    k = N.param_dim
-
-    def in_domain(UC):
-        u, c = UC[:, :k], UC[:, k:]
-        return N.in_param_domain(u) & (np.sqrt((c * c).sum(axis=1)) < delta(u))
-
-    chart = replace(normal_exponential(frame), domain=in_domain)
+    chart = replace(normal_exponential(frame), domain=tube_domain(frame.N, delta))
     return TubularEmbedding(map=chart, frame=frame, delta=delta)

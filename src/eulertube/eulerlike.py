@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embeddings import TubularEmbedding
+from .embeddings import TubularEmbedding, fiber_norm
 from .errors import FlowExit, NoConvergence, NotVanishing
 from .metrics import MetricField
 from .numerics import Array, DifferentiableMap, ode_integrate
@@ -102,7 +102,7 @@ def pushforward_euler(psi: TubularEmbedding, U: Array, C: Array) -> Array:
 
 
 # the pushforward field is defined where |c| is below this multiple of the
-# certified radius delta(u)
+# certified radius delta
 _DOMAIN_MARGIN = 1.05
 
 
@@ -113,7 +113,7 @@ def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
     Newton solve) and applies the jacobian to the fiber coordinates there;
     the solve's last value call was at those preimages, so the jacobian
     finds their normal frame in the frame memo.  The field is NaN on a lane
-    whose preimage has |c| >= ``_DOMAIN_MARGIN`` delta(u), so a flow stops
+    whose preimage has |c| >= ``_DOMAIN_MARGIN`` delta, so a flow stops
     there.  An inversion that fails with an EulertubeError fails the
     evaluation, which the integrator then makes lane by lane; any other
     exception is a defect and propagates.
@@ -125,8 +125,7 @@ def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
         UC = psi.invert(X)
         U, C = UC[:, :k], UC[:, k:]
         out = pushforward_euler(psi, U, C)
-        if psi.delta is not None:
-            out[~(np.sqrt((C * C).sum(axis=1)) < _DOMAIN_MARGIN * psi.delta(U))] = np.nan
+        out[~(fiber_norm(C) < _DOMAIN_MARGIN * psi.delta)] = np.nan
         return out
 
     return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn)

@@ -148,7 +148,6 @@ def pullback_metric(
         matrix_fn=matrix,
         domain=chi.domain,
         name=name,
-        fd_step=fd_step,
         christoffel_fn=gamma,
     )
 

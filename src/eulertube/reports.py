@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import List, Sequence
 
 from .errors import IoError
@@ -32,12 +32,12 @@ class ResidualReport:
     max_residual: float
     mean_residual: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     runtime_ms: float = 0.0
 
     def __post_init__(self):
-        # keep the pass flag consistent with the residual/tolerance pair; a
-        # failed stage's infinite residual fails even under an infinite bound
+        # the pass flag follows the residual/tolerance pair; a failed
+        # stage's infinite residual fails even under an infinite bound
         r = self.max_residual
         self.passed = bool(math.isfinite(r) and r <= self.tolerance)
 
@@ -114,9 +114,6 @@ def _from_dict(d) -> ResidualReport:
             return math.inf
         return float(d[key])
 
-    passed = d.get("passed", "False")
-    if isinstance(passed, str):
-        passed = passed == "True"
     return ResidualReport(
         scenario=str(d["scenario"]),
         stage=str(d["stage"]),
@@ -124,5 +121,4 @@ def _from_dict(d) -> ResidualReport:
         max_residual=num("max_residual"),
         mean_residual=num("mean_residual"),
         tolerance=num("tolerance"),
-        passed=bool(passed),
     )

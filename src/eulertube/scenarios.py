@@ -6,7 +6,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from . import extension as ext
 from .embeddings import (
     TubularEmbedding,
     reference_embedding,
+    tube_domain,
     validate_embedding,
 )
 from .errors import ConfigError, NotEulerLike
@@ -26,7 +27,6 @@ from .metrics import (
 )
 from .numerics import Array, DifferentiableMap
 from .realization import (
-    ComparisonMap,
     build_chi,
     curve_length,
     isometry_geodesic_check,
@@ -433,25 +433,11 @@ def _interior_grid(lo: float, hi: float, count: int, margin: float = 0.1) -> Arr
     return np.linspace(lo + margin * span, hi - margin * span, count)[:, None]
 
 
-def _build_psi(
-    scn: Scenario, frame: NormalFrame, delta: Callable[[Array], Array]
-) -> TubularEmbedding:
+def _build_psi(scn: Scenario, frame: NormalFrame, delta: float) -> TubularEmbedding:
     fn, jac = EMBEDDINGS[scn.embedding][1](frame)
-    N = frame.N
-    k = N.param_dim
-    m = N.ambient_dim - k
-
-    def in_domain(UC):
-        u, c = UC[:, :k], UC[:, k:]
-        return N.in_param_domain(u) & (np.sqrt((c * c).sum(axis=1)) < 1.2 * delta(u))
-
+    n = frame.N.ambient_dim
     psi_map = DifferentiableMap(
-        domain_dim=k + m,
-        codomain_dim=N.ambient_dim,
-        fn=fn,
-        jac=jac,
-        fd_step=1e-6,
-        domain=in_domain,
+        domain_dim=n, codomain_dim=n, fn=fn, jac=jac, domain=tube_domain(frame.N, 1.2 * delta)
     )
     return TubularEmbedding(map=psi_map, frame=frame, delta=delta)
 
@@ -487,46 +473,43 @@ def _diagram_samples(scn: Scenario, psi: TubularEmbedding, lo: float, hi: float)
         dirs = _fiber_directions(m, max(4, -(-n_c // 3)))
         cs = (fracs[None, :, None] * dirs[:, None, :]).reshape(-1, m)
     U = np.repeat(us, len(cs), axis=0)
-    C = (psi.delta(us)[:, None, None] * cs).reshape(-1, m)
+    C = np.tile(psi.delta * cs, (len(us), 1))
     return U, C
 
 
-def _stage(reports, scn, stage, fn, tol):
-    """Run one pipeline stage, capturing failures as failed reports.
+def _stage(reports, scn, stage, fn):
+    """Run one pipeline stage and append its report row; return what the
+    stage built, or None when it failed.
 
-    Any exception fails the stage closed, not only the package's own
-    errors: a defect in a stage helper becomes a failed row of one sample,
-    never a traceback out of ``run_scenario``.
+    ``fn`` returns what it built and its residuals, one a sample; the row
+    gives their count, maximum and mean against the scenario's tolerance
+    for the stage.  The mean is kept within the residuals' range, which
+    rounding can leave, so a stage that gives its worst residual for
+    every sample reports it as the mean too.  Any exception fails the
+    stage closed, not only the package's own errors: a defect in a stage
+    helper becomes a failed row of one sample, never a traceback out of
+    ``run_scenario``.
     """
     t0 = time.perf_counter()
     try:
-        max_r, mean_r, count = fn()
+        built, residuals = fn()
+        r = np.asarray(residuals, dtype=float)
+        count, max_r = len(r), float(np.max(r))
+        mean_r = float(np.clip(np.mean(r), np.min(r), max_r))
     except Exception:
-        reports.append(
-            ResidualReport(
-                scenario=scn.name,
-                stage=stage,
-                sample_count=1,
-                max_residual=float("inf"),
-                mean_residual=float("inf"),
-                tolerance=tol,
-                passed=False,
-                runtime_ms=(time.perf_counter() - t0) * 1e3,
-            )
+        built, count, max_r, mean_r = None, 1, math.inf, math.inf
+    reports.append(
+        ResidualReport(
+            scenario=scn.name,
+            stage=stage,
+            sample_count=count,
+            max_residual=max_r,
+            mean_residual=mean_r,
+            tolerance=scn.tolerance(stage),
+            runtime_ms=(time.perf_counter() - t0) * 1e3,
         )
-        return None
-    rep = ResidualReport(
-        scenario=scn.name,
-        stage=stage,
-        sample_count=count,
-        max_residual=max_r,
-        mean_residual=mean_r,
-        tolerance=tol,
-        passed=max_r <= tol,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
-    reports.append(rep)
-    return rep
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -539,48 +522,39 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
     grid = _interior_grid(lo, hi, scn.sample("grid"))
     frame = NormalFrame(gt, N)
-    state: Dict[str, object] = {}
 
     def stage_radius():
         delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
-        state["delta"] = delta
-        d = float(delta(grid[:1])[0])
-        return d, d, len(grid)
+        return delta, np.full(len(grid), delta)
 
-    if _stage(reports, scn, "radius", stage_radius, scn.tolerance("radius")) is None:
+    delta = _stage(reports, scn, "radius", stage_radius)
+    if delta is None:
         return reports
-    delta: Callable[[Array], Array] = state["delta"]
 
     def stage_embedding():
         psi = _build_psi(scn, frame, delta)
         psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
-        state["psi"] = psi
-        r = validate_embedding(psi, grid)
-        return r, r, len(grid)
+        return psi, np.full(len(grid), validate_embedding(psi, grid))
 
-    if _stage(reports, scn, "embedding", stage_embedding, scn.tolerance("embedding")) is None:
+    psi = _stage(reports, scn, "embedding", stage_embedding)
+    if psi is None:
         return reports
-    psi: TubularEmbedding = state["psi"]
 
     def stage_chi():
         phi = reference_embedding(frame, delta)
-        chi = build_chi(psi, phi, domain=_image_box(psi, 0.3 * delta(grid[:1])[0]))
-        state["phi"] = phi
-        state["chi"] = chi
+        chi = build_chi(psi, phi, domain=_image_box(psi, 0.3 * delta))
         P = N.point(grid)
-        rs = [float(np.linalg.norm(d)) for d in chi(P) - P]
-        return max(rs), float(np.mean(rs)), len(rs)
+        return (phi, chi), [float(np.linalg.norm(d)) for d in chi(P) - P]
 
-    if _stage(reports, scn, "chi", stage_chi, scn.tolerance("chi")) is None:
+    maps = _stage(reports, scn, "chi", stage_chi)
+    if maps is None:
         return reports
-    chi: ComparisonMap = state["chi"]
-    phi: TubularEmbedding = state["phi"]
+    phi, chi = maps
 
     def stage_pullback():
         g = pullback_metric(chi, gt, name=f"{scn.name}-pullback")
-        spot = psi(grid, 0.3 * delta(grid)[:, None] * _fiber_directions(psi.fiber_dim, 4)[0])
-        validate_metric(g, spot)
-        state["g"] = g
+        spot = np.tile(0.3 * delta * _fiber_directions(psi.fiber_dim, 4)[0], (len(grid), 1))
+        validate_metric(g, psi(grid, spot))
         # the stdlib generator: numpy.random would cost a tube run 6 MB
         rng = random.Random(20240 + len(scn.name))
         normal = lambda dim: _unit(np.array([rng.gauss(0.0, 1.0) for _ in range(dim)]))
@@ -593,10 +567,8 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
             C0.append(normal(psi.fiber_dim))
             A.append(normal(n))
             B.append(normal(n))
-        U0 = np.array(U0)
-        d = delta(U0)[:, None]
-        X0 = psi(U0, 0.35 * d * np.array(C0))[:, None]
-        A, B = (0.15 * d * np.array(A))[:, None], (0.05 * d * np.array(B))[:, None]
+        X0 = psi(np.array(U0), 0.35 * delta * np.array(C0))[:, None]
+        A, B = (0.15 * delta * np.array(A))[:, None], (0.05 * delta * np.array(B))[:, None]
         # t is the column of quadrature nodes and a curve's points are rows,
         # so each call below is one lane batch over every node of every
         # curve: g at the nodes, chi at the nodes and at nodes +- h
@@ -606,12 +578,11 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         img = lambda t: chi(curve(t).reshape(-1, n)).reshape(len(X0), -1, n)
         dimg = lambda t: (img(t + h) - img(t - h)) / (2.0 * h)
         len_ref = curve_length(gt, img, dimg)
-        rel_errors = np.abs(len_g - len_ref) / len_ref
-        return float(np.max(rel_errors)), float(np.mean(rel_errors)), len(rel_errors)
+        return g, np.abs(len_g - len_ref) / len_ref
 
-    if _stage(reports, scn, "pullback", stage_pullback, scn.tolerance("pullback")) is None:
+    g = _stage(reports, scn, "pullback", stage_pullback)
+    if g is None:
         return reports
-    g: MetricField = state["g"]
 
     # geodesic accuracy two orders below the stage tolerance keeps the
     # integrator noise out of the residuals without paying for digits the
@@ -620,34 +591,31 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_diagram():
         U, C = _diagram_samples(scn, psi, lo, hi)
-        residuals = verify_main_diagram(psi, g, U, C, exp_tol=exp_tol)
-        return float(np.max(residuals)), float(np.mean(residuals)), len(residuals)
+        return None, verify_main_diagram(psi, g, U, C, exp_tol=exp_tol)
 
-    _stage(reports, scn, "diagram", stage_diagram, scn.tolerance("diagram"))
+    _stage(reports, scn, "diagram", stage_diagram)
 
     def stage_isometry():
         us = _interior_grid(lo, hi, scn.sample("isometry"), margin=0.2)
-        v = 0.5 * delta(us)[:, None] * normal_space_basis(g, N, us)[:, :, 0]
-        worst = isometry_geodesic_check(chi, g, gt, N, us, v, exp_tol=exp_tol)
-        return float(np.max(worst)), float(np.mean(worst)), len(worst)
+        v = 0.5 * delta * normal_space_basis(g, N, us)[:, :, 0]
+        return None, isometry_geodesic_check(chi, g, gt, N, us, v, exp_tol=exp_tol)
 
-    _stage(reports, scn, "isometry", stage_isometry, scn.tolerance("isometry"))
+    _stage(reports, scn, "isometry", stage_isometry)
+
+    X = pushforward_field(psi)
 
     def stage_euler_like():
-        X = pushforward_field(psi)
-        state["X"] = X
         ok, res = is_euler_like(X, gt, N, grid, tol=scn.tolerance("euler-like"))
         if not ok:
             raise NotEulerLike(f"pushforward field fails the Euler-like test ({res:.3e})")
-        return res, res, len(grid)
+        return None, np.full(len(grid), res)
 
-    _stage(reports, scn, "euler-like", stage_euler_like, scn.tolerance("euler-like"))
+    _stage(reports, scn, "euler-like", stage_euler_like)
 
     def stage_reconstruction():
-        X = state.get("X") or pushforward_field(psi)
         us = _interior_grid(lo, hi, scn.sample("reconstruction"), margin=0.25)
         dirs = _fiber_directions(psi.fiber_dim, 4)
-        cs = 0.5 * delta(us)[:, None] * dirs[np.arange(len(us)) % len(dirs)]
+        cs = 0.5 * delta * dirs[np.arange(len(us)) % len(dirs)]
         # every point's flows are lanes of one integration
         rec = reconstruct_embedding(
             X, phi, us, cs,
@@ -655,10 +623,9 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
             tol=scn.tolerance("reconstruction"),
             flow_tol=1e-9,
         )
-        residuals = [float(np.linalg.norm(r)) for r in rec - psi(us, cs)]
-        return max(residuals), float(np.mean(residuals)), len(residuals)
+        return None, [float(np.linalg.norm(r)) for r in rec - psi(us, cs)]
 
-    _stage(reports, scn, "reconstruction", stage_reconstruction, scn.tolerance("reconstruction"))
+    _stage(reports, scn, "reconstruction", stage_reconstruction)
     return reports
 
 
@@ -687,9 +654,9 @@ def _run_point_scenario(scn: Scenario) -> List[ResidualReport]:
         a = 2.0 * np.pi * i / count
         r = 0.25 + 0.75 * ((i * 37) % count) / count
         _, worst = point_case_metric(psi, r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=1))
-        return worst, worst, count
+        return None, np.full(count, worst)
 
-    _stage(reports, scn, "point-case", stage_point_case, scn.tolerance("point-case"))
+    _stage(reports, scn, "point-case", stage_point_case)
     return reports
 
 
@@ -704,9 +671,9 @@ def _run_appendix_scenario(scn: Scenario) -> List[ResidualReport]:
         tt = np.clip(ts, -1 + 2 * h, 1 - 2 * h)
         d = (ext.sigma(tt + h) - ext.sigma(tt - h)) / (2 * h)
         worst = max(float(np.max(1.0 - d)), 0.0)
-        return worst, worst, len(ts)
+        return None, np.full(len(ts), worst)
 
-    _stage(reports, scn, "appendix-sigma", stage_sigma, scn.tolerance("appendix-sigma"))
+    _stage(reports, scn, "appendix-sigma", stage_sigma)
 
     def stage_roundtrip():
         # both directions at 50 digits: the forward profile has slope ~1e9
@@ -718,9 +685,9 @@ def _run_appendix_scenario(scn: Scenario) -> List[ResidualReport]:
                 float(abs(ext.sigma(t) - s)) if abs(s) > 0.5 else 0.0
                 for s, t in zip(ss, ts)
             ]
-        return max(rs), float(np.mean(rs)), len(rs)
+        return None, rs
 
-    _stage(reports, scn, "appendix-roundtrip", stage_roundtrip, scn.tolerance("appendix-roundtrip"))
+    _stage(reports, scn, "appendix-roundtrip", stage_roundtrip)
 
     def stage_bundle():
         def bundle_metric(P):
@@ -752,9 +719,9 @@ def _run_appendix_scenario(scn: Scenario) -> List[ResidualReport]:
             F_t(P[core], V[core]), F(P[core], V[core])
         ):
             worst = max(worst, 1.0)
-        return worst, worst, len(P)
+        return None, np.full(len(P), worst)
 
-    _stage(reports, scn, "appendix-bundle", stage_bundle, scn.tolerance("appendix-bundle"))
+    _stage(reports, scn, "appendix-bundle", stage_bundle)
     return reports
 
 

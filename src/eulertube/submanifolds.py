@@ -367,9 +367,9 @@ def _radius_candidate_ok(
 
 def tubular_radius_estimate(
     g: MetricField, N: ParametrizedSubmanifold, grid: Array, delta0: float
-) -> Callable[[Array], Array]:
+) -> float:
     """Largest delta0 * 2^-m certified on the sampled closed tube over the
-    grid of base points (G, k), as a radius on lanes: (B, k) -> (B,).
+    grid of base points (G, k): one radius for every base point.
 
     Certification samples the normal exponential chart of one frame along
     each fiber.  It checks a metric-weighted condition estimate of the
@@ -385,7 +385,7 @@ def tubular_radius_estimate(
     for m in range(_RADIUS_MAX_HALVINGS + 1):
         delta = delta0 * 2.0**-m
         if _radius_candidate_ok(frame, chart, grid, delta):
-            return lambda U, d=delta: np.full(len(U), d)
+            return delta
     raise NoValidRadius(
         f"no certified radius above {delta0 * 2.0 ** -_RADIUS_MAX_HALVINGS:.3e}"
     )

@@ -120,7 +120,7 @@ def test_criterion_3_exponential_properties():
         (euclidean_metric(2), np.zeros((1, 2)), np.array([[5.0, -3.0]])),
     ]
     B = normal_space_basis(g_pull, N, u)
-    star_cases.append((g_pull, N.point(u), 0.4 * delta(u)[:, None] * B[:, :, 0]))
+    star_cases.append((g_pull, N.point(u), 0.4 * delta * B[:, :, 0]))
     t = np.array([1.0, 0.25, 0.5, 0.75])[:, None]
     for g, p0, v in star_cases:
         ok &= velocity_in_domain(g, np.repeat(p0, len(t), axis=0), t * v).all()
@@ -161,12 +161,11 @@ def test_criterion_5_reference_metric_independence():
         return G
 
     g_skew = MetricField(dim=2, matrix_fn=skew, name="skew")
-    delta = lambda U: np.full(len(U), 1.0)
     fn = lambda UC: np.stack([UC[:, 0] + 0.2 * UC[:, 1], UC[:, 1] + 0.05 * UC[:, 1] ** 2], axis=1)
     psi = TubularEmbedding(
         map=DifferentiableMap(2, 2, fn),
         frame=NormalFrame(g_euc, N),
-        delta=delta,
+        delta=1.0,
     )
     psi.build_seed_table(np.linspace(-0.8, 0.8, 9)[:, None])
     X = pushforward_field(psi)

@@ -29,10 +29,6 @@ def unit_circle():
     )
 
 
-def const_radius(value):
-    return lambda U: np.full(len(U), value)
-
-
 def u_grid(lo, hi, n):
     return np.linspace(lo, hi, n)[:, None]
 
@@ -40,12 +36,12 @@ def u_grid(lo, hi, n):
 class TestReferenceEmbedding:
     def test_flat_slice_is_identity(self):
         g = euclidean_metric(2)
-        phi = reference_embedding(NormalFrame(g, x_axis_r2()), const_radius(2.0))
+        phi = reference_embedding(NormalFrame(g, x_axis_r2()), 2.0)
         assert np.allclose(phi(np.array([[0.7]]), np.array([[0.4]]))[0], [0.7, 0.4], atol=1e-12)
 
     def test_circle_fibers_are_radial(self):
         g = euclidean_metric(2)
-        phi = reference_embedding(NormalFrame(g, unit_circle()), const_radius(0.5))
+        phi = reference_embedding(NormalFrame(g, unit_circle()), 0.5)
         theta, s = 0.3, 0.2
         expected = (1 + s) * np.array([np.cos(theta), np.sin(theta)])
         assert np.allclose(phi(np.array([[theta]]), np.array([[s]]))[0], expected, atol=1e-10)
@@ -53,13 +49,13 @@ class TestReferenceEmbedding:
     def test_zero_section(self):
         g = euclidean_metric(2)
         N = unit_circle()
-        phi = reference_embedding(NormalFrame(g, N), const_radius(0.5))
+        phi = reference_embedding(NormalFrame(g, N), 0.5)
         for u in u_grid(-1.0, 1.0, 5):
             assert np.allclose(phi(u[None], np.zeros((1, 1))), N.point(u[None]), atol=1e-12)
 
     def test_validates(self):
         g = euclidean_metric(2)
-        phi = reference_embedding(NormalFrame(g, unit_circle()), const_radius(0.5))
+        phi = reference_embedding(NormalFrame(g, unit_circle()), 0.5)
         assert validate_embedding(phi, u_grid(-1.0, 1.0, 7)) <= 1e-6
 
 
@@ -71,7 +67,7 @@ class TestValidateEmbedding:
         psi = TubularEmbedding(
             map=bad_map,
             frame=NormalFrame(g, N),
-            delta=const_radius(1.0),
+            delta=1.0,
         )
         with pytest.raises(NotInDomain):
             validate_embedding(psi, u_grid(-1.0, 1.0, 3))
@@ -83,7 +79,7 @@ class TestValidateEmbedding:
         psi = TubularEmbedding(
             map=bad_map,
             frame=NormalFrame(g, N),
-            delta=const_radius(1.0),
+            delta=1.0,
         )
         with pytest.raises(NotInDomain):
             validate_embedding(psi, u_grid(-1.0, 1.0, 3))
@@ -97,7 +93,7 @@ class TestInversion:
         psi = TubularEmbedding(
             map=DifferentiableMap(2, 2, fn),
             frame=NormalFrame(g, N),
-            delta=const_radius(1.0),
+            delta=1.0,
         )
         psi.build_seed_table(u_grid(-1.0, 1.0, 9))
         uc = np.array([[0.37, -0.52]])
@@ -110,6 +106,7 @@ class TestInversion:
         psi = TubularEmbedding(
             map=DifferentiableMap(2, 2, lambda uc: uc),
             frame=NormalFrame(g, N),
+            delta=1.0,
         )
         with pytest.raises(RuntimeError):
             psi.invert(np.zeros((1, 2)))

@@ -46,7 +46,7 @@ def embedding_over(N, fn, delta=1.5, jac=None):
     psi = TubularEmbedding(
         map=DifferentiableMap(N.ambient_dim, N.ambient_dim, fn, jac=jac),
         frame=NormalFrame(g, N),
-        delta=lambda U: np.full(len(U), delta),
+        delta=delta,
     )
     return psi
 

@@ -242,11 +242,10 @@ def tube_pipeline(name):
 def circle_pullback_case():
     """The circle scenario's pullback metric on chi's box domain, as its
     pipeline builds them, at points psi(u, c) of the tube."""
-    psi, frame, gt, delta, lo, hi, grid = tube_pipeline("circle")
-    d = delta(grid[:1])[0]
-    dom = _image_box(psi, 0.3 * d)
+    psi, frame, gt, delta, lo, hi, _ = tube_pipeline("circle")
+    dom = _image_box(psi, 0.3 * delta)
     g = pullback_metric(build_chi(psi, reference_embedding(frame, delta), domain=dom), gt)
-    UC, V = lane_data([lo + 0.3, -0.3 * d], [hi - 0.3, 0.3 * d], 0.1, [3.0, 3.0])
+    UC, V = lane_data([lo + 0.3, -0.3 * delta], [hi - 0.3, 0.3 * delta], 0.1, [3.0, 3.0])
     return g, psi.map(UC), V
 
 
@@ -360,7 +359,7 @@ class TestReconstructionLanes:
         X = pushforward_field(psi)
         us = np.linspace(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo), 6)[:, None]
         angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
-        cs = 0.5 * psi.delta(us[:1])[0] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        cs = 0.5 * psi.delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         t_seq = tuple(2.0**-i for i in range(1, 10))
         # 6 points x 9 schedule times: one integration of 54 lanes
         batch = reconstruct_embedding(X, phi, us, cs, t_seq=t_seq, tol=1e-4, flow_tol=1e-9)
@@ -382,7 +381,7 @@ class TestReconstructionLanes:
             return X.fn(Y)
 
         u = np.array([[0.5 * (lo + hi)]])
-        c = 0.5 * psi.delta(u)[0] * np.array([[1.0, 0.0]])
+        c = 0.5 * psi.delta * np.array([[1.0, 0.0]])
         t_seq = tuple(2.0**-i for i in range(1, 10))
         rec = reconstruct_embedding(replace(X, fn=fn), phi, u, c, t_seq=t_seq, tol=1e-4, flow_tol=1e-9)
         assert np.linalg.norm(rec[0] - psi(u, c)[0]) <= 1e-4
@@ -397,7 +396,7 @@ class TestReconstructionLanes:
         X = pushforward_field(psi)
         V = X(points)
         UC = psi.invert(points)
-        radius = np.sqrt((UC[:, 1:] ** 2).sum(axis=1)) / psi.delta(UC[:, :1])
+        radius = np.sqrt((UC[:, 1:] ** 2).sum(axis=1)) / psi.delta
         past = radius >= 1.05
         assert past.tolist() == (1.5 * np.linspace(0.0, 1.0, 9) >= 1.05).tolist()
         assert np.isnan(V[past]).all() and np.isfinite(V[~past]).all()
@@ -428,7 +427,7 @@ class TestReconstructionLanes:
         # |c| = 1.05 delta, where the pushforward field is undefined
         psi, frame, _, delta, lo, hi, _ = tube_pipeline("circle")
         u = np.array([[0.5 * (lo + hi)]])
-        c = 1.1 * delta(u)[:, None]
+        c = np.array([[1.1 * delta]])
         phi = reference_embedding(frame, delta)
         with pytest.raises(FlowExit, match="t=0.5"):
             reconstruct_embedding(
@@ -442,7 +441,7 @@ def straddle_helix():
     psi, frame, _, delta, lo, hi, _ = tube_pipeline("helix")
     u = 0.5 * (lo + hi)
     mid = np.array([[u, 0.0, 0.0]])
-    far = mid + np.array([[0.0, 1.5 * delta(mid[:, :1])[0], 0.0]])
+    far = mid + np.array([[0.0, 1.5 * delta, 0.0]])
     return psi, straddle(psi.map(mid)[0], psi.map(far)[0])
 
 
@@ -469,22 +468,7 @@ def assert_lane_mask(domain, X):
 
 
 class TestLaneOnlyCallables:
-    """A radius and a chi preimage take lanes only."""
-
-    def test_seed_table_evaluates_the_radius_once(self):
-        psi, _, _, delta, lo, hi, _ = tube_pipeline("helix")
-        calls = []
-
-        def fn(U):
-            calls.append(len(U))
-            return delta(U)
-
-        grid = _interior_grid(lo, hi, 15, margin=0.08)
-        table = replace(psi, delta=fn)
-        table.build_seed_table(grid)
-        assert calls == [15]
-        psi.build_seed_table(grid)
-        assert table.seeds.tobytes() == psi.seeds.tobytes()
+    """A chi preimage takes lanes only."""
 
     def test_comparison_map_preimage(self):
         f = quadratic_map()
@@ -521,18 +505,17 @@ class TestBuiltinDomainsTakeLanes:
 
     @pytest.mark.parametrize("name", ["flat-slice", "circle", "helix", "sphere-equator"])
     def test_tube_maps_and_chi_box(self, name):
-        psi, frame, _, delta, lo, hi, grid = tube_pipeline(name)
+        psi, frame, _, delta, lo, hi, _ = tube_pipeline(name)
         phi = reference_embedding(frame, delta)
         u = 0.5 * (lo + hi)
-        d = delta(np.array([[u]]))[0]
         m = psi.fiber_dim
         mid = np.concatenate([[u], np.zeros(m)])
         # beyond either end of the base interval, and past the fiber
         # radius: 1.2 delta for psi, delta for phi
-        far = [mid + np.eye(m + 1)[1] * 2.0 * d, [lo - 0.5, *np.zeros(m)], [hi + 0.5, *np.zeros(m)]]
+        far = [mid + np.eye(m + 1)[1] * 2.0 * delta, [lo - 0.5, *np.zeros(m)], [hi + 0.5, *np.zeros(m)]]
         assert_lane_mask(psi.map.domain, straddle(mid, *far))
         assert_lane_mask(phi.map.domain, straddle(mid, *far))
-        box = _image_box(psi, 0.3 * delta(grid[:1])[0])
+        box = _image_box(psi, 0.3 * delta)
         center = psi.seed_images.mean(axis=1)
         axes = 10.0 * np.eye(len(center))
         assert_lane_mask(box, straddle(center, *(center + axes), *(center - axes)))
@@ -550,7 +533,7 @@ def tube_points(psi, lo, hi, draws):
     from draws (a, b, c) in [0, 1]^3."""
     a, b, c = np.array(draws, dtype=float).T
     U = (lo + (0.1 + 0.8 * a) * (hi - lo))[:, None]
-    radius = 0.7 * psi.delta(U) * b
+    radius = 0.7 * psi.delta * b
     if psi.fiber_dim == 1:
         C = np.where(c < 0.5, -radius, radius)[:, None]
     else:
@@ -710,7 +693,7 @@ class TestNewtonWork:
         psi = TubularEmbedding(
             map=f,
             frame=NormalFrame(euclidean_metric(2), N),
-            delta=lambda U: np.full(len(U), 1.0),
+            delta=1.0,
         )
         # seeds (u, 0): the jacobian is singular at u = 1/2 only
         psi.build_seed_table(np.linspace(0.0, 1.0, 5)[:, None], c_fractions=(0.0,))

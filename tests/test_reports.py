@@ -16,7 +16,6 @@ def sample_report(**overrides):
         max_residual=3.2e-7,
         mean_residual=1.1e-8,
         tolerance=1e-5,
-        passed=True,
         runtime_ms=123.4,
     )
     kwargs.update(overrides)
@@ -24,14 +23,15 @@ def sample_report(**overrides):
 
 
 def test_pass_flag_follows_residuals():
-    r = sample_report(max_residual=2e-5, passed=True)
-    assert r.passed is False
-    r2 = sample_report(max_residual=1e-6, passed=False)
-    assert r2.passed is True
+    assert sample_report(max_residual=2e-5).passed is False
+    assert sample_report(max_residual=1e-6).passed is True
+    assert sample_report(max_residual=1e-5).passed is True
+    with pytest.raises(TypeError):
+        sample_report(passed=False)
 
 
 def test_infinite_residual_fails_under_infinite_tolerance():
-    r = sample_report(max_residual=float("inf"), tolerance=float("inf"), passed=True)
+    r = sample_report(max_residual=float("inf"), tolerance=float("inf"))
     assert r.passed is False
 
 
@@ -59,8 +59,9 @@ def test_runtime_excluded_by_default():
 def test_round_trip(fmt):
     reports = [
         sample_report(runtime_ms=0.0),
-        sample_report(scenario="helix", passed=False, max_residual=0.5, runtime_ms=0.0),
+        sample_report(scenario="helix", max_residual=0.5, runtime_ms=0.0),
     ]
+    assert [r.passed for r in reports] == [True, False]
     back = parse(emit(reports, fmt=fmt))
     assert back == reports
 

@@ -111,6 +111,21 @@ def test_unexpected_exception_fails_the_stage_closed(monkeypatch):
     assert reports[0].max_residual == float("inf")
 
 
+# trimmed flat-slice samples, and the helper each tube stage calls, in
+# stage order; a stage before the diagram builds what later stages use
+SMALL = {"grid": 3, "diagram_u": 2, "diagram_c": 2, "isometry": 1, "reconstruction": 1, "curves": 2}
+TUBE_STAGE_HELPERS = {
+    "radius": "tubular_radius_estimate",
+    "embedding": "validate_embedding",
+    "chi": "build_chi",
+    "pullback": "pullback_metric",
+    "diagram": "verify_main_diagram",
+    "isometry": "isometry_geodesic_check",
+    "euler-like": "is_euler_like",
+    "reconstruction": "reconstruct_embedding",
+}
+
+
 def test_euler_like_stage_fails_on_a_rejected_field(monkeypatch):
     # the pushforward field shifted by 5e-6 in every coordinate: its
     # linearization is still the identity, and |X(p(u))| = 8.7e-6 lies
@@ -123,11 +138,26 @@ def test_euler_like_stage_fails_on_a_rejected_field(monkeypatch):
         return DifferentiableMap(3, 3, lambda Y: X(Y) + 5e-6)
 
     monkeypatch.setattr(scenarios, "pushforward_field", shifted)
-    samples = {"grid": 3, "diagram_u": 2, "diagram_c": 2, "isometry": 1, "reconstruction": 1,
-               "curves": 2}
-    reports = run_scenario(scenario_from_config({"scenario": "flat-slice", "samples": samples}))
+    reports = run_scenario(scenario_from_config({"scenario": "flat-slice", "samples": SMALL}))
     (row,) = [r for r in reports if r.stage == "euler-like"]
     assert not row.passed and row.max_residual == float("inf")
+
+
+@pytest.mark.parametrize("stage", list(TUBE_STAGE_HELPERS))
+def test_a_failed_stage_stops_the_pipeline_only_before_the_diagram(stage, monkeypatch):
+    from eulertube import scenarios
+
+    def broken(*args, **kwargs):
+        raise ValueError("defect in a stage helper")
+
+    monkeypatch.setattr(scenarios, TUBE_STAGE_HELPERS[stage], broken)
+    reports = run_scenario(scenario_from_config({"scenario": "flat-slice", "samples": SMALL}))
+    stages = list(TUBE_STAGE_HELPERS)
+    if stages.index(stage) < stages.index("diagram"):
+        stages = stages[: stages.index(stage) + 1]
+    assert [(r.stage, r.passed) for r in reports] == [(s, s != stage) for s in stages]
+    (failed,) = [r for r in reports if r.stage == stage]
+    assert failed.sample_count == 1 and failed.max_residual == float("inf")
 
 
 def test_tube_run_loads_only_what_it_runs():
