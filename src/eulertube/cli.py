@@ -11,9 +11,10 @@ import sys
 
 import click
 
-from .errors import ConfigError
+from .errors import ConfigError, IoError
 from .reports import emit
 from .scenarios import (
+    _DEFAULT_TOLERANCES,
     BUILTIN_SCENARIOS,
     run_scenario,
     scenario_from_config,
@@ -21,18 +22,23 @@ from .scenarios import (
 
 OUT_ENV = "EULERTUBE_OUT"
 
-# stages whose tolerance --tol replaces; radius (gated on delta0) and the
-# appendix-* stages keep theirs
-TOL_STAGES = (
-    "embedding",
-    "chi",
-    "pullback",
-    "diagram",
-    "isometry",
-    "euler-like",
-    "reconstruction",
-    "point-case",
+# stages whose tolerance --tol replaces: those of the tube and point
+# scenarios but radius (gated on delta0); the appendix-* stages keep theirs
+TOL_STAGES = tuple(
+    stage for kind in ("tube", "point") for stage in _DEFAULT_TOLERANCES[kind] if stage != "radius"
 )
+
+
+def _read_config(path: str):
+    """The YAML document of a config file; a file that cannot be opened,
+    decoded as UTF-8 or parsed is a ConfigError."""
+    import yaml
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"could not read {path}: {exc}") from exc
 
 
 def _load_target(target: str):
@@ -40,14 +46,7 @@ def _load_target(target: str):
     if target in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[target]
     if os.path.exists(target):
-        import yaml
-
-        try:
-            with open(target) as fh:
-                config = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"could not parse {target}: {exc}") from exc
-        return scenario_from_config(config)
+        return scenario_from_config(_read_config(target))
     raise ConfigError(f"no such scenario or config file: {target!r}")
 
 
@@ -112,7 +111,10 @@ def run(targets, tol, samples, out, fmt):
     if out is not None:
         base = os.environ.get(OUT_ENV, "")
         path = out if os.path.isabs(out) or not base else os.path.join(base, out)
-    text = emit(reports, fmt=fmt, path=path)
+    try:
+        text = emit(reports, fmt=fmt, path=path)
+    except IoError as exc:
+        raise click.ClickException(f"could not write the report: {exc}")
     click.echo(text, nl=False)
     if not all(r.passed for r in reports):
         sys.exit(1)
@@ -129,13 +131,9 @@ def list_():
 @click.argument("path", type=click.Path(exists=True))
 def check(path):
     """Validate a scenario config file without running it."""
-    import yaml
-
     try:
-        with open(path) as fh:
-            config = yaml.safe_load(fh)
-        scn = scenario_from_config(config)
-    except (ConfigError, yaml.YAMLError) as exc:
+        scn = scenario_from_config(_read_config(path))
+    except ConfigError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"ok: {scn.name}")
 

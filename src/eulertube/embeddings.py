@@ -9,7 +9,12 @@ import numpy as np
 
 from .errors import NotInDomain
 from .numerics import Array, DifferentiableMap, guarded_inverse, solve_inverse
-from .submanifolds import NormalFrame, ParametrizedSubmanifold, normal_exponential
+from .submanifolds import (
+    NormalFrame,
+    ParametrizedSubmanifold,
+    fiber_axis_samples,
+    normal_exponential,
+)
 
 # Newton tolerance of TubularEmbedding.invert, which serves the comparison
 # map's preimage and the pushforward field
@@ -50,15 +55,8 @@ class TubularEmbedding:
     def build_seed_table(self, U: Array, c_fractions=(0.0, 0.35, 0.7)) -> None:
         """Seeds (u, c) at the grid of base points U (G, k), c along each
         fiber axis at the signed fractions of delta."""
-        m = self.fiber_dim
-        seeds = []
-        for u in U:
-            for j in range(m):
-                for frac in c_fractions:
-                    for sign in (1.0, -1.0):
-                        c = np.zeros(m)
-                        c[j] = sign * frac * self.delta
-                        seeds.append(np.concatenate([u, c]))
+        cs = fiber_axis_samples(self.fiber_dim, c_fractions, self.delta)
+        seeds = np.concatenate([np.repeat(U, len(cs), axis=0), np.tile(cs, (len(U), 1))], axis=1)
         self.seeds = np.array(sorted({tuple(np.round(s, 12)) for s in seeds}))
         self.seed_images = np.ascontiguousarray(self.map(self.seeds).T)
         self.seed_inverses = guarded_inverse(self.map.jacobian(self.seeds))

@@ -3,7 +3,6 @@ flow-based reconstruction of the generating embedding."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -13,16 +12,6 @@ from .errors import FlowExit, NoConvergence, NotVanishing
 from .metrics import MetricField
 from .numerics import Array, DifferentiableMap, ode_integrate
 from .submanifolds import ParametrizedSubmanifold, normal_space_basis
-
-
-@dataclass(frozen=True)
-class LinearApproximation:
-    """Jacobians of a field vanishing on N at lanes of base points, and its
-    induced quotient actions expressed in a reference normal frame."""
-
-    u: Array
-    A: Array
-    induced: Array
 
 
 def euler_field(C: Array) -> Array:
@@ -47,9 +36,10 @@ def vanishes_on_N(
 
 def linear_approximation(
     X: DifferentiableMap, g_ref: MetricField, N: ParametrizedSubmanifold, U: Array
-) -> LinearApproximation:
-    """Quotient action of the jacobian of X at p(u) on the normal classes,
-    on lanes of base points U (B, k).
+) -> Array:
+    """Quotient action of the jacobian A of X at p(u) on the normal classes,
+    on lanes of base points U (B, k): the induced matrices (B, m, m) in the
+    g_ref normal frame B of ``normal_space_basis``.
 
     The class of a normal frame vector b is sent to the class of A b; with
     a g_ref-orthonormal frame the class coordinates are B^T G A b.  Raises
@@ -63,13 +53,12 @@ def linear_approximation(
     return _quotient_action(X, g_ref, N, U, P)
 
 
-def _quotient_action(X, g_ref, N, U: Array, P: Array) -> LinearApproximation:
+def _quotient_action(X, g_ref, N, U: Array, P: Array) -> Array:
     """The ``linear_approximation`` of X at the base points U, with P = p(U),
     taken without evaluating X itself."""
     A = X.jacobian(P)
     B = normal_space_basis(g_ref, N, U)
-    induced = np.swapaxes(B, 1, 2) @ g_ref.matrix(P) @ A @ B
-    return LinearApproximation(u=U, A=A, induced=induced)
+    return np.swapaxes(B, 1, 2) @ g_ref.matrix(P) @ A @ B
 
 
 def is_euler_like(
@@ -87,9 +76,9 @@ def is_euler_like(
     ok, vres = vanishes_on_N(X, N, grid)
     if not ok:
         return False, vres
-    lin = _quotient_action(X, g_ref, N, grid, N.point(grid))
-    m = lin.induced.shape[-1]
-    worst = float(np.max(np.abs(lin.induced - np.eye(m)), initial=0.0))
+    induced = _quotient_action(X, g_ref, N, grid, N.point(grid))
+    m = induced.shape[-1]
+    worst = float(np.max(np.abs(induced - np.eye(m)), initial=0.0))
     return worst <= tol, worst
 
 

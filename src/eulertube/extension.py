@@ -278,13 +278,11 @@ class BundleRegion:
     product over a coordinate base; its half-radius core W' is where the
     fiberwise diffeomorphism is the identity.
 
-    ``bundle_metric`` and ``delta`` take lanes p (B, base_dim) and return
-    (B, rank, rank) SPD matrices and (B,) radii; so do this module's bundle
-    maps, with fiber vectors v (B, rank).
+    ``bundle_metric`` and ``delta`` take lanes of base points p (B, d) and
+    return (B, r, r) SPD matrices and (B,) radii, r the fiber rank; so do
+    this module's bundle maps, with fiber vectors v (B, r).
     """
 
-    base_dim: int
-    rank: int
     bundle_metric: Callable[[Array], Array]
     delta: Callable[[Array], Array]
 
@@ -322,7 +320,7 @@ def bundle_diffeo_inverse(region: BundleRegion, P: Array, V: Array) -> Tuple[Arr
 
 
 def extend_map(F: Callable[[Array, Array], Array], region: BundleRegion):
-    """Extend a map F on lanes (p (B, base_dim), v (B, rank) -> (B, ...)),
+    """Extend a map F on lanes (p (B, d), v (B, r) -> (B, ...)),
     defined on an open set containing the closed tube W, to the whole
     bundle by composing with the inverse fiberwise diffeomorphism.  The
     extension takes lanes too.

@@ -32,7 +32,6 @@ class MetricField:
     dim: int
     matrix_fn: Callable[[Array], Array]
     domain: Optional[Callable[[Array], Array]] = None
-    name: str = ""
     fd_step: float = 1e-5
     christoffel_fn: Optional[Callable[[Array], Array]] = None
     geodesic_fn: Optional[Callable[[Array, Array, float], tuple]] = None
@@ -212,13 +211,12 @@ def zero_christoffel(X: Array) -> Array:
     return np.zeros((len(X), n, n, n))
 
 
-def euclidean_metric(n: int, domain=None, name: str = "euclidean") -> MetricField:
+def euclidean_metric(n: int, domain=None) -> MetricField:
     eye = np.eye(n)
     return MetricField(
         dim=n,
         matrix_fn=lambda X: eye + np.zeros((len(X), 1, 1)),
         domain=domain,
-        name=name,
         christoffel_fn=zero_christoffel,
         geodesic_fn=lambda p, v, t: (p + t * v, v),
     )
@@ -240,7 +238,6 @@ def polar_metric(domain=None) -> MetricField:
         dim=2,
         matrix_fn=lambda X: _diag2(1.0, X[:, 0] ** 2),
         domain=domain,
-        name="polar",
     )
 
 
@@ -291,7 +288,6 @@ def sphere_chart_metric(theta_bounds=(0.05, np.pi - 0.05), phi_bounds=(0.05, 2.9
         dim=2,
         matrix_fn=lambda X: _diag2(1.0, np.sin(X[:, 0]) ** 2),
         domain=in_domain,
-        name="sphere-chart",
         christoffel_fn=gamma,
         geodesic_fn=_sphere_chart_geodesic,
     )

@@ -229,7 +229,7 @@ _DOP853 = _Pair(
 # (sphere-equator's worst 1.61e-7 -> 2.07e-7).
 _HIGH_ORDER_BELOW = 1e-8
 
-_MAX_STEPS = 100_000  # loop passes a lane may take before StepUnderflow
+_MAX_STEPS = 100_000  # loop passes an integration may take before StepUnderflow
 
 
 def _field_on(f, Y: Array, ok: Array) -> Array:
@@ -285,12 +285,15 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
 
     ``field`` takes lanes, mapping states (B', d) to (B', d) for any subset
     of lanes.  ``y0`` is lanes (B, d) with ``t_end`` scalar or (B,).  Every
-    lane keeps its own step size,
-    error control, step budget and retirement, so a lane's result does not
-    depend on the others.  Per-step local error is kept below ``tol`` (max
-    norm), by the Dormand-Prince pair that suits ``tol``: DOP853, 8th order,
-    below 1e-8, where it needs about a quarter of the steps,
-    and DP5(4) otherwise, where one step of the 8th-order pair errs more.
+    lane keeps its own step size, error control and retirement, and its
+    step floors are fractions of its own t_end, so a lane's result does not
+    depend on the others.  The step budget is a count of loop passes, one
+    for the batch: every lane still running has taken each pass, and
+    StepUnderflow is raised once the count passes ``_MAX_STEPS``.  Per-step
+    local error is kept below ``tol`` (max norm), by the Dormand-Prince
+    pair that suits ``tol``: DOP853, 8th order, below 1e-8, where it needs
+    about a quarter of the steps, and DP5(4) otherwise, where one step of
+    the 8th-order pair errs more.
     One rule decides where a lane stops with ``exited=True``: where its
     field is undefined, that is, a value is not finite or the evaluation of
     that lane alone raises an EulertubeError.  A lane undefined at its
@@ -319,16 +322,13 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
     y = y_all[live]
     t = t_all[live]
     t_end = t_end[live]
-    t_stop = t_end * (1.0 - 1e-15)
     h = t_end
-    h_min = 1e-14 * np.abs(h)
-    h_exit = 1e-12 * np.abs(h)
-    steps = np.zeros(len(live), dtype=int)
     times = [t_all.copy()]
     states = [y_all.copy()]
+    passes = 0
     while len(live):
-        steps += 1
-        if np.count_nonzero(steps > _MAX_STEPS):
+        passes += 1
+        if passes > _MAX_STEPS:
             raise StepUnderflow("step budget exhausted")
         h = np.minimum(h, t_end - t)
         ok = np.ones(len(live), dtype=bool)
@@ -343,10 +343,10 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
             ratio = np.divide(tol, err, out=np.full(len(live), np.inf), where=err > 0.0)
         shrink = np.where(err < np.inf, np.maximum(0.2, 0.9 * ratio**pair.exponent), 0.2)
         accept = ok & ~reject
-        stop = ~ok & (h < h_exit)
+        stop = ~ok & (h < 1e-12 * t_end)
         grow = np.where(err == 0.0, 5.0, np.minimum(5.0, shrink))
         h_next = h * np.where(accept, grow, np.where(reject, shrink, 0.5))
-        if np.count_nonzero(reject & (h_next < h_min)):
+        if np.count_nonzero(reject & (h_next < 1e-14 * t_end)):
             raise StepUnderflow("step size collapsed during error control")
         if np.count_nonzero(accept):
             t = t + np.where(accept, h, 0.0)
@@ -357,13 +357,11 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
             times.append(t_all.copy())
             states.append(y_all.copy())
         h = h_next
-        done = stop | (accept & ~(t < t_stop))
+        done = stop | (accept & ~(t < t_end * (1.0 - 1e-15)))
         if np.count_nonzero(done):
             exited[live[stop]] = True
             keep = ~done
-            live, y, t, t_end, t_stop, h, h_min, h_exit, steps, k1 = (
-                a[keep] for a in (live, y, t, t_end, t_stop, h, h_min, h_exit, steps, k1)
-            )
+            live, y, t, t_end, h, k1 = (a[keep] for a in (live, y, t, t_end, h, k1))
     return Trajectory(np.array(times), np.array(states), exited=exited)
 
 
@@ -375,6 +373,9 @@ def _norm(R: Array) -> Array:
 COND_LIMIT = 1e12  # largest 1-norm condition number of a Newton jacobian
 _NEWTON_MAX_ITER = 50  # Newton iterations before NoConvergence
 _NEWTON_MAX_HALVINGS = 10  # step halvings of the line search an iteration
+# a lane's Newton bound is at least 16 ulps of |y|: f(x) rounds to a few ulps
+# of y at best, so far from the origin no x meets an absolute tol
+_ULPS_OF_Y = 16.0 * np.finfo(float).eps
 
 
 def guarded_inverse(J: Array) -> Array:
@@ -442,15 +443,19 @@ def solve_inverse(
     which a caller starting from a table of points may hold already; the
     first iteration then evaluates neither f nor its jacobian.  Raises
     SingularJacobian when some live lane's jacobian fails the guard, and
-    NoConvergence when some lane misses ``tol`` after
-    ``_NEWTON_MAX_ITER`` iterations.
+    NoConvergence when some lane misses its bound after
+    ``_NEWTON_MAX_ITER`` iterations.  A lane's bound on |f(x) - y| is
+    max(tol, 16 eps |y|), tol itself where |y| is small (below about 280
+    at tol 1e-12), and relative beyond, where f(x) rounds to a few units
+    in the last place of |y| at best.
     """
     y = np.asarray(y, dtype=float)
     x = np.array(x0, dtype=float)
     d = x.shape[1]
+    bound = np.maximum(tol, _ULPS_OF_Y * _norm(y))
     r = (f(x) if fx0 is None else np.reshape(fx0, y.shape)) - y
     rn = _norm(r)
-    live = ~(rn <= tol)
+    live = ~(rn <= bound)
     J_inv = None if jac_inv0 is None else np.reshape(jac_inv0, (len(x), d, d))
     for _ in range(_NEWTON_MAX_ITER):
         if np.count_nonzero(live) == 0:
@@ -479,7 +484,7 @@ def solve_inverse(
             x_new[search], r_new[search], rn_new[search] = xs, rs, rns
             search = search[~(rns < rn[search])]
         x, r, rn = x_new, r_new, rn_new
-        live &= ~(rn <= tol)
+        live &= ~(rn <= bound)
         J_inv = None
     if np.count_nonzero(live):
         raise NoConvergence(f"Newton residual {float(np.max(rn[live])):.3e} above tol {tol:.3e}")

@@ -96,7 +96,6 @@ def correction_eta(
 def pullback_metric(
     chi: ComparisonMap,
     g_ref: MetricField,
-    name: str = "pullback",
     fd_step: float = 1e-3,
 ) -> MetricField:
     """The metric making chi an isometry onto its image:
@@ -147,7 +146,6 @@ def pullback_metric(
         dim=chi.domain_dim,
         matrix_fn=matrix,
         domain=chi.domain,
-        name=name,
         christoffel_fn=gamma,
     )
 
@@ -273,7 +271,7 @@ def point_case_metric(psi: DifferentiableMap, V: Array) -> Tuple[MetricField, fl
         target=identity,
         preimage=lambda y: solve_inverse(psi, y, y - p, tol=_POINT_INVERT_TOL),
     )
-    g = pullback_metric(chi, euclidean_metric(n), name="point-case", fd_step=5e-4)
+    g = pullback_metric(chi, euclidean_metric(n), fd_step=5e-4)
     if len(V) == 0:
         return g, 0.0
     # the samples are lanes of one integration

@@ -57,24 +57,20 @@ BACKGROUNDS: Dict[str, Callable[[], MetricField]] = {
 }
 
 
-def _curve(name: str, n: int, lo: float, hi: float, fn, jac):
+def _curve(n: int, lo: float, hi: float, fn, jac) -> ParametrizedSubmanifold:
     """A curve u -> p(u) in R^n on lo < u < hi, from lane formulas of the
     parameter column t (B, 1): fn(t) gives the points (B, n), jac(t) the
     tangents (B, n)."""
     chart = DifferentiableMap(1, n, fn, jac=lambda U: jac(U)[:, :, None])
-    N = ParametrizedSubmanifold(
-        1, n, chart, param_domain=lambda U: (lo < U[:, 0]) & (U[:, 0] < hi), name=name
-    )
-    return N, lo, hi
+    return ParametrizedSubmanifold(chart, lo, hi)
 
 
 def _columns(*cols):
     return np.concatenate(cols, axis=1)
 
 
-def _line_3d() -> Tuple[ParametrizedSubmanifold, float, float]:
+def _line_3d() -> ParametrizedSubmanifold:
     return _curve(
-        "line-3d",
         3,
         -1.5,
         1.5,
@@ -83,9 +79,8 @@ def _line_3d() -> Tuple[ParametrizedSubmanifold, float, float]:
     )
 
 
-def _circle(name: str, lo: float, hi: float):
+def _circle(lo: float, hi: float) -> ParametrizedSubmanifold:
     return _curve(
-        name,
         2,
         lo,
         hi,
@@ -94,21 +89,12 @@ def _circle(name: str, lo: float, hi: float):
     )
 
 
-def _circle_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
-    return _circle("circle-arc", -1.25, 1.25)
-
-
-def _circle_full() -> Tuple[ParametrizedSubmanifold, float, float]:
-    return _circle("circle-full", -np.pi, np.pi)
-
-
 _HELIX_PITCH = 0.3
 
 
-def _helix_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
+def _helix_arc() -> ParametrizedSubmanifold:
     a = _HELIX_PITCH
     return _curve(
-        "helix-arc",
         3,
         -1.2,
         1.2,
@@ -117,9 +103,8 @@ def _helix_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
     )
 
 
-def _sphere_equator_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
+def _sphere_equator_arc() -> ParametrizedSubmanifold:
     return _curve(
-        "sphere-equator-arc",
         2,
         0.4,
         2.55,
@@ -128,10 +113,10 @@ def _sphere_equator_arc() -> Tuple[ParametrizedSubmanifold, float, float]:
     )
 
 
-SUBMANIFOLDS: Dict[str, Callable[[], Tuple[ParametrizedSubmanifold, float, float]]] = {
+SUBMANIFOLDS: Dict[str, Callable[[], ParametrizedSubmanifold]] = {
     "line-3d": _line_3d,
-    "circle-arc": _circle_arc,
-    "circle-full": _circle_full,
+    "circle-arc": lambda: _circle(-1.25, 1.25),
+    "circle-full": lambda: _circle(-np.pi, np.pi),
     "helix-arc": _helix_arc,
     "sphere-equator-arc": _sphere_equator_arc,
 }
@@ -407,7 +392,7 @@ def _positive(value, field: str, kind):
 def _check_dimensions(scn: Scenario) -> None:
     """Reject a background, submanifold and embedding that do not fit."""
     n_bg = BACKGROUNDS[scn.background]().dim
-    N = SUBMANIFOLDS[scn.submanifold]()[0]
+    N = SUBMANIFOLDS[scn.submanifold]()
     k_emb, n_emb = EMBEDDINGS[scn.embedding][0]
     if N.ambient_dim != n_bg:
         raise ConfigError(
@@ -426,11 +411,12 @@ def _check_dimensions(scn: Scenario) -> None:
 # pipeline helpers
 
 
-def _interior_grid(lo: float, hi: float, count: int, margin: float = 0.1) -> Array:
-    """``count`` equally spaced base points of a curve inside (lo, hi), as
-    lanes (count, 1)."""
-    span = hi - lo
-    return np.linspace(lo + margin * span, hi - margin * span, count)[:, None]
+def _interior_grid(N: ParametrizedSubmanifold, count: int, margin: float = 0.1) -> Array:
+    """``count`` equally spaced base points of a curve N inside its interval
+    (lo, hi), a ``margin`` of its length from either end, as lanes
+    (count, 1)."""
+    span = N.hi - N.lo
+    return np.linspace(N.lo + margin * span, N.hi - margin * span, count)[:, None]
 
 
 def _build_psi(scn: Scenario, frame: NormalFrame, delta: float) -> TubularEmbedding:
@@ -459,12 +445,12 @@ def _fiber_directions(m: int, count: int) -> Array:
     return np.stack([np.cos(a), np.sin(a)], axis=1)
 
 
-def _diagram_samples(scn: Scenario, psi: TubularEmbedding, lo: float, hi: float):
+def _diagram_samples(scn: Scenario, psi: TubularEmbedding):
     """The diagram's frame coordinates as lanes U (S, k), C (S, m): every
     fiber sample at every base point, base point by base point."""
     m = psi.fiber_dim
     n_c = scn.sample("diagram_c")
-    us = _interior_grid(lo, hi, scn.sample("diagram_u"), margin=0.12)
+    us = _interior_grid(psi.N, scn.sample("diagram_u"), margin=0.12)
     if m == 1:
         fracs = np.linspace(0.08, 0.72, max(1, n_c // 2))
         cs = np.stack([fracs, -fracs], axis=1).reshape(-1, 1)
@@ -519,12 +505,12 @@ def _stage(reports, scn, stage, fn):
 def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     reports: List[ResidualReport] = []
     gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    grid = _interior_grid(lo, hi, scn.sample("grid"))
+    N = SUBMANIFOLDS[scn.submanifold]()
+    grid = _interior_grid(N, scn.sample("grid"))
     frame = NormalFrame(gt, N)
 
     def stage_radius():
-        delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
+        delta = tubular_radius_estimate(frame, grid, scn.delta0)
         return delta, np.full(len(grid), delta)
 
     delta = _stage(reports, scn, "radius", stage_radius)
@@ -533,7 +519,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_embedding():
         psi = _build_psi(scn, frame, delta)
-        psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
+        psi.build_seed_table(_interior_grid(N, 15, margin=0.08))
         return psi, np.full(len(grid), validate_embedding(psi, grid))
 
     psi = _stage(reports, scn, "embedding", stage_embedding)
@@ -552,7 +538,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     phi, chi = maps
 
     def stage_pullback():
-        g = pullback_metric(chi, gt, name=f"{scn.name}-pullback")
+        g = pullback_metric(chi, gt)
         spot = np.tile(0.3 * delta * _fiber_directions(psi.fiber_dim, 4)[0], (len(grid), 1))
         validate_metric(g, psi(grid, spot))
         # the stdlib generator: numpy.random would cost a tube run 6 MB
@@ -563,7 +549,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         # every curve's draws first, in the order of a curve at a time
         U0, C0, A, B = [], [], [], []
         for _ in range(scn.sample("curves")):
-            U0.append([rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))])
+            U0.append([rng.uniform(N.lo + 0.2 * (N.hi - N.lo), N.hi - 0.2 * (N.hi - N.lo))])
             C0.append(normal(psi.fiber_dim))
             A.append(normal(n))
             B.append(normal(n))
@@ -590,13 +576,13 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     exp_tol = min(1e-7, 1e-2 * scn.tolerance("diagram"))
 
     def stage_diagram():
-        U, C = _diagram_samples(scn, psi, lo, hi)
+        U, C = _diagram_samples(scn, psi)
         return None, verify_main_diagram(psi, g, U, C, exp_tol=exp_tol)
 
     _stage(reports, scn, "diagram", stage_diagram)
 
     def stage_isometry():
-        us = _interior_grid(lo, hi, scn.sample("isometry"), margin=0.2)
+        us = _interior_grid(N, scn.sample("isometry"), margin=0.2)
         v = 0.5 * delta * normal_space_basis(g, N, us)[:, :, 0]
         return None, isometry_geodesic_check(chi, g, gt, N, us, v, exp_tol=exp_tol)
 
@@ -613,7 +599,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     _stage(reports, scn, "euler-like", stage_euler_like)
 
     def stage_reconstruction():
-        us = _interior_grid(lo, hi, scn.sample("reconstruction"), margin=0.25)
+        us = _interior_grid(N, scn.sample("reconstruction"), margin=0.25)
         dirs = _fiber_directions(psi.fiber_dim, 4)
         cs = 0.5 * delta * dirs[np.arange(len(us)) % len(dirs)]
         # every point's flows are lanes of one integration
@@ -697,8 +683,6 @@ def _run_appendix_scenario(scn: Scenario) -> List[ResidualReport]:
             return G
 
         region = ext.BundleRegion(
-            base_dim=2,
-            rank=2,
             bundle_metric=bundle_metric,
             delta=lambda P: 0.5 + 0.1 * np.sin(P[:, 0]),
         )

@@ -3,32 +3,41 @@ tubular-radius certification."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import NotInDomain, NoValidRadius, RankDeficient
 from .metrics import MetricField, exp_map, zero_christoffel
-from .numerics import Array, DifferentiableMap, domain_mask
+from .numerics import Array, DifferentiableMap
 
 _RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ParametrizedSubmanifold:
-    """A full-rank injective parametrization u -> p(u) of N inside R^n.
+    """A full-rank injective parametrization u -> p(u) of N inside R^n, on
+    the open box lo < u_i < hi of parameters.
 
-    ``param_domain``, like the chart's callables and every method, takes
-    lanes of parameters (B, k); it and ``in_param_domain`` return a (B,)
-    bool mask.
+    k and n are the chart's ``domain_dim`` and ``codomain_dim``.  The
+    chart's callables and every method take lanes of parameters (B, k);
+    ``in_param_domain`` returns a (B,) bool mask, False on a lane with a
+    NaN coordinate whatever the bounds.
     """
 
-    param_dim: int
-    ambient_dim: int
     chart: DifferentiableMap
-    param_domain: Optional[Callable[[Array], Array]] = None
-    name: str = ""
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    @property
+    def param_dim(self) -> int:
+        return self.chart.domain_dim
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.chart.codomain_dim
 
     def point(self, U: Array) -> Array:
         return self.chart(U)
@@ -38,7 +47,7 @@ class ParametrizedSubmanifold:
         return self.chart.jacobian(U)
 
     def in_param_domain(self, U: Array) -> Array:
-        return domain_mask(self.param_domain, U)
+        return np.all((self.lo < U) & (U < self.hi), axis=1)
 
 
 def _tangent_projection_pieces(g: MetricField, N: ParametrizedSubmanifold, U: Array):
@@ -314,24 +323,27 @@ _RADIUS_FRACTIONS = (0.25, 0.5, 0.75, 1.0)  # fiber samples, in units of delta
 _RADIUS_MAX_HALVINGS = 20
 
 
+def fiber_axis_samples(m: int, fractions, delta: float) -> Array:
+    """The fiber points c = sign * frac * delta * e_j as rows (2 m F, m): axis
+    by axis, + before -, each sign over the F ``fractions`` in order.  Every
+    entry off the axis is +0.0."""
+    signed = np.array([1.0, -1.0])[:, None] * np.asarray(fractions, dtype=float) * delta
+    C = np.zeros((m,) + signed.shape + (m,))
+    C[np.arange(m), ..., np.arange(m)] = signed
+    return C.reshape(-1, m)
+
+
 def _radius_candidate_ok(
     frame: NormalFrame, chart: DifferentiableMap, us: Array, delta: float
 ) -> bool:
     g = frame.g
     fp = frame.at(us)
-    m = fp.B.shape[2]
     # orientation of the tube chart on the zero section, where its
     # jacobian is [J | B]; a sign change along a fiber means the chart
     # folded through a focal point, however well conditioned the sampled
     # jacobians are
     det0 = np.linalg.det(np.concatenate([fp.J, fp.B], axis=2))
-    cs = []
-    for j in range(m):
-        for sign in (1.0, -1.0):
-            for frac in _RADIUS_FRACTIONS:
-                c = np.zeros(m)
-                c[j] = sign * frac * delta
-                cs.append(c)
+    cs = fiber_axis_samples(fp.B.shape[2], _RADIUS_FRACTIONS, delta)
     # every fiber sample of every grid point is one lane
     pre = np.concatenate([np.repeat(us, len(cs), axis=0), np.tile(cs, (len(us), 1))], axis=1)
     try:
@@ -365,22 +377,20 @@ def _radius_candidate_ok(
     return True
 
 
-def tubular_radius_estimate(
-    g: MetricField, N: ParametrizedSubmanifold, grid: Array, delta0: float
-) -> float:
+def tubular_radius_estimate(frame: NormalFrame, grid: Array, delta0: float) -> float:
     """Largest delta0 * 2^-m certified on the sampled closed tube over the
     grid of base points (G, k): one radius for every base point.
 
-    Certification samples the normal exponential chart of one frame along
-    each fiber.  It checks a metric-weighted condition estimate of the
-    chart jacobian, that its determinant keeps the sign it has on the zero
-    section (so no sampled fiber crosses a focal point), and sampled
-    injectivity; the boundary fraction 1.0 is included so focal
-    degeneracies at radius exactly delta are rejected.
+    Certification samples ``normal_exponential(frame)`` along each fiber,
+    on the frame that the run's embeddings are built on, so the radius is
+    certified for the chart they use.  It checks a metric-weighted
+    condition estimate of the chart jacobian, that its determinant keeps
+    the sign it has on the zero section (so no sampled fiber crosses a
+    focal point), and sampled injectivity; the boundary fraction 1.0 is
+    included so focal degeneracies at radius exactly delta are rejected.
     """
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
-    frame = NormalFrame(g, N)
     chart = normal_exponential(frame)
     for m in range(_RADIUS_MAX_HALVINGS + 1):
         delta = delta0 * 2.0**-m

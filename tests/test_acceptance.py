@@ -67,10 +67,10 @@ def test_criterion_2_single_point_case(suite_runs):
 def circle_pullback_pipeline():
     scn = BUILTIN_SCENARIOS["circle"]
     gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    grid = np.linspace(lo + 0.3, hi - 0.3, 7)[:, None]
-    delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
+    N = SUBMANIFOLDS[scn.submanifold]()
+    grid = np.linspace(N.lo + 0.3, N.hi - 0.3, 7)[:, None]
     frame = NormalFrame(gt, N)
+    delta = tubular_radius_estimate(frame, grid, scn.delta0)
     psi = _build_psi(scn, frame, delta)
     psi.build_seed_table(grid)
     phi = reference_embedding(frame, delta)
@@ -136,7 +136,7 @@ def test_criterion_4_euler_like_round_trip(suite_runs):
 
     # the doubled radial field is not Euler-like and must be rejected hard
     chart = DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2)))
-    origin = ParametrizedSubmanifold(0, 2, chart)
+    origin = ParametrizedSubmanifold(chart)
     doubled = DifferentiableMap(2, 2, lambda x: 2.0 * x)
     accepted, res = is_euler_like(doubled, euclidean_metric(2), origin, np.zeros((1, 0)))
     ok &= (not accepted) and res >= 0.9
@@ -150,7 +150,7 @@ def test_criterion_5_reference_metric_independence():
         lambda U: np.concatenate([U, 0.0 * U], axis=1),
         jac=lambda U: np.tile([[1.0], [0.0]], (len(U), 1, 1)),
     )
-    N = ParametrizedSubmanifold(1, 2, chart, name="x-axis")
+    N = ParametrizedSubmanifold(chart)
     g_euc = euclidean_metric(2)
 
     def skew(X):
@@ -160,7 +160,7 @@ def test_criterion_5_reference_metric_independence():
         G[:, 1, 1] = 2.0 + X[:, 0] ** 2
         return G
 
-    g_skew = MetricField(dim=2, matrix_fn=skew, name="skew")
+    g_skew = MetricField(dim=2, matrix_fn=skew)
     fn = lambda UC: np.stack([UC[:, 0] + 0.2 * UC[:, 1], UC[:, 1] + 0.05 * UC[:, 1] ** 2], axis=1)
     psi = TubularEmbedding(
         map=DifferentiableMap(2, 2, fn),
@@ -188,8 +188,6 @@ def test_criterion_6_appendix_suite(suite_runs):
         return G
 
     region = ext.BundleRegion(
-        base_dim=2,
-        rank=2,
         bundle_metric=bundle_metric,
         delta=lambda P: 0.5 + 0.1 * np.sin(P[:, 0]),
     )

@@ -7,7 +7,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from eulertube.cli import main
+from eulertube.cli import TOL_STAGES, main
 from eulertube.errors import ConfigError
 from eulertube.reports import parse
 from eulertube.scenarios import BUILTIN_SCENARIOS, run_scenario, scenario_from_config
@@ -239,3 +239,51 @@ class TestCliCommands:
         a = runner.invoke(main, ["run", "appendix"])
         b = runner.invoke(main, ["run", "appendix"])
         assert a.output == b.output
+
+
+class TestUnreadablePaths:
+    """A config or report path that cannot be read or written is a named
+    error and exit 1, never a traceback."""
+
+    @staticmethod
+    def commands(tmp_path):
+        latin1 = tmp_path / "latin1.yaml"
+        latin1.write_bytes("scenario: circle\n# caf\xe9\n".encode("latin-1"))
+        missing = tmp_path / "missing" / "r.tsv"
+        return {
+            "run-directory": ["run", str(tmp_path)],
+            "check-directory": ["check", str(tmp_path)],
+            "check-not-utf8": ["check", str(latin1)],
+            "run-out-missing-dir": ["run", "point-2d", "--out", str(missing)],
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["run-directory", "check-directory", "check-not-utf8", "run-out-missing-dir"]
+    )
+    def test_named_error(self, runner, tmp_path, case):
+        result = runner.invoke(main, self.commands(tmp_path)[case])
+        assert result.exit_code == 1
+        assert "Error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_check_reads_a_file_named_like_a_builtin(self, runner, tmp_path, monkeypatch):
+        # check takes a path, so a file called "circle" is read, not resolved
+        # to the built-in scenario of that name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "circle").write_text("scenario: torus\n")
+        result = runner.invoke(main, ["check", "circle"])
+        assert result.exit_code == 1
+        assert "torus" in result.output
+
+
+def test_tol_stages_are_the_tube_and_point_stages_but_radius():
+    assert TOL_STAGES == (
+        "embedding",
+        "chi",
+        "pullback",
+        "diagram",
+        "isometry",
+        "euler-like",
+        "reconstruction",
+        "point-case",
+    )

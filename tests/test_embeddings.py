@@ -9,12 +9,13 @@ from eulertube.embeddings import (
 from eulertube.errors import NotInDomain
 from eulertube.metrics import euclidean_metric
 from eulertube.numerics import DifferentiableMap
+from eulertube.scenarios import SUBMANIFOLDS
 from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold
 
 
 def x_axis_r2():
     chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
-    return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
+    return ParametrizedSubmanifold(chart)
 
 
 def unit_circle():
@@ -24,9 +25,7 @@ def unit_circle():
         lambda U: np.concatenate([np.cos(U), np.sin(U)], axis=1),
         jac=lambda U: np.stack([-np.sin(U), np.cos(U)], axis=1),
     )
-    return ParametrizedSubmanifold(
-        1, 2, chart, param_domain=lambda U: (-1.4 < U[:, 0]) & (U[:, 0] < 1.4), name="circle"
-    )
+    return ParametrizedSubmanifold(chart, -1.4, 1.4)
 
 
 def u_grid(lo, hi, n):
@@ -110,3 +109,26 @@ class TestInversion:
         )
         with pytest.raises(RuntimeError):
             psi.invert(np.zeros((1, 2)))
+
+
+def seed_loop_table(U, m, delta, c_fractions=(0.0, 0.35, 0.7)):
+    """The seeds of ``build_seed_table`` as its nested loops built them."""
+    seeds = []
+    for u in U:
+        for j in range(m):
+            for frac in c_fractions:
+                for sign in (1.0, -1.0):
+                    c = np.zeros(m)
+                    c[j] = sign * frac * delta
+                    seeds.append(np.concatenate([u, c]))
+    return np.array(sorted({tuple(np.round(s, 12)) for s in seeds}))
+
+
+@pytest.mark.parametrize("name, n", [("circle-arc", 2), ("helix-arc", 3)])
+def test_seed_table_is_the_loop_seed_set(name, n):
+    N = SUBMANIFOLDS[name]()
+    psi = reference_embedding(NormalFrame(euclidean_metric(n), N), 0.4)
+    U = u_grid(N.lo + 0.1, N.hi - 0.1, 15)
+    psi.build_seed_table(U)
+    # bytes, so the zero fiber point keeps the +0.0 the loops gave it
+    assert psi.seeds.tobytes() == seed_loop_table(U, n - 1, 0.4).tobytes()

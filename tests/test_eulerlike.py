@@ -24,12 +24,12 @@ ORIGIN = np.zeros((1, 0))  # the one base point of a point submanifold, as lanes
 def origin_r2():
     """The single-point submanifold {0} in the plane (k = 0)."""
     chart = DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2)))
-    return ParametrizedSubmanifold(0, 2, chart, name="origin")
+    return ParametrizedSubmanifold(chart)
 
 
 def x_axis_r2():
     chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
-    return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
+    return ParametrizedSubmanifold(chart)
 
 
 def quadratic(V):
@@ -79,21 +79,21 @@ class TestVanishesOnN:
 class TestLinearApproximation:
     def test_euler_is_its_own_approximation(self):
         g = euclidean_metric(2)
-        lin = linear_approximation(oracle(euler_field), g, origin_r2(), ORIGIN)
-        assert np.allclose(lin.induced[0], np.eye(2), atol=1e-9)
+        induced = linear_approximation(oracle(euler_field), g, origin_r2(), ORIGIN)
+        assert np.allclose(induced[0], np.eye(2), atol=1e-9)
 
     def test_doubled_euler(self):
         g = euclidean_metric(2)
-        lin = linear_approximation(
+        induced = linear_approximation(
             oracle(lambda x: 2.0 * x), g, origin_r2(), ORIGIN
         )
-        assert np.allclose(lin.induced[0], 2.0 * np.eye(2), atol=1e-9)
+        assert np.allclose(induced[0], 2.0 * np.eye(2), atol=1e-9)
 
     def test_quadratic_perturbation_invisible(self):
         g = euclidean_metric(2)
         fn = lambda X: X + np.stack([0.3 * X[:, 1] ** 2, 0.2 * X[:, 0] * X[:, 1]], axis=1)
-        lin = linear_approximation(oracle(fn), g, origin_r2(), ORIGIN)
-        assert np.max(np.abs(lin.induced[0] - np.eye(2))) <= 1e-6
+        induced = linear_approximation(oracle(fn), g, origin_r2(), ORIGIN)
+        assert np.max(np.abs(induced[0] - np.eye(2))) <= 1e-6
 
     def test_nonvanishing_rejected(self):
         g = euclidean_metric(2)

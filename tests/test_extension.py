@@ -319,8 +319,6 @@ def make_region():
         return G
 
     return BundleRegion(
-        base_dim=2,
-        rank=2,
         bundle_metric=bundle_metric,
         delta=lambda P: 0.5 + 0.1 * np.sin(P[:, 0]),
     )

@@ -218,34 +218,35 @@ def lane_data(lo, hi, speed, exit_velocity, count=61, seed=61):
 
 @functools.lru_cache(maxsize=None)
 def certified_radius(name):
-    """A built-in tube scenario's background metric, submanifold, base
-    interval, radius grid and certified radius, as its pipeline builds
-    them.  The radius search is the costly step, so tests share it."""
+    """A built-in tube scenario's background metric, submanifold, radius
+    grid and certified radius, as its pipeline builds them.  The radius
+    search is the costly step, so tests share it."""
     scn = BUILTIN_SCENARIOS[name]
     gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    grid = _interior_grid(lo, hi, scn.sample("grid"))
-    return gt, N, lo, hi, grid, tubular_radius_estimate(gt, N, grid, scn.delta0)
+    N = SUBMANIFOLDS[scn.submanifold]()
+    grid = _interior_grid(N, scn.sample("grid"))
+    return gt, N, grid, tubular_radius_estimate(NormalFrame(gt, N), grid, scn.delta0)
 
 
 def tube_pipeline(name):
     """psi of a built-in tube scenario on its certified radius, with the
     pipeline's seed table, on a new frame whose memo no other test has
     filled, and the pieces it is built from."""
-    gt, N, lo, hi, grid, delta = certified_radius(name)
+    gt, N, grid, delta = certified_radius(name)
     frame = NormalFrame(gt, N)
     psi = _build_psi(BUILTIN_SCENARIOS[name], frame, delta)
-    psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
-    return psi, frame, gt, delta, lo, hi, grid
+    psi.build_seed_table(_interior_grid(N, 15, margin=0.08))
+    return psi, frame, gt, delta, grid
 
 
 def circle_pullback_case():
     """The circle scenario's pullback metric on chi's box domain, as its
     pipeline builds them, at points psi(u, c) of the tube."""
-    psi, frame, gt, delta, lo, hi, _ = tube_pipeline("circle")
+    psi, frame, gt, delta, _ = tube_pipeline("circle")
     dom = _image_box(psi, 0.3 * delta)
     g = pullback_metric(build_chi(psi, reference_embedding(frame, delta), domain=dom), gt)
-    UC, V = lane_data([lo + 0.3, -0.3 * delta], [hi - 0.3, 0.3 * delta], 0.1, [3.0, 3.0])
+    N = psi.N
+    UC, V = lane_data([N.lo + 0.3, -0.3 * delta], [N.hi - 0.3, 0.3 * delta], 0.1, [3.0, 3.0])
     return g, psi.map(UC), V
 
 
@@ -319,8 +320,8 @@ class TestFrameLanes:
     @pytest.mark.parametrize("name", FRAME_CASES)
     def test_lanes_equal_single_points(self, name):
         g = BACKGROUNDS[BACKGROUND_OF[name]]()
-        N, lo, hi = SUBMANIFOLDS[name]()
-        us = np.linspace(lo + 0.05, hi - 0.05, 11)[:, None]
+        N = SUBMANIFOLDS[name]()
+        us = np.linspace(N.lo + 0.05, N.hi - 0.05, 11)[:, None]
         lanes = NormalFrame(g, N).derivative(us)
         for i in range(len(us)):
             one = NormalFrame(g, N).derivative(us[i : i + 1])
@@ -331,7 +332,7 @@ class TestFrameLanes:
         # at u = pi/2 the circle's tangent is -e0, so the first projector
         # column vanishes and Gram-Schmidt skips it
         g = euclidean_metric(2)
-        N, _, _ = SUBMANIFOLDS["circle-full"]()
+        N = SUBMANIFOLDS["circle-full"]()
         us = np.array([[0.3], [np.pi / 2], [-1.0]])
         B = normal_space_basis(g, N, us)
         assert np.allclose(B[1, :, 0], [0.0, 1.0], atol=1e-12)
@@ -349,14 +350,15 @@ class TestFrameLanes:
 
 
 def helix_pipeline():
-    psi, frame, _, delta, lo, hi, _ = tube_pipeline("helix")
-    return psi, reference_embedding(frame, delta), lo, hi
+    psi, frame, _, delta, _ = tube_pipeline("helix")
+    return psi, reference_embedding(frame, delta)
 
 
 class TestReconstructionLanes:
     def test_six_points_equal_their_single_point_results(self):
-        psi, phi, lo, hi = helix_pipeline()
+        psi, phi = helix_pipeline()
         X = pushforward_field(psi)
+        lo, hi = psi.N.lo, psi.N.hi
         us = np.linspace(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo), 6)[:, None]
         angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
         cs = 0.5 * psi.delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -372,7 +374,7 @@ class TestReconstructionLanes:
     def test_helix_point_takes_at_most_190_field_evaluations(self):
         # the scenario's flows at flow_tol 1e-9 take the 8th-order pair,
         # which needs about 13 passes of 12 evaluations, not 48 of 6
-        psi, phi, lo, hi = helix_pipeline()
+        psi, phi = helix_pipeline()
         X = pushforward_field(psi)
         calls = []
 
@@ -380,7 +382,7 @@ class TestReconstructionLanes:
             calls.append(len(Y))
             return X.fn(Y)
 
-        u = np.array([[0.5 * (lo + hi)]])
+        u = np.array([[0.5 * (psi.N.lo + psi.N.hi)]])
         c = 0.5 * psi.delta * np.array([[1.0, 0.0]])
         t_seq = tuple(2.0**-i for i in range(1, 10))
         rec = reconstruct_embedding(replace(X, fn=fn), phi, u, c, t_seq=t_seq, tol=1e-4, flow_tol=1e-9)
@@ -425,8 +427,8 @@ class TestReconstructionLanes:
     def test_a_flow_past_the_margin_exits(self):
         # c = 1.1 delta: every flow of the circle's reconstruction reaches
         # |c| = 1.05 delta, where the pushforward field is undefined
-        psi, frame, _, delta, lo, hi, _ = tube_pipeline("circle")
-        u = np.array([[0.5 * (lo + hi)]])
+        psi, frame, _, delta, _ = tube_pipeline("circle")
+        u = np.array([[0.5 * (psi.N.lo + psi.N.hi)]])
         c = np.array([[1.1 * delta]])
         phi = reference_embedding(frame, delta)
         with pytest.raises(FlowExit, match="t=0.5"):
@@ -438,8 +440,8 @@ class TestReconstructionLanes:
 def straddle_helix():
     """The helix embedding and 10 lanes straddling its tube, the last one
     NaN: psi inverts the 9 others, and fails on the NaN lane."""
-    psi, frame, _, delta, lo, hi, _ = tube_pipeline("helix")
-    u = 0.5 * (lo + hi)
+    psi, frame, _, delta, _ = tube_pipeline("helix")
+    u = 0.5 * (psi.N.lo + psi.N.hi)
     mid = np.array([[u, 0.0, 0.0]])
     far = mid + np.array([[0.0, 1.5 * delta, 0.0]])
     return psi, straddle(psi.map(mid)[0], psi.map(far)[0])
@@ -500,13 +502,15 @@ class TestBuiltinDomainsTakeLanes:
 
     @pytest.mark.parametrize("name", sorted(SUBMANIFOLDS))
     def test_submanifold_parameters(self, name):
-        N, lo, hi = SUBMANIFOLDS[name]()
-        assert_lane_mask(N.param_domain, straddle([0.5 * (lo + hi)], [lo - 0.5], [hi + 0.5]))
+        N = SUBMANIFOLDS[name]()
+        lo, hi = N.lo, N.hi
+        assert_lane_mask(N.in_param_domain, straddle([0.5 * (lo + hi)], [lo - 0.5], [hi + 0.5]))
 
     @pytest.mark.parametrize("name", ["flat-slice", "circle", "helix", "sphere-equator"])
     def test_tube_maps_and_chi_box(self, name):
-        psi, frame, _, delta, lo, hi, _ = tube_pipeline(name)
+        psi, frame, _, delta, _ = tube_pipeline(name)
         phi = reference_embedding(frame, delta)
+        lo, hi = psi.N.lo, psi.N.hi
         u = 0.5 * (lo + hi)
         m = psi.fiber_dim
         mid = np.concatenate([[u], np.zeros(m)])
@@ -528,10 +532,11 @@ def nearest_seed(psi, X):
     return np.argmin(np.sqrt((d * d).sum(axis=-1)), axis=1)
 
 
-def tube_points(psi, lo, hi, draws):
+def tube_points(psi, draws):
     """Frame coordinates (u, c) inside the certified tube, |c| < 0.7 delta,
     from draws (a, b, c) in [0, 1]^3."""
     a, b, c = np.array(draws, dtype=float).T
+    lo, hi = psi.N.lo, psi.N.hi
     U = (lo + (0.1 + 0.8 * a) * (hi - lo))[:, None]
     radius = 0.7 * psi.delta * b
     if psi.fiber_dim == 1:
@@ -549,8 +554,8 @@ class TestInvertContract:
     @given(draws=st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=12))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_and_each_lane_equals_its_solo_solve(self, name, draws):
-        psi, _, _, _, lo, hi, _ = tube_pipeline(name)
-        UC = tube_points(psi, lo, hi, draws)
+        psi = tube_pipeline(name)[0]
+        UC = tube_points(psi, draws)
         X = psi.map(UC)
         batch = psi.invert(X)
         assert np.max(np.abs(batch - UC)) <= 1e-10
@@ -567,7 +572,7 @@ class TestInvertContract:
 class TestSeedSearch:
     @pytest.mark.parametrize("name", ["helix", "circle"])
     def test_invert_starts_from_the_broadcast_nearest_seed(self, name, monkeypatch):
-        psi, _, _, _, _, _, _ = tube_pipeline(name)
+        psi = tube_pipeline(name)[0]
         starts = []
 
         def first_seed(f, y, x0, **kwargs):
@@ -620,16 +625,16 @@ def count_work(monkeypatch, psi):
 
 
 class TestNewtonWork:
-    def helix_targets(self, psi, lo, hi):
+    def helix_targets(self, psi):
         """Eight tube points and, last, a seed's own image, which is solved
         before the first step."""
         rng = np.random.default_rng(3)
-        UC = tube_points(psi, lo, hi, rng.uniform(0.0, 1.0, size=(8, 3)))
+        UC = tube_points(psi, rng.uniform(0.0, 1.0, size=(8, 3)))
         return np.concatenate([psi.map(UC), psi.seed_images[:, [40]].T])
 
     def test_invert_evaluates_nothing_for_its_first_step(self, monkeypatch):
-        psi, _, lo, hi = helix_pipeline()
-        X = self.helix_targets(psi, lo, hi)
+        psi, _ = helix_pipeline()
+        X = self.helix_targets(psi)
         start = psi.seeds[nearest_seed(psi, X)]
         calls, frames, chain_rules = count_work(monkeypatch, psi)
         uc = psi.invert(X)
@@ -649,8 +654,8 @@ class TestNewtonWork:
         assert np.array_equal(values[-1], uc)
 
     def test_pushforward_builds_no_frame_at_its_solution(self, monkeypatch):
-        psi, _, lo, hi = helix_pipeline()
-        X = self.helix_targets(psi, lo, hi)
+        psi, _ = helix_pipeline()
+        X = self.helix_targets(psi)
         field = pushforward_field(psi)
         calls, frames, chain_rules = count_work(monkeypatch, psi)
         field(X)
@@ -689,7 +694,7 @@ class TestNewtonWork:
             return J
 
         f = DifferentiableMap(2, 2, fn, jac=jac)
-        N = SUBMANIFOLDS["circle-arc"]()[0]
+        N = SUBMANIFOLDS["circle-arc"]()
         psi = TubularEmbedding(
             map=f,
             frame=NormalFrame(euclidean_metric(2), N),
@@ -727,8 +732,8 @@ class TestCheckLanes:
 
     @pytest.mark.parametrize("name", ["helix", "circle"])
     def test_grid_checks_equal_their_per_point_results(self, name):
-        psi, _, gt, _, lo, hi, _ = tube_pipeline(name)
-        grid = _interior_grid(lo, hi, 9)
+        psi, _, gt, _, _ = tube_pipeline(name)
+        grid = _interior_grid(psi.N, 9)
         field = pushforward_field(psi)
         ok, res = is_euler_like(field, gt, psi.N, grid)
         assert ok

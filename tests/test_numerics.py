@@ -238,6 +238,21 @@ class TestSolveInverse:
         x = solve_inverse(f, y, np.zeros((1, 2)), tol=1e-12)
         assert np.linalg.norm(f(x) - y) <= 1e-12
 
+    def test_a_target_far_from_the_origin_converges_to_its_ulps(self):
+        # at |y| ~ 1e6 the values of f lie 1.2e-10 apart, so no x meets an
+        # absolute 1e-12; each lane's bound is max(tol, 16 eps |y|), and the
+        # lane near the origin keeps tol itself
+        def fn(X):
+            x0, x1 = X[:, 0], X[:, 1]
+            return np.stack([3.0 * x0 + 0.2 * x1, x1 + 0.1 * np.sin(x0)], axis=1)
+
+        f = DifferentiableMap(2, 2, fn)
+        y = np.array([[1.0e6 + 0.3, -7.0e5 + 0.7], [0.3, 0.5]])
+        x = solve_inverse(f, y, np.zeros((2, 2)), tol=1e-12)
+        residual = np.linalg.norm(f(x) - y, axis=1)
+        assert residual[0] <= 16.0 * np.finfo(float).eps * np.linalg.norm(y[0])
+        assert residual[1] <= 1e-12
+
     def test_singular_jacobian(self):
         f = DifferentiableMap(
             1, 1, lambda X: X**2, jac=lambda X: (2.0 * X)[:, :, None]

@@ -42,7 +42,7 @@ from eulertube.submanifolds import (
 
 def x_axis_r2():
     chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
-    return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
+    return ParametrizedSubmanifold(chart)
 
 
 def unit_circle():
@@ -52,9 +52,7 @@ def unit_circle():
         lambda U: np.concatenate([np.cos(U), np.sin(U)], axis=1),
         jac=lambda U: np.stack([-np.sin(U), np.cos(U)], axis=1),
     )
-    return ParametrizedSubmanifold(
-        1, 2, chart, param_domain=lambda U: (-1.4 < U[:, 0]) & (U[:, 0] < 1.4), name="circle"
-    )
+    return ParametrizedSubmanifold(chart, -1.4, 1.4)
 
 
 def u_grid(lo, hi, n):
@@ -343,15 +341,15 @@ def scenario_pipeline(name):
     tube scenario, assembled as its pipeline does."""
     scn = BUILTIN_SCENARIOS[name]
     gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    grid = _interior_grid(lo, hi, scn.sample("grid"))
-    delta = tubular_radius_estimate(gt, N, grid, scn.delta0)
+    N = SUBMANIFOLDS[scn.submanifold]()
+    grid = _interior_grid(N, scn.sample("grid"))
     frame = NormalFrame(gt, N)
+    delta = tubular_radius_estimate(frame, grid, scn.delta0)
     psi = _build_psi(scn, frame, delta)
-    psi.build_seed_table(_interior_grid(lo, hi, 15, margin=0.08))
+    psi.build_seed_table(_interior_grid(N, 15, margin=0.08))
     chi = build_chi(psi, reference_embedding(frame, delta))
     g = pullback_metric(chi, gt)
-    return psi, chi, g, psi(*_diagram_samples(scn, psi, lo, hi))
+    return psi, chi, g, psi(*_diagram_samples(scn, psi))
 
 
 class TestChartStencilChristoffel:

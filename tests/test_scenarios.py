@@ -63,14 +63,14 @@ def test_reports_deterministic_across_runs(suite_runs):
 def test_embedding_analytic_jacobians_match_fd(name):
     scn = {e.embedding: e for e in BUILTIN_SCENARIOS.values() if e.embedding}[name]
     gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
+    N = SUBMANIFOLDS[scn.submanifold]()
     fn, jac = EMBEDDINGS[name][1](NormalFrame(gt, N))
     dim = N.ambient_dim
     fa = DifferentiableMap(dim, dim, fn, jac=jac)
     ffd = DifferentiableMap(dim, dim, fn)
     rng = np.random.default_rng(3)
     for _ in range(100):
-        u = rng.uniform(lo + 0.2, hi - 0.2)
+        u = rng.uniform(N.lo + 0.2, N.hi - 0.2)
         c = rng.uniform(-0.2, 0.2, size=dim - 1)
         uc = np.concatenate([[u], c])[None]
         Ja, Jf = fa.jacobian(uc), ffd.jacobian(uc)
@@ -80,14 +80,14 @@ def test_embedding_analytic_jacobians_match_fd(name):
 def test_helix_jacobian_matches_fd():
     scn = BUILTIN_SCENARIOS["helix"]
     gt = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
+    N = SUBMANIFOLDS[scn.submanifold]()
     fn, jac = EMBEDDINGS["helix-quadratic"][1](NormalFrame(gt, N))
     fa = DifferentiableMap(3, 3, fn, jac=jac)
     ffd = DifferentiableMap(3, 3, fn, fd_step=1e-6)
     rng = np.random.default_rng(4)
     for _ in range(50):
         uc = np.concatenate(
-            [[rng.uniform(lo + 0.2, hi - 0.2)], rng.uniform(-0.2, 0.2, size=2)]
+            [[rng.uniform(N.lo + 0.2, N.hi - 0.2)], rng.uniform(-0.2, 0.2, size=2)]
         )[None]
         assert np.max(np.abs(fa.jacobian(uc) - ffd.jacobian(uc))) <= 1e-5
 
@@ -158,6 +158,35 @@ def test_a_failed_stage_stops_the_pipeline_only_before_the_diagram(stage, monkey
     assert [(r.stage, r.passed) for r in reports] == [(s, s != stage) for s in stages]
     (failed,) = [r for r in reports if r.stage == stage]
     assert failed.sample_count == 1 and failed.max_residual == float("inf")
+
+
+def test_a_tube_run_builds_one_normal_frame(monkeypatch):
+    # the radius stage certifies the frame that psi, phi and the embedding
+    # check are built on, so a run builds no other
+    from eulertube.submanifolds import NormalFrame
+
+    built = []
+    init = NormalFrame.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(NormalFrame, "__init__", counted)
+    reports = run_scenario(scenario_from_config({"scenario": "flat-slice", "samples": SMALL}))
+    assert [r.stage for r in reports] == list(TUBE_STAGE_HELPERS)
+    assert all(r.passed for r in reports)
+    assert len(built) == 1
+
+
+def test_a_flat_slice_of_radius_1e6_passes_every_stage():
+    # a line's tube is certified at any radius; at delta = 1e6 psi's images
+    # lie where doubles are 1.2e-10 apart, below the absolute 1e-12 of
+    # psi's inversion, which then bounds each lane relative to its target
+    config = {"scenario": "flat-slice", "delta0": 1.0e6, "samples": SMALL}
+    reports = run_scenario(scenario_from_config(config))
+    assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
+    assert reports[0].max_residual == 1.0e6
 
 
 def test_tube_run_loads_only_what_it_runs():

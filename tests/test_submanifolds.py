@@ -19,6 +19,7 @@ from eulertube import submanifolds
 from eulertube.submanifolds import (
     NormalFrame,
     ParametrizedSubmanifold,
+    fiber_axis_samples,
     normal_exponential,
     normal_representative,
     normal_space_basis,
@@ -28,7 +29,7 @@ from eulertube.submanifolds import (
 
 def x_axis_r2():
     chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U, 0.0 * U], axis=1))
-    return ParametrizedSubmanifold(1, 2, chart, name="x-axis")
+    return ParametrizedSubmanifold(chart)
 
 
 def unit_circle():
@@ -38,7 +39,7 @@ def unit_circle():
         lambda U: np.concatenate([np.cos(U), np.sin(U)], axis=1),
         jac=lambda U: np.stack([-np.sin(U), np.cos(U)], axis=1),
     )
-    return ParametrizedSubmanifold(1, 2, chart, name="circle")
+    return ParametrizedSubmanifold(chart)
 
 
 def test_x_axis_normal_basis():
@@ -70,7 +71,7 @@ def test_basis_orthonormal_under_skew_metric():
 
 def test_rank_deficient_chart():
     chart = DifferentiableMap(1, 2, lambda U: np.concatenate([U**2, 0.0 * U], axis=1))
-    N = ParametrizedSubmanifold(1, 2, chart)
+    N = ParametrizedSubmanifold(chart)
     with pytest.raises(RankDeficient):
         normal_space_basis(euclidean_metric(2), N, np.array([[0.0]]))
 
@@ -113,14 +114,15 @@ def polar_curve():
         lambda U: np.concatenate([1.0 + 0.3 * np.sin(U), U], axis=1),
         jac=lambda U: np.stack([0.3 * np.cos(U), 1.0 + 0.0 * U], axis=1),
     )
-    return ParametrizedSubmanifold(1, 2, chart, name="polar-curve"), -1.2, 1.2
+    return ParametrizedSubmanifold(chart, -1.2, 1.2)
 
 
 def graph_surface():
-    """z = 0.3 x^2 + 0.2 x y - 0.1 y^2 over (x, y): k = 2 inside R^3.
+    """z = 0.3 x^2 + 0.2 x y - 0.1 y^2 over the whole (x, y) plane: k = 2
+    inside R^3.
 
     The frame's first vector flips sign where dz/dx = 0, so the samples
-    (v, -0.6 v) stay at v > 0."""
+    (v, -0.6 v) stay at v > 0 (``GRAPH_SWEEP``)."""
 
     def fn(U):
         x, y = U[:, 0], U[:, 1]
@@ -135,7 +137,10 @@ def graph_surface():
         return J
 
     chart = DifferentiableMap(2, 3, fn, jac=jac)
-    return ParametrizedSubmanifold(2, 3, chart, name="graph"), 0.1, 1.0
+    return ParametrizedSubmanifold(chart)
+
+
+GRAPH_SWEEP = (0.1, 1.0)
 
 
 # every built-in tube submanifold with its background, then metrics whose
@@ -160,9 +165,10 @@ FRAME_CASES = {
 def test_frame_derivative_matches_fd_of_frame(case):
     make_g, make_N = FRAME_CASES[case]
     g = make_g()
-    N, lo, hi = make_N()
+    N = make_N()
     frame = NormalFrame(g, N)
     k = N.param_dim
+    lo, hi = GRAPH_SWEEP if k == 2 else (N.lo, N.hi)
     for v in np.linspace(lo + 0.05, hi - 0.05, 9):
         u = np.array([[v, -0.6 * v]])[:, :k]
         fp = frame.derivative(u)
@@ -176,11 +182,11 @@ def test_frame_derivative_matches_fd_of_frame(case):
 
 def test_frame_memo_carries_no_history():
     g = skew_varying_metric_3d()
-    N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+    N = SUBMANIFOLDS["helix-arc"]()
     u = np.array([[0.37]])
     cold = NormalFrame(g, N).derivative(u)
     warm_frame = NormalFrame(g, N)
-    for v in np.linspace(lo, hi, 100):
+    for v in np.linspace(N.lo, N.hi, 100):
         warm_frame.derivative(np.array([[v]]))
     warm = warm_frame.derivative(u)
     assert warm.B.tobytes() == cold.B.tobytes()
@@ -190,9 +196,9 @@ def test_frame_memo_carries_no_history():
 
 def test_frame_memo_stays_bounded():
     g = euclidean_metric(3)
-    N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+    N = SUBMANIFOLDS["helix-arc"]()
     frame = NormalFrame(g, N)
-    for v in np.linspace(lo, hi, 500):
+    for v in np.linspace(N.lo, N.hi, 500):
         frame.at(np.array([[v]]))
         frame.derivative(np.array([[-v]]))
     assert len(frame._memo) <= submanifolds._FRAME_MEMO
@@ -201,7 +207,7 @@ def test_frame_memo_stays_bounded():
 def test_a_frame_build_evaluates_the_chart_once():
     # the frame's p and J are the ones its normal basis was built from
     g = euclidean_metric(3)
-    N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+    N = SUBMANIFOLDS["helix-arc"]()
     calls = []
 
     def counted(kind, f):
@@ -213,7 +219,7 @@ def test_a_frame_build_evaluates_the_chart_once():
 
     chart = replace(N.chart, fn=counted("point", N.chart.fn), jac=counted("tangent", N.chart.jac))
     N = replace(N, chart=chart)
-    U = np.linspace(lo, hi, 5)[:, None]
+    U = np.linspace(N.lo, N.hi, 5)[:, None]
     fp = NormalFrame(g, N).at(U)
     assert sorted(calls) == ["point", "tangent"]
     assert fp.p.tobytes() == N.point(U).tobytes()
@@ -230,9 +236,9 @@ def test_frame_derivative_reuses_the_metric_of_its_build():
         seen.append(X.copy())
         return g.matrix_fn(X)
 
-    N, lo, hi = SUBMANIFOLDS["helix-arc"]()
+    N = SUBMANIFOLDS["helix-arc"]()
     frame = NormalFrame(replace(g, matrix_fn=matrix_fn), N)
-    U = np.linspace(lo + 0.1, hi - 0.1, 5)[:, None]
+    U = np.linspace(N.lo + 0.1, N.hi - 0.1, 5)[:, None]
     fp = frame.at(U)
     seen.clear()
     frame.derivative(U)
@@ -337,10 +343,10 @@ def test_normal_exponential_is_exp_off_a_euclidean_background():
 def test_normal_exponential_is_exp_of_frame_vector(case):
     make_g, make_N = FRAME_CASES[case]
     g = make_g()
-    N, lo, hi = make_N()
+    N = make_N()
     chart = normal_exponential(NormalFrame(g, N))
     m = N.ambient_dim - N.param_dim
-    for i, v in enumerate(np.linspace(lo + 0.1, hi - 0.1, 5)):
+    for i, v in enumerate(np.linspace(N.lo + 0.1, N.hi - 0.1, 5)):
         u = np.array([[v]])
         c = 0.3 * np.cos(i + np.arange(m))[None]
         expected = exp_map(g, N.point(u), normal_space_basis(g, N, u) @ c[0], tol=1e-11)
@@ -353,24 +359,23 @@ TUBE_RADII = {"flat-slice": 1.0, "circle": 0.5, "helix": 0.8, "sphere-equator": 
 def builtin_radius(name, grid_size):
     scn = BUILTIN_SCENARIOS[name]
     g = BACKGROUNDS[scn.background]()
-    N, lo, hi = SUBMANIFOLDS[scn.submanifold]()
-    grid = _interior_grid(lo, hi, grid_size)
-    return g, N, grid, scn.delta0
+    N = SUBMANIFOLDS[scn.submanifold]()
+    return NormalFrame(g, N), _interior_grid(N, grid_size), scn.delta0
 
 
 class TestTubularRadius:
     @pytest.mark.parametrize("grid_size", [8, 9, 10])
     def test_builtin_radii(self, grid_size):
         for name, radius in TUBE_RADII.items():
-            g, N, grid, delta0 = builtin_radius(name, grid_size)
-            delta = tubular_radius_estimate(g, N, grid, delta0)
+            frame, grid, delta0 = builtin_radius(name, grid_size)
+            delta = tubular_radius_estimate(frame, grid, delta0)
             assert type(delta) is float and delta == radius, name
 
     @pytest.mark.parametrize("name", ["circle", "helix", "sphere-equator"])
     def test_at_most_three_frames_per_grid_point_and_candidate(self, name, monkeypatch):
         # the chart's jacobian on a curved background differences u, so it
         # needs frames at u and u +- h; a flat one needs only the frame at u
-        g, N, grid, delta0 = builtin_radius(name, 9)
+        frame, grid, delta0 = builtin_radius(name, 9)
         builds = []
 
         build = submanifolds._normal_frame
@@ -380,7 +385,7 @@ class TestTubularRadius:
             return build(*args)
 
         monkeypatch.setattr(submanifolds, "_normal_frame", counted)
-        delta = tubular_radius_estimate(g, N, grid, delta0)
+        delta = tubular_radius_estimate(frame, grid, delta0)
         candidates = 1 + round(np.log2(delta0 / delta))
         assert 0 < len(builds) <= 3 * len(grid) * candidates
 
@@ -388,14 +393,14 @@ class TestTubularRadius:
         g = euclidean_metric(2)
         N = x_axis_r2()
         grid = np.linspace(-1.0, 1.0, 7)[:, None]
-        delta = tubular_radius_estimate(g, N, grid, 10.0)
+        delta = tubular_radius_estimate(NormalFrame(g, N), grid, 10.0)
         assert delta == pytest.approx(10.0)
 
     def test_circle_respects_focal_point(self):
         g = euclidean_metric(2)
         N = unit_circle()
         grid = np.linspace(-1.0, 1.0, 7)[:, None]
-        delta = tubular_radius_estimate(g, N, grid, 2.0)
+        delta = tubular_radius_estimate(NormalFrame(g, N), grid, 2.0)
         assert 0.0 < delta < 1.0
 
     def test_sphere_equator_respects_poles(self):
@@ -404,16 +409,77 @@ class TestTubularRadius:
             1, 2, lambda U: np.concatenate([np.pi / 2 + 0.0 * U, U], axis=1),
             jac=lambda U: np.stack([0.0 * U, 1.0 + 0.0 * U], axis=1),
         )
-        N = ParametrizedSubmanifold(1, 2, chart, name="equator")
+        N = ParametrizedSubmanifold(chart)
         grid = np.linspace(0.5, 2.4, 7)[:, None]
-        delta = tubular_radius_estimate(g, N, grid, 3.0)
+        delta = tubular_radius_estimate(NormalFrame(g, N), grid, 3.0)
         assert 0.0 < delta < np.pi / 2
 
     def test_helix_radius_stops_before_focal_distance(self):
         # the helix's focal distance is 1 + pitch^2 = 1.09; past it the tube
         # chart folds while its sampled condition number stays small
         g = BACKGROUNDS["euclidean-3d"]()
-        N, lo, hi = SUBMANIFOLDS["helix-arc"]()
-        grid = np.linspace(lo + 0.24, hi - 0.24, 3)[:, None]
-        delta = tubular_radius_estimate(g, N, grid, 2.0)
+        N = SUBMANIFOLDS["helix-arc"]()
+        grid = np.linspace(N.lo + 0.24, N.hi - 0.24, 3)[:, None]
+        delta = tubular_radius_estimate(NormalFrame(g, N), grid, 2.0)
         assert 0.0 < delta < 1.09
+
+
+@pytest.mark.parametrize("name", sorted(SUBMANIFOLDS))
+def test_interval_mask_is_the_open_interval(name):
+    # the built-in curves' domains were (lo < u) & (u < hi) on the column
+    N = SUBMANIFOLDS[name]()
+    lo, hi = N.lo, N.hi
+    U = np.array(
+        [lo - 1.0, np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf), 0.5 * (lo + hi),
+         np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf), hi + 1.0, np.nan]
+    )[:, None]
+    mask = N.in_param_domain(U)
+    assert mask.tolist() == ((lo < U[:, 0]) & (U[:, 0] < hi)).tolist()
+    assert mask.tolist() == [False] * 3 + [True] * 3 + [False] * 4
+
+
+def test_an_unbounded_submanifold_takes_every_finite_parameter():
+    N = x_axis_r2()
+    assert (N.param_dim, N.ambient_dim) == (N.chart.domain_dim, N.chart.codomain_dim) == (1, 2)
+    U = np.array([[-1e300], [0.0], [1e300], [np.inf], [np.nan]])
+    assert N.in_param_domain(U).tolist() == [True, True, True, False, False]
+    # a point has no parameter, so its one lane is inside
+    point = ParametrizedSubmanifold(DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2))))
+    assert point.in_param_domain(np.zeros((1, 0))).tolist() == [True]
+
+
+def radius_loop_rows(m, delta):
+    """The fiber samples of the radius certification as its nested loops
+    built them."""
+    cs = []
+    for j in range(m):
+        for sign in (1.0, -1.0):
+            for frac in submanifolds._RADIUS_FRACTIONS:
+                c = np.zeros(m)
+                c[j] = sign * frac * delta
+                cs.append(c)
+    return np.array(cs)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("delta", [0.75, 1.0 / 3.0, 1.0e6])
+def test_fiber_axis_samples_are_the_radius_rows(m, delta):
+    # bytes, so a -0.0 off the axis would show
+    rows = fiber_axis_samples(m, submanifolds._RADIUS_FRACTIONS, delta)
+    assert rows.tobytes() == radius_loop_rows(m, delta).tobytes()
+
+
+def test_radius_certification_builds_no_frame(monkeypatch):
+    frame, grid, delta0 = builtin_radius("helix", 9)
+    built = []
+    init = NormalFrame.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(NormalFrame, "__init__", counted)
+    assert tubular_radius_estimate(frame, grid, delta0) == TUBE_RADII["helix"]
+    assert built == []
+    # it sampled the frame it was given
+    assert len(frame._memo) > 0
