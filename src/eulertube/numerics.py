@@ -222,12 +222,23 @@ _DOP853 = _Pair(
 )
 
 # Tolerances below this take DOP853, the others DP5(4); neither pair alone
-# does.  Measured on the built-in scenarios: at flow_tol 1e-9 DP5(4) needs
-# 3.5-4 times the accepted steps of DOP853 (the reconstructions 43-56
-# against 12-13), each stage a Newton inversion of psi, while at exp_tol
-# 1e-7 the diagram's short geodesics come out less accurate with DOP853
-# (sphere-equator's worst 1.61e-7 -> 2.07e-7).
+# does.  Measured on the built-in scenarios under PI control: at flow_tol
+# 1e-9 DP5(4) needs 6-7 times the accepted steps of DOP853 (the
+# reconstructions 41-54 against 7-8), each stage a Newton inversion of psi,
+# while at exp_tol 1e-7 the diagram's short geodesics come out less
+# accurate with DOP853 (sphere-equator's worst 1.61e-7 -> 2.49e-7).
 _HIGH_ORDER_BELOW = 1e-8
+
+# PI control of accepted steps (Gustafsson, ACM TOMS 17, 1991; Hairer,
+# Norsett & Wanner I, sec. II.4), exponents in units of the pair's 1/q.
+# A reconstruction flow's error roughly doubles each step; after an accept
+# near err/tol 0.45 the I controller kept h, so the next step was rejected
+# (helix lane 2^-9 at flow_tol 1e-9: 8 accepted, 5 rejected), and on nine
+# halvings the reconstructions took 11-12 passes under PI where they took
+# 13-14 under I control
+_PI_ALPHA = 0.7
+_PI_BETA = 0.4
+_PI_FLOOR = 1e-4  # least last-accepted err / tol that PI control weighs
 
 _MAX_STEPS = 100_000  # loop passes an integration may take before StepUnderflow
 
@@ -292,8 +303,14 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
     StepUnderflow is raised once the count passes ``_MAX_STEPS``.  Per-step
     local error is kept below ``tol`` (max norm), by the Dormand-Prince
     pair that suits ``tol``: DOP853, 8th order, below 1e-8, where it needs
-    about a quarter of the steps, and DP5(4) otherwise, where one step of
-    the 8th-order pair errs more.
+    about a sixth of the steps, and DP5(4) otherwise, where one step of
+    the 8th-order pair errs more.  A rejected step shrinks by
+    0.9 (tol/err)^(1/q), q the pair's order (at least by 0.2); an accepted
+    one is resized by PI control, 0.9 (tol/err)^(0.7/q) (err_prev/tol)^(0.4/q)
+    (at most 5), with err_prev the lane's last accepted error (tol before
+    its first), floored at 1e-4 tol.  The second factor stops the step from
+    growing back to a size that is rejected when the error rises from step
+    to step.
     One rule decides where a lane stops with ``exited=True``: where its
     field is undefined, that is, a value is not finite or the evaluation of
     that lane alone raises an EulertubeError.  A lane undefined at its
@@ -323,6 +340,9 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
     t = t_all[live]
     t_end = t_end[live]
     h = t_end
+    # PI control weighs prev, err / tol of the lane's last accepted step
+    alpha, beta = _PI_ALPHA * pair.exponent, _PI_BETA * pair.exponent
+    prev = np.ones(len(live))
     times = [t_all.copy()]
     states = [y_all.copy()]
     passes = 0
@@ -344,7 +364,8 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
         shrink = np.where(err < np.inf, np.maximum(0.2, 0.9 * ratio**pair.exponent), 0.2)
         accept = ok & ~reject
         stop = ~ok & (h < 1e-12 * t_end)
-        grow = np.where(err == 0.0, 5.0, np.minimum(5.0, shrink))
+        grow = np.minimum(5.0, 0.9 * ratio**alpha * prev**beta)
+        prev = np.where(accept, np.maximum(err / tol, _PI_FLOOR), prev)
         h_next = h * np.where(accept, grow, np.where(reject, shrink, 0.5))
         if np.count_nonzero(reject & (h_next < 1e-14 * t_end)):
             raise StepUnderflow("step size collapsed during error control")
@@ -361,7 +382,7 @@ def ode_integrate(field, y0, t_end, tol: float) -> Trajectory:
         if np.count_nonzero(done):
             exited[live[stop]] = True
             keep = ~done
-            live, y, t, t_end, h, k1 = (a[keep] for a in (live, y, t, t_end, h, k1))
+            live, y, t, t_end, h, k1, prev = (a[keep] for a in (live, y, t, t_end, h, k1, prev))
     return Trajectory(np.array(times), np.array(states), exited=exited)
 
 

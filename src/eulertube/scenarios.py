@@ -604,10 +604,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         cs = 0.5 * delta * dirs[np.arange(len(us)) % len(dirs)]
         # every point's flows are lanes of one integration
         rec = reconstruct_embedding(
-            X, phi, us, cs,
-            t_seq=tuple(2.0**-i for i in range(1, 10)),
-            tol=scn.tolerance("reconstruction"),
-            flow_tol=1e-9,
+            X, phi, us, cs, tol=scn.tolerance("reconstruction"), flow_tol=1e-9
         )
         return None, [float(np.linalg.norm(r)) for r in rec - psi(us, cs)]
 

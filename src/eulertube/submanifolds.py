@@ -348,6 +348,10 @@ def _radius_candidate_ok(
     pre = np.concatenate([np.repeat(us, len(cs), axis=0), np.tile(cs, (len(us), 1))], axis=1)
     try:
         img = chart(pre)
+        # a flat chart p + B c leaves the background's domain without
+        # raising, where exp_map on a curved one raises NotInDomain
+        if not np.all(g.contains(img)):
+            return False
         Jmat = chart.jacobian(pre)
     except NotInDomain:
         return False

@@ -164,6 +164,13 @@ class TestReconstruction:
         rec = reconstruct_embedding(X, psi0, ORIGIN, w)
         assert np.linalg.norm(rec - w) <= 1e-6
 
+    def test_a_schedule_too_short_to_extrapolate_is_rejected(self):
+        # three Richardson levels and the gap between the last two
+        # extrapolants need five schedule times; fewer fail before any flow
+        X, psi0, w = oracle(euler_field), self.identity_embedding(), np.array([[0.3, 0.4]])
+        with pytest.raises(ValueError, match="at least 5 schedule times"):
+            reconstruct_embedding(X, psi0, ORIGIN, w, t_seq=(0.5, 0.25, 0.125))
+
     def test_quadratic_embedding_round_trip(self):
         psi = embedding_over(origin_r2(), quadratic)
         psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))

@@ -362,19 +362,22 @@ class TestReconstructionLanes:
         us = np.linspace(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo), 6)[:, None]
         angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
         cs = 0.5 * psi.delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        t_seq = tuple(2.0**-i for i in range(1, 10))
-        # 6 points x 9 schedule times: one integration of 54 lanes
-        batch = reconstruct_embedding(X, phi, us, cs, t_seq=t_seq, tol=1e-4, flow_tol=1e-9)
+        # 6 points x 6 schedule times: one integration of 36 lanes
+        batch = reconstruct_embedding(X, phi, us, cs, tol=1e-4, flow_tol=1e-9)
         for i in range(len(us)):
             u, c = us[i : i + 1], cs[i : i + 1]
-            one = reconstruct_embedding(X, phi, u, c, t_seq=t_seq, tol=1e-4, flow_tol=1e-9)
+            one = reconstruct_embedding(X, phi, u, c, tol=1e-4, flow_tol=1e-9)
             assert one.tobytes() == batch[i : i + 1].tobytes()
             assert np.linalg.norm(batch[i] - psi(u, c)[0]) <= 1e-4
 
-    def test_helix_point_takes_at_most_190_field_evaluations(self):
-        # the scenario's flows at flow_tol 1e-9 take the 8th-order pair,
-        # which needs about 13 passes of 12 evaluations, not 48 of 6
-        psi, phi = helix_pipeline()
+    @pytest.mark.parametrize("name", ["helix", "circle"])
+    def test_point_takes_at_most_100_field_evaluations(self, name):
+        # the scenario's flows on its default schedule 2^-1 ... 2^-6 at
+        # flow_tol 1e-9 take the 8th-order pair under PI step control: 85
+        # evaluations (7 passes of 12 and the first k1) on helix and circle,
+        # where nine halvings under I control took 157 and 145
+        psi, frame, _, delta, _ = tube_pipeline(name)
+        phi = reference_embedding(frame, delta)
         X = pushforward_field(psi)
         calls = []
 
@@ -383,11 +386,27 @@ class TestReconstructionLanes:
             return X.fn(Y)
 
         u = np.array([[0.5 * (psi.N.lo + psi.N.hi)]])
-        c = 0.5 * psi.delta * np.array([[1.0, 0.0]])
-        t_seq = tuple(2.0**-i for i in range(1, 10))
-        rec = reconstruct_embedding(replace(X, fn=fn), phi, u, c, t_seq=t_seq, tol=1e-4, flow_tol=1e-9)
+        c = 0.5 * delta * np.eye(psi.fiber_dim)[:1]
+        rec = reconstruct_embedding(replace(X, fn=fn), phi, u, c, tol=1e-4, flow_tol=1e-9)
         assert np.linalg.norm(rec[0] - psi(u, c)[0]) <= 1e-4
-        assert len(calls) <= 190
+        assert len(calls) <= 100
+
+    def test_circle_reconstruction_is_fourth_order(self):
+        # at flow_tol 1e-13 the flow error stays below the truncation, so
+        # halving t_min divides the error by 2^4 with three Richardson levels
+        # (2.65e-8, 1.76e-9, 1.20e-10), where two levels gave 2^3
+        psi, frame, _, delta, _ = tube_pipeline("circle")
+        phi = reference_embedding(frame, delta)
+        X = pushforward_field(psi)
+        u = np.array([[0.5 * (psi.N.lo + psi.N.hi)]])
+        c = np.array([[0.5 * delta]])
+        errs = []
+        for last in (5, 6, 7):
+            t_seq = 2.0 ** -np.arange(1, last + 1)
+            rec = reconstruct_embedding(X, phi, u, c, t_seq=t_seq, tol=1e-4, flow_tol=1e-13)
+            errs.append(np.linalg.norm(rec[0] - psi(u, c)[0]))
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all(orders >= 3.5), orders
 
     def test_pushforward_is_nan_exactly_past_the_margin(self):
         # the 9 finite lanes of straddle_helix lie on the segment from
@@ -433,7 +452,7 @@ class TestReconstructionLanes:
         phi = reference_embedding(frame, delta)
         with pytest.raises(FlowExit, match="t=0.5"):
             reconstruct_embedding(
-                pushforward_field(psi), phi, u, c, t_seq=(0.5, 0.25, 0.125), flow_tol=1e-7
+                pushforward_field(psi), phi, u, c, t_seq=2.0 ** -np.arange(1, 6), flow_tol=1e-7
             )
 
 

@@ -180,13 +180,25 @@ def test_a_tube_run_builds_one_normal_frame(monkeypatch):
 
 
 def test_a_flat_slice_of_radius_1e6_passes_every_stage():
-    # a line's tube is certified at any radius; at delta = 1e6 psi's images
-    # lie where doubles are 1.2e-10 apart, below the absolute 1e-12 of
-    # psi's inversion, which then bounds each lane relative to its target
-    config = {"scenario": "flat-slice", "delta0": 1.0e6, "samples": SMALL}
+    # a line's tube is certified up to the edge of the background's box
+    # |x| < 1e6; at delta = 9.95e5 psi's images lie where doubles are
+    # 1.2e-10 apart, below the absolute 1e-12 of psi's inversion, which
+    # then bounds each lane relative to its target
+    config = {"scenario": "flat-slice", "delta0": 1.99e6, "samples": SMALL}
     reports = run_scenario(scenario_from_config(config))
     assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
-    assert reports[0].max_residual == 1.0e6
+    assert reports[0].max_residual == 9.95e5
+
+
+def test_a_radius_past_the_background_domain_is_not_certified():
+    # delta0 1e9 halves ten times to the first radius whose fiber samples,
+    # out to fraction 1.0, all lie inside the box |x| < 1e6; a radius past
+    # it failed the isometry stage, or left the diagram's geodesics at
+    # steps below the spacing of doubles there for more than 45 s
+    config = {"scenario": "flat-slice", "delta0": 1.0e9, "samples": SMALL}
+    reports = run_scenario(scenario_from_config(config))
+    assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
+    assert reports[0].max_residual == 1.0e9 * 2.0**-10
 
 
 def test_tube_run_loads_only_what_it_runs():
