@@ -387,8 +387,9 @@ def tubular_radius_estimate(frame: NormalFrame, grid: Array, delta0: float) -> f
 
     Certification samples ``normal_exponential(frame)`` along each fiber,
     on the frame that the run's embeddings are built on, so the radius is
-    certified for the chart they use.  It checks a metric-weighted
-    condition estimate of the chart jacobian, that its determinant keeps
+    certified for the chart they use.  It checks that every sampled image
+    lies in the background metric's domain, a metric-weighted condition
+    estimate of the chart jacobian, that its determinant keeps
     the sign it has on the zero section (so no sampled fiber crosses a
     focal point), and sampled injectivity; the boundary fraction 1.0 is
     included so focal degeneracies at radius exactly delta are rejected.
