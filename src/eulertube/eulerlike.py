@@ -100,8 +100,9 @@ def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
 
     Each evaluation inverts psi numerically at the query points (one lane
     Newton solve) and applies the jacobian to the fiber coordinates there;
-    the solve's last value call was at those preimages, so the jacobian
-    finds their normal frame in the frame memo.  The field is NaN on a lane
+    the solve's last value call was at those preimages, so the jacobian of
+    a map whose value reads the frame jet (the helix embedding) finds it in
+    the frame memo.  The field is NaN on a lane
     whose preimage has |c| >= ``_DOMAIN_MARGIN`` delta, so a flow stops
     there.  An inversion that fails with an EulertubeError fails the
     evaluation, which the integrator then makes lane by lane; any other

@@ -9,8 +9,8 @@ from typing import List, Sequence
 
 from .errors import IoError
 
-# the emitted fields, in order; the wall-clock runtime is not one of them,
-# so repeated runs of the same configuration write bitwise-identical files
+# the emitted fields, in order; not the wall-clock runtime or a failed stage's
+# error, so repeated runs of the same configuration write bitwise-identical files
 _FIELDS = (
     "scenario",
     "stage",
@@ -34,6 +34,7 @@ class ResidualReport:
     tolerance: float
     passed: bool = field(init=False)
     runtime_ms: float = 0.0
+    error: str = ""  # a failed stage's exception, as "Class: message"
 
     def __post_init__(self):
         # the pass flag follows the residual/tolerance pair; a failed
@@ -57,7 +58,7 @@ def emit(reports: Sequence[ResidualReport], fmt: str = "table", path: str = None
     Numbers carry 17 significant digits and the field order is fixed;
     records write a non-finite number (the residual of a failed stage) as
     null, which JSON (RFC 8259) allows and ``parse`` reads back as inf.
-    The runtime is left out.
+    The runtime and a failed stage's error are left out.
     """
     lines: List[str] = []
     if fmt == "table":
@@ -90,7 +91,7 @@ def emit(reports: Sequence[ResidualReport], fmt: str = "table", path: str = None
 
 def parse(text: str) -> List[ResidualReport]:
     """Parse the output of emit back into report objects (both formats),
-    with a runtime of 0."""
+    with a runtime of 0 and no error."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return []

@@ -169,8 +169,9 @@ def _embedding_helix_quadratic(frame):
         nt = np.sqrt((tan[:, None, :] @ tan[:, :, None])[:, 0])
         return c, eps * (c[:, :1] ** 2 - 0.5 * c[:, 1:] ** 2), tan, nt, tan / nt
 
+    # the value reads the jet too, so a Newton iterate's jacobian reuses its build
     def fn(UC):
-        fp = frame.at(UC[:, :1])
+        fp = frame.derivative(UC[:, :1])
         c, q, _, _, that = pieces(fp, UC)
         return fp.p + (fp.B @ c[:, :, None])[:, :, 0] + q * that
 
@@ -474,16 +475,18 @@ def _stage(reports, scn, stage, fn):
     every sample reports it as the mean too.  Any exception fails the
     stage closed, not only the package's own errors: a defect in a stage
     helper becomes a failed row of one sample, never a traceback out of
-    ``run_scenario``.
+    ``run_scenario``, and the row keeps the exception's class and message.
     """
     t0 = time.perf_counter()
+    error = ""
     try:
         built, residuals = fn()
         r = np.asarray(residuals, dtype=float)
         count, max_r = len(r), float(np.max(r))
         mean_r = float(np.clip(np.mean(r), np.min(r), max_r))
-    except Exception:
+    except Exception as exc:
         built, count, max_r, mean_r = None, 1, math.inf, math.inf
+        error = f"{type(exc).__name__}: {exc}"
     reports.append(
         ResidualReport(
             scenario=scn.name,
@@ -493,6 +496,7 @@ def _stage(reports, scn, stage, fn):
             mean_residual=mean_r,
             tolerance=scn.tolerance(stage),
             runtime_ms=(time.perf_counter() - t0) * 1e3,
+            error=error,
         )
     )
     return built

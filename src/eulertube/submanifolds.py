@@ -77,16 +77,14 @@ def _small_inv(M: Array) -> Array:
     return np.reciprocal(M) if M.shape[-2:] == (1, 1) else np.linalg.inv(M)
 
 
-def _normal_projector(J: Array, G: Array):
+def _normal_projector(J: Array, G: Array) -> Array:
     """P = I - J M^-1 J^T G with M = J^T G J on lanes, the G-orthogonal
-    projection onto the normal space (kills tangents), and M^-1 (None for
-    a point)."""
+    projection onto the normal space (kills tangents)."""
     I = np.eye(J.shape[1])
     if J.shape[2] == 0:
-        return I + 0.0 * G, None
+        return I + 0.0 * G
     JtG = _T(J) @ G
-    M_inv = _small_inv(JtG @ J)
-    return I - J @ (M_inv @ JtG), M_inv
+    return I - J @ (_small_inv(JtG @ J) @ JtG)
 
 
 def _g_norm(q: Array, G: Array) -> Array:
@@ -106,13 +104,12 @@ def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, U: Array) -> 
 
 
 def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
-    """p, J, the basis of ``normal_space_basis``, G and M^-1 of
-    ``_normal_projector`` on the lanes U, from one chart evaluation, one
-    chart jacobian and one metric evaluation."""
+    """p, J, the basis of ``normal_space_basis``, G and the (B, n) mask of
+    the projector columns the basis was built from, on the lanes U, from
+    one chart evaluation, one chart jacobian and one metric evaluation."""
     p, J, G = _tangent_projection_pieces(g, N, U)
-    P, M_inv = _normal_projector(J, G)
     m = N.ambient_dim - N.param_dim
-    kept, vecs = _gram_schmidt(P, G, m)
+    kept, vecs = _gram_schmidt(_normal_projector(J, G), G, m)
     # no lane keeps more than m, so nl * m kept means every lane has m
     if np.count_nonzero(kept) < len(U) * m:
         short = np.count_nonzero(kept, axis=1) < m
@@ -120,7 +117,7 @@ def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
     # each lane's m kept vectors, in index order, as columns; contiguous,
     # since a stacked product over a transposed view may round differently
     basis = np.ascontiguousarray(_T(vecs[kept].reshape(len(U), m, N.ambient_dim)))
-    return p, J, basis, G, M_inv
+    return p, J, basis, G, kept
 
 
 def _gram_schmidt(P: Array, G: Array, m: int):
@@ -155,22 +152,23 @@ def _gram_schmidt(P: Array, G: Array, m: int):
 # calls a NormalFrame remembers; one call can hold thousands of lanes (a
 # Christoffel stencil's), so more entries mostly hold memory
 _FRAME_MEMO = 8
-_FRAME_DU = 1e-5  # central-difference step of dJ/du and dG/du
+# Step h of the frame jet's central differences, whose error is the
+# truncation h^2 |d^3B/du^3| / 6 plus B's rounding eps |B| / h; the two
+# balance near h = (3 eps)^(1/3) = 9e-6.  On the unit circle in the plane,
+# where |B| = |d^3B/du^3| = 1, dB is within 2.4e-11 of its closed form.
+_FRAME_DU = 1e-5
 
 
 @dataclass
 class FramePoint:
-    """The frame at lanes of base points u (B, k): p(u), the chart jacobian
-    J(u) and B(u), the matrix of ``normal_space_basis``, with the metric G
-    at p(u) and M^-1 = (J^T G J)^-1 that built it; dJ/du and dB/du once
-    requested."""
+    """The frame on lanes of base points u (B, k): p(u), the chart jacobian
+    J(u), B(u), the matrix of ``normal_space_basis``, and the metric G at
+    p(u) that built it; dJ/du and dB/du on a jet."""
 
-    u: Array
     p: Array
     J: Array  # (B, n, k), columns span T_pN
     B: Array  # (B, n, n-k)
     G: Array  # (B, n, n)
-    M_inv: Optional[Array]  # (B, k, k); None for a point
     dJ: Optional[Array] = None  # dJ[:, i] = dJ/du_i, (B, k, n, k)
     dB: Optional[Array] = None  # dB[:, i] = dB/du_i, (B, k, n, n-k)
 
@@ -178,91 +176,84 @@ class FramePoint:
 class NormalFrame:
     """The normal frame of N under the metric g.
 
-    On lanes of base points U (B, k), ``at(U)`` gives p, J and the frame B
-    of ``normal_space_basis`` from one chart evaluation and one chart
-    jacobian, and ``derivative(U)`` adds dJ/du and dB/du.  dB comes from
-    the chain rule through the tangent projection and Gram-Schmidt of
-    ``normal_space_basis``, so no frame is built at a shifted point; only
-    dJ and dG are central differences of the chart jacobian and the
-    metric.  The last ``_FRAME_MEMO`` calls are remembered under the exact
-    bytes of their lanes, and a result never depends on what was evaluated
-    before it.  ``numerics.solve_inverse`` keeps its batch fixed (a
-    converged lane is frozen, not dropped), so every Newton iterate's
-    jacobian is asked for at the lanes of the value call before it and
-    finds its frame here: one frame build an iterate.  So does a jacobian
-    taken at the solution, such as the pushforward field's.
+    On lanes of base points U (B, k), ``at(U)`` builds p, J, G and the
+    frame B of ``normal_space_basis`` from one chart evaluation, one chart
+    jacobian and one metric evaluation; ``derivative(U)`` adds dJ/du and
+    dB/du as central differences of one such build on the jet of U, each
+    distinct base point u and its shifts u +- h e_i.  A jet across a
+    discontinuity of the frame (other projector columns, or a vector of
+    the other sign, at a shifted lane) raises RankDeficient.  The last
+    ``_FRAME_MEMO`` calls are remembered under the exact bytes of their
+    lanes, a jet serving ``at`` too; a result never depends on what was
+    evaluated before it.  ``numerics.solve_inverse`` keeps its batch fixed,
+    so a map whose value reads the jet finds it again at the jacobian of
+    every Newton iterate and of the solution: one frame build an iterate.
     """
 
     def __init__(self, g: MetricField, N: ParametrizedSubmanifold):
         self.g = g
         self.N = N
-        k, m = N.param_dim, N.ambient_dim - N.param_dim
-        self._strict_lower = np.tri(m, m, -1)
-        # the parameter steps +h e_i, then -h e_i, of the chain rule
+        k = N.param_dim
+        # the jet's shifts +h e_i, then -h e_i
         self._shifts = _FRAME_DU * np.concatenate([np.eye(k), -np.eye(k)])
         self._memo: Dict[bytes, FramePoint] = {}
+
+    def _remember(self, key: bytes, fp: FramePoint) -> FramePoint:
+        if key not in self._memo and len(self._memo) >= _FRAME_MEMO:
+            del self._memo[next(iter(self._memo))]
+        self._memo[key] = fp
+        return fp
 
     def at(self, U: Array) -> FramePoint:
         """The memo entry of U's lanes, built on a miss."""
         key = U.tobytes()
         fp = self._memo.get(key)
         if fp is None:
-            p, J, B, G, M_inv = _normal_frame(self.g, self.N, U)
-            fp = FramePoint(u=U.copy(), p=p, J=J, B=B, G=G, M_inv=M_inv)
-            if len(self._memo) >= _FRAME_MEMO:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = fp
+            fp = self._remember(key, FramePoint(*_normal_frame(self.g, self.N, U)[:4]))
         return fp
 
     def derivative(self, U: Array) -> FramePoint:
-        fp = self.at(U)
-        if fp.dB is None:
-            fp.dJ, fp.dB = self._chain_rule(fp)
+        """The memo entry of U's lanes with dJ and dB, a jet built unless
+        the entry has them."""
+        key = U.tobytes()
+        fp = self._memo.get(key)
+        if fp is None or fp.dB is None:
+            fp = self._remember(key, self._jet(U))
         return fp
 
-    def _chain_rule(self, fp: FramePoint):
-        """dJ/du and dB/du on lanes, through the steps of normal_space_basis.
-
-        Write dB = J alpha + B W.  Differentiating J^T G B = 0 gives
-        alpha = -M^-1 (dJ^T G B + J^T dG B) with M = J^T G J, and
-        B^T G B = I gives sym(W) = -B^T dG B / 2.  Gram-Schmidt of the kept
-        projector columns s gives B R = P_s = (I - J A)_s with R upper
-        triangular and A = M^-1 J^T G; this fixes the strictly lower part
-        of W to that of -(B^T G dJ) C with C = A_s R^-1.  In
-        B = I_s R^-1 - J C (I_s: columns s of the identity) the k rows r
-        outside s of I_s R^-1 are zero, so C = -J_r^-1 B_r.
-        """
-        g, N = self.g, self.N
-        U, J, B, G, M_inv = fp.u, fp.J, fp.B, fp.G, fp.M_inv
-        nl, n, k = J.shape
-        m = B.shape[2]
-        dJ = np.empty((nl, k, n, k))
-        dB = np.empty((nl, k, n, m))
-        if k == 0:
-            return dJ, dB
-        BG = _T(B) @ G  # equals B^T G P; G is symmetric, so G B = BG^T
-        # Gram-Schmidt kept column s_j as the (j+1)-th vector: BG[j, s_j] is
-        # its residual norm, at least the rank bound, and BG[j, i] for i < s_j
-        # is below it (earlier columns lie in the span of earlier vectors up
-        # to a residual below the bound)
-        s = np.argmax(BG >= _RANK_TOL, axis=2)
-        rest = np.ones((nl, n), dtype=bool)
-        rest[np.arange(nl)[:, None], s] = False
-        r = np.nonzero(rest)[1].reshape(nl, k)  # rows outside s
-        JB_r = np.concatenate([J, B], axis=2)[np.arange(nl)[:, None], r]
-        C = -_small_inv(JB_r[:, :, :k]) @ JB_r[:, :, k:]
-        # the chart's jacobian and the metric at u +- h e_i, all in one batch
-        U2 = (U[:, None, :] + self._shifts).reshape(nl * 2 * k, k)
-        J2 = N.tangent_basis(U2).reshape(nl, 2 * k, n, k)
-        G2 = g.matrix(N.point(U2)).reshape(nl, 2 * k, n, n)
-        for i in range(k):
-            dJ[:, i] = (J2[:, i] - J2[:, k + i]) / (2.0 * _FRAME_DU)
-            dGB = (G2[:, i] - G2[:, k + i]) @ B / (2.0 * _FRAME_DU)
-            alpha = -M_inv @ (_T(dJ[:, i]) @ _T(BG) + _T(J) @ dGB)
-            S = -0.5 * (_T(B) @ dGB)
-            L = (-(BG @ dJ[:, i]) @ C - S) * self._strict_lower
-            dB[:, i] = J @ alpha + B @ (S + L - _T(L))
-        return dJ, dB
+    def _jet(self, U: Array) -> FramePoint:
+        nl, k = U.shape
+        # the distinct base points, told apart by the bytes of their rows:
+        # a batch of distinct lanes (a Newton batch) is built as it is, with
+        # no sort, and a stencil's repeated base points are built once
+        rows = np.ascontiguousarray(U).view(np.dtype((np.void, U.itemsize * k))).ravel().tolist()
+        base, ids = U, None
+        if len(set(rows)) < nl:
+            index: Dict[bytes, int] = {}
+            ids = np.array([index.setdefault(r, len(index)) for r in rows])
+            lane = np.empty(len(index), dtype=int)
+            lane[ids] = np.arange(nl)
+            base = U[lane]
+        nb = len(base)
+        shifted = (base[None] + self._shifts[:, None]).reshape(2 * k * nb, k)
+        p, J, B, G, kept = _normal_frame(self.g, self.N, np.concatenate([base, shifted]))
+        J, B, kept = (X.reshape(2 * k + 1, nb, *X.shape[1:]) for X in (J, B, kept))
+        # a difference across a switch of projector columns, or across a
+        # column whose projection passes through zero between u - h and
+        # u + h so that its vector flips, is of order 1/h, not a derivative
+        flip = (B[1 : k + 1] * B[k + 1 :]).sum(axis=2) <= 0.0
+        if np.count_nonzero(kept[1:] != kept[0]) or np.count_nonzero(flip):
+            torn = np.any(kept[1:] != kept[0], axis=(0, 2)) | np.any(flip, axis=(0, 2))
+            raise RankDeficient(f"normal frame torn within {_FRAME_DU:g} of u={base[torn][0]}")
+        # dJ and dB lane-major and contiguous, as a build's arrays are
+        dJ, dB = (
+            np.ascontiguousarray((X[1 : k + 1] - X[k + 1 :]).swapaxes(0, 1)) / (2.0 * _FRAME_DU)
+            for X in (J, B)
+        )
+        centre = [p[:nb], J[0], B[0], G[:nb]]
+        if ids is None:  # copies, or the memo would keep the shifted lanes alive
+            return FramePoint(*(f.copy() for f in centre), dJ, dB)
+        return FramePoint(*(f[ids] for f in centre + [dJ, dB]))
 
 
 def normal_representative(
@@ -276,7 +267,7 @@ def normal_representative(
     normal bundle onto the metric normal bundle.
     """
     _, J, G = _tangent_projection_pieces(g, N, U)
-    return (_normal_projector(J, G)[0] @ A[:, :, None])[:, :, 0]
+    return (_normal_projector(J, G) @ A[:, :, None])[:, :, 0]
 
 
 _EXP_TOL = 1e-11  # geodesic tolerance of the normal exponential chart

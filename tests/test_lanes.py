@@ -614,33 +614,28 @@ class TestSeedSearch:
 
 
 def count_work(monkeypatch, psi):
-    """Record psi's value and jacobian calls (kind, lanes), frame builds and
-    frame chain rules from here on."""
-    calls, frames, chain_rules = [], [], []
-    fn, jac = psi.map.fn, psi.map.jac
-
-    def value(UC):
-        calls.append(("value", UC.copy()))
-        return fn(UC)
-
-    def jacobian_(UC):
-        calls.append(("jacobian", UC.copy()))
-        return jac(UC)
-
-    build, chain = submanifolds._normal_frame, NormalFrame._chain_rule
+    """Record psi's value and jacobian calls from here on, as (kind, lanes,
+    the lanes of every frame build the call made)."""
+    calls, builds = [], []
+    build = submanifolds._normal_frame
 
     def counted_build(*args):
-        frames.append(args[-1])
+        builds.append(args[-1].copy())
         return build(*args)
 
-    def counted_chain(self, fp):
-        chain_rules.append(fp.u)
-        return chain(self, fp)
+    def counted(kind, f):
+        def call(UC):
+            start = len(builds)
+            out = f(UC)
+            calls.append((kind, UC.copy(), builds[start:]))
+            return out
 
+        return call
+
+    value, jacobian_ = counted("value", psi.map.fn), counted("jacobian", psi.map.jac)
     psi.map = replace(psi.map, fn=value, jac=jacobian_)
     monkeypatch.setattr(submanifolds, "_normal_frame", counted_build)
-    monkeypatch.setattr(NormalFrame, "_chain_rule", counted_chain)
-    return calls, frames, chain_rules
+    return calls
 
 
 class TestNewtonWork:
@@ -655,35 +650,39 @@ class TestNewtonWork:
         psi, _ = helix_pipeline()
         X = self.helix_targets(psi)
         start = psi.seeds[nearest_seed(psi, X)]
-        calls, frames, chain_rules = count_work(monkeypatch, psi)
+        calls = count_work(monkeypatch, psi)
         uc = psi.invert(X)
         assert uc[-1].tobytes() == start[-1].tobytes()
-        values = [x for kind, x in calls if kind == "value"]
-        jacobians = [x for kind, x in calls if kind == "jacobian"]
+        values = [(x, b) for kind, x, b in calls if kind == "value"]
+        jacobians = [b for kind, _, b in calls if kind == "jacobian"]
         # the seed table holds psi and the inverse jacobian at the seeds
         assert calls[0][0] == "value"
-        assert not any(np.array_equal(x, start) for _, x in calls)
+        assert not any(np.array_equal(x, start) for _, x, _ in calls)
         # the batch stays fixed, so every call sees every lane, converged
-        # ones included, and each jacobian finds the frame of the value
-        # call before it: one frame build per iterate
-        assert all(len(x) == len(X) for _, x in calls)
+        # ones included; each value call builds the jet of its lanes, in
+        # their own order, and the jacobian after it builds nothing: one
+        # frame build per iterate
+        assert all(len(x) == len(X) for _, x, _ in calls)
         assert len(values) >= 2 and len(jacobians) == len(values) - 1
-        assert len(frames) == len(values)
-        assert len(chain_rules) == len(jacobians)
-        assert np.array_equal(values[-1], uc)
+        h = submanifolds._FRAME_DU
+        for x, b in values:
+            u = x[:, :1]
+            assert len(b) == 1 and b[0].tobytes() == np.concatenate([u, u + h, u - h]).tobytes()
+        assert not any(jacobians)
+        assert np.array_equal(values[-1][0], uc)
 
     def test_pushforward_builds_no_frame_at_its_solution(self, monkeypatch):
         psi, _ = helix_pipeline()
         X = self.helix_targets(psi)
         field = pushforward_field(psi)
-        calls, frames, chain_rules = count_work(monkeypatch, psi)
+        calls = count_work(monkeypatch, psi)
         field(X)
-        values = [x for kind, x in calls if kind == "value"]
+        values = [x for kind, x, _ in calls if kind == "value"]
         # the last call is the jacobian at the solution, on the lanes of
-        # the last value call, whose frame it reuses
-        assert calls[-1][0] == "jacobian" and np.array_equal(calls[-1][1], values[-1])
-        assert len(frames) == len(values)
-        assert len(chain_rules) == len(calls) - len(values)
+        # the last value call, whose jet it reuses
+        kind, x, builds = calls[-1]
+        assert kind == "jacobian" and np.array_equal(x, values[-1]) and not builds
+        assert all(len(b) == (kind == "value") for kind, _, b in calls)
 
     def test_fd_stencil_outside_the_domain_at_a_converged_lane(self):
         # the first lane starts on its solution, h / 2 inside the domain's

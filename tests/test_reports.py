@@ -56,6 +56,16 @@ def test_runtime_excluded_by_default():
 
 
 @pytest.mark.parametrize("fmt", ["table", "records"])
+def test_error_excluded(fmt):
+    failed = sample_report(max_residual=float("inf"), mean_residual=float("inf"))
+    named = sample_report(
+        max_residual=float("inf"), mean_residual=float("inf"), error="NotEulerLike: rejected"
+    )
+    assert emit([named], fmt=fmt) == emit([failed], fmt=fmt)
+    assert parse(emit([named], fmt=fmt))[0].error == ""
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
 def test_round_trip(fmt):
     reports = [
         sample_report(runtime_ms=0.0),

@@ -1,11 +1,13 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eulertube.eulerlike import pushforward_field
 from eulertube.numerics import DifferentiableMap
+from eulertube.reports import emit
 from eulertube.scenarios import (
     BUILTIN_SCENARIOS,
     COVERAGE_MANIFEST,
@@ -141,6 +143,11 @@ def test_euler_like_stage_fails_on_a_rejected_field(monkeypatch):
     reports = run_scenario(scenario_from_config({"scenario": "flat-slice", "samples": SMALL}))
     (row,) = [r for r in reports if r.stage == "euler-like"]
     assert not row.passed and row.max_residual == float("inf")
+    # the row names the verdict; a passed row names nothing, and neither
+    # reaches the emitted report
+    assert row.error.startswith("NotEulerLike: pushforward field fails the Euler-like test (")
+    assert all(r.error == "" for r in reports if r.passed)
+    assert emit(reports) == emit([replace(r, error="") for r in reports])
 
 
 @pytest.mark.parametrize("stage", list(TUBE_STAGE_HELPERS))
@@ -158,6 +165,7 @@ def test_a_failed_stage_stops_the_pipeline_only_before_the_diagram(stage, monkey
     assert [(r.stage, r.passed) for r in reports] == [(s, s != stage) for s in stages]
     (failed,) = [r for r in reports if r.stage == stage]
     assert failed.sample_count == 1 and failed.max_residual == float("inf")
+    assert failed.error == "ValueError: defect in a stage helper"
 
 
 def test_a_tube_run_builds_one_normal_frame(monkeypatch):

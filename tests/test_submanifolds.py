@@ -161,23 +161,61 @@ FRAME_CASES = {
 }
 
 
+def test_frame_derivative_of_the_circle_is_its_closed_form():
+    # the normal of the unit circle is r(u) = (cos u, sin u) while cos u > 0,
+    # so dB/du is the unit tangent (-sin u, cos u) and dJ/du is -r(u)
+    g = BACKGROUNDS["euclidean-2d"]()
+    N = SUBMANIFOLDS["circle-arc"]()
+    u = np.linspace(N.lo + 0.05, N.hi - 0.05, 9)[:, None]
+    fp = NormalFrame(g, N).derivative(u)
+    assert np.array_equal(fp.B, normal_space_basis(g, N, u))
+    r = np.concatenate([np.cos(u), np.sin(u)], axis=1)
+    t = np.concatenate([-np.sin(u), np.cos(u)], axis=1)
+    assert np.allclose(fp.B[:, :, 0], r, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(fp.dB[:, 0, :, 0] - t)) <= 1e-10
+    assert np.max(np.abs(fp.dJ[:, 0, :, 0] + r)) <= 1e-10
+
+
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
 def test_frame_derivative_matches_fd_of_frame(case):
+    """dB is a central difference of the frame at the step ``_FRAME_DU``,
+    so it is checked against what does not share that step: a difference
+    of the frame at a step 100 times as long, within its O(h^2)
+    truncation, and the derivative of each condition that fixes B:
+    J^T G B = 0, B^T G B = I and, from Gram-Schmidt, b_j^T G e_s = 0 for
+    the projector column s that gave an earlier vector.  Together the
+    conditions fix dB, and each differentiated one must vanish to O(h^2)
+    of the frame's step; dG comes from the metric alone."""
     make_g, make_N = FRAME_CASES[case]
     g = make_g()
     N = make_N()
-    frame = NormalFrame(g, N)
     k = N.param_dim
     lo, hi = GRAPH_SWEEP if k == 2 else (N.lo, N.hi)
-    for v in np.linspace(lo + 0.05, hi - 0.05, 9):
-        u = np.array([[v, -0.6 * v]])[:, :k]
-        fp = frame.derivative(u)
-        assert np.array_equal(fp.B, normal_space_basis(g, N, u))
-        for i in range(k):
-            h = np.zeros((1, k))
-            h[0, i] = 1e-5
-            fd = (normal_space_basis(g, N, u + h) - normal_space_basis(g, N, u - h)) / 2e-5
-            assert np.max(np.abs(fp.dB[:, i] - fd)) <= 1e-7
+    v = np.linspace(lo + 0.05, hi - 0.05, 9)
+    U = np.stack([v, -0.6 * v], axis=1)[:, :k]
+    fp = NormalFrame(g, N).derivative(U)
+    assert np.array_equal(fp.B, normal_space_basis(g, N, U))
+    kept = submanifolds._normal_frame(g, N, U)[4]
+    J, B, G = fp.J, fp.B, fp.G
+    m = B.shape[2]
+    bound = 20.0 * submanifolds._FRAME_DU**2
+    T = lambda M: np.swapaxes(M, 1, 2)
+    for i in range(k):
+        h = np.zeros(k)
+        h[i] = 1e-5
+        dG = (g.matrix(N.point(U + h)) - g.matrix(N.point(U - h))) / 2e-5
+        dJ, dB = fp.dJ[:, i], fp.dB[:, i]
+        fd = (normal_space_basis(g, N, U + 100 * h) - normal_space_basis(g, N, U - 100 * h)) / 2e-3
+        assert np.max(np.abs(dB - fd)) <= 1e4 * bound  # O(h^2) at the step 100 h
+        tangent = T(dJ) @ G @ B + T(J) @ dG @ B + T(J) @ G @ dB
+        unit = T(dB) @ G @ B + T(B) @ dG @ B + T(B) @ G @ dB
+        assert np.max(np.abs(tangent)) <= bound
+        assert np.max(np.abs(unit)) <= bound
+        dBG = T(dB) @ G + T(B) @ dG
+        for lane, cols in zip(dBG, kept):
+            s = np.flatnonzero(cols)
+            for j in range(m):
+                assert np.all(np.abs(lane[j, s[:j]]) <= bound)
 
 
 def test_frame_memo_carries_no_history():
@@ -226,25 +264,77 @@ def test_a_frame_build_evaluates_the_chart_once():
     assert fp.J.tobytes() == N.tangent_basis(U).tobytes()
 
 
-def test_frame_derivative_reuses_the_metric_of_its_build():
-    # the chain rule needs G and (J^T G J)^-1 at the frame's base points,
-    # which the build computed; it evaluates the metric only at u +- h
+def test_a_frame_derivative_is_one_build_of_its_jet():
+    # one chart, one chart-jacobian and one metric evaluation per call, on
+    # 2k + 1 lanes for each distinct base point: a stencil's repeated base
+    # points are built once, and each lane gets what it gets alone
     g = skew_varying_metric_3d()
-    seen = []
+    calls = []
 
-    def matrix_fn(X):
-        seen.append(X.copy())
-        return g.matrix_fn(X)
+    def counted(kind, f):
+        def call(X):
+            calls.append((kind, len(X)))
+            return f(X)
 
-    N = SUBMANIFOLDS["helix-arc"]()
-    frame = NormalFrame(replace(g, matrix_fn=matrix_fn), N)
-    U = np.linspace(N.lo + 0.1, N.hi - 0.1, 5)[:, None]
-    fp = frame.at(U)
-    seen.clear()
-    frame.derivative(U)
-    assert len(seen) == 1
-    base = {p.tobytes() for p in fp.p}
-    assert not any(x.tobytes() in base for x in seen[0])
+        return call
+
+    for make_N, k in ((SUBMANIFOLDS["helix-arc"], 1), (graph_surface, 2)):
+        N = make_N()
+        chart = replace(
+            N.chart, fn=counted("point", N.chart.fn), jac=counted("tangent", N.chart.jac)
+        )
+        N = replace(N, chart=chart)
+        frame = NormalFrame(replace(g, matrix_fn=counted("metric", g.matrix_fn)), N)
+        distinct = np.stack([np.linspace(0.15, 0.85, 5), np.linspace(0.6, 0.2, 5)], axis=1)[:, :k]
+        U = distinct[[0, 3, 1, 3, 4, 0, 2, 2, 1, 4]]
+        calls.clear()
+        fp = frame.derivative(U)
+        lanes = (2 * k + 1) * len(distinct)
+        assert sorted(calls) == [("metric", lanes), ("point", lanes), ("tangent", lanes)]
+        # the jet serves the frame and its derivative on these lanes again
+        calls.clear()
+        assert frame.at(U) is fp and frame.derivative(U) is fp
+        assert calls == []
+        one = NormalFrame(g, make_N())
+        for i in range(len(U)):
+            alone = one.derivative(U[i : i + 1])
+            for field in ("p", "J", "B", "G", "dJ", "dB"):
+                assert getattr(alone, field).tobytes() == getattr(fp, field)[i : i + 1].tobytes()
+
+
+def test_a_jet_across_a_switch_of_projector_columns_fails_closed():
+    # on (u, u^2 / 2) the first projector column is zero at u = 0, so the
+    # frame there comes from e2, and from e1 at u = +-h: a central
+    # difference across the switch would be of order 1/h
+    chart = DifferentiableMap(
+        1,
+        2,
+        lambda U: np.concatenate([U, 0.5 * U * U], axis=1),
+        jac=lambda U: np.stack([np.ones_like(U), U], axis=1),
+    )
+    N = ParametrizedSubmanifold(chart)
+    g = euclidean_metric(2)
+    h = submanifolds._FRAME_DU
+    kept = submanifolds._normal_frame(g, N, np.array([[0.0], [h], [-h]]))[4]
+    assert kept.tolist() == [[False, True], [True, False], [True, False]]
+    frame = NormalFrame(g, N)
+    assert np.array_equal(frame.at(np.array([[0.0]])).B[0], [[0.0], [1.0]])
+    with pytest.raises(RankDeficient, match=r"u=\[0\.\]"):
+        frame.derivative(np.array([[0.5], [0.0]]))
+    assert frame.derivative(np.array([[0.5]])).dB.shape == (1, 1, 2, 1)
+
+
+def test_a_jet_across_a_flip_of_a_frame_vector_fails_closed():
+    # past u = pi/2 the circle's first projector column cos(u) r(u) changes
+    # sign, and so does the vector it gives, between lanes that all keep it
+    g = euclidean_metric(2)
+    N = SUBMANIFOLDS["circle-full"]()
+    u = np.pi / 2 + 0.5 * submanifolds._FRAME_DU
+    h = submanifolds._FRAME_DU
+    kept = submanifolds._normal_frame(g, N, np.array([[u], [u + h], [u - h]]))[4]
+    assert kept[:, 0].all()
+    with pytest.raises(RankDeficient, match="torn"):
+        NormalFrame(g, N).derivative(np.array([[u]]))
 
 
 class TestNormalRepresentative:
