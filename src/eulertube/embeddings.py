@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import InitVar, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -19,27 +19,39 @@ from .submanifolds import (
 # Newton tolerance of TubularEmbedding.invert, which serves the comparison
 # map's preimage and the pushforward field
 _INVERT_TOL = 1e-12
+# the seed table's fiber samples, in units of delta, at every seed base point
+_SEED_FRACTIONS = (0.0, 0.35, 0.7)
 
 
 @dataclass
 class TubularEmbedding:
     """A smooth injective map (u, c) -> ambient point, with c the coordinates
-    of a normal vector in the deterministic background-metric frame.
+    of a normal vector in the deterministic background-metric frame, and
+    its inverse.
 
     ``frame`` is the normal frame of N that c refers to; ``delta``, the
     certified radius, bounds |c| on the tube, the same at every base point.
-    Inversion is Newton iteration seeded from the nearest entry of a
-    precomputed table of seeds, their images and the guarded inverses of
-    the jacobian there, so the first Newton step evaluates nothing.  Evaluation and inversion take lanes (a leading axis of
-    independent points).
+    Construction builds ``invert``'s seed table at the base points
+    ``seed_grid`` (G, k): seeds (u, c), c at the signed ``_SEED_FRACTIONS``
+    of delta on each fiber axis, their images and guarded jacobian inverses,
+    so the first Newton step evaluates nothing.  Evaluation and inversion
+    take lanes (a leading axis of independent points).
     """
 
     map: DifferentiableMap
     frame: NormalFrame
     delta: float
-    seeds: Optional[Array] = None  # (#seeds, k+m)
-    seed_images: Optional[Array] = None  # (n, #seeds): image of seed s in column s
-    seed_inverses: Optional[Array] = None  # (#seeds, k+m, n), NaN where the guard fails
+    seed_grid: InitVar[Array]
+    seeds: Array = field(init=False)  # (#seeds, k+m)
+    seed_images: Array = field(init=False)  # (n, #seeds): image of seed s in column s
+    seed_inverses: Array = field(init=False)  # (#seeds, k+m, n), NaN where the guard fails
+
+    def __post_init__(self, U: Array):
+        cs = fiber_axis_samples(self.fiber_dim, _SEED_FRACTIONS, self.delta)
+        seeds = np.concatenate([np.repeat(U, len(cs), axis=0), np.tile(cs, (len(U), 1))], axis=1)
+        self.seeds = np.array(sorted({tuple(np.round(s, 12)) for s in seeds}))
+        self.seed_images = np.ascontiguousarray(self.map(self.seeds).T)
+        self.seed_inverses = guarded_inverse(self.map.jacobian(self.seeds))
 
     @property
     def N(self) -> ParametrizedSubmanifold:
@@ -52,22 +64,11 @@ class TubularEmbedding:
     def __call__(self, U: Array, C: Array) -> Array:
         return self.map(np.concatenate([U, C], axis=1))
 
-    def build_seed_table(self, U: Array, c_fractions=(0.0, 0.35, 0.7)) -> None:
-        """Seeds (u, c) at the grid of base points U (G, k), c along each
-        fiber axis at the signed fractions of delta."""
-        cs = fiber_axis_samples(self.fiber_dim, c_fractions, self.delta)
-        seeds = np.concatenate([np.repeat(U, len(cs), axis=0), np.tile(cs, (len(U), 1))], axis=1)
-        self.seeds = np.array(sorted({tuple(np.round(s, 12)) for s in seeds}))
-        self.seed_images = np.ascontiguousarray(self.map(self.seeds).T)
-        self.seed_inverses = guarded_inverse(self.map.jacobian(self.seeds))
-
     def invert(self, X: Array) -> Array:
         """Solve psi(u, c) = x by Newton on lanes X (B, n), each lane from
         its own nearest table seed.  A seed whose jacobian fails the guard
         makes only the inversions that start from it raise
         SingularJacobian."""
-        if self.seeds is None:
-            raise RuntimeError("seed table not built; call build_seed_table first")
         # squared distances (B, #seeds) summed over the n coordinates in
         # index order: a (B, #seeds, n) difference reduced over its short
         # last axis costs several times more
@@ -86,19 +87,20 @@ _ZERO_SECTION_TOL = 1e-10  # largest |psi(u, 0) - p(u)| validate_embedding accep
 _FIBER_FRAME_TOL = 1e-6  # largest entry of its fiber block minus the identity
 
 
-def validate_embedding(psi: TubularEmbedding, U: Array) -> float:
-    """Check the tubular-embedding invariants on a parameter grid U (G, k).
+def validate_embedding(frame: NormalFrame, psi: DifferentiableMap, U: Array) -> float:
+    """Check the tubular-embedding invariants of the chart psi (u, c) -> x
+    on a parameter grid U (G, k) of the frame's submanifold.
 
     Verifies that the zero section lands on N and that the fiber block of
-    the jacobian, expressed in the embedding's normal frame, is the
-    identity.  The grid is one lane batch; the first grid point that fails
-    raises NotInDomain.  Returns the worst residual seen.
+    the jacobian, expressed in the normal frame, is the identity.  The
+    grid is one lane batch; the first grid point that fails raises
+    NotInDomain.  Returns the worst residual seen.
     """
-    k, m = psi.N.param_dim, psi.fiber_dim
-    fp = psi.frame.at(U)
+    fp = frame.at(U)
+    k, m = fp.J.shape[2], fp.B.shape[2]
     zero = np.concatenate([U, np.zeros((len(U), m))], axis=1)
-    r0 = [float(np.linalg.norm(d)) for d in psi.map(zero) - fp.p]
-    F = psi.map.jacobian(zero)[:, :, k:]
+    r0 = [float(np.linalg.norm(d)) for d in psi(zero) - fp.p]
+    F = psi.jacobian(zero)[:, :, k:]
     induced = np.swapaxes(fp.B, 1, 2) @ fp.G @ F
     r1 = np.max(np.abs(induced - np.eye(m)), axis=(1, 2))
     for u, zero_r, frame_r in zip(U, r0, r1):
@@ -123,12 +125,11 @@ def tube_domain(N: ParametrizedSubmanifold, radius: float) -> Callable[[Array], 
     return lambda UC: N.in_param_domain(UC[:, :k]) & (fiber_norm(UC[:, k:]) < radius)
 
 
-def reference_embedding(frame: NormalFrame, delta: float) -> TubularEmbedding:
-    """The normal-exponential embedding of the frame's metric: the chart of
-    ``submanifolds.normal_exponential`` on the tube |c| < delta.
+def reference_embedding(frame: NormalFrame, delta: float) -> DifferentiableMap:
+    """The normal-exponential chart of the frame's metric,
+    ``submanifolds.normal_exponential`` restricted to the tube |c| < delta.
 
     Its fiber differential on the zero section is the identity because the
     exponential map's differential at zero is.
     """
-    chart = replace(normal_exponential(frame), domain=tube_domain(frame.N, delta))
-    return TubularEmbedding(map=chart, frame=frame, delta=delta)
+    return replace(normal_exponential(frame), domain=tube_domain(frame.N, delta))

@@ -50,6 +50,10 @@ class NoValidRadius(EulertubeError):
     """Radius search exhausted all halvings without certification."""
 
 
+class DegenerateSample(EulertubeError):
+    """A sample is too small to resolve in double precision."""
+
+
 class DecompositionFailure(EulertubeError):
     """A tangent/normal decomposition left a residual above tolerance."""
 

@@ -9,9 +9,8 @@ import numpy as np
 
 from .embeddings import TubularEmbedding, fiber_norm
 from .errors import FlowExit, NoConvergence, NotVanishing
-from .metrics import MetricField
 from .numerics import Array, DifferentiableMap, ode_integrate
-from .submanifolds import ParametrizedSubmanifold, normal_space_basis
+from .submanifolds import FramePoint, NormalFrame, ParametrizedSubmanifold
 
 
 def euler_field(C: Array) -> Array:
@@ -34,49 +33,42 @@ def vanishes_on_N(
     return worst <= _VANISH_TOL, worst
 
 
-def linear_approximation(
-    X: DifferentiableMap, g_ref: MetricField, N: ParametrizedSubmanifold, U: Array
-) -> Array:
+def linear_approximation(X: DifferentiableMap, frame: NormalFrame, U: Array) -> Array:
     """Quotient action of the jacobian A of X at p(u) on the normal classes,
     on lanes of base points U (B, k): the induced matrices (B, m, m) in the
-    g_ref normal frame B of ``normal_space_basis``.
+    normal frame B of ``frame``, orthonormal under its metric G.
 
     The class of a normal frame vector b is sent to the class of A b; with
-    a g_ref-orthonormal frame the class coordinates are B^T G A b.  Raises
+    a G-orthonormal frame the class coordinates are B^T G A b.  Raises
     NotVanishing at the first lane where |X(p(u))| exceeds ``_VANISH_TOL``.
     """
-    P = N.point(U)
-    for u_b, v in zip(U, X(P)):
+    fp = frame.at(U)
+    for u_b, v in zip(U, X(fp.p)):
         r = float(np.linalg.norm(v))
         if r > _VANISH_TOL:
             raise NotVanishing(f"|X(p(u))| = {r:.3e} at u={u_b}")
-    return _quotient_action(X, g_ref, N, U, P)
+    return _quotient_action(X, fp)
 
 
-def _quotient_action(X, g_ref, N, U: Array, P: Array) -> Array:
-    """The ``linear_approximation`` of X at the base points U, with P = p(U),
-    taken without evaluating X itself."""
-    A = X.jacobian(P)
-    B = normal_space_basis(g_ref, N, U)
-    return np.swapaxes(B, 1, 2) @ g_ref.matrix(P) @ A @ B
+def _quotient_action(X: DifferentiableMap, fp: FramePoint) -> Array:
+    """The ``linear_approximation`` of X on the frame's base points, taken
+    without evaluating X itself."""
+    A = X.jacobian(fp.p)
+    return np.swapaxes(fp.B, 1, 2) @ fp.G @ A @ fp.B
 
 
 def is_euler_like(
-    X: DifferentiableMap,
-    g_ref: MetricField,
-    N: ParametrizedSubmanifold,
-    grid: Array,
-    tol: float = 1e-5,
+    X: DifferentiableMap, frame: NormalFrame, grid: Array, tol: float = 1e-5
 ) -> Tuple[bool, float]:
-    """True iff X vanishes on N and its induced quotient action is the
-    identity on every point of the grid (G, k); returns (verdict, max
-    residual).  The grid is one lane batch, and X is evaluated on it once:
-    the vanishing test's values decide, and the quotient action takes
-    only X's jacobian."""
-    ok, vres = vanishes_on_N(X, N, grid)
+    """True iff X vanishes on the frame's submanifold N and its induced
+    quotient action in the frame is the identity on every point of the
+    grid (G, k); returns (verdict, max residual).  The grid is one lane
+    batch, and X is evaluated on it once: the vanishing test's values
+    decide, and the quotient action takes only X's jacobian."""
+    ok, vres = vanishes_on_N(X, frame.N, grid)
     if not ok:
         return False, vres
-    induced = _quotient_action(X, g_ref, N, grid, N.point(grid))
+    induced = _quotient_action(X, frame.at(grid))
     m = induced.shape[-1]
     worst = float(np.max(np.abs(induced - np.eye(m)), initial=0.0))
     return worst <= tol, worst
@@ -136,7 +128,7 @@ _MIN_TIMES = _RICHARDSON_LEVELS + 2
 
 def reconstruct_embedding(
     X: DifferentiableMap,
-    psi0: TubularEmbedding,
+    phi: DifferentiableMap,
     U: Array,
     C: Array,
     t_seq: Sequence[float] = _T_SEQ,
@@ -144,19 +136,20 @@ def reconstruct_embedding(
     flow_tol: float = 1e-11,
 ) -> Array:
     """Recover psi(u, c) for the unique embedding with pushforward field X
-    at P points, lanes U (P, k), C (P, m).
+    at P points, lanes U (P, k), C (P, m), from the reference chart phi.
 
-    For each t the reference point psi0(u, t c) is transported by the flow
+    For each t the reference point phi(u, t c) is transported by the flow
     of X for time -ln t; the iterates converge linearly in t and are
     Richardson-extrapolated to third order, so with halving times the
     truncation left is O(t_min^4), while flow error grows like
     flow_tol / t_min.  The default schedule ``_T_SEQ`` (2^-1 ... 2^-6)
     balances the two at flow_tol 1e-9.  All P x len(t_seq) flows are lanes
-    of one integration.  Raises ValueError for a schedule of fewer than
-    ``_MIN_TIMES`` (5) times, NoConvergence if some point's iterates are
-    not Cauchy or its last two extrapolants disagree beyond tol, and
-    FlowExit if a flow reaches a point where X is undefined (a value that
-    is not finite, or an evaluation of that lane alone that fails).
+    of one integration, and all P limits one extrapolation.  Raises
+    ValueError for a schedule of fewer than ``_MIN_TIMES`` (5) times,
+    NoConvergence if some point's iterates are not Cauchy or its last two
+    extrapolants disagree beyond tol, and FlowExit if a flow reaches a
+    point where X is undefined (a value that is not finite, or an
+    evaluation of that lane alone that fails).
     """
     ts = np.array(sorted(t_seq, reverse=True))
     if len(ts) < _MIN_TIMES:
@@ -167,31 +160,37 @@ def reconstruct_embedding(
     # lane (point i, schedule time j) is row i * len(ts) + j
     U_t = np.repeat(U, len(ts), axis=0)
     C_t = (ts[None, :, None] * C[:, None, :]).reshape(len(U_t), -1)
-    traj = ode_integrate(X, psi0(U_t, C_t), np.tile(-np.log(ts), len(C)), flow_tol)
+    start = phi(np.concatenate([U_t, C_t], axis=1))
+    traj = ode_integrate(X, start, np.tile(-np.log(ts), len(C)), flow_tol)
     if traj.exited.any():
         t = ts[int(np.flatnonzero(traj.exited)[0]) % len(ts)]
         raise FlowExit(f"flow left the domain at schedule time t={t}")
-    raw = traj.final_state.reshape(len(C), len(ts), -1)
-    return np.array([_extrapolate(iterates, tol, flow_tol) for iterates in raw])
+    return _extrapolate(traj.final_state.reshape(len(C), len(ts), -1), tol, flow_tol)
 
 
 def _extrapolate(raw: Array, tol: float, flow_tol: float) -> Array:
-    """The Cauchy test and Richardson extrapolation of one point's flow
-    iterates raw[j] (schedule times halving): levels of order 1, 2 and 3 in
-    t, e_l[j] = (2^l e_{l-1}[j+1] - e_{l-1}[j]) / (2^l - 1), and the gap
-    between the last two third-level extrapolants against tol."""
-    diffs = [float(np.linalg.norm(b - a)) for a, b in zip(raw, raw[1:])]
-    noise_floor = max(1e-8, 100.0 * flow_tol)
-    for d_prev, d_next in zip(diffs, diffs[1:]):
-        if d_prev > noise_floor and d_next > 0.75 * d_prev:
-            raise NoConvergence(
-                f"iterates not Cauchy (successive gaps {d_prev:.3e} -> {d_next:.3e})"
-            )
-    e = list(raw)
+    """The Cauchy test and Richardson extrapolation of P points' flow
+    iterates raw (P, T, n) at T halving schedule times: levels of order 1,
+    2 and 3 in t, e_l[j] = (2^l e_{l-1}[j+1] - e_{l-1}[j]) / (2^l - 1), and
+    the gap between the last two third-level extrapolants against tol.
+    Returns the limits (P, n); the first point that fails raises
+    NoConvergence."""
+    diffs = np.linalg.norm(np.diff(raw, axis=1), axis=2)
+    d_prev, d_next = diffs[:, :-1], diffs[:, 1:]
+    torn = (d_prev > max(1e-8, 100.0 * flow_tol)) & (d_next > 0.75 * d_prev)
+    e = raw
     for level in range(1, _RICHARDSON_LEVELS + 1):
         w = 2.0**level
-        e = [(w * b - a) / (w - 1.0) for a, b in zip(e, e[1:])]
-    gap = float(np.linalg.norm(e[-1] - e[-2]))
-    if gap > tol:
-        raise NoConvergence(f"extrapolants differ by {gap:.3e} > tol {tol:.3e}")
-    return e[-1]
+        e = (w * e[:, 1:] - e[:, :-1]) / (w - 1.0)
+    gap = np.linalg.norm(e[:, -1] - e[:, -2], axis=1)
+    bad = np.flatnonzero(torn.any(axis=1) | (gap > tol))
+    if len(bad):
+        i = bad[0]
+        if torn[i].any():
+            j = np.flatnonzero(torn[i])[0]
+            raise NoConvergence(
+                f"iterates of point {i} not Cauchy (successive gaps "
+                f"{d_prev[i, j]:.3e} -> {d_next[i, j]:.3e})"
+            )
+        raise NoConvergence(f"extrapolants of point {i} differ by {gap[i]:.3e} > tol {tol:.3e}")
+    return e[:, -1]

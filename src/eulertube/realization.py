@@ -54,35 +54,27 @@ class ComparisonMap:
 
 def build_chi(
     psi: TubularEmbedding,
-    phi: TubularEmbedding,
+    phi: DifferentiableMap,
     domain: Optional[Callable[[Array], Array]] = None,
 ) -> ComparisonMap:
-    """The comparison map chi = phi o psi^{-1}; each evaluation inverts psi
-    by a Newton solve from its seed table, one lane per point."""
-    return ComparisonMap(
-        chart=psi.map,
-        target=phi.map,
-        preimage=psi.invert,
-        domain=domain,
-    )
+    """The comparison map chi = phi o psi^{-1} for the chart phi on psi's
+    frame coordinates; each evaluation inverts psi by a Newton solve from
+    its seed table, one lane per point."""
+    return ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert, domain=domain)
 
 
 def correction_eta(
-    chi: DifferentiableMap,
-    g_ref: MetricField,
-    N: ParametrizedSubmanifold,
-    U: Array,
-    tol: float = 1e-6,
+    chi: DifferentiableMap, frame: NormalFrame, U: Array, tol: float = 1e-6
 ) -> Array:
-    """Decompose d(chi) at p(u) on the g_ref normal frame vectors B as
-    identity plus a tangent-valued part, d(chi) B = B + J eta, on lanes of
-    base points U (B, k): returns eta (B, k, n-k), normal-frame coordinates
-    to tangent-frame coordinates.  Raises DecompositionFailure at the first
+    """Decompose d(chi) at p(u) on the frame's normal vectors B as identity
+    plus a tangent-valued part, d(chi) B = B + J eta, on lanes of base
+    points U (B, k): returns eta (B, k, n-k), normal-frame coordinates to
+    tangent-frame coordinates.  Raises DecompositionFailure at the first
     lane whose non-tangent residual of some frame vector exceeds tol.
     """
-    fp = NormalFrame(g_ref, N).at(U)
+    fp = frame.at(U)
     D = chi.jacobian(fp.p)
-    k = N.param_dim
+    k = frame.N.param_dim
     coef = np.linalg.solve(np.concatenate([fp.J, fp.B], axis=2), D @ fp.B - fp.B)
     normal = np.linalg.norm(coef[:, k:], axis=1)
     bad = np.flatnonzero((normal > tol).any(axis=1))
@@ -151,24 +143,21 @@ def pullback_metric(
 
 
 def verify_main_diagram(
-    psi: TubularEmbedding,
-    g: MetricField,
-    U: Array,
-    C: Array,
+    frame: NormalFrame, psi: DifferentiableMap, g: MetricField, U: Array, C: Array,
     exp_tol: float = 1e-9,
 ) -> Array:
     """Check that the normal exponential map of the constructed metric sends
-    the g-normal representative of each frame class back onto psi; returns
-    the residual of each sample (S,).
+    the g-normal representative of each frame class back onto the chart
+    psi (u, c) -> x; returns the residual of each sample (S,).
 
     The samples are frame coordinates (u, c) inside the certified tube, as
     lanes U (S, k), C (S, m): one frame build, one normal projection and
     one exponential map for all of them.
     """
-    fp = psi.frame.at(U)
-    lam = normal_representative(g, psi.N, U, (fp.B @ C[:, :, None])[:, :, 0])
+    fp = frame.at(U)
+    lam = normal_representative(g, frame.N, U, (fp.B @ C[:, :, None])[:, :, 0])
     y = exp_map(g, fp.p, lam, tol=exp_tol)
-    return np.linalg.norm(y - psi.map(np.concatenate([U, C], axis=1)), axis=1)
+    return np.linalg.norm(y - psi(np.concatenate([U, C], axis=1)), axis=1)
 
 
 _ISOMETRY_TS = np.array([0.25, 0.5, 0.75, 1.0])  # geodesic parameters compared

@@ -17,7 +17,7 @@ from .embeddings import (
     tube_domain,
     validate_embedding,
 )
-from .errors import ConfigError, NotEulerLike
+from .errors import ConfigError, DegenerateSample, NotEulerLike
 from .eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
 from .metrics import (
     MetricField,
@@ -426,7 +426,7 @@ def _build_psi(scn: Scenario, frame: NormalFrame, delta: float) -> TubularEmbedd
     psi_map = DifferentiableMap(
         domain_dim=n, codomain_dim=n, fn=fn, jac=jac, domain=tube_domain(frame.N, 1.2 * delta)
     )
-    return TubularEmbedding(map=psi_map, frame=frame, delta=delta)
+    return TubularEmbedding(psi_map, frame, delta, _interior_grid(frame.N, 15, margin=0.08))
 
 
 def _image_box(psi: TubularEmbedding, margin: float):
@@ -523,8 +523,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_embedding():
         psi = _build_psi(scn, frame, delta)
-        psi.build_seed_table(_interior_grid(N, 15, margin=0.08))
-        return psi, np.full(len(grid), validate_embedding(psi, grid))
+        return psi, np.full(len(grid), validate_embedding(frame, psi.map, grid))
 
     psi = _stage(reports, scn, "embedding", stage_embedding)
     if psi is None:
@@ -568,6 +567,10 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         img = lambda t: chi(curve(t).reshape(-1, n)).reshape(len(X0), -1, n)
         dimg = lambda t: (img(t + h) - img(t - h)) / (2.0 * h)
         len_ref = curve_length(gt, img, dimg)
+        if not np.all(np.isfinite(len_ref) & (len_ref > 0.0)):
+            raise DegenerateSample(
+                f"reference curve length {np.min(len_ref):.3e} at radius {delta:.3e}"
+            )
         return g, np.abs(len_g - len_ref) / len_ref
 
     g = _stage(reports, scn, "pullback", stage_pullback)
@@ -581,7 +584,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_diagram():
         U, C = _diagram_samples(scn, psi)
-        return None, verify_main_diagram(psi, g, U, C, exp_tol=exp_tol)
+        return None, verify_main_diagram(frame, psi.map, g, U, C, exp_tol=exp_tol)
 
     _stage(reports, scn, "diagram", stage_diagram)
 
@@ -595,7 +598,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     X = pushforward_field(psi)
 
     def stage_euler_like():
-        ok, res = is_euler_like(X, gt, N, grid, tol=scn.tolerance("euler-like"))
+        ok, res = is_euler_like(X, frame, grid, tol=scn.tolerance("euler-like"))
         if not ok:
             raise NotEulerLike(f"pushforward field fails the Euler-like test ({res:.3e})")
         return None, np.full(len(grid), res)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -183,11 +183,11 @@ class NormalFrame:
     distinct base point u and its shifts u +- h e_i.  A jet across a
     discontinuity of the frame (other projector columns, or a vector of
     the other sign, at a shifted lane) raises RankDeficient.  The last
-    ``_FRAME_MEMO`` calls are remembered under the exact bytes of their
-    lanes, a jet serving ``at`` too; a result never depends on what was
-    evaluated before it.  ``numerics.solve_inverse`` keeps its batch fixed,
-    so a map whose value reads the jet finds it again at the jacobian of
-    every Newton iterate and of the solution: one frame build an iterate.
+    ``_FRAME_MEMO`` calls are remembered under the lane count and bytes of
+    their lanes, a jet serving ``at`` too; a result never depends on what
+    was evaluated before it.  ``numerics.solve_inverse`` keeps its batch
+    fixed, so a map reading the jet in its value finds it again at the
+    jacobian of every Newton iterate and of the solution: one build each.
     """
 
     def __init__(self, g: MetricField, N: ParametrizedSubmanifold):
@@ -196,9 +196,9 @@ class NormalFrame:
         k = N.param_dim
         # the jet's shifts +h e_i, then -h e_i
         self._shifts = _FRAME_DU * np.concatenate([np.eye(k), -np.eye(k)])
-        self._memo: Dict[bytes, FramePoint] = {}
+        self._memo: Dict[Tuple[int, bytes], FramePoint] = {}
 
-    def _remember(self, key: bytes, fp: FramePoint) -> FramePoint:
+    def _remember(self, key: Tuple[int, bytes], fp: FramePoint) -> FramePoint:
         if key not in self._memo and len(self._memo) >= _FRAME_MEMO:
             del self._memo[next(iter(self._memo))]
         self._memo[key] = fp
@@ -206,7 +206,7 @@ class NormalFrame:
 
     def at(self, U: Array) -> FramePoint:
         """The memo entry of U's lanes, built on a miss."""
-        key = U.tobytes()
+        key = (len(U), U.tobytes())
         fp = self._memo.get(key)
         if fp is None:
             fp = self._remember(key, FramePoint(*_normal_frame(self.g, self.N, U)[:4]))
@@ -215,7 +215,7 @@ class NormalFrame:
     def derivative(self, U: Array) -> FramePoint:
         """The memo entry of U's lanes with dJ and dB, a jet built unless
         the entry has them."""
-        key = U.tobytes()
+        key = (len(U), U.tobytes())
         fp = self._memo.get(key)
         if fp is None or fp.dB is None:
             fp = self._remember(key, self._jet(U))
@@ -225,8 +225,10 @@ class NormalFrame:
         nl, k = U.shape
         # the distinct base points, told apart by the bytes of their rows:
         # a batch of distinct lanes (a Newton batch) is built as it is, with
-        # no sort, and a stencil's repeated base points are built once
-        rows = np.ascontiguousarray(U).view(np.dtype((np.void, U.itemsize * k))).ravel().tolist()
+        # no sort, and a stencil's repeated base points are built once; a
+        # point's lanes (k = 0) are one base point, with no shifts
+        void = np.dtype((np.void, U.itemsize * k))
+        rows = np.ascontiguousarray(U).view(void).ravel().tolist() if k else [b""] * nl
         base, ids = U, None
         if len(set(rows)) < nl:
             index: Dict[bytes, int] = {}
@@ -312,6 +314,9 @@ _RADIUS_COND_LIMIT = 1e6  # largest metric-weighted condition number of the char
 _RADIUS_INJ_TOL = 1e-8  # images of separated preimages must stay this far apart
 _RADIUS_FRACTIONS = (0.25, 0.5, 0.75, 1.0)  # fiber samples, in units of delta
 _RADIUS_MAX_HALVINGS = 20
+# samples whose pairs are compared at once; the grid comes from the user,
+# so the pair arrays stay O(block x samples)
+_RADIUS_PAIR_BLOCK = 64
 
 
 def fiber_axis_samples(m: int, fractions, delta: float) -> Array:
@@ -355,20 +360,18 @@ def _radius_candidate_ok(
         return False
     if np.any(np.linalg.det(Jmat) * np.repeat(det0, len(cs)) <= 0.0):
         return False
-    # sampled injectivity: well-separated preimages must stay separated
-    if len(pre) > 1:
-        mesh = 0.0
-        if len(us) > 1:
-            mesh = max(mesh, float(np.max(np.linalg.norm(np.diff(us, axis=0), axis=1))))
-        fr = sorted(_RADIUS_FRACTIONS)
-        gaps = [fr[0]] + [b - a for a, b in zip(fr, fr[1:])]
-        mesh = max(mesh, delta * max(gaps))
-        for i in range(len(pre)):
-            d_pre = np.linalg.norm(pre[i + 1 :] - pre[i], axis=1)
-            d_img = np.linalg.norm(img[i + 1 :] - img[i], axis=1)
-            bad = (d_pre > 2.0 * mesh) & (d_img < _RADIUS_INJ_TOL)
-            if np.any(bad):
-                return False
+    # sampled injectivity: preimages more than twice the mesh apart (the
+    # widest step between base points or fiber samples) must stay apart
+    fiber_mesh = delta * np.max(np.diff([0.0, *sorted(_RADIUS_FRACTIONS)]))
+    mesh = np.max(np.linalg.norm(np.diff(us, axis=0), axis=1), initial=fiber_mesh)
+    # a block of samples i against every j > i0; a pair j <= i in the block
+    # is one compared the other way round, or a sample with itself (d_pre 0)
+    for i0 in range(0, len(pre), _RADIUS_PAIR_BLOCK):
+        rows = slice(i0, i0 + _RADIUS_PAIR_BLOCK)
+        d_pre = np.linalg.norm(pre[None, i0 + 1 :] - pre[rows, None], axis=2)
+        d_img = np.linalg.norm(img[None, i0 + 1 :] - img[rows, None], axis=2)
+        if np.any((d_pre > 2.0 * mesh) & (d_img < _RADIUS_INJ_TOL)):
+            return False
     return True
 
 

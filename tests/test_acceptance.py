@@ -73,7 +73,6 @@ def circle_pullback_pipeline():
     frame = NormalFrame(gt, N)
     delta = tubular_radius_estimate(frame, grid, scn.delta0)
     psi = _build_psi(scn, frame, delta)
-    psi.build_seed_table(grid)
     phi = reference_embedding(frame, delta)
 
     def ring(X):
@@ -139,7 +138,7 @@ def test_criterion_4_euler_like_round_trip(suite_runs):
     chart = DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2)))
     origin = ParametrizedSubmanifold(chart)
     doubled = DifferentiableMap(2, 2, lambda x: 2.0 * x)
-    accepted, res = is_euler_like(doubled, euclidean_metric(2), origin, np.zeros((1, 0)))
+    accepted, res = is_euler_like(doubled, NormalFrame(euclidean_metric(2), origin), np.zeros((1, 0)))
     ok &= (not accepted) and res >= 0.9
     verdict(4, "Euler-like bijection round trip", ok)
 
@@ -167,12 +166,12 @@ def test_criterion_5_reference_metric_independence():
         map=DifferentiableMap(2, 2, fn),
         frame=NormalFrame(g_euc, N),
         delta=1.0,
+        seed_grid=np.linspace(-0.8, 0.8, 9)[:, None],
     )
-    psi.build_seed_table(np.linspace(-0.8, 0.8, 9)[:, None])
     X = pushforward_field(psi)
     grid = np.array([[-0.5], [0.0], [0.4], [0.8]])
-    ok_a, res_a = is_euler_like(X, g_euc, N, grid)
-    ok_b, res_b = is_euler_like(X, g_skew, N, grid)
+    ok_a, res_a = is_euler_like(X, NormalFrame(g_euc, N), grid)
+    ok_b, res_b = is_euler_like(X, NormalFrame(g_skew, N), grid)
     ok = (ok_a == ok_b) and abs(res_a - res_b) <= 1e-9
     verdict(5, "reference-metric independence", ok)
 

@@ -42,13 +42,14 @@ def oracle(fn, n=2):
 
 
 def embedding_over(N, fn, delta=1.5, jac=None):
+    """The embedding fn over N, its seed table at the parameter origin."""
     g = euclidean_metric(N.ambient_dim)
-    psi = TubularEmbedding(
+    return TubularEmbedding(
         map=DifferentiableMap(N.ambient_dim, N.ambient_dim, fn, jac=jac),
         frame=NormalFrame(g, N),
         delta=delta,
+        seed_grid=np.zeros((1, N.param_dim)),
     )
-    return psi
 
 
 class TestEulerField:
@@ -79,34 +80,30 @@ class TestVanishesOnN:
 class TestLinearApproximation:
     def test_euler_is_its_own_approximation(self):
         g = euclidean_metric(2)
-        induced = linear_approximation(oracle(euler_field), g, origin_r2(), ORIGIN)
+        induced = linear_approximation(oracle(euler_field), NormalFrame(g, origin_r2()), ORIGIN)
         assert np.allclose(induced[0], np.eye(2), atol=1e-9)
 
     def test_doubled_euler(self):
         g = euclidean_metric(2)
-        induced = linear_approximation(
-            oracle(lambda x: 2.0 * x), g, origin_r2(), ORIGIN
-        )
+        induced = linear_approximation(oracle(lambda x: 2.0 * x), NormalFrame(g, origin_r2()), ORIGIN)
         assert np.allclose(induced[0], 2.0 * np.eye(2), atol=1e-9)
 
     def test_quadratic_perturbation_invisible(self):
         g = euclidean_metric(2)
         fn = lambda X: X + np.stack([0.3 * X[:, 1] ** 2, 0.2 * X[:, 0] * X[:, 1]], axis=1)
-        induced = linear_approximation(oracle(fn), g, origin_r2(), ORIGIN)
+        induced = linear_approximation(oracle(fn), NormalFrame(g, origin_r2()), ORIGIN)
         assert np.max(np.abs(induced[0] - np.eye(2))) <= 1e-6
 
     def test_nonvanishing_rejected(self):
         g = euclidean_metric(2)
         with pytest.raises(NotVanishing):
-            linear_approximation(
-                oracle(lambda x: x + 1.0), g, origin_r2(), ORIGIN
-            )
+            linear_approximation(oracle(lambda x: x + 1.0), NormalFrame(g, origin_r2()), ORIGIN)
 
 
 class TestIsEulerLike:
     def test_euler_accepted(self):
         g = euclidean_metric(2)
-        ok, res = is_euler_like(oracle(euler_field), g, origin_r2(), ORIGIN)
+        ok, res = is_euler_like(oracle(euler_field), NormalFrame(g, origin_r2()), ORIGIN)
         assert ok and res <= 1e-9
 
     def test_field_evaluated_once_on_the_grid(self):
@@ -119,16 +116,14 @@ class TestIsEulerLike:
             seen.append(X.copy())
             return np.concatenate([0.0 * X[:, :1], X[:, 1:]], axis=1)
 
-        ok, res = is_euler_like(oracle(fn), euclidean_metric(2), x_axis_r2(), grid)
+        ok, res = is_euler_like(oracle(fn), NormalFrame(euclidean_metric(2), x_axis_r2()), grid)
         assert ok and res <= 1e-9
         on_grid = [X for X in seen if X.shape == (3, 2) and np.array_equal(X[:, 1], np.zeros(3))]
         assert len(on_grid) == 1
 
     def test_doubled_euler_rejected(self):
         g = euclidean_metric(2)
-        ok, res = is_euler_like(
-            oracle(lambda x: 2.0 * x), g, origin_r2(), ORIGIN
-        )
+        ok, res = is_euler_like(oracle(lambda x: 2.0 * x), NormalFrame(g, origin_r2()), ORIGIN)
         assert not ok
         assert res == pytest.approx(1.0, abs=1e-8)
 
@@ -154,12 +149,12 @@ class TestPushforwardEuler:
 
 
 class TestReconstruction:
-    def identity_embedding(self):
-        return embedding_over(origin_r2(), lambda v: v.copy())
+    def identity_chart(self):
+        return oracle(lambda v: v.copy())
 
     def test_euler_flow_reconstructs_identity(self):
         X = oracle(euler_field)
-        psi0 = self.identity_embedding()
+        psi0 = self.identity_chart()
         w = np.array([[0.3, 0.4]])
         rec = reconstruct_embedding(X, psi0, ORIGIN, w)
         assert np.linalg.norm(rec - w) <= 1e-6
@@ -167,15 +162,14 @@ class TestReconstruction:
     def test_a_schedule_too_short_to_extrapolate_is_rejected(self):
         # three Richardson levels and the gap between the last two
         # extrapolants need five schedule times; fewer fail before any flow
-        X, psi0, w = oracle(euler_field), self.identity_embedding(), np.array([[0.3, 0.4]])
+        X, psi0, w = oracle(euler_field), self.identity_chart(), np.array([[0.3, 0.4]])
         with pytest.raises(ValueError, match="at least 5 schedule times"):
             reconstruct_embedding(X, psi0, ORIGIN, w, t_seq=(0.5, 0.25, 0.125))
 
     def test_quadratic_embedding_round_trip(self):
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
         X = pushforward_field(psi)
-        psi0 = self.identity_embedding()
+        psi0 = self.identity_chart()
         for w in ([[0.5, 0.0]], [[-0.3, 0.4]], [[0.1, -0.45]]):
             w = np.array(w)
             rec = reconstruct_embedding(X, psi0, ORIGIN, w)
@@ -183,13 +177,23 @@ class TestReconstruction:
 
     def test_doubled_euler_diverges(self):
         X = oracle(lambda x: 2.0 * x)
-        psi0 = self.identity_embedding()
+        psi0 = self.identity_chart()
         with pytest.raises(NoConvergence):
             reconstruct_embedding(X, psi0, ORIGIN, np.array([[0.3, 0.1]]))
 
+    def test_one_point_not_cauchy_fails_the_batch(self):
+        # the Euler field on the half-plane x0 < 0 and twice it on x0 > 0;
+        # radial flows keep to their half-plane, so only the second of
+        # three points diverges, and it fails the batch by its index
+        X = oracle(lambda x: np.where(x[:, :1] < 0.0, 1.0, 2.0) * x)
+        w = np.array([[-0.3, 0.1], [0.3, 0.1], [-0.2, -0.2]])
+        with pytest.raises(NoConvergence, match="point 1 not Cauchy"):
+            reconstruct_embedding(X, self.identity_chart(), np.zeros((3, 0)), w)
+        rec = reconstruct_embedding(X, self.identity_chart(), np.zeros((2, 0)), w[[0, 2]])
+        assert np.max(np.abs(rec - w[[0, 2]])) <= 1e-6
+
     def test_one_inversion_per_field_call(self, monkeypatch):
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
         inverted, evaluated = [], []
         invert = TubularEmbedding.invert
 
@@ -205,7 +209,7 @@ class TestReconstruction:
             return X.fn(Y)
 
         w = np.array([[-0.3, 0.4]])
-        rec = reconstruct_embedding(dataclasses.replace(X, fn=fn), self.identity_embedding(), ORIGIN, w)
+        rec = reconstruct_embedding(dataclasses.replace(X, fn=fn), self.identity_chart(), ORIGIN, w)
         assert np.linalg.norm(rec - psi(ORIGIN, w)) <= 1e-4
         assert len(evaluated) > 1 and inverted == evaluated
 
@@ -213,7 +217,6 @@ class TestReconstruction:
         # only the package's own errors mean "undefined here"; a TypeError
         # in psi's map is a defect and must surface through the integrator
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
 
         def broken(V):
             raise TypeError("map defect")
@@ -221,13 +224,12 @@ class TestReconstruction:
         psi.map = dataclasses.replace(psi.map, fn=broken)
         X = pushforward_field(psi)
         with pytest.raises(TypeError):
-            reconstruct_embedding(X, self.identity_embedding(), ORIGIN, np.array([[0.3, -0.2]]))
+            reconstruct_embedding(X, self.identity_chart(), ORIGIN, np.array([[0.3, -0.2]]))
 
     def test_pushforward_passes_euler_like(self):
         psi = embedding_over(origin_r2(), quadratic)
-        psi.build_seed_table(ORIGIN, c_fractions=(0.0, 0.2, 0.4, 0.6))
         X = pushforward_field(psi)
         g = euclidean_metric(2)
-        ok, res = is_euler_like(X, g, origin_r2(), ORIGIN)
+        ok, res = is_euler_like(X, NormalFrame(g, origin_r2()), ORIGIN)
         assert ok
         assert res <= 1e-5

@@ -235,7 +235,6 @@ def tube_pipeline(name):
     gt, N, grid, delta = certified_radius(name)
     frame = NormalFrame(gt, N)
     psi = _build_psi(BUILTIN_SCENARIOS[name], frame, delta)
-    psi.build_seed_table(_interior_grid(N, 15, margin=0.08))
     return psi, frame, gt, delta, grid
 
 
@@ -537,7 +536,7 @@ class TestBuiltinDomainsTakeLanes:
         # radius: 1.2 delta for psi, delta for phi
         far = [mid + np.eye(m + 1)[1] * 2.0 * delta, [lo - 0.5, *np.zeros(m)], [hi + 0.5, *np.zeros(m)]]
         assert_lane_mask(psi.map.domain, straddle(mid, *far))
-        assert_lane_mask(phi.map.domain, straddle(mid, *far))
+        assert_lane_mask(phi.domain, straddle(mid, *far))
         box = _image_box(psi, 0.3 * delta)
         center = psi.seed_images.mean(axis=1)
         axes = 10.0 * np.eye(len(center))
@@ -713,18 +712,20 @@ class TestNewtonWork:
 
         f = DifferentiableMap(2, 2, fn, jac=jac)
         N = SUBMANIFOLDS["circle-arc"]()
+        # seeds (u, c) at u = 0, 1/4, ..., 1, five fiber points c each in
+        # ascending order: the jacobian is singular at u = 1/2 only, on the
+        # seeds 10 to 14, and (1/2, 0) is seed 12
         psi = TubularEmbedding(
             map=f,
             frame=NormalFrame(euclidean_metric(2), N),
             delta=1.0,
+            seed_grid=np.linspace(0.0, 1.0, 5)[:, None],
         )
-        # seeds (u, 0): the jacobian is singular at u = 1/2 only
-        psi.build_seed_table(np.linspace(0.0, 1.0, 5)[:, None], c_fractions=(0.0,))
-        assert psi.seeds[2].tolist() == [0.5, 0.0]
-        assert np.isnan(psi.seed_inverses[2]).all()
-        assert np.isfinite(np.delete(psi.seed_inverses, 2, axis=0)).all()
+        assert psi.seeds[12].tolist() == [0.5, 0.0]
+        assert np.isnan(psi.seed_inverses[10:15]).all()
+        assert np.isfinite(np.delete(psi.seed_inverses, np.s_[10:15], axis=0)).all()
         y = f(np.array([[0.05, 0.1], [0.27, 0.1], [0.55, 0.1], [0.8, 0.1], [0.97, 0.1]]))
-        assert nearest_seed(psi, y).tolist() == [0, 1, 2, 3, 4]
+        assert nearest_seed(psi, y).tolist() == [2, 7, 12, 17, 22]
         good = [0, 1, 3, 4]
         assert np.max(np.abs(f(psi.invert(y[good])) - y[good])) <= 1e-12
         with pytest.raises(SingularJacobian):
@@ -750,12 +751,12 @@ class TestCheckLanes:
 
     @pytest.mark.parametrize("name", ["helix", "circle"])
     def test_grid_checks_equal_their_per_point_results(self, name):
-        psi, _, gt, _, _ = tube_pipeline(name)
+        psi, frame, _, _, _ = tube_pipeline(name)
         grid = _interior_grid(psi.N, 9)
         field = pushforward_field(psi)
-        ok, res = is_euler_like(field, gt, psi.N, grid)
+        ok, res = is_euler_like(field, frame, grid)
         assert ok
         lanes = [grid[i : i + 1] for i in range(len(grid))]
-        assert res == max(is_euler_like(field, gt, psi.N, u)[1] for u in lanes)
-        worst = validate_embedding(psi, grid)
-        assert worst == max(validate_embedding(psi, u) for u in lanes)
+        assert res == max(is_euler_like(field, frame, u)[1] for u in lanes)
+        worst = validate_embedding(frame, psi.map, grid)
+        assert worst == max(validate_embedding(frame, psi.map, u) for u in lanes)

@@ -96,22 +96,21 @@ def circle_psi(g, N, delta):
         c, r, t = pieces(UC)
         return np.stack([(1.0 + c) * t - eps * c * c * r, r + 2 * eps * c * t], axis=2)
 
-    psi = TubularEmbedding(
+    return TubularEmbedding(
         map=DifferentiableMap(2, 2, fn, jac=jac),
         frame=NormalFrame(g, N),
         delta=delta,
+        seed_grid=u_grid(-1.2, 1.2, 15),
     )
-    psi.build_seed_table(u_grid(-1.2, 1.2, 15))
-    return psi
 
 
 class TestBuildChi:
     def test_phi_over_itself_is_identity(self):
         g = euclidean_metric(2)
         N = unit_circle()
-        phi = reference_embedding(NormalFrame(g, N), 0.4)
-        phi.build_seed_table(u_grid(-1.2, 1.2, 15))
-        chi = build_chi(phi, phi)
+        frame = NormalFrame(g, N)
+        phi = reference_embedding(frame, 0.4)
+        chi = build_chi(TubularEmbedding(phi, frame, 0.4, u_grid(-1.2, 1.2, 15)), phi)
         X = np.array([[1.1, 0.2], [0.8, 0.5], [1.05, -0.3]])
         assert np.max(np.linalg.norm(chi(X) - X, axis=1)) <= 1e-9
 
@@ -143,7 +142,7 @@ class TestCorrectionEta:
         g = euclidean_metric(2)
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: X.copy())
-        eta = correction_eta(chi, g, N, np.array([[0.3]]))
+        eta = correction_eta(chi, NormalFrame(g, N), np.array([[0.3]]))
         assert eta.shape == (1, 1, 1)
         assert np.max(np.abs(eta)) <= 1e-9
 
@@ -154,7 +153,7 @@ class TestCorrectionEta:
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0] + a * X[:, 1], X[:, 1]], axis=1))
         U = np.array([[0.0], [0.5], [-1.0]])
-        eta = correction_eta(chi, g, N, U)
+        eta = correction_eta(chi, NormalFrame(g, N), U)
         # the tangent correction J eta c of the normal vector e2, c = 1
         for J, e in zip(N.tangent_basis(U), eta):
             assert np.allclose(J @ e @ [1.0], [a, 0.0], atol=1e-8)
@@ -164,7 +163,7 @@ class TestCorrectionEta:
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: np.stack([X[:, 0], 2.0 * X[:, 1]], axis=1))
         with pytest.raises(DecompositionFailure):
-            correction_eta(chi, g, N, np.array([[0.0]]))
+            correction_eta(chi, NormalFrame(g, N), np.array([[0.0]]))
 
 
 class TestPullbackMetric:
@@ -223,18 +222,20 @@ class TestDiagramAndIsometry:
         _, _, psi, _, g = self.make_pipeline()
         U = np.repeat([[-0.5], [0.2], [0.9]], 3, axis=0)
         C = np.tile([[-0.12], [0.1], [0.3]], (3, 1))
-        residuals = verify_main_diagram(psi, g, U, C, exp_tol=1e-9)
+        residuals = verify_main_diagram(psi.frame, psi.map, g, U, C, exp_tol=1e-9)
         assert residuals.shape == (9,)
         assert np.max(residuals) <= 1e-5
         # the samples are lanes: each residual is the one it gets alone
         for i in range(len(U)):
-            alone = verify_main_diagram(psi, g, U[i : i + 1], C[i : i + 1], exp_tol=1e-9)
+            alone = verify_main_diagram(
+                psi.frame, psi.map, g, U[i : i + 1], C[i : i + 1], exp_tol=1e-9
+            )
             assert alone.tobytes() == residuals[i : i + 1].tobytes()
 
     def test_sample_beyond_radius_exits(self):
         _, _, psi, _, g = self.make_pipeline()
         with pytest.raises(NotInDomain):
-            verify_main_diagram(psi, g, np.array([[0.0]]), np.array([[1.5]]))
+            verify_main_diagram(psi.frame, psi.map, g, np.array([[0.0]]), np.array([[1.5]]))
 
     def test_identity_chi_zero_residual(self):
         g_ref = euclidean_metric(2)
@@ -346,7 +347,6 @@ def scenario_pipeline(name):
     frame = NormalFrame(gt, N)
     delta = tubular_radius_estimate(frame, grid, scn.delta0)
     psi = _build_psi(scn, frame, delta)
-    psi.build_seed_table(_interior_grid(N, 15, margin=0.08))
     chi = build_chi(psi, reference_embedding(frame, delta))
     g = pullback_metric(chi, gt)
     return psi, chi, g, psi(*_diagram_samples(scn, psi))

@@ -187,6 +187,53 @@ def test_a_tube_run_builds_one_normal_frame(monkeypatch):
     assert len(built) == 1
 
 
+def test_the_euler_like_stage_builds_frames_only_in_the_runs_frame(monkeypatch):
+    # the Euler-like test reads the run's NormalFrame: a frame built while
+    # it runs is a memo miss of that frame, never a separate build of the
+    # background's frame of N
+    from eulertube import scenarios, submanifolds
+
+    frames, stray, in_stage = [], [], []
+    init, build, euler = NormalFrame.__init__, submanifolds._normal_frame, scenarios.is_euler_like
+
+    def counted_init(self, *args):
+        frames.append(self)
+        init(self, *args)
+
+    def counted_build(*args):
+        caller = sys._getframe(1).f_locals.get("self")
+        if in_stage and not any(caller is f for f in frames):
+            stray.append(args)
+        return build(*args)
+
+    def marked(*args, **kwargs):
+        in_stage.append(True)
+        try:
+            return euler(*args, **kwargs)
+        finally:
+            in_stage.clear()
+
+    monkeypatch.setattr(NormalFrame, "__init__", counted_init)
+    monkeypatch.setattr(submanifolds, "_normal_frame", counted_build)
+    monkeypatch.setattr(scenarios, "is_euler_like", marked)
+    reports = run_scenario(scenario_from_config({"scenario": "helix", "samples": SMALL}))
+    assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
+    assert len(frames) == 1 and stray == []
+
+
+@pytest.mark.parametrize("delta0", [1.0e-300, 1.0e-12])
+def test_a_vanishing_radius_fails_the_pullback_stage_by_name(delta0):
+    # the pullback curves, 0.15 delta across, have reference length 0 in
+    # double precision: the stage fails by name and the run stops there,
+    # where a ratio of 0 / 0 or x / 0 gave a NaN or inf row and a run of
+    # minutes in the reconstruction
+    reports = run_scenario({"scenario": "circle", "delta0": delta0})
+    assert [(r.stage, r.passed) for r in reports] == [
+        ("radius", True), ("embedding", True), ("chi", True), ("pullback", False)
+    ]
+    assert reports[-1].error.startswith("DegenerateSample: reference curve length 0.000e+00")
+
+
 def test_a_flat_slice_of_radius_1e6_passes_every_stage():
     # a line's tube is certified up to the edge of the background's box
     # |x| < 1e6; at delta = 9.95e5 psi's images lie where doubles are

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulertube.errors import RankDeficient
+from eulertube.errors import NoValidRadius, RankDeficient
 from eulertube.metrics import (
     MetricField,
     euclidean_metric,
@@ -240,6 +240,21 @@ def test_frame_memo_stays_bounded():
         frame.at(np.array([[v]]))
         frame.derivative(np.array([[-v]]))
     assert len(frame._memo) <= submanifolds._FRAME_MEMO
+
+
+def test_a_point_frame_keys_its_memo_on_the_lane_count():
+    # every batch of a point's (B, 0) lanes has the same empty bytes, so a
+    # memo keyed on bytes alone gave a five-lane call the one-lane entry
+    N = ParametrizedSubmanifold(DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2))))
+    frame = NormalFrame(euclidean_metric(2), N)
+    assert frame.at(np.zeros((1, 0))).B.shape == (1, 2, 2)
+    assert frame.at(np.zeros((5, 0))).B.tolist() == [np.eye(2).tolist()] * 5
+    # a point's jet has nothing to differentiate along: empty dJ and dB
+    jet = frame.derivative(np.zeros((3, 0)))
+    assert jet.B.shape == (3, 2, 2)
+    assert jet.dJ.shape == (3, 0, 2, 0) and jet.dB.shape == (3, 0, 2, 2)
+    D = normal_exponential(frame).jacobian(np.zeros((3, 2)))
+    assert D.tolist() == [np.eye(2).tolist()] * 3
 
 
 def test_a_frame_build_evaluates_the_chart_once():
@@ -573,3 +588,19 @@ def test_radius_certification_builds_no_frame(monkeypatch):
     assert built == []
     # it sampled the frame it was given
     assert len(frame._memo) > 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 500])
+def test_radius_compares_every_pair_of_samples_whatever_the_block(block, monkeypatch):
+    # a circle parametrized past a full turn: the fiber samples at u and
+    # u + 2 pi have the same images from preimages 2 pi apart, so no radius
+    # is certified; without the last base point the grid spans less than a
+    # turn and the radius is delta0.  The 9 base points give 72 samples,
+    # so the colliding pairs lie in different blocks of 64
+    monkeypatch.setattr(submanifolds, "_RADIUS_PAIR_BLOCK", block)
+    N = ParametrizedSubmanifold(unit_circle().chart, -3.5, 3.5)
+    frame = NormalFrame(euclidean_metric(2), N)
+    grid = np.linspace(-3.0, -3.0 + 2.0 * np.pi, 9)[:, None]
+    with pytest.raises(NoValidRadius):
+        tubular_radius_estimate(frame, grid, 0.8)
+    assert tubular_radius_estimate(frame, grid[:-1], 0.8) == 0.8
