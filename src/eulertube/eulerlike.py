@@ -10,7 +10,7 @@ import numpy as np
 from .embeddings import TubularEmbedding, fiber_norm
 from .errors import FlowExit, NoConvergence, NotVanishing
 from .numerics import Array, DifferentiableMap, ode_integrate
-from .submanifolds import FramePoint, NormalFrame, ParametrizedSubmanifold
+from .submanifolds import FramePoint, NormalFrame
 
 
 def euler_field(C: Array) -> Array:
@@ -22,15 +22,13 @@ def euler_field(C: Array) -> Array:
 _VANISH_TOL = 1e-6  # largest |X(p(u))| of a field that vanishes on N
 
 
-def vanishes_on_N(
-    X: DifferentiableMap, N: ParametrizedSubmanifold, grid: Array
-) -> Tuple[bool, float]:
-    """True iff max_u |X(p(u))| over the grid (G, k) is at most
-    ``_VANISH_TOL``, with that maximum; X is evaluated on the whole grid as
-    one lane batch."""
-    P = N.point(grid)
-    worst = max((float(np.linalg.norm(v)) for v in X(P)), default=0.0)
-    return worst <= _VANISH_TOL, worst
+def vanishes_on_N(X: DifferentiableMap, P: Array) -> Tuple[bool, float, int]:
+    """True iff max |X(p)| over the points P (B, n) of N is at most
+    ``_VANISH_TOL``, with that maximum and the first lane reaching it (0 for
+    no lanes); X is evaluated on all of P as one lane batch."""
+    r = np.append(np.linalg.norm(X(P), axis=1), 0.0)  # the 0 for no lanes
+    i = int(np.argmax(r))
+    return bool(r[i] <= _VANISH_TOL), float(r[i]), i
 
 
 def linear_approximation(X: DifferentiableMap, frame: NormalFrame, U: Array) -> Array:
@@ -40,13 +38,12 @@ def linear_approximation(X: DifferentiableMap, frame: NormalFrame, U: Array) -> 
 
     The class of a normal frame vector b is sent to the class of A b; with
     a G-orthonormal frame the class coordinates are B^T G A b.  Raises
-    NotVanishing at the first lane where |X(p(u))| exceeds ``_VANISH_TOL``.
+    NotVanishing at the lane of largest |X(p(u))| if that exceeds ``_VANISH_TOL``.
     """
     fp = frame.at(U)
-    for u_b, v in zip(U, X(fp.p)):
-        r = float(np.linalg.norm(v))
-        if r > _VANISH_TOL:
-            raise NotVanishing(f"|X(p(u))| = {r:.3e} at u={u_b}")
+    ok, worst, i = vanishes_on_N(X, fp.p)
+    if not ok:
+        raise NotVanishing(f"|X(p(u))| = {worst:.3e} at u={U[i]}")
     return _quotient_action(X, fp)
 
 
@@ -65,10 +62,11 @@ def is_euler_like(
     grid (G, k); returns (verdict, max residual).  The grid is one lane
     batch, and X is evaluated on it once: the vanishing test's values
     decide, and the quotient action takes only X's jacobian."""
-    ok, vres = vanishes_on_N(X, frame.N, grid)
+    fp = frame.at(grid)
+    ok, vres, _ = vanishes_on_N(X, fp.p)
     if not ok:
         return False, vres
-    induced = _quotient_action(X, frame.at(grid))
+    induced = _quotient_action(X, fp)
     m = induced.shape[-1]
     worst = float(np.max(np.abs(induced - np.eye(m)), initial=0.0))
     return worst <= tol, worst

@@ -18,15 +18,15 @@ class MetricField:
     Every callable and method takes lanes, a stack of independent points
     (B, n), and returns per-lane results: ``matrix_fn`` and ``matrix`` the
     matrices (B, n, n), ``domain`` and ``contains`` a (B,) bool mask.
-    ``christoffel_fn`` and ``geodesic_fn``
+    ``christoffel_fn`` and ``exp_fn``
     are optional shortcuts: analytic formulas for standard background
     metrics, or, for a pullback metric, its chart-stencil finite difference
     (``realization.pullback_metric``).  When present they are cross-checked
     against the ambient finite-difference / integration routes by the test
     suite.  ``christoffel_fn`` maps points (B, n) to symbols (B, n, n, n),
-    and ``geodesic_fn(P, V, t)`` returns the exact ``(points, velocities)``
-    (B, n) at parameter t of the geodesics with initial data (P, V), a
-    zero-velocity lane returning its (p, v).
+    and ``exp_fn(P, V)`` returns the exact exp_p(v) (B, n) of the lanes
+    (P, V): p on a zero-velocity lane, and NaN on a lane whose geodesic
+    leaves the domain before parameter 1 with its endpoint back inside.
     """
 
     dim: int
@@ -34,7 +34,7 @@ class MetricField:
     domain: Optional[Callable[[Array], Array]] = None
     fd_step: float = 1e-5
     christoffel_fn: Optional[Callable[[Array], Array]] = None
-    geodesic_fn: Optional[Callable[[Array, Array, float], tuple]] = None
+    exp_fn: Optional[Callable[[Array, Array], Array]] = None
 
     def matrix(self, X: Array) -> Array:
         return np.asarray(self.matrix_fn(X), dtype=float)
@@ -117,7 +117,7 @@ def geodesic_rhs(g: MetricField, S: Array) -> Array:
 def geodesic(g: MetricField, P: Array, V: Array, t_end: float, tol: float = 1e-10) -> Trajectory:
     """Integrate the geodesics with x(0) = P, x'(0) = V, lanes (B, n), up
     to parameter t_end, as one lane ``Trajectory``; a metric's closed-form
-    ``geodesic_fn`` is not consulted here (``exp_map`` takes it).
+    ``exp_fn`` is not consulted here (``exp_map`` takes it).
 
     The geodesic field is NaN off the metric domain (its Christoffel
     symbols are taken on the lanes inside only), so a lane that leaves the
@@ -137,26 +137,24 @@ def geodesic(g: MetricField, P: Array, V: Array, t_end: float, tol: float = 1e-1
 
 def exp_map(g: MetricField, P: Array, V: Array, tol: float = 1e-10) -> Array:
     """exp_p(v) on lanes P, V (B, n), the geodesic endpoints at parameter 1:
-    the metric's closed-form ``geodesic_fn`` where it has one, else all
+    the metric's closed-form ``exp_fn`` where it has one, else the moving
     lanes in one integration.  A zero-velocity lane gives its p.
 
     Raises NotInDomain if some lane's geodesic exits the metric domain
     before t=1.
     """
+    if g.exp_fn is not None:
+        x1 = np.asarray(g.exp_fn(P, V), dtype=float)
+        if not (np.isfinite(x1).all() and np.all(g.contains(x1))):
+            raise NotInDomain("geodesic left the domain before parameter 1")
+        return x1
     out = np.array(P, dtype=float)
     moving = V.any(axis=1)
     if np.count_nonzero(moving):
-        Pm, Vm = P[moving], V[moving]
-        if g.geodesic_fn is not None:
-            x1 = np.asarray(g.geodesic_fn(Pm, Vm, 1.0)[0], dtype=float)
-            if not (np.isfinite(x1).all() and np.all(g.contains(x1))):
-                raise NotInDomain("geodesic endpoint outside domain")
-        else:
-            traj = geodesic(g, Pm, Vm, 1.0, tol)
-            if np.any(traj.exited):
-                raise NotInDomain("geodesic exited domain before parameter 1")
-            x1 = traj.points[-1]
-        out[moving] = x1
+        traj = geodesic(g, P[moving], V[moving], 1.0, tol)
+        if np.any(traj.exited):
+            raise NotInDomain("geodesic exited domain before parameter 1")
+        out[moving] = traj.points[-1]
     return out
 
 
@@ -212,13 +210,14 @@ def zero_christoffel(X: Array) -> Array:
 
 
 def euclidean_metric(n: int, domain=None) -> MetricField:
+    """The flat metric on a convex ``domain`` of R^n, where exp_p(v) = p + v."""
     eye = np.eye(n)
     return MetricField(
         dim=n,
         matrix_fn=lambda X: eye + np.zeros((len(X), 1, 1)),
         domain=domain,
         christoffel_fn=zero_christoffel,
-        geodesic_fn=lambda p, v, t: (p + t * v, v),
+        exp_fn=lambda P, V: P + V,
     )
 
 
@@ -241,41 +240,30 @@ def polar_metric(domain=None) -> MetricField:
     )
 
 
-def _sphere_chart_geodesic(P, V, t):
-    """Exact great-circle geodesics in colatitude/longitude coordinates, on
-    lanes P, V (B, 2); a lane with zero velocity keeps its (p, v)."""
-    X, W = np.array(P, dtype=float), np.array(V, dtype=float)
-    theta, phi = P[:, 0], P[:, 1]
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    x0 = np.stack([st * cp, st * sp, ct], axis=1)
-    e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
-    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
-    xdot = V[:, :1] * e_theta + (V[:, 1] * st)[:, None] * e_phi
-    omega = np.sqrt(xdot[:, 0] ** 2 + xdot[:, 1] ** 2 + xdot[:, 2] ** 2)
-    m = omega > 0.0
-    if np.count_nonzero(m):
-        x0, xdot, w = x0[m], xdot[m], omega[m][:, None]
-        c, s = np.cos(w * t), np.sin(w * t)
-        x = c * x0 + s * xdot / w
-        xd = w * (-s * x0 + c * xdot / w)
-        theta_t = np.arccos(np.clip(x[:, 2], -1.0, 1.0))
-        X[m, 0] = theta_t
-        X[m, 1] = np.arctan2(x[:, 1], x[:, 0])
-        W[m, 0] = -xd[:, 2] / np.sin(theta_t)
-        W[m, 1] = (x[:, 0] * xd[:, 1] - x[:, 1] * xd[:, 0]) / (x[:, 0] ** 2 + x[:, 1] ** 2)
-    return X, W
+def _arc_leaves(P, V, w, phi_end, lo, hi) -> Array:
+    """Whether the great arcs from the lanes P with velocities V and lengths
+    w leave the box lo < (theta, phi) < hi, less than a turn in phi, before
+    they end at phi_end.  An arc's z(s) = R cos(s - alpha) peaks at s =
+    alpha (mod 2 pi); off the poles phi moves one way, the sign of v_phi,
+    and gains pi on each half turn as the arc length does, so it ends
+    within pi of phi0 +- w."""
+    z0, uz = np.cos(P[:, 0]), -V[:, 0] * np.sin(P[:, 0]) / w
+    R, alpha = np.hypot(z0, uz), np.arctan2(uz, z0)
+    turns = np.round((phi_end - P[:, 1] - np.copysign(w, V[:, 1])) / (2.0 * np.pi))
+    end = phi_end - 2.0 * np.pi * turns
+    return (
+        ((np.mod(alpha, 2.0 * np.pi) <= w) & (R >= np.cos(lo[0])))
+        | ((np.mod(alpha + np.pi, 2.0 * np.pi) <= w) & (R >= -np.cos(hi[0])))
+        | (end <= lo[1]) | (end >= hi[1])
+    )
 
 
 def sphere_chart_metric(theta_bounds=(0.05, np.pi - 0.05), phi_bounds=(0.05, 2.9)) -> MetricField:
     """Round-sphere chart metric diag(1, sin^2 theta) in (theta, phi)."""
+    lo, hi = np.transpose([theta_bounds, phi_bounds])  # (theta, phi) corners
 
     def in_domain(X):
-        theta, phi = X[:, 0], X[:, 1]
-        return (
-            (theta_bounds[0] < theta) & (theta < theta_bounds[1])
-            & (phi_bounds[0] < phi) & (phi < phi_bounds[1])
-        )
+        return (lo[0] < X[:, 0]) & (X[:, 0] < hi[0]) & (lo[1] < X[:, 1]) & (X[:, 1] < hi[1])
 
     def gamma(X):
         st, ct = np.sin(X[:, 0]), np.cos(X[:, 0])
@@ -284,10 +272,36 @@ def sphere_chart_metric(theta_bounds=(0.05, np.pi - 0.05), phi_bounds=(0.05, 2.9
         out[:, 1, 0, 1] = out[:, 1, 1, 0] = ct / st
         return out
 
+    def exp_fn(P, V):
+        """Great-circle exp_p(v): p at rest, NaN if the arc leaves the box."""
+        X = np.array(P, dtype=float)
+        if not V.any():  # a batch at rest, such as phi's on N, costs no trigonometry
+            return X
+        st, ct = np.sin(P[:, 0]), np.cos(P[:, 0])
+        sp, cp = np.sin(P[:, 1]), np.cos(P[:, 1])
+        x0 = np.stack([st * cp, st * sp, ct], axis=1)
+        e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
+        e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+        xdot = V[:, :1] * e_theta + (V[:, 1] * st)[:, None] * e_phi
+        omega = np.sqrt(xdot[:, 0] ** 2 + xdot[:, 1] ** 2 + xdot[:, 2] ** 2)
+        m = omega > 0.0
+        w = omega[m][:, None]
+        x = np.cos(w) * x0[m] + np.sin(w) * xdot[m] / w
+        X[m, 0] = np.arccos(np.clip(x[:, 2], -1.0, 1.0))
+        X[m, 1] = np.arctan2(x[:, 1], x[:, 0])
+        # only an arc that may reach the box edge is followed: theta moves at most
+        # omega, and phi inside the box st^2 |v_phi| / (st - omega)^2 (Clairaut)
+        gap = np.minimum(P - lo, hi - P)
+        turning = st * st * np.abs(V[:, 1]) > gap[:, 1] * np.maximum(st - omega, 0.0) ** 2
+        near = np.flatnonzero(m & ((omega >= gap[:, 0]) | turning))
+        if len(near):
+            X[near[_arc_leaves(P[near], V[near], omega[near], X[near, 1], lo, hi)]] = np.nan
+        return X
+
     return MetricField(
         dim=2,
         matrix_fn=lambda X: _diag2(1.0, np.sin(X[:, 0]) ** 2),
         domain=in_domain,
         christoffel_fn=gamma,
-        geodesic_fn=_sphere_chart_geodesic,
+        exp_fn=exp_fn,
     )

@@ -155,7 +155,7 @@ def verify_main_diagram(
     one exponential map for all of them.
     """
     fp = frame.at(U)
-    lam = normal_representative(g, frame.N, U, (fp.B @ C[:, :, None])[:, :, 0])
+    lam = normal_representative(g, fp, (fp.B @ C[:, :, None])[:, :, 0])
     y = exp_map(g, fp.p, lam, tol=exp_tol)
     return np.linalg.norm(y - psi(np.concatenate([U, C], axis=1)), axis=1)
 

@@ -50,22 +50,6 @@ class ParametrizedSubmanifold:
         return np.all((self.lo < U) & (U < self.hi), axis=1)
 
 
-def _tangent_projection_pieces(g: MetricField, N: ParametrizedSubmanifold, U: Array):
-    """p, J and G on the lanes U (B, k)."""
-    p = N.point(U)
-    J = N.tangent_basis(U)
-    if N.param_dim > 0:
-        # smallest singular value; a curve's is the length of its one column
-        if N.param_dim == 1:
-            smin = np.sqrt((_T(J) @ J)[:, 0, 0])
-        else:
-            smin = np.linalg.svd(J, compute_uv=False)[:, -1]
-        if np.count_nonzero(smin <= _RANK_TOL):
-            raise RankDeficient(f"tangent basis rank-deficient at u={U[smin <= _RANK_TOL][0]}")
-    G = g.matrix(p)
-    return p, J, G
-
-
 def _T(M: Array) -> Array:
     """Transpose of each matrix in a stack."""
     return M.transpose(0, 2, 1)
@@ -80,11 +64,8 @@ def _small_inv(M: Array) -> Array:
 def _normal_projector(J: Array, G: Array) -> Array:
     """P = I - J M^-1 J^T G with M = J^T G J on lanes, the G-orthogonal
     projection onto the normal space (kills tangents)."""
-    I = np.eye(J.shape[1])
-    if J.shape[2] == 0:
-        return I + 0.0 * G
     JtG = _T(J) @ G
-    return I - J @ (_small_inv(JtG @ J) @ JtG)
+    return np.eye(J.shape[1]) - J @ (_small_inv(JtG @ J) @ JtG)
 
 
 def _g_norm(q: Array, G: Array) -> Array:
@@ -107,7 +88,15 @@ def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
     """p, J, the basis of ``normal_space_basis``, G and the (B, n) mask of
     the projector columns the basis was built from, on the lanes U, from
     one chart evaluation, one chart jacobian and one metric evaluation."""
-    p, J, G = _tangent_projection_pieces(g, N, U)
+    p, J = N.point(U), N.tangent_basis(U)
+    # least singular value (inf for a point); a curve's is its column's length
+    if N.param_dim == 1:
+        smin = np.sqrt((_T(J) @ J)[:, 0, 0])
+    else:
+        smin = np.min(np.linalg.svd(J, compute_uv=False), axis=1, initial=np.inf)
+    if np.count_nonzero(smin <= _RANK_TOL):
+        raise RankDeficient(f"tangent basis rank-deficient at u={U[smin <= _RANK_TOL][0]}")
+    G = g.matrix(p)
     m = N.ambient_dim - N.param_dim
     kept, vecs = _gram_schmidt(_normal_projector(J, G), G, m)
     # no lane keeps more than m, so nl * m kept means every lane has m
@@ -258,18 +247,16 @@ class NormalFrame:
         return FramePoint(*(f[ids] for f in centre + [dJ, dB]))
 
 
-def normal_representative(
-    g: MetricField, N: ParametrizedSubmanifold, U: Array, A: Array
-) -> Array:
+def normal_representative(g: MetricField, fp: FramePoint, A: Array) -> Array:
     """g-orthogonal projections of the ambient vectors A (B, n) onto the
-    normal spaces at the base points U (B, k).
+    normal spaces of N at the frame point's lanes, from its tangent basis J
+    and g at its points p; g need not be the metric the frame was built on.
 
     Two ambient vectors differing by a tangent vector map to the same
     result, so this realizes the canonical isomorphism from the quotient
     normal bundle onto the metric normal bundle.
     """
-    _, J, G = _tangent_projection_pieces(g, N, U)
-    return (_normal_projector(J, G) @ A[:, :, None])[:, :, 0]
+    return (_normal_projector(fp.J, g.matrix(fp.p)) @ A[:, :, None])[:, :, 0]
 
 
 _EXP_TOL = 1e-11  # geodesic tolerance of the normal exponential chart

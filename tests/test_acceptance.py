@@ -96,7 +96,7 @@ def test_criterion_3_exponential_properties():
     ):
         for t in (0.25, 0.5, 0.75):
             # both sides integrate: exp_map would take the sphere's closed form
-            lhs = exp_map(replace(g, geodesic_fn=None), p, t * v, tol=1e-11)
+            lhs = exp_map(replace(g, exp_fn=None), p, t * v, tol=1e-11)
             rhs = geodesic(g, p, v, t, tol=1e-11).points[-1]
             ok &= np.linalg.norm(lhs - rhs) <= 1e-8
 

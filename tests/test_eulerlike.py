@@ -66,15 +66,25 @@ class TestEulerField:
 
 class TestVanishesOnN:
     def test_euler_field_on_origin(self):
-        ok, res = vanishes_on_N(oracle(euler_field), origin_r2(), ORIGIN)
+        ok, res, _ = vanishes_on_N(oracle(euler_field), origin_r2().point(ORIGIN))
         assert ok and res == 0.0
 
     def test_constant_field_fails(self):
-        ok, res = vanishes_on_N(
-            oracle(lambda X: np.tile([1.0, 0.0], (len(X), 1))), origin_r2(), ORIGIN
+        ok, res, _ = vanishes_on_N(
+            oracle(lambda X: np.tile([1.0, 0.0], (len(X), 1))), origin_r2().point(ORIGIN)
         )
         assert not ok
         assert res == pytest.approx(1.0)
+
+    def test_a_nan_fails_at_any_lane(self):
+        # a NaN value is no vanishing, wherever its lane is in the batch
+        P = x_axis_r2().point(np.array([[0.0], [1.0], [2.0]]))
+        X = oracle(lambda Y: np.where(Y[:, :1] == 1.0, np.nan, 0.0) * Y)
+        ok, res, lane = vanishes_on_N(X, P)
+        assert not ok and np.isnan(res) and lane == 1
+        frame = NormalFrame(euclidean_metric(2), x_axis_r2())
+        with pytest.raises(NotVanishing, match=r"at u=\[1\.\]"):
+            linear_approximation(X, frame, np.array([[0.0], [1.0]]))
 
 
 class TestLinearApproximation:
@@ -96,7 +106,7 @@ class TestLinearApproximation:
 
     def test_nonvanishing_rejected(self):
         g = euclidean_metric(2)
-        with pytest.raises(NotVanishing):
+        with pytest.raises(NotVanishing, match=r"at u=\[\]"):
             linear_approximation(oracle(lambda x: x + 1.0), NormalFrame(g, origin_r2()), ORIGIN)
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eulertube.errors import SingularMetric
+from eulertube.errors import NotInDomain, SingularMetric
 from eulertube.metrics import (
     MetricField,
     christoffel,
@@ -84,17 +84,16 @@ class TestGeodesic:
         # land on the same endpoint (keeps the shortcut honest)
         g = wide_sphere()
         p, v = np.array([[1.0, 1.0]]), np.array([[0.3, 0.2]])
-        x, w = g.geodesic_fn(p, v, 1.0)
+        x = g.exp_fn(p, v)
         traj = geodesic(g, p, v, 1.0, tol=1e-11)
         assert np.linalg.norm(x - traj.points[-1]) <= 1e-7
-        assert np.linalg.norm(w - traj.velocities[-1]) <= 1e-6
 
     def test_integrates_past_a_closed_form(self):
-        # geodesic never consults geodesic_fn; exp_map does
-        def wrong(P, V, t):
-            return P + 2.0 * t * V, V
+        # geodesic never consults exp_fn; exp_map does
+        def wrong(P, V):
+            return P + 2.0 * V
 
-        g = replace(euclidean_metric(2), geodesic_fn=wrong)
+        g = replace(euclidean_metric(2), exp_fn=wrong)
         p, v = np.array([[0.5, 0.0]]), np.array([[1.0, -1.0]])
         traj = geodesic(g, p, v, 1.0)
         assert len(traj.times) > 1
@@ -128,6 +127,49 @@ class TestExpMap:
         lhs = exp_map(g, p, t * v, tol=1e-11)
         rhs = geodesic(g, p, v, t, tol=1e-11).points[-1]
         assert np.linalg.norm(lhs - rhs) <= 1e-8
+
+
+# great circles from (theta, phi) that leave the chart box: a meridian that
+# wraps a full turn but 0.1 through the south pole, one over the north pole,
+# and, in the wide box, ones that pass a pole at colatitude 0.03 from it,
+# the equator round the back and a short arc across phi = 3.1.  Every
+# endpoint but the default box's over-the-pole one lies back inside the box
+WRAPPED_ARCS = {
+    "meridian-wrap": (sphere_chart_metric, [np.pi / 2, 1.0], [2.0 * np.pi - 0.1, 0.0]),
+    "over-the-pole": (sphere_chart_metric, [0.5, 1.0], [-1.0, 0.0]),
+    "wide-meridian-wrap": (wide_sphere, [np.pi / 2, 1.0], [2.0 * np.pi - 0.1, 0.0]),
+    "wide-over-the-pole": (wide_sphere, [0.5, 1.0], [-1.0, 0.0]),
+    "wide-near-the-pole": (wide_sphere, [0.5, 0.0], [-1.0, 0.13]),
+    "wide-near-the-south-pole": (wide_sphere, [np.pi - 0.5, 0.0], [1.0, 0.13]),
+    "wide-equator-wrap": (wide_sphere, [np.pi / 2, 0.0], [0.0, 2.0 * np.pi - 0.2]),
+    "wide-phi-edge": (wide_sphere, [1.4, 3.0], [0.0, 0.3]),
+}
+
+
+class TestSphereChartArcs:
+    @pytest.mark.parametrize("name", WRAPPED_ARCS)
+    def test_an_arc_that_leaves_the_box_raises(self, name):
+        metric, p, v = WRAPPED_ARCS[name]
+        g, p, v = metric(), np.array([p]), np.array([v])
+        assert not np.isfinite(g.exp_fn(p, v)).all()
+        with pytest.raises(NotInDomain):
+            exp_map(g, p, v)
+        # the integrated branch agrees
+        assert geodesic(g, p, v, 1.0, tol=1e-9).exited[0]
+
+    def test_a_leaving_lane_is_nan_alone(self):
+        # the other lanes of a batch, near the box edge or not, keep the
+        # values they have alone
+        g = wide_sphere()
+        P = np.array([[np.pi / 2, 1.0], [np.pi / 2, 1.0], [0.2, 3.0], [1.0, -3.0]])
+        V = np.array([[2.0 * np.pi - 0.1, 0.0], [1.4, 0.0], [-0.1, 0.05], [0.3, -0.05]])
+        x = g.exp_fn(P, V)
+        assert np.isnan(x[0]).all() and np.isfinite(x[1:]).all()
+        for i in range(1, len(P)):
+            assert g.exp_fn(P[i : i + 1], V[i : i + 1]).tobytes() == x[i : i + 1].tobytes()
+        traj = geodesic(g, P[1:], V[1:], 1.0, tol=1e-11)
+        assert not traj.exited.any()
+        assert np.max(np.abs(traj.points[-1] - x[1:])) <= 1e-7
 
 
 class TestExpDifferentialAtZero:

@@ -208,9 +208,9 @@ def test_golub_welsch_rule_matches_leggauss(order):
 
 
 class TestDiagramAndIsometry:
-    def make_pipeline(self):
+    def make_pipeline(self, N=None):
         g_ref = euclidean_metric(2)
-        N = unit_circle()
+        N = N or unit_circle()
         delta = 0.4
         psi = circle_psi(g_ref, N, delta)
         phi = reference_embedding(NormalFrame(g_ref, N), delta)
@@ -231,6 +231,40 @@ class TestDiagramAndIsometry:
                 psi.frame, psi.map, g, U[i : i + 1], C[i : i + 1], exp_tol=1e-9
             )
             assert alone.tobytes() == residuals[i : i + 1].tobytes()
+
+    def test_diagram_evaluates_the_chart_only_in_frame_builds(self, monkeypatch):
+        # the normal projection reads p and J from the frame point, so N's
+        # chart and its jacobian are evaluated only where a frame is built
+        from eulertube import submanifolds
+
+        building, stray = [], []
+        build = submanifolds._normal_frame
+
+        def marked(*args):
+            building.append(True)
+            try:
+                return build(*args)
+            finally:
+                building.pop()
+
+        def counted(f):
+            def wrapped(U):
+                if not building:
+                    stray.append(len(U))
+                return f(U)
+
+            return wrapped
+
+        circle = unit_circle().chart
+        N = ParametrizedSubmanifold(
+            DifferentiableMap(1, 2, counted(circle.fn), jac=counted(circle.jac)), -1.4, 1.4
+        )
+        _, _, psi, _, g = self.make_pipeline(N)
+        monkeypatch.setattr(submanifolds, "_normal_frame", marked)
+        U = np.array([[-0.5], [0.2], [0.9]])
+        residuals = verify_main_diagram(psi.frame, psi.map, g, U, np.array([[0.1], [-0.1], [0.3]]))
+        assert np.max(residuals) <= 1e-5
+        assert stray == []
 
     def test_sample_beyond_radius_exits(self):
         _, _, psi, _, g = self.make_pipeline()

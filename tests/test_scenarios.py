@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,36 @@ def test_a_radius_past_the_background_domain_is_not_certified():
     reports = run_scenario(scenario_from_config(config))
     assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
     assert reports[0].max_residual == 1.0e9 * 2.0**-10
+
+
+@pytest.mark.parametrize("delta0", [50.0, 1.0e4])
+def test_a_far_sphere_radius_stops_below_the_focal_distance(delta0):
+    # the equator's focal distance on the round sphere is pi/2; a fiber of
+    # length 12.5 ... 1e4 wraps round the sphere and its endpoint can land
+    # back in the chart box, which certified radii 50 and 1e4 that failed
+    # the pullback stage
+    reports = run_scenario({"scenario": "sphere-equator", "delta0": delta0})
+    assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
+    assert reports[0].max_residual < np.pi / 2
+
+
+def test_a_huge_sphere_radius_fails_the_radius_stage_by_name():
+    reports = run_scenario({"scenario": "sphere-equator", "delta0": 1.0e9})
+    assert [(r.stage, r.passed) for r in reports] == [("radius", False)]
+    assert reports[0].error.startswith("NoValidRadius:")
+
+
+@pytest.mark.parametrize("submanifold", ["circle-arc", "circle-full"])
+def test_a_circle_in_the_sphere_chart_fails_the_radius_stage_by_name(submanifold):
+    # the circle's points lie partly outside the chart box; its fibers pass
+    # the poles, where the closed form's velocities divided 0 by 0 and the
+    # row named the RuntimeWarning rather than the missing radius
+    config = {"scenario": "circle", "background": "sphere-chart", "submanifold": submanifold}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = run_scenario(scenario_from_config(config))
+    assert [(r.stage, r.passed) for r in reports] == [("radius", False)]
+    assert reports[0].error.startswith("NoValidRadius:")
 
 
 def test_tube_run_loads_only_what_it_runs():

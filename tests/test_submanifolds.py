@@ -352,45 +352,47 @@ def test_a_jet_across_a_flip_of_a_frame_vector_fails_closed():
         NormalFrame(g, N).derivative(np.array([[u]]))
 
 
+def frame_point(N, u):
+    """The frame point of N at the base points u under the flat metric."""
+    return NormalFrame(euclidean_metric(N.ambient_dim), N).at(np.array(u, dtype=float))
+
+
 class TestNormalRepresentative:
     def test_already_normal_unchanged(self):
         g = euclidean_metric(2)
-        N = x_axis_r2()
-        w = normal_representative(g, N, np.array([[0.3]]), np.array([[0.0, 2.0]]))
+        w = normal_representative(g, frame_point(x_axis_r2(), [[0.3]]), np.array([[0.0, 2.0]]))
         assert np.allclose(w[0], [0.0, 2.0], atol=1e-12)
 
     def test_tangent_killed(self):
         g = euclidean_metric(2)
-        N = unit_circle()
         theta = 0.4
         tangent = np.array([[-np.sin(theta), np.cos(theta)]])
-        w = normal_representative(g, N, np.array([[theta]]), tangent)
+        w = normal_representative(g, frame_point(unit_circle(), [[theta]]), tangent)
         assert np.linalg.norm(w) <= 1e-12
 
     def test_circle_projection_oracle(self):
         g = euclidean_metric(2)
-        N = unit_circle()
-        w = normal_representative(g, N, np.array([[0.0]]), np.array([[1.0, 1.0]]))
+        w = normal_representative(g, frame_point(unit_circle(), [[0.0]]), np.array([[1.0, 1.0]]))
         assert np.allclose(w[0], [1.0, 0.0], atol=1e-12)
 
     def test_idempotent(self):
+        # g is not the metric the frame was built under
         G = np.array([[2.0, 0.3], [0.3, 1.0]])
         g = MetricField(dim=2, matrix_fn=lambda X: G + np.zeros((len(X), 1, 1)))
-        N = unit_circle()
-        once = normal_representative(g, N, np.array([[0.7]]), np.array([[0.4, -1.2]]))
-        twice = normal_representative(g, N, np.array([[0.7]]), once)
+        fp = frame_point(unit_circle(), [[0.7]])
+        once = normal_representative(g, fp, np.array([[0.4, -1.2]]))
+        twice = normal_representative(g, fp, once)
         assert np.linalg.norm(once - twice) <= 1e-12
 
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_tangent_shift_invariance(self, scale):
         g = euclidean_metric(2)
-        N = unit_circle()
-        u = np.array([[0.9]])
+        fp = frame_point(unit_circle(), [[0.9]])
         a = np.array([[0.5, 0.1]])
-        tangent = scale * N.tangent_basis(u)[:, :, 0]
-        w1 = normal_representative(g, N, u, a)
-        w2 = normal_representative(g, N, u, a + tangent)
+        tangent = scale * fp.J[:, :, 0]
+        w1 = normal_representative(g, fp, a)
+        w2 = normal_representative(g, fp, a + tangent)
         assert np.linalg.norm(w1 - w2) <= 1e-10
 
 
