@@ -23,10 +23,8 @@ from .scenarios import (
 OUT_ENV = "EULERTUBE_OUT"
 
 # stages whose tolerance --tol replaces: those of the tube and point
-# scenarios but radius (gated on delta0); the appendix-* stages keep theirs
-TOL_STAGES = tuple(
-    stage for kind in ("tube", "point") for stage in _DEFAULT_TOLERANCES[kind] if stage != "radius"
-)
+# scenarios (the radius row is gated on delta0); the appendix-* stages keep theirs
+TOL_STAGES = tuple(stage for kind in ("tube", "point") for stage in _DEFAULT_TOLERANCES[kind])
 
 
 def _read_config(path: str):
@@ -61,8 +59,8 @@ def main():
     "--tol",
     type=float,
     default=None,
-    help="Override the tolerance of the %s stages; radius and appendix-* keep "
-    "theirs." % ", ".join(TOL_STAGES),
+    help="Override the tolerance of the %s stages; the radius row keeps delta0 "
+    "and appendix-* keep theirs." % ", ".join(TOL_STAGES),
 )
 @click.option(
     "--samples",

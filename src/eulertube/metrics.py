@@ -8,7 +8,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainMargin, NotInDomain, SingularMetric, StepUnderflow
-from .numerics import Array, Trajectory, domain_mask, ode_integrate
+from .numerics import (
+    Array, Trajectory, central_difference, central_stencil, domain_mask, ode_integrate,
+)
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,17 @@ def christoffel(g: MetricField, X: Array) -> Array:
     (B, n): (B, n, n, n).
 
     Without an analytic ``christoffel_fn`` they are a central difference of
-    g, with the stencils of all lanes in one evaluation of g; raises
-    DomainMargin if a stencil point of some lane leaves g's domain.
+    g on ``numerics.central_stencil``, the lanes X and then their
+    lane-major stencils in one evaluation of g; raises DomainMargin if a
+    stencil point of some lane leaves g's domain.
     """
     if g.christoffel_fn is not None:
         return np.asarray(g.christoffel_fn(X), dtype=float)
-    n = g.dim
-    h = g.fd_step
-    steps = h * np.eye(n)
-    # every lane's x and x +- h e_l: 2n + 1 stencil points a lane
-    S = np.concatenate([X[:, None], X[:, None] + steps, X[:, None] - steps], axis=1)
-    if g.domain is not None and not np.all(g.contains(S[:, 1:].reshape(-1, n))):
-        raise DomainMargin("metric stencil outside domain")
-    G = g.matrix(S.reshape(-1, n)).reshape(len(X), 2 * n + 1, n, n)
-    dg = (G[:, 1 : n + 1] - G[:, n + 1 :]) / (2.0 * h)  # dg[b, l, i, j] = d_l g_ij
-    return levi_civita(G[:, 0], dg, X)
+    nl, n = X.shape
+    S = central_stencil(X, g.fd_step, g.domain).reshape(nl * 2 * n, n)
+    G = g.matrix(np.concatenate([X, S]))
+    dg = central_difference(G[nl:].reshape(nl, 2 * n, n, n), g.fd_step)  # d_l g_ij
+    return levi_civita(G[:nl], dg, X)
 
 
 def levi_civita(G: Array, dg: Array, x) -> Array:
@@ -167,15 +165,14 @@ _EXP_DIFF_TOL = 1e-10
 
 def exp_differential_at_zero(g: MetricField, P: Array) -> Array:
     """Finite-difference jacobians (B, n, n) of v -> exp_p(v) at v = 0 for
-    the lanes P (B, n), the 2n geodesics of every lane as lanes of one
-    exponential map."""
-    n = g.dim
+    the lanes P (B, n), on the lane-major ``central_stencil`` of v = 0: the
+    2n geodesics of every lane are lanes of one exponential map."""
+    nl, n = P.shape
     if not np.all(g.contains(P)):
         raise DomainMargin("base point outside metric domain")
-    E = _EXP_DIFF_STEP * np.eye(n)
-    V = np.tile(np.concatenate([E, -E]), (len(P), 1))
-    X = exp_map(g, np.repeat(P, 2 * n, axis=0), V, _EXP_DIFF_TOL).reshape(len(P), 2 * n, n)
-    return np.swapaxes((X[:, :n] - X[:, n:]) / (2.0 * _EXP_DIFF_STEP), 1, 2)
+    V = central_stencil(np.zeros((nl, n)), _EXP_DIFF_STEP).reshape(nl * 2 * n, n)
+    X = exp_map(g, np.repeat(P, 2 * n, axis=0), V, _EXP_DIFF_TOL).reshape(nl, 2 * n, n)
+    return np.swapaxes(central_difference(X, _EXP_DIFF_STEP), 1, 2)
 
 
 _VELOCITY_TOL = 1e-9  # geodesic tolerance of velocity_in_domain

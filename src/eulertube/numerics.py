@@ -9,7 +9,7 @@ with one result per lane; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
 )
 
 Array = np.ndarray
+_STEPS: Dict[Tuple[int, float], Array] = {}  # (d, h) -> central_stencil's steps (2d, d)
 
 
 def domain_mask(domain: Optional[Callable[[Array], Array]], X: Array) -> Array:
@@ -58,28 +59,46 @@ class DifferentiableMap:
         return domain_mask(self.domain, X)
 
 
+def central_stencil(X: Array, h: float, domain: Optional[Callable[[Array], Array]] = None) -> Array:
+    """The central-difference stencils (B, 2d, d) of the lanes X (B, d),
+    lane-major: x + h e_i for every i, then x - h e_i.
+
+    Raises DomainMargin, naming the coordinate, if a stencil point falls
+    outside the optional lane ``domain``.
+    """
+    nl, d = X.shape
+    steps = _STEPS.get((d, h))
+    if steps is None:
+        steps = _STEPS[d, h] = np.concatenate([h * np.eye(d), -h * np.eye(d)])
+    S = X[:, None, :] + steps
+    if domain is not None:
+        outside = ~domain_mask(domain, S.reshape(nl * 2 * d, d))
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0]) % d
+            raise DomainMargin(f"stencil point outside domain at coordinate {i}")
+    return S
+
+
+def central_difference(F: Array, h: float) -> Array:
+    """Derivatives (B, d, ...) from the values F (B, 2d, ...) on the lanes of
+    ``central_stencil``'s stencils with step h: [:, i] is d/dx_i."""
+    d = F.shape[1] // 2
+    return (F[:, :d] - F[:, d:]) / (2.0 * h)
+
+
 def jacobian(f: DifferentiableMap, X: Array) -> Array:
     """Jacobians (B, c, d) of ``f`` on lanes X (B, d): analytic if supplied,
-    else central FD with every stencil point of every lane in one
-    evaluation of ``f``.
+    else central FD on ``central_stencil``, every stencil point of every
+    lane in one evaluation of ``f``.
 
     Raises DomainMargin if any stencil point falls outside ``f.domain``.
     """
     if f.jac is not None:
         return np.asarray(f.jac(X), dtype=float)
-    h = f.fd_step
-    d = f.domain_dim
-    steps = h * np.eye(d)
-    # S[s, b, i] = X[b] + h e_i (s = 0) or X[b] - h e_i (s = 1)
-    S = np.stack([X[:, None, :] + steps, X[:, None, :] - steps]).reshape(2 * len(X) * d, d)
-    if f.domain is not None:
-        outside = ~f.contains(S)
-        if outside.any():
-            i = int(np.flatnonzero(outside)[0]) % d
-            raise DomainMargin(f"stencil point outside domain at coordinate {i}")
+    nl, d = X.shape
+    S = central_stencil(X, f.fd_step, f.domain).reshape(nl * 2 * d, d)
     F = f(S) if len(S) else np.empty((0, f.codomain_dim))
-    F = F.reshape(2, len(X), d, f.codomain_dim)
-    return np.transpose((F[0] - F[1]) / (2.0 * h), (0, 2, 1))
+    return np.swapaxes(central_difference(F.reshape(nl, 2 * d, f.codomain_dim), f.fd_step), 1, 2)
 
 
 @dataclass

@@ -10,15 +10,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .embeddings import TubularEmbedding
-from .errors import (
-    DecompositionFailure,
-    DomainMargin,
-    HypothesisFailure,
-    NotInDomain,
-)
+from .errors import DecompositionFailure, HypothesisFailure, NotInDomain
 from .metrics import MetricField, euclidean_metric, exp_map, geodesic, levi_civita
-from .numerics import Array, DifferentiableMap, solve_inverse
-from .submanifolds import NormalFrame, ParametrizedSubmanifold, normal_representative
+from .numerics import Array, DifferentiableMap, central_difference, central_stencil, solve_inverse
+from .submanifolds import NormalFrame, normal_representative
 
 
 @dataclass(frozen=True)
@@ -96,8 +91,9 @@ def pullback_metric(
 
     ``matrix`` and the Christoffel symbols take lanes, one inversion batch
     for all of them.  The Christoffel symbols difference g along psi's
-    chart: g at every lane's uc and chart stencil points uc +- fd_step e_j
-    is one batch of forward evaluations of psi and phi with no inversion,
+    chart: g at every lane's uc, then at their lane-major
+    ``numerics.central_stencil`` points uc +- fd_step e_j, is one batch of
+    forward evaluations of psi and phi with no inversion,
     and d_l g = sum_j A[j, l] d_{uc_j} g with A = Dpsi(uc)^{-1} turns chart
     derivatives into ambient ones.  This is a finite difference of g,
     independent of how chi enters the diagram check; the comparatively
@@ -120,19 +116,14 @@ def pullback_metric(
     def gamma(X):
         UC = chi.preimage(X)
         nl, n = UC.shape
-        steps = fd_step * np.eye(n)
-        # every lane's uc and its chart stencil uc +- h e_j: 2n + 1 lanes a point
-        S = np.concatenate([UC[:, None], UC[:, None] + steps, UC[:, None] - steps], axis=1)
-        if not np.all(chart.contains(S[:, 1:].reshape(-1, n))):
-            raise DomainMargin("chart stencil point outside the embedding's domain")
-        S = S.reshape(-1, n)
+        # every lane's uc, then the lane-major chart stencils uc +- h e_j
+        S = np.concatenate([UC, central_stencil(UC, fd_step, chart.domain).reshape(-1, n)])
         A = np.linalg.inv(chart.jacobian(S))
-        G = matrix_at(S, A).reshape(nl, 2 * n + 1, n, n)
-        dg_chart = (G[:, 1 : n + 1] - G[:, n + 1 :]) / (2.0 * fd_step)  # d_{uc_j} g
+        G = matrix_at(S, A)
+        dg_chart = central_difference(G[nl:].reshape(nl, 2 * n, n, n), fd_step)  # d_{uc_j} g
         # d_l g = sum_j A[j, l] d_{uc_j} g with A at the lane's own uc
-        A0t = np.swapaxes(A.reshape(nl, 2 * n + 1, n, n)[:, 0], 1, 2)
-        dg = (A0t @ dg_chart.reshape(nl, n, n * n)).reshape(nl, n, n, n)
-        return levi_civita(G[:, 0], dg, X)
+        dg = (np.swapaxes(A[:nl], 1, 2) @ dg_chart.reshape(nl, n, n * n)).reshape(nl, n, n, n)
+        return levi_civita(G[:nl], dg, X)
 
     return MetricField(
         dim=chi.domain_dim,
@@ -167,27 +158,25 @@ def isometry_geodesic_check(
     chi: DifferentiableMap,
     g: MetricField,
     g_ref: MetricField,
-    N: ParametrizedSubmanifold,
-    U: Array,
+    P: Array,
     V: Array,
     exp_tol: float = 1e-9,
 ) -> Array:
     """Max over t of |exp_ref(t (v + eta(v))) - chi(exp_g(t v))| for the
-    g-normal vectors V (B, n) at p(u) of the base points U (B, k), one per
+    g-normal vectors V (B, n) at the base points P (B, n) on N, one per
     lane (B,).
 
-    Every pair (u, t) is a lane of one exponential map on g and one on
+    Every pair (p, t) is a lane of one exponential map on g and one on
     g_ref, and chi is evaluated once on all of them.
     """
-    p = N.point(U)
-    corrected = (chi.jacobian(p) @ V[:, :, None])[:, :, 0]  # v + eta(v), as nu(chi) = id
+    corrected = (chi.jacobian(P) @ V[:, :, None])[:, :, 0]  # v + eta(v), as nu(chi) = id
     # lane b * T + i: base point b at parameter t_i
     T = len(_ISOMETRY_TS)
-    t = np.tile(_ISOMETRY_TS, len(U))[:, None]
-    p = np.repeat(p, T, axis=0)
+    t = np.tile(_ISOMETRY_TS, len(P))[:, None]
+    p = np.repeat(P, T, axis=0)
     lhs = exp_map(g_ref, p, t * np.repeat(corrected, T, axis=0), tol=exp_tol)
     rhs = chi(exp_map(g, p, t * np.repeat(V, T, axis=0), tol=exp_tol))
-    return np.max(np.linalg.norm(lhs - rhs, axis=1).reshape(len(U), T), axis=1)
+    return np.max(np.linalg.norm(lhs - rhs, axis=1).reshape(len(P), T), axis=1)
 
 
 def gauss_legendre(order: int) -> Tuple[Array, Array]:

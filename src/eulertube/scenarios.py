@@ -36,10 +36,7 @@ from .realization import (
 )
 from .reports import ResidualReport
 from .submanifolds import (
-    NormalFrame,
-    ParametrizedSubmanifold,
-    normal_space_basis,
-    tubular_radius_estimate,
+    NormalFrame, ParametrizedSubmanifold, _normal_frame, tubular_radius_estimate,
 )
 
 # ---------------------------------------------------------------------------
@@ -228,10 +225,11 @@ _DEFAULT_SAMPLES = {
 }
 
 # the stages each kind of scenario runs, with their default tolerances; a
-# config's tolerances may name only the stages of its scenario's kind
+# config's tolerances may name only the stages of its scenario's kind.  The
+# radius row takes none: it reports the certified delta <= delta0 against
+# delta0, so no tolerance of it would gate a later stage
 _DEFAULT_TOLERANCES = {
     "tube": {
-        "radius": None,  # filled with delta0
         "embedding": 1e-6,
         "chi": 1e-8,
         "pullback": 1e-6,
@@ -266,10 +264,10 @@ class Scenario:
         return int(self.samples.get(key, _DEFAULT_SAMPLES[key]))
 
     def tolerance(self, stage: str) -> float:
-        v = self.tolerances.get(stage, _DEFAULT_TOLERANCES[self.kind].get(stage))
-        if v is None:
-            v = self.delta0
-        return float(v)
+        """A stage's tolerance; the radius row's is delta0, never a config's."""
+        if stage == "radius":
+            return float(self.delta0)
+        return float(self.tolerances.get(stage, _DEFAULT_TOLERANCES[self.kind][stage]))
 
 
 BUILTIN_SCENARIOS: Dict[str, Scenario] = {
@@ -532,7 +530,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
     def stage_chi():
         phi = reference_embedding(frame, delta)
         chi = build_chi(psi, phi, domain=_image_box(psi, 0.3 * delta))
-        P = N.point(grid)
+        P = frame.at(grid).p
         return (phi, chi), [float(np.linalg.norm(d)) for d in chi(P) - P]
 
     maps = _stage(reports, scn, "chi", stage_chi)
@@ -590,8 +588,10 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     def stage_isometry():
         us = _interior_grid(N, scn.sample("isometry"), margin=0.2)
-        v = 0.5 * delta * normal_space_basis(g, N, us)[:, :, 0]
-        return None, isometry_geodesic_check(chi, g, gt, N, us, v, exp_tol=exp_tol)
+        # the g-normal basis and the base points of one build
+        p, _, basis = _normal_frame(g, N, us)[:3]
+        v = 0.5 * delta * basis[:, :, 0]
+        return None, isometry_geodesic_check(chi, g, gt, p, v, exp_tol=exp_tol)
 
     _stage(reports, scn, "isometry", stage_isometry)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NotInDomain, NoValidRadius, RankDeficient
 from .metrics import MetricField, exp_map, zero_christoffel
-from .numerics import Array, DifferentiableMap
+from .numerics import Array, DifferentiableMap, central_difference, central_stencil
 
 _RANK_TOL = 1e-8
 
@@ -168,10 +168,11 @@ class NormalFrame:
     On lanes of base points U (B, k), ``at(U)`` builds p, J, G and the
     frame B of ``normal_space_basis`` from one chart evaluation, one chart
     jacobian and one metric evaluation; ``derivative(U)`` adds dJ/du and
-    dB/du as central differences of one such build on the jet of U, each
-    distinct base point u and its shifts u +- h e_i.  A jet across a
-    discontinuity of the frame (other projector columns, or a vector of
-    the other sign, at a shifted lane) raises RankDeficient.  The last
+    dB/du as central differences of one such build on the jet of U: each
+    distinct base point u, then their lane-major stencils u + h e_i, u - h e_i
+    of ``numerics.central_stencil``.  A jet across a discontinuity of the
+    frame (other projector columns, or a vector of the other sign, at a
+    stencil lane) raises RankDeficient.  The last
     ``_FRAME_MEMO`` calls are remembered under the lane count and bytes of
     their lanes, a jet serving ``at`` too; a result never depends on what
     was evaluated before it.  ``numerics.solve_inverse`` keeps its batch
@@ -182,9 +183,6 @@ class NormalFrame:
     def __init__(self, g: MetricField, N: ParametrizedSubmanifold):
         self.g = g
         self.N = N
-        k = N.param_dim
-        # the jet's shifts +h e_i, then -h e_i
-        self._shifts = _FRAME_DU * np.concatenate([np.eye(k), -np.eye(k)])
         self._memo: Dict[Tuple[int, bytes], FramePoint] = {}
 
     def _remember(self, key: Tuple[int, bytes], fp: FramePoint) -> FramePoint:
@@ -215,7 +213,7 @@ class NormalFrame:
         # the distinct base points, told apart by the bytes of their rows:
         # a batch of distinct lanes (a Newton batch) is built as it is, with
         # no sort, and a stencil's repeated base points are built once; a
-        # point's lanes (k = 0) are one base point, with no shifts
+        # point's lanes (k = 0) are one base point, with an empty stencil
         void = np.dtype((np.void, U.itemsize * k))
         rows = np.ascontiguousarray(U).view(void).ravel().tolist() if k else [b""] * nl
         base, ids = U, None
@@ -226,23 +224,21 @@ class NormalFrame:
             lane[ids] = np.arange(nl)
             base = U[lane]
         nb = len(base)
-        shifted = (base[None] + self._shifts[:, None]).reshape(2 * k * nb, k)
-        p, J, B, G, kept = _normal_frame(self.g, self.N, np.concatenate([base, shifted]))
-        J, B, kept = (X.reshape(2 * k + 1, nb, *X.shape[1:]) for X in (J, B, kept))
+        S = central_stencil(base, _FRAME_DU).reshape(nb * 2 * k, k)
+        p, J, B, G, kept = _normal_frame(self.g, self.N, np.concatenate([base, S]))
+        # each base point's stencil lanes, lane-major
+        Js, Bs, kept_s = (X[nb:].reshape(nb, 2 * k, *X.shape[1:]) for X in (J, B, kept))
         # a difference across a switch of projector columns, or across a
         # column whose projection passes through zero between u - h and
         # u + h so that its vector flips, is of order 1/h, not a derivative
-        flip = (B[1 : k + 1] * B[k + 1 :]).sum(axis=2) <= 0.0
-        if np.count_nonzero(kept[1:] != kept[0]) or np.count_nonzero(flip):
-            torn = np.any(kept[1:] != kept[0], axis=(0, 2)) | np.any(flip, axis=(0, 2))
+        switch = kept_s != kept[:nb, None]
+        flip = (Bs[:, :k] * Bs[:, k:]).sum(axis=2) <= 0.0
+        if np.count_nonzero(switch) or np.count_nonzero(flip):
+            torn = np.any(switch, axis=(1, 2)) | np.any(flip, axis=(1, 2))
             raise RankDeficient(f"normal frame torn within {_FRAME_DU:g} of u={base[torn][0]}")
-        # dJ and dB lane-major and contiguous, as a build's arrays are
-        dJ, dB = (
-            np.ascontiguousarray((X[1 : k + 1] - X[k + 1 :]).swapaxes(0, 1)) / (2.0 * _FRAME_DU)
-            for X in (J, B)
-        )
-        centre = [p[:nb], J[0], B[0], G[:nb]]
-        if ids is None:  # copies, or the memo would keep the shifted lanes alive
+        dJ, dB = central_difference(Js, _FRAME_DU), central_difference(Bs, _FRAME_DU)
+        centre = [p[:nb], J[:nb], B[:nb], G[:nb]]
+        if ids is None:  # copies, or the memo would keep the stencil lanes alive
             return FramePoint(*(f.copy() for f in centre), dJ, dB)
         return FramePoint(*(f[ids] for f in centre + [dJ, dB]))
 

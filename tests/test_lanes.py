@@ -656,14 +656,15 @@ class TestNewtonWork:
         assert not any(np.array_equal(x, start) for _, x, _ in calls)
         # the batch stays fixed, so every call sees every lane, converged
         # ones included; each value call builds the jet of its lanes, in
-        # their own order, and the jacobian after it builds nothing: one
-        # frame build per iterate
+        # their own order and then their lane-major stencils, and the
+        # jacobian after it builds nothing: one frame build per iterate
         assert all(len(x) == len(X) for _, x, _ in calls)
         assert len(values) >= 2 and len(jacobians) == len(values) - 1
         h = submanifolds._FRAME_DU
         for x, b in values:
             u = x[:, :1]
-            assert len(b) == 1 and b[0].tobytes() == np.concatenate([u, u + h, u - h]).tobytes()
+            jet = np.concatenate([u, np.stack([u + h, u - h], axis=1).reshape(-1, 1)])
+            assert len(b) == 1 and b[0].tobytes() == jet.tobytes()
         assert not any(jacobians)
         assert np.array_equal(values[-1][0], uc)
 

@@ -15,16 +15,20 @@ from eulertube.errors import (
     SingularJacobian,
     StepUnderflow,
 )
+from eulertube.metrics import MetricField, christoffel, euclidean_metric
 from eulertube.numerics import (
     _DOP853,
     _DP54,
     DifferentiableMap,
     Trajectory,
     _rk_step,
+    central_difference,
+    central_stencil,
     jacobian,
     ode_integrate,
     solve_inverse,
 )
+from eulertube.realization import ComparisonMap, pullback_metric
 
 
 class TestJacobian:
@@ -72,6 +76,56 @@ class TestJacobian:
         f = DifferentiableMap(1, 1, lambda X: X, domain=lambda X: np.abs(X[:, 0]) < 1.0)
         with pytest.raises(DomainMargin):
             f.jacobian(np.array([[1.0 - 1e-7]]))
+
+
+def inside(X):
+    """The domain x_1 < 1 of the stencil tests."""
+    return X[:, 1] < 1.0
+
+
+class TestCentralStencil:
+    def test_layout_is_lane_major_plus_before_minus(self):
+        h = 0.25
+        S = central_stencil(np.zeros((2, 3)), h)
+        # each lane's x + h e_i for every i, then x - h e_i, exactly
+        expected = np.concatenate([h * np.eye(3), -h * np.eye(3)])
+        assert S.shape == (2, 6, 3)
+        assert np.array_equal(S[0], expected) and np.array_equal(S[1], expected)
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        S = central_stencil(X, h)
+        assert np.array_equal(S[1], [[3.25, 4.0], [3.0, 4.25], [2.75, 4.0], [3.0, 3.75]])
+        # the derivative along e_i is row i of the difference
+        dF = central_difference(S @ np.array([[2.0], [-1.0]]), h)
+        assert np.allclose(dF[:, :, 0], [[2.0, -1.0], [2.0, -1.0]])
+        # zero-dimensional lanes, a point frame's, have an empty stencil
+        assert central_stencil(np.zeros((4, 0)), h).shape == (4, 0, 0)
+
+    @staticmethod
+    def _fd_jacobian():
+        f = DifferentiableMap(2, 1, lambda X: X[:, :1] * X[:, 1:], domain=inside, fd_step=1e-3)
+        return lambda X: jacobian(f, X)
+
+    @staticmethod
+    def _ambient_christoffel():
+        g = MetricField(dim=2, matrix_fn=lambda X: np.eye(2) * (1.0 + X[:, 1:, None] ** 2),
+                        domain=inside, fd_step=1e-3)
+        return lambda X: christoffel(g, X)
+
+    @staticmethod
+    def _pullback_christoffel():
+        eye = lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2)).copy()  # noqa: E731
+        chart = DifferentiableMap(2, 2, lambda X: X.copy(), jac=eye, domain=inside)
+        target = DifferentiableMap(2, 2, lambda X: X.copy(), jac=eye)
+        chi = ComparisonMap(chart=chart, target=target, preimage=lambda X: X.copy())
+        return pullback_metric(chi, euclidean_metric(2), fd_step=1e-3).christoffel_fn
+
+    @pytest.mark.parametrize("build", ["_fd_jacobian", "_ambient_christoffel", "_pullback_christoffel"])
+    def test_stencil_point_outside_the_domain_names_its_coordinate(self, build):
+        stencil_fd = getattr(self, build)()
+        stencil_fd(np.array([[0.5, 0.5]]))
+        # the second lane's x_1 + h e_1 leaves the domain x_1 < 1
+        with pytest.raises(DomainMargin, match="stencil point outside domain at coordinate 1"):
+            stencil_fd(np.array([[0.5, 0.5], [0.2, 1.0 - 5e-4]]))
 
 
 class TestOdeIntegrate:

@@ -276,7 +276,7 @@ class TestDiagramAndIsometry:
         N = x_axis_r2()
         chi = DifferentiableMap(2, 2, lambda X: X.copy(), jac=eye_lanes)
         r = isometry_geodesic_check(
-            chi, g_ref, g_ref, N, np.array([[0.2]]), np.array([[0.0, 0.3]])
+            chi, g_ref, g_ref, N.point(np.array([[0.2]])), np.array([[0.0, 0.3]])
         )
         assert r.shape == (1,)
         assert r[0] <= 1e-10
@@ -285,17 +285,18 @@ class TestDiagramAndIsometry:
         g_ref, N, psi, chi, g = self.make_pipeline()
         u = np.array([[0.3]])
         B = normal_space_basis(g, N, u)
-        r = isometry_geodesic_check(chi, g, g_ref, N, u, 0.2 * B[:, :, 0], exp_tol=1e-9)
+        r = isometry_geodesic_check(chi, g, g_ref, N.point(u), 0.2 * B[:, :, 0], exp_tol=1e-9)
         assert r[0] <= 1e-5
 
     def test_isometry_lanes_equal_single_base_points(self):
         g_ref, N, psi, chi, g = self.make_pipeline()
         us = np.array([[-0.4], [0.3], [0.8]])
         V = 0.2 * normal_space_basis(g, N, us)[:, :, 0]
-        worst = isometry_geodesic_check(chi, g, g_ref, N, us, V, exp_tol=1e-9)
+        P = N.point(us)
+        worst = isometry_geodesic_check(chi, g, g_ref, P, V, exp_tol=1e-9)
         assert worst.shape == (3,)
-        for u, v, w in zip(us, V, worst):
-            alone = isometry_geodesic_check(chi, g, g_ref, N, u[None], v[None], exp_tol=1e-9)
+        for p, v, w in zip(P, V, worst):
+            alone = isometry_geodesic_check(chi, g, g_ref, p[None], v[None], exp_tol=1e-9)
             assert alone.tobytes() == w.tobytes()
 
 
