@@ -114,6 +114,10 @@ def run(targets, tol, samples, out, fmt):
     except IoError as exc:
         raise click.ClickException(f"could not write the report: {exc}")
     click.echo(text, nl=False)
+    # the report leaves a failed stage's error out; name it on stderr
+    for r in reports:
+        if r.error:
+            click.echo(f"{r.scenario} {r.stage}: {r.error}", err=True)
     if not all(r.passed for r in reports):
         sys.exit(1)
 

@@ -8,10 +8,13 @@ honored throughout, which is what makes the inverse-profile round trip
 verifiable to 1e-12 even at arguments of order 10^3 (the composition is too
 ill-conditioned near the interval ends for double precision).  The inverse
 takes lanes of targets: the double-precision seeds of all of them come from
-one bracket-and-bisect whose every pass is one lane sigma, and each target
-then needs only Newton steps at high precision: the seed is good to about
-1e-16, and each step squares the error.  The bundle maps take lanes of base
-points and fiber vectors and invert the profile for all of them at once.
+lane Newton steps in double followed by a walk of one ulp a pass to the
+adjacent doubles that bracket each root, about ten lane passes whatever the
+batch, and each target then needs only Newton steps at high precision: the
+seed is good to about 1e-16, and each step squares the error.  On the
+plateau |t| >= 3/4, where rho == 1, an mpf argument skips the bump's
+exponentials.  The bundle maps take lanes of base points and fiber vectors
+and invert the profile for all of them at once.
 
 mpmath is imported by the high-precision paths only (an mpf argument, or
 sigma_inverse's Newton polish), so float lanes never load it.
@@ -30,6 +33,8 @@ from .errors import DomainError, NoConvergence
 from .numerics import Array
 
 _HALF = 0.5
+_PLATEAU = 0.75  # rho == 1 for |t| >= 3/4
+_EDGE = 1 - 2.0**-53  # the last double below 1
 
 
 def _is_mp(t) -> bool:
@@ -111,7 +116,19 @@ def sigma(t):
 # rho and eta on a t already checked to lie in (-1, 1): sigma checks once,
 # not once a layer (a check costs a few numpy calls a lane batch)
 def _rho(t):
-    return _bump((abs(t) - _HALF) * 4)[0]
+    return _step(t)[0]
+
+
+def _step(t):
+    """The bump step at 4(|t| - 1/2) and its derivative, (S, S').  One mpf t
+    on the plateau |t| >= 3/4 skips the exponentials and gives (1, None), S'
+    being 0 there: (|t| - 1/2) * 4 is exact for |t| in [1/2, 1], so it is
+    >= 1 exactly when |t| >= 3/4, and the values stay bitwise the bump's."""
+    if _is_mp(t) and abs(t) >= _PLATEAU:
+        import mpmath as mp
+
+        return mp.mpf(1), None
+    return _bump((abs(t) - _HALF) * 4)
 
 
 def _eta(t):
@@ -128,10 +145,13 @@ def _sigma_and_prime(t):
     which collects to 1 + rho/u^(3/2) + 4 |t| S'/sqrt(u).
     """
     t = _open_interval(t)
-    S, dS = _bump((abs(t) - _HALF) * 4)
+    S, dS = _step(t)
     u = 1 - t * t
     root = _sqrt(u)
-    return (S / root + 1) * t, 1 + S / (u * root) + 4 * abs(t) * dS / root
+    slope = 1 + S / (u * root)
+    if dS is not None:
+        slope = slope + 4 * abs(t) * dS / root
+    return (S / root + 1) * t, slope
 
 
 def sigma_prime(t):
@@ -139,19 +159,25 @@ def sigma_prime(t):
     return _sigma_and_prime(t)[1]
 
 
+_SIGMA_EDGE = float(sigma(_EDGE))
+_SIGMA_PLATEAU = float(sigma(_PLATEAU))
+_BUMP_START = (_PLATEAU - _HALF) / (_SIGMA_PLATEAU - _HALF)  # t's secant over the bump
+
+
 def sigma_inverse(s, dps: int = 50):
     """Inverse of sigma for one target or lanes of targets (a sequence or a
     1-d array): double-precision seeds for all targets at once, each then
     polished by Newton with the closed-form sigma' at ``dps`` digits.
 
-    Returns s identically where |s| <= 1/2.  The seeds bracket each root
-    between points 1 - 2^-k and bisect in double down to adjacent doubles,
-    one lane sigma per pass over the targets still open; past the last
-    double below 1 a target's bracket goes on at ``dps`` digits and its end
-    is the seed.  Newton stops once |sigma(t) - |s|| <
-    10^(8 - dps) max(1, |s|), or once its step is a few units in the last
-    digit: beyond |s| ~ 3e4 at 50 digits no dps-digit t meets that
-    tolerance.  A step leaving the bracket that the residual signs narrow
+    Returns s identically where |s| <= 1/2.  The seeds are the adjacent
+    doubles that bracket each root in double: lane Newton steps (in
+    w = t / sqrt(1 - t^2) on the plateau, in t on the bump) come within a
+    few ulps, then a walk of one ulp a pass over the targets still open
+    finds the pair; past the last double below 1 a target's bracket goes on
+    at ``dps`` digits and its end is the seed.  Newton stops once
+    |sigma(t) - |s|| < 10^(8 - dps) max(1, |s|), or once its step is a few
+    units in the last digit: beyond |s| ~ 3e4 at 50 digits no dps-digit t
+    meets that tolerance.  A step leaving the bracket that the residual signs narrow
     from (1/2, 1) is replaced by the bracket's midpoint.
 
     Each result's type matches its target's; a float result is the double
@@ -176,43 +202,88 @@ def sigma_inverse(s, dps: int = 50):
     with mp.workdps(dps):
         targets = [abs(mp.mpf(lanes[i])) for i in far]
         lo, hi = _double_seeds(np.array([float(x) for x in targets]))
+        # the constants of every target's Newton, made once a call
+        consts = (mp.mpf(10) ** (-dps + 8), 4 * mp.eps, mp.mpf(_HALF), mp.mpf(1))
         for j, i in enumerate(far):
-            out[i] = _newton(lanes[i], targets[j], lo[j], hi[j], dps)
+            out[i] = _newton(lanes[i], targets[j], lo[j], hi[j], dps, consts)
     return out.reshape(S.shape)[()]
 
 
 def _double_seeds(approx: Array) -> Tuple[Array, Array]:
     """Brackets lo < t <= hi of the inverses of the targets approx (B,),
-    all > 1/2, with sigma(lo) <= approx < sigma(hi) in double: the bracket
-    ends 1 - 2^-k move up until sigma passes the target, then bisection
-    narrows them to adjacent doubles.  Each pass evaluates one lane sigma
-    on the targets still open.  A bracket that reaches 1 stops at
-    (1 - 2^-53, 1).
+    all > 1/2: the adjacent doubles with sigma(lo) <= approx < sigma(hi)
+    in double, the pair a bisection finds while double sigma is
+    nondecreasing.  On the plateau it is, every operation of it being a
+    correctly rounded monotone one; on the bump no decrease between
+    adjacent doubles has been seen.  Newton steps in double come within a few units in the last place
+    of the root, then a walk of one ulp a pass finds the pair; each pass
+    evaluates sigma once on the targets still open.  A target at or past
+    sigma(1 - 2^-53) gets (1 - 2^-53, 1), the last doubles below and at 1.
     """
-    lo = np.full(len(approx), _HALF)
-    hi = np.full(len(approx), 1 - 2.0**-4)
-    open_ = np.arange(len(approx))
+    approx = np.asarray(approx, dtype=float)
+    lo, hi = np.full(len(approx), _EDGE), np.ones(len(approx))
+    near = np.flatnonzero(approx < _SIGMA_EDGE)
+    s = approx[near]
+    t = _newton_seeds(s)
+    up = ~(sigma(t) > s)  # the pair lies above t
+    end = np.where(up, 1.0, 0.0)
+    nxt = t.copy()
+    open_ = np.arange(len(s))
     while len(open_):
-        below = open_[~(sigma(hi[open_]) > approx[open_])]
-        lo[below] = hi[below]
-        hi[below] = 1 - (1 - hi[below]) / 2
-        open_ = below[hi[below] < 1]
-    mid = (lo + hi) / 2
-    open_ = np.flatnonzero((lo < mid) & (mid < hi))
-    while len(open_):
-        m = mid[open_]
-        above = sigma(m) > approx[open_]
-        hi[open_[above]] = m[above]
-        lo[open_[~above]] = m[~above]
-        mid[open_] = (lo[open_] + hi[open_]) / 2
-        open_ = open_[(lo[open_] < mid[open_]) & (mid[open_] < hi[open_])]
+        nxt[open_] = np.nextafter(t[open_], end[open_])
+        walking = open_[(sigma(nxt[open_]) > s[open_]) != up[open_]]
+        t[walking] = nxt[walking]
+        open_ = walking
+    lo[near], hi[near] = np.where(up, t, nxt), np.where(up, nxt, t)
     return lo, hi
 
 
-def _newton(s, target, lo: float, hi: float, dps: int):
+def _newton_seeds(s: Array) -> Array:
+    """Doubles within a few ulps of the inverses of the targets
+    1/2 < s < sigma(1 - 2^-53), each lane stepped by Newton until its step
+    is about an ulp.  On the plateau (s >= sigma(3/4)) the steps work in
+    w = t / sqrt(1 - t^2), where sigma = w + w / sqrt(1 + w^2) is well
+    conditioned and w lies in (s - 1, s); on the bump they work in t on
+    [1/2, 3/4] with the closed-form sigma'.  A step leaving the bracket
+    that the residual signs narrow is replaced by its midpoint.
+    """
+    flat = s >= _SIGMA_PLATEAU
+    x = np.where(flat, s - 1, _HALF + (s - _HALF) * _BUMP_START)
+    lo, hi = np.where(flat, s - 1, _HALF), np.where(flat, s, _PLATEAU)
+    open_ = np.arange(len(s))
+    while len(open_):
+        xo, fo = x[open_], flat[open_]
+        value, slope = np.empty(len(xo)), np.empty(len(xo))
+        if fo.any():
+            value[fo], slope[fo] = _plateau_sigma_in_w(xo[fo])
+        if not fo.all():
+            value[~fo], slope[~fo] = _sigma_and_prime(xo[~fo])
+        r = value - s[open_]
+        above = r > 0
+        hi[open_[above]] = xo[above]
+        lo[open_[~above]] = xo[~above]
+        step = r / slope
+        nx = xo - step
+        miss = ~((lo[open_] <= nx) & (nx <= hi[open_]))
+        nx[miss] = (lo[open_[miss]] + hi[open_[miss]]) / 2
+        x[open_] = nx
+        open_ = open_[~(np.abs(step) <= 2.0**-51 * xo)]
+    return np.minimum(np.where(flat, x / np.sqrt(1 + x * x), x), _EDGE)
+
+
+def _plateau_sigma_in_w(w: Array) -> Tuple[Array, Array]:
+    """sigma and dsigma/dw on lanes of w = t / sqrt(1 - t^2) on the plateau."""
+    q = np.sqrt(1 + w * w)
+    return w + w / q, 1 + 1 / (q * q * q)
+
+
+def _newton(s, target, lo: float, hi: float, dps: int, consts):
     """The inverse of one target s (|s| = target > 1/2, at ``dps`` digits)
-    from its double bracket (lo, hi], in s's type."""
+    from its double bracket (lo, hi], in s's type; ``consts`` holds
+    10^(8 - dps), 4 eps and the mpf 1/2 and 1 at ``dps`` digits."""
     import mpmath as mp
+
+    rel_tol, step_tol, half, one = consts
 
     was_float = not _is_mp(s)
     if hi == 1:
@@ -223,10 +294,10 @@ def _newton(s, target, lo: float, hi: float, dps: int):
         hi = 1 - (1 - mp.mpf(lo)) / 2
         while hi < 1 and not sigma(hi) > target:
             hi = 1 - (1 - hi) / 2
-    t, lo, hi = mp.mpf(hi), mp.mpf(_HALF), mp.mpf(1)
+    t, lo, hi = mp.mpf(hi), half, one
     if t == 1:
         raise DomainError(f"sigma inverse of {s} is not representable at {dps} digits")
-    res_tol = mp.mpf(10) ** (-dps + 8) * max(mp.mpf(1), target)
+    res_tol = rel_tol * max(one, target)
     for _ in range(30):
         value, slope = _sigma_and_prime(t)
         r = value - target
@@ -238,7 +309,7 @@ def _newton(s, target, lo: float, hi: float, dps: int):
             lo = t
         step = r / slope
         t = t - step
-        if abs(step) <= 4 * mp.eps:
+        if abs(step) <= step_tol:
             # too close to 1 for dps digits to resolve 1 - t, sigma(t)
             # can miss |s| by more than both the residual tolerance and a
             # double's rounding; such a t is no inverse

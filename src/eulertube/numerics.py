@@ -35,9 +35,9 @@ def domain_mask(domain: Optional[Callable[[Array], Array]], X: Array) -> Array:
 class DifferentiableMap:
     """A smooth map with an evaluation oracle and optional analytic jacobian.
 
-    ``fn``, ``jac`` and ``domain``, like the map, its jacobian and
-    ``contains``, take lanes, a stack of independent points (B, d), and
-    return per-lane results: (B, c), (B, c, d) and a (B,) bool mask.  If no
+    ``fn``, ``jac`` and ``domain``, like the map and its jacobian, take
+    lanes, a stack of independent points (B, d), and return per-lane
+    results: (B, c), (B, c, d) and a (B,) bool mask.  If no
     analytic jacobian is supplied, ``jacobian`` falls back to central
     per-coordinate finite differences with step ``fd_step``.
     """
@@ -54,9 +54,6 @@ class DifferentiableMap:
 
     def jacobian(self, X: Array) -> Array:
         return jacobian(self, X)
-
-    def contains(self, X: Array) -> Array:
-        return domain_mask(self.domain, X)
 
 
 def central_stencil(X: Array, h: float, domain: Optional[Callable[[Array], Array]] = None) -> Array:

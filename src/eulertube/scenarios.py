@@ -25,7 +25,7 @@ from .metrics import (
     sphere_chart_metric,
     validate_metric,
 )
-from .numerics import Array, DifferentiableMap
+from .numerics import Array, DifferentiableMap, central_difference, central_stencil
 from .realization import (
     build_chi,
     curve_length,
@@ -563,7 +563,9 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         dcurve = lambda t: A + 2.0 * t * B
         len_g = curve_length(g, curve, dcurve)
         img = lambda t: chi(curve(t).reshape(-1, n)).reshape(len(X0), -1, n)
-        dimg = lambda t: (img(t + h) - img(t - h)) / (2.0 * h)
+        dimg = lambda t: central_difference(
+            img(central_stencil(t, h).reshape(-1, 1)).reshape(-1, 2, n), h
+        ).reshape(len(X0), -1, n)
         len_ref = curve_length(gt, img, dimg)
         if not np.all(np.isfinite(len_ref) & (len_ref > 0.0)):
             raise DegenerateSample(
@@ -659,7 +661,7 @@ def _run_appendix_scenario(scn: Scenario) -> List[ResidualReport]:
         ts = np.linspace(-1 + 1e-6, 1 - 1e-6, 10_000)
         h = 1e-6
         tt = np.clip(ts, -1 + 2 * h, 1 - 2 * h)
-        d = (ext.sigma(tt + h) - ext.sigma(tt - h)) / (2 * h)
+        d = central_difference(ext.sigma(central_stencil(tt[:, None], h)), h)
         worst = max(float(np.max(1.0 - d)), 0.0)
         return None, np.full(len(ts), worst)
 

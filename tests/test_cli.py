@@ -236,6 +236,18 @@ class TestCliCommands:
         result = runner.invoke(main, ["run", "point-2d", "--tol", "1e-300"])
         assert result.exit_code == 1
 
+    def test_failed_stage_error_on_stderr(self, runner, tmp_path):
+        # the circle arc in the sphere chart certifies no radius: the report
+        # on stdout is unchanged, the row's error goes to stderr
+        cfg = tmp_path / "scn.yaml"
+        cfg.write_text("scenario: circle\nbackground: sphere-chart\nsubmanifold: circle-arc\n")
+        result = runner.invoke(main, ["run", str(cfg), "--format", "records"])
+        assert result.exit_code == 1
+        (report,) = parse(result.stdout)
+        assert (report.stage, report.passed, report.error) == ("radius", False, "")
+        assert result.stderr.startswith("circle radius: NoValidRadius: ")
+        assert result.stderr.count("\n") == 1
+
     def test_repeat_run_is_bitwise_identical(self, runner):
         a = runner.invoke(main, ["run", "appendix"])
         b = runner.invoke(main, ["run", "appendix"])

@@ -72,7 +72,7 @@ class TestReferenceEmbedding:
                 [1.3, 0.0, 0.0],
             ]
         )
-        assert phi.contains(UC).tolist() == [True, True, True, False, False, False]
+        assert phi.domain(UC).tolist() == [True, True, True, False, False, False]
 
 
 class TestValidateEmbedding:

@@ -295,11 +295,35 @@ class TestProfileLanes:
             assert all(isinstance(t, mp.mpf) for t in ts)
 
     def test_lane_seeds_match_the_scalar_bisection(self):
+        # a log sweep from just above 1/2 past sigma(1 - 2^-53) ~ 6.7e7, the
+        # last targets clamped to (1 - 2^-53, 1)
         approx = np.abs(_LANE_TARGETS)
-        approx = approx[approx > 0.5]
+        sweep = np.concatenate([0.5 + np.geomspace(2.0**-52, 0.5, 100), np.geomspace(1.0, 1e300, 200)])
+        approx = np.concatenate([approx[approx > 0.5], sweep])
         lo, hi = extension._double_seeds(approx)
         for a, l, h in zip(approx, lo, hi):
             assert (l, h) == _scalar_seed(a)
+        assert (lo[-1], hi[-1]) == (1 - 2.0**-53, 1.0)
+        lo, hi = extension._double_seeds(np.array([]))
+        assert lo.shape == hi.shape == (0,)
+        lo, hi = extension._double_seeds(np.array([3.0], dtype=np.float32))
+        assert (lo[0], hi[0]) == _scalar_seed(3.0)
+
+    @pytest.mark.parametrize("targets", [np.abs(np.linspace(-1000.0, 1000.0, 201)), [3.0]])
+    def test_seed_lane_passes(self, monkeypatch, targets):
+        # a pass is one lane evaluation of sigma (with sigma' or in w) over
+        # the open targets: about ten for any batch, where bracketing and
+        # bisecting down to adjacent doubles took 70
+        passes = []
+        for name in ("sigma", "_sigma_and_prime", "_plateau_sigma_in_w"):
+            plain = getattr(extension, name, None)
+            if plain is not None:
+                monkeypatch.setattr(
+                    extension, name, lambda t, plain=plain: passes.append(1) or plain(t)
+                )
+        approx = np.asarray(targets, dtype=float)
+        extension._double_seeds(approx[approx > 0.5])
+        assert 0 < len(passes) <= 15
 
     @pytest.mark.parametrize("dps", [30, 50])
     def test_shared_mp_evaluation_is_sigma_and_prime(self, dps):
@@ -309,6 +333,44 @@ class TestProfileLanes:
                     t_ = sign * mp.mpf(t)
                     value, slope = extension._sigma_and_prime(t_)
                     assert value == sigma(t_) and slope == sigma_prime(t_)
+
+
+def _general_step(t):
+    """The bump step at 4(|t| - 1/2) through _bump's exponentials."""
+    return extension._bump((abs(t) - 0.5) * 4)
+
+
+class TestPlateauShortcut:
+    """An mpf t with |t| >= 3/4 skips the bump's exponentials; every value
+    stays bitwise that of the general formula."""
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_bitwise_general_formula(self, dps):
+        with mp.workdps(dps):
+            three_q = mp.mpf("0.75")
+            ts = [
+                three_q,
+                three_q - mp.eps,
+                three_q + mp.eps,
+                mp.mpf("0.9"),
+                1 - mp.mpf("1e-30"),
+            ]
+            for t in ts + [-t for t in ts]:
+                S, dS = _general_step(t)
+                u = 1 - t * t
+                root = mp.sqrt(u)
+                value = (S / root + 1) * t
+                slope = 1 + S / (u * root) + 4 * abs(t) * dS / root
+                assert rho(t) == S and eta(t) == S / root + 1
+                assert sigma(t) == value and sigma_prime(t) == slope
+                assert extension._sigma_and_prime(t) == (value, slope)
+                assert all(isinstance(x, mp.mpf) for x in (rho(t), eta(t), sigma(t), sigma_prime(t)))
+
+    def test_mpf_neighbours_straddle_the_plateau(self):
+        with mp.workdps(50):
+            below = mp.mpf("0.75") - mp.eps
+            assert 0 < _general_step(below)[0] <= 1 and _general_step(below)[1] > 0
+            assert _general_step(mp.mpf("0.75") + mp.eps) == (1, 0)
 
 
 def make_region():
