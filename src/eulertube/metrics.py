@@ -206,12 +206,19 @@ def zero_christoffel(X: Array) -> Array:
     return np.zeros((len(X), n, n, n))
 
 
+def identity_matrix(X: Array) -> Array:
+    """The identity matrices (B, n, n) on lanes X (B, n).  ``euclidean_metric``
+    is the one metric that carries it, so ``g.matrix_fn is identity_matrix``
+    tells a product with G that it may be skipped; a constant metric that
+    is not the identity is flat too, so ``zero_christoffel`` cannot."""
+    return np.eye(X.shape[1]) + np.zeros((len(X), 1, 1))
+
+
 def euclidean_metric(n: int, domain=None) -> MetricField:
     """The flat metric on a convex ``domain`` of R^n, where exp_p(v) = p + v."""
-    eye = np.eye(n)
     return MetricField(
         dim=n,
-        matrix_fn=lambda X: eye + np.zeros((len(X), 1, 1)),
+        matrix_fn=identity_matrix,
         domain=domain,
         christoffel_fn=zero_christoffel,
         exp_fn=lambda P, V: P + V,

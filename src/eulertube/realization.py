@@ -11,7 +11,7 @@ import numpy as np
 
 from .embeddings import TubularEmbedding
 from .errors import DecompositionFailure, HypothesisFailure, NotInDomain
-from .metrics import MetricField, euclidean_metric, exp_map, geodesic, levi_civita
+from .metrics import MetricField, euclidean_metric, exp_map, geodesic, identity_matrix, levi_civita
 from .numerics import Array, DifferentiableMap, central_difference, central_stencil, solve_inverse
 from .submanifolds import NormalFrame, normal_representative
 
@@ -99,15 +99,19 @@ def pullback_metric(
     independent of how chi enters the diagram check; the comparatively
     large step balances truncation against the rounding of the jacobians.
     Raises DomainMargin if a stencil point of some lane leaves psi's
-    domain.
+    domain.  On ``euclidean_metric``'s identity gref, g is D^T D, with no
+    value of phi.
     """
     chart, target = chi.chart, chi.target
+    identity = g_ref.matrix_fn is identity_matrix
 
     def matrix_at(UC, A=None):
         """g at the chart lanes UC (B, n), with A = Dpsi(UC)^-1 if known."""
         if A is None:
             A = np.linalg.inv(chart.jacobian(UC))
         D = target.jacobian(UC) @ A
+        if identity:  # a contiguous D^T, as D^T @ I gives it: the same bits
+            return np.ascontiguousarray(np.swapaxes(D, 1, 2)) @ D
         return np.swapaxes(D, 1, 2) @ g_ref.matrix(target(UC)) @ D
 
     def matrix(X):

@@ -10,7 +10,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import NotInDomain, NoValidRadius, RankDeficient
-from .metrics import MetricField, exp_map, zero_christoffel
+from .metrics import MetricField, exp_map, identity_matrix, zero_christoffel
 from .numerics import Array, DifferentiableMap, central_difference, central_stencil
 
 _RANK_TOL = 1e-8
@@ -61,16 +61,23 @@ def _small_inv(M: Array) -> Array:
     return np.reciprocal(M) if M.shape[-2:] == (1, 1) else np.linalg.inv(M)
 
 
-def _normal_projector(J: Array, G: Array) -> Array:
+def _normal_projector(J: Array, G: Optional[Array]) -> Array:
     """P = I - J M^-1 J^T G with M = J^T G J on lanes, the G-orthogonal
-    projection onto the normal space (kills tangents)."""
-    JtG = _T(J) @ G
+    projection onto the normal space (kills tangents); G None is the
+    identity, and J^T G is then a contiguous J^T, as the product gives it."""
+    JtG = np.ascontiguousarray(_T(J)) if G is None else _T(J) @ G
     return np.eye(J.shape[1]) - J @ (_small_inv(JtG @ J) @ JtG)
 
 
-def _g_norm(q: Array, G: Array) -> Array:
+def _times_G(rows: Array, G: Optional[Array]) -> Array:
+    """The row vectors rows (B, 1, n) times G, or themselves when G is None
+    (the identity)."""
+    return rows if G is None else rows @ G
+
+
+def _g_norm(q: Array, G: Optional[Array]) -> Array:
     """|q|_G on lanes q (B, n), with a negative rounding clipped to 0."""
-    return np.sqrt(np.maximum((q[:, None, :] @ G @ q[:, :, None])[:, 0, 0], 0.0))
+    return np.sqrt(np.maximum((_times_G(q[:, None, :], G) @ q[:, :, None])[:, 0, 0], 0.0))
 
 
 def normal_space_basis(g: MetricField, N: ParametrizedSubmanifold, U: Array) -> Array:
@@ -98,7 +105,9 @@ def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
         raise RankDeficient(f"tangent basis rank-deficient at u={U[smin <= _RANK_TOL][0]}")
     G = g.matrix(p)
     m = N.ambient_dim - N.param_dim
-    kept, vecs = _gram_schmidt(_normal_projector(J, G), G, m)
+    # products with the identity are exact, so skipping them changes no bit
+    GP = None if g.matrix_fn is identity_matrix else G
+    kept, vecs = _gram_schmidt(_normal_projector(J, GP), GP, m)
     # no lane keeps more than m, so nl * m kept means every lane has m
     if np.count_nonzero(kept) < len(U) * m:
         short = np.count_nonzero(kept, axis=1) < m
@@ -109,8 +118,9 @@ def _normal_frame(g: MetricField, N: ParametrizedSubmanifold, U: Array):
     return p, J, basis, G, kept
 
 
-def _gram_schmidt(P: Array, G: Array, m: int):
-    """Modified Gram-Schmidt of the projector columns on lanes, under G.
+def _gram_schmidt(P: Array, G: Optional[Array], m: int):
+    """Modified Gram-Schmidt of the projector columns on lanes, under G
+    (None for the identity).
 
     Goes through the columns in index order, skipping those whose residual
     is below the rank bound, until a lane has m vectors.  Returns a (B, n)
@@ -126,7 +136,7 @@ def _gram_schmidt(P: Array, G: Array, m: int):
         q = P[:, :, i]
         for j in range(i):
             b = vecs[:, j]
-            q = q - ((b[:, None, :] @ G) @ q[:, :, None])[:, 0] * b
+            q = q - (_times_G(b[:, None, :], G) @ q[:, :, None])[:, 0] * b
         nrm = _g_norm(q, G)
         keep = nrm >= _RANK_TOL
         if i >= m:  # a lane with m vectors takes no more

@@ -11,7 +11,7 @@ from eulertube.errors import (
     NotInDomain,
 )
 from eulertube import realization
-from eulertube.metrics import christoffel, euclidean_metric
+from eulertube.metrics import christoffel, euclidean_metric, identity_matrix
 from eulertube.numerics import DifferentiableMap, solve_inverse
 from eulertube.realization import (
     ComparisonMap,
@@ -410,6 +410,25 @@ class TestChartStencilChristoffel:
         ambient = dataclasses.replace(g, christoffel_fn=None, fd_step=1e-3)
         X = points[::23]
         assert np.max(np.abs(christoffel(g, X) - christoffel(ambient, X))) <= 1e-5
+
+    @pytest.mark.parametrize("name", ["flat-slice", "circle", "helix"])
+    def test_the_identity_reference_metric_is_skipped_bit_for_bit(self, name):
+        # a pullback of euclidean_metric's identity is D^T D with no value of
+        # phi; one of an unmarked identity takes D^T I D, with the same bits
+        _, chi, g, points = scenario_pipeline(name)
+        n = chi.domain_dim
+        assert BACKGROUNDS[BUILTIN_SCENARIOS[name].background]().matrix_fn is identity_matrix
+        eye = lambda X: np.eye(n) + np.zeros((len(X), 1, 1))  # noqa: E731
+        plain = pullback_metric(chi, dataclasses.replace(euclidean_metric(n), matrix_fn=eye))
+        X = points[::23]
+        assert g.matrix(X).tobytes() == plain.matrix(X).tobytes()
+        assert g.christoffel_fn(X).tobytes() == plain.christoffel_fn(X).tobytes()
+        values = []
+        target = dataclasses.replace(chi.target, fn=lambda UC: values.append(UC) or chi.target(UC))
+        g_counted = pullback_metric(dataclasses.replace(chi, target=target), euclidean_metric(n))
+        g_counted.matrix(X)
+        christoffel(g_counted, X)
+        assert values == []
 
     def test_flat_slice_is_exactly_flat(self):
         _, _, g, points = scenario_pipeline("flat-slice")

@@ -10,8 +10,10 @@ from eulertube.metrics import (
     MetricField,
     euclidean_metric,
     exp_map,
+    identity_matrix,
     polar_metric,
     sphere_chart_metric,
+    zero_christoffel,
 )
 from eulertube.numerics import DifferentiableMap
 from eulertube.scenarios import BACKGROUNDS, BUILTIN_SCENARIOS, SUBMANIFOLDS, _interior_grid
@@ -350,6 +352,42 @@ def test_a_jet_across_a_flip_of_a_frame_vector_fails_closed():
     assert kept[:, 0].all()
     with pytest.raises(RankDeficient, match="torn"):
         NormalFrame(g, N).derivative(np.array([[u]]))
+
+
+def unmarked_identity(n):
+    """``euclidean_metric(n)`` with a matrix_fn that gives the same identity
+    matrices but is not its marker, so every product with G is taken."""
+    return replace(euclidean_metric(n), matrix_fn=lambda X: np.eye(n) + np.zeros((len(X), 1, 1)))
+
+
+@pytest.mark.parametrize("name", ["helix-arc", "line-3d", "circle-arc"])
+def test_the_identity_metric_skips_its_products_bit_for_bit(name):
+    N = SUBMANIFOLDS[name]()
+    n = N.ambient_dim
+    marked, unmarked = euclidean_metric(n), unmarked_identity(n)
+    assert marked.matrix_fn is identity_matrix and unmarked.matrix_fn is not identity_matrix
+    distinct = np.linspace(N.lo + 0.1, N.hi - 0.1, 7)[:, None]
+    U = distinct[[0, 3, 1, 3, 6, 0, 2, 5, 4, 2]]  # a jet with repeated base points
+    built = submanifolds._normal_frame(marked, N, U), submanifolds._normal_frame(unmarked, N, U)
+    for a, b in zip(*built):
+        assert a.tobytes() == b.tobytes()
+    jets = NormalFrame(marked, N).derivative(U), NormalFrame(unmarked, N).derivative(U)
+    for field in ("p", "J", "B", "G", "dJ", "dB"):
+        assert getattr(jets[0], field).tobytes() == getattr(jets[1], field).tobytes()
+
+
+def test_a_flat_metric_that_is_not_the_identity_keeps_its_products():
+    # zero Christoffel symbols do not make G the identity: the frame must
+    # be orthonormal under diag(1, 4), and normal to the curve under it
+    G = np.diag([1.0, 4.0])
+    g = MetricField(dim=2, matrix_fn=lambda X: G + np.zeros((len(X), 1, 1)), christoffel_fn=zero_christoffel)
+    N = SUBMANIFOLDS["circle-arc"]()
+    fp = NormalFrame(g, N).at(np.linspace(-1.0, 1.0, 5)[:, None])
+    Bt = np.swapaxes(fp.B, 1, 2)
+    assert np.max(np.abs(Bt @ G @ fp.B - 1.0)) <= 1e-12
+    assert np.max(np.abs(Bt @ G @ fp.J)) <= 1e-12
+    # under the Euclidean metric the same curve's frame is another one
+    assert np.max(np.abs(fp.B - frame_point(N, np.linspace(-1.0, 1.0, 5)[:, None]).B)) >= 0.1
 
 
 def frame_point(N, u):
