@@ -117,13 +117,13 @@ class TestInversion:
             delta=1.0,
             seed_grid=u_grid(-1.0, 1.0, 3),
         )
-        assert psi.seeds.shape == (15, 2) and psi.seed_images.shape == (2, 15)
+        assert psi.seeds.shape == (21, 2) and psi.seed_images.shape == (2, 21)
         assert psi.invert(psi.seed_images[:, [4]].T).tobytes() == psi.seeds[4:5].tobytes()
         uc = np.array([[0.2, -0.1], [-0.6, 0.5]])
         assert np.max(np.abs(psi.invert(psi.map(uc)) - uc)) <= 1e-12
 
 
-def seed_loop_table(U, m, delta, c_fractions=(0.0, 0.35, 0.7)):
+def seed_loop_table(U, m, delta, c_fractions=(0.0, 0.175, 0.35, 0.7)):
     """The seeds of a ``TubularEmbedding``'s table as nested loops build them."""
     seeds = []
     for u in U:

@@ -36,7 +36,12 @@ from eulertube.scenarios import (
     _image_box,
     _interior_grid,
 )
-from eulertube.submanifolds import NormalFrame, normal_space_basis, tubular_radius_estimate
+from eulertube.submanifolds import (
+    NormalFrame,
+    fiber_axis_samples,
+    normal_space_basis,
+    tubular_radius_estimate,
+)
 
 
 def quadratic_map():
@@ -681,6 +686,21 @@ class TestNewtonWork:
         assert kind == "jacobian" and np.array_equal(x, values[-1]) and not builds
         assert all(len(b) == (kind == "value") for kind, _, b in calls)
 
+    def test_the_inner_fiber_gap_takes_at_most_three_value_calls(self, monkeypatch):
+        # the reconstruction's flows start at t c with t <= 1/2, inside
+        # |c| < 0.35 delta; from a seed at 0 or 0.35 delta, points on the fiber
+        # axes over its first base point took a fourth Newton value call
+        psi, _ = helix_pipeline()
+        u = _interior_grid(psi.N, 6, margin=0.25)[0, 0]
+        C = fiber_axis_samples(psi.fiber_dim, np.linspace(0.01, 0.35, 18), psi.delta)
+        UC = np.concatenate([np.full((len(C), 1), u), C], axis=1)
+        X = psi.map(UC)
+        calls = count_work(monkeypatch, psi)
+        for x, uc in zip(X, UC):
+            start = len(calls)
+            assert np.max(np.abs(psi.invert(x[None]) - uc)) <= 1e-10
+            assert sum(kind == "value" for kind, _, _ in calls[start:]) <= 3
+
     def test_fd_stencil_outside_the_domain_at_a_converged_lane(self):
         # the first lane starts on its solution, h / 2 inside the domain's
         # edge: its jacobian stencil leaves the domain, but no step needs it
@@ -710,20 +730,20 @@ class TestNewtonWork:
 
         f = DifferentiableMap(2, 2, fn, jac=jac)
         N = SUBMANIFOLDS["circle-arc"]()
-        # seeds (u, c) at u = 0, 1/4, ..., 1, five fiber points c each in
+        # seeds (u, c) at u = 0, 1/4, ..., 1, seven fiber points c each in
         # ascending order: the jacobian is singular at u = 1/2 only, on the
-        # seeds 10 to 14, and (1/2, 0) is seed 12
+        # seeds 14 to 20, and (1/2, 0) is seed 17
         psi = TubularEmbedding(
             map=f,
             frame=NormalFrame(euclidean_metric(2), N),
             delta=1.0,
             seed_grid=np.linspace(0.0, 1.0, 5)[:, None],
         )
-        assert psi.seeds[12].tolist() == [0.5, 0.0]
-        assert np.isnan(psi.seed_inverses[10:15]).all()
-        assert np.isfinite(np.delete(psi.seed_inverses, np.s_[10:15], axis=0)).all()
+        assert psi.seeds[17].tolist() == [0.5, 0.0]
+        assert np.isnan(psi.seed_inverses[14:21]).all()
+        assert np.isfinite(np.delete(psi.seed_inverses, np.s_[14:21], axis=0)).all()
         y = f(np.array([[0.05, 0.1], [0.27, 0.1], [0.55, 0.1], [0.8, 0.1], [0.97, 0.1]]))
-        assert nearest_seed(psi, y).tolist() == [2, 7, 12, 17, 22]
+        assert nearest_seed(psi, y).tolist() == [4, 11, 18, 25, 32]
         good = [0, 1, 3, 4]
         assert np.max(np.abs(f(psi.invert(y[good])) - y[good])) <= 1e-12
         with pytest.raises(SingularJacobian):
