@@ -1,4 +1,4 @@
-"""Euler fields on bundles, the linear-approximation test, pushforwards and
+"""Euler fields on bundles, the Euler-like test, pushforwards and
 flow-based reconstruction of the generating embedding."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .embeddings import TubularEmbedding, fiber_norm
-from .errors import FlowExit, NoConvergence, NotVanishing
+from .errors import FlowExit, NoConvergence
 from .numerics import Array, DifferentiableMap, ode_integrate
 from .submanifolds import FramePoint, NormalFrame
 
@@ -31,25 +31,11 @@ def vanishes_on_N(X: DifferentiableMap, P: Array) -> Tuple[bool, float, int]:
     return bool(r[i] <= _VANISH_TOL), float(r[i]), i
 
 
-def linear_approximation(X: DifferentiableMap, frame: NormalFrame, U: Array) -> Array:
-    """Quotient action of the jacobian A of X at p(u) on the normal classes,
-    on lanes of base points U (B, k): the induced matrices (B, m, m) in the
-    normal frame B of ``frame``, orthonormal under its metric G.
-
-    The class of a normal frame vector b is sent to the class of A b; with
-    a G-orthonormal frame the class coordinates are B^T G A b.  Raises
-    NotVanishing at the lane of largest |X(p(u))| if that exceeds ``_VANISH_TOL``.
-    """
-    fp = frame.at(U)
-    ok, worst, i = vanishes_on_N(X, fp.p)
-    if not ok:
-        raise NotVanishing(f"|X(p(u))| = {worst:.3e} at u={U[i]}")
-    return _quotient_action(X, fp)
-
-
 def _quotient_action(X: DifferentiableMap, fp: FramePoint) -> Array:
-    """The ``linear_approximation`` of X on the frame's base points, taken
-    without evaluating X itself."""
+    """The quotient action of the jacobian A of X at the frame point's
+    lanes on the normal classes: the induced matrices (B, m, m) in its
+    normal frame B, orthonormal under its metric G, whose class coordinates
+    of A b are B^T G A b.  X itself is not evaluated."""
     A = X.jacobian(fp.p)
     return np.swapaxes(fp.B, 1, 2) @ fp.G @ A @ fp.B
 

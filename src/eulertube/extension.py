@@ -1,8 +1,8 @@
 """Gluing profiles on lanes and the fiberwise diffeomorphism that extends
 maps defined near the zero section of a vector bundle to the whole bundle.
 
-The profiles (rho, eta, sigma and the closed-form derivative
-sigma_prime) take floats as lanes, a float array of any shape with one
+The profiles (rho, eta, sigma and, with it, its closed-form derivative
+sigma') take floats as lanes, a float array of any shape with one
 float as a batch of one, or one mpmath number; high-precision input is
 honored throughout, which is what makes the inverse-profile round trip
 verifiable to 1e-12 even at arguments of order 10^3 (the composition is too
@@ -137,8 +137,7 @@ def _eta(t):
 
 def _sigma_and_prime(t):
     """(sigma(t), sigma'(t)) from one evaluation of the bump step's two
-    exponentials and of sqrt(1 - t^2); bitwise the values of sigma and
-    sigma_prime.
+    exponentials and of sqrt(1 - t^2); sigma(t) is bitwise ``sigma``'s.
 
     sigma' = eta + t eta' with eta' = rho'/sqrt(u) + rho t/u^(3/2),
     u = 1 - t^2 and t rho'(t) = 4 |t| S'(4(|t| - 1/2)) for the bump step S,
@@ -152,11 +151,6 @@ def _sigma_and_prime(t):
     if dS is not None:
         slope = slope + 4 * abs(t) * dS / root
     return (S / root + 1) * t, slope
-
-
-def sigma_prime(t):
-    """Closed-form derivative of sigma, >= 1 everywhere."""
-    return _sigma_and_prime(t)[1]
 
 
 _SIGMA_EDGE = float(sigma(_EDGE))

@@ -8,16 +8,7 @@ import numpy as np
 import eulertube.extension as ext
 from eulertube.embeddings import TubularEmbedding, reference_embedding
 from eulertube.eulerlike import is_euler_like, pushforward_field
-from eulertube.metrics import (
-    MetricField,
-    euclidean_metric,
-    exp_differential_at_zero,
-    exp_map,
-    geodesic,
-    polar_metric,
-    sphere_chart_metric,
-    velocity_in_domain,
-)
+from eulertube.metrics import MetricField, euclidean_metric, exp_map, geodesic, sphere_chart_metric
 from eulertube.numerics import DifferentiableMap
 from eulertube.realization import build_chi, pullback_metric
 from eulertube.reports import emit
@@ -33,6 +24,7 @@ from eulertube.submanifolds import (
     normal_space_basis,
     tubular_radius_estimate,
 )
+from metric_helpers import exp_differential_at_zero, polar_metric, velocity_in_domain
 
 TUBE_SCENARIOS = ("flat-slice", "circle", "helix", "sphere-equator")
 

@@ -6,9 +6,9 @@ import pytest
 from eulertube.embeddings import TubularEmbedding
 from eulertube.errors import NoConvergence, NotVanishing
 from eulertube.eulerlike import (
+    _quotient_action,
     euler_field,
     is_euler_like,
-    linear_approximation,
     pushforward_euler,
     pushforward_field,
     reconstruct_embedding,
@@ -19,6 +19,23 @@ from eulertube.numerics import DifferentiableMap
 from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold
 
 ORIGIN = np.zeros((1, 0))  # the one base point of a point submanifold, as lanes
+
+
+def linear_approximation(X: DifferentiableMap, frame: NormalFrame, U):
+    """Quotient action of the jacobian A of X at p(u) on the normal classes,
+    on lanes of base points U (B, k): the induced matrices (B, m, m) in the
+    normal frame B of ``frame``, orthonormal under its metric G.
+
+    The class of a normal frame vector b is sent to the class of A b; with
+    a G-orthonormal frame the class coordinates are B^T G A b.  Raises
+    NotVanishing at the lane of largest |X(p(u))| if that exceeds the
+    vanishing tolerance.
+    """
+    fp = frame.at(U)
+    ok, worst, i = vanishes_on_N(X, fp.p)
+    if not ok:
+        raise NotVanishing(f"|X(p(u))| = {worst:.3e} at u={U[i]}")
+    return _quotient_action(X, fp)
 
 
 def origin_r2():

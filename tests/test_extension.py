@@ -18,9 +18,13 @@ from eulertube.extension import (
     rho,
     sigma,
     sigma_inverse,
-    sigma_prime,
     tau,
 )
+
+
+def sigma_prime(t):
+    """Closed-form derivative of sigma, >= 1 everywhere."""
+    return extension._sigma_and_prime(t)[1]
 
 
 class TestRho:

@@ -18,14 +18,7 @@ from eulertube import embeddings, submanifolds
 from eulertube.embeddings import TubularEmbedding, reference_embedding, validate_embedding
 from eulertube.errors import DomainMargin, FlowExit, NotInDomain, SingularJacobian
 from eulertube.eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
-from eulertube.metrics import (
-    christoffel,
-    euclidean_metric,
-    exp_map,
-    geodesic,
-    polar_metric,
-    sphere_chart_metric,
-)
+from eulertube.metrics import christoffel, euclidean_metric, exp_map, geodesic, sphere_chart_metric
 from eulertube.numerics import DifferentiableMap, _field_on, jacobian, ode_integrate, solve_inverse
 from eulertube.realization import ComparisonMap, build_chi, curve_length, pullback_metric
 from eulertube.scenarios import (
@@ -42,6 +35,7 @@ from eulertube.submanifolds import (
     normal_space_basis,
     tubular_radius_estimate,
 )
+from metric_helpers import polar_metric
 
 
 def quadratic_map():

@@ -8,14 +8,12 @@ from eulertube.metrics import (
     MetricField,
     christoffel,
     euclidean_metric,
-    exp_differential_at_zero,
     exp_map,
     geodesic,
-    polar_metric,
     sphere_chart_metric,
     validate_metric,
-    velocity_in_domain,
 )
+from metric_helpers import exp_differential_at_zero, polar_metric, velocity_in_domain
 
 
 def wide_sphere():

@@ -11,7 +11,6 @@ from eulertube.metrics import (
     euclidean_metric,
     exp_map,
     identity_matrix,
-    polar_metric,
     sphere_chart_metric,
     zero_christoffel,
 )
@@ -27,6 +26,7 @@ from eulertube.submanifolds import (
     normal_space_basis,
     tubular_radius_estimate,
 )
+from metric_helpers import polar_metric
 
 
 def x_axis_r2():
