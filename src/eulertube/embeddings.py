@@ -20,14 +20,14 @@ from .submanifolds import (
 # map's preimage and the pushforward field
 _INVERT_TOL = 1e-12
 # The seed table's fiber samples, in units of delta, at every seed base
-# point.  From a seed of (0, 0.35, 0.7) the helix's residuals ran 1e-1, 2e-3,
-# 2e-6, ~1e-12, the third straddling _INVERT_TOL, so 73 of a helix-frame
-# cycle's 122 inversions took a fourth value call (each a frame jet); they
-# lie in the inner gap 0 < |c| < 0.35 delta, where the reconstruction's
-# flows start.  A seed at 0.175 there takes the mean from 3.52 to 3.02 value
-# calls (planar-tubes 2.005 -> 1.905); a 29-point grid, off-axis seeds and
-# one at 0.55 stayed at 3.52.  The extremes, and so chi's image box, are
-# unchanged.
+# point.  From seeds at 0, 0.35 and 0.7 the helix's Newton residuals ran
+# 1e-1, 2e-3, 2e-6, ~1e-12, the third straddling _INVERT_TOL, so 73 of a
+# helix-frame cycle's 122 inversions took a fourth value call (each a frame
+# jet); they lie in the inner gap 0 < |c| < 0.35 delta, where the
+# reconstruction's flows start.  A seed at 0.175 takes the mean from 3.52 to
+# 3.02 value calls (planar-tubes 2.005 -> 1.905); a 29-point fiber grid,
+# off-axis seeds or a seed at 0.55 instead stayed at 3.52.  The extremes,
+# and so chi's image box, are unchanged.
 _SEED_FRACTIONS = (0.0, 0.175, 0.35, 0.7)
 
 
