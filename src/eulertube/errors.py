@@ -33,10 +33,6 @@ class RankDeficient(EulertubeError):
     """Submanifold parametrization is numerically rank-deficient."""
 
 
-class NotVanishing(EulertubeError):
-    """Vector field does not vanish on the submanifold at the query point."""
-
-
 class NotEulerLike(EulertubeError):
     """Vector field fails the Euler-like test: it does not vanish on the
     submanifold, or its linearization is not the identity on normal classes."""

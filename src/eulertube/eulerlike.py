@@ -1,5 +1,5 @@
-"""Euler fields on bundles, the Euler-like test, pushforwards and
-flow-based reconstruction of the generating embedding."""
+"""The Euler-like test, the pushforward of the Euler field through an
+embedding, and flow-based reconstruction of the generating embedding."""
 
 from __future__ import annotations
 
@@ -11,12 +11,6 @@ from .embeddings import TubularEmbedding, fiber_norm
 from .errors import FlowExit, NoConvergence
 from .numerics import Array, DifferentiableMap, ode_integrate
 from .submanifolds import FramePoint, NormalFrame
-
-
-def euler_field(C: Array) -> Array:
-    """The radial fiber field on lanes of fiber coordinates: returns the
-    coordinates themselves."""
-    return np.array(C, dtype=float)
 
 
 _VANISH_TOL = 1e-6  # largest |X(p(u))| of a field that vanishes on N

@@ -9,7 +9,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .embeddings import TubularEmbedding
 from .errors import DecompositionFailure, HypothesisFailure, NotInDomain
 from .metrics import MetricField, euclidean_metric, exp_map, geodesic, identity_matrix, levi_civita
 from .numerics import Array, DifferentiableMap, central_difference, central_stencil, solve_inverse
@@ -45,17 +44,6 @@ class ComparisonMap:
         uc, which avoids nesting Newton solves inside finite differences."""
         UC = self.preimage(X)
         return self.target.jacobian(UC) @ np.linalg.inv(self.chart.jacobian(UC))
-
-
-def build_chi(
-    psi: TubularEmbedding,
-    phi: DifferentiableMap,
-    domain: Optional[Callable[[Array], Array]] = None,
-) -> ComparisonMap:
-    """The comparison map chi = phi o psi^{-1} for the chart phi on psi's
-    frame coordinates; each evaluation inverts psi by a Newton solve from
-    its seed table, one lane per point."""
-    return ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert, domain=domain)
 
 
 def correction_eta(

@@ -6,7 +6,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .metrics import (
 )
 from .numerics import Array, DifferentiableMap, central_difference, central_stencil
 from .realization import (
-    build_chi,
+    ComparisonMap,
     curve_length,
     isometry_geodesic_check,
     point_case_metric,
@@ -36,7 +36,8 @@ from .realization import (
 )
 from .reports import ResidualReport
 from .submanifolds import (
-    NormalFrame, ParametrizedSubmanifold, _normal_frame, tubular_radius_estimate,
+    NormalFrame, ParametrizedSubmanifold, _normal_frame, fiber_axis_samples,
+    tubular_radius_estimate,
 )
 
 # ---------------------------------------------------------------------------
@@ -334,13 +335,10 @@ def scenario_from_config(config: Dict) -> Scenario:
                     f"scenario {name!r}"
                 )
     updates = {}
-    for key in ("background", "submanifold", "embedding"):
+    for key, registry in (
+        ("background", BACKGROUNDS), ("submanifold", SUBMANIFOLDS), ("embedding", EMBEDDINGS)
+    ):
         if key in config:
-            registry = {
-                "background": BACKGROUNDS,
-                "submanifold": SUBMANIFOLDS,
-                "embedding": EMBEDDINGS,
-            }[key]
             if config[key] not in registry:
                 raise ConfigError(f"unknown {key} name in field '{key}': {config[key]!r}")
             updates[key] = config[key]
@@ -418,20 +416,26 @@ def _interior_grid(N: ParametrizedSubmanifold, count: int, margin: float = 0.1) 
     return np.linspace(N.lo + margin * span, N.hi - margin * span, count)[:, None]
 
 
+_SEED_GRID = (15, 0.08)  # the count and margin of psi's seed base points
+
+
 def _build_psi(scn: Scenario, frame: NormalFrame, delta: float) -> TubularEmbedding:
     fn, jac = EMBEDDINGS[scn.embedding][1](frame)
     n = frame.N.ambient_dim
     psi_map = DifferentiableMap(
         domain_dim=n, codomain_dim=n, fn=fn, jac=jac, domain=tube_domain(frame.N, 1.2 * delta)
     )
-    return TubularEmbedding(psi_map, frame, delta, _interior_grid(frame.N, 15, margin=0.08))
+    return TubularEmbedding(psi_map, frame, delta, _interior_grid(frame.N, *_SEED_GRID))
 
 
-def _image_box(psi: TubularEmbedding, margin: float):
-    """The box around psi's seed images, widened by ``margin`` on every
-    side, as a lane mask."""
-    lo = np.min(psi.seed_images, axis=1) - margin
-    hi = np.max(psi.seed_images, axis=1) + margin
+def _image_box(psi, margin: float):
+    """The box around psi's chart values at the seed base points and the
+    fiber points 0 and +-0.7 delta on each axis, the seed table's extremes,
+    widened by ``margin`` on every side, as a lane mask."""
+    U = _interior_grid(psi.N, *_SEED_GRID)
+    cs = fiber_axis_samples(psi.fiber_dim, (0.0, 0.7), psi.delta)
+    X = psi(np.repeat(U, len(cs), axis=0), np.tile(cs, (len(U), 1)))
+    lo, hi = np.min(X, axis=0) - margin, np.max(X, axis=0) + margin
     return lambda X: np.all(X > lo, axis=1) & np.all(X < hi, axis=1)
 
 
@@ -504,8 +508,16 @@ def _stage(reports, scn, stage, fn):
 # stage pipelines
 
 
-def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
-    reports: List[ResidualReport] = []
+# the pullback metric's Christoffel step, as a fraction of delta, where that
+# is below the 1e-3 that every built-in tube keeps: on circle at delta0 1e-3
+# a 1e-3 stencil spanned the tube, and the diagram ran 11 s to fail
+# NotInDomain; a step of 1e-5 passes every stage there in 0.08 s
+_GAMMA_STEP_PER_DELTA = 1e-2
+
+
+def _registered_source(scn: Scenario, reports) -> Optional[TubularEmbedding]:
+    """A registered embedding's source: the radius and embedding stages on
+    N's normal frame in the background; returns psi, or None on a failure."""
     gt = BACKGROUNDS[scn.background]()
     N = SUBMANIFOLDS[scn.submanifold]()
     grid = _interior_grid(N, scn.sample("grid"))
@@ -515,31 +527,36 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         delta = tubular_radius_estimate(frame, grid, scn.delta0)
         return delta, np.full(len(grid), delta)
 
-    delta = _stage(reports, scn, "radius", stage_radius)
-    if delta is None:
-        return reports
-
     def stage_embedding():
         psi = _build_psi(scn, frame, delta)
         return psi, np.full(len(grid), validate_embedding(frame, psi.map, grid))
 
-    psi = _stage(reports, scn, "embedding", stage_embedding)
-    if psi is None:
-        return reports
+    delta = _stage(reports, scn, "radius", stage_radius)
+    return None if delta is None else _stage(reports, scn, "embedding", stage_embedding)
+
+
+def _run_shared_stages(scn: Scenario, psi, reports) -> None:
+    """The stages after any embedding source.  They read from psi only its
+    chart ``map`` (u, c) -> x, ``invert``, ``frame`` and ``delta``, and N,
+    ``fiber_dim`` and psi(U, C), which derive from those; a stage that
+    fails before the diagram ends the run."""
+    frame, delta, N, gt = psi.frame, psi.delta, psi.N, psi.frame.g
+    grid = _interior_grid(N, scn.sample("grid"))
 
     def stage_chi():
         phi = reference_embedding(frame, delta)
-        chi = build_chi(psi, phi, domain=_image_box(psi, 0.3 * delta))
+        box = _image_box(psi, 0.3 * delta)
+        chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert, domain=box)
         P = frame.at(grid).p
         return (phi, chi), [float(np.linalg.norm(d)) for d in chi(P) - P]
 
     maps = _stage(reports, scn, "chi", stage_chi)
     if maps is None:
-        return reports
+        return
     phi, chi = maps
 
     def stage_pullback():
-        g = pullback_metric(chi, gt)
+        g = pullback_metric(chi, gt, fd_step=min(1e-3, _GAMMA_STEP_PER_DELTA * delta))
         spot = np.tile(0.3 * delta * _fiber_directions(psi.fiber_dim, 4)[0], (len(grid), 1))
         validate_metric(g, psi(grid, spot))
         # the stdlib generator: numpy.random would cost a tube run 6 MB
@@ -575,7 +592,7 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
 
     g = _stage(reports, scn, "pullback", stage_pullback)
     if g is None:
-        return reports
+        return
 
     # geodesic accuracy two orders below the stage tolerance keeps the
     # integrator noise out of the residuals without paying for digits the
@@ -618,7 +635,6 @@ def _run_tube_scenario(scn: Scenario) -> List[ResidualReport]:
         return None, [float(np.linalg.norm(r)) for r in rec - psi(us, cs)]
 
     _stage(reports, scn, "reconstruction", stage_reconstruction)
-    return reports
 
 
 def _unit(v: Array) -> Array:
@@ -735,7 +751,11 @@ def run_scenario(config) -> List[ResidualReport]:
         return _run_appendix_scenario(scn)
     # a Scenario built in code has not been through scenario_from_config
     _check_dimensions(scn)
-    return _run_tube_scenario(scn)
+    reports: List[ResidualReport] = []
+    psi = _registered_source(scn, reports)
+    if psi is not None:
+        _run_shared_stages(scn, psi, reports)
+    return reports
 
 
 def default_suite() -> List[str]:

@@ -10,7 +10,7 @@ from eulertube.embeddings import TubularEmbedding, reference_embedding
 from eulertube.eulerlike import is_euler_like, pushforward_field
 from eulertube.metrics import MetricField, euclidean_metric, exp_map, geodesic, sphere_chart_metric
 from eulertube.numerics import DifferentiableMap
-from eulertube.realization import build_chi, pullback_metric
+from eulertube.realization import ComparisonMap, pullback_metric
 from eulertube.reports import emit
 from eulertube.scenarios import (
     BACKGROUNDS,
@@ -71,7 +71,7 @@ def circle_pullback_pipeline():
         r = np.linalg.norm(X, axis=1)
         return (0.2 < r) & (r < 1.9)
 
-    chi = build_chi(psi, phi, domain=ring)
+    chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert, domain=ring)
     return gt, N, delta, pullback_metric(chi, gt)
 
 

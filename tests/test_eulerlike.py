@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from eulertube.embeddings import TubularEmbedding
-from eulertube.errors import NoConvergence, NotVanishing
+from eulertube.errors import EulertubeError, NoConvergence
 from eulertube.eulerlike import (
     _quotient_action,
-    euler_field,
     is_euler_like,
     pushforward_euler,
     pushforward_field,
@@ -19,6 +18,16 @@ from eulertube.numerics import DifferentiableMap
 from eulertube.submanifolds import NormalFrame, ParametrizedSubmanifold
 
 ORIGIN = np.zeros((1, 0))  # the one base point of a point submanifold, as lanes
+
+
+class NotVanishing(EulertubeError):
+    """Vector field does not vanish on the submanifold at the query point."""
+
+
+def euler_field(C):
+    """The radial fiber field on lanes of fiber coordinates: returns the
+    coordinates themselves."""
+    return np.array(C, dtype=float)
 
 
 def linear_approximation(X: DifferentiableMap, frame: NormalFrame, U):

@@ -20,7 +20,7 @@ from eulertube.errors import DomainMargin, FlowExit, NotInDomain, SingularJacobi
 from eulertube.eulerlike import is_euler_like, pushforward_field, reconstruct_embedding
 from eulertube.metrics import christoffel, euclidean_metric, exp_map, geodesic, sphere_chart_metric
 from eulertube.numerics import DifferentiableMap, _field_on, jacobian, ode_integrate, solve_inverse
-from eulertube.realization import ComparisonMap, build_chi, curve_length, pullback_metric
+from eulertube.realization import ComparisonMap, curve_length, pullback_metric
 from eulertube.scenarios import (
     BACKGROUNDS,
     BUILTIN_SCENARIOS,
@@ -240,7 +240,9 @@ def circle_pullback_case():
     pipeline builds them, at points psi(u, c) of the tube."""
     psi, frame, gt, delta, _ = tube_pipeline("circle")
     dom = _image_box(psi, 0.3 * delta)
-    g = pullback_metric(build_chi(psi, reference_embedding(frame, delta), domain=dom), gt)
+    phi = reference_embedding(frame, delta)
+    chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert, domain=dom)
+    g = pullback_metric(chi, gt)
     N = psi.N
     UC, V = lane_data([N.lo + 0.3, -0.3 * delta], [N.hi - 0.3, 0.3 * delta], 0.1, [3.0, 3.0])
     return g, psi.map(UC), V

@@ -15,7 +15,6 @@ from eulertube.metrics import christoffel, euclidean_metric, identity_matrix
 from eulertube.numerics import DifferentiableMap, solve_inverse
 from eulertube.realization import (
     ComparisonMap,
-    build_chi,
     correction_eta,
     curve_length,
     gauss_legendre,
@@ -105,12 +104,15 @@ def circle_psi(g, N, delta):
 
 
 class TestBuildChi:
+    """chi = phi o psi^-1 as the chi stage builds it, from psi's chart and inverse."""
+
     def test_phi_over_itself_is_identity(self):
         g = euclidean_metric(2)
         N = unit_circle()
         frame = NormalFrame(g, N)
         phi = reference_embedding(frame, 0.4)
-        chi = build_chi(TubularEmbedding(phi, frame, 0.4, u_grid(-1.2, 1.2, 15)), phi)
+        psi = TubularEmbedding(phi, frame, 0.4, u_grid(-1.2, 1.2, 15))
+        chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert)
         X = np.array([[1.1, 0.2], [0.8, 0.5], [1.05, -0.3]])
         assert np.max(np.linalg.norm(chi(X) - X, axis=1)) <= 1e-9
 
@@ -120,7 +122,7 @@ class TestBuildChi:
         delta = 0.4
         psi = circle_psi(g, N, delta)
         phi = reference_embedding(NormalFrame(g, N), delta)
-        chi = build_chi(psi, phi)
+        chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert)
         P = N.point(u_grid(-1.0, 1.0, 7))
         assert np.max(np.linalg.norm(chi(P) - P, axis=1)) <= 1e-8
 
@@ -130,7 +132,7 @@ class TestBuildChi:
         delta = 0.4
         psi = circle_psi(g, N, delta)
         phi = reference_embedding(NormalFrame(g, N), delta)
-        chi = build_chi(psi, phi)
+        chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert)
         theta, s = 0.6, 0.25
         x = psi(np.array([[theta]]), np.array([[s]]))
         expected = (1 + s) * np.array([np.cos(theta), np.sin(theta)])
@@ -214,7 +216,7 @@ class TestDiagramAndIsometry:
         delta = 0.4
         psi = circle_psi(g_ref, N, delta)
         phi = reference_embedding(NormalFrame(g_ref, N), delta)
-        chi = build_chi(psi, phi, domain=ring_domain)
+        chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert, domain=ring_domain)
         g = pullback_metric(chi, g_ref)
         return g_ref, N, psi, chi, g
 
@@ -382,7 +384,8 @@ def scenario_pipeline(name):
     frame = NormalFrame(gt, N)
     delta = tubular_radius_estimate(frame, grid, scn.delta0)
     psi = _build_psi(scn, frame, delta)
-    chi = build_chi(psi, reference_embedding(frame, delta))
+    phi = reference_embedding(frame, delta)
+    chi = ComparisonMap(chart=psi.map, target=phi, preimage=psi.invert)
     g = pullback_metric(chi, gt)
     return psi, chi, g, psi(*_diagram_samples(scn, psi))
 

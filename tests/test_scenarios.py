@@ -120,7 +120,7 @@ SMALL = {"grid": 3, "diagram_u": 2, "diagram_c": 2, "isometry": 1, "reconstructi
 TUBE_STAGE_HELPERS = {
     "radius": "tubular_radius_estimate",
     "embedding": "validate_embedding",
-    "chi": "build_chi",
+    "chi": "ComparisonMap",
     "pullback": "pullback_metric",
     "diagram": "verify_main_diagram",
     "isometry": "isometry_geodesic_check",
@@ -220,6 +220,72 @@ def test_the_euler_like_stage_builds_frames_only_in_the_runs_frame(monkeypatch):
     reports = run_scenario(scenario_from_config({"scenario": "helix", "samples": SMALL}))
     assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
     assert len(frames) == 1 and stray == []
+
+
+class ChartOnly:
+    """A tube chart with only what the shared stages may read: the chart,
+    an inverse that delegates to a built TubularEmbedding, the frame and
+    the radius, and N, the fiber dimension and the call that derive from
+    them.  It has no seed table, so reading one raises AttributeError."""
+
+    __slots__ = ("map", "invert", "frame", "delta")
+
+    def __init__(self, psi):
+        self.map, self.frame, self.delta = psi.map, psi.frame, psi.delta
+        self.invert = lambda X: psi.invert(X)
+
+    @property
+    def N(self):
+        return self.frame.N
+
+    @property
+    def fiber_dim(self):
+        return self.N.ambient_dim - self.N.param_dim
+
+    def __call__(self, U, C):
+        return self.map(np.concatenate([U, C], axis=1))
+
+
+@pytest.mark.parametrize("name", ["flat-slice", "helix"])
+def test_the_shared_stages_read_only_the_chart_and_its_inverse(name):
+    # a source whose psi has no seed table gives the rows of the registered
+    # embedding byte for byte: the shared stages read nothing else of psi
+    from eulertube import scenarios
+
+    scn = scenario_from_config({"scenario": name, "samples": SMALL})
+    reports = []
+    psi = scenarios._registered_source(scn, reports)
+    scenarios._run_shared_stages(scn, ChartOnly(psi), reports)
+    assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
+    assert emit(reports) == emit(run_scenario(scn))
+
+
+@pytest.mark.parametrize("name", ["flat-slice", "circle", "helix", "sphere-equator"])
+def test_the_image_box_holds_every_seed_image(name):
+    # chi's box is taken from chart values at the seed table's extremes,
+    # not from the table; it holds every seed image, those at 0.175 and
+    # 0.35 delta too, and each of its faces lies within the margin of the
+    # seed images' own box
+    from eulertube import scenarios
+
+    psi = scenarios._registered_source(BUILTIN_SCENARIOS[name], [])
+    box, S = scenarios._image_box(psi, 1e-12), psi.seed_images.T
+    assert box(S).all()
+    lo, hi, center = S.min(axis=0), S.max(axis=0), S.mean(axis=0)
+    for j in range(S.shape[1]):
+        for face in (lo[j] - 2e-12, hi[j] + 2e-12):
+            x = center.copy()
+            x[j] = face
+            assert box(center[None]).all() and not box(x[None]).any()
+
+
+def test_a_circle_of_radius_1e3_passes_every_stage():
+    # the pullback Christoffel step scales with delta: a fixed 1e-3 stencil
+    # spanned the tube, and the diagram ran for seconds to fail NotInDomain,
+    # with the isometry stage failing the same way
+    reports = run_scenario({"scenario": "circle", "delta0": 1.0e-3})
+    assert [(r.stage, r.passed) for r in reports] == [(s, True) for s in TUBE_STAGE_HELPERS]
+    assert reports[0].max_residual == 1.0e-3
 
 
 @pytest.mark.parametrize("delta0", [1.0e-300, 1.0e-12])
