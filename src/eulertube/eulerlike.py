@@ -63,6 +63,9 @@ def pushforward_euler(psi: TubularEmbedding, U: Array, C: Array) -> Array:
 # the pushforward field is defined where |c| is below this multiple of the
 # certified radius delta
 _DOMAIN_MARGIN = 1.05
+# the field's jacobian step as a fraction of delta, below the default 1e-5:
+# from delta0 3e-6 down, a 1e-5 stencil at p(u) reached past the margin (NaN)
+_FIELD_STEP_PER_DELTA = 0.1
 
 
 def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
@@ -71,8 +74,8 @@ def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
     Each evaluation inverts psi numerically at the query points (one lane
     Newton solve) and applies the jacobian to the fiber coordinates there;
     the solve's last value call was at those preimages, so the jacobian of
-    a map whose value reads the frame jet (the helix embedding) finds it in
-    the frame memo.  The field is NaN on a lane
+    a map whose value reads the frame jet (the helix embedding) finds it as
+    the frame's last build.  The field is NaN on a lane
     whose preimage has |c| >= ``_DOMAIN_MARGIN`` delta, so a flow stops
     there.  An inversion that fails with an EulertubeError fails the
     evaluation, which the integrator then makes lane by lane; any other
@@ -88,7 +91,7 @@ def pushforward_field(psi: TubularEmbedding) -> DifferentiableMap:
         out[~(fiber_norm(C) < _DOMAIN_MARGIN * psi.delta)] = np.nan
         return out
 
-    return DifferentiableMap(domain_dim=n, codomain_dim=n, fn=fn)
+    return DifferentiableMap(n, n, fn, fd_step=min(1e-5, _FIELD_STEP_PER_DELTA * psi.delta))
 
 
 # The reconstruction schedule t = 2^-1 ... 2^-6.  Three Richardson levels

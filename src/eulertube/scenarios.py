@@ -36,7 +36,7 @@ from .realization import (
 )
 from .reports import ResidualReport
 from .submanifolds import (
-    NormalFrame, ParametrizedSubmanifold, _normal_frame, fiber_axis_samples,
+    NormalFrame, ParametrizedSubmanifold, fiber_axis_samples, normal_space_basis,
     tubular_radius_estimate,
 )
 
@@ -508,11 +508,15 @@ def _stage(reports, scn, stage, fn):
 # stage pipelines
 
 
-# the pullback metric's Christoffel step, as a fraction of delta, where that
-# is below the 1e-3 that every built-in tube keeps: on circle at delta0 1e-3
-# a 1e-3 stencil spanned the tube, and the diagram ran 11 s to fail
-# NotInDomain; a step of 1e-5 passes every stage there in 0.08 s
+# Steps that scale with delta where a built-in tube's fixed one would not
+# resolve a small tube.  The pullback Christoffel step is at most 1e-2 delta:
+# at delta0 1e-3 a 1e-3 stencil spanned the tube, and the diagram ran 11 s to
+# fail NotInDomain.  The pullback curves' step h in [1e-6, 1e-3] keeps h delta
+# >= 1e-7: at h = 1e-6 rounding left 2.4e-16 / (h delta) in the reference
+# lengths, 2.9e-6 at delta0 1e-4.  Below delta 1e-7 no h in the curves' [0, 1]
+# reaches that; h stays 1e-6, and a vanishing radius's lengths round to 0
 _GAMMA_STEP_PER_DELTA = 1e-2
+_CURVE_STEP_TIMES_DELTA = 1e-7
 
 
 def _registered_source(scn: Scenario, reports) -> Optional[TubularEmbedding]:
@@ -563,7 +567,8 @@ def _run_shared_stages(scn: Scenario, psi, reports) -> None:
         rng = random.Random(20240 + len(scn.name))
         normal = lambda dim: _unit(np.array([rng.gauss(0.0, 1.0) for _ in range(dim)]))
         n = N.ambient_dim
-        h = 1e-6
+        h = _CURVE_STEP_TIMES_DELTA / delta
+        h = min(1e-3, max(1e-6, h)) if h <= 1.0 else 1e-6
         # every curve's draws first, in the order of a curve at a time
         U0, C0, A, B = [], [], [], []
         for _ in range(scn.sample("curves")):
@@ -607,10 +612,9 @@ def _run_shared_stages(scn: Scenario, psi, reports) -> None:
 
     def stage_isometry():
         us = _interior_grid(N, scn.sample("isometry"), margin=0.2)
-        # the g-normal basis and the base points of one build
-        p, _, basis = _normal_frame(g, N, us)[:3]
-        v = 0.5 * delta * basis[:, :, 0]
-        return None, isometry_geodesic_check(chi, g, gt, p, v, exp_tol=exp_tol)
+        # a g-normal vector at each base point: g is not the run frame's metric
+        v = 0.5 * delta * normal_space_basis(g, N, us)[:, :, 0]
+        return None, isometry_geodesic_check(chi, g, gt, N.point(us), v, exp_tol=exp_tol)
 
     _stage(reports, scn, "isometry", stage_isometry)
 

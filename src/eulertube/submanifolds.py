@@ -148,9 +148,6 @@ def _gram_schmidt(P: Array, G: Optional[Array], m: int):
     return kept, vecs
 
 
-# calls a NormalFrame remembers; one call can hold thousands of lanes (a
-# Christoffel stencil's), so more entries mostly hold memory
-_FRAME_MEMO = 8
 # Step h of the frame jet's central differences, whose error is the
 # truncation h^2 |d^3B/du^3| / 6 plus B's rounding eps |B| / h; the two
 # balance near h = (3 eps)^(1/3) = 9e-6.  On the unit circle in the plane,
@@ -175,55 +172,39 @@ class FramePoint:
 class NormalFrame:
     """The normal frame of N under the metric g.
 
-    On lanes of base points U (B, k), ``at(U)`` builds p, J, G and the
-    frame B of ``normal_space_basis`` from one chart evaluation, one chart
-    jacobian and one metric evaluation; ``derivative(U)`` adds dJ/du and
-    dB/du as central differences of one such build on the jet of U: each
-    distinct base point u, then their lane-major stencils u + h e_i, u - h e_i
-    of ``numerics.central_stencil``.  A jet across a discontinuity of the
+    On lanes of base points U (B, k), ``at(U)`` gives p, J, G and the frame
+    B of ``normal_space_basis``, and ``derivative(U)`` adds dJ/du and dB/du.
+    Both are one build of one chart evaluation, chart jacobian and metric
+    evaluation on each distinct base point of U, a jet adding their
+    lane-major ``numerics.central_stencil`` stencils u +- h e_i, whose
+    central differences give dJ and dB; a jet across a discontinuity of the
     frame (other projector columns, or a vector of the other sign, at a
-    stencil lane) raises RankDeficient.  The last
-    ``_FRAME_MEMO`` calls are remembered under the lane count and bytes of
-    their lanes, a jet serving ``at`` too; a result never depends on what
-    was evaluated before it.  ``numerics.solve_inverse`` keeps its batch
-    fixed, so a map reading the jet in its value finds it again at the
-    jacobian of every Newton iterate and of the solution: one build each.
+    stencil lane) raises RankDeficient.  Each lane gets what it gets alone.
+    The frame keeps its last build under the lane count and bytes of its
+    lanes, a jet serving ``at`` too: ``numerics.solve_inverse`` keeps its
+    batch fixed, so a value call's jet serves the jacobian of its iterate.
     """
 
     def __init__(self, g: MetricField, N: ParametrizedSubmanifold):
         self.g = g
         self.N = N
-        self._memo: Dict[Tuple[int, bytes], FramePoint] = {}
-
-    def _remember(self, key: Tuple[int, bytes], fp: FramePoint) -> FramePoint:
-        if key not in self._memo and len(self._memo) >= _FRAME_MEMO:
-            del self._memo[next(iter(self._memo))]
-        self._memo[key] = fp
-        return fp
+        self._last: Optional[Tuple[Tuple[int, bytes], FramePoint]] = None
 
     def at(self, U: Array) -> FramePoint:
-        """The memo entry of U's lanes, built on a miss."""
-        key = (len(U), U.tobytes())
-        fp = self._memo.get(key)
-        if fp is None:
-            fp = self._remember(key, FramePoint(*_normal_frame(self.g, self.N, U)[:4]))
-        return fp
+        return self._build(U, jet=False)
 
     def derivative(self, U: Array) -> FramePoint:
-        """The memo entry of U's lanes with dJ and dB, a jet built unless
-        the entry has them."""
-        key = (len(U), U.tobytes())
-        fp = self._memo.get(key)
-        if fp is None or fp.dB is None:
-            fp = self._remember(key, self._jet(U))
-        return fp
+        return self._build(U, jet=True)
 
-    def _jet(self, U: Array) -> FramePoint:
+    def _build(self, U: Array, jet: bool) -> FramePoint:
+        key, last = (len(U), U.tobytes()), self._last
+        if last is not None and last[0] == key and (not jet or last[1].dB is not None):
+            return last[1]
         nl, k = U.shape
         # the distinct base points, told apart by the bytes of their rows:
         # a batch of distinct lanes (a Newton batch) is built as it is, with
-        # no sort, and a stencil's repeated base points are built once; a
-        # point's lanes (k = 0) are one base point, with an empty stencil
+        # no sort, and repeated base points are built once; a point's lanes
+        # (k = 0) are one base point, with an empty stencil
         void = np.dtype((np.void, U.itemsize * k))
         rows = np.ascontiguousarray(U).view(void).ravel().tolist() if k else [b""] * nl
         base, ids = U, None
@@ -234,23 +215,24 @@ class NormalFrame:
             lane[ids] = np.arange(nl)
             base = U[lane]
         nb = len(base)
-        S = central_stencil(base, _FRAME_DU).reshape(nb * 2 * k, k)
+        S = central_stencil(base, _FRAME_DU).reshape(nb * 2 * k, k) if jet else base[:0]
         p, J, B, G, kept = _normal_frame(self.g, self.N, np.concatenate([base, S]))
-        # each base point's stencil lanes, lane-major
-        Js, Bs, kept_s = (X[nb:].reshape(nb, 2 * k, *X.shape[1:]) for X in (J, B, kept))
-        # a difference across a switch of projector columns, or across a
-        # column whose projection passes through zero between u - h and
-        # u + h so that its vector flips, is of order 1/h, not a derivative
-        switch = kept_s != kept[:nb, None]
-        flip = (Bs[:, :k] * Bs[:, k:]).sum(axis=2) <= 0.0
-        if np.count_nonzero(switch) or np.count_nonzero(flip):
-            torn = np.any(switch, axis=(1, 2)) | np.any(flip, axis=(1, 2))
-            raise RankDeficient(f"normal frame torn within {_FRAME_DU:g} of u={base[torn][0]}")
-        dJ, dB = central_difference(Js, _FRAME_DU), central_difference(Bs, _FRAME_DU)
-        centre = [p[:nb], J[:nb], B[:nb], G[:nb]]
-        if ids is None:  # copies, or the memo would keep the stencil lanes alive
-            return FramePoint(*(f.copy() for f in centre), dJ, dB)
-        return FramePoint(*(f[ids] for f in centre + [dJ, dB]))
+        fields = [p[:nb], J[:nb], B[:nb], G[:nb]]
+        if jet:
+            # each base point's stencil lanes, lane-major
+            Js, Bs, kept_s = (X[nb:].reshape(nb, 2 * k, *X.shape[1:]) for X in (J, B, kept))
+            # a difference across a switch of projector columns, or across a
+            # column whose projection passes through zero between u - h and
+            # u + h so that its vector flips, is of order 1/h, not a derivative
+            switch = kept_s != kept[:nb, None]
+            flip = (Bs[:, :k] * Bs[:, k:]).sum(axis=2) <= 0.0
+            if np.count_nonzero(switch) or np.count_nonzero(flip):
+                torn = np.any(switch, axis=(1, 2)) | np.any(flip, axis=(1, 2))
+                raise RankDeficient(f"normal frame torn within {_FRAME_DU:g} of u={base[torn][0]}")
+            fields += [central_difference(Js, _FRAME_DU), central_difference(Bs, _FRAME_DU)]
+        fp = FramePoint(*(fields if ids is None else [f[ids] for f in fields]))
+        self._last = (key, fp)
+        return fp
 
 
 def normal_representative(g: MetricField, fp: FramePoint, A: Array) -> Array:

@@ -227,8 +227,8 @@ def certified_radius(name):
 
 def tube_pipeline(name):
     """psi of a built-in tube scenario on its certified radius, with the
-    pipeline's seed table, on a new frame whose memo no other test has
-    filled, and the pieces it is built from."""
+    pipeline's seed table, on a new frame whose last build no other test
+    made, and the pieces it is built from."""
     gt, N, grid, delta = certified_radius(name)
     frame = NormalFrame(gt, N)
     psi = _build_psi(BUILTIN_SCENARIOS[name], frame, delta)

@@ -1,3 +1,5 @@
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -235,18 +237,24 @@ def test_frame_memo_carries_no_history():
 
 
 def test_frame_memo_stays_bounded():
+    # the frame holds at most one build, its last: once a caller lets go of
+    # a result, nothing but the frame's last build stays alive
     g = euclidean_metric(3)
     N = SUBMANIFOLDS["helix-arc"]()
     frame = NormalFrame(g, N)
+    built = []
     for v in np.linspace(N.lo, N.hi, 500):
-        frame.at(np.array([[v]]))
-        frame.derivative(np.array([[-v]]))
-    assert len(frame._memo) <= submanifolds._FRAME_MEMO
+        built.append(weakref.ref(frame.at(np.array([[v]]))))
+        built.append(weakref.ref(frame.derivative(np.array([[-v]]))))
+    alive = [ref() is not None for ref in built]
+    assert alive == [False] * (len(built) - 1) + [True]
+    assert frame.at(np.array([[-N.hi]])) is built[-1]()
 
 
 def test_a_point_frame_keys_its_memo_on_the_lane_count():
     # every batch of a point's (B, 0) lanes has the same empty bytes, so a
-    # memo keyed on bytes alone gave a five-lane call the one-lane entry
+    # last build keyed on bytes alone would give a five-lane call the
+    # one-lane build
     N = ParametrizedSubmanifold(DifferentiableMap(0, 2, lambda U: np.zeros((len(U), 2))))
     frame = NormalFrame(euclidean_metric(2), N)
     assert frame.at(np.zeros((1, 0))).B.shape == (1, 2, 2)
@@ -260,14 +268,15 @@ def test_a_point_frame_keys_its_memo_on_the_lane_count():
 
 
 def test_a_frame_build_evaluates_the_chart_once():
-    # the frame's p and J are the ones its normal basis was built from
+    # the frame's p and J are the ones its normal basis was built from, and
+    # a base point's repeated lanes are built once
     g = euclidean_metric(3)
     N = SUBMANIFOLDS["helix-arc"]()
     calls = []
 
     def counted(kind, f):
         def g_(U):
-            calls.append(kind)
+            calls.append((kind, len(U)))
             return f(U)
 
         return g_
@@ -276,9 +285,19 @@ def test_a_frame_build_evaluates_the_chart_once():
     N = replace(N, chart=chart)
     U = np.linspace(N.lo, N.hi, 5)[:, None]
     fp = NormalFrame(g, N).at(U)
-    assert sorted(calls) == ["point", "tangent"]
+    assert sorted(calls) == [("point", 5), ("tangent", 5)]
     assert fp.p.tobytes() == N.point(U).tobytes()
     assert fp.J.tobytes() == N.tangent_basis(U).tobytes()
+    # four base points of 12 lanes each, as the diagram lays out its samples
+    g = replace(g, matrix_fn=counted("metric", g.matrix_fn))
+    U = np.repeat(np.linspace(N.lo + 0.1, N.hi - 0.1, 4)[:, None], 12, axis=0)
+    calls.clear()
+    fp = NormalFrame(g, N).at(U)
+    assert sorted(calls) == [("metric", 4), ("point", 4), ("tangent", 4)]
+    for i in range(len(U)):
+        alone = NormalFrame(g, N).at(U[i : i + 1])
+        for field in ("p", "J", "B", "G"):
+            assert getattr(alone, field).tobytes() == getattr(fp, field)[i : i + 1].tobytes()
 
 
 def test_a_frame_derivative_is_one_build_of_its_jet():
@@ -623,11 +642,19 @@ def test_radius_certification_builds_no_frame(monkeypatch):
         built.append(self)
         init(self, *args)
 
+    callers = []
+    build = submanifolds._normal_frame
+
+    def counted_build(*args):
+        callers.append(sys._getframe(1).f_locals.get("self"))
+        return build(*args)
+
     monkeypatch.setattr(NormalFrame, "__init__", counted)
+    monkeypatch.setattr(submanifolds, "_normal_frame", counted_build)
     assert tubular_radius_estimate(frame, grid, delta0) == TUBE_RADII["helix"]
     assert built == []
-    # it sampled the frame it was given
-    assert len(frame._memo) > 0
+    # it sampled the frame it was given, and built in no other
+    assert len(callers) > 0 and all(caller is frame for caller in callers)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 500])
